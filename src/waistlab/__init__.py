@@ -2,11 +2,10 @@
 randomized intersection experiments at desk scale."""
 
 from .bodies import (Body, BodySpec, ball, construct_body, cross_polytope, cube,
-                     difference_body, ellipsoid, intersect, mc_volume,
-                     minkowski_sum, neighborhood, polar, product_body,
-                     reflect_body, rotate_body, scale_body, slab_body,
-                     truncated_cylinder, unit_ball_volume, vertex_polytope,
-                     volume_ratio)
+                     difference_body, ellipsoid, intersect, linear_image,
+                     mc_volume, minkowski_sum, neighborhood, polar,
+                     product_body, slab_body, truncated_cylinder,
+                     unit_ball_volume, vertex_polytope, volume_ratio)
 from .errors import (ConfigError, ContainmentError, DomainError, EmptyFiberError,
                      EvaluationError, HypothesisError, InfeasibleScheduleError,
                      NetConstructionError, SpecError, WaistlabError)

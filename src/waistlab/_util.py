@@ -21,15 +21,6 @@ def seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def spawn_rngs(seed, count: int) -> list[np.random.Generator]:
-    """Independent child generators.
-
-    Children depend only on (seed, index), never on how work is later
-    partitioned, so results are identical for any worker count.
-    """
-    return [np.random.default_rng(c) for c in seed_sequence(seed).spawn(count)]
-
-
 def worker_count() -> int:
     """Worker cap from the WAISTLAB_THREADS environment variable (>= 1)."""
     raw = os.environ.get(THREADS_ENV, "")

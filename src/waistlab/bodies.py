@@ -3,16 +3,20 @@
 A Body packages the support function, gauge (Minkowski functional), radial
 function, membership test, Euclidean distance, and certified inner/outer
 radius bounds of one convex set.  Evaluators are vectorized: they accept a
-single point of shape (n,) or a batch of shape (m, n).
+single point of shape (n,) or a batch of shape (m, n).  An evaluator
+computes its quantity (to solver tolerance), never only a bound on it; one
+with no such form is absent, and calling it raises EvaluationError.
 
 Catalog bodies (balls, cubes, cross-polytopes, ellipsoids, slab
 intersections, products, vertex polytopes, truncated cylinders) get
 closed-form or near-closed-form evaluators.  Combinators (intersection,
-Minkowski sum, neighborhood, rotation, polar, difference body) compose
-evaluators; where no closed form exists, membership and distance fall back
-to iterative schemes built on the bodies' own oracles: cyclic projections
-for intersections and an away-step linear-minimization projection for
-support-point bodies (tolerance 1e-8, iteration cap 10^4).
+Minkowski sum, neighborhood, similarity image, polar, difference body)
+compose evaluators; where no closed form exists, membership and distance
+fall back to iterative schemes built on the bodies' own oracles: cyclic
+projections for intersections and an away-step linear-minimization
+projection for support-point bodies (tolerance 1e-8, iteration cap 10^4).
+An intersection has no support evaluator: the minimum of the two supports
+is only an upper bound.
 
 Lower-dimensional bodies (radius-0 balls and their products) carry an
 infinite gauge off their affine hull; membership and distance go through
@@ -45,11 +49,9 @@ __all__ = [
     "intersect",
     "minkowski_sum",
     "neighborhood",
-    "rotate_body",
+    "linear_image",
     "polar",
     "difference_body",
-    "scale_body",
-    "reflect_body",
     "mc_volume",
     "volume_ratio",
     "unit_ball_volume",
@@ -87,15 +89,16 @@ class Body:
 
     Immutable by convention once constructed; safe to share across threads.
     inner_radius and outer_radius are certified bounds: inner_radius <=
-    radial(u) <= outer_radius for every unit u.  support_exact is False
-    when the support evaluator is only an upper bound (intersections);
-    callers then rely on gauge/radial instead.
+    radial(u) <= outer_radius for every unit u.  The support, support-point
+    and projection evaluators are optional; an absent one raises
+    EvaluationError when called.  vertices holds the vertex array of a
+    vertex polytope and is None for every other body.
     """
 
-    def __init__(self, dim, *, support, gauge, membership=None, support_point=None,
-                 project=None, distance=None, inner_radius, outer_radius,
-                 symmetric, support_exact=True, gauge_exact=True,
-                 truncated=False, kind="custom", spec=None):
+    def __init__(self, dim, *, gauge, support=None, membership=None,
+                 support_point=None, project=None, distance=None,
+                 inner_radius, outer_radius, symmetric, truncated=False,
+                 kind="custom", spec=None, vertices=None):
         self.dim = int(dim)
         self._support = support
         self._gauge = gauge
@@ -106,11 +109,10 @@ class Body:
         self.inner_radius = float(inner_radius)
         self.outer_radius = float(outer_radius)
         self.symmetric = bool(symmetric)
-        self.support_exact = bool(support_exact)
-        self.gauge_exact = bool(gauge_exact)
         self.truncated = bool(truncated)
         self.kind = kind
         self.spec = spec
+        self.vertices = vertices
 
     def __repr__(self):
         return f"Body(kind={self.kind!r}, dim={self.dim}, symmetric={self.symmetric})"
@@ -119,6 +121,8 @@ class Body:
 
     def support(self, u):
         """h(u) = sup over members x of <x, u> (positively homogeneous)."""
+        if self._support is None:
+            raise EvaluationError(f"{self.kind} body has no exact support evaluator")
         U, single = _batch(u, self.dim)
         return _scalarize(self._support(U), single)
 
@@ -264,17 +268,23 @@ def _dykstra(projectors, X, tol=1e-10, max_iter=PROJECT_CAP):
                           f"{tol} within {max_iter} iterations")
 
 
-def _radial_by_bisection(contains, units, r_hi, iters=64):
-    """Boundary radius along each unit row via membership bisection."""
-    m = units.shape[0]
-    lo = np.zeros(m)
-    hi = np.full(m, float(r_hi) * (1.0 + 1e-9) + 1e-30)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        inside = np.asarray(contains(units * mid[:, None]), dtype=bool)
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
-    return lo
+def _bisection_gauge(contains, r_hi, iters=64):
+    """Gauge from membership alone: bisect the boundary radius along each
+    row's direction inside the radius-r_hi ball."""
+    def gauge(X):
+        nrm = np.linalg.norm(X, axis=1)
+        units = X / np.where(nrm > 0, nrm, 1.0)[:, None]
+        lo = np.zeros(X.shape[0])
+        hi = np.full(X.shape[0], float(r_hi) * (1.0 + 1e-9) + 1e-30)
+        for _ in range(iters):
+            mid = 0.5 * (lo + hi)
+            inside = np.asarray(contains(units * mid[:, None]), dtype=bool)
+            lo = np.where(inside, mid, lo)
+            hi = np.where(inside, hi, mid)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(nrm == 0.0, 0.0, nrm / lo)
+
+    return gauge
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +609,7 @@ def vertex_polytope(vertices, symmetric=None) -> Body:
     def sp(U):
         return V[(U @ V.T).argmax(axis=1)]
 
-    body = Body(
+    return Body(
         dim,
         support=lambda U: (U @ V.T).max(axis=1),
         gauge=gauge_h if interior0 else gauge_lp,
@@ -610,9 +620,8 @@ def vertex_polytope(vertices, symmetric=None) -> Body:
         symmetric=is_sym,
         kind="vertex_polytope",
         spec=BodySpec("vertex_polytope", {"vertices": V.tolist()}),
+        vertices=V,
     )
-    body._vertices = V
-    return body
 
 
 def truncated_cylinder(core: Body, dim: int, transverse_radius=None,
@@ -738,8 +747,8 @@ def _check_dims(K: Body, L: Body):
 
 
 def intersect(K: Body, L: Body) -> Body:
-    """Intersection: gauges take the max, radials the min.  The support
-    evaluator is only an upper bound (min of supports) and is flagged so."""
+    """Intersection: gauges take the max, radials the min.  It has no support
+    evaluator: the min of the two supports is only an upper bound."""
     _check_dims(K, L)
     project = None
     if K.can_project and L.can_project:
@@ -748,14 +757,12 @@ def intersect(K: Body, L: Body) -> Body:
 
     return Body(
         K.dim,
-        support=lambda U: np.minimum(np.asarray(K.support(U)), np.asarray(L.support(U))),
         gauge=lambda X: np.maximum(np.asarray(K.gauge(X)), np.asarray(L.gauge(X))),
         membership=lambda X: np.asarray(K.contains(X)) & np.asarray(L.contains(X)),
         project=project,
         inner_radius=min(K.inner_radius, L.inner_radius),
         outer_radius=min(K.outer_radius, L.outer_radius),
         symmetric=K.symmetric and L.symmetric,
-        support_exact=False,
         truncated=K.truncated or L.truncated,
         kind="intersection",
     )
@@ -785,21 +792,11 @@ def _neighborhood_core(K: Body, r: float) -> Body:
             safe = np.where(nrm > 0, nrm, 1.0)
             return K.support_point(U) + U * (r / safe)[:, None]
 
-    contains_fn = lambda X: membership(np.asarray(X, dtype=float))
     r_out = K.outer_radius + r
-
-    def gauge(X):
-        nrm = np.linalg.norm(X, axis=1)
-        units = X / np.where(nrm > 0, nrm, 1.0)[:, None]
-        radial = _radial_by_bisection(contains_fn, units, r_out)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.where(nrm == 0.0, 0.0, nrm / radial)
-        return g
-
     return Body(
         K.dim,
         support=lambda U: np.asarray(K.support(U)) + r * np.linalg.norm(np.atleast_2d(U), axis=1),
-        gauge=gauge if math.isfinite(r_out) else K._gauge,
+        gauge=_bisection_gauge(membership, r_out) if math.isfinite(r_out) else K._gauge,
         membership=membership,
         support_point=sp,
         project=project,
@@ -823,22 +820,21 @@ def neighborhood(K: Body, eps: float) -> Body:
 
 
 def minkowski_sum(K: Body, L: Body) -> Body:
-    """Minkowski sum; support functions add exactly."""
+    """Minkowski sum; support functions add exactly.  A radius-0 ball
+    summand returns the other summand itself, unchanged."""
     _check_dims(K, L)
     if K.kind == "ball" and L.kind == "ball":
         return ball(K.dim, K.outer_radius + L.outer_radius)
-    if L.kind == "ball":
-        out = _neighborhood_core(K, L.outer_radius) if L.outer_radius > 0 else K
-        out.kind = "minkowski_sum"
-        return out
     if K.kind == "ball":
-        out = _neighborhood_core(L, K.outer_radius) if K.outer_radius > 0 else L
+        K, L = L, K
+    if L.kind == "ball":
+        if L.outer_radius == 0.0:
+            return K
+        out = _neighborhood_core(K, L.outer_radius)
         out.kind = "minkowski_sum"
         return out
-    KV = getattr(K, "_vertices", None)
-    LV = getattr(L, "_vertices", None)
-    if KV is not None and LV is not None:
-        sums = (KV[:, None, :] + LV[None, :, :]).reshape(-1, K.dim)
+    if K.vertices is not None and L.vertices is not None:
+        sums = (K.vertices[:, None, :] + L.vertices[None, :, :]).reshape(-1, K.dim)
         out = vertex_polytope(sums)
         out.kind = "minkowski_sum"
         return out
@@ -860,19 +856,10 @@ def minkowski_sum(K: Body, L: Body) -> Body:
         return dist(X) <= DIST_TOL
 
     r_out = K.outer_radius + L.outer_radius
-    contains_fn = membership
-
-    def gauge(X):
-        nrm = np.linalg.norm(X, axis=1)
-        units = X / np.where(nrm > 0, nrm, 1.0)[:, None]
-        radial = _radial_by_bisection(contains_fn, units, r_out)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(nrm == 0.0, 0.0, nrm / radial)
-
     return Body(
         K.dim,
         support=lambda U: np.asarray(K.support(U)) + np.asarray(L.support(U)),
-        gauge=gauge,
+        gauge=_bisection_gauge(membership, r_out),
         membership=membership,
         support_point=sp,
         distance=dist,
@@ -884,51 +871,60 @@ def minkowski_sum(K: Body, L: Body) -> Body:
     )
 
 
-def _rotation_matrix(U, dim):
-    M = np.asarray(getattr(U, "matrix", U), dtype=float)
-    if M.shape != (dim, dim):
-        raise DomainError(f"rotation must be {dim}x{dim}, got {M.shape}")
-    resid = float(np.max(np.abs(M.T @ M - np.eye(dim))))
+def linear_image(K: Body, Q, scale: float = 1.0) -> Body:
+    """Image of the body under x -> scale * Q x, for Q orthogonal (a matrix
+    or a Rotation) and scale > 0: rotations, reflections and dilations.
+    Every evaluator conjugates; the support evaluator stays absent when K
+    has none."""
+    Q = np.asarray(getattr(Q, "matrix", Q), dtype=float)
+    if Q.shape != (K.dim, K.dim):
+        raise DomainError(f"orthogonal map must be {K.dim}x{K.dim}, got {Q.shape}")
+    resid = float(np.max(np.abs(Q.T @ Q - np.eye(K.dim))))
     if resid > ORTHO_TOL:
         raise DomainError(f"matrix is not orthogonal (residual {resid:.2e} > {ORTHO_TOL})")
-    return M
+    if not scale > 0:
+        raise DomainError(f"scale must be positive, got {scale}")
+    t = float(scale)
 
-
-def rotate_body(K: Body, U) -> Body:
-    """Image of the body under an orthogonal map; evaluators conjugate."""
-    M = _rotation_matrix(U, K.dim)
+    support = None
+    if K._support is not None:
+        def support(W):
+            return t * np.asarray(K.support(W @ Q))
 
     sp = None
     if K._support_point is not None:
         def sp(W):
-            return K.support_point(W @ M) @ M.T
+            return t * (K.support_point(W @ Q) @ Q.T)
 
     project = None
     if K.can_project:
         def project(X):
-            return K._project_batch(X @ M) @ M.T
+            return t * (K._project_batch((X @ Q) / t) @ Q.T)
 
     return Body(
         K.dim,
-        support=lambda W: np.asarray(K.support(W @ M)),
-        gauge=lambda X: np.asarray(K.gauge(X @ M)),
-        membership=lambda X: np.asarray(K.contains(X @ M)),
+        support=support,
+        gauge=lambda X: np.asarray(K.gauge((X @ Q) / t)),
+        membership=lambda X: np.asarray(K.contains((X @ Q) / t)),
         support_point=sp,
         project=project,
-        distance=lambda X: np.asarray(K.distance(X @ M)),
-        inner_radius=K.inner_radius, outer_radius=K.outer_radius,
-        symmetric=K.symmetric, support_exact=K.support_exact,
-        gauge_exact=K.gauge_exact, truncated=K.truncated,
-        kind="rotated",
+        distance=lambda X: t * np.asarray(K.distance((X @ Q) / t)),
+        inner_radius=t * K.inner_radius, outer_radius=t * K.outer_radius,
+        symmetric=K.symmetric, truncated=K.truncated,
+        kind="linear_image",
     )
 
 
 def polar(K: Body) -> Body:
-    """Polar body: support and gauge evaluators swap roles."""
+    """Polar body: support and gauge evaluators swap roles.  K must carry an
+    exact support evaluator, which becomes the polar's gauge."""
     if not K.symmetric:
         raise DomainError("polar requires a symmetric body")
     if not K.inner_radius > 0:
         raise DomainError("polar of a body with inner radius 0 is unbounded; rejected")
+    if K._support is None:
+        raise EvaluationError(f"polar needs an exact support evaluator; "
+                              f"the {K.kind} body has none")
     return Body(
         K.dim,
         support=lambda U: np.asarray(K.gauge(U)),
@@ -937,49 +933,7 @@ def polar(K: Body) -> Body:
         inner_radius=1.0 / K.outer_radius if math.isfinite(K.outer_radius) else 0.0,
         outer_radius=1.0 / K.inner_radius,
         symmetric=True,
-        support_exact=K.gauge_exact,
-        gauge_exact=K.support_exact,
         kind="polar",
-    )
-
-
-def scale_body(K: Body, t: float) -> Body:
-    """Dilate by t > 0."""
-    if not t > 0:
-        raise DomainError(f"scale factor must be positive, got {t}")
-    sp = (lambda U: t * K.support_point(U)) if K._support_point is not None else None
-    project = (lambda X: t * K._project_batch(np.asarray(X, dtype=float) / t)) if K.can_project else None
-    return Body(
-        K.dim,
-        support=lambda U: t * np.asarray(K.support(U)),
-        gauge=lambda X: np.asarray(K.gauge(np.asarray(X, dtype=float) / t)),
-        membership=lambda X: np.asarray(K.contains(np.asarray(X, dtype=float) / t)),
-        support_point=sp,
-        project=project,
-        distance=lambda X: t * np.asarray(K.distance(np.asarray(X, dtype=float) / t)),
-        inner_radius=t * K.inner_radius, outer_radius=t * K.outer_radius,
-        symmetric=K.symmetric, support_exact=K.support_exact,
-        gauge_exact=K.gauge_exact, truncated=K.truncated,
-        kind=K.kind,
-    )
-
-
-def reflect_body(K: Body) -> Body:
-    """Point reflection through the origin."""
-    sp = (lambda U: -K.support_point(-np.asarray(U, dtype=float))) if K._support_point is not None else None
-    project = (lambda X: -K._project_batch(-np.asarray(X, dtype=float))) if K.can_project else None
-    return Body(
-        K.dim,
-        support=lambda U: np.asarray(K.support(-np.asarray(U, dtype=float))),
-        gauge=lambda X: np.asarray(K.gauge(-np.asarray(X, dtype=float))),
-        membership=lambda X: np.asarray(K.contains(-np.asarray(X, dtype=float))),
-        support_point=sp,
-        project=project,
-        distance=lambda X: np.asarray(K.distance(-np.asarray(X, dtype=float))),
-        inner_radius=K.inner_radius, outer_radius=K.outer_radius,
-        symmetric=K.symmetric, support_exact=K.support_exact,
-        gauge_exact=K.gauge_exact, truncated=K.truncated,
-        kind="reflected",
     )
 
 
@@ -988,17 +942,12 @@ def difference_body(K: Body) -> Body:
     dilate 2K when K is already symmetric, and the pairwise vertex
     differences for vertex polytopes."""
     if K.symmetric:
-        out = scale_body(K, 2.0)
-        out.kind = "difference_body"
-        return out
-    V = getattr(K, "_vertices", None)
-    if V is not None:
-        diffs = (V[:, None, :] - V[None, :, :]).reshape(-1, K.dim)
-        out = vertex_polytope(diffs)
-        out.kind = "difference_body"
-        out.symmetric = True
-        return out
-    out = minkowski_sum(K, reflect_body(K))
+        out = linear_image(K, np.eye(K.dim), 2.0)
+    elif K.vertices is not None:
+        V = K.vertices
+        out = vertex_polytope((V[:, None, :] - V[None, :, :]).reshape(-1, K.dim))
+    else:
+        out = minkowski_sum(K, linear_image(K, -np.eye(K.dim)))
     out.kind = "difference_body"
     out.symmetric = True
     return out

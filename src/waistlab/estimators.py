@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import ball_points, bernoulli_se, rng_from, sphere_points
-from .bodies import Body, rotate_body
+from .bodies import Body, linear_image
 from .errors import DomainError, EvaluationError
 from .geometry import Subspace, build_net
 from .optimize import DEFAULT_OPT, OptimizerConfig, minimize_on_sphere
@@ -155,7 +155,7 @@ def diameter_of_intersection(K: Body, L: Body, U, opt: OptimizerConfig = DEFAULT
     """
     if not (K.symmetric and L.symmetric):
         raise DomainError("intersection diameter requires symmetric bodies")
-    Lrot = rotate_body(L, U)
+    Lrot = linear_image(L, U)
     n = K.dim
 
     def gauge_max(V):
@@ -199,7 +199,7 @@ def inclusion_radius(K: Body, L: Body, U, opt: OptimizerConfig = DEFAULT_OPT,
     """
     if combine not in ("sum", "max"):
         raise DomainError(f"combine must be 'sum' or 'max', got {combine!r}")
-    Lrot = rotate_body(L, U)
+    Lrot = linear_image(L, U)
     n = K.dim
 
     components = None

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._util import (ball_points, bernoulli_se, canonical_dumps, parallel_map,
                     quantile_summary, rng_from, seed_sequence, sphere_points,
                     write_csv)
-from .bodies import Body, difference_body, mc_volume, scale_body, volume_ratio
+from .bodies import Body, difference_body, linear_image, mc_volume, volume_ratio
 from .errors import (DomainError, HypothesisError, InfeasibleScheduleError,
                      NetConstructionError)
 from .estimators import diameter_of_intersection, inclusion_radius, mc_sigma_body, section_diameter
@@ -386,9 +386,7 @@ def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
             if dual_products:
                 imax = inclusion_radius(K, L, U, opt=opt, combine="max")
                 pk, pl = polar_pair
-                alt = OptimizerConfig(restarts=opt.restarts, iters=opt.iters,
-                                      seed=opt.seed + 7919, step0=opt.step0,
-                                      polish=opt.polish)
+                alt = replace(opt, seed=opt.seed + 7919)
                 pd = diameter_of_intersection(pk, pl, U, opt=alt)
                 row["incl_max"] = imax.value
                 row["dual_product"] = pd.diameter * imax.value
@@ -638,7 +636,7 @@ def run_global_vr(K: Body, L: Body, n: int, k: int, trials: int, seed=0, *,
     if section_diff is None:
         section_diff = Subspace.canonical(n, n - ak, offset=ak)
     d_sec = section_diameter(K2, section_diff, opt)
-    K2s = scale_body(K2, 1.0 / d_sec)
+    K2s = linear_image(K2, np.eye(n), 1.0 / d_sec)
 
     sub = run_two_bodies(L, K2s, n, k, trials=trials,
                          seed=int(s_run.generate_state(1)[0]),

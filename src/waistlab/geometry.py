@@ -55,9 +55,6 @@ class Rotation:
         """U x for a vector or batch of row vectors."""
         return np.asarray(x, dtype=float) @ self.matrix.T
 
-    def apply_inverse(self, x):
-        return np.asarray(x, dtype=float) @ self.matrix
-
     def to_json_dict(self) -> dict:
         return {"matrix": self.matrix.tolist(), "residual": self.residual}
 

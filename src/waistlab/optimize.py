@@ -25,11 +25,11 @@ class OptimizerConfig:
     iters: int = 120
     seed: int = 0
     step0: float = 0.3
-    fd_step: float = 1e-6
     polish: bool = True
 
 
 DEFAULT_OPT = OptimizerConfig()
+FD_STEP = 1e-6            # central-difference step of the descent gradients
 
 
 @dataclass
@@ -91,7 +91,7 @@ def minimize_on_sphere(f, n: int, cfg: OptimizerConfig = DEFAULT_OPT,
     best_u = U[int(np.argmin(vals))].copy()
     best_v = float(np.min(vals))
 
-    h = cfg.fd_step
+    h = FD_STEP
     steps = np.full(m, cfg.step0)
     eye = np.eye(n)
     for _ in range(cfg.iters):

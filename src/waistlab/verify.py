@@ -159,7 +159,7 @@ def _check_combinators(fast):
     assert np.max(np.abs(hs - hk)) < 1e-12, "support additivity broke"
     th = math.pi / 5
     R = np.array([[math.cos(th), -math.sin(th), 0], [math.sin(th), math.cos(th), 0], [0, 0, 1.0]])
-    KR = bodies.rotate_body(K, R)
+    KR = bodies.linear_image(K, R)
     assert np.max(np.abs(np.asarray(KR.support(u)) - np.asarray(K.support(u @ R)))) < 1e-12
     PP = bodies.polar(bodies.polar(L))
     x = sphere_points(rng, 100, 3) * 1.7

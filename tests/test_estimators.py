@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from waistlab.bodies import (ball, cross_polytope, cube, ellipsoid, polar,
-                             product_body, scale_body, slab_body,
+from waistlab.bodies import (ball, cross_polytope, cube, ellipsoid, linear_image,
+                             polar, product_body, slab_body,
                              truncated_cylinder, unit_ball_volume)
 from waistlab.errors import DomainError
 from waistlab.estimators import (covering_number_upper, diameter_of_intersection,
@@ -241,9 +241,7 @@ def test_common_rotation_invariance(opt_tight):
     U = haar_rotation(3, seed=12)
     V = haar_rotation(3, seed=13).matrix
     d0 = diameter_of_intersection(K, L, U, opt=opt_tight).diameter
-    from waistlab.bodies import rotate_body
-
-    KV, LV = rotate_body(K, V), rotate_body(L, V)
+    KV, LV = linear_image(K, V), linear_image(L, V)
     UV = V @ U.matrix @ V.T
     d1 = diameter_of_intersection(KV, LV, UV, opt=opt_tight).diameter
     assert d1 == pytest.approx(d0, rel=1e-6)
@@ -257,10 +255,10 @@ def test_monotone_under_enlargement(opt_small):
     L = cube(2, 0.9)
     U = haar_rotation(2, seed=14)
     d0 = diameter_of_intersection(K, L, U, opt=opt_small).diameter
-    d1 = diameter_of_intersection(scale_body(K, 1.2), L, U, opt=opt_small).diameter
+    d1 = diameter_of_intersection(linear_image(K, np.eye(2), 1.2), L, U, opt=opt_small).diameter
     assert d1 >= d0 - 1e-9
     r0 = inclusion_radius(K, L, U, opt=opt_small).value
-    r1 = inclusion_radius(scale_body(K, 1.2), L, U, opt=opt_small).value
+    r1 = inclusion_radius(linear_image(K, np.eye(2), 1.2), L, U, opt=opt_small).value
     assert r1 >= r0 - 1e-9
 
 
