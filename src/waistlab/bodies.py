@@ -18,6 +18,11 @@ projection for support-point bodies (tolerance 1e-8, iteration cap 10^4).
 An intersection has no support evaluator: the minimum of the two supports
 is only an upper bound.
 
+Bodies also write their gauge and support as a max of Pieces: facet rows,
+implicit l1 sign families, Euclidean norms of linear maps and sums of such
+maxima.  The optimizer's epigraph solve reads them; an evaluator with no
+such form is one smooth piece, the evaluator itself.
+
 Lower-dimensional bodies (radius-0 balls and their products) carry an
 infinite gauge off their affine hull; membership and distance go through
 the orthogonal decomposition instead.
@@ -37,6 +42,8 @@ from .errors import ContainmentError, DomainError, EvaluationError, SpecError
 __all__ = [
     "Body",
     "BodySpec",
+    "Piece",
+    "map_pieces",
     "construct_body",
     "ball",
     "cube",
@@ -84,6 +91,80 @@ def _scalarize(vals, single):
     return vals
 
 
+@dataclass(frozen=True, eq=False)
+class Piece:
+    """One piece of a gauge or support written as a max of pieces.
+
+    kind "linear": x -> max_i <P_i, x> over the rows of matrix P (m, n).
+    kind "l1": x -> |x M|_1 for matrix M (n, k): the max of <s, x M> over
+      all 2^k sign patterns s, kept implicit instead of listed.
+    kind "l2": x -> |x M|_2 for matrix M (n, k), smooth off the kernel of
+      M^T: the gauges and supports of balls and ellipsoids.
+    kind "sum": x -> the sum over parts of the max over the part's pieces;
+      the support of a product.
+    kind "smooth": x -> scale * value(x A) with batched gradient
+      scale * grad(x A) A^T, where matrix A (n, n0) is the input map (None:
+      the identity) and grad is None when only finite differences exist;
+      the fallback for an evaluator with no closed form.
+    Every piece is positively homogeneous, as gauges and supports are.
+    """
+
+    kind: str
+    matrix: np.ndarray | None = None
+    value: object = None
+    grad: object = None
+    scale: float = 1.0
+    parts: tuple = ()
+
+    def evaluate(self, X):
+        """Piece values at the rows of X."""
+        if self.kind == "linear":
+            return (X @ self.matrix.T).max(axis=1)
+        if self.kind == "l1":
+            return np.abs(X @ self.matrix).sum(axis=1)
+        if self.kind == "l2":
+            return np.linalg.norm(X @ self.matrix, axis=1)
+        if self.kind == "sum":
+            return sum(np.max([p.evaluate(X) for p in part], axis=0) for part in self.parts)
+        Y = X if self.matrix is None else X @ self.matrix
+        return self.scale * np.asarray(self.value(Y), dtype=float)
+
+    def gradient(self, X):
+        """Gradients at the rows of X of an l2 piece (0 where x M = 0)
+        or a smooth piece; None for a smooth piece without grad."""
+        M = self.matrix
+        if self.kind == "l2":
+            Y = X @ M
+            nrm = np.linalg.norm(Y, axis=1)
+            return (Y @ M.T) / np.where(nrm > 0, nrm, 1.0)[:, None]
+        if self.grad is None:
+            return None
+        G = self.scale * np.asarray(self.grad(X if M is None else X @ M), dtype=float)
+        return G if M is None else G @ M.T
+
+    def mapped(self, A, scale=1.0):
+        """The piece x -> scale * piece(x A), for A (n_new, n) and scale > 0."""
+        if self.kind == "linear":
+            return Piece("linear", scale * (self.matrix @ A.T))
+        if self.kind in ("l1", "l2"):
+            return Piece(self.kind, scale * (A @ self.matrix))
+        if self.kind == "sum":
+            return Piece("sum", parts=tuple(map_pieces(part, A, scale) for part in self.parts))
+        inner = A if self.matrix is None else A @ self.matrix
+        return Piece("smooth", inner, self.value, self.grad, scale * self.scale)
+
+
+def map_pieces(pieces, A, scale=1.0):
+    """Compose every piece with x -> x A and multiply it by scale."""
+    A = np.asarray(A, dtype=float)
+    return tuple(p.mapped(A, scale) for p in pieces)
+
+
+def _abs_rows(M):
+    """The linear piece x -> max_i |<M_i, x>|, with rows [M; -M]."""
+    return Piece("linear", np.vstack([M, -M]))
+
+
 class Body:
     """A convex body presented through its evaluators.
 
@@ -92,16 +173,21 @@ class Body:
     radial(u) <= outer_radius for every unit u.  The support, support-point
     and projection evaluators are optional; an absent one raises
     EvaluationError when called.  vertices holds the vertex array of a
-    vertex polytope and is None for every other body.
+    vertex polytope and is None for every other body.  gauge_pieces and
+    support_pieces describe the gauge and support as a max of Pieces, for
+    the optimizer's epigraph solve.
     """
 
     def __init__(self, dim, *, gauge, support=None, membership=None,
                  support_point=None, project=None, distance=None,
                  inner_radius, outer_radius, symmetric, truncated=False,
-                 kind="custom", spec=None, vertices=None):
+                 kind="custom", spec=None, vertices=None,
+                 gauge_pieces=None, support_pieces=None):
         self.dim = int(dim)
         self._support = support
         self._gauge = gauge
+        self._gauge_pieces = gauge_pieces
+        self._support_pieces = support_pieces
         self._membership = membership
         self._support_point = support_point
         self._project = project
@@ -168,6 +254,26 @@ class Body:
         U, single = _batch(u, self.dim)
         Y = self._support_point(U)
         return Y[0] if single else Y
+
+    # -- pieces ----------------------------------------------------------------
+
+    @property
+    def gauge_pieces(self):
+        """The gauge as a max of Pieces; without a closed form, one smooth
+        piece: the gauge evaluator itself, with no gradient."""
+        if self._gauge_pieces is not None:
+            return self._gauge_pieces
+        return (Piece("smooth", value=self._gauge),)
+
+    @property
+    def support_pieces(self):
+        """The support as a max of Pieces; without a closed form, one smooth
+        piece: the support evaluator with the support point as gradient."""
+        if self._support_pieces is not None:
+            return self._support_pieces
+        if self._support is None:
+            raise EvaluationError(f"{self.kind} body has no exact support evaluator")
+        return (Piece("smooth", value=self._support, grad=self._support_point),)
 
     # -- evaluator resolution ------------------------------------------------
 
@@ -315,6 +421,7 @@ def ball(dim: int, radius: float) -> Body:
             distance=lambda X: np.linalg.norm(X, axis=1),
             inner_radius=0.0, outer_radius=0.0, symmetric=True,
             kind="ball", spec=BodySpec("ball", {"dim": dim, "radius": 0.0}),
+            support_pieces=(Piece("linear", np.zeros((1, dim))),),
         )
 
     def proj(X):
@@ -336,6 +443,8 @@ def ball(dim: int, radius: float) -> Body:
         distance=lambda X: np.maximum(np.linalg.norm(X, axis=1) - r, 0.0),
         inner_radius=r, outer_radius=r, symmetric=True,
         kind="ball", spec=BodySpec("ball", {"dim": dim, "radius": r}),
+        gauge_pieces=(Piece("l2", np.eye(dim) / r),),
+        support_pieces=(Piece("l2", r * np.eye(dim)),),
     )
 
 
@@ -356,6 +465,8 @@ def cube(dim: int, half_width: float) -> Body:
         distance=dist,
         inner_radius=a, outer_radius=a * math.sqrt(dim), symmetric=True,
         kind="cube", spec=BodySpec("cube", {"dim": dim, "half_width": a}),
+        gauge_pieces=(_abs_rows(np.eye(dim) / a),),
+        support_pieces=(Piece("l1", a * np.eye(dim)),),
     )
 
 
@@ -395,6 +506,8 @@ def cross_polytope(dim: int, radius: float) -> Body:
         project=lambda X: _l1_project(X, r),
         inner_radius=r / math.sqrt(dim), outer_radius=r, symmetric=True,
         kind="cross_polytope", spec=BodySpec("cross_polytope", {"dim": dim, "radius": r}),
+        gauge_pieces=(Piece("l1", np.eye(dim) / r),),
+        support_pieces=(_abs_rows(r * np.eye(dim)),),
     )
 
 
@@ -443,6 +556,8 @@ def ellipsoid(semiaxes) -> Body:
         project=proj,
         inner_radius=float(s.min()), outer_radius=float(s.max()), symmetric=True,
         kind="ellipsoid", spec=BodySpec("ellipsoid", {"semiaxes": s.tolist()}),
+        gauge_pieces=(Piece("l2", np.diag(1.0 / s)),),
+        support_pieces=(Piece("l2", np.diag(s)),),
     )
 
 
@@ -504,6 +619,7 @@ def slab_body(normals, widths) -> Body:
         gauge=gauge,
         project=lambda X: _dykstra(projectors, X),
         inner_radius=float(wh.min()), outer_radius=r_out, symmetric=True,
+        gauge_pieces=(_abs_rows(Nh / wh[:, None]),),
         kind="slab_intersection",
         spec=BodySpec("slab_intersection",
                       {"normals": N.tolist(), "widths": w.tolist()}),
@@ -541,6 +657,14 @@ def product_body(first: Body, second: Body) -> Body:
     if first.spec is not None and second.spec is not None:
         spec = BodySpec("product", {"first": first.spec, "second": second.spec})
 
+    eye = np.eye(dim)
+    gauge_pieces = (map_pieces(first.gauge_pieces, eye[:, :d1])
+                    + map_pieces(second.gauge_pieces, eye[:, d1:]))
+    support_pieces = None
+    if first._support is not None and second._support is not None:
+        support_pieces = (Piece("sum", parts=(map_pieces(first.support_pieces, eye[:, :d1]),
+                                              map_pieces(second.support_pieces, eye[:, d1:]))),)
+
     return Body(
         dim,
         support=lambda U: np.asarray(first.support(U[:, :d1])) + np.asarray(second.support(U[:, d1:])),
@@ -556,6 +680,8 @@ def product_body(first: Body, second: Body) -> Body:
         symmetric=first.symmetric and second.symmetric,
         truncated=first.truncated or second.truncated,
         kind="product", spec=spec,
+        gauge_pieces=gauge_pieces,
+        support_pieces=support_pieces,
     )
 
 
@@ -609,18 +735,33 @@ def vertex_polytope(vertices, symmetric=None) -> Body:
     def sp(U):
         return V[(U @ V.T).argmax(axis=1)]
 
+    def membership(X):
+        return (X @ A.T <= b + DIST_TOL).all(axis=1)
+
+    def dist(X):
+        # members are at distance 0 by the facet test; only the others
+        # need the iterative projection
+        d = np.zeros(X.shape[0])
+        for i in np.flatnonzero(~membership(X)):
+            y = _lmo_project(lambda u: V[int(np.argmax(V @ u))], X[i])
+            d[i] = np.linalg.norm(X[i] - y)
+        return d
+
     return Body(
         dim,
         support=lambda U: (U @ V.T).max(axis=1),
         gauge=gauge_h if interior0 else gauge_lp,
-        membership=lambda X: (X @ A.T <= b + DIST_TOL).all(axis=1),
+        membership=membership,
         support_point=sp,
+        distance=dist,
         inner_radius=float(b.min()) if interior0 else 0.0,
         outer_radius=float(np.linalg.norm(V, axis=1).max()),
         symmetric=is_sym,
         kind="vertex_polytope",
         spec=BodySpec("vertex_polytope", {"vertices": V.tolist()}),
         vertices=V,
+        gauge_pieces=(Piece("linear", A / b[:, None]),) if interior0 else None,
+        support_pieces=(Piece("linear", V),),
     )
 
 
@@ -912,6 +1053,8 @@ def linear_image(K: Body, Q, scale: float = 1.0) -> Body:
         inner_radius=t * K.inner_radius, outer_radius=t * K.outer_radius,
         symmetric=K.symmetric, truncated=K.truncated,
         kind="linear_image",
+        gauge_pieces=map_pieces(K.gauge_pieces, Q / t),
+        support_pieces=map_pieces(K.support_pieces, Q, t) if support is not None else None,
     )
 
 
@@ -934,6 +1077,8 @@ def polar(K: Body) -> Body:
         outer_radius=1.0 / K.inner_radius,
         symmetric=True,
         kind="polar",
+        gauge_pieces=K.support_pieces,
+        support_pieces=K.gauge_pieces,
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import ball_points, bernoulli_se, rng_from, sphere_points
-from .bodies import Body, linear_image
+from .bodies import Body, Piece, linear_image, map_pieces
 from .errors import DomainError, EvaluationError
 from .geometry import Subspace, build_net
 from .optimize import DEFAULT_OPT, OptimizerConfig, minimize_on_sphere
@@ -163,7 +163,7 @@ def diameter_of_intersection(K: Body, L: Body, U, opt: OptimizerConfig = DEFAULT
                           np.asarray(Lrot.gauge(V), dtype=float))
 
     res = minimize_on_sphere(gauge_max, n, opt,
-                             components=(K.gauge, Lrot.gauge))
+                             pieces=K.gauge_pieces + Lrot.gauge_pieces)
     gmin = float(gauge_max(res.direction[None, :])[0])
     truncated = K.truncated or L.truncated
     if gmin <= 1e-12:
@@ -202,18 +202,19 @@ def inclusion_radius(K: Body, L: Body, U, opt: OptimizerConfig = DEFAULT_OPT,
     Lrot = linear_image(L, U)
     n = K.dim
 
-    components = None
     if combine == "sum":
         def objective(V):
             return np.asarray(K.support(V), dtype=float) + np.asarray(Lrot.support(V), dtype=float)
+
+        pieces = (Piece("sum", parts=(K.support_pieces, Lrot.support_pieces)),)
     else:
         def objective(V):
             return np.maximum(np.asarray(K.support(V), dtype=float),
                               np.asarray(Lrot.support(V), dtype=float))
 
-        components = (K.support, Lrot.support)
+        pieces = K.support_pieces + Lrot.support_pieces
 
-    res = minimize_on_sphere(objective, n, opt, components=components)
+    res = minimize_on_sphere(objective, n, opt, pieces=pieces)
     value = float(objective(res.direction[None, :])[0])
     note = "upper bound on the minimum (attained direction)"
     lower = None
@@ -237,7 +238,8 @@ def section_diameter(K: Body, E: Subspace, opt: OptimizerConfig = DEFAULT_OPT) -
     def gauge_in_section(W):
         return np.asarray(K.gauge(W @ E.frame), dtype=float)
 
-    res = minimize_on_sphere(gauge_in_section, E.k, opt)
+    res = minimize_on_sphere(gauge_in_section, E.k, opt,
+                             pieces=map_pieces(K.gauge_pieces, E.frame))
     gmin = float(gauge_in_section(res.direction[None, :])[0])
     if gmin <= 1e-12:
         return math.inf

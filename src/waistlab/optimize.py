@@ -1,10 +1,13 @@
 """Multistart minimization of scalar fields over the unit sphere.
 
 The driver runs batched projected descent with central-difference gradients
-from spread-out seed directions, then polishes the incumbent with local
-solvers.  Values returned are always attained at an explicit feasible
-direction, so for maximization problems the result is a certified bound
-from the feasible side.
+from spread-out seed directions.  It then polishes the best distinct descent
+endpoints with one SLSQP solve each of the epigraph program of the field,
+written as a max of pieces (see bodies.Piece): min t subject to
+piece(u) <= t for every piece and |u|^2 = 1, with exact constraints and
+analytic Jacobians.  Values returned are always attained at an explicit
+feasible direction, so for maximization problems the result is a
+certified bound from the feasible side.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
 from ._util import rng_from, sphere_points
+from .bodies import Piece
 
 __all__ = ["OptimizerConfig", "SphereOptResult", "minimize_on_sphere", "spread_directions"]
 
@@ -30,6 +34,8 @@ class OptimizerConfig:
 
 DEFAULT_OPT = OptimizerConfig()
 FD_STEP = 1e-6            # central-difference step of the descent gradients
+POLISH_STARTS = 16        # distinct descent endpoints the epigraph solve starts from
+POLISH_SEPARATION = 1e-6  # endpoints closer than this count as one start
 
 
 @dataclass
@@ -63,16 +69,19 @@ def _normalize_rows(V):
 
 
 def minimize_on_sphere(f, n: int, cfg: OptimizerConfig = DEFAULT_OPT,
-                       extra_starts=None, components=None) -> SphereOptResult:
+                       extra_starts=None, pieces=None) -> SphereOptResult:
     """Minimize a batched scalar field over the unit sphere of R^n.
 
     f maps an (m, n) array of unit rows to an (m,) array.  Deterministic
     for a fixed config seed.
 
-    When f is a pointwise maximum of smoother pieces, pass them in
-    `components`: the polish stage then also solves the epigraph program
-    min t s.t. piece_i(u) <= t, |u|^2 = 1, which tracks the crease where
-    pieces tie far better than a direct local method.
+    pieces describes f for the polish stage as the max of a sequence of
+    Pieces (sums of maxima are "sum" pieces).  Without pieces, f itself is
+    the one piece and SLSQP differentiates it numerically.  With
+    cfg.polish, the epigraph program is solved from the POLISH_STARTS best
+    distinct descent endpoints, and a solution is kept only when f,
+    re-evaluated there, improves on the descent.  nfev counts every row at
+    which f, a piece or a piece gradient was evaluated.
     """
     nfev = 0
 
@@ -88,8 +97,6 @@ def minimize_on_sphere(f, n: int, cfg: OptimizerConfig = DEFAULT_OPT,
     U = _normalize_rows(np.array(starts, dtype=float))
     m = U.shape[0]
     vals = feval(U)
-    best_u = U[int(np.argmin(vals))].copy()
-    best_v = float(np.min(vals))
 
     h = FD_STEP
     steps = np.full(m, cfg.step0)
@@ -110,69 +117,184 @@ def minimize_on_sphere(f, n: int, cfg: OptimizerConfig = DEFAULT_OPT,
         U = np.where(better[:, None], cand, U)
         vals = np.where(better, cv, vals)
         steps = np.where(better, steps * 1.2, steps * 0.5)
-        i = int(np.argmin(vals))
-        if vals[i] < best_v:
-            best_v = float(vals[i])
-            best_u = U[i].copy()
         if float(steps.max()) < 1e-12:
             break
 
+    # every row only ever improves, so the incumbent is the best current row
+    i = int(np.argmin(vals))
+    best_u, best_v = U[i].copy(), float(vals[i])
+
     if cfg.polish:
-        def fun(v):
-            nrm = np.linalg.norm(v)
-            if nrm < 1e-9:
-                return np.inf
-            return float(feval((v / nrm)[None, :])[0])
-
-        for method, options in (("L-BFGS-B", {"maxiter": 200}),
-                                ("Nelder-Mead", {"xatol": 1e-12, "fatol": 1e-14,
-                                                 "maxiter": 400 * n})):
-            try:
-                res = _scipy_minimize(fun, best_u, method=method, options=options)
-            except Exception:
-                continue
-            if np.all(np.isfinite(res.x)):
-                u = res.x / np.linalg.norm(res.x)
-                v = float(feval(u[None, :])[0])
-                if v < best_v:
-                    best_v, best_u = v, u
-
-        if components is not None:
-            u = _epigraph_polish(components, best_u, best_v)
-            if u is not None:
-                v = float(feval(u[None, :])[0])
-                if v < best_v:
-                    best_v, best_u = v, u
+        if pieces is None:
+            pieces = (Piece("smooth", value=lambda V: feval(_normalize_rows(V))),)
+            count_values = False  # feval already counts these rows
+        else:
+            count_values = True
+        program = _Epigraph(pieces, n, count_values)
+        found = [program.solve(U[j]) for j in _distinct_best(U, vals)]
+        found = [u for u in found if u is not None]
+        if found:
+            cand = np.vstack(found)
+            cv = feval(cand)
+            j = int(np.argmin(cv))
+            if cv[j] < best_v:
+                best_u, best_v = cand[j], float(cv[j])
+        nfev += program.rows
 
     return SphereOptResult(value=best_v, direction=best_u, nfev=nfev)
 
 
-def _epigraph_polish(components, u0, t0):
-    """Local solve of min t s.t. component_i(u) <= t on the sphere."""
-    n = u0.shape[0]
+def _distinct_best(U, vals):
+    """Indices of the POLISH_STARTS best finite rows, skipping any row within
+    POLISH_SEPARATION of one already taken."""
+    taken = []
+    for i in np.argsort(vals, kind="stable"):
+        if not np.isfinite(vals[i]) or len(taken) == POLISH_STARTS:
+            break
+        if all(np.linalg.norm(U[i] - U[j]) > POLISH_SEPARATION for j in taken):
+            taken.append(int(i))
+    return taken
 
-    def piece(i):
-        comp = components[i]
 
-        def g(z):
-            u = z[:n]
-            nrm = np.linalg.norm(u)
-            if nrm < 1e-9:
-                return -1.0
-            return float(z[n] - np.asarray(comp((u / nrm)[None, :]))[0])
+def _aux_count(pieces):
+    """Auxiliary variables of the epigraph: a block per l1 piece and a
+    level per part of a sum piece."""
+    count = 0
+    for p in pieces:
+        if p.kind == "l1":
+            count += p.matrix.shape[1]
+        elif p.kind == "sum":
+            count += len(p.parts) + sum(_aux_count(part) for part in p.parts)
+    return count
 
-        return g
 
-    cons = [{"type": "ineq", "fun": piece(i)} for i in range(len(components))]
-    cons.append({"type": "eq", "fun": lambda z: float(z[:n] @ z[:n] - 1.0)})
-    z0 = np.concatenate([u0, [t0]])
-    try:
-        res = _scipy_minimize(lambda z: z[n], z0, method="SLSQP", constraints=cons,
+class _Epigraph:
+    """The epigraph program of a max of pieces, for SLSQP.
+
+    Variables z = (u, t, aux): u on the sphere, the level t of the max, and
+    auxiliary levels.  Every piece p under a level v adds p(u) <= z_v:
+    - linear: rows z_v - P u >= 0;
+    - l1: a block w >= |u M| with z_v >= sum(w), which keeps its 2^k sign
+      patterns implicit;
+    - sum: one level per part, with z_v >= the sum of the part levels;
+    - l2 and smooth: z_v - p(u) >= 0, with the piece's gradient, or without
+      one by finite differences inside SLSQP.  An l2 piece also adds the
+      rows z_v >= |(u M)_j|, which hold since |y|_2 >= |y_j|, and keep
+      SLSQP's linear model of the cone bounded at its apex u M = 0, where
+      the gradient does not exist.
+    Linear, l1 and sum pieces are linear in z: rows C z >= 0.  rows counts
+    the pieces evaluated or differentiated at a point.
+    """
+
+    def __init__(self, pieces, n, count_values=True):
+        self.n = n
+        self.nz = n + 1 + _aux_count(pieces)
+        self.rows = 0
+        self.count_values = count_values
+        self.blocks = []     # row blocks of C
+        self.levels = []     # (variable, pieces whose max it bounds)
+        self.l1 = []         # (first auxiliary variable, M)
+        self.smooth, self.plain = [], []
+        self._next = n + 1
+        self._group(pieces, n)
+        self.C = np.vstack(self.blocks) if self.blocks else None
+        self.n_linear = sum(p.kind != "smooth" for _, group in self.levels for p in group)
+        self.c = np.zeros(self.nz)
+        self.c[n] = 1.0
+
+    def _block(self, k, v=None):
+        B = np.zeros((k, self.nz))
+        if v is not None:
+            B[:, v] = 1.0
+        self.blocks.append(B)
+        return B
+
+    def _new(self, k):
+        first = self._next
+        self._next += k
+        return first
+
+    def _group(self, pieces, v):
+        n = self.n
+        self.levels.append((v, pieces))
+        for p in pieces:
+            if p.kind == "linear":
+                self._block(p.matrix.shape[0], v)[:, :n] = -p.matrix
+            elif p.kind == "l1":
+                k = p.matrix.shape[1]
+                w = self._new(k)
+                self.l1.append((w, p.matrix))
+                self._block(1, v)[0, w:w + k] = -1.0
+                for sign in (-1.0, 1.0):
+                    B = self._block(k)
+                    B[:, :n] = sign * p.matrix.T
+                    B[:, w:w + k] = np.eye(k)
+            elif p.kind == "sum":
+                s = self._new(len(p.parts))
+                self._block(1, v)[0, s:s + len(p.parts)] = -1.0
+                for j, part in enumerate(p.parts):
+                    self._group(part, s + j)
+            elif p.kind == "l2" or p.grad is not None:
+                if p.kind == "l2":
+                    Mt = p.matrix.T
+                    self._block(2 * len(Mt), v)[:, :n] = np.vstack([-Mt, Mt])
+                self.smooth.append((v, p))
+            else:
+                self.plain.append((v, p))
+
+    def _start(self, u0):
+        """A feasible start: every level and l1 block at its value at u0."""
+        u = u0[None, :]
+        z = np.zeros(self.nz)
+        z[:self.n] = u0
+        for v, group in self.levels:
+            z[v] = max(float(p.evaluate(u)[0]) for p in group)
+            self.rows += len(group) if self.count_values else 0
+        for w, M in self.l1:
+            z[w:w + M.shape[1]] = np.abs(u0 @ M)
+        return z
+
+    def _linear(self, z):
+        self.rows += self.n_linear
+        return self.C @ z
+
+    def _values(self, z, items):
+        u = z[None, :self.n]
+        if self.count_values:
+            self.rows += len(items)
+        return np.array([z[v] - float(p.evaluate(u)[0]) for v, p in items])
+
+    def _jac(self, z):
+        n = self.n
+        u = z[None, :n]
+        self.rows += len(self.smooth)
+        J = np.zeros((len(self.smooth), self.nz))
+        for r, (v, p) in enumerate(self.smooth):
+            J[r, :n] = -p.gradient(u)[0]
+            J[r, v] = 1.0
+        return J
+
+    def solve(self, u0):
+        """Unit direction of the SLSQP solution from u0, or None when the
+        start is infinite or the solution is not a finite nonzero vector."""
+        n = self.n
+        z0 = self._start(u0)
+        if not np.all(np.isfinite(z0)):
+            return None
+        cons = [{"type": "eq", "fun": lambda z: np.array([z[:n] @ z[:n] - 1.0]),
+                 "jac": lambda z: np.concatenate([2.0 * z[:n], np.zeros(self.nz - n)])[None, :]}]
+        if self.blocks:
+            cons.append({"type": "ineq", "fun": self._linear, "jac": lambda z: self.C})
+        if self.smooth:
+            cons.append({"type": "ineq", "fun": lambda z: self._values(z, self.smooth),
+                         "jac": self._jac})
+        if self.plain:
+            cons.append({"type": "ineq", "fun": lambda z: self._values(z, self.plain)})
+        res = _scipy_minimize(lambda z: self.c @ z, z0, jac=lambda z: self.c,
+                              method="SLSQP", constraints=cons,
                               options={"maxiter": 300, "ftol": 1e-14})
-    except Exception:
-        return None
-    u = res.x[:n]
-    nrm = np.linalg.norm(u)
-    if not np.all(np.isfinite(u)) or nrm < 1e-9:
-        return None
-    return u / nrm
+        u = res.x[:n]
+        nrm = np.linalg.norm(u)
+        if not np.all(np.isfinite(u)) or nrm < 1e-9:
+            return None
+        return u / nrm

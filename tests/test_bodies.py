@@ -419,6 +419,74 @@ def test_support_homogeneity():
                            3.5 * np.asarray(K.support(u)), rtol=1e-12)
 
 
+def piece_bodies():
+    """catalog3(), the polars of its symmetric bodies and a truncated
+    cylinder, whose product pieces are zero-padded."""
+    cat = catalog3()
+    polars = [polar(K) for K in cat if K.symmetric and K.inner_radius > 0]
+    return cat + polars + [truncated_cylinder(cross_polytope(2, 1.2), 4, 0.7)]
+
+
+def _pieces_of(K):
+    yield "gauge", K.gauge, K.gauge_pieces
+    if K._support is not None:
+        yield "support", K.support, K.support_pieces
+
+
+def test_pieces_max_equals_evaluator():
+    rng = np.random.default_rng(14)
+    for K in piece_bodies():
+        X = rng.normal(size=(25, K.dim))
+        for what, evaluator, pieces in _pieces_of(K):
+            exact = np.asarray(evaluator(X), dtype=float)
+            via = np.max([p.evaluate(X) for p in pieces], axis=0)
+            # infinite supports of the unbounded slab body must match too
+            np.testing.assert_allclose(via, exact, rtol=1e-12, atol=1e-12,
+                                       err_msg=f"{K.kind} {what}")
+
+
+def _flat(pieces):
+    for p in pieces:
+        if p.kind == "sum":
+            for part in p.parts:
+                yield from _flat(part)
+        else:
+            yield p
+
+
+def test_smooth_piece_gradients_match_differences():
+    rng = np.random.default_rng(15)
+    h = 1e-6
+    checked = total = 0
+    for K in piece_bodies():
+        X = rng.normal(size=(10, K.dim))
+        for what, _, pieces in _pieces_of(K):
+            for p in _flat(pieces):
+                G = p.gradient(X)
+                if G is None:
+                    continue
+                for x, g in zip(X, G):
+                    total += 1
+                    E = h * np.eye(K.dim)
+                    f0 = p.evaluate(x[None, :])[0]
+                    fwd = (p.evaluate(x + E) - f0) / h
+                    bwd = (f0 - p.evaluate(x - E)) / h
+                    if np.max(np.abs(fwd - bwd)) > 1e-4:
+                        continue  # a crease lies within h
+                    central = (p.evaluate(x + E) - p.evaluate(x - E)) / (2 * h)
+                    assert np.allclose(g, central, atol=1e-6), (K.kind, what)
+                    checked += 1
+    assert total >= 100 and checked >= 0.9 * total
+
+
+def test_sign_families_stay_implicit():
+    # the cube support and the cross-polytope gauge are maxima over 2^n
+    # sign patterns; their pieces must not list the patterns
+    for K in (cube(12, 1.0), cross_polytope(12, 1.0)):
+        for pieces in (K.gauge_pieces, K.support_pieces):
+            assert sum(p.matrix.shape[0] for p in pieces) <= 24
+
+
 # ---------------------------------------------------------------------------
 # volume estimation
 # ---------------------------------------------------------------------------

@@ -181,6 +181,22 @@ def test_experiment_records_drawn_seed(capsys, tmp_path):
     assert isinstance(report["seed"], int)
 
 
+def test_cube_cross_dual_product_is_two():
+    # the polar diameter times the hull inradius is exactly 2; on this
+    # default-optimizer trial a polish blind to the polytopes' facet creases
+    # ends 0.6% short of it
+    n = 3
+    cfg = {"experiment": "two-bodies", "n": n, "k": 2, "trials": 1,
+           "K": {"kind": "cube", "dim": n, "half_width": 1.0},
+           "L": {"kind": "cross_polytope", "dim": n, "radius": 1.5},
+           "mode": "both", "dual_products": True,
+           "section_K": {"k": 1, "offset": 0}, "section_L": {"k": 2, "offset": 1},
+           "section_bound": 3.0 * math.sqrt(n)}
+    report = run_experiment_config(cfg, seed=3952471224)
+    dp = report.trials[0]["dual_product"]
+    assert abs(dp - 2.0) / 2.0 <= 1e-4
+
+
 # ---------------------------------------------------------------------------
 # plot data
 # ---------------------------------------------------------------------------
