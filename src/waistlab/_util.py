@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,7 +21,11 @@ def seed_sequence(seed) -> np.random.SeedSequence:
 
 
 def worker_count() -> int:
-    """Worker cap from the WAISTLAB_THREADS environment variable (>= 1)."""
+    """The WAISTLAB_THREADS environment variable as a count (>= 1).
+
+    Nothing in waistlab reads it: every harness runs its trials batched
+    on one thread.  It is kept only because perfbench/run.py records it,
+    until a change to the benchmark drops it."""
     raw = os.environ.get(THREADS_ENV, "")
     try:
         n = int(raw)
@@ -34,13 +37,9 @@ def worker_count() -> int:
 
 
 def parallel_map(fn, items):
-    """Order-preserving map, threaded when WAISTLAB_THREADS allows it."""
-    items = list(items)
-    workers = min(worker_count(), len(items)) if items else 1
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Plain serial map.  No harness calls it; it is kept only because
+    perfbench/spans.py wraps it, until a change to the benchmark drops it."""
+    return [fn(it) for it in items]
 
 
 def sphere_points(rng: np.random.Generator, count: int, ambient_dim: int) -> np.ndarray:

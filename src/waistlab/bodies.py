@@ -168,7 +168,8 @@ def _abs_rows(M):
 class Body:
     """A convex body presented through its evaluators.
 
-    Immutable by convention once constructed; safe to share across threads.
+    Immutable by convention once constructed.  Evaluators work row by
+    row, so rows of many problems may be stacked into one call.
     inner_radius and outer_radius are certified bounds: inner_radius <=
     radial(u) <= outer_radius for every unit u.  The support, support-point
     and projection evaluators are optional; an absent one raises

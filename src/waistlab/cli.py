@@ -276,8 +276,8 @@ def _cmd_body(args) -> int:
         out["membership"] = bool(body.contains(x))
         try:
             out["distance"] = float(body.distance(x))
-        except WaistlabError:
-            pass
+        except WaistlabError as exc:
+            out["distance_error"] = f"{type(exc).__name__}: {exc}"
     print(canonical_dumps(out))
     return 0
 

@@ -20,7 +20,8 @@ from ._util import ball_points, bernoulli_se, rng_from, sphere_points
 from .bodies import Body, Piece, linear_image, map_pieces
 from .errors import DomainError, EvaluationError
 from .geometry import Subspace, build_net
-from .optimize import DEFAULT_OPT, OptimizerConfig, minimize_on_sphere
+from .optimize import DEFAULT_OPT, OptimizerConfig, minimize_on_sphere_batch
+from .optimize import minimize_on_sphere  # noqa: F401  (perfbench/spans.py wraps it here)
 
 __all__ = [
     "mc_sigma_body",
@@ -29,8 +30,11 @@ __all__ = [
     "DiameterResult",
     "InclusionResult",
     "diameter_of_intersection",
+    "diameters_of_intersection",
     "inclusion_radius",
+    "inclusion_radii",
     "section_diameter",
+    "section_diameters",
 ]
 
 
@@ -144,6 +148,28 @@ def _bracket_net(n, bracket_delta, seed):
     return build_net(n, bracket_delta, seed=seed)
 
 
+class _RowMaps:
+    """Per-field linear maps of row blocks, as minimize_on_sphere_batch
+    hands out its fields: block V[j] (m, d) becomes V[j] @ A[idx[j]], and
+    the blocks come back as one stack of rows.
+
+    Several blocks are mapped by one broadcast matmul.  A single block is
+    multiplied by its own map as given, so that it is evaluated exactly as
+    one problem alone evaluates it: a one-row product takes a different
+    BLAS path from a many-row one, which also depends on the memory layout
+    of the map, and can differ in the last bit.
+    """
+
+    def __init__(self, maps):
+        self.maps = [np.asarray(getattr(A, "matrix", A), dtype=float) for A in maps]
+        self.stacked = np.stack(self.maps)
+
+    def __call__(self, idx, V):
+        if len(idx) == 1:
+            return V[0] @ self.maps[idx[0]]
+        return np.matmul(V, self.stacked[idx]).reshape(-1, self.stacked.shape[2])
+
+
 def diameter_of_intersection(K: Body, L: Body, U, opt: OptimizerConfig = DEFAULT_OPT,
                              bracket_delta: float | None = None) -> DiameterResult:
     """Diameter of the intersection of K with the rotated copy of L:
@@ -153,37 +179,56 @@ def diameter_of_intersection(K: Body, L: Body, U, opt: OptimizerConfig = DEFAULT
     certified lower bound; a two-sided bracket is added when bracket_delta
     requests a certified net and both inner radii are positive.
     """
+    return _diameters(K, L, [U], opt, bracket_delta)[0]
+
+
+def diameters_of_intersection(K: Body, L: Body, rotations, opt: OptimizerConfig = DEFAULT_OPT):
+    """diameter_of_intersection for each rotation, in one lockstep
+    optimizer run; each result equals the one-rotation call's."""
+    return _diameters(K, L, list(rotations), opt, None)
+
+
+def _diameters(K, L, rotations, opt, bracket_delta):
     if not (K.symmetric and L.symmetric):
         raise DomainError("intersection diameter requires symmetric bodies")
-    Lrot = linear_image(L, U)
+    if not rotations:
+        return []
+    images = [linear_image(L, U) for U in rotations]
+    rotate = _RowMaps(rotations)
     n = K.dim
 
-    def gauge_max(V):
-        return np.maximum(np.asarray(K.gauge(V), dtype=float),
-                          np.asarray(Lrot.gauge(V), dtype=float))
+    def gauge_max(idx, V):
+        return np.maximum(np.asarray(K.gauge(V.reshape(-1, n)), dtype=float),
+                          np.asarray(L.gauge(rotate(idx, V)), dtype=float)).reshape(V.shape[:2])
 
-    res = minimize_on_sphere(gauge_max, n, opt,
-                             pieces=K.gauge_pieces + Lrot.gauge_pieces)
-    gmin = float(gauge_max(res.direction[None, :])[0])
+    results = minimize_on_sphere_batch(
+        gauge_max, n, len(rotations), opt,
+        pieces=[K.gauge_pieces + image.gauge_pieces for image in images])
     truncated = K.truncated or L.truncated
-    if gmin <= 1e-12:
-        return DiameterResult(math.inf, math.inf, res.direction,
-                              "unbounded direction found", truncated)
-    diameter = 2.0 / gmin
-    note = "lower bound (attained direction)"
-    upper = None
-    if bracket_delta is not None and K.inner_radius > 0 and L.inner_radius > 0:
-        net = _bracket_net(n, bracket_delta, opt.seed)
-        gnet = float(gauge_max(net.points).min())
-        lip = 1.0 / min(K.inner_radius, L.inner_radius)
-        chord = 2.0 * math.sin(net.delta / 2.0)
-        floor = gnet - lip * chord
-        if floor > 0:
-            upper = 2.0 / floor
-            note = f"two-sided via net (delta={net.delta:.4g}, N={net.cardinality})"
-    if truncated and diameter >= 0.5 * min(K.outer_radius, L.outer_radius):
-        note += "; truncation active"
-    return DiameterResult(diameter, diameter, res.direction, note, truncated, upper)
+    out = []
+    for t, res in enumerate(results):
+        field = np.array([t])
+        gmin = float(gauge_max(field, res.direction[None, None, :])[0, 0])
+        if gmin <= 1e-12:
+            out.append(DiameterResult(math.inf, math.inf, res.direction,
+                                      "unbounded direction found", truncated))
+            continue
+        diameter = 2.0 / gmin
+        note = "lower bound (attained direction)"
+        upper = None
+        if bracket_delta is not None and K.inner_radius > 0 and L.inner_radius > 0:
+            net = _bracket_net(n, bracket_delta, opt.seed)
+            gnet = float(gauge_max(field, net.points[None]).min())
+            lip = 1.0 / min(K.inner_radius, L.inner_radius)
+            chord = 2.0 * math.sin(net.delta / 2.0)
+            floor = gnet - lip * chord
+            if floor > 0:
+                upper = 2.0 / floor
+                note = f"two-sided via net (delta={net.delta:.4g}, N={net.cardinality})"
+        if truncated and diameter >= 0.5 * min(K.outer_radius, L.outer_radius):
+            note += "; truncation active"
+        out.append(DiameterResult(diameter, diameter, res.direction, note, truncated, upper))
+    return out
 
 
 def inclusion_radius(K: Body, L: Body, U, opt: OptimizerConfig = DEFAULT_OPT,
@@ -197,50 +242,85 @@ def inclusion_radius(K: Body, L: Body, U, opt: OptimizerConfig = DEFAULT_OPT,
     upper bound on the minimum, exact at the reported direction up to
     evaluation error; a certified lower bracket is added on request.
     """
+    return _inclusion_radii(K, L, [U], opt, combine, bracket_delta)[0]
+
+
+def inclusion_radii(K: Body, L: Body, rotations, opt: OptimizerConfig = DEFAULT_OPT,
+                    combine: str = "sum"):
+    """inclusion_radius for each rotation, in one lockstep optimizer run;
+    each result equals the one-rotation call's."""
+    return _inclusion_radii(K, L, list(rotations), opt, combine, None)
+
+
+def _inclusion_radii(K, L, rotations, opt, combine, bracket_delta):
     if combine not in ("sum", "max"):
         raise DomainError(f"combine must be 'sum' or 'max', got {combine!r}")
-    Lrot = linear_image(L, U)
+    if not rotations:
+        return []
+    images = [linear_image(L, U) for U in rotations]
+    rotate = _RowMaps(rotations)
     n = K.dim
+    join = np.add if combine == "sum" else np.maximum
+
+    def objective(idx, V):
+        return join(np.asarray(K.support(V.reshape(-1, n)), dtype=float),
+                    np.asarray(L.support(rotate(idx, V)), dtype=float)).reshape(V.shape[:2])
 
     if combine == "sum":
-        def objective(V):
-            return np.asarray(K.support(V), dtype=float) + np.asarray(Lrot.support(V), dtype=float)
-
-        pieces = (Piece("sum", parts=(K.support_pieces, Lrot.support_pieces)),)
+        pieces = [(Piece("sum", parts=(K.support_pieces, image.support_pieces)),)
+                  for image in images]
     else:
-        def objective(V):
-            return np.maximum(np.asarray(K.support(V), dtype=float),
-                              np.asarray(Lrot.support(V), dtype=float))
+        pieces = [K.support_pieces + image.support_pieces for image in images]
 
-        pieces = K.support_pieces + Lrot.support_pieces
-
-    res = minimize_on_sphere(objective, n, opt, pieces=pieces)
-    value = float(objective(res.direction[None, :])[0])
-    note = "upper bound on the minimum (attained direction)"
-    lower = None
-    if bracket_delta is not None and math.isfinite(K.outer_radius) and math.isfinite(L.outer_radius):
-        net = _bracket_net(n, bracket_delta, opt.seed)
-        vnet = float(objective(net.points).min())
-        lip = K.outer_radius + L.outer_radius
-        lower = vnet - lip * 2.0 * math.sin(net.delta / 2.0)
-        note = f"two-sided via net (delta={net.delta:.4g}, N={net.cardinality})"
-    return InclusionResult(value, res.direction, note, combine, lower)
+    results = minimize_on_sphere_batch(objective, n, len(rotations), opt, pieces=pieces)
+    out = []
+    for t, res in enumerate(results):
+        field = np.array([t])
+        value = float(objective(field, res.direction[None, None, :])[0, 0])
+        note = "upper bound on the minimum (attained direction)"
+        lower = None
+        if (bracket_delta is not None and math.isfinite(K.outer_radius)
+                and math.isfinite(L.outer_radius)):
+            net = _bracket_net(n, bracket_delta, opt.seed)
+            vnet = float(objective(field, net.points[None]).min())
+            lip = K.outer_radius + L.outer_radius
+            lower = vnet - lip * 2.0 * math.sin(net.delta / 2.0)
+            note = f"two-sided via net (delta={net.delta:.4g}, N={net.cardinality})"
+        out.append(InclusionResult(value, res.direction, note, combine, lower))
+    return out
 
 
 def section_diameter(K: Body, E: Subspace, opt: OptimizerConfig = DEFAULT_OPT) -> float:
     """Diameter of the section of a symmetric body by the subspace: twice
     the largest radial value over unit directions inside it."""
+    return section_diameters(K, [E], opt)[0]
+
+
+def section_diameters(K: Body, subspaces, opt: OptimizerConfig = DEFAULT_OPT) -> list:
+    """section_diameter for each of a list of subspaces of one dimension,
+    in one lockstep optimizer run; each value equals the one-subspace
+    call's."""
     if not K.symmetric:
         raise DomainError("section diameter requires a symmetric body")
-    if E.n != K.dim:
-        raise DomainError(f"subspace lives in R^{E.n}, body in R^{K.dim}")
+    subspaces = list(subspaces)
+    for E in subspaces:
+        if E.n != K.dim:
+            raise DomainError(f"subspace lives in R^{E.n}, body in R^{K.dim}")
+    if not subspaces:
+        return []
+    k = subspaces[0].k
+    if any(E.k != k for E in subspaces):
+        raise DomainError("subspaces of one batch must share their dimension")
+    embed = _RowMaps([E.frame for E in subspaces])
 
-    def gauge_in_section(W):
-        return np.asarray(K.gauge(W @ E.frame), dtype=float)
+    def gauge_in_section(idx, W):
+        return np.asarray(K.gauge(embed(idx, W)), dtype=float).reshape(W.shape[:2])
 
-    res = minimize_on_sphere(gauge_in_section, E.k, opt,
-                             pieces=map_pieces(K.gauge_pieces, E.frame))
-    gmin = float(gauge_in_section(res.direction[None, :])[0])
-    if gmin <= 1e-12:
-        return math.inf
-    return 2.0 / gmin
+    results = minimize_on_sphere_batch(
+        gauge_in_section, k, len(subspaces), opt,
+        pieces=[map_pieces(K.gauge_pieces, E.frame) for E in subspaces])
+    out = []
+    for t, res in enumerate(results):
+        gmin = float(gauge_in_section(np.array([t]), res.direction[None, None, :])[0, 0])
+        out.append(math.inf if gmin <= 1e-12 else 2.0 / gmin)
+    return out

@@ -1,9 +1,12 @@
 """Desk-scale experiment harnesses with structured, reproducible reports.
 
 Every harness takes an explicit seed, derives all internal randomness from
-spawned child streams in a fixed layout, and assembles per-trial records
-in trial order, so a re-run with the same seed reproduces the report
-bit-for-bit apart from wall time.  Inequality checks always record both
+spawned child streams in a fixed layout (trial i draws its rotation from
+child i), and assembles per-trial records in trial order, so a re-run
+with the same seed reproduces the report bit-for-bit apart from wall
+time.  The trial loops draw all rotations first and make one batched
+estimator call per quantity: every trial runs in one lockstep optimizer
+descent, and each trial's result equals what it gives alone.  Inequality checks always record both
 sides together with their Monte-Carlo standard errors, never a bare
 boolean.
 """
@@ -16,16 +19,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import (ball_points, bernoulli_se, canonical_dumps, parallel_map,
-                    quantile_summary, rng_from, seed_sequence, sphere_points,
-                    write_csv)
+from ._util import (ball_points, bernoulli_se, canonical_dumps, quantile_summary,
+                    rng_from, seed_sequence, sphere_points, write_csv)
 from .bodies import Body, difference_body, linear_image, mc_volume, volume_ratio
 from .errors import (DomainError, HypothesisError, InfeasibleScheduleError,
                      NetConstructionError)
-from .estimators import diameter_of_intersection, inclusion_radius, mc_sigma_body, section_diameter
+from .estimators import (diameters_of_intersection, inclusion_radii, mc_sigma_body,
+                         section_diameter, section_diameters)
 from .geometry import Subspace, _haar_from_rng, random_subspace, spherical_projection
 from .measures import DEFAULT_CONSTANTS, BoundConstants, SubsphereQuery, sigma_exact, sigma_lip_lower
-from .optimize import DEFAULT_OPT, OptimizerConfig, minimize_on_sphere
+from .optimize import BATCH_ROWS, DEFAULT_OPT, OptimizerConfig, minimize_on_sphere
 
 __all__ = [
     "ScheduleParams",
@@ -215,6 +218,18 @@ def cover_ball_with_body(L: Body, delta_L: float, *, probes: int = 4096, seed=No
     raise NetConstructionError("ball covering failed to stabilize after 6 rounds")
 
 
+def _net_lands(K: Body, centers, rotations, tol: float):
+    """Per rotation U, whether every rotated center U c lies within tol of
+    K; the distances of many rotations go to K in one stack of rows."""
+    per_call = max(1, BATCH_ROWS // len(centers))
+    ok = []
+    for lo in range(0, len(rotations), per_call):
+        moved = np.vstack([centers @ U.matrix.T for U in rotations[lo:lo + per_call]])
+        d = np.asarray(K.distance(moved), dtype=float).reshape(-1, len(centers))
+        ok.extend(d.max(axis=1) <= tol)
+    return ok
+
+
 def run_core_lemma(K: Body, L: Body, delta_K: float, delta_L: float, trials: int,
                    seed=0, *, sigma_samples: int = 200_000, net_probes: int = 4096,
                    opt: OptimizerConfig = DEFAULT_OPT) -> ExperimentReport:
@@ -244,19 +259,12 @@ def run_core_lemma(K: Body, L: Body, delta_K: float, delta_L: float, trials: int
     sigma_hat = 1.0 - sigma_in
     threshold = 1.0 - delta_K - delta_L
 
-    rngs = [np.random.default_rng(c) for c in s_trials.spawn(trials)]
-
-    def one(args):
-        i, rng = args
-        U = _haar_from_rng(n, rng)
-        moved = centers @ U.matrix.T
-        net_ok = bool(np.asarray(K.distance(moved), dtype=float).max() <= delta_K + 1e-9)
-        incl = inclusion_radius(K, L, U, opt=opt)
-        return {"trial": i, "net_ok": net_ok,
-                "incl_ok": bool(incl.value >= threshold - 1e-7),
-                "incl_value": incl.value}
-
-    rows = parallel_map(one, list(enumerate(rngs)))
+    rotations = [_haar_from_rng(n, np.random.default_rng(c)) for c in s_trials.spawn(trials)]
+    net_ok = _net_lands(K, centers, rotations, delta_K + 1e-9)
+    incl = inclusion_radii(K, L, rotations, opt=opt)
+    rows = [{"trial": i, "net_ok": bool(net_ok[i]),
+             "incl_ok": bool(r.value >= threshold - 1e-7), "incl_value": r.value}
+            for i, r in enumerate(incl)]
     net_fail, net_fail_se = _rate([not r["net_ok"] for r in rows])
     incl_fail, incl_fail_se = _rate([not r["incl_ok"] for r in rows])
     bound = N * sigma_hat
@@ -364,35 +372,29 @@ def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
               "trials": trials, "threshold": threshold,
               "section_bound": section_bound}
 
-    rngs = [np.random.default_rng(c) for c in s_trials.spawn(trials)]
     polar_pair = None
     if dual and dual_products:
         from .bodies import polar as _polar
 
         polar_pair = (_polar(K), _polar(L))
 
-    def one(args):
-        i, rng = args
-        U = _haar_from_rng(n, rng)
-        row = {"trial": i}
-        if primal:
-            d = diameter_of_intersection(K, L, U, opt=opt)
+    rotations = [_haar_from_rng(n, np.random.default_rng(c)) for c in s_trials.spawn(trials)]
+    rows = [{"trial": i} for i in range(trials)]
+    if primal:
+        for row, d in zip(rows, diameters_of_intersection(K, L, rotations, opt=opt)):
             row["diameter"] = d.diameter
             row["success"] = bool(d.diameter <= threshold)
             row["truncated"] = d.truncated
-        if dual:
-            incl = inclusion_radius(K, L, U, opt=opt, combine="sum")
+    if dual:
+        for row, incl in zip(rows, inclusion_radii(K, L, rotations, opt=opt, combine="sum")):
             row["incl_sum"] = incl.value
-            if dual_products:
-                imax = inclusion_radius(K, L, U, opt=opt, combine="max")
-                pk, pl = polar_pair
-                alt = replace(opt, seed=opt.seed + 7919)
-                pd = diameter_of_intersection(pk, pl, U, opt=alt)
-                row["incl_max"] = imax.value
-                row["dual_product"] = pd.diameter * imax.value
-        return row
-
-    rows = parallel_map(one, list(enumerate(rngs)))
+        if dual_products:
+            imax = inclusion_radii(K, L, rotations, opt=opt, combine="max")
+            alt = replace(opt, seed=opt.seed + 7919)
+            pd = diameters_of_intersection(*polar_pair, rotations, opt=alt)
+            for row, im, d in zip(rows, imax, pd):
+                row["incl_max"] = im.value
+                row["dual_product"] = d.diameter * im.value
 
     summary = {"hypothesis": hypothesis, "threshold": threshold}
     if primal and rows:
@@ -438,15 +440,11 @@ def run_sections(K: Body, k_exist: int, k_query: int, trials: int, seed=0, *,
               "trials": trials, "existent_diameter": d0,
               "thresholds": list(thresholds)}
 
-    def one(args):
-        i, rng = args
-        rot = _haar_from_rng(n, rng)
-        E = Subspace.from_frame(rot.matrix[:k_query])
-        d = section_diameter(K, E, opt)
+    sections = [Subspace.from_frame(_haar_from_rng(n, rng).matrix[:k_query]) for rng in rngs]
+    rows = []
+    for i, d in enumerate(section_diameters(K, sections, opt)):
         ok = bool(d <= threshold) if threshold is not None else bool(math.isfinite(d))
-        return {"trial": i, "diameter": d, "success": ok}
-
-    rows = parallel_map(one, list(enumerate(rngs)))
+        rows.append({"trial": i, "diameter": d, "success": ok})
     diam = np.array([r["diameter"] for r in rows]) if rows else np.array([])
     summary = {"existent_diameter": d0, "diameter": quantile_summary(diam)}
     if diam.size:

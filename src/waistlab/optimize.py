@@ -1,13 +1,15 @@
 """Multistart minimization of scalar fields over the unit sphere.
 
-The driver runs batched projected descent with central-difference gradients
-from spread-out seed directions.  It then polishes the best distinct descent
-endpoints with one SLSQP solve each of the epigraph program of the field,
-written as a max of pieces (see bodies.Piece): min t subject to
-piece(u) <= t for every piece and |u|^2 = 1, with exact constraints and
-analytic Jacobians.  Values returned are always attained at an explicit
-feasible direction, so for maximization problems the result is a
-certified bound from the feasible side.
+The optimizer runs projected descent with central-difference gradients from
+spread-out seed directions, for one field or for many fields in lockstep
+(one per random rotation of a harness).  It then polishes the best
+distinct descent endpoints of each field with one SLSQP solve each of the
+epigraph program of the field, written as a max of pieces (see
+bodies.Piece): min t subject to piece(u) <= t for every piece and
+|u|^2 = 1, with exact constraints and analytic Jacobians.  Values
+returned are always attained at an explicit feasible direction, so for
+maximization problems the result is a certified bound from the feasible
+side.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from scipy.optimize import minimize as _scipy_minimize
 from ._util import rng_from, sphere_points
 from .bodies import Piece
 
-__all__ = ["OptimizerConfig", "SphereOptResult", "minimize_on_sphere", "spread_directions"]
+__all__ = ["OptimizerConfig", "SphereOptResult", "minimize_on_sphere",
+           "minimize_on_sphere_batch", "spread_directions"]
 
 
 @dataclass(frozen=True)
@@ -36,6 +39,7 @@ DEFAULT_OPT = OptimizerConfig()
 FD_STEP = 1e-6            # central-difference step of the descent gradients
 POLISH_STARTS = 16        # distinct descent endpoints the epigraph solve starts from
 POLISH_SEPARATION = 1e-6  # endpoints closer than this count as one start
+BATCH_ROWS = 1 << 16      # most rows one batched evaluation holds
 
 
 @dataclass
@@ -43,6 +47,7 @@ class SphereOptResult:
     value: float
     direction: np.ndarray
     nfev: int
+    polish_unconverged: int = 0  # epigraph solves SLSQP ended without success
 
 
 def spread_directions(n: int, count: int, seed=0, pool_factor: int = 24) -> np.ndarray:
@@ -73,58 +78,122 @@ def minimize_on_sphere(f, n: int, cfg: OptimizerConfig = DEFAULT_OPT,
     """Minimize a batched scalar field over the unit sphere of R^n.
 
     f maps an (m, n) array of unit rows to an (m,) array.  Deterministic
-    for a fixed config seed.
+    for a fixed config seed.  This is the one-problem case of
+    minimize_on_sphere_batch, which documents the descent, the polish and
+    nfev.
 
     pieces describes f for the polish stage as the max of a sequence of
     Pieces (sums of maxima are "sum" pieces).  Without pieces, f itself is
-    the one piece and SLSQP differentiates it numerically.  With
-    cfg.polish, the epigraph program is solved from the POLISH_STARTS best
-    distinct descent endpoints, and a solution is kept only when f,
-    re-evaluated there, improves on the descent.  nfev counts every row at
-    which f, a piece or a piece gradient was evaluated.
+    the one piece and SLSQP differentiates it numerically.
     """
-    nfev = 0
+    def batched(idx, V):
+        return np.asarray(f(V[0]), dtype=float)[None, :]
 
-    def feval(V):
-        nonlocal nfev
-        nfev += V.shape[0]
-        vals = np.asarray(f(V), dtype=float)
-        return np.where(np.isfinite(vals), vals, np.inf)
+    return minimize_on_sphere_batch(batched, n, 1, cfg, extra_starts,
+                                    None if pieces is None else [pieces])[0]
 
+
+def minimize_on_sphere_batch(f, n: int, count: int, cfg: OptimizerConfig = DEFAULT_OPT,
+                             extra_starts=None, pieces=None) -> list[SphereOptResult]:
+    """Minimize count batched scalar fields over the unit sphere of R^n in
+    lockstep, one SphereOptResult per field.
+
+    f(idx, V) takes the indices idx (k,) of k fields and an array V
+    (k, m, n) of unit rows, row block V[j] for field idx[j], and returns
+    the (k, m) values.  pieces is None or a sequence of count piece
+    tuples, one per field, as in minimize_on_sphere.
+
+    Every field starts from the same spread directions (and extra_starts)
+    and runs projected descent with central-difference gradients.  A field
+    stops once all its step sizes fall below 1e-12 and is no longer
+    evaluated, so it ends exactly as it would alone.  At most BATCH_ROWS
+    rows go to one call of f; more fields run in consecutive chunks.  With
+    cfg.polish, each field's epigraph program is solved from its
+    POLISH_STARTS best distinct descent endpoints, and a solution is kept
+    only when f, re-evaluated there, improves on the descent.  nfev counts
+    every row at which the field, a piece or a piece gradient was
+    evaluated; polish_unconverged counts the solves that SLSQP ended
+    without success.
+    """
     starts = spread_directions(n, max(cfg.restarts, 2), cfg.seed)
     if extra_starts is not None and len(extra_starts):
         starts = np.vstack([np.atleast_2d(np.asarray(extra_starts, dtype=float)), starts])
-    U = _normalize_rows(np.array(starts, dtype=float))
-    m = U.shape[0]
-    vals = feval(U)
+    U0 = _normalize_rows(np.array(starts, dtype=float))
+    per_call = max(1, BATCH_ROWS // (U0.shape[0] * n))
+    results = []
+    for lo in range(0, count, per_call):
+        idx = np.arange(lo, min(count, lo + per_call))
+        U, vals, nfev = _descend(f, idx, U0, cfg)
+        for j, t in enumerate(idx):
+            results.append(_finish(f, t, U[j], vals[j], int(nfev[j]), cfg,
+                                   None if pieces is None else pieces[t]))
+    return results
+
+
+def _finite_values(f, idx, V):
+    vals = np.asarray(f(idx, V), dtype=float)
+    return np.where(np.isfinite(vals), vals, np.inf)
+
+
+def _descend(f, idx, U0, cfg):
+    """Lockstep projected descent of the fields idx from the rows of U0.
+    Returns their final rows (k, m, n), values (k, m) and row counts (k,)."""
+    k, (m, n) = len(idx), U0.shape
+    U = np.repeat(U0[None], k, axis=0)
+    vals = _finite_values(f, idx, U)
+    U_out, vals_out = np.empty_like(U), np.empty_like(vals)
+    iters = np.full(k, cfg.iters)
+    live, run = np.arange(k), idx  # the running fields; compacted when one stops
 
     h = FD_STEP
-    steps = np.full(m, cfg.step0)
-    eye = np.eye(n)
-    for _ in range(cfg.iters):
+    steps = np.full((k, m), cfg.step0)
+    shifts = h * np.eye(n)
+    for it in range(cfg.iters):
+        a = len(live)
         # central-difference ambient gradient of f(v/|v|) at unit rows
-        plus = _normalize_rows((U[:, None, :] + h * eye[None, :, :]).reshape(-1, n))
-        minus = _normalize_rows((U[:, None, :] - h * eye[None, :, :]).reshape(-1, n))
-        fp = feval(plus).reshape(m, n)
-        fm = feval(minus).reshape(m, n)
+        plus = _normalize_rows((U[:, :, None, :] + shifts).reshape(-1, n))
+        minus = _normalize_rows((U[:, :, None, :] - shifts).reshape(-1, n))
+        fp = _finite_values(f, run, plus.reshape(a, m * n, n)).reshape(a, m, n)
+        fm = _finite_values(f, run, minus.reshape(a, m * n, n)).reshape(a, m, n)
         grad = (fp - fm) / (2.0 * h)
-        grad -= (grad * U).sum(axis=1)[:, None] * U  # tangent component
-        gn = np.linalg.norm(grad, axis=1)
+        grad -= (grad * U).sum(axis=2)[:, :, None] * U  # tangent component
+        gn = np.linalg.norm(grad, axis=2)
         gn = np.where(gn > 0, gn, 1.0)
-        cand = _normalize_rows(U - (steps / gn)[:, None] * grad)
-        cv = feval(cand)
+        cand = _normalize_rows((U - (steps / gn)[:, :, None] * grad).reshape(-1, n))
+        cand = cand.reshape(a, m, n)
+        cv = _finite_values(f, run, cand)
         better = cv < vals
-        U = np.where(better[:, None], cand, U)
+        U = np.where(better[:, :, None], cand, U)
         vals = np.where(better, cv, vals)
         steps = np.where(better, steps * 1.2, steps * 0.5)
-        if float(steps.max()) < 1e-12:
-            break
+        done = steps.max(axis=1) < 1e-12
+        if done.any():
+            stop = live[done]
+            U_out[stop], vals_out[stop], iters[stop] = U[done], vals[done], it + 1
+            keep = ~done
+            live, U, vals, steps = live[keep], U[keep], vals[keep], steps[keep]
+            run = idx[live]
+            if not live.size:
+                break
+    U_out[live], vals_out[live] = U, vals
+    return U_out, vals_out, m + iters * (2 * m * n + m)
 
+
+def _finish(f, t, U, vals, nfev, cfg, pieces):
+    """Best descent row of field t, polished when cfg.polish asks for it."""
     # every row only ever improves, so the incumbent is the best current row
     i = int(np.argmin(vals))
     best_u, best_v = U[i].copy(), float(vals[i])
-
+    unconverged = 0
     if cfg.polish:
+        n = U.shape[1]
+        field = np.array([t])
+
+        def feval(V):
+            nonlocal nfev
+            nfev += V.shape[0]
+            return _finite_values(f, field, V[None])[0]
+
         if pieces is None:
             pieces = (Piece("smooth", value=lambda V: feval(_normalize_rows(V))),)
             count_values = False  # feval already counts these rows
@@ -140,8 +209,9 @@ def minimize_on_sphere(f, n: int, cfg: OptimizerConfig = DEFAULT_OPT,
             if cv[j] < best_v:
                 best_u, best_v = cand[j], float(cv[j])
         nfev += program.rows
-
-    return SphereOptResult(value=best_v, direction=best_u, nfev=nfev)
+        unconverged = program.unconverged
+    return SphereOptResult(value=best_v, direction=best_u, nfev=nfev,
+                           polish_unconverged=unconverged)
 
 
 def _distinct_best(U, vals):
@@ -183,13 +253,16 @@ class _Epigraph:
       SLSQP's linear model of the cone bounded at its apex u M = 0, where
       the gradient does not exist.
     Linear, l1 and sum pieces are linear in z: rows C z >= 0.  rows counts
-    the pieces evaluated or differentiated at a point.
+    the pieces evaluated or differentiated at a point, and unconverged the
+    solves that SLSQP ended with a nonzero status (an iteration cap, a
+    failed line search or incompatible constraints).
     """
 
     def __init__(self, pieces, n, count_values=True):
         self.n = n
         self.nz = n + 1 + _aux_count(pieces)
         self.rows = 0
+        self.unconverged = 0
         self.count_values = count_values
         self.blocks = []     # row blocks of C
         self.levels = []     # (variable, pieces whose max it bounds)
@@ -293,6 +366,7 @@ class _Epigraph:
         res = _scipy_minimize(lambda z: self.c @ z, z0, jac=lambda z: self.c,
                               method="SLSQP", constraints=cons,
                               options={"maxiter": 300, "ftol": 1e-14})
+        self.unconverged += int(res.status != 0)
         u = res.x[:n]
         nrm = np.linalg.norm(u)
         if not np.all(np.isfinite(u)) or nrm < 1e-9:

@@ -82,6 +82,24 @@ def test_body_subcommand(capsys, tmp_path):
     assert data["membership"] is True
 
 
+def test_body_reports_distance_failure(capsys, tmp_path, monkeypatch):
+    from waistlab.bodies import Body
+    from waistlab.errors import EvaluationError
+
+    def fail(self, x):
+        raise EvaluationError("projection did not converge")
+
+    monkeypatch.setattr(Body, "distance", fail)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "cube", "dim": 2, "half_width": 1.0}))
+    code, out, _ = run_cli(capsys, "body", "--spec", str(spec), "--point", "2,0")
+    data = json.loads(out)
+    assert code == 0
+    assert "distance" not in data
+    assert data["distance_error"] == "EvaluationError: projection did not converge"
+    assert data["gauge"] == 2.0
+
+
 def test_unknown_subcommand_exit_two(capsys):
     assert main(["frobnicate"]) == 2
 

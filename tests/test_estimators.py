@@ -5,11 +5,12 @@ import pytest
 
 from waistlab.bodies import (ball, cross_polytope, cube, ellipsoid, linear_image,
                              polar, product_body, slab_body,
-                             truncated_cylinder, unit_ball_volume)
+                             truncated_cylinder, unit_ball_volume, vertex_polytope)
 from waistlab.errors import DomainError
 from waistlab.estimators import (covering_number_upper, diameter_of_intersection,
-                                 entropy_bound, inclusion_radius, mc_sigma_body,
-                                 section_diameter)
+                                 diameters_of_intersection, entropy_bound,
+                                 inclusion_radii, inclusion_radius, mc_sigma_body,
+                                 section_diameter, section_diameters)
 from waistlab.geometry import Subspace, haar_rotation
 from waistlab.measures import SubsphereQuery, sigma_exact, sigma_lip_lower
 from waistlab.optimize import OptimizerConfig
@@ -272,3 +273,39 @@ def test_duality_product_exact_two(opt_tight):
     assert pd.diameter * imax.value == pytest.approx(2.0, rel=1e-4)
     isum = inclusion_radius(K, L, U, opt=opt_tight, combine="sum")
     assert 2.0 - 1e-9 <= pd.diameter * isum.value <= 4.0 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# batched estimators
+# ---------------------------------------------------------------------------
+
+
+def test_batched_estimators_equal_one_rotation_calls(opt_small):
+    # a vertex polytope evaluates through matrix products, and a one-row
+    # product takes a different BLAS path for each memory layout of U
+    rng = np.random.default_rng(8)
+    P = rng.standard_normal((9, 4))
+    K = vertex_polytope(np.vstack([P, -P]))
+    L = ellipsoid([1.0, 1.4, 0.8, 1.2])
+    rotations = [haar_rotation(4, seed=s).matrix for s in range(5)]
+    rotations[1::2] = [np.asfortranarray(U) for U in rotations[1::2]]
+    for d, U in zip(diameters_of_intersection(K, L, rotations, opt=opt_small), rotations):
+        one = diameter_of_intersection(K, L, U, opt=opt_small)
+        assert d.diameter == one.diameter
+        assert np.array_equal(d.direction, one.direction)
+    for combine in ("sum", "max"):
+        batch = inclusion_radii(K, L, rotations, opt=opt_small, combine=combine)
+        for r, U in zip(batch, rotations):
+            one = inclusion_radius(K, L, U, opt=opt_small, combine=combine)
+            assert r.value == one.value
+            assert np.array_equal(r.direction, one.direction)
+    sections = [Subspace.from_frame(U[:2]) for U in rotations]
+    assert section_diameters(K, sections, opt=opt_small) == \
+        [section_diameter(K, E, opt=opt_small) for E in sections]
+    assert diameters_of_intersection(K, L, [], opt=opt_small) == []
+
+
+def test_section_batch_requires_one_dimension(opt_small):
+    with pytest.raises(DomainError):
+        section_diameters(ball(3, 1.0), [Subspace.canonical(3, 1), Subspace.canonical(3, 2)],
+                          opt=opt_small)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from waistlab.bodies import ball, cube, ellipsoid, product_body, truncated_cylinder
+from waistlab.bodies import (ball, cross_polytope, cube, ellipsoid, product_body,
+                             truncated_cylinder)
 from waistlab.errors import DomainError, HypothesisError, InfeasibleScheduleError
 from waistlab.experiments import (ExperimentReport, cover_ball_with_body,
                                   run_core_lemma, run_global_vr,
@@ -335,3 +336,45 @@ def test_results_independent_of_worker_count(monkeypatch):
     assert serial.trials == threaded.trials
     assert serial.to_json_dict(include_wall_time=False) == \
         threaded.to_json_dict(include_wall_time=False)
+
+
+# ---------------------------------------------------------------------------
+# trial-count independence: the trials of one batch do not leak into each
+# other, so the first trials of a longer run equal a shorter run's
+# ---------------------------------------------------------------------------
+
+
+def _first_trials_agree(run):
+    short, longer = run(3), run(5)
+    assert len(longer.trials) == 5
+    assert short.trials == longer.trials[:3]
+
+
+def test_two_bodies_primal_trial_count_independent():
+    n, k = 6, 3
+    m2 = max(1, math.ceil(0.25 * k))
+    K = truncated_cylinder(ball(k, 0.5), n, truncation_radius=1e4)
+    L = product_body(ball(m2, 1e4), ball(n - m2, 0.5))
+    _first_trials_agree(lambda t: run_two_bodies(
+        K, L, n, k, trials=t, seed=31, a_frac=0.25,
+        section_L=Subspace.canonical(n, n - m2, offset=m2), opt=OPT))
+
+
+def test_two_bodies_both_modes_trial_count_independent():
+    K, L = cube(3, 1.0), cross_polytope(3, 1.5)
+    _first_trials_agree(lambda t: run_two_bodies(
+        K, L, 3, 2, trials=t, seed=37, mode="both", dual_products=True,
+        section_K=Subspace.canonical(3, 1), section_L=Subspace.canonical(3, 2, offset=1),
+        section_bound=3.0 * math.sqrt(3), opt=OPT))
+
+
+def test_sections_trial_count_independent():
+    _first_trials_agree(lambda t: run_sections(ellipsoid([1.0, 1.5, 0.7, 2.0]), 4, 2,
+                                               trials=t, seed=41, opt=OPT))
+
+
+def test_core_trial_count_independent():
+    flat = product_body(ball(3, 1.0), ball(1, 0.0))
+    _first_trials_agree(lambda t: run_core_lemma(flat, flat, 0.4, 0.35, trials=t, seed=43,
+                                                 sigma_samples=10_000, net_probes=512,
+                                                 opt=OPT))
