@@ -7,21 +7,25 @@ single point of shape (n,) or a batch of shape (m, n).  An evaluator
 computes its quantity (to solver tolerance), never only a bound on it; one
 with no such form is absent, and calling it raises EvaluationError.
 
+The gauge and the support are written once, as a max of Pieces: facet
+rows, implicit l1 sign families, Euclidean norms of linear maps and sums of
+such maxima.  A function with no such form (an LP, a membership bisection)
+is one smooth piece, the function itself.  Body evaluates the gauge and
+support from their pieces, and the optimizer's epigraph solve reads the
+same pieces.
+
 Catalog bodies (balls, cubes, cross-polytopes, ellipsoids, slab
 intersections, products, vertex polytopes, truncated cylinders) get
-closed-form or near-closed-form evaluators.  Combinators (intersection,
-Minkowski sum, neighborhood, similarity image, polar, difference body)
-compose evaluators; where no closed form exists, membership and distance
-fall back to iterative schemes built on the bodies' own oracles: cyclic
+closed-form pieces.  Combinators (intersection, Minkowski sum,
+neighborhood, similarity image, polar, difference body) compose pieces:
+an intersection joins the gauge pieces, a sum adds the support maxima,
+a product zero-pads its blocks' pieces, an image maps them and a polar
+swaps them.  Where no closed form exists, membership and distance fall
+back to iterative schemes built on the bodies' own oracles: cyclic
 projections for intersections and an away-step linear-minimization
 projection for support-point bodies (tolerance 1e-8, iteration cap 10^4).
 An intersection has no support evaluator: the minimum of the two supports
 is only an upper bound.
-
-Bodies also write their gauge and support as a max of Pieces: facet rows,
-implicit l1 sign families, Euclidean norms of linear maps and sums of such
-maxima.  The optimizer's epigraph solve reads them; an evaluator with no
-such form is one smooth piece, the evaluator itself.
 
 Lower-dimensional bodies (radius-0 balls and their products) carry an
 infinite gauge off their affine hull; membership and distance go through
@@ -91,9 +95,16 @@ def _scalarize(vals, single):
     return vals
 
 
+def _max_of(pieces, X):
+    """Max over the pieces at the rows of X; a lone piece's own values."""
+    if len(pieces) == 1:
+        return pieces[0].evaluate(X)
+    return np.max([p.evaluate(X) for p in pieces], axis=0)
+
+
 @dataclass(frozen=True, eq=False)
 class Piece:
-    """One piece of a gauge or support written as a max of pieces.
+    """One piece of a gauge or support, which is the max of its pieces.
 
     kind "linear": x -> max_i <P_i, x> over the rows of matrix P (m, n).
     kind "l1": x -> |x M|_1 for matrix M (n, k): the max of <s, x M> over
@@ -101,18 +112,16 @@ class Piece:
     kind "l2": x -> |x M|_2 for matrix M (n, k), smooth off the kernel of
       M^T: the gauges and supports of balls and ellipsoids.
     kind "sum": x -> the sum over parts of the max over the part's pieces;
-      the support of a product.
-    kind "smooth": x -> scale * value(x A) with batched gradient
-      scale * grad(x A) A^T, where matrix A (n, n0) is the input map (None:
-      the identity) and grad is None when only finite differences exist;
-      the fallback for an evaluator with no closed form.
+      the support of a product or a Minkowski sum.
+    kind "smooth": x -> scale * value(x A), where matrix A (n, n0) is the
+      input map (None: the identity): the one piece of a function with no
+      closed form, which has no analytic gradient.
     Every piece is positively homogeneous, as gauges and supports are.
     """
 
     kind: str
     matrix: np.ndarray | None = None
     value: object = None
-    grad: object = None
     scale: float = 1.0
     parts: tuple = ()
 
@@ -125,22 +134,19 @@ class Piece:
         if self.kind == "l2":
             return np.linalg.norm(X @ self.matrix, axis=1)
         if self.kind == "sum":
-            return sum(np.max([p.evaluate(X) for p in part], axis=0) for part in self.parts)
+            return sum(_max_of(part, X) for part in self.parts)
         Y = X if self.matrix is None else X @ self.matrix
         return self.scale * np.asarray(self.value(Y), dtype=float)
 
     def gradient(self, X):
-        """Gradients at the rows of X of an l2 piece (0 where x M = 0)
-        or a smooth piece; None for a smooth piece without grad."""
-        M = self.matrix
-        if self.kind == "l2":
-            Y = X @ M
-            nrm = np.linalg.norm(Y, axis=1)
-            return (Y @ M.T) / np.where(nrm > 0, nrm, 1.0)[:, None]
-        if self.grad is None:
+        """Gradients at the rows of X of an l2 piece (0 where x M = 0);
+        None for the other kinds."""
+        if self.kind != "l2":
             return None
-        G = self.scale * np.asarray(self.grad(X if M is None else X @ M), dtype=float)
-        return G if M is None else G @ M.T
+        M = self.matrix
+        Y = X @ M
+        nrm = np.linalg.norm(Y, axis=1)
+        return (Y @ M.T) / np.where(nrm > 0, nrm, 1.0)[:, None]
 
     def mapped(self, A, scale=1.0):
         """The piece x -> scale * piece(x A), for A (n_new, n) and scale > 0."""
@@ -151,7 +157,7 @@ class Piece:
         if self.kind == "sum":
             return Piece("sum", parts=tuple(map_pieces(part, A, scale) for part in self.parts))
         inner = A if self.matrix is None else A @ self.matrix
-        return Piece("smooth", inner, self.value, self.grad, scale * self.scale)
+        return Piece("smooth", inner, self.value, scale * self.scale)
 
 
 def map_pieces(pieces, A, scale=1.0):
@@ -170,25 +176,24 @@ class Body:
 
     Immutable by convention once constructed.  Evaluators work row by
     row, so rows of many problems may be stacked into one call.
-    inner_radius and outer_radius are certified bounds: inner_radius <=
-    radial(u) <= outer_radius for every unit u.  The support, support-point
-    and projection evaluators are optional; an absent one raises
+    gauge and support are tuples of Pieces whose max is the gauge and the
+    support; gauge, support, radial and the gauge test of contains
+    evaluate that max, and gauge_pieces and support_pieces hand the pieces
+    to the optimizer's epigraph solve.  inner_radius and outer_radius are
+    certified bounds: inner_radius <= radial(u) <= outer_radius for every
+    unit u.  The support (None: the body has none), support-point and
+    projection evaluators are optional; an absent one raises
     EvaluationError when called.  vertices holds the vertex array of a
-    vertex polytope and is None for every other body.  gauge_pieces and
-    support_pieces describe the gauge and support as a max of Pieces, for
-    the optimizer's epigraph solve.
+    vertex polytope and is None for every other body.
     """
 
     def __init__(self, dim, *, gauge, support=None, membership=None,
                  support_point=None, project=None, distance=None,
                  inner_radius, outer_radius, symmetric, truncated=False,
-                 kind="custom", spec=None, vertices=None,
-                 gauge_pieces=None, support_pieces=None):
+                 kind="custom", spec=None, vertices=None):
         self.dim = int(dim)
+        self.gauge_pieces = gauge
         self._support = support
-        self._gauge = gauge
-        self._gauge_pieces = gauge_pieces
-        self._support_pieces = support_pieces
         self._membership = membership
         self._support_point = support_point
         self._project = project
@@ -208,20 +213,19 @@ class Body:
 
     def support(self, u):
         """h(u) = sup over members x of <x, u> (positively homogeneous)."""
-        if self._support is None:
-            raise EvaluationError(f"{self.kind} body has no exact support evaluator")
+        pieces = self.support_pieces
         U, single = _batch(u, self.dim)
-        return _scalarize(self._support(U), single)
+        return _scalarize(_max_of(pieces, U), single)
 
     def gauge(self, x):
         """Minkowski functional; inf off the affine hull of a flat body."""
         X, single = _batch(x, self.dim)
-        return _scalarize(self._gauge(X), single)
+        return _scalarize(_max_of(self.gauge_pieces, X), single)
 
     def radial(self, u):
         """Boundary distance from the origin along u (1/gauge for unit u)."""
         X, single = _batch(u, self.dim)
-        g = np.asarray(self._gauge(X), dtype=float)
+        g = _max_of(self.gauge_pieces, X)
         with np.errstate(divide="ignore"):
             r = np.where(g > 0, 1.0 / np.where(g > 0, g, 1.0), np.inf)
         return _scalarize(r, single)
@@ -232,7 +236,7 @@ class Body:
         if self._membership is not None:
             return _scalarize(np.asarray(self._membership(X), dtype=bool), single)
         if self.inner_radius > 0:
-            g = np.asarray(self._gauge(X), dtype=float)
+            g = _max_of(self.gauge_pieces, X)
             return _scalarize(g <= 1.0 + GAUGE_TOL, single)
         d = np.asarray(self._distance_batch(X), dtype=float)
         return _scalarize(d <= DIST_TOL, single)
@@ -256,25 +260,12 @@ class Body:
         Y = self._support_point(U)
         return Y[0] if single else Y
 
-    # -- pieces ----------------------------------------------------------------
-
-    @property
-    def gauge_pieces(self):
-        """The gauge as a max of Pieces; without a closed form, one smooth
-        piece: the gauge evaluator itself, with no gradient."""
-        if self._gauge_pieces is not None:
-            return self._gauge_pieces
-        return (Piece("smooth", value=self._gauge),)
-
     @property
     def support_pieces(self):
-        """The support as a max of Pieces; without a closed form, one smooth
-        piece: the support evaluator with the support point as gradient."""
-        if self._support_pieces is not None:
-            return self._support_pieces
+        """The support as a max of Pieces."""
         if self._support is None:
             raise EvaluationError(f"{self.kind} body has no exact support evaluator")
-        return (Piece("smooth", value=self._support, grad=self._support_point),)
+        return self._support
 
     # -- evaluator resolution ------------------------------------------------
 
@@ -376,8 +367,8 @@ def _dykstra(projectors, X, tol=1e-10, max_iter=PROJECT_CAP):
 
 
 def _bisection_gauge(contains, r_hi, iters=64):
-    """Gauge from membership alone: bisect the boundary radius along each
-    row's direction inside the radius-r_hi ball."""
+    """Gauge from membership alone, as one smooth piece: bisect the boundary
+    radius along each row's direction inside the radius-r_hi ball."""
     def gauge(X):
         nrm = np.linalg.norm(X, axis=1)
         units = X / np.where(nrm > 0, nrm, 1.0)[:, None]
@@ -391,7 +382,7 @@ def _bisection_gauge(contains, r_hi, iters=64):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(nrm == 0.0, 0.0, nrm / lo)
 
-    return gauge
+    return (Piece("smooth", value=gauge),)
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +406,14 @@ def ball(dim: int, radius: float) -> Body:
     if r == 0.0:
         return Body(
             dim,
-            support=lambda U: np.zeros(U.shape[0]),
-            gauge=lambda X: np.where(np.linalg.norm(X, axis=1) == 0.0, 0.0, np.inf),
+            support=(Piece("linear", np.zeros((1, dim))),),
+            gauge=(Piece("smooth", value=lambda X: np.where(
+                np.linalg.norm(X, axis=1) == 0.0, 0.0, np.inf)),),
             support_point=lambda U: np.zeros_like(U),
             project=lambda X: np.zeros_like(X),
             distance=lambda X: np.linalg.norm(X, axis=1),
             inner_radius=0.0, outer_radius=0.0, symmetric=True,
             kind="ball", spec=BodySpec("ball", {"dim": dim, "radius": 0.0}),
-            support_pieces=(Piece("linear", np.zeros((1, dim))),),
         )
 
     def proj(X):
@@ -437,15 +428,13 @@ def ball(dim: int, radius: float) -> Body:
 
     return Body(
         dim,
-        support=lambda U: r * np.linalg.norm(U, axis=1),
-        gauge=lambda X: np.linalg.norm(X, axis=1) / r,
+        support=(Piece("l2", r * np.eye(dim)),),
+        gauge=(Piece("l2", np.eye(dim) / r),),
         support_point=sp,
         project=proj,
         distance=lambda X: np.maximum(np.linalg.norm(X, axis=1) - r, 0.0),
         inner_radius=r, outer_radius=r, symmetric=True,
         kind="ball", spec=BodySpec("ball", {"dim": dim, "radius": r}),
-        gauge_pieces=(Piece("l2", np.eye(dim) / r),),
-        support_pieces=(Piece("l2", r * np.eye(dim)),),
     )
 
 
@@ -459,15 +448,13 @@ def cube(dim: int, half_width: float) -> Body:
 
     return Body(
         dim,
-        support=lambda U: a * np.abs(U).sum(axis=1),
-        gauge=lambda X: np.abs(X).max(axis=1) / a,
+        support=(Piece("l1", a * np.eye(dim)),),
+        gauge=(_abs_rows(np.eye(dim) / a),),
         support_point=lambda U: a * np.sign(U),
         project=lambda X: np.clip(X, -a, a),
         distance=dist,
         inner_radius=a, outer_radius=a * math.sqrt(dim), symmetric=True,
         kind="cube", spec=BodySpec("cube", {"dim": dim, "half_width": a}),
-        gauge_pieces=(_abs_rows(np.eye(dim) / a),),
-        support_pieces=(Piece("l1", a * np.eye(dim)),),
     )
 
 
@@ -501,14 +488,12 @@ def cross_polytope(dim: int, radius: float) -> Body:
 
     return Body(
         dim,
-        support=lambda U: r * np.abs(U).max(axis=1),
-        gauge=lambda X: np.abs(X).sum(axis=1) / r,
+        support=(_abs_rows(r * np.eye(dim)),),
+        gauge=(Piece("l1", np.eye(dim) / r),),
         support_point=sp,
         project=lambda X: _l1_project(X, r),
         inner_radius=r / math.sqrt(dim), outer_radius=r, symmetric=True,
         kind="cross_polytope", spec=BodySpec("cross_polytope", {"dim": dim, "radius": r}),
-        gauge_pieces=(Piece("l1", np.eye(dim) / r),),
-        support_pieces=(_abs_rows(r * np.eye(dim)),),
     )
 
 
@@ -522,11 +507,8 @@ def ellipsoid(semiaxes) -> Body:
     dim = s.size
     s2 = s * s
 
-    def supp(U):
-        return np.linalg.norm(U * s, axis=1)
-
     def sp(U):
-        h = supp(U)
+        h = np.linalg.norm(U * s, axis=1)
         safe = np.where(h > 0, h, 1.0)
         return (U * s2) / safe[:, None]
 
@@ -551,14 +533,12 @@ def ellipsoid(semiaxes) -> Body:
 
     return Body(
         dim,
-        support=supp,
-        gauge=lambda X: np.linalg.norm(X / s, axis=1),
+        support=(Piece("l2", np.diag(s)),),
+        gauge=(Piece("l2", np.diag(1.0 / s)),),
         support_point=sp,
         project=proj,
         inner_radius=float(s.min()), outer_radius=float(s.max()), symmetric=True,
         kind="ellipsoid", spec=BodySpec("ellipsoid", {"semiaxes": s.tolist()}),
-        gauge_pieces=(Piece("l2", np.diag(1.0 / s)),),
-        support_pieces=(Piece("l2", np.diag(s)),),
     )
 
 
@@ -584,10 +564,6 @@ def slab_body(normals, widths) -> Body:
     sv = np.linalg.svd(Nh, compute_uv=False)
     full_rank = sv.size >= dim and sv[min(dim, sv.size) - 1] > 1e-12
     r_out = float(np.linalg.norm(wh) / sv[dim - 1]) if full_rank else math.inf
-
-    def gauge(X):
-        t = np.abs(X @ Nh.T) / wh
-        return t.max(axis=1)
 
     def supp(U):
         A_ub = np.vstack([Nh, -Nh])
@@ -616,11 +592,10 @@ def slab_body(normals, widths) -> Body:
 
     return Body(
         dim,
-        support=supp,
-        gauge=gauge,
+        support=(Piece("smooth", value=supp),),
+        gauge=(_abs_rows(Nh / wh[:, None]),),
         project=lambda X: _dykstra(projectors, X),
         inner_radius=float(wh.min()), outer_radius=r_out, symmetric=True,
-        gauge_pieces=(_abs_rows(Nh / wh[:, None]),),
         kind="slab_intersection",
         spec=BodySpec("slab_intersection",
                       {"normals": N.tolist(), "widths": w.tolist()}),
@@ -659,18 +634,16 @@ def product_body(first: Body, second: Body) -> Body:
         spec = BodySpec("product", {"first": first.spec, "second": second.spec})
 
     eye = np.eye(dim)
-    gauge_pieces = (map_pieces(first.gauge_pieces, eye[:, :d1])
-                    + map_pieces(second.gauge_pieces, eye[:, d1:]))
-    support_pieces = None
+    support = None
     if first._support is not None and second._support is not None:
-        support_pieces = (Piece("sum", parts=(map_pieces(first.support_pieces, eye[:, :d1]),
-                                              map_pieces(second.support_pieces, eye[:, d1:]))),)
+        support = (Piece("sum", parts=(map_pieces(first._support, eye[:, :d1]),
+                                       map_pieces(second._support, eye[:, d1:]))),)
 
     return Body(
         dim,
-        support=lambda U: np.asarray(first.support(U[:, :d1])) + np.asarray(second.support(U[:, d1:])),
-        gauge=lambda X: np.maximum(np.asarray(first.gauge(X[:, :d1])),
-                                   np.asarray(second.gauge(X[:, d1:]))),
+        support=support,
+        gauge=(map_pieces(first.gauge_pieces, eye[:, :d1])
+               + map_pieces(second.gauge_pieces, eye[:, d1:])),
         membership=membership,
         support_point=sp,
         project=proj if first.can_project and second.can_project else None,
@@ -681,8 +654,6 @@ def product_body(first: Body, second: Body) -> Body:
         symmetric=first.symmetric and second.symmetric,
         truncated=first.truncated or second.truncated,
         kind="product", spec=spec,
-        gauge_pieces=gauge_pieces,
-        support_pieces=support_pieces,
     )
 
 
@@ -721,10 +692,6 @@ def vertex_polytope(vertices, symmetric=None) -> Body:
 
     interior0 = bool((b > 1e-12).all())
 
-    def gauge_h(X):
-        t = (X @ A.T) / b
-        return np.maximum(t.max(axis=1), 0.0)
-
     def gauge_lp(X):
         vals = np.empty(X.shape[0])
         for i, x in enumerate(X):
@@ -750,8 +717,9 @@ def vertex_polytope(vertices, symmetric=None) -> Body:
 
     return Body(
         dim,
-        support=lambda U: (U @ V.T).max(axis=1),
-        gauge=gauge_h if interior0 else gauge_lp,
+        support=(Piece("linear", V),),
+        gauge=(Piece("linear", A / b[:, None]) if interior0
+               else Piece("smooth", value=gauge_lp),),
         membership=membership,
         support_point=sp,
         distance=dist,
@@ -761,8 +729,6 @@ def vertex_polytope(vertices, symmetric=None) -> Body:
         kind="vertex_polytope",
         spec=BodySpec("vertex_polytope", {"vertices": V.tolist()}),
         vertices=V,
-        gauge_pieces=(Piece("linear", A / b[:, None]),) if interior0 else None,
-        support_pieces=(Piece("linear", V),),
     )
 
 
@@ -899,7 +865,7 @@ def intersect(K: Body, L: Body) -> Body:
 
     return Body(
         K.dim,
-        gauge=lambda X: np.maximum(np.asarray(K.gauge(X)), np.asarray(L.gauge(X))),
+        gauge=K.gauge_pieces + L.gauge_pieces,
         membership=lambda X: np.asarray(K.contains(X)) & np.asarray(L.contains(X)),
         project=project,
         inner_radius=min(K.inner_radius, L.inner_radius),
@@ -934,11 +900,15 @@ def _neighborhood_core(K: Body, r: float) -> Body:
             safe = np.where(nrm > 0, nrm, 1.0)
             return K.support_point(U) + U * (r / safe)[:, None]
 
+    support = None
+    if K._support is not None:
+        support = (Piece("sum", parts=(K._support, (Piece("l2", r * np.eye(K.dim)),))),)
+
     r_out = K.outer_radius + r
     return Body(
         K.dim,
-        support=lambda U: np.asarray(K.support(U)) + r * np.linalg.norm(np.atleast_2d(U), axis=1),
-        gauge=_bisection_gauge(membership, r_out) if math.isfinite(r_out) else K._gauge,
+        support=support,
+        gauge=_bisection_gauge(membership, r_out) if math.isfinite(r_out) else K.gauge_pieces,
         membership=membership,
         support_point=sp,
         project=project,
@@ -997,10 +967,14 @@ def minkowski_sum(K: Body, L: Body) -> Body:
     def membership(X):
         return dist(X) <= DIST_TOL
 
+    support = None
+    if K._support is not None and L._support is not None:
+        support = (Piece("sum", parts=(K._support, L._support)),)
+
     r_out = K.outer_radius + L.outer_radius
     return Body(
         K.dim,
-        support=lambda U: np.asarray(K.support(U)) + np.asarray(L.support(U)),
+        support=support,
         gauge=_bisection_gauge(membership, r_out),
         membership=membership,
         support_point=sp,
@@ -1028,11 +1002,6 @@ def linear_image(K: Body, Q, scale: float = 1.0) -> Body:
         raise DomainError(f"scale must be positive, got {scale}")
     t = float(scale)
 
-    support = None
-    if K._support is not None:
-        def support(W):
-            return t * np.asarray(K.support(W @ Q))
-
     sp = None
     if K._support_point is not None:
         def sp(W):
@@ -1045,8 +1014,8 @@ def linear_image(K: Body, Q, scale: float = 1.0) -> Body:
 
     return Body(
         K.dim,
-        support=support,
-        gauge=lambda X: np.asarray(K.gauge((X @ Q) / t)),
+        support=None if K._support is None else map_pieces(K._support, Q, t),
+        gauge=map_pieces(K.gauge_pieces, Q / t),
         membership=lambda X: np.asarray(K.contains((X @ Q) / t)),
         support_point=sp,
         project=project,
@@ -1054,14 +1023,12 @@ def linear_image(K: Body, Q, scale: float = 1.0) -> Body:
         inner_radius=t * K.inner_radius, outer_radius=t * K.outer_radius,
         symmetric=K.symmetric, truncated=K.truncated,
         kind="linear_image",
-        gauge_pieces=map_pieces(K.gauge_pieces, Q / t),
-        support_pieces=map_pieces(K.support_pieces, Q, t) if support is not None else None,
     )
 
 
 def polar(K: Body) -> Body:
-    """Polar body: support and gauge evaluators swap roles.  K must carry an
-    exact support evaluator, which becomes the polar's gauge."""
+    """Polar body: support and gauge pieces swap roles.  K must carry an
+    exact support, which becomes the polar's gauge."""
     if not K.symmetric:
         raise DomainError("polar requires a symmetric body")
     if not K.inner_radius > 0:
@@ -1071,15 +1038,13 @@ def polar(K: Body) -> Body:
                               f"the {K.kind} body has none")
     return Body(
         K.dim,
-        support=lambda U: np.asarray(K.gauge(U)),
-        gauge=lambda X: np.asarray(K.support(X)),
+        support=K.gauge_pieces,
+        gauge=K._support,
         membership=lambda X: np.asarray(K.support(X)) <= 1.0 + GAUGE_TOL,
         inner_radius=1.0 / K.outer_radius if math.isfinite(K.outer_radius) else 0.0,
         outer_radius=1.0 / K.inner_radius,
         symmetric=True,
         kind="polar",
-        gauge_pieces=K.support_pieces,
-        support_pieces=K.gauge_pieces,
     )
 
 

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 failed verification, 2 usage or schema error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -44,7 +45,7 @@ _SCHEMAS = {
 }
 
 _SCHEDULE_KEYS = ({"n", "k"}, {"a_frac", "C1_sched", "c2_sched"})
-_OPTIMIZER_KEYS = (set(), {"restarts", "iters", "seed", "step0", "polish"})
+_OPTIMIZER_KEYS = (set(), {f.name for f in dataclasses.fields(OptimizerConfig)})
 _SUBSPACE_KEYS = (set(), {"k", "offset", "frame"})
 
 
@@ -118,12 +119,9 @@ def _subspace_from(cfg, n) -> Subspace | None:
 def _optimizer_from(cfg) -> OptimizerConfig:
     if not cfg:
         return DEFAULT_OPT
-    return OptimizerConfig(
-        restarts=int(cfg.get("restarts", DEFAULT_OPT.restarts)),
-        iters=int(cfg.get("iters", DEFAULT_OPT.iters)),
-        seed=int(cfg.get("seed", DEFAULT_OPT.seed)),
-        step0=float(cfg.get("step0", DEFAULT_OPT.step0)),
-        polish=bool(cfg.get("polish", DEFAULT_OPT.polish)))
+    # each value is cast to the type of its field's default
+    return dataclasses.replace(DEFAULT_OPT, **{
+        key: type(getattr(DEFAULT_OPT, key))(value) for key, value in cfg.items()})
 
 
 def run_experiment_config(config: dict, seed=None):

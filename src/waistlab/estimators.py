@@ -144,10 +144,6 @@ class InclusionResult:
         return float(self.value)
 
 
-def _bracket_net(n, bracket_delta, seed):
-    return build_net(n, bracket_delta, seed=seed)
-
-
 class _RowMaps:
     """Per-field linear maps of row blocks, as minimize_on_sphere_batch
     hands out its fields: block V[j] (m, d) becomes V[j] @ A[idx[j]], and
@@ -217,7 +213,7 @@ def _diameters(K, L, rotations, opt, bracket_delta):
         note = "lower bound (attained direction)"
         upper = None
         if bracket_delta is not None and K.inner_radius > 0 and L.inner_radius > 0:
-            net = _bracket_net(n, bracket_delta, opt.seed)
+            net = build_net(n, bracket_delta, seed=opt.seed)
             gnet = float(gauge_max(field, net.points[None]).min())
             lip = 1.0 / min(K.inner_radius, L.inner_radius)
             chord = 2.0 * math.sin(net.delta / 2.0)
@@ -281,7 +277,7 @@ def _inclusion_radii(K, L, rotations, opt, combine, bracket_delta):
         lower = None
         if (bracket_delta is not None and math.isfinite(K.outer_radius)
                 and math.isfinite(L.outer_radius)):
-            net = _bracket_net(n, bracket_delta, opt.seed)
+            net = build_net(n, bracket_delta, seed=opt.seed)
             vnet = float(objective(field, net.points[None]).min())
             lip = K.outer_radius + L.outer_radius
             lower = vnet - lip * 2.0 * math.sin(net.delta / 2.0)

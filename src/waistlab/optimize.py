@@ -153,9 +153,11 @@ def _descend(f, idx, U0, cfg):
         # central-difference ambient gradient of f(v/|v|) at unit rows
         plus = _normalize_rows((U[:, :, None, :] + shifts).reshape(-1, n))
         minus = _normalize_rows((U[:, :, None, :] - shifts).reshape(-1, n))
-        fp = _finite_values(f, run, plus.reshape(a, m * n, n)).reshape(a, m, n)
-        fm = _finite_values(f, run, minus.reshape(a, m * n, n)).reshape(a, m, n)
-        grad = (fp - fm) / (2.0 * h)
+        fp = np.asarray(f(run, plus.reshape(a, m * n, n)), dtype=float).reshape(a, m, n)
+        fm = np.asarray(f(run, minus.reshape(a, m * n, n)), dtype=float).reshape(a, m, n)
+        # a component with a non-finite side has no difference: it is zero
+        sides = np.isfinite(fp) & np.isfinite(fm)
+        grad = np.subtract(fp, fm, out=np.zeros_like(fp), where=sides) / (2.0 * h)
         grad -= (grad * U).sum(axis=2)[:, :, None] * U  # tangent component
         gn = np.linalg.norm(grad, axis=2)
         gn = np.where(gn > 0, gn, 1.0)
@@ -195,11 +197,9 @@ def _finish(f, t, U, vals, nfev, cfg, pieces):
             return _finite_values(f, field, V[None])[0]
 
         if pieces is None:
-            pieces = (Piece("smooth", value=lambda V: feval(_normalize_rows(V))),)
-            count_values = False  # feval already counts these rows
-        else:
-            count_values = True
-        program = _Epigraph(pieces, n, count_values)
+            pieces = (Piece("smooth", value=lambda V: _finite_values(
+                f, field, _normalize_rows(V)[None])[0]),)
+        program = _Epigraph(pieces, n)
         found = [program.solve(U[j]) for j in _distinct_best(U, vals)]
         found = [u for u in found if u is not None]
         if found:
@@ -247,27 +247,27 @@ class _Epigraph:
     - l1: a block w >= |u M| with z_v >= sum(w), which keeps its 2^k sign
       patterns implicit;
     - sum: one level per part, with z_v >= the sum of the part levels;
-    - l2 and smooth: z_v - p(u) >= 0, with the piece's gradient, or without
-      one by finite differences inside SLSQP.  An l2 piece also adds the
-      rows z_v >= |(u M)_j|, which hold since |y|_2 >= |y_j|, and keep
-      SLSQP's linear model of the cone bounded at its apex u M = 0, where
-      the gradient does not exist.
+    - l2: z_v - p(u) >= 0 with the piece's gradient, and the rows
+      z_v >= |(u M)_j|, which hold since |y|_2 >= |y_j|, and keep SLSQP's
+      linear model of the cone bounded at its apex u M = 0, where the
+      gradient does not exist;
+    - smooth: z_v - p(u) >= 0, differentiated by finite differences inside
+      SLSQP.
     Linear, l1 and sum pieces are linear in z: rows C z >= 0.  rows counts
     the pieces evaluated or differentiated at a point, and unconverged the
     solves that SLSQP ended with a nonzero status (an iteration cap, a
     failed line search or incompatible constraints).
     """
 
-    def __init__(self, pieces, n, count_values=True):
+    def __init__(self, pieces, n):
         self.n = n
         self.nz = n + 1 + _aux_count(pieces)
         self.rows = 0
         self.unconverged = 0
-        self.count_values = count_values
         self.blocks = []     # row blocks of C
         self.levels = []     # (variable, pieces whose max it bounds)
         self.l1 = []         # (first auxiliary variable, M)
-        self.smooth, self.plain = [], []
+        self.l2, self.smooth = [], []  # (variable, piece)
         self._next = n + 1
         self._group(pieces, n)
         self.C = np.vstack(self.blocks) if self.blocks else None
@@ -307,13 +307,12 @@ class _Epigraph:
                 self._block(1, v)[0, s:s + len(p.parts)] = -1.0
                 for j, part in enumerate(p.parts):
                     self._group(part, s + j)
-            elif p.kind == "l2" or p.grad is not None:
-                if p.kind == "l2":
-                    Mt = p.matrix.T
-                    self._block(2 * len(Mt), v)[:, :n] = np.vstack([-Mt, Mt])
-                self.smooth.append((v, p))
+            elif p.kind == "l2":
+                Mt = p.matrix.T
+                self._block(2 * len(Mt), v)[:, :n] = np.vstack([-Mt, Mt])
+                self.l2.append((v, p))
             else:
-                self.plain.append((v, p))
+                self.smooth.append((v, p))
 
     def _start(self, u0):
         """A feasible start: every level and l1 block at its value at u0."""
@@ -322,7 +321,7 @@ class _Epigraph:
         z[:self.n] = u0
         for v, group in self.levels:
             z[v] = max(float(p.evaluate(u)[0]) for p in group)
-            self.rows += len(group) if self.count_values else 0
+            self.rows += len(group)
         for w, M in self.l1:
             z[w:w + M.shape[1]] = np.abs(u0 @ M)
         return z
@@ -333,16 +332,15 @@ class _Epigraph:
 
     def _values(self, z, items):
         u = z[None, :self.n]
-        if self.count_values:
-            self.rows += len(items)
+        self.rows += len(items)
         return np.array([z[v] - float(p.evaluate(u)[0]) for v, p in items])
 
     def _jac(self, z):
         n = self.n
         u = z[None, :n]
-        self.rows += len(self.smooth)
-        J = np.zeros((len(self.smooth), self.nz))
-        for r, (v, p) in enumerate(self.smooth):
+        self.rows += len(self.l2)
+        J = np.zeros((len(self.l2), self.nz))
+        for r, (v, p) in enumerate(self.l2):
             J[r, :n] = -p.gradient(u)[0]
             J[r, v] = 1.0
         return J
@@ -358,11 +356,11 @@ class _Epigraph:
                  "jac": lambda z: np.concatenate([2.0 * z[:n], np.zeros(self.nz - n)])[None, :]}]
         if self.blocks:
             cons.append({"type": "ineq", "fun": self._linear, "jac": lambda z: self.C})
-        if self.smooth:
-            cons.append({"type": "ineq", "fun": lambda z: self._values(z, self.smooth),
+        if self.l2:
+            cons.append({"type": "ineq", "fun": lambda z: self._values(z, self.l2),
                          "jac": self._jac})
-        if self.plain:
-            cons.append({"type": "ineq", "fun": lambda z: self._values(z, self.plain)})
+        if self.smooth:
+            cons.append({"type": "ineq", "fun": lambda z: self._values(z, self.smooth)})
         res = _scipy_minimize(lambda z: self.c @ z, z0, jac=lambda z: self.c,
                               method="SLSQP", constraints=cons,
                               options={"maxiter": 300, "ftol": 1e-14})

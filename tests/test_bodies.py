@@ -18,11 +18,14 @@ def rotation2(theta):
     return np.array([[c, -s], [s, c]])
 
 
+SIMPLEX = np.array([[1.0, 0.2, -0.3], [-0.4, 1.1, 0.0],
+                    [-0.5, -0.6, 0.9], [0.1, -0.3, -1.0]])
+
+
 def catalog3():
     # the slab body comes last: its support is an LP solve, exact only to
     # the solver tolerance, so the homogeneity test leaves it out
-    simplex = vertex_polytope([[1.0, 0.2, -0.3], [-0.4, 1.1, 0.0],
-                               [-0.5, -0.6, 0.9], [0.1, -0.3, -1.0]])
+    simplex = vertex_polytope(SIMPLEX)
     return [ball(3, 1.5), cube(3, 0.8), cross_polytope(3, 1.2),
             ellipsoid([1.0, 2.0, 0.5]),
             vertex_polytope([[1, 1, 1], [1, 1, -1], [1, -1, 1], [-1, 1, 1],
@@ -419,30 +422,71 @@ def test_support_homogeneity():
                            3.5 * np.asarray(K.support(u)), rtol=1e-12)
 
 
+def _l1(X):
+    return np.abs(X).sum(axis=1)
+
+
+def _l2(X):
+    return np.linalg.norm(X, axis=1)
+
+
+def _sup(X):
+    return np.abs(X).max(axis=1)
+
+
 def piece_bodies():
-    """catalog3(), the polars of its symmetric bodies and a truncated
-    cylinder, whose product pieces are zero-padded."""
-    cat = catalog3()
-    polars = [polar(K) for K in cat if K.symmetric and K.inner_radius > 0]
-    return cat + polars + [truncated_cylinder(cross_polytope(2, 1.2), 4, 0.7)]
+    """(body, gauge, support) for catalog3(), the polars of its symmetric
+    bodies and a truncated cylinder, whose product pieces are zero-padded;
+    gauge and support are written out in closed form."""
+    from scipy.spatial import ConvexHull
+
+    s = np.array([1.0, 2.0, 0.5])
+    Q = haar_rotation(3, seed=21).matrix
+    facets = ConvexHull(SIMPLEX).equations
+    A, b = facets[:, :-1], -facets[:, -1]
+    closed = [
+        (lambda X: _l2(X) / 1.5, lambda U: 1.5 * _l2(U)),
+        (lambda X: _sup(X) / 0.8, lambda U: 0.8 * _l1(U)),
+        (lambda X: _l1(X) / 1.2, lambda U: 1.2 * _sup(U)),
+        (lambda X: _l2(X / s), lambda U: _l2(U * s)),
+        (_sup, _l1),
+        (lambda X: ((X @ Q) @ A.T / b).max(axis=1), lambda U: ((U @ Q) @ SIMPLEX.T).max(axis=1)),
+        (lambda X: _l2(X / (1.7 * s)), lambda U: 1.7 * _l2(U * s)),
+        (lambda X: _sup(X) / 0.8, lambda U: 0.8 * _l1(U)),
+        # unbounded along the third axis: the support is infinite off u3 = 0
+        (lambda X: _sup(X[:, :2] / [0.9, 0.6]),
+         lambda U: np.where(U[:, 2] == 0, _l1(U[:, :2] * [0.9, 0.6]), np.inf)),
+    ]
+    out = [(K, g, h) for K, (g, h) in zip(catalog3(), closed, strict=True)]
+    out += [(polar(K), h, g) for K, g, h in out if K.symmetric and K.inner_radius > 0]
+    out.append((truncated_cylinder(cross_polytope(2, 1.2), 4, 0.7),
+                lambda X: np.maximum(_l1(X[:, :2]) / 1.2, _l2(X[:, 2:]) / 0.7),
+                lambda U: 1.2 * _sup(U[:, :2]) + 0.7 * _l2(U[:, 2:])))
+    return out
 
 
 def _pieces_of(K):
-    yield "gauge", K.gauge, K.gauge_pieces
-    if K._support is not None:
-        yield "support", K.support, K.support_pieces
+    """(name, pieces) of the gauge and, when K has one, the support."""
+    out = [("gauge", K.gauge_pieces)]
+    try:
+        out.append(("support", K.support_pieces))
+    except EvaluationError:
+        pass
+    return out
 
 
 def test_pieces_max_equals_evaluator():
     rng = np.random.default_rng(14)
-    for K in piece_bodies():
+    for K, gauge, support in piece_bodies():
         X = rng.normal(size=(25, K.dim))
-        for what, evaluator, pieces in _pieces_of(K):
-            exact = np.asarray(evaluator(X), dtype=float)
+        for (what, pieces), evaluator, closed in zip(
+                _pieces_of(K), (K.gauge, K.support), (gauge, support), strict=True):
+            exact = closed(X)
             via = np.max([p.evaluate(X) for p in pieces], axis=0)
             # infinite supports of the unbounded slab body must match too
-            np.testing.assert_allclose(via, exact, rtol=1e-12, atol=1e-12,
-                                       err_msg=f"{K.kind} {what}")
+            for got in (via, np.asarray(evaluator(X), dtype=float)):
+                np.testing.assert_allclose(got, exact, rtol=1e-12, atol=1e-12,
+                                           err_msg=f"{K.kind} {what}")
 
 
 def _flat(pieces):
@@ -458,9 +502,9 @@ def test_smooth_piece_gradients_match_differences():
     rng = np.random.default_rng(15)
     h = 1e-6
     checked = total = 0
-    for K in piece_bodies():
+    for K, _, _ in piece_bodies():
         X = rng.normal(size=(10, K.dim))
-        for what, _, pieces in _pieces_of(K):
+        for what, pieces in _pieces_of(K):
             for p in _flat(pieces):
                 G = p.gradient(X)
                 if G is None:
@@ -477,6 +521,19 @@ def test_smooth_piece_gradients_match_differences():
                     assert np.allclose(g, central, atol=1e-6), (K.kind, what)
                     checked += 1
     assert total >= 100 and checked >= 0.9 * total
+
+
+def test_combinators_of_closed_forms_have_no_smooth_piece():
+    C, E = cube(3, 0.8), ellipsoid([1.0, 2.0, 0.5])
+    s = np.array([1.0, 2.0, 0.5])
+    X = np.random.default_rng(16).normal(size=(30, 3))
+    for pieces, closed in [
+            (intersect(C, E).gauge_pieces, np.maximum(_sup(X) / 0.8, _l2(X / s))),
+            (neighborhood(C, 0.3).support_pieces, 0.8 * _l1(X) + 0.3 * _l2(X)),
+            (minkowski_sum(C, E).support_pieces, 0.8 * _l1(X) + _l2(X * s))]:
+        assert all(p.kind != "smooth" for p in _flat(pieces))
+        via = np.max([p.evaluate(X) for p in pieces], axis=0)
+        np.testing.assert_allclose(via, closed, rtol=1e-12)
 
 
 def test_sign_families_stay_implicit():

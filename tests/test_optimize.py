@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,15 @@ def test_batch_equals_solo_bit_for_bit(polish):
     assert len({r.nfev for r in solo}) == len(fields)  # stopped at different iterations
     for res, one in zip(batch, solo):
         _assert_same(res, one)
+
+
+def test_infinite_difference_sides_warn_nothing():
+    # rows next to the cap have central differences with an infinite side;
+    # those components are zero, with no inf - inf and no NaN candidate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = minimize_on_sphere(_fields()[-1], N, CFG)
+    assert np.isfinite(res.value) and np.all(np.isfinite(res.direction))
 
 
 def test_batch_results_do_not_depend_on_chunking(monkeypatch):
