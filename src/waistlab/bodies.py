@@ -20,12 +20,12 @@ closed-form pieces.  Combinators (intersection, Minkowski sum,
 neighborhood, similarity image, polar, difference body) compose pieces:
 an intersection joins the gauge pieces, a sum adds the support maxima,
 a product zero-pads its blocks' pieces, an image maps them and a polar
-swaps them.  Where no closed form exists, membership and distance fall
-back to iterative schemes built on the bodies' own oracles: cyclic
-projections for intersections and an away-step linear-minimization
-projection for support-point bodies (tolerance 1e-8, iteration cap 10^4).
-An intersection has no support evaluator: the minimum of the two supports
-is only an upper bound.
+swaps them.  Where no closed form exists, projection and distance fall
+back to programs built on the bodies' own oracles: cyclic corrected
+projections for intersections (iteration cap 10^4, which raises), and the
+dual distance program of optimize.nearest_points for every other body with
+support pieces.  An intersection has no support evaluator: the minimum of
+the two supports is only an upper bound.
 
 Lower-dimensional bodies (radius-0 balls and their products) carry an
 infinite gauge off their affine hull; membership and distance go through
@@ -70,8 +70,7 @@ __all__ = [
 
 GAUGE_TOL = 1e-9          # membership tolerance at the gauge boundary; ties are in
 DIST_TOL = 1e-9           # membership tolerance for distance-based tests
-PROJECT_TOL = 1e-8        # generic iterative projection tolerance
-PROJECT_CAP = 10_000      # generic iterative projection iteration cap
+PROJECT_CAP = 10_000      # cyclic projection iteration cap
 ORTHO_TOL = 1e-10
 DEFAULT_TRUNCATION = 1e6
 
@@ -181,21 +180,22 @@ class Body:
     evaluate that max, and gauge_pieces and support_pieces hand the pieces
     to the optimizer's epigraph solve.  inner_radius and outer_radius are
     certified bounds: inner_radius <= radial(u) <= outer_radius for every
-    unit u.  The support (None: the body has none), support-point and
-    projection evaluators are optional; an absent one raises
-    EvaluationError when called.  vertices holds the vertex array of a
-    vertex polytope and is None for every other body.
+    unit u.  The support (None: the body has none) and the projection are
+    optional; an absent support raises EvaluationError when called.  A body
+    without its own projection projects by the dual distance program over
+    its support pieces, and one with neither raises EvaluationError.
+    vertices holds the vertex array of a vertex polytope and is None for
+    every other body.
     """
 
     def __init__(self, dim, *, gauge, support=None, membership=None,
-                 support_point=None, project=None, distance=None,
+                 project=None, distance=None,
                  inner_radius, outer_radius, symmetric, truncated=False,
                  kind="custom", spec=None, vertices=None):
         self.dim = int(dim)
         self.gauge_pieces = gauge
         self._support = support
         self._membership = membership
-        self._support_point = support_point
         self._project = project
         self._distance = distance
         self.inner_radius = float(inner_radius)
@@ -252,14 +252,6 @@ class Body:
         Y = self._project_batch(X)
         return Y[0] if single else Y
 
-    def support_point(self, u):
-        """A member attaining the support value in direction u."""
-        if self._support_point is None:
-            raise EvaluationError(f"{self.kind} body has no support-point evaluator")
-        U, single = _batch(u, self.dim)
-        Y = self._support_point(U)
-        return Y[0] if single else Y
-
     @property
     def support_pieces(self):
         """The support as a max of Pieces."""
@@ -271,13 +263,14 @@ class Body:
 
     @property
     def can_project(self):
-        return self._project is not None or self._support_point is not None
+        return self._project is not None or self._support is not None
 
     def _project_batch(self, X):
         if self._project is not None:
             return self._project(X)
-        if self._support_point is not None:
-            return np.vstack([_lmo_project(self._sp_single, row) for row in X])
+        if self._support is not None:
+            from .optimize import nearest_points  # optimize imports this module
+            return nearest_points(self._support, X)
         raise EvaluationError(f"{self.kind} body has no projection route")
 
     def _distance_batch(self, X):
@@ -286,67 +279,10 @@ class Body:
         Y = self._project_batch(X)
         return np.linalg.norm(X - Y, axis=1)
 
-    def _sp_single(self, d):
-        return self._support_point(d[None, :])[0]
-
 
 # ---------------------------------------------------------------------------
 # iterative projection machinery
 # ---------------------------------------------------------------------------
-
-
-def _lmo_project(lmo, x, tol=PROJECT_TOL, max_iter=PROJECT_CAP):
-    """Nearest point of a compact convex set given only its linear-maximization
-    oracle, by away-step conditional-gradient descent on 0.5*|y - x|^2."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(lmo(x), dtype=float)
-    atoms = [v]
-    weights = [1.0]
-    index = {v.tobytes(): 0}
-    y = v.copy()
-    for _ in range(max_iter):
-        grad = y - x
-        s = np.asarray(lmo(-grad), dtype=float)
-        gap = float(grad @ (y - s))
-        if gap <= 0.5 * tol * tol:
-            break
-        scores = [float(grad @ a) for a in atoms]
-        ai = int(np.argmax(scores))
-        away_gap = scores[ai] - float(grad @ y)
-        if gap >= away_gap or len(atoms) == 1:
-            d = s - y
-            gamma_max = 1.0
-            step_fw = True
-        else:
-            d = y - atoms[ai]
-            w = weights[ai]
-            gamma_max = w / (1.0 - w) if w < 1.0 else 1.0
-            step_fw = False
-        dd = float(d @ d)
-        if dd <= 0.0:
-            break
-        gamma = min(max(-float(grad @ d) / dd, 0.0), gamma_max)
-        if gamma <= 0.0:
-            break
-        y = y + gamma * d
-        if step_fw:
-            key = s.tobytes()
-            weights = [w * (1.0 - gamma) for w in weights]
-            if key in index:
-                weights[index[key]] += gamma
-            else:
-                index[key] = len(atoms)
-                atoms.append(s)
-                weights.append(gamma)
-        else:
-            weights = [w * (1.0 + gamma) for w in weights]
-            weights[ai] -= gamma
-        keep = [i for i, w in enumerate(weights) if w > 1e-14]
-        if len(keep) != len(atoms):
-            atoms = [atoms[i] for i in keep]
-            weights = [weights[i] for i in keep]
-            index = {a.tobytes(): i for i, a in enumerate(atoms)}
-    return y
 
 
 def _dykstra(projectors, X, tol=1e-10, max_iter=PROJECT_CAP):
@@ -366,21 +302,26 @@ def _dykstra(projectors, X, tol=1e-10, max_iter=PROJECT_CAP):
                           f"{tol} within {max_iter} iterations")
 
 
-def _bisection_gauge(contains, r_hi, iters=64):
+def _bisection_gauge(contains, bracket, iters=64):
     """Gauge from membership alone, as one smooth piece: bisect the boundary
-    radius along each row's direction inside the radius-r_hi ball."""
+    radius along each row's direction below bracket(units), an upper bound
+    on the radial function at the unit rows.  A row whose bracket is
+    infinite has gauge 0, so the bracket must be infinite only along
+    unbounded directions."""
     def gauge(X):
         nrm = np.linalg.norm(X, axis=1)
         units = X / np.where(nrm > 0, nrm, 1.0)[:, None]
+        top = np.broadcast_to(bracket(units), nrm.shape)
+        bounded = np.isfinite(top)
         lo = np.zeros(X.shape[0])
-        hi = np.full(X.shape[0], float(r_hi) * (1.0 + 1e-9) + 1e-30)
+        hi = np.where(bounded, top, 0.0) * (1.0 + 1e-9) + 1e-30
         for _ in range(iters):
             mid = 0.5 * (lo + hi)
             inside = np.asarray(contains(units * mid[:, None]), dtype=bool)
             lo = np.where(inside, mid, lo)
             hi = np.where(inside, hi, mid)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(nrm == 0.0, 0.0, nrm / lo)
+            return np.where((nrm == 0.0) | ~bounded, 0.0, nrm / lo)
 
     return (Piece("smooth", value=gauge),)
 
@@ -409,7 +350,6 @@ def ball(dim: int, radius: float) -> Body:
             support=(Piece("linear", np.zeros((1, dim))),),
             gauge=(Piece("smooth", value=lambda X: np.where(
                 np.linalg.norm(X, axis=1) == 0.0, 0.0, np.inf)),),
-            support_point=lambda U: np.zeros_like(U),
             project=lambda X: np.zeros_like(X),
             distance=lambda X: np.linalg.norm(X, axis=1),
             inner_radius=0.0, outer_radius=0.0, symmetric=True,
@@ -421,16 +361,10 @@ def ball(dim: int, radius: float) -> Body:
         f = np.where(nrm > r, r / np.where(nrm > 0, nrm, 1.0), 1.0)
         return X * f[:, None]
 
-    def sp(U):
-        nrm = np.linalg.norm(U, axis=1)
-        safe = np.where(nrm > 0, nrm, 1.0)
-        return U * (r / safe)[:, None]
-
     return Body(
         dim,
         support=(Piece("l2", r * np.eye(dim)),),
         gauge=(Piece("l2", np.eye(dim) / r),),
-        support_point=sp,
         project=proj,
         distance=lambda X: np.maximum(np.linalg.norm(X, axis=1) - r, 0.0),
         inner_radius=r, outer_radius=r, symmetric=True,
@@ -450,7 +384,6 @@ def cube(dim: int, half_width: float) -> Body:
         dim,
         support=(Piece("l1", a * np.eye(dim)),),
         gauge=(_abs_rows(np.eye(dim) / a),),
-        support_point=lambda U: a * np.sign(U),
         project=lambda X: np.clip(X, -a, a),
         distance=dist,
         inner_radius=a, outer_radius=a * math.sqrt(dim), symmetric=True,
@@ -478,19 +411,10 @@ def cross_polytope(dim: int, radius: float) -> Body:
     """l1-ball of the given radius."""
     r = _positive(radius, "radius")
 
-    def sp(U):
-        i = np.abs(U).argmax(axis=1)
-        rows = np.arange(U.shape[0])
-        Y = np.zeros_like(U)
-        sign = np.sign(U[rows, i])
-        Y[rows, i] = r * np.where(sign == 0, 1.0, sign)
-        return Y
-
     return Body(
         dim,
         support=(_abs_rows(r * np.eye(dim)),),
         gauge=(Piece("l1", np.eye(dim) / r),),
-        support_point=sp,
         project=lambda X: _l1_project(X, r),
         inner_radius=r / math.sqrt(dim), outer_radius=r, symmetric=True,
         kind="cross_polytope", spec=BodySpec("cross_polytope", {"dim": dim, "radius": r}),
@@ -506,11 +430,6 @@ def ellipsoid(semiaxes) -> Body:
         raise SpecError("semiaxes: must be strictly positive")
     dim = s.size
     s2 = s * s
-
-    def sp(U):
-        h = np.linalg.norm(U * s, axis=1)
-        safe = np.where(h > 0, h, 1.0)
-        return (U * s2) / safe[:, None]
 
     def proj(X):
         g = np.linalg.norm(X / s, axis=1)
@@ -535,7 +454,6 @@ def ellipsoid(semiaxes) -> Body:
         dim,
         support=(Piece("l2", np.diag(s)),),
         gauge=(Piece("l2", np.diag(1.0 / s)),),
-        support_point=sp,
         project=proj,
         inner_radius=float(s.min()), outer_radius=float(s.max()), symmetric=True,
         kind="ellipsoid", spec=BodySpec("ellipsoid", {"semiaxes": s.tolist()}),
@@ -623,12 +541,6 @@ def product_body(first: Body, second: Body) -> Body:
         A, B = split(X)
         return np.hstack([first.project(A), second.project(B)])
 
-    sp = None
-    if first._support_point is not None and second._support_point is not None:
-        def sp(U):
-            A, B = split(U)
-            return np.hstack([first.support_point(A), second.support_point(B)])
-
     spec = None
     if first.spec is not None and second.spec is not None:
         spec = BodySpec("product", {"first": first.spec, "second": second.spec})
@@ -645,7 +557,6 @@ def product_body(first: Body, second: Body) -> Body:
         gauge=(map_pieces(first.gauge_pieces, eye[:, :d1])
                + map_pieces(second.gauge_pieces, eye[:, d1:])),
         membership=membership,
-        support_point=sp,
         project=proj if first.can_project and second.can_project else None,
         distance=dist,
         inner_radius=min(first.inner_radius, second.inner_radius),
@@ -697,23 +608,16 @@ def vertex_polytope(vertices, symmetric=None) -> Body:
         for i, x in enumerate(X):
             res = linprog(np.ones(m), A_eq=V.T, b_eq=x,
                           bounds=[(0, None)] * m, method="highs")
-            vals[i] = res.fun if res.success else np.inf
+            if res.status == 2:  # infeasible: x is outside the cone of V
+                vals[i] = np.inf
+            elif res.success:
+                vals[i] = res.fun
+            else:
+                raise EvaluationError(f"gauge LP failed: {res.message}")
         return vals
-
-    def sp(U):
-        return V[(U @ V.T).argmax(axis=1)]
 
     def membership(X):
         return (X @ A.T <= b + DIST_TOL).all(axis=1)
-
-    def dist(X):
-        # members are at distance 0 by the facet test; only the others
-        # need the iterative projection
-        d = np.zeros(X.shape[0])
-        for i in np.flatnonzero(~membership(X)):
-            y = _lmo_project(lambda u: V[int(np.argmax(V @ u))], X[i])
-            d[i] = np.linalg.norm(X[i] - y)
-        return d
 
     return Body(
         dim,
@@ -721,8 +625,6 @@ def vertex_polytope(vertices, symmetric=None) -> Body:
         gauge=(Piece("linear", A / b[:, None]) if interior0
                else Piece("smooth", value=gauge_lp),),
         membership=membership,
-        support_point=sp,
-        distance=dist,
         inner_radius=float(b.min()) if interior0 else 0.0,
         outer_radius=float(np.linalg.norm(V, axis=1).max()),
         symmetric=is_sym,
@@ -893,24 +795,24 @@ def _neighborhood_core(K: Body, r: float) -> Body:
             scale = np.where(outside, r / np.where(d > 0, d, 1.0), 1.0)
             return np.where(outside[:, None], Y + diff * scale[:, None], X)
 
-    sp = None
-    if K._support_point is not None:
-        def sp(U):
-            nrm = np.linalg.norm(U, axis=1)
-            safe = np.where(nrm > 0, nrm, 1.0)
-            return K.support_point(U) + U * (r / safe)[:, None]
-
     support = None
     if K._support is not None:
         support = (Piece("sum", parts=(K._support, (Piece("l2", r * np.eye(K.dim)),))),)
 
     r_out = K.outer_radius + r
+
+    def bracket(U):
+        # K + rB lies in (1 + r / inner_radius) K and in the outer ball
+        if K.inner_radius == 0:
+            return r_out
+        grown = (1.0 + r / K.inner_radius) * np.asarray(K.radial(U), dtype=float)
+        return np.minimum(grown, r_out)
+
     return Body(
         K.dim,
         support=support,
-        gauge=_bisection_gauge(membership, r_out) if math.isfinite(r_out) else K.gauge_pieces,
+        gauge=_bisection_gauge(membership, bracket),
         membership=membership,
-        support_point=sp,
         project=project,
         distance=dist,
         inner_radius=K.inner_radius + r,
@@ -951,40 +853,26 @@ def minkowski_sum(K: Body, L: Body) -> Body:
         out.kind = "minkowski_sum"
         return out
 
-    sp = None
-    if K._support_point is not None and L._support_point is not None:
-        def sp(U):
-            return K.support_point(U) + L.support_point(U)
-
-    def dist(X):
-        if sp is None:
-            raise EvaluationError("generic Minkowski sum needs support points "
-                                  "on both summands for distance evaluation")
-        lmo = lambda d: K._sp_single(d) + L._sp_single(d)
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.array([np.linalg.norm(x - _lmo_project(lmo, x)) for x in X])
+    if K._support is None or L._support is None:
+        raise EvaluationError("a generic Minkowski sum needs the support of both summands")
 
     def membership(X):
-        return dist(X) <= DIST_TOL
-
-    support = None
-    if K._support is not None and L._support is not None:
-        support = (Piece("sum", parts=(K._support, L._support)),)
+        # by the dual distance program over the summed support
+        return out._distance_batch(X) <= DIST_TOL
 
     r_out = K.outer_radius + L.outer_radius
-    return Body(
+    out = Body(
         K.dim,
-        support=support,
-        gauge=_bisection_gauge(membership, r_out),
+        support=(Piece("sum", parts=(K._support, L._support)),),
+        gauge=_bisection_gauge(membership, lambda U: r_out),
         membership=membership,
-        support_point=sp,
-        distance=dist,
         inner_radius=K.inner_radius + L.inner_radius,
         outer_radius=r_out,
         symmetric=K.symmetric and L.symmetric,
         truncated=K.truncated or L.truncated,
         kind="minkowski_sum",
     )
+    return out
 
 
 def linear_image(K: Body, Q, scale: float = 1.0) -> Body:
@@ -1002,11 +890,6 @@ def linear_image(K: Body, Q, scale: float = 1.0) -> Body:
         raise DomainError(f"scale must be positive, got {scale}")
     t = float(scale)
 
-    sp = None
-    if K._support_point is not None:
-        def sp(W):
-            return t * (K.support_point(W @ Q) @ Q.T)
-
     project = None
     if K.can_project:
         def project(X):
@@ -1017,7 +900,6 @@ def linear_image(K: Body, Q, scale: float = 1.0) -> Body:
         support=None if K._support is None else map_pieces(K._support, Q, t),
         gauge=map_pieces(K.gauge_pieces, Q / t),
         membership=lambda X: np.asarray(K.contains((X @ Q) / t)),
-        support_point=sp,
         project=project,
         distance=lambda X: t * np.asarray(K.distance((X @ Q) / t)),
         inner_radius=t * K.inner_radius, outer_radius=t * K.outer_radius,

@@ -10,6 +10,11 @@ bodies.Piece): min t subject to piece(u) <= t for every piece and
 returned are always attained at an explicit feasible direction, so for
 maximization problems the result is a certified bound from the feasible
 side.
+
+The same program with |u|^2 <= 1 and the objective t - <x, u> is the dual
+of the Euclidean distance to a convex body with support max(pieces):
+dist(x, C) = max over |u| <= 1 of <x, u> - h_C(u) (Rockafellar, Convex
+Analysis, 1970, section 16).  nearest_points solves it row by row.
 """
 
 from __future__ import annotations
@@ -21,9 +26,10 @@ from scipy.optimize import minimize as _scipy_minimize
 
 from ._util import rng_from, sphere_points
 from .bodies import Piece
+from .errors import EvaluationError
 
 __all__ = ["OptimizerConfig", "SphereOptResult", "minimize_on_sphere",
-           "minimize_on_sphere_batch", "spread_directions"]
+           "minimize_on_sphere_batch", "nearest_points", "spread_directions"]
 
 
 @dataclass(frozen=True)
@@ -241,8 +247,9 @@ def _aux_count(pieces):
 class _Epigraph:
     """The epigraph program of a max of pieces, for SLSQP.
 
-    Variables z = (u, t, aux): u on the sphere, the level t of the max, and
-    auxiliary levels.  Every piece p under a level v adds p(u) <= z_v:
+    Variables z = (u, t, aux): u on the unit sphere or in the unit ball,
+    the level t of the max, and auxiliary levels.  Every piece p under a
+    level v adds p(u) <= z_v:
     - linear: rows z_v - P u >= 0;
     - l1: a block w >= |u M| with z_v >= sum(w), which keeps its 2^k sign
       patterns implicit;
@@ -345,15 +352,14 @@ class _Epigraph:
             J[r, v] = 1.0
         return J
 
-    def solve(self, u0):
-        """Unit direction of the SLSQP solution from u0, or None when the
-        start is infinite or the solution is not a finite nonzero vector."""
+    def minimize(self, z0, c, bound):
+        """SLSQP's result for min <c, z> over the program from z0, with u on
+        the unit sphere (bound "eq") or in the unit ball (bound "ineq")."""
         n = self.n
-        z0 = self._start(u0)
-        if not np.all(np.isfinite(z0)):
-            return None
-        cons = [{"type": "eq", "fun": lambda z: np.array([z[:n] @ z[:n] - 1.0]),
-                 "jac": lambda z: np.concatenate([2.0 * z[:n], np.zeros(self.nz - n)])[None, :]}]
+        sign = 1.0 if bound == "eq" else -1.0  # the ball is 1 - |u|^2 >= 0
+        cons = [{"type": bound, "fun": lambda z: np.array([sign * (z[:n] @ z[:n] - 1.0)]),
+                 "jac": lambda z: np.concatenate([2.0 * sign * z[:n],
+                                                  np.zeros(self.nz - n)])[None, :]}]
         if self.blocks:
             cons.append({"type": "ineq", "fun": self._linear, "jac": lambda z: self.C})
         if self.l2:
@@ -361,12 +367,51 @@ class _Epigraph:
                          "jac": self._jac})
         if self.smooth:
             cons.append({"type": "ineq", "fun": lambda z: self._values(z, self.smooth)})
-        res = _scipy_minimize(lambda z: self.c @ z, z0, jac=lambda z: self.c,
+        res = _scipy_minimize(lambda z: c @ z, z0, jac=lambda z: c,
                               method="SLSQP", constraints=cons,
                               options={"maxiter": 300, "ftol": 1e-14})
         self.unconverged += int(res.status != 0)
-        u = res.x[:n]
+        return res
+
+    def solve(self, u0):
+        """Unit direction of the SLSQP solution on the sphere from u0, or
+        None when the start is infinite or the solution is not a finite
+        nonzero vector."""
+        z0 = self._start(u0)
+        if not np.all(np.isfinite(z0)):
+            return None
+        u = self.minimize(z0, self.c, "eq").x[:self.n]
         nrm = np.linalg.norm(u)
         if not np.all(np.isfinite(u)) or nrm < 1e-9:
             return None
         return u / nrm
+
+
+def nearest_points(pieces, X):
+    """Nearest points to the rows of X (m, n) of the convex body whose
+    support is the max of pieces, by the dual program
+    dist(x, C) = max over |u| <= 1 of <x, u> - h_C(u).
+
+    Each row's solution u is normalized to unit length, and
+    d = <x, u> - h_C(u) is re-evaluated from the pieces: a lower bound on
+    the distance for every unit u, and the distance at the optimum.  The
+    row's point is x - max(d, 0) u, so a member comes back unchanged.
+    Raises EvaluationError when SLSQP stops at its iteration cap or
+    returns a non-finite iterate.
+    """
+    X = np.asarray(X, dtype=float)
+    n = X.shape[1]
+    program = _Epigraph(pieces, n)
+    out = np.empty_like(X)
+    for i, x in enumerate(X):
+        nrm = np.linalg.norm(x)
+        u0 = x / nrm if nrm > 0 else np.eye(n)[0]  # the origin need not be a member
+        c = program.c.copy()
+        c[:n] = -x
+        res = program.minimize(program._start(u0), c, "ineq")
+        if res.status == 9 or not np.all(np.isfinite(res.x)):
+            raise EvaluationError(f"distance program failed at row {i}: {res.message}")
+        u = _normalize_rows(res.x[None, :n])
+        d = float(u[0] @ x) - max(float(p.evaluate(u)[0]) for p in pieces)
+        out[i] = x - max(d, 0.0) * u[0]
+    return out

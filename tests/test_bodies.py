@@ -111,6 +111,20 @@ def test_vertex_polytope_triangle():
     assert not T.symmetric
 
 
+def test_vertex_polytope_gauge_lp_raises_on_solver_failure(monkeypatch):
+    from types import SimpleNamespace
+
+    from waistlab import bodies
+
+    T = vertex_polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # 0 is a vertex
+    assert T.gauge([0.25, 0.25]) == pytest.approx(0.5, abs=1e-12)
+    assert math.isinf(T.gauge([-1.0, 0.5]))  # infeasible LP: outside the cone
+    monkeypatch.setattr(bodies, "linprog", lambda *a, **k: SimpleNamespace(
+        status=1, success=False, fun=None, message="iteration limit reached"))
+    with pytest.raises(EvaluationError):
+        T.gauge([0.25, 0.25])
+
+
 def test_vertex_polytope_symmetric_detection():
     P = vertex_polytope([[1, 0], [-1, 0], [0, 1], [0, -1]])
     assert P.symmetric
@@ -256,6 +270,34 @@ def test_neighborhood_segment_cap_membership():
     p = np.array([math.cos(math.pi / 6), 0.5, 0.0])  # 30 degrees off the axis
     assert N.contains(p)
     assert N.distance(p) == 0.0
+
+
+def test_neighborhood_of_unbounded_slab_has_its_own_gauge():
+    N = neighborhood(slab_body([[1.0, 0.0]], [1.0]), 0.5)
+    assert N.inner_radius == 1.5
+    assert N.gauge([1.5, 0.0]) == pytest.approx(1.0, abs=1e-8)
+    assert N.radial([1.0, 0.0]) == pytest.approx(1.5, abs=1e-8)
+    assert math.isinf(N.radial([0.0, 1.0]))
+
+
+def test_generic_minkowski_sum_matches_vertex_twin():
+    # a prism over a triangle has no vertex list, so its difference body is
+    # a generic Minkowski sum evaluated through the dual distance program
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    D = difference_body(product_body(vertex_polytope(tri), cube(1, 1.0)))
+    assert D.kind == "difference_body" and D.vertices is None
+    prism = np.array([[*v, z] for v in tri for z in (-1.0, 1.0)])
+    twin = vertex_polytope((prism[:, None, :] - prism[None, :, :]).reshape(-1, 3))
+    X = np.random.default_rng(17).normal(size=(20, 3))
+    np.testing.assert_allclose(D.distance(X), twin.distance(X), rtol=0, atol=1e-12)
+    assert np.array_equal(D.contains(X), twin.contains(X))
+    np.testing.assert_allclose(D.gauge(X), twin.gauge(X), rtol=0, atol=1e-8)
+
+
+def test_minkowski_sum_needs_both_supports():
+    C = cube(2, 1.0)
+    with pytest.raises(EvaluationError):
+        minkowski_sum(C, intersect(C, linear_image(C, rotation2(math.pi / 4))))
 
 
 def test_rotate_identity_and_invariance():

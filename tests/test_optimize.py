@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from waistlab import optimize
-from waistlab.optimize import OptimizerConfig, minimize_on_sphere, minimize_on_sphere_batch
+from waistlab.bodies import ball, cross_polytope, cube, ellipsoid, neighborhood, vertex_polytope
+from waistlab.errors import EvaluationError
+from waistlab.optimize import (OptimizerConfig, minimize_on_sphere, minimize_on_sphere_batch,
+                               nearest_points)
 
 N = 4
 CFG = OptimizerConfig(restarts=8, iters=200, seed=1)
@@ -102,3 +105,39 @@ def test_polish_counts_unconverged_solves(monkeypatch):
     assert res.polish_unconverged == len(solves)
     no_polish = OptimizerConfig(restarts=8, iters=200, seed=1, polish=False)
     assert minimize_on_sphere(fields[0], N, no_polish).polish_unconverged == 0
+
+
+@pytest.mark.parametrize("K", [ball(3, 1.5), cube(3, 0.8), cross_polytope(3, 1.2),
+                               ellipsoid([1.0, 2.0, 0.5]), neighborhood(cube(3, 0.8), 0.3)],
+                         ids=lambda K: K.kind)
+def test_nearest_points_equal_closed_form_projections(K):
+    X = 1.5 * np.random.default_rng(18).normal(size=(40, 3))
+    X[0] = 0.0
+    assert not np.all(K.contains(X)) and np.any(K.contains(X))
+    P, exact = nearest_points(K.support_pieces, X), K.project(X)
+    # the distance is the program's value; the point moves with its
+    # direction, which values resolve only to about sqrt(machine epsilon)
+    np.testing.assert_allclose(np.linalg.norm(X - P, axis=1),
+                               np.linalg.norm(X - exact, axis=1), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(P, exact, rtol=0, atol=1e-7)
+
+
+def test_nearest_point_of_triangle_off_the_origin():
+    T = vertex_polytope([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
+    P = nearest_points(T.support_pieces, np.zeros((1, 2)))
+    np.testing.assert_allclose(P[0], [1.0, 0.0], rtol=0, atol=1e-7)
+    assert np.linalg.norm(P[0]) == pytest.approx(1.0, abs=1e-12)
+    assert T.distance([0.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_nearest_points_raise_at_the_iteration_cap(monkeypatch):
+    real = optimize._scipy_minimize
+
+    def capped(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out.status = 9  # SLSQP: iteration limit reached
+        return out
+
+    monkeypatch.setattr(optimize, "_scipy_minimize", capped)
+    with pytest.raises(EvaluationError):
+        nearest_points(cube(3, 0.8).support_pieces, np.ones((2, 3)))
