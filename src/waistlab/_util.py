@@ -7,6 +7,8 @@ import os
 import numpy as np
 
 THREADS_ENV = "WAISTLAB_THREADS"
+# the quantiles of every summary, by column name
+QUANTILES = {f"q{round(q * 100):02d}": q for q in (0.05, 0.25, 0.5, 0.75, 0.95)}
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -142,12 +144,13 @@ def write_csv(path, header: list[str], rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def quantile_summary(values, qs=(0.05, 0.25, 0.5, 0.75, 0.95)) -> dict:
+def quantile_summary(values) -> dict:
+    """Count, min, max, mean and the QUANTILES of the values."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return {"count": 0}
     out = {"count": int(arr.size), "min": float(arr.min()), "max": float(arr.max()),
            "mean": float(arr.mean())}
-    for q in qs:
-        out[f"q{int(round(q * 100)):02d}"] = float(np.quantile(arr, q))
+    for name, q in QUANTILES.items():
+        out[name] = float(np.quantile(arr, q))
     return out

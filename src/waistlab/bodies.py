@@ -73,6 +73,9 @@ DIST_TOL = 1e-9           # membership tolerance for distance-based tests
 PROJECT_CAP = 10_000      # cyclic projection iteration cap
 ORTHO_TOL = 1e-10
 DEFAULT_TRUNCATION = 1e6
+BISECTION_STEPS = 64      # halvings of a gauge bracket, and most doublings to find one
+VOLUME_BATCH = 1 << 17    # most points mc_volume draws at once
+VOLUME_CHECK_DIRECTIONS = 512  # sphere directions volume_ratio checks for the unit ball
 
 
 def _batch(x, dim):
@@ -286,36 +289,48 @@ class Body:
 
 
 def _dykstra(projectors, X, tol=1e-10, max_iter=PROJECT_CAP):
-    """Cyclic corrected projections onto an intersection, batched over rows."""
+    """Cyclic corrected projections onto an intersection, batched over rows;
+    a row stops after a sweep that moves it by at most tol, as it would
+    alone.  A row still moving after max_iter sweeps raises."""
     Y = np.array(X, dtype=float, copy=True)
     corr = [np.zeros_like(Y) for _ in projectors]
+    live = np.arange(Y.shape[0])
     for _ in range(max_iter):
-        prev = Y.copy()
+        W = prev = Y[live]
         for i, proj in enumerate(projectors):
-            Z = Y + corr[i]
-            Ynew = np.asarray(proj(Z), dtype=float)
-            corr[i] = Z - Ynew
-            Y = Ynew
-        if float(np.max(np.abs(Y - prev))) <= tol:
+            Z = W + corr[i][live]
+            W = np.asarray(proj(Z), dtype=float)
+            corr[i][live] = Z - W
+        Y[live] = W
+        moved = np.max(np.abs(W - prev), axis=1)
+        live = live[~(moved <= tol)]  # a NaN row keeps moving
+        if not live.size:
             return Y
     raise EvaluationError("cyclic projection failed to reach tolerance "
                           f"{tol} within {max_iter} iterations")
 
 
-def _bisection_gauge(contains, bracket, iters=64):
+def _bisection_gauge(contains, bracket):
     """Gauge from membership alone, as one smooth piece: bisect the boundary
     radius along each row's direction below bracket(units), an upper bound
-    on the radial function at the unit rows.  A row whose bracket is
-    infinite has gauge 0, so the bracket must be infinite only along
-    unbounded directions."""
+    on the radial function at the unit rows.  Where the bracket is infinite,
+    the first radius 1, 2, 4, ... whose point leaves the body is the bracket;
+    a row still inside after BISECTION_STEPS doublings has gauge 0."""
     def gauge(X):
         nrm = np.linalg.norm(X, axis=1)
         units = X / np.where(nrm > 0, nrm, 1.0)[:, None]
-        top = np.broadcast_to(bracket(units), nrm.shape)
+        top = np.array(np.broadcast_to(bracket(units), nrm.shape), dtype=float)
+        grow = np.flatnonzero(~np.isfinite(top) & (nrm > 0))
+        for radius in 2.0 ** np.arange(BISECTION_STEPS):
+            if not grow.size:
+                break
+            inside = np.asarray(contains(units[grow] * radius), dtype=bool)
+            top[grow[~inside]] = radius
+            grow = grow[inside]
         bounded = np.isfinite(top)
         lo = np.zeros(X.shape[0])
         hi = np.where(bounded, top, 0.0) * (1.0 + 1e-9) + 1e-30
-        for _ in range(iters):
+        for _ in range(BISECTION_STEPS):
             mid = 0.5 * (lo + hi)
             inside = np.asarray(contains(units * mid[:, None]), dtype=bool)
             lo = np.where(inside, mid, lo)
@@ -662,26 +677,12 @@ def truncated_cylinder(core: Body, dim: int, transverse_radius=None,
 # declarative specs
 # ---------------------------------------------------------------------------
 
-_SPEC_KEYS = {
-    "ball": ({"dim", "radius"}, set()),
-    "cube": ({"dim", "half_width"}, set()),
-    "cross_polytope": ({"dim", "radius"}, set()),
-    "ellipsoid": ({"semiaxes"}, set()),
-    "slab_intersection": ({"normals", "widths"}, set()),
-    "product": ({"first", "second"}, set()),
-    "vertex_polytope": ({"vertices"}, {"symmetric"}),
-    "truncated_cylinder": ({"core", "dim"}, {"transverse_radius", "truncation_radius"}),
-}
-
-_NESTED = {"first", "second", "core"}
-
-
 @dataclass(frozen=True)
 class BodySpec:
     """Declarative body description: a kind tag plus numeric parameters.
 
     Serializes to a flat JSON object {"kind": ..., <params>}; nested specs
-    (products, cylinders) recurse.
+    (products, cylinders) recurse.  _CATALOG lists the fields of a kind.
     """
 
     kind: str
@@ -700,50 +701,52 @@ class BodySpec:
         if "kind" not in data:
             raise SpecError("body spec missing field 'kind'")
         kind = data["kind"]
-        if kind not in _SPEC_KEYS:
-            raise SpecError(f"kind: unknown body kind {kind!r}")
-        required, optional = _SPEC_KEYS[kind]
-        params = {}
-        for key, val in data.items():
-            if key == "kind":
-                continue
-            if key not in required and key not in optional:
-                raise SpecError(f"unknown field {key!r} for body kind {kind!r}")
-            params[key] = cls.from_json_dict(val) if key in _NESTED else val
-        missing = required - set(params)
-        if missing:
-            raise SpecError(f"missing field {sorted(missing)[0]!r} for body kind {kind!r}")
+        params = {key: val for key, val in data.items() if key != "kind"}
+        _, required, _ = _catalog_entry(kind, params)
+        for key, cast in required.items():
+            if cast is construct_body:
+                params[key] = cls.from_json_dict(params[key])
         return cls(kind, params)
 
 
 def construct_body(spec: BodySpec) -> Body:
-    """Build the catalog body described by a spec."""
+    """Build the catalog body described by a spec (or its JSON object): an
+    optional field the spec omits takes the constructor's default."""
     if not isinstance(spec, BodySpec):
         spec = BodySpec.from_json_dict(spec)
     p = spec.params
-    try:
-        if spec.kind == "ball":
-            return ball(int(p["dim"]), float(p["radius"]))
-        if spec.kind == "cube":
-            return cube(int(p["dim"]), float(p["half_width"]))
-        if spec.kind == "cross_polytope":
-            return cross_polytope(int(p["dim"]), float(p["radius"]))
-        if spec.kind == "ellipsoid":
-            return ellipsoid(p["semiaxes"])
-        if spec.kind == "slab_intersection":
-            return slab_body(p["normals"], p["widths"])
-        if spec.kind == "product":
-            return product_body(construct_body(p["first"]), construct_body(p["second"]))
-        if spec.kind == "vertex_polytope":
-            return vertex_polytope(p["vertices"], p.get("symmetric"))
-        if spec.kind == "truncated_cylinder":
-            return truncated_cylinder(
-                construct_body(p["core"]), int(p["dim"]),
-                p.get("transverse_radius"),
-                p.get("truncation_radius", DEFAULT_TRUNCATION))
-    except KeyError as exc:
-        raise SpecError(f"missing field {exc.args[0]!r} for body kind {spec.kind!r}") from exc
-    raise SpecError(f"kind: unknown body kind {spec.kind!r}")
+    make, required, optional = _catalog_entry(spec.kind, p)
+    return make(**{key: cast(p[key]) for key, cast in required.items()},
+                **{key: p[key] for key in optional if key in p})
+
+
+# kind -> (constructor, required fields with their casts, optional fields);
+# the fields are named as the constructor's parameters
+_CATALOG = {
+    "ball": (ball, {"dim": int, "radius": float}, ()),
+    "cube": (cube, {"dim": int, "half_width": float}, ()),
+    "cross_polytope": (cross_polytope, {"dim": int, "radius": float}, ()),
+    "ellipsoid": (ellipsoid, {"semiaxes": np.asarray}, ()),
+    "slab_intersection": (slab_body, {"normals": np.asarray, "widths": np.asarray}, ()),
+    "product": (product_body, {"first": construct_body, "second": construct_body}, ()),
+    "vertex_polytope": (vertex_polytope, {"vertices": np.asarray}, ("symmetric",)),
+    "truncated_cylinder": (truncated_cylinder, {"core": construct_body, "dim": int},
+                           ("transverse_radius", "truncation_radius")),
+}
+
+
+def _catalog_entry(kind, keys):
+    """The _CATALOG entry of kind, once keys are known to be its fields."""
+    if kind not in _CATALOG:
+        raise SpecError(f"kind: unknown body kind {kind!r}")
+    make, required, optional = _CATALOG[kind]
+    for key in keys:
+        if key not in required and key not in optional:
+            raise SpecError(f"unknown field {key!r} for body kind {kind!r}")
+    missing = sorted(set(required) - set(keys))
+    if missing:
+        raise SpecError(f"missing field {missing[0]!r} for body kind {kind!r}")
+    return make, required, optional
 
 
 # ---------------------------------------------------------------------------
@@ -956,9 +959,10 @@ def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-def mc_volume(K: Body, samples: int, seed=None, batch: int = 1 << 17):
-    """Hit-or-miss volume estimate inside the outer-radius ball, with its
-    standard error.  Unbounded bodies are rejected."""
+def mc_volume(K: Body, samples: int, seed=None):
+    """Hit-or-miss volume estimate inside the outer-radius ball, from
+    VOLUME_BATCH points at a time, with its standard error.  Unbounded
+    bodies are rejected."""
     if not math.isfinite(K.outer_radius):
         raise DomainError("mc_volume requires a bounded body (finite outer radius)")
     if samples < 1:
@@ -970,7 +974,7 @@ def mc_volume(K: Body, samples: int, seed=None, batch: int = 1 << 17):
     hits = 0
     left = samples
     while left > 0:
-        n = min(left, batch)
+        n = min(left, VOLUME_BATCH)
         pts = ball_points(rng, n, K.dim, K.outer_radius)
         hits += int(np.count_nonzero(K.contains(pts)))
         left -= n
@@ -978,11 +982,12 @@ def mc_volume(K: Body, samples: int, seed=None, batch: int = 1 << 17):
     return box_vol * p, box_vol * bernoulli_se(p, samples)
 
 
-def volume_ratio(K: Body, samples: int, seed=None, check_directions: int = 512) -> float:
+def volume_ratio(K: Body, samples: int, seed=None) -> float:
     """n-th root of the volume of K relative to the unit ball, after checking
-    by sampled gauges that the unit ball sits inside K."""
+    by the gauges at VOLUME_CHECK_DIRECTIONS sampled directions that the
+    unit ball sits inside K."""
     rng = rng_from(seed)
-    dirs = sphere_points(rng, check_directions, K.dim)
+    dirs = sphere_points(rng, VOLUME_CHECK_DIRECTIONS, K.dim)
     g = np.asarray(K.gauge(dirs), dtype=float)
     bad = g > 1.0 + GAUGE_TOL
     if bad.any():

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import canonical_dumps, write_csv
+from ._util import QUANTILES, canonical_dumps, write_csv
 from .bodies import BodySpec, construct_body
 from .errors import (ConfigError, DomainError, InfeasibleScheduleError,
                      SpecError, WaistlabError)
@@ -25,8 +25,12 @@ from .measures import (BoundConstants, DEFAULT_CONSTANTS, SubsphereQuery,
                        cap_bounds, chisq_cdf, lip_bounds, sigma_exact, sigma_mc)
 from .optimize import DEFAULT_OPT, OptimizerConfig
 
-EXPERIMENT_NAMES = ("two-bodies", "sections", "core", "higher-sphere",
-                    "projection", "global-vr")
+# experiment name -> name of its harness in waistlab.experiments
+_HARNESSES = {"two-bodies": "run_two_bodies", "sections": "run_sections",
+              "core": "run_core_lemma", "higher-sphere": "run_higher_sphere",
+              "projection": "run_projection", "global-vr": "run_global_vr"}
+EXPERIMENT_NAMES = tuple(_HARNESSES)
+_SECTIONS = ("section", "section_K", "section_L", "section_diff")
 
 _COMMON_OPTIONAL = {"experiment", "seed", "schedule", "optimizer"}
 
@@ -90,8 +94,8 @@ def load_config(path) -> dict:
         spec = data["cap_spec"]
         if not (isinstance(spec, dict) and spec.get("kind") in ("caps", "subsphere")):
             raise ConfigError("cap_spec must be an object with kind 'caps' or 'subsphere'")
-    for key in ("section_K", "section_L", "section", "section_diff"):
-        if key in data and data[key] is not None:
+    for key in _SECTIONS:
+        if data.get(key) is not None:
             _require_keys(data[key], *_SUBSPACE_KEYS, where=key)
     if "optimizer" in data:
         _require_keys(data["optimizer"], *_OPTIMIZER_KEYS, where="optimizer")
@@ -100,89 +104,64 @@ def load_config(path) -> dict:
 
         _require_keys(data["schedule"], *_SCHEDULE_KEYS, where="schedule")
         sched = data["schedule"]
-        consts = BoundConstants(
-            a_frac=sched.get("a_frac", DEFAULT_CONSTANTS.a_frac),
-            C1_sched=sched.get("C1_sched", DEFAULT_CONSTANTS.C1_sched),
-            c2_sched=sched.get("c2_sched", DEFAULT_CONSTANTS.c2_sched))
+        consts = BoundConstants(**{key: sched[key] for key in _SCHEDULE_KEYS[1]
+                                   if key in sched})
         theorem_schedule(int(sched["n"]), int(sched["k"]), consts)
     return data
 
 
-def _subspace_from(cfg, n) -> Subspace | None:
-    if cfg is None:
-        return None
+def _subspace_from(cfg, n) -> Subspace:
     if "frame" in cfg:
         return Subspace.from_frame(cfg["frame"])
     return Subspace.canonical(n, int(cfg["k"]), int(cfg.get("offset", 0)))
 
 
-def _optimizer_from(cfg) -> OptimizerConfig:
-    if not cfg:
-        return DEFAULT_OPT
-    # each value is cast to the type of its field's default
-    return dataclasses.replace(DEFAULT_OPT, **{
-        key: type(getattr(DEFAULT_OPT, key))(value) for key, value in cfg.items()})
+# How each harness key of a config becomes a harness argument.  Section
+# subspaces are cast after the bodies, in the dimension n of the config or
+# else of K.  A key the config leaves out takes the harness's own default.
+_CASTS = {
+    **dict.fromkeys(("n", "k", "m", "trials", "k_exist", "k_query", "samples",
+                     "sigma_samples", "net_probes", "lift_checks", "vol_samples"), int),
+    **dict.fromkeys(("a_frac", "c_ref", "section_bound", "theta", "eps",
+                     "delta_K", "delta_L", "threshold"), float),
+    "dual_products": bool, "thresholds": tuple,
+    "mode": lambda value: value, "cap_spec": lambda value: value,
+    "K": construct_body, "L": construct_body,
+}
+_WITHOUT_OPTIMIZER = {"higher-sphere", "projection"}
 
 
 def run_experiment_config(config: dict, seed=None):
-    """Dispatch a validated configuration to its harness."""
+    """Dispatch a validated configuration to its harness.
+
+    Only the keys the config sets are passed on, cast by _CASTS; every
+    other parameter takes the default of the harness signature.  A
+    projection config's k becomes the canonical subspace P, and an
+    "optimizer" block becomes opt for the harnesses that take one.  seed
+    (the config's "seed" when None) is always passed; None draws fresh
+    entropy, which the report records.
+    """
     from . import experiments as ex
 
     name = config["experiment"]
-    if seed is None:
-        seed = config.get("seed")
-    opt = _optimizer_from(config.get("optimizer"))
-    if name == "two-bodies":
-        n = int(config["n"])
-        return ex.run_two_bodies(
-            construct_body(config["K"]), construct_body(config["L"]),
-            n, int(config["k"]), trials=int(config["trials"]), seed=seed,
-            a_frac=float(config.get("a_frac", 0.25)),
-            c_ref=float(config.get("c_ref", 2.0)),
-            section_K=_subspace_from(config.get("section_K"), n),
-            section_L=_subspace_from(config.get("section_L"), n),
-            mode=config.get("mode", "primal"),
-            dual_products=bool(config.get("dual_products", False)),
-            section_bound=float(config.get("section_bound", 1.0)),
-            opt=opt)
-    if name == "sections":
-        K = construct_body(config["K"])
-        return ex.run_sections(
-            K, int(config["k_exist"]), int(config["k_query"]),
-            int(config["trials"]), seed=seed,
-            section=_subspace_from(config.get("section"), K.dim),
-            thresholds=tuple(config.get("thresholds", (2.0, 4.0, 8.0))),
-            threshold=config.get("threshold"),
-            opt=opt)
-    if name == "core":
-        return ex.run_core_lemma(
-            construct_body(config["K"]), construct_body(config["L"]),
-            float(config["delta_K"]), float(config["delta_L"]),
-            int(config["trials"]), seed=seed,
-            sigma_samples=int(config.get("sigma_samples", 200_000)),
-            net_probes=int(config.get("net_probes", 4096)),
-            opt=opt)
-    if name == "higher-sphere":
-        return ex.run_higher_sphere(
-            config["cap_spec"], int(config["n"]), int(config["m"]),
-            float(config["theta"]), int(config["samples"]), seed=seed)
+    if name not in _HARNESSES:
+        raise ConfigError(f"unknown experiment {name!r}")
+    kwargs = {key: None if value is None else _CASTS[key](value)
+              for key, value in config.items() if key in _CASTS}
+    for key in _SECTIONS:
+        if config.get(key) is not None:
+            n = kwargs["n"] if "n" in kwargs else kwargs["K"].dim
+            kwargs[key] = _subspace_from(config[key], n)
     if name == "projection":
-        K = construct_body(config["K"])
-        return ex.run_projection(
-            K, Subspace.canonical(K.dim, int(config["k"])),
-            float(config["eps"]), int(config["samples"]), seed=seed,
-            lift_checks=int(config.get("lift_checks", 200)))
-    if name == "global-vr":
-        n = int(config["n"])
-        return ex.run_global_vr(
-            construct_body(config["K"]), construct_body(config["L"]),
-            n, int(config["k"]), int(config["trials"]), seed=seed,
-            a_frac=float(config.get("a_frac", 1.0 / 3.0)),
-            vol_samples=int(config.get("vol_samples", 200_000)),
-            section_L=_subspace_from(config.get("section_L"), n),
-            section_diff=_subspace_from(config.get("section_diff"), n),
-            opt=opt)
-    raise ConfigError(f"unknown experiment {name!r}")
+        kwargs["P"] = Subspace.canonical(kwargs["K"].dim, kwargs.pop("k"))
+    if "optimizer" in config and name not in _WITHOUT_OPTIMIZER:
+        # each value is cast to the type of its field's default
+        kwargs["opt"] = dataclasses.replace(DEFAULT_OPT, **{
+            key: type(getattr(DEFAULT_OPT, key))(value)
+            for key, value in config["optimizer"].items()})
+    # looked up at each call, so that a wrapper installed on the module is used
+    harness = getattr(ex, _HARNESSES[name])
+    return harness(seed=config.get("seed") if seed is None else seed, **kwargs)
 
 
 def emit_plot_data(report, path) -> None:
@@ -207,10 +186,9 @@ def emit_plot_data(report, path) -> None:
             continue
         arr = np.asarray(diam, dtype=float)
         summary_rows.append([n, k, n / k] + [float(np.quantile(arr, q))
-                                             for q in (0.05, 0.25, 0.5, 0.75, 0.95)])
+                                             for q in QUANTILES.values()])
     spath = path.with_name(path.stem + "_summary.csv")
-    write_csv(spath, ["n", "k", "n_over_k", "q05", "q25", "q50", "q75", "q95"],
-              summary_rows)
+    write_csv(spath, ["n", "k", "n_over_k", *QUANTILES], summary_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +260,9 @@ def _cmd_body(args) -> int:
 
 def _cmd_experiment(args) -> int:
     config = load_config(args.config)
-    if config.get("experiment") != args.name:
-        if "experiment" in config and config["experiment"] != args.name:
-            raise ConfigError(f"config is for experiment {config['experiment']!r}, "
-                              f"but {args.name!r} was requested")
+    if config["experiment"] != args.name:
+        raise ConfigError(f"config is for experiment {config['experiment']!r}, "
+                          f"but {args.name!r} was requested")
     report = run_experiment_config(config, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

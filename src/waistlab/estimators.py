@@ -21,7 +21,7 @@ from .bodies import Body, Piece, linear_image, map_pieces
 from .errors import DomainError, EvaluationError
 from .geometry import Subspace, build_net
 from .optimize import DEFAULT_OPT, OptimizerConfig, minimize_on_sphere_batch
-from .optimize import minimize_on_sphere  # noqa: F401  (perfbench/spans.py wraps it here)
+from .optimize import minimize_on_sphere  # noqa: F401  (perfbench/test_perfbench.py reads it here)
 
 __all__ = [
     "mc_sigma_body",
@@ -37,10 +37,13 @@ __all__ = [
     "section_diameters",
 ]
 
+SIGMA_BODY_BATCH = 1 << 18  # most sphere points mc_sigma_body draws at once
+MAX_TRANSLATES = 100_000    # covering_number_upper gives up beyond this count
 
-def mc_sigma_body(K: Body, eps: float, samples: int, seed=None, batch: int = 1 << 18):
+
+def mc_sigma_body(K: Body, eps: float, samples: int, seed=None):
     """Fraction of the unit sphere within Euclidean distance eps of the body,
-    with its standard error."""
+    with its standard error, from SIGMA_BODY_BATCH points at a time."""
     if samples < 1:
         raise DomainError("samples must be >= 1")
     if eps < 0:
@@ -49,7 +52,7 @@ def mc_sigma_body(K: Body, eps: float, samples: int, seed=None, batch: int = 1 <
     hits = 0
     left = samples
     while left > 0:
-        m = min(left, batch)
+        m = min(left, SIGMA_BODY_BATCH)
         pts = sphere_points(rng, m, K.dim)
         d = np.asarray(K.distance(pts), dtype=float)
         hits += int(np.count_nonzero(d <= eps))
@@ -58,14 +61,14 @@ def mc_sigma_body(K: Body, eps: float, samples: int, seed=None, batch: int = 1 <
     return p, bernoulli_se(p, samples)
 
 
-def covering_number_upper(L: Body, K: Body, *, probes: int = 20_000, seed=0,
-                          max_translates: int = 100_000) -> int:
+def covering_number_upper(L: Body, K: Body, *, probes: int = 20_000, seed=0) -> int:
     """Upper bound on the covering number N(L, K) by greedy placement.
 
     Probes sample L (interior rejection plus boundary radial points); the
     farthest uncovered probe is covered by a translate of K centered at the
     probe pulled toward the origin by K's inner radius.  The bound is
     certified up to the probe resolution (probabilistic above n = 4).
+    More than MAX_TRANSLATES translates raise EvaluationError.
     """
     if L.dim != K.dim:
         raise DomainError(f"dimension mismatch: {L.dim} vs {K.dim}")
@@ -91,8 +94,8 @@ def covering_number_upper(L: Body, K: Body, *, probes: int = 20_000, seed=0,
     norms = np.linalg.norm(pts, axis=1)
     depths = (1.0, 0.85, 0.7, 0.55, 0.4, 0.25, 0.1)
     while uncovered.any():
-        if count >= max_translates:
-            raise EvaluationError(f"covering exceeded {max_translates} translates")
+        if count >= MAX_TRANSLATES:
+            raise EvaluationError(f"covering exceeded {MAX_TRANSLATES} translates")
         idx = np.flatnonzero(uncovered)
         i = idx[int(np.argmax(norms[idx]))]
         p = pts[i]

@@ -42,6 +42,10 @@ __all__ = [
     "run_global_vr",
 ]
 
+MAX_NET_CENTERS = 4096  # cover_ball_with_body gives up beyond this count
+SECTION_TOL = 1e-4      # slack on a declared section diameter bound
+CLAIM_TOL = 1e-9        # slack on the pointwise projection claim
+
 
 @dataclass(frozen=True)
 class ScheduleParams:
@@ -175,9 +179,10 @@ def _find_cover_center(L: Body, p, eff: float, opt: OptimizerConfig):
 
 
 def cover_ball_with_body(L: Body, delta_L: float, *, probes: int = 4096, seed=None,
-                         opt: OptimizerConfig = DEFAULT_OPT, max_centers: int = 4096):
+                         opt: OptimizerConfig = DEFAULT_OPT):
     """Sphere-centered translates of (L + delta_L-ball) covering the unit
-    ball, certified by probe rounds.  Returns the (N, n) center array."""
+    ball, certified by probe rounds.  Returns the (N, n) center array;
+    more than MAX_NET_CENTERS centers raise NetConstructionError."""
     rng = rng_from(seed)
     n = L.dim
     eff = delta_L * (1.0 - 1e-9)
@@ -199,8 +204,8 @@ def cover_ball_with_body(L: Body, delta_L: float, *, probes: int = 4096, seed=No
             uncovered[idx] = d > eff
         norms = np.linalg.norm(points, axis=1)
         while uncovered.any():
-            if len(centers) >= max_centers:
-                raise NetConstructionError(f"covering exceeded {max_centers} centers")
+            if len(centers) >= MAX_NET_CENTERS:
+                raise NetConstructionError(f"covering exceeded {MAX_NET_CENTERS} centers")
             idx = np.flatnonzero(uncovered)
             p = points[idx[int(np.argmax(norms[idx]))]]
             z = _find_cover_center(L, p, eff, opt)
@@ -306,7 +311,6 @@ def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
                    section_L: Subspace | None = None,
                    mode: str = "primal", dual_products: bool = False,
                    verify: bool = True, section_bound: float = 1.0,
-                   section_tol: float = 1e-4,
                    opt: OptimizerConfig = DEFAULT_OPT) -> ExperimentReport:
     """Random-rotation intersection experiment.
 
@@ -316,7 +320,8 @@ def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
     hypotheses by support sampling and records the inclusion radius of
     K + UL; dual_products additionally records the product of the polar
     intersection diameter with the hull-of-union inclusion radius, whose
-    exact value is 2.
+    exact value is 2.  verify first checks the declared hypotheses, the
+    section diameters against section_bound up to SECTION_TOL.
     """
     if mode not in ("primal", "dual", "both"):
         raise DomainError(f"mode must be primal, dual, or both, got {mode!r}")
@@ -345,11 +350,11 @@ def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
             dL = section_diameter(L, section_L, opt)
             hypothesis["section_diam_K"] = dK
             hypothesis["section_diam_L"] = dL
-            if dK > section_bound + section_tol:
+            if dK > section_bound + SECTION_TOL:
                 raise HypothesisError(
                     f"declared K-section diameter {dK:.6g} > {section_bound:g}",
                     witness=section_K.frame)
-            if dL > section_bound + section_tol:
+            if dL > section_bound + SECTION_TOL:
                 raise HypothesisError(
                     f"declared L-section diameter {dL:.6g} > {section_bound:g}",
                     witness=section_L.frame)
@@ -506,10 +511,10 @@ def _cap_distances(cap_spec: dict, ambient_sub: int):
 
 
 def run_higher_sphere(cap_spec: dict, n: int, m: int, theta: float, samples: int,
-                      seed=0, claim_tol: float = 1e-9) -> ExperimentReport:
+                      seed=0) -> ExperimentReport:
     """Compare the theta-neighborhood measure of a symmetric set on the
     n-sphere with its measure inside the m-sphere (m >= n), and check the
-    pointwise projection claim sample by sample."""
+    pointwise projection claim sample by sample, up to CLAIM_TOL."""
     if m < n:
         raise DomainError(f"need m >= n, got n={n}, m={m}")
     if not 0.0 < theta <= math.pi / 2.0:
@@ -533,7 +538,7 @@ def run_higher_sphere(cap_spec: dict, n: int, m: int, theta: float, samples: int
     usable = par > 1e-12
     X1 = spherical_projection(Y[usable], n + 1)
     claim_gap = dist_native(X1) - dY[usable]
-    violations = int(np.count_nonzero(claim_gap > claim_tol))
+    violations = int(np.count_nonzero(claim_gap > CLAIM_TOL))
 
     combined_se = math.hypot(lhs_se, rhs_se)
     summary = {

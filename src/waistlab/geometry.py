@@ -28,6 +28,13 @@ __all__ = [
 ]
 
 FRAME_TOL = 1e-10
+GEODESIC_CHUNK = 1 << 15   # most points measured against a net at once
+NET_PROBES = 10_000        # probes per round of a probe-certified net
+NET_MAX_POINTS = 100_000   # build_net gives up beyond this cardinality
+LIFT_CHECK_DIRECTIONS = 256  # directions lift_waist checks its hypothesis on
+LIFT_CHECK_SEED = 0        # seed of those directions
+LIFT_TOL = 1e-12           # lift_waist's cyclic projection tolerance
+LIFT_CAP = 50_000          # and its iteration cap, which raises
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,10 +57,6 @@ class Rotation:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    def apply(self, x):
-        """U x for a vector or batch of row vectors."""
-        return np.asarray(x, dtype=float) @ self.matrix.T
 
     def to_json_dict(self) -> dict:
         return {"matrix": self.matrix.tolist(), "residual": self.residual}
@@ -206,12 +209,12 @@ class SphereNet:
                 "points": self.points.tolist()}
 
 
-def _min_geodesic_to(points, net, chunk=1 << 15):
+def _min_geodesic_to(points, net):
     out = np.empty(points.shape[0])
-    for i in range(0, points.shape[0], chunk):
-        block = points[i:i + chunk]
+    for i in range(0, points.shape[0], GEODESIC_CHUNK):
+        block = points[i:i + GEODESIC_CHUNK]
         cos = np.clip(block @ net.T, -1.0, 1.0).max(axis=1)
-        out[i:i + chunk] = np.arccos(cos)
+        out[i:i + GEODESIC_CHUNK] = np.arccos(cos)
     return out
 
 
@@ -235,10 +238,10 @@ def _angle_grid(n: int, h: float) -> np.ndarray:
 _GRID_BUDGET = 5_000_000
 
 
-def build_net(n: int, delta: float, seed=None, *, probes: int = 10_000,
-              max_points: int = 100_000) -> SphereNet:
+def build_net(n: int, delta: float, seed=None) -> SphereNet:
     """Covering net on the unit sphere of R^n by greedy farthest-point
-    insertion, then certification of the covering radius."""
+    insertion, then certification of the covering radius by a reference
+    grid (n <= 4) or by rounds of NET_PROBES random probes."""
     if not 1 <= n <= 12:
         raise DomainError(f"certified nets require 1 <= n <= 12, got {n}")
     if not 0.0 < delta < math.pi / 2.0:
@@ -249,15 +252,15 @@ def build_net(n: int, delta: float, seed=None, *, probes: int = 10_000,
 
     rng = rng_from(seed)
     target = 0.8 * delta
-    pool = sphere_points(rng, max(8192, 4 * probes), n)
+    pool = sphere_points(rng, max(8192, 4 * NET_PROBES), n)
     pts = [pool[0]]
     dist = np.arccos(np.clip(pool @ pool[0], -1.0, 1.0))
     while True:
         i = int(np.argmax(dist))
         if dist[i] <= target:
             break
-        if len(pts) >= max_points:
-            raise NetConstructionError(f"net exceeded {max_points} points before "
+        if len(pts) >= NET_MAX_POINTS:
+            raise NetConstructionError(f"net exceeded {NET_MAX_POINTS} points before "
                                        f"reaching resolution {delta}")
         pts.append(pool[i])
         dist = np.minimum(dist, np.arccos(np.clip(pool @ pool[i], -1.0, 1.0)))
@@ -285,25 +288,24 @@ def build_net(n: int, delta: float, seed=None, *, probes: int = 10_000,
         raise NetConstructionError("exhaustive certification failed to close")
 
     for _ in range(8):
-        fresh = sphere_points(rng, probes, n)
+        fresh = sphere_points(rng, NET_PROBES, n)
         d = _min_geodesic_to(fresh, net)
         bad = d > delta
         if not bad.any():
-            return SphereNet(net, delta, "probabilistic", probes, float(d.max()))
+            return SphereNet(net, delta, "probabilistic", NET_PROBES, float(d.max()))
         net = np.vstack([net, fresh[bad]])
     raise NetConstructionError("probe certification failed to close after 8 rounds")
 
 
-def lift_waist(K: Body, P: Subspace, x, *, verify_hypothesis: bool = True,
-               check_directions: int = 256, seed: int = 0,
-               tol: float = 1e-12, max_iter: int = 50_000):
+def lift_waist(K: Body, P: Subspace, x, *, verify_hypothesis: bool = True):
     """Norm-minimal lifting of a unit vector of a subspace into the body.
 
     Returns (g, f): g is the minimum-Euclidean-norm point of the fiber
     {y in K : P y = x}, found by cyclic corrected projections between the
     body and the fiber's affine hull from the origin; f = g/|g| lies on
     the unit sphere inside the body.  The min-norm selection is odd for
-    symmetric bodies and continuous in x.
+    symmetric bodies and continuous in x.  verify_hypothesis first checks
+    at LIFT_CHECK_DIRECTIONS directions that P K contains the unit ball.
     """
     if P.n != K.dim:
         raise DomainError(f"subspace lives in R^{P.n}, body in R^{K.dim}")
@@ -314,8 +316,8 @@ def lift_waist(K: Body, P: Subspace, x, *, verify_hypothesis: bool = True,
         raise EvaluationError("lifting requires a body with a projection route")
 
     if verify_hypothesis:
-        rng = rng_from(seed)
-        dirs = sphere_points(rng, check_directions, P.k)
+        rng = rng_from(LIFT_CHECK_SEED)
+        dirs = sphere_points(rng, LIFT_CHECK_DIRECTIONS, P.k)
         supp = np.asarray(K.support(P.embed(dirs)), dtype=float)
         i = int(np.argmin(supp))
         if supp[i] < 1.0 - 1e-9:
@@ -331,7 +333,7 @@ def lift_waist(K: Body, P: Subspace, x, *, verify_hypothesis: bool = True,
     start = np.zeros((1, K.dim))
     try:
         g = _dykstra([K._project_batch, proj_affine], start,
-                     tol=tol, max_iter=max_iter)[0]
+                     tol=LIFT_TOL, max_iter=LIFT_CAP)[0]
     except EvaluationError as exc:
         raise EmptyFiberError(f"lifting failed to converge: {exc}", witness=xv) from exc
 

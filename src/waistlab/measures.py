@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 _HALF_PI = math.pi / 2.0
+SIGMA_MC_BATCH = 1 << 19  # most Gaussian rows sigma_mc draws at once
 
 
 @dataclass(frozen=True)
@@ -135,13 +136,13 @@ def sigma_exact(q: SubsphereQuery) -> float:
     return float(sigma_exact_array(q.sphere_dim, q.subsphere_dim, s * s))
 
 
-def sigma_mc(q: SubsphereQuery, samples: int, seed=None, batch: int = 1 << 19):
+def sigma_mc(q: SubsphereQuery, samples: int, seed=None):
     """Monte-Carlo estimate of sigma_exact with its standard error.
 
-    Samples uniform points on the m-sphere and tests the geodesic distance
-    to the canonical subsphere, which is the arcsine of the norm of the
-    component orthogonal to the subsphere's span.  Fixed seeds reproduce
-    the estimate exactly.
+    Samples uniform points on the m-sphere, SIGMA_MC_BATCH at a time, and
+    tests the geodesic distance to the canonical subsphere, which is the
+    arcsine of the norm of the component orthogonal to the subsphere's
+    span.  Fixed seeds reproduce the estimate exactly.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
@@ -151,7 +152,7 @@ def sigma_mc(q: SubsphereQuery, samples: int, seed=None, batch: int = 1 << 19):
     hits = 0
     left = samples
     while left > 0:
-        n = min(left, batch)
+        n = min(left, SIGMA_MC_BATCH)
         g = rng.standard_normal((n, m + 1))
         sq = g * g
         perp = sq[:, j + 1:].sum(axis=1)

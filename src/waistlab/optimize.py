@@ -46,6 +46,7 @@ FD_STEP = 1e-6            # central-difference step of the descent gradients
 POLISH_STARTS = 16        # distinct descent endpoints the epigraph solve starts from
 POLISH_SEPARATION = 1e-6  # endpoints closer than this count as one start
 BATCH_ROWS = 1 << 16      # most rows one batched evaluation holds
+SPREAD_POOL = 24          # random pool rows per spread direction
 
 
 @dataclass
@@ -56,14 +57,15 @@ class SphereOptResult:
     polish_unconverged: int = 0  # epigraph solves SLSQP ended without success
 
 
-def spread_directions(n: int, count: int, seed=0, pool_factor: int = 24) -> np.ndarray:
+def spread_directions(n: int, count: int, seed=0) -> np.ndarray:
     """Well-separated unit directions: +-axes first, then greedy
-    farthest-point picks from a random pool."""
+    farthest-point picks from a random pool of SPREAD_POOL rows per
+    direction (at least 256)."""
     axes = np.vstack([np.eye(n), -np.eye(n)])
     if count <= len(axes):
         return axes[:count]
     rng = rng_from(seed)
-    pool = sphere_points(rng, max(pool_factor * count, 256), n)
+    pool = sphere_points(rng, max(SPREAD_POOL * count, 256), n)
     chosen = list(axes)
     sims = np.max(np.abs(pool @ np.asarray(chosen).T), axis=1)
     for _ in range(count - len(axes)):

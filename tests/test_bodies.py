@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -178,6 +179,24 @@ def test_spec_invalid_value_named():
         construct_body(BodySpec.from_json_dict({"kind": "cube", "dim": 2, "half_width": -1.0}))
 
 
+def test_catalog_fields_are_constructor_parameters():
+    from waistlab.bodies import _CATALOG
+
+    for kind, (make, required, optional) in _CATALOG.items():
+        params = inspect.signature(make).parameters
+        assert set(required) | set(optional) == set(params), kind
+        for key in optional:
+            assert params[key].default is not inspect.Parameter.empty, (kind, key)
+
+
+def test_spec_omitted_optional_field_takes_constructor_default():
+    core = {"kind": "ball", "dim": 2, "radius": 0.5}
+    K = construct_body({"kind": "truncated_cylinder", "core": core, "dim": 4})
+    default = inspect.signature(truncated_cylinder).parameters["truncation_radius"].default
+    assert K.spec.params["truncation_radius"] == default
+    assert K.spec.params["transverse_radius"] is None and K.truncated
+
+
 # ---------------------------------------------------------------------------
 # combinators
 # ---------------------------------------------------------------------------
@@ -270,6 +289,37 @@ def test_neighborhood_segment_cap_membership():
     p = np.array([math.cos(math.pi / 6), 0.5, 0.0])  # 30 degrees off the axis
     assert N.contains(p)
     assert N.distance(p) == 0.0
+
+
+def test_neighborhood_of_flat_unbounded_body_has_a_finite_gauge():
+    # inner radius 0 and outer radius inf give no bracket: the boundary
+    # radius along e1 is found by doubling, and along e2 there is none
+    N = neighborhood(product_body(slab_body([[1.0, 0.0]], [1.0]), ball(1, 0.0)), 0.5)
+    assert N.gauge([1.6, 0.0, 0.0]) == pytest.approx(1.6 / 1.5, abs=1e-9)
+    assert math.isinf(N.radial([0.0, 1.0, 0.0]))
+
+
+def test_batched_projection_rows_end_as_alone(monkeypatch):
+    # a row leaves the cyclic projections once it stops moving, so a batch
+    # projects each row as often as the row alone, to the same bits
+    import waistlab.optimize
+
+    projected = [0]
+    nearest_points = waistlab.optimize.nearest_points
+
+    def counting(pieces, X):
+        projected[0] += len(X)
+        return nearest_points(pieces, X)
+
+    monkeypatch.setattr(waistlab.optimize, "nearest_points", counting)
+    K = intersect(vertex_polytope(np.random.default_rng(4).normal(size=(12, 3))),
+                  ellipsoid([0.9, 0.5, 1.4]))
+    X = np.random.default_rng(5).normal(size=(5, 3)) * 2
+    batched = K.distance(X)
+    batched_rows, projected[0] = projected[0], 0
+    alone = np.array([K.distance(x) for x in X])
+    assert np.array_equal(batched, alone)
+    assert batched_rows == projected[0]
 
 
 def test_neighborhood_of_unbounded_slab_has_its_own_gauge():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -197,6 +198,48 @@ def test_experiment_records_drawn_seed(capsys, tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert isinstance(report["seed"], int)
+
+
+def test_schema_keys_are_harness_parameters():
+    import inspect
+
+    from waistlab import experiments
+    from waistlab.cli import _CASTS, _HARNESSES, _SCHEMAS, _SECTIONS
+
+    assert set(_HARNESSES) == set(_SCHEMAS)
+    for name, (required, optional) in _SCHEMAS.items():
+        params = inspect.signature(getattr(experiments, _HARNESSES[name])).parameters
+        for key in required | optional:
+            assert key in _CASTS or key in _SECTIONS, (name, key)
+            if (name, key) != ("projection", "k"):  # k becomes the subspace P
+                assert key in params, (name, key)
+
+
+def test_written_out_defaults_match_omitted_ones(capsys, tmp_path):
+    import inspect
+
+    from waistlab.cli import _SCHEMAS
+    from waistlab.experiments import run_two_bodies
+
+    cfg = two_bodies_config(trials=2)
+    params = inspect.signature(run_two_bodies).parameters
+    full = {key: params[key].default for key in _SCHEMAS["two-bodies"][1]
+            if params[key].default is not None}
+    # the default sections: coordinates 0..k-1, and the last n - ceil(a k)
+    full.update(section_K={"k": 2, "offset": 0}, section_L={"k": 2, "offset": 1})
+    full.update(cfg)  # the config's own section_bound stays
+    outputs = []
+    for tag, config in (("omitted", cfg), ("written", full)):
+        path = tmp_path / f"{tag}.json"
+        path.write_text(json.dumps(config))
+        code, _, _ = run_cli(capsys, "experiment", "two-bodies", "--config", str(path),
+                             "--seed", "5", "--out", str(tmp_path / tag))
+        assert code == 0
+        report = (tmp_path / tag / "report.json").read_text()
+        outputs.append((re.sub(r', "wall_time_s": [^,}]+', "", report),
+                        (tmp_path / tag / "trials.csv").read_bytes()))
+    assert len(full) == len(cfg) + 6
+    assert outputs[0] == outputs[1]
 
 
 def test_cube_cross_dual_product_is_two():
