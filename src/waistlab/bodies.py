@@ -362,7 +362,7 @@ def ball(dim: int, radius: float) -> Body:
     if r == 0.0:
         return Body(
             dim,
-            support=(Piece("linear", np.zeros((1, dim))),),
+            support=(Piece("l2", np.zeros((dim, dim))),),
             gauge=(Piece("smooth", value=lambda X: np.where(
                 np.linalg.norm(X, axis=1) == 0.0, 0.0, np.inf)),),
             project=lambda X: np.zeros_like(X),
@@ -788,6 +788,10 @@ def _neighborhood_core(K: Body, r: float) -> Body:
     def membership(X):
         return np.asarray(K.distance(X), dtype=float) <= r + DIST_TOL
 
+    def inside(X):
+        # the gauge bisects the true boundary, without the tolerance
+        return np.asarray(K.distance(X), dtype=float) <= r
+
     project = None
     if K.can_project:
         def project(X):
@@ -814,7 +818,7 @@ def _neighborhood_core(K: Body, r: float) -> Body:
     return Body(
         K.dim,
         support=support,
-        gauge=_bisection_gauge(membership, bracket),
+        gauge=_bisection_gauge(inside, bracket),
         membership=membership,
         project=project,
         distance=dist,

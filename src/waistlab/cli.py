@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -32,7 +33,7 @@ _HARNESSES = {"two-bodies": "run_two_bodies", "sections": "run_sections",
 EXPERIMENT_NAMES = tuple(_HARNESSES)
 _SECTIONS = ("section", "section_K", "section_L", "section_diff")
 
-_COMMON_OPTIONAL = {"experiment", "seed", "schedule", "optimizer"}
+_COMMON_OPTIONAL = {"experiment", "seed", "schedule"}
 
 _SCHEMAS = {
     "two-bodies": ({"n", "k", "trials", "K", "L"},
@@ -82,8 +83,13 @@ def load_config(path) -> dict:
         raise ConfigError("missing key 'experiment' in config")
     if name not in _SCHEMAS:
         raise ConfigError(f"unknown experiment {name!r}; expected one of {EXPERIMENT_NAMES}")
+    from . import experiments
+
     required, optional = _SCHEMAS[name]
-    _require_keys(data, required, optional | _COMMON_OPTIONAL, "config")
+    optional = optional | _COMMON_OPTIONAL
+    if "opt" in inspect.signature(getattr(experiments, _HARNESSES[name])).parameters:
+        optional = optional | {"optimizer"}  # becomes the harness's opt
+    _require_keys(data, required, optional, "config")
     for key in ("K", "L"):
         if key in data:
             try:
@@ -100,13 +106,11 @@ def load_config(path) -> dict:
     if "optimizer" in data:
         _require_keys(data["optimizer"], *_OPTIMIZER_KEYS, where="optimizer")
     if "schedule" in data:
-        from .experiments import theorem_schedule
-
         _require_keys(data["schedule"], *_SCHEDULE_KEYS, where="schedule")
         sched = data["schedule"]
         consts = BoundConstants(**{key: sched[key] for key in _SCHEDULE_KEYS[1]
                                    if key in sched})
-        theorem_schedule(int(sched["n"]), int(sched["k"]), consts)
+        experiments.theorem_schedule(int(sched["n"]), int(sched["k"]), consts)
     return data
 
 
@@ -128,7 +132,6 @@ _CASTS = {
     "mode": lambda value: value, "cap_spec": lambda value: value,
     "K": construct_body, "L": construct_body,
 }
-_WITHOUT_OPTIMIZER = {"higher-sphere", "projection"}
 
 
 def run_experiment_config(config: dict, seed=None):
@@ -137,9 +140,9 @@ def run_experiment_config(config: dict, seed=None):
     Only the keys the config sets are passed on, cast by _CASTS; every
     other parameter takes the default of the harness signature.  A
     projection config's k becomes the canonical subspace P, and an
-    "optimizer" block becomes opt for the harnesses that take one.  seed
-    (the config's "seed" when None) is always passed; None draws fresh
-    entropy, which the report records.
+    "optimizer" block becomes opt (load_config accepts one only for a
+    harness with an opt parameter).  seed (the config's "seed" when None)
+    is always passed; None draws fresh entropy, which the report records.
     """
     from . import experiments as ex
 
@@ -154,7 +157,7 @@ def run_experiment_config(config: dict, seed=None):
             kwargs[key] = _subspace_from(config[key], n)
     if name == "projection":
         kwargs["P"] = Subspace.canonical(kwargs["K"].dim, kwargs.pop("k"))
-    if "optimizer" in config and name not in _WITHOUT_OPTIMIZER:
+    if "optimizer" in config:
         # each value is cast to the type of its field's default
         kwargs["opt"] = dataclasses.replace(DEFAULT_OPT, **{
             key: type(getattr(DEFAULT_OPT, key))(value)

@@ -299,6 +299,13 @@ def test_neighborhood_of_flat_unbounded_body_has_a_finite_gauge():
     assert math.isinf(N.radial([0.0, 1.0, 0.0]))
 
 
+def test_neighborhood_gauge_bisects_the_boundary_without_tolerance():
+    # membership admits distance r + DIST_TOL; the gauge bisects distance <= r
+    N = neighborhood(product_body(slab_body([[1, 0]], [1]), ball(1, 0.0)), 0.5)
+    assert N.gauge([1.6, 0, 0]) == pytest.approx(1.6 / 1.5, rel=0, abs=1e-12)
+    assert N.contains([1.5 + 0.5e-9, 0.0, 0.0])
+
+
 def test_batched_projection_rows_end_as_alone(monkeypatch):
     # a row leaves the cyclic projections once it stops moving, so a batch
     # projects each row as often as the row alone, to the same bits

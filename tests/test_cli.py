@@ -126,6 +126,20 @@ def test_load_config_unknown_key_named(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("cfg", [
+    {"experiment": "higher-sphere", "n": 2, "m": 3, "theta": 0.5, "samples": 100,
+     "cap_spec": {"kind": "caps", "centers": [[1.0, 0.0, 0.0]], "radii": [0.3]}},
+    {"experiment": "projection", "K": dict(BALL3), "k": 2, "eps": 0.3, "samples": 100},
+], ids=lambda cfg: cfg["experiment"])
+def test_load_config_rejects_optimizer_where_no_harness_reads_it(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert load_config(path) == cfg
+    path.write_text(json.dumps({**cfg, "optimizer": {"restarts": 8}}))
+    with pytest.raises(ConfigError, match="'optimizer'"):
+        load_config(path)
+
+
 def test_load_config_body_spec_validated(tmp_path):
     cfg = two_bodies_config()
     cfg["K"] = {"kind": "ball", "dim": 3, "radius": 1.0, "color": "red"}

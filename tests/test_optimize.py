@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from waistlab import optimize
-from waistlab.bodies import ball, cross_polytope, cube, ellipsoid, neighborhood, vertex_polytope
+from waistlab.bodies import (ball, cross_polytope, cube, ellipsoid, neighborhood, product_body,
+                             truncated_cylinder, vertex_polytope)
 from waistlab.errors import EvaluationError
+from waistlab.estimators import diameter_of_intersection, inclusion_radius
+from waistlab.geometry import haar_rotation
 from waistlab.optimize import (OptimizerConfig, minimize_on_sphere, minimize_on_sphere_batch,
                                nearest_points)
 
@@ -105,6 +108,48 @@ def test_polish_counts_unconverged_solves(monkeypatch):
     assert res.polish_unconverged == len(solves)
     no_polish = OptimizerConfig(restarts=8, iters=200, seed=1, polish=False)
     assert minimize_on_sphere(fields[0], N, no_polish).polish_unconverged == 0
+
+
+def _count_polish_solves(monkeypatch):
+    solves = []
+    solve = optimize._Epigraph.solve
+
+    def counting(self, u0):
+        solves.append(u0)
+        return solve(self, u0)
+
+    monkeypatch.setattr(optimize._Epigraph, "solve", counting)
+    return solves
+
+
+def test_l2_only_pieces():
+    flat = product_body(ball(3, 1.0), ball(1, 0.0))
+    assert optimize._l2_only(flat.support_pieces)
+    assert optimize._l2_only(truncated_cylinder(ball(2, 0.5), 4).gauge_pieces)
+    assert not optimize._l2_only(flat.gauge_pieces)  # the origin's gauge is smooth
+    assert not optimize._l2_only(product_body(ball(2, 1.0), cube(1, 1.0)).support_pieces)
+    assert not optimize._l2_only(cross_polytope(3, 1.0).gauge_pieces)
+
+
+def test_l2_only_fields_polish_one_start(monkeypatch):
+    solves = _count_polish_solves(monkeypatch)
+    cfg = OptimizerConfig(restarts=16, iters=60, seed=0)
+    K = truncated_cylinder(ball(4, 0.5), 8, truncation_radius=1e6)
+    L = product_body(ball(1, 1e6), ball(7, 0.5))
+    diameter_of_intersection(K, L, haar_rotation(8, seed=3), cfg)
+    assert len(solves) == 1
+    solves.clear()
+    flat = product_body(ball(5, 1.0), ball(1, 0.0))
+    inclusion_radius(flat, flat, haar_rotation(6, seed=4), cfg)
+    assert len(solves) == 1
+
+
+def test_polyhedral_fields_keep_every_polish_start(monkeypatch):
+    solves = _count_polish_solves(monkeypatch)
+    res = diameter_of_intersection(cube(3, 1.0), cross_polytope(3, 1.5), haar_rotation(3, seed=7))
+    assert len(solves) == optimize.POLISH_STARTS
+    # recorded when every field polished from 16 starts: facet fields keep them
+    assert res.diameter == float.fromhex("0x1.2e176daf5c485p+1")
 
 
 @pytest.mark.parametrize("K", [ball(3, 1.5), cube(3, 0.8), cross_polytope(3, 1.2),
