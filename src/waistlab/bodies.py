@@ -867,11 +867,16 @@ def minkowski_sum(K: Body, L: Body) -> Body:
         # by the dual distance program over the summed support
         return out._distance_batch(X) <= DIST_TOL
 
+    def inside(X):
+        # the gauge bisects the true boundary: the program's distance is 0
+        # exactly for members and a certified lower bound otherwise
+        return out._distance_batch(X) <= 0.0
+
     r_out = K.outer_radius + L.outer_radius
     out = Body(
         K.dim,
         support=(Piece("sum", parts=(K._support, L._support)),),
-        gauge=_bisection_gauge(membership, lambda U: r_out),
+        gauge=_bisection_gauge(inside, lambda U: r_out),
         membership=membership,
         inner_radius=K.inner_radius + L.inner_radius,
         outer_radius=r_out,

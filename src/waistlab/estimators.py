@@ -7,6 +7,8 @@ explicit direction, so they are certified one-sided bounds: lower bounds
 for the max-type problems (diameters), upper bounds for the min-type
 problems (inclusion radii).  Two-sided brackets are available on request
 through a certified net and the bodies' radius-derived Lipschitz bounds.
+A value from the optimizer's exact stage (polyhedral fields, the
+0-sphere) is the extremum itself to rounding, and its brackets equal it.
 """
 
 from __future__ import annotations
@@ -187,6 +189,10 @@ def diameters_of_intersection(K: Body, L: Body, rotations, opt: OptimizerConfig 
     return _diameters(K, L, list(rotations), opt, None)
 
 
+def _exact_note(n):
+    return "exact (convex hull)" if n > 1 else "exact (both points of the 0-sphere)"
+
+
 def _diameters(K, L, rotations, opt, bracket_delta):
     if not (K.symmetric and L.symmetric):
         raise DomainError("intersection diameter requires symmetric bodies")
@@ -215,7 +221,9 @@ def _diameters(K, L, rotations, opt, bracket_delta):
         diameter = 2.0 / gmin
         note = "lower bound (attained direction)"
         upper = None
-        if bracket_delta is not None and K.inner_radius > 0 and L.inner_radius > 0:
+        if res.stage == "exact":
+            note, upper = _exact_note(n), diameter
+        elif bracket_delta is not None and K.inner_radius > 0 and L.inner_radius > 0:
             net = build_net(n, bracket_delta, seed=opt.seed)
             gnet = float(gauge_max(field, net.points[None]).min())
             lip = 1.0 / min(K.inner_radius, L.inner_radius)
@@ -278,7 +286,9 @@ def _inclusion_radii(K, L, rotations, opt, combine, bracket_delta):
         value = float(objective(field, res.direction[None, None, :])[0, 0])
         note = "upper bound on the minimum (attained direction)"
         lower = None
-        if (bracket_delta is not None and math.isfinite(K.outer_radius)
+        if res.stage == "exact":
+            note, lower = _exact_note(n), value
+        elif (bracket_delta is not None and math.isfinite(K.outer_radius)
                 and math.isfinite(L.outer_radius)):
             net = build_net(n, bracket_delta, seed=opt.seed)
             vnet = float(objective(field, net.points[None]).min())

@@ -24,6 +24,22 @@ The same program with |u|^2 <= 1 and the objective t - <x, u> is the dual
 of the Euclidean distance to a convex body with support max(pieces):
 dist(x, C) = max over |u| <= 1 of <x, u> - h_C(u) (Rockafellar, Convex
 Analysis, 1970, section 16).  nearest_points solves it row by row.
+
+Before any descent, an exact stage answers the fields it can.  On the
+0-sphere (n = 1) it evaluates both points +1 and -1.  A polyhedral field,
+whose every piece is linear, an l1 piece of at most HULL_ROWS sign rows,
+or a sum of such parts, is max_i <P_i, u> = h_conv(P)(u) over the rows P
+it expands to.  When 0 is interior to conv(P), its minimum over the
+sphere is the inradius of conv(P), attained at the normal of the facet
+nearest the origin (Qhull: Barber, Dobkin & Huhdanpaa, ACM TOMS 1996).
+HULL_ROWS bounds the Qhull cost, which grows with the facet count: the
+320-row Minkowski-sum field of a 5-cube and a rotated 5-cross-polytope
+(about 4800 facets) takes about 33 ms, every other field of the
+polytope-dual benchmark 4 ms or less.  The default optimizer spends more
+than that on the same fields: the benchmark's n = 5 cube/cross jobs ran
+faster with 512 rows than with 256, which sends that field to the
+optimizer.  Fields with other pieces, more rows, rows of affine rank
+below n, or the origin on or outside the hull go on to the descent.
 """
 
 from __future__ import annotations
@@ -56,6 +72,7 @@ POLISH_STARTS = 16        # distinct descent endpoints polished, unless the fiel
 POLISH_SEPARATION = 1e-6  # endpoints closer than this count as one start
 BATCH_ROWS = 1 << 16      # most rows one batched evaluation holds
 SPREAD_POOL = 24          # random pool rows per spread direction
+HULL_ROWS = 512           # most rows a polyhedral field expands to for the exact stage
 
 
 @dataclass
@@ -64,6 +81,8 @@ class SphereOptResult:
     direction: np.ndarray
     nfev: int
     polish_unconverged: int = 0  # epigraph solves SLSQP ended without success
+    stage: str = "descent"       # "exact", "descent" or "polish": what produced the value
+    polish_nit: int = 0          # SLSQP iterations over the field's epigraph solves
 
 
 def spread_directions(n: int, count: int, seed=0) -> np.ndarray:
@@ -120,7 +139,10 @@ def minimize_on_sphere_batch(f, n: int, count: int, cfg: OptimizerConfig = DEFAU
     the (k, m) values.  pieces is None or a sequence of count piece
     tuples, one per field, as in minimize_on_sphere.
 
-    Every field starts from the same spread directions (and extra_starts)
+    A field the exact stage answers (see the module docstring) is not
+    descended; its nfev counts the rows its pieces expand to (the two
+    points on the 0-sphere) and the re-evaluation of f at its direction.
+    Every other field starts from the same spread directions (and extra_starts)
     and runs projected descent with central-difference gradients.  A field
     stops once all its step sizes fall below 1e-12 and is no longer
     evaluated, so it ends exactly as it would alone.  At most BATCH_ROWS
@@ -132,21 +154,81 @@ def minimize_on_sphere_batch(f, n: int, count: int, cfg: OptimizerConfig = DEFAU
     A field without pieces is one smooth piece.  nfev counts
     every row at which the field, a piece or a piece gradient was
     evaluated; polish_unconverged counts the solves that SLSQP ended
-    without success.
+    without success and polish_nit their SLSQP iterations.  stage names
+    what produced the value: "exact", "descent", or "polish" when a
+    polished point improved on the descent.
     """
+    results = [_exact(f, t, n, None if pieces is None else pieces[t]) for t in range(count)]
+    left = np.array([t for t, res in enumerate(results) if res is None], dtype=int)
+    if not left.size:
+        return results
     starts = spread_directions(n, max(cfg.restarts, 2), cfg.seed)
     if extra_starts is not None and len(extra_starts):
         starts = np.vstack([np.atleast_2d(np.asarray(extra_starts, dtype=float)), starts])
     U0 = _normalize_rows(np.array(starts, dtype=float))
     per_call = max(1, BATCH_ROWS // (U0.shape[0] * n))
-    results = []
-    for lo in range(0, count, per_call):
-        idx = np.arange(lo, min(count, lo + per_call))
+    for lo in range(0, left.size, per_call):
+        idx = left[lo:lo + per_call]
         U, vals, nfev = _descend(f, idx, U0, cfg)
         for j, t in enumerate(idx):
-            results.append(_finish(f, t, U[j], vals[j], int(nfev[j]), cfg,
-                                   None if pieces is None else pieces[t]))
+            results[t] = _finish(f, t, U[j], vals[j], int(nfev[j]), cfg,
+                                 None if pieces is None else pieces[t])
     return results
+
+
+def _exact(f, t, n, pieces):
+    """The minimum of field t over the sphere when the exact stage applies
+    (see the module docstring), else None."""
+    field = np.array([t])
+    if n == 1:
+        V = np.array([[1.0], [-1.0]])
+        vals = _finite_values(f, field, V[None])[0]
+        i = int(np.argmin(vals))
+        return SphereOptResult(value=float(vals[i]), direction=V[i], nfev=2, stage="exact")
+    P = None if pieces is None else _polyhedral_rows(pieces, n)
+    if P is None or np.linalg.matrix_rank(P[1:] - P[0]) < n:
+        return None
+    from scipy.spatial import ConvexHull
+
+    # facets a.x + c <= 0 with unit a: the origin is interior iff every c < 0,
+    # and the facet nearest to it has the largest c
+    equations = ConvexHull(P).equations
+    if not np.all(equations[:, -1] < 0.0):
+        return None
+    u = equations[int(np.argmax(equations[:, -1])), :-1]
+    value = float(_finite_values(f, field, u[None, None])[0, 0])
+    return SphereOptResult(value=value, direction=u, nfev=len(P) + 1, stage="exact")
+
+
+def _polyhedral_rows(pieces, n):
+    """Rows P with max(pieces)(u) = max_i <P_i, u>, or None when a piece
+    is l2 or smooth or the rows would exceed HULL_ROWS.  A linear piece
+    gives its rows, an l1 piece its 2^k sign rows, and a sum the pairwise
+    sums of its parts' rows."""
+    blocks, total = [], 0
+    for p in pieces:
+        if p.kind == "linear":
+            R = p.matrix
+        elif p.kind == "l1":
+            k = p.matrix.shape[1]
+            if 2 ** k > HULL_ROWS:
+                return None
+            signs = 1.0 - 2.0 * ((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1)
+            R = signs @ p.matrix.T
+        elif p.kind == "sum":
+            R = np.zeros((1, n))
+            for part in p.parts:
+                Q = _polyhedral_rows(part, n)
+                if Q is None or len(R) * len(Q) > HULL_ROWS:
+                    return None
+                R = (R[:, None, :] + Q[None, :, :]).reshape(-1, n)
+        else:
+            return None
+        total += len(R)
+        if total > HULL_ROWS:
+            return None
+        blocks.append(R)
+    return np.vstack(blocks)
 
 
 def _finite_values(f, idx, V):
@@ -205,7 +287,7 @@ def _finish(f, t, U, vals, nfev, cfg, pieces):
     # every row only ever improves, so the incumbent is the best current row
     i = int(np.argmin(vals))
     best_u, best_v = U[i].copy(), float(vals[i])
-    unconverged = 0
+    stage, unconverged, nit = "descent", 0, 0
     if cfg.polish:
         n = U.shape[1]
         field = np.array([t])
@@ -227,11 +309,11 @@ def _finish(f, t, U, vals, nfev, cfg, pieces):
             cv = feval(cand)
             j = int(np.argmin(cv))
             if cv[j] < best_v:
-                best_u, best_v = cand[j], float(cv[j])
+                best_u, best_v, stage = cand[j], float(cv[j]), "polish"
         nfev += program.rows
-        unconverged = program.unconverged
+        unconverged, nit = program.unconverged, program.nit
     return SphereOptResult(value=best_v, direction=best_u, nfev=nfev,
-                           polish_unconverged=unconverged)
+                           polish_unconverged=unconverged, stage=stage, polish_nit=nit)
 
 
 def _l2_only(pieces):
@@ -281,15 +363,17 @@ class _Epigraph:
     - smooth: z_v - p(u) >= 0, differentiated by finite differences inside
       SLSQP.
     Linear, l1 and sum pieces are linear in z: rows C z >= 0.  rows counts
-    the pieces evaluated or differentiated at a point, and unconverged the
-    solves that SLSQP ended with a nonzero status (an iteration cap, a
-    failed line search or incompatible constraints).
+    the pieces evaluated or differentiated at a point, nit SLSQP's
+    iterations over all solves, and unconverged the solves that SLSQP
+    ended with a nonzero status (an iteration cap, a failed line search or
+    incompatible constraints).
     """
 
     def __init__(self, pieces, n):
         self.n = n
         self.nz = n + 1 + _aux_count(pieces)
         self.rows = 0
+        self.nit = 0
         self.unconverged = 0
         self.blocks = []     # row blocks of C
         self.levels = []     # (variable, pieces whose max it bounds)
@@ -390,6 +474,7 @@ class _Epigraph:
         res = _scipy_minimize(lambda z: c @ z, z0, jac=lambda z: c,
                               method="SLSQP", constraints=cons,
                               options={"maxiter": 300, "ftol": 1e-14})
+        self.nit += int(res.nit)
         self.unconverged += int(res.status != 0)
         return res
 

@@ -351,6 +351,15 @@ def test_generic_minkowski_sum_matches_vertex_twin():
     np.testing.assert_allclose(D.gauge(X), twin.gauge(X), rtol=0, atol=1e-8)
 
 
+@pytest.mark.parametrize("s", [1.0, 1e-3])
+def test_generic_minkowski_sum_gauge_bisects_the_boundary_without_tolerance(s):
+    # membership admits distance DIST_TOL; the gauge bisects distance <= 0,
+    # which the dual program reports exactly for members
+    S = minkowski_sum(cube(2, s), ellipsoid([s, s / 2]))
+    assert S.vertices is None
+    assert S.gauge([2 * s, 0.0]) == pytest.approx(1.0, rel=0, abs=1e-12)
+
+
 def test_minkowski_sum_needs_both_supports():
     C = cube(2, 1.0)
     with pytest.raises(EvaluationError):

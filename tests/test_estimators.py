@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from waistlab import optimize
 from waistlab.bodies import (ball, cross_polytope, cube, ellipsoid, linear_image,
                              polar, product_body, slab_body,
                              truncated_cylinder, unit_ball_volume, vertex_polytope)
@@ -309,3 +310,64 @@ def test_section_batch_requires_one_dimension(opt_small):
     with pytest.raises(DomainError):
         section_diameters(ball(3, 1.0), [Subspace.canonical(3, 1), Subspace.canonical(3, 2)],
                           opt=opt_small)
+
+
+# ---------------------------------------------------------------------------
+# the exact stage: polyhedral fields and the 0-sphere
+# ---------------------------------------------------------------------------
+
+
+def _polytope_pairs(n):
+    P = np.random.default_rng(n).standard_normal((n + 1, n))
+    return [(cube(n, 1.0), cross_polytope(n, 1.5)),
+            (vertex_polytope(np.vstack([P, -P])), cross_polytope(n, 1.2))]
+
+
+def _polytope_estimates(K, L, rotations, opt):
+    return (diameters_of_intersection(K, L, rotations, opt=opt),
+            inclusion_radii(K, L, rotations, opt=opt, combine="sum"),
+            inclusion_radii(K, L, rotations, opt=opt, combine="max"))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_exact_polytope_values_bound_the_optimizer(n, monkeypatch):
+    # a short descent and its polish reach the hull's value to rounding on
+    # most of these fields, and are never better beyond it
+    opt = OptimizerConfig(restarts=4, iters=30, seed=0)
+    rotations = [haar_rotation(n, seed=100 * n + s) for s in range(20)]
+    for K, L in _polytope_pairs(n):
+        diam, isum, imax = _polytope_estimates(K, L, rotations, opt)
+        with monkeypatch.context() as m:
+            m.setattr(optimize, "HULL_ROWS", 0)
+            o_diam, o_isum, o_imax = _polytope_estimates(K, L, rotations, opt)
+        pairs = ([(2.0 / d.diameter, 2.0 / od.diameter) for d, od in zip(diam, o_diam)]
+                 + [(r.value, o.value) for r, o in zip(isum + imax, o_isum + o_imax)])
+        for d, od in zip(diam, o_diam):
+            assert d.note == "exact (convex hull)" and od.note.startswith("lower bound")
+            assert d.certified_lower == d.upper_bracket == d.diameter
+        for r in isum + imax:
+            assert r.note == "exact (convex hull)" and r.lower_bracket == r.value
+        # every field is a minimum: the hull's is never above the optimizer's
+        assert all(exact <= found * (1.0 + 1e-12) for exact, found in pairs)
+        assert sum(exact >= found * (1.0 - 1e-12) for exact, found in pairs) >= len(pairs) / 2
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_exact_cube_cross_duality_product_is_two(n):
+    K, L = cube(n, 1.0), cross_polytope(n, 1.5)
+    U = haar_rotation(n, seed=15 + n)
+    imax = inclusion_radius(K, L, U, combine="max")
+    pd = diameter_of_intersection(polar(K), polar(L), U)
+    assert pd.note == imax.note == "exact (convex hull)"
+    assert pd.diameter * imax.value == pytest.approx(2.0, rel=1e-12)
+
+
+def test_one_dimensional_sections_are_exact(opt_small):
+    E = ellipsoid([1.0, 2.0, 0.5])
+    frame = np.array([[0.6, 0.8, 0.0]])
+    # the section's diameter is twice the radial value along the frame row
+    expected = 2.0 / E.gauge(frame[0])
+    assert section_diameter(E, Subspace.from_frame(frame), opt=opt_small) == expected
+    d = diameter_of_intersection(cube(1, 1.0), ball(1, 0.5), np.eye(1), opt=opt_small)
+    assert (d.diameter, d.upper_bracket) == (1.0, 1.0)
+    assert d.note == "exact (both points of the 0-sphere)"

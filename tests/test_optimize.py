@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from waistlab import optimize
-from waistlab.bodies import (ball, cross_polytope, cube, ellipsoid, neighborhood, product_body,
-                             truncated_cylinder, vertex_polytope)
+from waistlab.bodies import (Piece, ball, cross_polytope, cube, ellipsoid, intersect,
+                             neighborhood, product_body, slab_body, truncated_cylinder,
+                             vertex_polytope)
 from waistlab.errors import EvaluationError
 from waistlab.estimators import diameter_of_intersection, inclusion_radius
 from waistlab.geometry import haar_rotation
@@ -146,10 +147,68 @@ def test_l2_only_fields_polish_one_start(monkeypatch):
 
 def test_polyhedral_fields_keep_every_polish_start(monkeypatch):
     solves = _count_polish_solves(monkeypatch)
-    res = diameter_of_intersection(cube(3, 1.0), cross_polytope(3, 1.5), haar_rotation(3, seed=7))
+    # a linear piece next to an l2 one: the field still goes to the polish
+    res = diameter_of_intersection(ellipsoid([1.0, 1.4, 0.8]), cube(3, 0.9),
+                                   haar_rotation(3, seed=7))
+    assert res.note.startswith("lower bound")
     assert len(solves) == optimize.POLISH_STARTS
-    # recorded when every field polished from 16 starts: facet fields keep them
-    assert res.diameter == float.fromhex("0x1.2e176daf5c485p+1")
+    # a purely polyhedral field is answered by its convex hull, without a
+    # solve, at the value recorded when it was polished from 16 starts
+    solves.clear()
+    res = diameter_of_intersection(cube(3, 1.0), cross_polytope(3, 1.5), haar_rotation(3, seed=7))
+    assert not solves and res.note == "exact (convex hull)"
+    recorded = float.fromhex("0x1.2e176daf5c485p+1")
+    assert res.diameter == pytest.approx(recorded, rel=1e-14, abs=0)
+    assert res.diameter >= recorded * (1.0 - 4 * np.finfo(float).eps)
+
+
+def test_zero_sphere_field_takes_the_better_point():
+    def f(V):
+        return np.abs(V[:, 0] - 0.7) + 0.4 * V[:, 0]
+
+    res = minimize_on_sphere(f, 1, CFG)
+    assert res.value == min(f(np.array([[1.0]]))[0], f(np.array([[-1.0]]))[0])
+    assert res.direction.tolist() == [1.0]
+    assert (res.stage, res.nfev, res.polish_nit) == ("exact", 2, 0)
+
+
+def test_polyhedral_rows_expand_pieces():
+    P = optimize._polyhedral_rows(cube(3, 2.0).support_pieces, 3)  # 2|u|_1
+    assert sorted(map(tuple, P)) == sorted(
+        (2.0 * a, 2.0 * b, 2.0 * c) for a in (1, -1) for b in (1, -1) for c in (1, -1))
+    fields = (cube(4, 1.0).support_pieces + cross_polytope(4, 1.0).support_pieces,
+              (Piece("sum", parts=(cube(4, 1.0).support_pieces,
+                                   cross_polytope(4, 1.0).support_pieces)),))
+    assert [len(optimize._polyhedral_rows(p, 4)) for p in fields] == [16 + 8, 16 * 8]
+    assert optimize._polyhedral_rows(ellipsoid([1.0, 2.0]).gauge_pieces, 2) is None
+    assert optimize._polyhedral_rows(cross_polytope(10, 1.0).gauge_pieces, 10) is None
+
+
+def test_flat_polyhedral_rows_fall_back_to_the_optimizer():
+    # slabs with normals in the e1-e2 plane leave the e3 axis free: their
+    # gauge rows span only that plane, and no hull of them has the origin inside
+    K = slab_body([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 1.0])
+    L = slab_body([[1.0, 1.0, 0.0]], [1.0])
+    both = intersect(K, L)
+    assert len(optimize._polyhedral_rows(both.gauge_pieces, 3)) == 6
+    res = minimize_on_sphere(both.gauge, 3, CFG, pieces=both.gauge_pieces)
+    assert res.stage != "exact" and res.value <= 1e-12
+    d = diameter_of_intersection(K, L, np.eye(3), CFG)
+    assert d.diameter == np.inf and d.note == "unbounded direction found"
+
+
+def test_polish_nit_counts_slsqp_iterations():
+    K = truncated_cylinder(ball(2, 0.5), 4, truncation_radius=1e6)
+    res = minimize_on_sphere(K.gauge, 4, CFG, pieces=K.gauge_pieces)
+    assert res.stage != "exact" and res.polish_nit > 0
+    no_polish = OptimizerConfig(restarts=8, iters=200, seed=1, polish=False)
+    res = minimize_on_sphere(K.gauge, 4, no_polish, pieces=K.gauge_pieces)
+    assert (res.stage, res.polish_nit) == ("descent", 0)
+    C = cube(4, 1.0)
+    res = minimize_on_sphere(C.gauge, 4, CFG, pieces=C.gauge_pieces)
+    assert (res.stage, res.polish_nit, res.polish_unconverged) == ("exact", 0, 0)
+    assert res.value == pytest.approx(0.5, rel=1e-15)  # the corner direction
+    assert res.nfev == len(optimize._polyhedral_rows(C.gauge_pieces, 4)) + 1
 
 
 @pytest.mark.parametrize("K", [ball(3, 1.5), cube(3, 0.8), cross_polytope(3, 1.2),
