@@ -48,6 +48,7 @@ __all__ = [
     "BodySpec",
     "Piece",
     "map_pieces",
+    "select_pieces",
     "construct_body",
     "ball",
     "cube",
@@ -117,8 +118,16 @@ class Piece:
       the support of a product or a Minkowski sum.
     kind "smooth": x -> scale * value(x A), where matrix A (n, n0) is the
       input map (None: the identity): the one piece of a function with no
-      closed form, which has no analytic gradient.
+      closed form, which has no analytic gradient.  value maps the rows of
+      a 2-D array to their values.
     Every piece is positively homogeneous, as gauges and supports are.
+
+    A matrix may carry a leading field axis, (F, m, n) for P and (F, n, k)
+    for M and A: the piece then describes F functions at once, one per
+    slice, and evaluates a stack X (F, rows, n), slice X[j] under
+    function j.  A matrix without that axis is shared by every field.
+    map_pieces with a stack of maps builds such pieces and select_pieces
+    picks fields out of them.
     """
 
     kind: str
@@ -128,17 +137,18 @@ class Piece:
     parts: tuple = ()
 
     def evaluate(self, X):
-        """Piece values at the rows of X."""
+        """Piece values at the rows of X, (..., rows, n) -> (..., rows)."""
         if self.kind == "linear":
-            return (X @ self.matrix.T).max(axis=1)
+            return (X @ self.matrix.swapaxes(-1, -2)).max(axis=-1)
         if self.kind == "l1":
-            return np.abs(X @ self.matrix).sum(axis=1)
+            return np.abs(X @ self.matrix).sum(axis=-1)
         if self.kind == "l2":
-            return np.linalg.norm(X @ self.matrix, axis=1)
+            return np.linalg.norm(X @ self.matrix, axis=-1)
         if self.kind == "sum":
             return sum(_max_of(part, X) for part in self.parts)
         Y = X if self.matrix is None else X @ self.matrix
-        return self.scale * np.asarray(self.value(Y), dtype=float)
+        vals = np.asarray(self.value(Y.reshape(-1, Y.shape[-1])), dtype=float)
+        return self.scale * vals.reshape(Y.shape[:-1])
 
     def gradient(self, X):
         """Gradients at the rows of X of an l2 piece (0 where x M = 0);
@@ -147,13 +157,14 @@ class Piece:
             return None
         M = self.matrix
         Y = X @ M
-        nrm = np.linalg.norm(Y, axis=1)
-        return (Y @ M.T) / np.where(nrm > 0, nrm, 1.0)[:, None]
+        nrm = np.linalg.norm(Y, axis=-1)
+        return (Y @ M.swapaxes(-1, -2)) / np.where(nrm > 0, nrm, 1.0)[..., None]
 
     def mapped(self, A, scale=1.0):
-        """The piece x -> scale * piece(x A), for A (n_new, n) and scale > 0."""
+        """The piece x -> scale * piece(x A), for A (n_new, n), or a stack
+        (F, n_new, n) of maps, and scale > 0."""
         if self.kind == "linear":
-            return Piece("linear", scale * (self.matrix @ A.T))
+            return Piece("linear", scale * (self.matrix @ A.swapaxes(-1, -2)))
         if self.kind in ("l1", "l2"):
             return Piece(self.kind, scale * (A @ self.matrix))
         if self.kind == "sum":
@@ -163,9 +174,25 @@ class Piece:
 
 
 def map_pieces(pieces, A, scale=1.0):
-    """Compose every piece with x -> x A and multiply it by scale."""
+    """Compose every piece with x -> x A and multiply it by scale.  A stack
+    of maps A (F, n_new, n) gives pieces with a leading field axis, field j
+    composed with A[j]."""
     A = np.asarray(A, dtype=float)
     return tuple(p.mapped(A, scale) for p in pieces)
+
+
+def select_pieces(pieces, idx):
+    """The fields idx of pieces with a leading field axis: an index gives
+    one field's pieces with 2-D matrices, an index array a smaller stack.
+    Matrices without the axis are shared and come back as they are."""
+    out = []
+    for p in pieces:
+        if p.kind == "sum":
+            p = Piece("sum", parts=tuple(select_pieces(part, idx) for part in p.parts))
+        elif p.matrix is not None and p.matrix.ndim == 3:
+            p = Piece(p.kind, p.matrix[idx], p.value, p.scale)
+        out.append(p)
+    return tuple(out)
 
 
 def _abs_rows(M):
@@ -887,17 +914,24 @@ def minkowski_sum(K: Body, L: Body) -> Body:
     return out
 
 
+def orthogonal_matrix(Q, dim: int) -> np.ndarray:
+    """Q (a matrix or a Rotation) as a float array, checked to be an
+    orthogonal dim x dim matrix to ORTHO_TOL; raises DomainError."""
+    Q = np.asarray(getattr(Q, "matrix", Q), dtype=float)
+    if Q.shape != (dim, dim):
+        raise DomainError(f"orthogonal map must be {dim}x{dim}, got {Q.shape}")
+    resid = float(np.max(np.abs(Q.T @ Q - np.eye(dim))))
+    if resid > ORTHO_TOL:
+        raise DomainError(f"matrix is not orthogonal (residual {resid:.2e} > {ORTHO_TOL})")
+    return Q
+
+
 def linear_image(K: Body, Q, scale: float = 1.0) -> Body:
     """Image of the body under x -> scale * Q x, for Q orthogonal (a matrix
     or a Rotation) and scale > 0: rotations, reflections and dilations.
     Every evaluator conjugates; the support evaluator stays absent when K
     has none."""
-    Q = np.asarray(getattr(Q, "matrix", Q), dtype=float)
-    if Q.shape != (K.dim, K.dim):
-        raise DomainError(f"orthogonal map must be {K.dim}x{K.dim}, got {Q.shape}")
-    resid = float(np.max(np.abs(Q.T @ Q - np.eye(K.dim))))
-    if resid > ORTHO_TOL:
-        raise DomainError(f"matrix is not orthogonal (residual {resid:.2e} > {ORTHO_TOL})")
+    Q = orthogonal_matrix(Q, K.dim)
     if not scale > 0:
         raise DomainError(f"scale must be positive, got {scale}")
     t = float(scale)

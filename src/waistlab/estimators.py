@@ -2,11 +2,17 @@
 measures of bodies, covering numbers, intersection diameters, inclusion
 radii, and section diameters.
 
-Optimization-backed quantities always report a value attained at an
-explicit direction, so they are certified one-sided bounds: lower bounds
-for the max-type problems (diameters), upper bounds for the min-type
-problems (inclusion radii).  Two-sided brackets are available on request
-through a certified net and the bodies' radius-derived Lipschitz bounds.
+Optimization-backed quantities come from minima over the sphere of a max
+of gauge or support pieces of the bodies (see bodies.Piece).  A batch of
+rotations or subspaces is one piece tuple: the rotated body's pieces,
+mapped by the stack of maps, carry a leading field axis, and the fixed
+body's pieces are shared by every field.  The optimizer reads nothing
+else, and the value it reports is the field's value at its direction.
+These quantities always report a value attained at an explicit
+direction, so they are certified one-sided bounds: lower bounds for the
+max-type problems (diameters), upper bounds for the min-type problems
+(inclusion radii).  Two-sided brackets are available on request through
+a certified net and the bodies' radius-derived Lipschitz bounds.
 A value from the optimizer's exact stage (polyhedral fields, the
 0-sphere) is the extremum itself to rounding, and its brackets equal it.
 """
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import ball_points, bernoulli_se, rng_from, sphere_points
-from .bodies import Body, Piece, linear_image, map_pieces
+from .bodies import Body, Piece, _max_of, map_pieces, orthogonal_matrix, select_pieces
 from .errors import DomainError, EvaluationError
 from .geometry import Subspace, build_net
 from .optimize import DEFAULT_OPT, OptimizerConfig, minimize_on_sphere_batch
@@ -149,28 +155,6 @@ class InclusionResult:
         return float(self.value)
 
 
-class _RowMaps:
-    """Per-field linear maps of row blocks, as minimize_on_sphere_batch
-    hands out its fields: block V[j] (m, d) becomes V[j] @ A[idx[j]], and
-    the blocks come back as one stack of rows.
-
-    Several blocks are mapped by one broadcast matmul.  A single block is
-    multiplied by its own map as given, so that it is evaluated exactly as
-    one problem alone evaluates it: a one-row product takes a different
-    BLAS path from a many-row one, which also depends on the memory layout
-    of the map, and can differ in the last bit.
-    """
-
-    def __init__(self, maps):
-        self.maps = [np.asarray(getattr(A, "matrix", A), dtype=float) for A in maps]
-        self.stacked = np.stack(self.maps)
-
-    def __call__(self, idx, V):
-        if len(idx) == 1:
-            return V[0] @ self.maps[idx[0]]
-        return np.matmul(V, self.stacked[idx]).reshape(-1, self.stacked.shape[2])
-
-
 def diameter_of_intersection(K: Body, L: Body, U, opt: OptimizerConfig = DEFAULT_OPT,
                              bracket_delta: float | None = None) -> DiameterResult:
     """Diameter of the intersection of K with the rotated copy of L:
@@ -193,27 +177,25 @@ def _exact_note(n):
     return "exact (convex hull)" if n > 1 else "exact (both points of the 0-sphere)"
 
 
+def _rotation_stack(L, rotations):
+    """The rotations as one (F, n, n) array, each checked to be an
+    orthogonal map of L's space."""
+    return np.stack([orthogonal_matrix(U, L.dim) for U in rotations])
+
+
 def _diameters(K, L, rotations, opt, bracket_delta):
     if not (K.symmetric and L.symmetric):
         raise DomainError("intersection diameter requires symmetric bodies")
     if not rotations:
         return []
-    images = [linear_image(L, U) for U in rotations]
-    rotate = _RowMaps(rotations)
     n = K.dim
-
-    def gauge_max(idx, V):
-        return np.maximum(np.asarray(K.gauge(V.reshape(-1, n)), dtype=float),
-                          np.asarray(L.gauge(rotate(idx, V)), dtype=float)).reshape(V.shape[:2])
-
-    results = minimize_on_sphere_batch(
-        gauge_max, n, len(rotations), opt,
-        pieces=[K.gauge_pieces + image.gauge_pieces for image in images])
+    # field t is max(g_K(u), g_L(U_t^T u)), the gauge of K intersected with U_t L
+    pieces = K.gauge_pieces + map_pieces(L.gauge_pieces, _rotation_stack(L, rotations))
+    results = minimize_on_sphere_batch(pieces, n, len(rotations), opt)
     truncated = K.truncated or L.truncated
     out = []
     for t, res in enumerate(results):
-        field = np.array([t])
-        gmin = float(gauge_max(field, res.direction[None, None, :])[0, 0])
+        gmin = res.value
         if gmin <= 1e-12:
             out.append(DiameterResult(math.inf, math.inf, res.direction,
                                       "unbounded direction found", truncated))
@@ -225,7 +207,7 @@ def _diameters(K, L, rotations, opt, bracket_delta):
             note, upper = _exact_note(n), diameter
         elif bracket_delta is not None and K.inner_radius > 0 and L.inner_radius > 0:
             net = build_net(n, bracket_delta, seed=opt.seed)
-            gnet = float(gauge_max(field, net.points[None]).min())
+            gnet = float(_max_of(select_pieces(pieces, t), net.points).min())
             lip = 1.0 / min(K.inner_radius, L.inner_radius)
             chord = 2.0 * math.sin(net.delta / 2.0)
             floor = gnet - lip * chord
@@ -264,38 +246,28 @@ def _inclusion_radii(K, L, rotations, opt, combine, bracket_delta):
         raise DomainError(f"combine must be 'sum' or 'max', got {combine!r}")
     if not rotations:
         return []
-    images = [linear_image(L, U) for U in rotations]
-    rotate = _RowMaps(rotations)
     n = K.dim
-    join = np.add if combine == "sum" else np.maximum
-
-    def objective(idx, V):
-        return join(np.asarray(K.support(V.reshape(-1, n)), dtype=float),
-                    np.asarray(L.support(rotate(idx, V)), dtype=float)).reshape(V.shape[:2])
-
+    # field t joins h_K(u) and h_L(U_t^T u), the support of U_t L
+    images = map_pieces(L.support_pieces, _rotation_stack(L, rotations))
     if combine == "sum":
-        pieces = [(Piece("sum", parts=(K.support_pieces, image.support_pieces)),)
-                  for image in images]
+        pieces = (Piece("sum", parts=(K.support_pieces, images)),)
     else:
-        pieces = [K.support_pieces + image.support_pieces for image in images]
-
-    results = minimize_on_sphere_batch(objective, n, len(rotations), opt, pieces=pieces)
+        pieces = K.support_pieces + images
+    results = minimize_on_sphere_batch(pieces, n, len(rotations), opt)
     out = []
     for t, res in enumerate(results):
-        field = np.array([t])
-        value = float(objective(field, res.direction[None, None, :])[0, 0])
         note = "upper bound on the minimum (attained direction)"
         lower = None
         if res.stage == "exact":
-            note, lower = _exact_note(n), value
+            note, lower = _exact_note(n), res.value
         elif (bracket_delta is not None and math.isfinite(K.outer_radius)
                 and math.isfinite(L.outer_radius)):
             net = build_net(n, bracket_delta, seed=opt.seed)
-            vnet = float(objective(field, net.points[None]).min())
+            vnet = float(_max_of(select_pieces(pieces, t), net.points).min())
             lip = K.outer_radius + L.outer_radius
             lower = vnet - lip * 2.0 * math.sin(net.delta / 2.0)
             note = f"two-sided via net (delta={net.delta:.4g}, N={net.cardinality})"
-        out.append(InclusionResult(value, res.direction, note, combine, lower))
+        out.append(InclusionResult(res.value, res.direction, note, combine, lower))
     return out
 
 
@@ -320,16 +292,7 @@ def section_diameters(K: Body, subspaces, opt: OptimizerConfig = DEFAULT_OPT) ->
     k = subspaces[0].k
     if any(E.k != k for E in subspaces):
         raise DomainError("subspaces of one batch must share their dimension")
-    embed = _RowMaps([E.frame for E in subspaces])
-
-    def gauge_in_section(idx, W):
-        return np.asarray(K.gauge(embed(idx, W)), dtype=float).reshape(W.shape[:2])
-
-    results = minimize_on_sphere_batch(
-        gauge_in_section, k, len(subspaces), opt,
-        pieces=[map_pieces(K.gauge_pieces, E.frame) for E in subspaces])
-    out = []
-    for t, res in enumerate(results):
-        gmin = float(gauge_in_section(np.array([t]), res.direction[None, None, :])[0, 0])
-        out.append(math.inf if gmin <= 1e-12 else 2.0 / gmin)
-    return out
+    # field t is the gauge of K at w E_t, for w in the frame's coordinates
+    pieces = map_pieces(K.gauge_pieces, np.stack([E.frame for E in subspaces]))
+    results = minimize_on_sphere_batch(pieces, k, len(subspaces), opt)
+    return [math.inf if res.value <= 1e-12 else 2.0 / res.value for res in results]

@@ -1,15 +1,16 @@
 """Multistart minimization of scalar fields over the unit sphere.
 
-The optimizer runs projected descent with central-difference gradients from
-spread-out seed directions, for one field or for many fields in lockstep
-(one per random rotation of a harness).  It then polishes the best
-distinct descent endpoints of each field with one SLSQP solve each of the
-epigraph program of the field, written as a max of pieces (see
-bodies.Piece): min t subject to piece(u) <= t for every piece and
-|u|^2 = 1, with exact constraints and analytic Jacobians.  Values
-returned are always attained at an explicit feasible direction, so for
-maximization problems the result is a certified bound from the feasible
-side.
+A field is a max of pieces (see bodies.Piece), and one piece tuple whose
+matrices carry a leading field axis describes many fields at once (one
+per random rotation of a harness).  The optimizer evaluates those pieces
+itself in every stage.  It runs projected descent with central-difference
+gradients from spread-out seed directions, for all fields in lockstep.
+It then polishes the best distinct descent endpoints of each field with
+one SLSQP solve each of the epigraph program of the field: min t subject
+to piece(u) <= t for every piece and |u|^2 = 1, with exact constraints
+and analytic Jacobians.  Values returned are always attained at an
+explicit feasible direction, so for maximization problems the result is
+a certified bound from the feasible side.
 
 How many endpoints are polished depends on the pieces.  A field made
 only of l2 pieces (and sums of l2-only parts) is polished from its best
@@ -50,7 +51,7 @@ import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
 from ._util import rng_from, sphere_points
-from .bodies import Piece
+from .bodies import Piece, _max_of, select_pieces
 from .errors import EvaluationError
 
 __all__ = ["OptimizerConfig", "SphereOptResult", "minimize_on_sphere",
@@ -109,56 +110,53 @@ def _normalize_rows(V):
     return V / nrm[:, None]
 
 
-def minimize_on_sphere(f, n: int, cfg: OptimizerConfig = DEFAULT_OPT,
-                       extra_starts=None, pieces=None) -> SphereOptResult:
-    """Minimize a batched scalar field over the unit sphere of R^n.
+def minimize_on_sphere(field, n: int, cfg: OptimizerConfig = DEFAULT_OPT,
+                       extra_starts=None) -> SphereOptResult:
+    """Minimize one field over the unit sphere of R^n.
 
-    f maps an (m, n) array of unit rows to an (m,) array.  Deterministic
-    for a fixed config seed.  This is the one-problem case of
-    minimize_on_sphere_batch, which documents the descent, the polish and
-    nfev.
-
-    pieces describes f for the polish stage as the max of a sequence of
-    Pieces (sums of maxima are "sum" pieces).  Without pieces, f itself is
-    the one piece and SLSQP differentiates it numerically.
+    field is a tuple of Pieces whose max is the field (sums of maxima are
+    "sum" pieces), or a callable mapping an (m, n) array of rows to an
+    (m,) array, which becomes the one smooth piece and is evaluated at the
+    rows normalized to unit length.  Deterministic for a fixed config
+    seed.  This is the one-field case of minimize_on_sphere_batch, which
+    documents the stages and nfev.
     """
-    def batched(idx, V):
-        return np.asarray(f(V[0]), dtype=float)[None, :]
+    if callable(field):
+        f = field
+        field = (Piece("smooth", value=lambda V: f(_normalize_rows(V))),)
+    return minimize_on_sphere_batch(field, n, 1, cfg, extra_starts)[0]
 
-    return minimize_on_sphere_batch(batched, n, 1, cfg, extra_starts,
-                                    None if pieces is None else [pieces])[0]
 
+def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = DEFAULT_OPT,
+                             extra_starts=None) -> list[SphereOptResult]:
+    """Minimize count fields over the unit sphere of R^n in lockstep, one
+    SphereOptResult per field.
 
-def minimize_on_sphere_batch(f, n: int, count: int, cfg: OptimizerConfig = DEFAULT_OPT,
-                             extra_starts=None, pieces=None) -> list[SphereOptResult]:
-    """Minimize count batched scalar fields over the unit sphere of R^n in
-    lockstep, one SphereOptResult per field.
-
-    f(idx, V) takes the indices idx (k,) of k fields and an array V
-    (k, m, n) of unit rows, row block V[j] for field idx[j], and returns
-    the (k, m) values.  pieces is None or a sequence of count piece
-    tuples, one per field, as in minimize_on_sphere.
+    pieces describes every field at once: its matrices carry a leading
+    field axis of length count (see bodies.Piece), and a matrix without
+    one is shared by all fields.  Field t is the max of
+    select_pieces(pieces, t), and a result's value is that max at its
+    direction, with non-finite values read as inf.
 
     A field the exact stage answers (see the module docstring) is not
     descended; its nfev counts the rows its pieces expand to (the two
-    points on the 0-sphere) and the re-evaluation of f at its direction.
-    Every other field starts from the same spread directions (and extra_starts)
-    and runs projected descent with central-difference gradients.  A field
-    stops once all its step sizes fall below 1e-12 and is no longer
+    points on the 0-sphere) and the evaluation at its direction.  Every
+    other field starts from the same spread directions (and extra_starts)
+    and runs projected descent with central-difference gradients.  A
+    field stops once all its step sizes fall below 1e-12 and is no longer
     evaluated, so it ends exactly as it would alone.  At most BATCH_ROWS
-    rows go to one call of f; more fields run in consecutive chunks.  With
-    cfg.polish, each field's epigraph program is solved from its
-    POLISH_STARTS best distinct descent endpoints, or from its best one
-    when all its pieces are l2 (see the module docstring), and a solution
-    is kept only when f, re-evaluated there, improves on the descent.
-    A field without pieces is one smooth piece.  nfev counts
-    every row at which the field, a piece or a piece gradient was
-    evaluated; polish_unconverged counts the solves that SLSQP ended
-    without success and polish_nit their SLSQP iterations.  stage names
-    what produced the value: "exact", "descent", or "polish" when a
-    polished point improved on the descent.
+    rows go to one evaluation of the pieces; more fields run in
+    consecutive chunks.  With cfg.polish, each field's epigraph program is
+    solved from its POLISH_STARTS best distinct descent endpoints, or from
+    its best one when all its pieces are l2 (see the module docstring),
+    and a solution is kept only when the field, evaluated there, improves
+    on the descent.  nfev counts every row at which the field, a piece or
+    a piece gradient was evaluated; polish_unconverged counts the solves
+    that SLSQP ended without success and polish_nit their SLSQP
+    iterations.  stage names what produced the value: "exact", "descent",
+    or "polish" when a polished point improved on the descent.
     """
-    results = [_exact(f, t, n, None if pieces is None else pieces[t]) for t in range(count)]
+    results = [_exact(select_pieces(pieces, t), n) for t in range(count)]
     left = np.array([t for t, res in enumerate(results) if res is None], dtype=int)
     if not left.size:
         return results
@@ -169,23 +167,21 @@ def minimize_on_sphere_batch(f, n: int, count: int, cfg: OptimizerConfig = DEFAU
     per_call = max(1, BATCH_ROWS // (U0.shape[0] * n))
     for lo in range(0, left.size, per_call):
         idx = left[lo:lo + per_call]
-        U, vals, nfev = _descend(f, idx, U0, cfg)
+        U, vals, nfev = _descend(pieces, idx, U0, cfg)
         for j, t in enumerate(idx):
-            results[t] = _finish(f, t, U[j], vals[j], int(nfev[j]), cfg,
-                                 None if pieces is None else pieces[t])
+            results[t] = _finish(select_pieces(pieces, t), U[j], vals[j], int(nfev[j]), cfg)
     return results
 
 
-def _exact(f, t, n, pieces):
-    """The minimum of field t over the sphere when the exact stage applies
-    (see the module docstring), else None."""
-    field = np.array([t])
+def _exact(pieces, n):
+    """The minimum of the field over the sphere when the exact stage
+    applies (see the module docstring), else None."""
     if n == 1:
         V = np.array([[1.0], [-1.0]])
-        vals = _finite_values(f, field, V[None])[0]
+        vals = _finite_values(pieces, V)
         i = int(np.argmin(vals))
         return SphereOptResult(value=float(vals[i]), direction=V[i], nfev=2, stage="exact")
-    P = None if pieces is None else _polyhedral_rows(pieces, n)
+    P = _polyhedral_rows(pieces, n)
     if P is None or np.linalg.matrix_rank(P[1:] - P[0]) < n:
         return None
     from scipy.spatial import ConvexHull
@@ -196,7 +192,7 @@ def _exact(f, t, n, pieces):
     if not np.all(equations[:, -1] < 0.0):
         return None
     u = equations[int(np.argmax(equations[:, -1])), :-1]
-    value = float(_finite_values(f, field, u[None, None])[0, 0])
+    value = float(_finite_values(pieces, u[None])[0])
     return SphereOptResult(value=value, direction=u, nfev=len(P) + 1, stage="exact")
 
 
@@ -231,20 +227,21 @@ def _polyhedral_rows(pieces, n):
     return np.vstack(blocks)
 
 
-def _finite_values(f, idx, V):
-    vals = np.asarray(f(idx, V), dtype=float)
+def _finite_values(pieces, V):
+    vals = _max_of(pieces, V)
     return np.where(np.isfinite(vals), vals, np.inf)
 
 
-def _descend(f, idx, U0, cfg):
+def _descend(pieces, idx, U0, cfg):
     """Lockstep projected descent of the fields idx from the rows of U0.
     Returns their final rows (k, m, n), values (k, m) and row counts (k,)."""
     k, (m, n) = len(idx), U0.shape
+    run = select_pieces(pieces, idx)  # the running fields; re-selected when one stops
     U = np.repeat(U0[None], k, axis=0)
-    vals = _finite_values(f, idx, U)
+    vals = _finite_values(run, U)
     U_out, vals_out = np.empty_like(U), np.empty_like(vals)
     iters = np.full(k, cfg.iters)
-    live, run = np.arange(k), idx  # the running fields; compacted when one stops
+    live = np.arange(k)
 
     h = FD_STEP
     steps = np.full((k, m), cfg.step0)
@@ -254,8 +251,8 @@ def _descend(f, idx, U0, cfg):
         # central-difference ambient gradient of f(v/|v|) at unit rows
         plus = _normalize_rows((U[:, :, None, :] + shifts).reshape(-1, n))
         minus = _normalize_rows((U[:, :, None, :] - shifts).reshape(-1, n))
-        fp = np.asarray(f(run, plus.reshape(a, m * n, n)), dtype=float).reshape(a, m, n)
-        fm = np.asarray(f(run, minus.reshape(a, m * n, n)), dtype=float).reshape(a, m, n)
+        fp = _max_of(run, plus.reshape(a, m * n, n)).reshape(a, m, n)
+        fm = _max_of(run, minus.reshape(a, m * n, n)).reshape(a, m, n)
         # a component with a non-finite side has no difference: it is zero
         sides = np.isfinite(fp) & np.isfinite(fm)
         grad = np.subtract(fp, fm, out=np.zeros_like(fp), where=sides) / (2.0 * h)
@@ -264,7 +261,7 @@ def _descend(f, idx, U0, cfg):
         gn = np.where(gn > 0, gn, 1.0)
         cand = _normalize_rows((U - (steps / gn)[:, :, None] * grad).reshape(-1, n))
         cand = cand.reshape(a, m, n)
-        cv = _finite_values(f, run, cand)
+        cv = _finite_values(run, cand)
         better = cv < vals
         U = np.where(better[:, :, None], cand, U)
         vals = np.where(better, cv, vals)
@@ -275,38 +272,28 @@ def _descend(f, idx, U0, cfg):
             U_out[stop], vals_out[stop], iters[stop] = U[done], vals[done], it + 1
             keep = ~done
             live, U, vals, steps = live[keep], U[keep], vals[keep], steps[keep]
-            run = idx[live]
             if not live.size:
                 break
+            run = select_pieces(pieces, idx[live])
     U_out[live], vals_out[live] = U, vals
     return U_out, vals_out, m + iters * (2 * m * n + m)
 
 
-def _finish(f, t, U, vals, nfev, cfg, pieces):
-    """Best descent row of field t, polished when cfg.polish asks for it."""
+def _finish(pieces, U, vals, nfev, cfg):
+    """Best descent row of the field, polished when cfg.polish asks for it."""
     # every row only ever improves, so the incumbent is the best current row
     i = int(np.argmin(vals))
     best_u, best_v = U[i].copy(), float(vals[i])
     stage, unconverged, nit = "descent", 0, 0
     if cfg.polish:
-        n = U.shape[1]
-        field = np.array([t])
-
-        def feval(V):
-            nonlocal nfev
-            nfev += V.shape[0]
-            return _finite_values(f, field, V[None])[0]
-
-        if pieces is None:
-            pieces = (Piece("smooth", value=lambda V: _finite_values(
-                f, field, _normalize_rows(V)[None])[0]),)
-        program = _Epigraph(pieces, n)
+        program = _Epigraph(pieces, U.shape[1])
         starts = 1 if _l2_only(pieces) else POLISH_STARTS
         found = [program.solve(U[j]) for j in _distinct_best(U, vals, starts)]
         found = [u for u in found if u is not None]
         if found:
             cand = np.vstack(found)
-            cv = feval(cand)
+            cv = _finite_values(pieces, cand)
+            nfev += len(cand)
             j = int(np.argmin(cv))
             if cv[j] < best_v:
                 best_u, best_v, stage = cand[j], float(cv[j]), "polish"

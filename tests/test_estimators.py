@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from waistlab import optimize
+from waistlab._util import sphere_points
 from waistlab.bodies import (ball, cross_polytope, cube, ellipsoid, linear_image,
                              polar, product_body, slab_body,
                              truncated_cylinder, unit_ball_volume, vertex_polytope)
@@ -282,8 +283,8 @@ def test_duality_product_exact_two(opt_tight):
 
 
 def test_batched_estimators_equal_one_rotation_calls(opt_small):
-    # a vertex polytope evaluates through matrix products, and a one-row
-    # product takes a different BLAS path for each memory layout of U
+    # a vertex polytope evaluates through matrix products; a batch stacks
+    # the rotations into one array, whichever memory layout each U has
     rng = np.random.default_rng(8)
     P = rng.standard_normal((9, 4))
     K = vertex_polytope(np.vstack([P, -P]))
@@ -304,6 +305,19 @@ def test_batched_estimators_equal_one_rotation_calls(opt_small):
     assert section_diameters(K, sections, opt=opt_small) == \
         [section_diameter(K, E, opt=opt_small) for E in sections]
     assert diameters_of_intersection(K, L, [], opt=opt_small) == []
+
+
+@pytest.mark.parametrize("bad", [np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                                 np.eye(2)], ids=["shear", "2x2"])
+def test_estimators_reject_non_orthogonal_rotations(bad, opt_small):
+    K, L = cube(3, 1.0), ellipsoid([1.0, 1.4, 0.8])
+    calls = [lambda: diameter_of_intersection(K, L, bad, opt=opt_small),
+             lambda: inclusion_radius(K, L, bad, opt=opt_small),
+             lambda: diameters_of_intersection(K, L, [np.eye(3), bad], opt=opt_small),
+             lambda: inclusion_radii(K, L, [np.eye(3), bad], opt=opt_small)]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_section_batch_requires_one_dimension(opt_small):
@@ -360,6 +374,16 @@ def test_exact_cube_cross_duality_product_is_two(n):
     pd = diameter_of_intersection(polar(K), polar(L), U)
     assert pd.note == imax.note == "exact (convex hull)"
     assert pd.diameter * imax.value == pytest.approx(2.0, rel=1e-12)
+    # both fields have the same rows, so the product is 2 at any facet; each
+    # value must also be attained at its direction and be the field's minimum
+    UL, PK, PUL = linear_image(L, U), polar(K), linear_image(polar(L), U)
+    fields = [(lambda V: np.maximum(K.support(V), UL.support(V)), imax.value, imax.direction),
+              (lambda V: np.maximum(PK.gauge(V), PUL.gauge(V)), 2.0 / pd.diameter,
+               pd.direction)]
+    V = sphere_points(np.random.default_rng(n), 20_000, n)
+    for field, value, u in fields:
+        assert value == pytest.approx(field(u[None])[0], rel=1e-14, abs=0)
+        assert value <= field(V).min() * (1.0 + 1e-12)
 
 
 def test_one_dimensional_sections_are_exact(opt_small):

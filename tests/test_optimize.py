@@ -5,8 +5,8 @@ import pytest
 
 from waistlab import optimize
 from waistlab.bodies import (Piece, ball, cross_polytope, cube, ellipsoid, intersect,
-                             neighborhood, product_body, slab_body, truncated_cylinder,
-                             vertex_polytope)
+                             map_pieces, neighborhood, polar, product_body, select_pieces,
+                             slab_body, truncated_cylinder, vertex_polytope)
 from waistlab.errors import EvaluationError
 from waistlab.estimators import diameter_of_intersection, inclusion_radius
 from waistlab.geometry import haar_rotation
@@ -17,44 +17,70 @@ N = 4
 CFG = OptimizerConfig(restarts=8, iters=200, seed=1)
 
 
-def _fields():
-    """Four fields on the sphere of R^4 whose descents stop at different
-    iterations (165, 90, 136 and 71), the last one infinite on a cap."""
+def _fields(seen=None):
+    """Four fields on the sphere of R^4 as one piece tuple with a leading
+    field axis: field t is the max of |v M_t|_2 and a smooth piece that is
+    0, or inf where (v A_t)_1 > 0.5.  A_t is 0 but for the last field,
+    which is infinite on that cap.  The descents stop at different
+    iterations (170, 92, 136 and 98).  seen, when given, collects the row count of every call
+    of the smooth piece."""
     rng = np.random.default_rng(5)
-    fields = []
-    for t in range(3):
+    M = []
+    for t in range(4):
         B = rng.standard_normal((N, N))
-        A = B @ B.T + 3.0 * t * np.eye(N)
-        fields.append(lambda V, A=A: ((V @ A) * V).sum(axis=1))
-    a = rng.standard_normal(N)
-    fields.append(lambda V: np.where(V[:, 0] > 0.5, np.inf, V @ a))
-    return fields
+        M.append(np.linalg.cholesky(B @ B.T + 3.0 * t * np.eye(N)))
+    A = np.zeros((4, N, N))
+    A[-1] = np.eye(N)
+
+    def cap(Y):
+        if seen is not None:
+            seen.append(len(Y))
+        return np.where(Y[:, 0] > 0.5, np.inf, 0.0)
+
+    return (Piece("l2", np.stack(M)), Piece("smooth", A, cap))
 
 
-def _batched(fields):
-    def f(idx, V):
-        return np.stack([fields[t](V[j]) for j, t in enumerate(idx)])
-
-    return f
+def _field(t):
+    return select_pieces(_fields(), t)
 
 
 def _assert_same(res, solo):
     assert res.value == solo.value
     assert np.array_equal(res.direction, solo.direction)
     assert res.nfev == solo.nfev
+    assert res.stage == solo.stage
 
 
 @pytest.mark.parametrize("polish", [False, True])
 def test_batch_equals_solo_bit_for_bit(polish):
     cfg = OptimizerConfig(restarts=CFG.restarts, iters=CFG.iters, seed=CFG.seed,
                           polish=polish)
-    fields = _fields()
-    with np.errstate(invalid="ignore"):
-        solo = [minimize_on_sphere(f, N, cfg) for f in fields]
-        batch = minimize_on_sphere_batch(_batched(fields), N, len(fields), cfg)
-    assert len({r.nfev for r in solo}) == len(fields)  # stopped at different iterations
+    solo = [minimize_on_sphere(_field(t), N, cfg) for t in range(4)]
+    batch = minimize_on_sphere_batch(_fields(), N, 4, cfg)
+    assert len({r.nfev for r in solo}) == 4  # stopped at different iterations
     for res, one in zip(batch, solo):
         _assert_same(res, one)
+
+
+def test_stacked_pieces_of_every_kind_equal_solo_runs():
+    # K's facet rows are shared by the fields; L's l1, l2, sum and smooth
+    # (bisection) gauge pieces are mapped by a stack of rotations
+    K = cube(3, 0.8)
+    sums = polar(product_body(ball(2, 0.7), cube(1, 0.5)))  # gauge: a sum of l2 and l1 parts
+    L = intersect(intersect(cross_polytope(3, 1.3), ellipsoid([1.0, 1.4, 0.8])),
+                  intersect(sums, neighborhood(cube(3, 0.5), 0.3)))
+    assert [p.kind for p in K.gauge_pieces + L.gauge_pieces] == \
+        ["linear", "l1", "l2", "sum", "smooth"]
+    rotations = [haar_rotation(3, seed=s).matrix for s in range(4)]
+    cfg = OptimizerConfig(restarts=6, iters=60, seed=2)
+    stacked = K.gauge_pieces + map_pieces(L.gauge_pieces, np.stack(rotations))
+    batch = minimize_on_sphere_batch(stacked, 3, len(rotations), cfg)
+    assert {res.stage for res in batch} == {"descent", "polish"}
+    for res, U in zip(batch, rotations):
+        _assert_same(res, minimize_on_sphere(K.gauge_pieces + map_pieces(L.gauge_pieces, U),
+                                             3, cfg))
+        u = res.direction
+        assert res.value == pytest.approx(max(K.gauge(u), L.gauge(u @ U)), rel=1e-15, abs=0)
 
 
 def test_infinite_difference_sides_warn_nothing():
@@ -62,17 +88,15 @@ def test_infinite_difference_sides_warn_nothing():
     # those components are zero, with no inf - inf and no NaN candidate
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        res = minimize_on_sphere(_fields()[-1], N, CFG)
+        res = minimize_on_sphere(_field(3), N, CFG)
     assert np.isfinite(res.value) and np.all(np.isfinite(res.direction))
 
 
 def test_batch_results_do_not_depend_on_chunking(monkeypatch):
-    fields = _fields()
-    with np.errstate(invalid="ignore"):
-        whole = minimize_on_sphere_batch(_batched(fields), N, len(fields), CFG)
-        m = CFG.restarts
-        monkeypatch.setattr(optimize, "BATCH_ROWS", 3 * m * N)  # chunks of 3 and 1
-        chunked = minimize_on_sphere_batch(_batched(fields), N, len(fields), CFG)
+    whole = minimize_on_sphere_batch(_fields(), N, 4, CFG)
+    m = CFG.restarts
+    monkeypatch.setattr(optimize, "BATCH_ROWS", 3 * m * N)  # chunks of 3 and 1
+    chunked = minimize_on_sphere_batch(_fields(), N, 4, CFG)
     for res, one in zip(chunked, whole):
         _assert_same(res, one)
 
@@ -80,19 +104,12 @@ def test_batch_results_do_not_depend_on_chunking(monkeypatch):
 def test_batch_call_never_exceeds_row_cap(monkeypatch):
     monkeypatch.setattr(optimize, "BATCH_ROWS", 2 * CFG.restarts * N)
     seen = []
-    fields = _fields()[:3]
-
-    def f(idx, V):
-        seen.append(V.shape[0] * V.shape[1])
-        return _batched(fields)(idx, V)
-
-    minimize_on_sphere_batch(f, N, len(fields), CFG)
-    assert max(seen) <= optimize.BATCH_ROWS
+    minimize_on_sphere_batch(_fields(seen), N, 4, CFG)
+    assert max(seen) == optimize.BATCH_ROWS
 
 
 def test_polish_counts_unconverged_solves(monkeypatch):
-    fields = _fields()[:1]
-    res = minimize_on_sphere(fields[0], N, CFG)
+    res = minimize_on_sphere(_field(0), N, CFG)
     assert res.polish_unconverged == 0
     real = optimize._scipy_minimize
     solves = []
@@ -104,11 +121,11 @@ def test_polish_counts_unconverged_solves(monkeypatch):
         return out
 
     monkeypatch.setattr(optimize, "_scipy_minimize", capped)
-    res = minimize_on_sphere(fields[0], N, CFG)
+    res = minimize_on_sphere(_field(0), N, CFG)
     assert len(solves) > 1
     assert res.polish_unconverged == len(solves)
     no_polish = OptimizerConfig(restarts=8, iters=200, seed=1, polish=False)
-    assert minimize_on_sphere(fields[0], N, no_polish).polish_unconverged == 0
+    assert minimize_on_sphere(_field(0), N, no_polish).polish_unconverged == 0
 
 
 def _count_polish_solves(monkeypatch):
@@ -191,7 +208,7 @@ def test_flat_polyhedral_rows_fall_back_to_the_optimizer():
     L = slab_body([[1.0, 1.0, 0.0]], [1.0])
     both = intersect(K, L)
     assert len(optimize._polyhedral_rows(both.gauge_pieces, 3)) == 6
-    res = minimize_on_sphere(both.gauge, 3, CFG, pieces=both.gauge_pieces)
+    res = minimize_on_sphere(both.gauge_pieces, 3, CFG)
     assert res.stage != "exact" and res.value <= 1e-12
     d = diameter_of_intersection(K, L, np.eye(3), CFG)
     assert d.diameter == np.inf and d.note == "unbounded direction found"
@@ -199,13 +216,13 @@ def test_flat_polyhedral_rows_fall_back_to_the_optimizer():
 
 def test_polish_nit_counts_slsqp_iterations():
     K = truncated_cylinder(ball(2, 0.5), 4, truncation_radius=1e6)
-    res = minimize_on_sphere(K.gauge, 4, CFG, pieces=K.gauge_pieces)
+    res = minimize_on_sphere(K.gauge_pieces, 4, CFG)
     assert res.stage != "exact" and res.polish_nit > 0
     no_polish = OptimizerConfig(restarts=8, iters=200, seed=1, polish=False)
-    res = minimize_on_sphere(K.gauge, 4, no_polish, pieces=K.gauge_pieces)
+    res = minimize_on_sphere(K.gauge_pieces, 4, no_polish)
     assert (res.stage, res.polish_nit) == ("descent", 0)
     C = cube(4, 1.0)
-    res = minimize_on_sphere(C.gauge, 4, CFG, pieces=C.gauge_pieces)
+    res = minimize_on_sphere(C.gauge_pieces, 4, CFG)
     assert (res.stage, res.polish_nit, res.polish_unconverged) == ("exact", 0, 0)
     assert res.value == pytest.approx(0.5, rel=1e-15)  # the corner direction
     assert res.nfev == len(optimize._polyhedral_rows(C.gauge_pieces, 4)) + 1
