@@ -22,8 +22,8 @@ def _fields(seen=None):
     field axis: field t is the max of |v M_t|_2 and a smooth piece that is
     0, or inf where (v A_t)_1 > 0.5.  A_t is 0 but for the last field,
     which is infinite on that cap.  The descents stop at different
-    iterations (170, 92, 136 and 98).  seen, when given, collects the row count of every call
-    of the smooth piece."""
+    iterations (170, 92, 136 and 98).  seen, when given, collects the row
+    count of every call of the smooth piece."""
     rng = np.random.default_rng(5)
     M = []
     for t in range(4):
