@@ -13,8 +13,11 @@ direction, so they are certified one-sided bounds: lower bounds for the
 max-type problems (diameters), upper bounds for the min-type problems
 (inclusion radii).  Two-sided brackets are available on request through
 a certified net and the bodies' radius-derived Lipschitz bounds.
-A value from the optimizer's exact stage (polyhedral fields, the
-0-sphere) is the extremum itself to rounding, and its brackets equal it.
+A value from the optimizer's exact stage (polyhedral fields, maxima of
+Euclidean norms that the S-lemma dual certifies, the 0-sphere) is the
+extremum itself to rounding, and its brackets equal it.  A maximum of
+Euclidean norms that the dual does not certify still gets a bracket
+from the dual's bound, which a requested net may tighten.
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import ball_points, bernoulli_se, rng_from, sphere_points
-from .bodies import Body, Piece, _max_of, map_pieces, orthogonal_matrix, select_pieces
+from .bodies import (Body, Piece, _check_dims, _max_of, map_pieces, orthogonal_matrix,
+                     select_pieces)
 from .errors import DomainError, EvaluationError
 from .geometry import Subspace, build_net
-from .optimize import DEFAULT_OPT, OptimizerConfig, minimize_on_sphere_batch
+from .optimize import DEFAULT_OPT, OptimizerConfig, _l2_max, minimize_on_sphere_batch
 from .optimize import minimize_on_sphere  # noqa: F401  (perfbench/test_perfbench.py reads it here)
 
 __all__ = [
@@ -173,8 +177,11 @@ def diameters_of_intersection(K: Body, L: Body, rotations, opt: OptimizerConfig 
     return _diameters(K, L, list(rotations), opt, None)
 
 
-def _exact_note(n):
-    return "exact (convex hull)" if n > 1 else "exact (both points of the 0-sphere)"
+def _exact_note(n, pieces):
+    """How the optimizer's exact stage answered a field of these pieces."""
+    if n == 1:
+        return "exact (both points of the 0-sphere)"
+    return "exact (S-lemma dual)" if _l2_max(pieces) else "exact (convex hull)"
 
 
 def _rotation_stack(L, rotations):
@@ -184,6 +191,7 @@ def _rotation_stack(L, rotations):
 
 
 def _diameters(K, L, rotations, opt, bracket_delta):
+    _check_dims(K, L)
     if not (K.symmetric and L.symmetric):
         raise DomainError("intersection diameter requires symmetric bodies")
     if not rotations:
@@ -204,14 +212,17 @@ def _diameters(K, L, rotations, opt, bracket_delta):
         note = "lower bound (attained direction)"
         upper = None
         if res.stage == "exact":
-            note, upper = _exact_note(n), diameter
-        elif bracket_delta is not None and K.inner_radius > 0 and L.inner_radius > 0:
+            note, upper = _exact_note(n, pieces), diameter
+        elif res.lower:  # a positive dual bound on the gauge
+            note, upper = "two-sided via S-lemma dual", 2.0 / res.lower
+        if (res.stage != "exact" and bracket_delta is not None
+                and K.inner_radius > 0 and L.inner_radius > 0):
             net = build_net(n, bracket_delta, seed=opt.seed)
             gnet = float(_max_of(select_pieces(pieces, t), net.points).min())
             lip = 1.0 / min(K.inner_radius, L.inner_radius)
             chord = 2.0 * math.sin(net.delta / 2.0)
             floor = gnet - lip * chord
-            if floor > 0:
+            if floor > 0 and (upper is None or 2.0 / floor < upper):
                 upper = 2.0 / floor
                 note = f"two-sided via net (delta={net.delta:.4g}, N={net.cardinality})"
         if truncated and diameter >= 0.5 * min(K.outer_radius, L.outer_radius):
@@ -242,6 +253,7 @@ def inclusion_radii(K: Body, L: Body, rotations, opt: OptimizerConfig = DEFAULT_
 
 
 def _inclusion_radii(K, L, rotations, opt, combine, bracket_delta):
+    _check_dims(K, L)
     if combine not in ("sum", "max"):
         raise DomainError(f"combine must be 'sum' or 'max', got {combine!r}")
     if not rotations:
@@ -259,14 +271,18 @@ def _inclusion_radii(K, L, rotations, opt, combine, bracket_delta):
         note = "upper bound on the minimum (attained direction)"
         lower = None
         if res.stage == "exact":
-            note, lower = _exact_note(n), res.value
-        elif (bracket_delta is not None and math.isfinite(K.outer_radius)
-                and math.isfinite(L.outer_radius)):
+            note, lower = _exact_note(n, pieces), res.value
+        elif res.lower is not None:
+            note, lower = "two-sided via S-lemma dual", res.lower
+        if (res.stage != "exact" and bracket_delta is not None
+                and math.isfinite(K.outer_radius) and math.isfinite(L.outer_radius)):
             net = build_net(n, bracket_delta, seed=opt.seed)
             vnet = float(_max_of(select_pieces(pieces, t), net.points).min())
             lip = K.outer_radius + L.outer_radius
-            lower = vnet - lip * 2.0 * math.sin(net.delta / 2.0)
-            note = f"two-sided via net (delta={net.delta:.4g}, N={net.cardinality})"
+            floor = vnet - lip * 2.0 * math.sin(net.delta / 2.0)
+            if lower is None or floor > lower:
+                lower = floor
+                note = f"two-sided via net (delta={net.delta:.4g}, N={net.cardinality})"
         out.append(InclusionResult(res.value, res.direction, note, combine, lower))
     return out
 

@@ -13,13 +13,15 @@ explicit feasible direction, so for maximization problems the result is
 a certified bound from the feasible side.
 
 How many endpoints are polished depends on the pieces.  A field made
-only of l2 pieces (and sums of l2-only parts) is polished from its best
-endpoint alone: that one solve gave the value of POLISH_STARTS solves to
-3.1e-14 relative on the 600 cylinder fields of the acceptance criterion
-10b, and to 4e-16 on the 1500 flat-disk inclusion fields of criterion 9.
-A field with any linear, l1 or smooth piece keeps POLISH_STARTS starts,
-since facet fields are multimodal: cube against cross-polytope at n = 3
-loses up to 5.5e-3 from one start.  The rule is measured, not proved.
+only of l2 pieces and sums of l2-only parts is polished from its best
+endpoint alone.  Such fields reach the polish when they are sums, or
+maxima that the S-lemma stage below does not certify.  On the 1500
+flat-disk inclusion fields of the acceptance criterion 9, which are
+sums, one solve gave the value of POLISH_STARTS solves to 4e-16
+relative.  A field with any linear, l1 or smooth piece keeps
+POLISH_STARTS starts, since facet fields are multimodal: cube against
+cross-polytope at n = 3 loses up to 5.5e-3 from one start.  The rule is
+measured, not proved.
 
 The same program with |u|^2 <= 1 and the objective t - <x, u> is the dual
 of the Euclidean distance to a convex body with support max(pieces):
@@ -27,12 +29,29 @@ dist(x, C) = max over |u| <= 1 of <x, u> - h_C(u) (Rockafellar, Convex
 Analysis, 1970, section 16).  nearest_points solves it row by row.
 
 Before any descent, an exact stage answers the fields it can.  On the
-0-sphere (n = 1) it evaluates both points +1 and -1.  A polyhedral field,
-whose every piece is linear, an l1 piece of at most HULL_ROWS sign rows,
-or a sum of such parts, is max_i <P_i, u> = h_conv(P)(u) over the rows P
-it expands to.  When 0 is interior to conv(P), its minimum over the
-sphere is the inradius of conv(P), attained at the normal of the facet
-nearest the origin (Qhull: Barber, Dobkin & Huhdanpaa, ACM TOMS 1996).
+0-sphere (n = 1) it evaluates both points +1 and -1.
+
+A field whose every piece is l2, max_i |u M_i|, is answered by the
+S-lemma dual (see _s_lemma).  With Q_i = M_i M_i^T, the minimum over the
+sphere of the squared field is at least lambda_min(sum_i lambda_i Q_i)
+for every lambda in the simplex.  The stage maximizes that bound over
+the simplex's vertices and edges, and recovers directions from the
+eigenvectors of lambda_min there.  The field is exact when the best
+direction's squared value is within 64 n eps |sum_i lambda_i Q_i|_2 of
+the bound.  For two pieces and n >= 3 the bound has no gap, since the
+joint range of two quadratic forms on that sphere is convex (Brickman,
+Proc. AMS 12, 1961; Polik & Terlaky, SIAM Review 49, 2007).  The
+cylinder, ball, ellipsoid and section fields of the harnesses are of
+this kind.  A field that does not certify descends as any other, and
+its result carries the square root of the bound, less the same
+tolerance, as a certified lower bound on its minimum.
+
+A polyhedral field, whose every piece is linear, an l1 piece of at most
+HULL_ROWS sign rows, or a sum of such parts, is max_i <P_i, u> =
+h_conv(P)(u) over the rows P it expands to.  When 0 is interior to
+conv(P), its minimum over the sphere is the inradius of conv(P),
+attained at the normal of the facet nearest the origin (Qhull: Barber,
+Dobkin & Huhdanpaa, ACM TOMS 1996).
 HULL_ROWS bounds the Qhull cost, which grows with the facet count: the
 320-row Minkowski-sum field of a 5-cube and a rotated 5-cross-polytope
 (about 4800 facets) takes about 33 ms, every other field of the
@@ -41,13 +60,19 @@ than that on the same fields: the benchmark's n = 5 cube/cross jobs ran
 faster with 512 rows than with 256, which sends that field to the
 optimizer.  Fields with other pieces, more rows, rows of affine rank
 below n, or the origin on or outside the hull go on to the descent.
+
+Every stage reports the field's value at its direction evaluated alone,
+since a row's value in a batched evaluation can differ in its last
+digits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.optimize import minimize as _scipy_minimize
 
 from ._util import rng_from, sphere_points
@@ -84,6 +109,7 @@ class SphereOptResult:
     polish_unconverged: int = 0  # epigraph solves SLSQP ended without success
     stage: str = "descent"       # "exact", "descent" or "polish": what produced the value
     polish_nit: int = 0          # SLSQP iterations over the field's epigraph solves
+    lower: float | None = None   # certified lower bound on the minimum: the value when exact
 
 
 def spread_directions(n: int, count: int, seed=0) -> np.ndarray:
@@ -140,7 +166,8 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
 
     A field the exact stage answers (see the module docstring) is not
     descended; its nfev counts the rows its pieces expand to (the two
-    points on the 0-sphere) and the evaluation at its direction.  Every
+    points on the 0-sphere, the S-lemma stage's candidate directions) and
+    the evaluation at its direction, and its lower is its value.  Every
     other field starts from the same spread directions (and extra_starts)
     and runs projected descent with central-difference gradients.  A
     field stops once all its step sizes fall below 1e-12 and is no longer
@@ -154,9 +181,13 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
     a piece gradient was evaluated; polish_unconverged counts the solves
     that SLSQP ended without success and polish_nit their SLSQP
     iterations.  stage names what produced the value: "exact", "descent",
-    or "polish" when a polished point improved on the descent.
+    or "polish" when a polished point improved on the descent.  A max of
+    l2 pieces that the S-lemma stage does not certify also counts that
+    stage's candidates in nfev, and carries its bound in lower; every
+    other descended field has lower None.
     """
-    results = [_exact(select_pieces(pieces, t), n) for t in range(count)]
+    first = [_exact(select_pieces(pieces, t), n) for t in range(count)]
+    results = [res if res is not None and res.stage == "exact" else None for res in first]
     left = np.array([t for t, res in enumerate(results) if res is None], dtype=int)
     if not left.size:
         return results
@@ -169,18 +200,26 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
         idx = left[lo:lo + per_call]
         U, vals, nfev = _descend(pieces, idx, U0, cfg)
         for j, t in enumerate(idx):
-            results[t] = _finish(select_pieces(pieces, t), U[j], vals[j], int(nfev[j]), cfg)
+            res = _finish(select_pieces(pieces, t), U[j], vals[j], int(nfev[j]), cfg)
+            if first[t] is not None:  # a dual bound that did not certify
+                res.lower, res.nfev = first[t].lower, res.nfev + first[t].nfev
+            results[t] = res
     return results
 
 
 def _exact(pieces, n):
-    """The minimum of the field over the sphere when the exact stage
-    applies (see the module docstring), else None."""
+    """The exact result of the field when the exact stage answers it (see
+    the module docstring), else None.  A max of l2 pieces gets a result
+    from the S-lemma stage whose stage is "bound" when the dual does not
+    certify it: only its lower and its nfev carry over to the descent."""
     if n == 1:
         V = np.array([[1.0], [-1.0]])
         vals = _finite_values(pieces, V)
         i = int(np.argmin(vals))
-        return SphereOptResult(value=float(vals[i]), direction=V[i], nfev=2, stage="exact")
+        return SphereOptResult(value=float(vals[i]), direction=V[i], nfev=2, stage="exact",
+                               lower=float(vals[i]))
+    if _l2_max(pieces):
+        return _s_lemma(pieces, n)
     P = _polyhedral_rows(pieces, n)
     if P is None or np.linalg.matrix_rank(P[1:] - P[0]) < n:
         return None
@@ -193,7 +232,124 @@ def _exact(pieces, n):
         return None
     u = equations[int(np.argmax(equations[:, -1])), :-1]
     value = float(_finite_values(pieces, u[None])[0])
-    return SphereOptResult(value=value, direction=u, nfev=len(P) + 1, stage="exact")
+    return SphereOptResult(value=value, direction=u, nfev=len(P) + 1, stage="exact",
+                           lower=value)
+
+
+def _l2_max(pieces):
+    """Whether every piece is l2: the fields of the S-lemma stage."""
+    return all(p.kind == "l2" for p in pieces)
+
+
+def _s_lemma(pieces, n):
+    """The S-lemma dual stage of the field max_i |u M_i|, Q_i = M_i M_i^T.
+
+    For every lambda in the simplex, min over the sphere of the squared
+    field is at least phi(lambda) = lambda_min(S), S = sum_i lambda_i Q_i,
+    and phi is concave.  It is searched at the vertices of the simplex and
+    on its edges.  On an edge (a, b), brentq finds the sign change of the
+    slope |v M_b|^2 - |v M_a|^2 at the eigenvector v of lambda_min, with
+    the edge parametrized by S ~ (1 - t) Q_a / |Q_a| + t Q_b / |Q_b| so
+    that t resolves pieces of any scale.  An edge is skipped when Weyl's
+    bound on phi along it, min(max(lambda_min(Q_a), lambda_max(Q_b)),
+    max(lambda_max(Q_a), lambda_min(Q_b))), does not beat the best value
+    so far.
+
+    Every point searched whose phi is within tol of the best gives
+    candidate directions: the first eigenvector of lambda_min; at a
+    vertex a whose eigenspace is degenerate, the vector of that space with
+    the least q_b = |u M_b|^2, for each other piece b; on an edge, the
+    vectors on which q_a = q_b, between the two lowest eigenvectors (brentq
+    resolves the edge only to rounding) and, when the eigenspace V is
+    degenerate, between the extreme eigenvectors of V^T (Q_a - Q_b) V.
+    With phi the best value and tol = 64 n eps |S|_2 there, which covers
+    eigh's rounding, the field is exact when its least candidate value f
+    has f^2 - phi <= tol.  A field that does not certify carries
+    sqrt(max(phi - tol, 0)) as a certified lower bound on its minimum.
+    Two pieces certify for n >= 3, since the joint range of two quadratic
+    forms on that sphere is convex (Brickman, Proc. AMS 12, 1961); three
+    or more can leave a gap.  None when a matrix is not finite.
+    """
+    M = [p.matrix for p in pieces]
+    Q = np.stack([Mi @ Mi.T for Mi in M])
+    if not np.all(np.isfinite(Q)):
+        return None
+    eps, k = np.finfo(float).eps, len(Q)
+    w, V = np.linalg.eigh(Q)
+    points = [(w[a], V[a], (a,)) for a in range(k)]  # eigenpairs of S, pieces of its face
+    phi = w[:, 0].max()
+    caps = sorted(((min(max(w[a, 0], w[b, -1]), max(w[a, -1], w[b, 0])), a, b)
+                   for a in range(k) for b in range(a + 1, k)), reverse=True)
+    for cap, a, b in caps:
+        if cap <= phi:  # also every edge of a zero piece, so |Q_a|, |Q_b| > 0 below
+            break
+        Qa, Qb = Q[a] / w[a, -1], Q[b] / w[b, -1]
+
+        def slope(t, Qa=Qa, Qb=Qb, Ma=M[a], Mb=M[b]):
+            v = np.linalg.eigh((1.0 - t) * Qa + t * Qb)[1][:, 0]
+            return np.sum((v @ Mb) ** 2) - np.sum((v @ Ma) ** 2)
+
+        # phi is concave along the edge: a slope pointing out of it at an
+        # end leaves that end's vertex as the edge's maximum
+        if slope(0.0) <= 0.0 or slope(1.0) >= 0.0:
+            continue
+        t = brentq(slope, 0.0, 1.0, xtol=eps, rtol=4 * eps, disp=False)
+        wS, VS = np.linalg.eigh((1.0 - t) * Qa + t * Qb)
+        points.append((wS / ((1.0 - t) / w[a, -1] + t / w[b, -1]), VS, (a, b)))
+        phi = max(phi, points[-1][0][0])
+    tol = 64 * n * eps * max(points, key=lambda point: point[0][0])[0][-1]
+    cands = []
+    for wS, VS, face in points:
+        if wS[0] < phi - tol:  # a bound below the best gives no minimizer
+            continue
+        E = VS[:, wS <= wS[0] + 64 * n * eps * wS[-1]]  # the eigenspace of lambda_min
+        cands.append(E[:, 0])
+        if len(face) == 1:
+            if E.shape[1] > 1:
+                cands += [E @ np.linalg.eigh(_gram(E, M[b]))[1][:, 0]
+                          for b in range(k) if b != face[0]]
+            continue
+        # where the edge's pieces tie: between the extreme eigenvectors of
+        # V^T (Q_a - Q_b) V on the eigenspace, and between the two lowest
+        # eigenvectors, since brentq resolves the edge only to rounding
+        bases = [VS[:, :2]]
+        if E.shape[1] > 1:
+            X = np.linalg.eigh(_gram(E, M[face[0]]) - _gram(E, M[face[1]]))[1]
+            bases.append(E @ X[:, [0, -1]])
+        for B in bases:
+            cands += list(_ties(_gram(B, M[face[0]]) - _gram(B, M[face[1]])) @ B.T)
+    # one row at a time, as every stage reports its value: a row's value in
+    # a batch can differ in its last digits
+    C = _normalize_rows(np.array(cands))
+    vals = [float(_finite_values(pieces, u[None])[0]) for u in C]
+    i = int(np.argmin(vals))
+    u, value = C[i], vals[i]
+    exact = value * value - phi <= tol
+    return SphereOptResult(value=value, direction=u, nfev=len(C),
+                           stage="exact" if exact else "bound",
+                           lower=value if exact else math.sqrt(max(phi - tol, 0.0)))
+
+
+def _gram(B, M):
+    """B^T M M^T B: the quadratic form of the l2 piece of M on the columns of B."""
+    Y = B.T @ M
+    return Y @ Y.T
+
+
+def _ties(W):
+    """The unit 2-vectors x with x^T W x = 0 for a symmetric 2 x 2 W, or,
+    when W is definite, its eigenvector of eigenvalue nearest 0."""
+    a, b, d = W[0, 0], W[0, 1], W[1, 1]
+    disc = b * b - a * d
+    if disc < 0.0:
+        mu, X = np.linalg.eigh(W)
+        return X[:, [int(np.argmin(np.abs(mu)))]].T
+    # the roots of a + 2 b r + d r^2 are r = a / q and q / d, without cancellation
+    q = -(b + math.copysign(math.sqrt(disc), b))
+    if q == 0.0:  # b = 0 and a d = 0: a basis vector ties
+        return np.eye(2)[[0 if a == 0.0 else 1]]
+    X = np.array([[q, a], [d, q]])
+    return X / np.linalg.norm(X, axis=1)[:, None]
 
 
 def _polyhedral_rows(pieces, n):
@@ -299,7 +455,9 @@ def _finish(pieces, U, vals, nfev, cfg):
                 best_u, best_v, stage = cand[j], float(cv[j]), "polish"
         nfev += program.rows
         unconverged, nit = program.unconverged, program.nit
-    return SphereOptResult(value=best_v, direction=best_u, nfev=nfev,
+    # the value is the field at the direction alone, as every stage reports it
+    value = float(_finite_values(pieces, best_u[None])[0])
+    return SphereOptResult(value=value, direction=best_u, nfev=nfev + 1,
                            polish_unconverged=unconverged, stage=stage, polish_nit=nit)
 
 

@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import waistlab
 from waistlab.cli import build_parser, emit_plot_data, load_config, main, run_experiment_config
 from waistlab.errors import ConfigError
 
@@ -194,6 +199,41 @@ def test_experiment_byte_identical_reruns(capsys, tmp_path):
     report = json.loads((tmp_path / "a" / "report.json").read_text())
     assert report["seed"] == 7
     assert len(report["trials"]) == 3
+
+
+CYLINDER8 = {
+    "experiment": "two-bodies", "n": 8, "k": 4, "trials": 3, "a_frac": 0.25,
+    "K": {"kind": "truncated_cylinder", "core": {"kind": "ball", "dim": 4, "radius": 0.5},
+          "dim": 8, "truncation_radius": 1e6},
+    "L": {"kind": "product", "first": {"kind": "ball", "dim": 1, "radius": 1e6},
+          "second": {"kind": "ball", "dim": 7, "radius": 0.5}},
+    "section_L": {"k": 7, "offset": 1},
+    "optimizer": {"restarts": 16, "iters": 60, "seed": 0},
+}
+
+
+def test_experiment_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # every field of this config, the section diameters' included, is a max
+    # of Euclidean norms that the optimizer's S-lemma stage answers exactly
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(CYLINDER8))
+    src = str(Path(waistlab.__file__).resolve().parents[1])
+    reports, tables = [], []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-c",
+                        "import sys; from waistlab.cli import main; sys.exit(main(sys.argv[1:]))",
+                        "experiment", "two-bodies", "--config", str(path), "--seed", "11",
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+        report = json.loads((out / "report.json").read_text())
+        report.pop("wall_time_s")
+        reports.append(report)
+        tables.append((out / "trials.csv").read_bytes())
+    assert tables[0] == tables[1]
+    assert reports[0] == reports[1]
 
 
 def test_experiment_name_mismatch(capsys, tmp_path):

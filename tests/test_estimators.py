@@ -5,7 +5,7 @@ import pytest
 
 from waistlab import optimize
 from waistlab._util import sphere_points
-from waistlab.bodies import (ball, cross_polytope, cube, ellipsoid, linear_image,
+from waistlab.bodies import (Body, Piece, ball, cross_polytope, cube, ellipsoid, linear_image,
                              polar, product_body, slab_body,
                              truncated_cylinder, unit_ball_volume, vertex_polytope)
 from waistlab.errors import DomainError
@@ -320,6 +320,19 @@ def test_estimators_reject_non_orthogonal_rotations(bad, opt_small):
             call()
 
 
+@pytest.mark.parametrize("K, L", [(cube(3, 1.0), cube(2, 1.0)),
+                                  (ball(3, 1.0), ellipsoid([1.0, 2.0]))],
+                         ids=["polyhedral", "l2"])
+def test_two_body_estimators_reject_mismatched_dimensions(K, L, opt_small):
+    U = np.eye(L.dim)
+    calls = [lambda: diameter_of_intersection(K, L, U, opt=opt_small),
+             lambda: inclusion_radius(K, L, U, opt=opt_small),
+             lambda: inclusion_radii(K, L, [U], opt=opt_small, combine="max")]
+    for call in calls:
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            call()
+
+
 def test_section_batch_requires_one_dimension(opt_small):
     with pytest.raises(DomainError):
         section_diameters(ball(3, 1.0), [Subspace.canonical(3, 1), Subspace.canonical(3, 2)],
@@ -395,3 +408,48 @@ def test_one_dimensional_sections_are_exact(opt_small):
     d = diameter_of_intersection(cube(1, 1.0), ball(1, 0.5), np.eye(1), opt=opt_small)
     assert (d.diameter, d.upper_bracket) == (1.0, 1.0)
     assert d.note == "exact (both points of the 0-sphere)"
+
+
+# ---------------------------------------------------------------------------
+# the exact stage: maxima of Euclidean norms by the S-lemma dual
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_s_lemma_values_bound_the_optimizer(n, monkeypatch):
+    # the cylinder pairs of acceptance criterion 10b; past the exact stage,
+    # the descent and its polish never find a smaller gauge than the dual
+    k = n // 2
+    m2 = max(1, math.ceil(0.25 * k))
+    K = truncated_cylinder(ball(k, 0.5), n, truncation_radius=1e6)
+    L = product_body(ball(m2, 1e6), ball(n - m2, 0.5))
+    opt = OptimizerConfig(restarts=16, iters=60, seed=0)
+    rotations = [haar_rotation(n, seed=1000 * n + s) for s in range(8)]
+    exact = diameters_of_intersection(K, L, rotations, opt=opt)
+    monkeypatch.setattr(optimize, "_s_lemma", lambda pieces, n: None)
+    found = diameters_of_intersection(K, L, rotations, opt=opt)
+    for d, od in zip(exact, found):
+        assert d.note == "exact (S-lemma dual)" and od.note.startswith("lower bound")
+        assert d.certified_lower == d.upper_bracket == d.diameter
+        assert od.diameter <= d.diameter * (1.0 + 1e-14)
+
+
+def test_uncertified_euclidean_fields_carry_the_dual_bracket(opt_small):
+    # |<x, a_i>| for three unit a_i 60 degrees apart, as rank-one Euclidean
+    # norms: the gauges cut out the hexagon of inradius 1 and the supports
+    # are those of its three diagonals.  Both fields have the minimum
+    # sqrt(3)/2, and the dual's edges reach only phi = 1/4
+    a = [np.array([[math.cos(t)], [math.sin(t)]]) for t in np.radians([0.0, 60.0, 120.0])]
+    K = Body(2, gauge=(Piece("l2", a[0]), Piece("l2", a[1])),
+             support=(Piece("l2", a[0]), Piece("l2", a[1])),
+             inner_radius=1.0, outer_radius=2.0, symmetric=True)
+    L = Body(2, gauge=(Piece("l2", a[2]),), support=(Piece("l2", a[2]),),
+             inner_radius=1.0, outer_radius=math.inf, symmetric=True)
+    d = diameter_of_intersection(K, L, np.eye(2), opt=opt_small)
+    assert d.note == "two-sided via S-lemma dual"
+    assert d.diameter == pytest.approx(4.0 / math.sqrt(3.0), rel=1e-12)
+    assert d.upper_bracket == pytest.approx(4.0, rel=1e-12) and d.upper_bracket >= d.diameter
+    r = inclusion_radius(K, L, np.eye(2), opt=opt_small, combine="max")
+    assert r.note == "two-sided via S-lemma dual"
+    assert r.value == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-12)
+    assert r.lower_bracket == pytest.approx(0.5, rel=1e-12)

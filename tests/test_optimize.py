@@ -40,6 +40,16 @@ def _fields(seen=None):
     return (Piece("l2", np.stack(M)), Piece("smooth", A, cap))
 
 
+ZERO = Piece("smooth", value=lambda V: np.zeros(len(V)))  # leaves any field as it is
+
+
+def _hexagon():
+    """max_i |<u, a_i>| for three unit a_i 60 degrees apart, whose minimum
+    over the circle is sqrt(3)/2 at the hexagon's vertex directions."""
+    angles = np.radians([0.0, 60.0, 120.0])
+    return tuple(Piece("l2", np.array([[np.cos(t)], [np.sin(t)]])) for t in angles)
+
+
 def _field(t):
     return select_pieces(_fields(), t)
 
@@ -152,9 +162,13 @@ def test_l2_only_pieces():
 def test_l2_only_fields_polish_one_start(monkeypatch):
     solves = _count_polish_solves(monkeypatch)
     cfg = OptimizerConfig(restarts=16, iters=60, seed=0)
+    # a cylinder field is a max of Euclidean norms, which the S-lemma dual
+    # answers without a solve; one it does not certify polishes once
     K = truncated_cylinder(ball(4, 0.5), 8, truncation_radius=1e6)
     L = product_body(ball(1, 1e6), ball(7, 0.5))
-    diameter_of_intersection(K, L, haar_rotation(8, seed=3), cfg)
+    res = diameter_of_intersection(K, L, haar_rotation(8, seed=3), cfg)
+    assert not solves and res.note == "exact (S-lemma dual)"
+    assert minimize_on_sphere(_hexagon(), 2, cfg).stage != "exact"
     assert len(solves) == 1
     solves.clear()
     flat = product_body(ball(5, 1.0), ball(1, 0.0))
@@ -177,6 +191,31 @@ def test_polyhedral_fields_keep_every_polish_start(monkeypatch):
     recorded = float.fromhex("0x1.2e176daf5c485p+1")
     assert res.diameter == pytest.approx(recorded, rel=1e-14, abs=0)
     assert res.diameter >= recorded * (1.0 - 4 * np.finfo(float).eps)
+
+
+def test_hexagon_field_descends_and_carries_the_dual_bound(monkeypatch):
+    # phi is 1/4 at the middle of every edge of the simplex and 1/2 at its
+    # centre, while the squared field's minimum is 3/4: a gap
+    res = minimize_on_sphere(_hexagon(), 2, CFG)
+    monkeypatch.setattr(optimize, "_s_lemma", lambda pieces, n: None)
+    alone = minimize_on_sphere(_hexagon(), 2, CFG)
+    assert res.stage in ("descent", "polish") and res.stage == alone.stage
+    assert res.value == alone.value and np.array_equal(res.direction, alone.direction)
+    assert res.nfev > alone.nfev and alone.lower is None
+    assert 0.0 < res.lower <= np.sqrt(3.0) / 2.0
+    assert res.lower == pytest.approx(0.5, rel=1e-12)
+
+
+def test_mixed_fields_never_reach_the_s_lemma(monkeypatch):
+    def refuse(pieces, n):
+        raise AssertionError("the S-lemma stage saw a field with other pieces")
+
+    monkeypatch.setattr(optimize, "_s_lemma", refuse)
+    E = ellipsoid([1.0, 1.4, 0.8])
+    flat = product_body(ball(2, 1.0), ball(1, 0.0))  # support: a sum of l2 parts
+    for pieces in (E.gauge_pieces + cube(3, 0.9).gauge_pieces, E.gauge_pieces + (ZERO,),
+                   flat.support_pieces):
+        assert minimize_on_sphere(pieces, 3, CFG).lower is None
 
 
 def test_zero_sphere_field_takes_the_better_point():
@@ -216,10 +255,12 @@ def test_flat_polyhedral_rows_fall_back_to_the_optimizer():
 
 def test_polish_nit_counts_slsqp_iterations():
     K = truncated_cylinder(ball(2, 0.5), 4, truncation_radius=1e6)
-    res = minimize_on_sphere(K.gauge_pieces, 4, CFG)
+    assert minimize_on_sphere(K.gauge_pieces, 4, CFG).stage == "exact"
+    pieces = K.gauge_pieces + (ZERO,)  # the same field, past the exact stage
+    res = minimize_on_sphere(pieces, 4, CFG)
     assert res.stage != "exact" and res.polish_nit > 0
     no_polish = OptimizerConfig(restarts=8, iters=200, seed=1, polish=False)
-    res = minimize_on_sphere(K.gauge_pieces, 4, no_polish)
+    res = minimize_on_sphere(pieces, 4, no_polish)
     assert (res.stage, res.polish_nit) == ("descent", 0)
     C = cube(4, 1.0)
     res = minimize_on_sphere(C.gauge_pieces, 4, CFG)
