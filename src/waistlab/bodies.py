@@ -20,12 +20,14 @@ closed-form pieces.  Combinators (intersection, Minkowski sum,
 neighborhood, similarity image, polar, difference body) compose pieces:
 an intersection joins the gauge pieces, a sum adds the support maxima,
 a product zero-pads its blocks' pieces, an image maps them and a polar
-swaps them.  Where no closed form exists, projection and distance fall
-back to programs built on the bodies' own oracles: cyclic corrected
-projections for intersections (iteration cap 10^4, which raises), and the
-dual distance program of optimize.nearest_points for every other body with
-support pieces.  An intersection has no support evaluator: the minimum of
-the two supports is only an upper bound.
+swaps them.  Every sum is built by sum_pieces, which drops its zero
+parts, so a flat disk's support is one Euclidean norm.  Where no closed
+form exists, projection and distance fall back to programs built on the
+bodies' own oracles: cyclic corrected projections for intersections
+(iteration cap 10^4, which raises), and the dual distance program of
+optimize.nearest_points for every other body with support pieces.  An
+intersection has no support evaluator: the minimum of the two supports
+is only an upper bound.
 
 Lower-dimensional bodies (radius-0 balls and their products) carry an
 infinite gauge off their affine hull; membership and distance go through
@@ -49,6 +51,7 @@ __all__ = [
     "Piece",
     "map_pieces",
     "select_pieces",
+    "sum_pieces",
     "construct_body",
     "ball",
     "cube",
@@ -193,6 +196,36 @@ def select_pieces(pieces, idx):
             p = Piece(p.kind, p.matrix[idx], p.value, p.scale)
         out.append(p)
     return tuple(out)
+
+
+def _is_zero(p):
+    """Whether a piece is identically zero: a linear, l1 or l2 piece with a
+    zero matrix, or a sum of such pieces."""
+    if p.kind == "sum":
+        return all(_is_zero(q) for part in p.parts for q in part)
+    return p.kind != "smooth" and not p.matrix.any()
+
+
+def sum_pieces(parts):
+    """The pieces of the sum over parts of the max over each part's pieces,
+    made canonical.  A part whose pieces are all identically zero is
+    dropped.  Within a part, zero pieces are dropped beside a nonzero l1
+    or l2 piece, which is nonnegative; a linear piece can be negative, so
+    beside one a zero piece is max(., 0) and stays.  A sum left with one
+    part is that part's pieces (with none left, the first part's).  Parts
+    keep their order and are never re-associated, and x + 0 and max(x, 0)
+    for x >= 0 are exact, so every value keeps its bits."""
+    kept = []
+    for part in parts:
+        zero = [_is_zero(p) for p in part]
+        if all(zero):
+            continue
+        if any(p.kind in ("l1", "l2") and not z for p, z in zip(part, zero)):
+            part = tuple(p for p, z in zip(part, zero) if not z)
+        kept.append(tuple(part))
+    if len(kept) > 1:
+        return (Piece("sum", parts=tuple(kept)),)
+    return kept[0] if kept else tuple(parts[0])
 
 
 def _abs_rows(M):
@@ -590,8 +623,8 @@ def product_body(first: Body, second: Body) -> Body:
     eye = np.eye(dim)
     support = None
     if first._support is not None and second._support is not None:
-        support = (Piece("sum", parts=(map_pieces(first._support, eye[:, :d1]),
-                                       map_pieces(second._support, eye[:, d1:]))),)
+        support = sum_pieces((map_pieces(first._support, eye[:, :d1]),
+                              map_pieces(second._support, eye[:, d1:])))
 
     return Body(
         dim,
@@ -831,7 +864,7 @@ def _neighborhood_core(K: Body, r: float) -> Body:
 
     support = None
     if K._support is not None:
-        support = (Piece("sum", parts=(K._support, (Piece("l2", r * np.eye(K.dim)),))),)
+        support = sum_pieces((K._support, (Piece("l2", r * np.eye(K.dim)),)))
 
     r_out = K.outer_radius + r
 
@@ -902,7 +935,7 @@ def minkowski_sum(K: Body, L: Body) -> Body:
     r_out = K.outer_radius + L.outer_radius
     out = Body(
         K.dim,
-        support=(Piece("sum", parts=(K._support, L._support)),),
+        support=sum_pieces((K._support, L._support)),
         gauge=_bisection_gauge(inside, lambda U: r_out),
         membership=membership,
         inner_radius=K.inner_radius + L.inner_radius,

@@ -14,10 +14,12 @@ max-type problems (diameters), upper bounds for the min-type problems
 (inclusion radii).  Two-sided brackets are available on request through
 a certified net and the bodies' radius-derived Lipschitz bounds.
 A value from the optimizer's exact stage (polyhedral fields, maxima of
-Euclidean norms that the S-lemma dual certifies, the 0-sphere) is the
+Euclidean norms that the S-lemma dual certifies, sums of two Euclidean
+norms that the Cauchy-Schwarz stage certifies, the 0-sphere) is the
 extremum itself to rounding, and its brackets equal it.  A maximum of
-Euclidean norms that the dual does not certify still gets a bracket
-from the dual's bound, which a requested net may tighten.
+Euclidean norms or a sum of two that its stage does not certify still
+gets a bracket from the stage's bound, which a requested net may
+tighten.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import ball_points, bernoulli_se, rng_from, sphere_points
-from .bodies import (Body, Piece, _check_dims, _max_of, map_pieces, orthogonal_matrix,
-                     select_pieces)
+from .bodies import (Body, _check_dims, _max_of, map_pieces, orthogonal_matrix,
+                     select_pieces, sum_pieces)
 from .errors import DomainError, EvaluationError
 from .geometry import Subspace, build_net
-from .optimize import DEFAULT_OPT, OptimizerConfig, _l2_max, minimize_on_sphere_batch
+from .optimize import DEFAULT_OPT, OptimizerConfig, _cs_sum, _l2_max, minimize_on_sphere_batch
 from .optimize import minimize_on_sphere  # noqa: F401  (perfbench/test_perfbench.py reads it here)
 
 __all__ = [
@@ -181,7 +183,17 @@ def _exact_note(n, pieces):
     """How the optimizer's exact stage answered a field of these pieces."""
     if n == 1:
         return "exact (both points of the 0-sphere)"
-    return "exact (S-lemma dual)" if _l2_max(pieces) else "exact (convex hull)"
+    if _l2_max(pieces):
+        return "exact (S-lemma dual)"
+    return "exact (Cauchy-Schwarz)" if _cs_sum(pieces) else "exact (convex hull)"
+
+
+def _bound_note(pieces):
+    """How a field's certified lower bound was obtained, when its exact
+    stage gave one but did not certify the field."""
+    if _cs_sum(pieces):
+        return "two-sided via Cauchy-Schwarz bound"
+    return "two-sided via S-lemma dual"
 
 
 def _rotation_stack(L, rotations):
@@ -214,7 +226,7 @@ def _diameters(K, L, rotations, opt, bracket_delta):
         if res.stage == "exact":
             note, upper = _exact_note(n, pieces), diameter
         elif res.lower:  # a positive dual bound on the gauge
-            note, upper = "two-sided via S-lemma dual", 2.0 / res.lower
+            note, upper = _bound_note(pieces), 2.0 / res.lower
         if (res.stage != "exact" and bracket_delta is not None
                 and K.inner_radius > 0 and L.inner_radius > 0):
             net = build_net(n, bracket_delta, seed=opt.seed)
@@ -262,7 +274,7 @@ def _inclusion_radii(K, L, rotations, opt, combine, bracket_delta):
     # field t joins h_K(u) and h_L(U_t^T u), the support of U_t L
     images = map_pieces(L.support_pieces, _rotation_stack(L, rotations))
     if combine == "sum":
-        pieces = (Piece("sum", parts=(K.support_pieces, images)),)
+        pieces = sum_pieces((K.support_pieces, images))
     else:
         pieces = K.support_pieces + images
     results = minimize_on_sphere_batch(pieces, n, len(rotations), opt)
@@ -273,7 +285,7 @@ def _inclusion_radii(K, L, rotations, opt, combine, bracket_delta):
         if res.stage == "exact":
             note, lower = _exact_note(n, pieces), res.value
         elif res.lower is not None:
-            note, lower = "two-sided via S-lemma dual", res.lower
+            note, lower = _bound_note(pieces), res.lower
         if (res.stage != "exact" and bracket_delta is not None
                 and math.isfinite(K.outer_radius) and math.isfinite(L.outer_radius)):
             net = build_net(n, bracket_delta, seed=opt.seed)

@@ -5,23 +5,14 @@ matrices carry a leading field axis describes many fields at once (one
 per random rotation of a harness).  The optimizer evaluates those pieces
 itself in every stage.  It runs projected descent with central-difference
 gradients from spread-out seed directions, for all fields in lockstep.
-It then polishes the best distinct descent endpoints of each field with
-one SLSQP solve each of the epigraph program of the field: min t subject
-to piece(u) <= t for every piece and |u|^2 = 1, with exact constraints
-and analytic Jacobians.  Values returned are always attained at an
-explicit feasible direction, so for maximization problems the result is
-a certified bound from the feasible side.
-
-How many endpoints are polished depends on the pieces.  A field made
-only of l2 pieces and sums of l2-only parts is polished from its best
-endpoint alone.  Such fields reach the polish when they are sums, or
-maxima that the S-lemma stage below does not certify.  On the 1500
-flat-disk inclusion fields of the acceptance criterion 9, which are
-sums, one solve gave the value of POLISH_STARTS solves to 4e-16
-relative.  A field with any linear, l1 or smooth piece keeps
-POLISH_STARTS starts, since facet fields are multimodal: cube against
-cross-polytope at n = 3 loses up to 5.5e-3 from one start.  The rule is
-measured, not proved.
+It then polishes the POLISH_STARTS best distinct descent endpoints of
+each field with one SLSQP solve each of the epigraph program of the
+field: min t subject to piece(u) <= t for every piece and |u|^2 = 1,
+with exact constraints and analytic Jacobians.  Several starts are
+needed, since facet fields are multimodal: cube against cross-polytope
+at n = 3 loses up to 5.5e-3 from one start.  Values returned are always
+attained at an explicit feasible direction, so for maximization problems
+the result is a certified bound from the feasible side.
 
 The same program with |u|^2 <= 1 and the objective t - <x, u> is the dual
 of the Euclidean distance to a convex body with support max(pieces):
@@ -45,6 +36,24 @@ cylinder, ball, ellipsoid and section fields of the harnesses are of
 this kind.  A field that does not certify descends as any other, and
 its result carries the square root of the bound, less the same
 tolerance, as a certified lower bound on its minimum.
+
+A field that is the sum of two Euclidean norms, |u M_1| + |u M_2|, is
+answered by the Cauchy-Schwarz stage (see _cauchy_schwarz).  Sums are
+canonical where they are built (bodies.sum_pieces drops identically
+zero parts and zero pieces beside norms, and a sum of one part is that
+part), so the Minkowski-sum inclusion field of two flat disks, balls,
+ellipsoids or cylinders is one such sum.  With Q_i = M_i M_i^T, the
+squared minimum is the infimum over w in (0, 1) of
+g(w) = lambda_min(Q_1 / w + Q_2 / (1 - w)), since
+(a + b)^2 = min over w of a^2 / w + b^2 / (1 - w); every w gives a
+direction, the eigenvector of lambda_min, and the limits at the ends
+are the kernels of the M_i^T.  Branch and bound on w certifies the
+infimum with lower bounds on g over intervals.  The field is exact when
+the best direction's squared value is within
+64 n eps (|M_1|_2^2 + |M_2|_2^2) of the least bound.  A field that does
+not certify descends, and carries the square root of that bound as a
+certified lower bound on its minimum.  Sums of more parts, and parts
+that are maxima, go on to the other stages.
 
 A polyhedral field, whose every piece is linear, an l1 piece of at most
 HULL_ROWS sign rows, or a sum of such parts, is max_i <P_i, u> =
@@ -94,7 +103,7 @@ class OptimizerConfig:
 
 DEFAULT_OPT = OptimizerConfig()
 FD_STEP = 1e-6            # central-difference step of the descent gradients
-POLISH_STARTS = 16        # distinct descent endpoints polished, unless the field is l2-only
+POLISH_STARTS = 16        # distinct descent endpoints polished
 POLISH_SEPARATION = 1e-6  # endpoints closer than this count as one start
 BATCH_ROWS = 1 << 16      # most rows one batched evaluation holds
 SPREAD_POOL = 24          # random pool rows per spread direction
@@ -166,27 +175,31 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
 
     A field the exact stage answers (see the module docstring) is not
     descended; its nfev counts the rows its pieces expand to (the two
-    points on the 0-sphere, the S-lemma stage's candidate directions) and
-    the evaluation at its direction, and its lower is its value.  Every
-    other field starts from the same spread directions (and extra_starts)
-    and runs projected descent with central-difference gradients.  A
+    points on the 0-sphere, the S-lemma and Cauchy-Schwarz stages'
+    candidate directions) and the evaluation at its direction, and its
+    lower is its value.  Every other field starts from the same spread
+    directions (and extra_starts) and runs projected descent with
+    central-difference gradients.  A
     field stops once all its step sizes fall below 1e-12 and is no longer
     evaluated, so it ends exactly as it would alone.  At most BATCH_ROWS
     rows go to one evaluation of the pieces; more fields run in
     consecutive chunks.  With cfg.polish, each field's epigraph program is
-    solved from its POLISH_STARTS best distinct descent endpoints, or from
-    its best one when all its pieces are l2 (see the module docstring),
-    and a solution is kept only when the field, evaluated there, improves
-    on the descent.  nfev counts every row at which the field, a piece or
+    solved from its POLISH_STARTS best distinct descent endpoints, and a
+    solution is kept only when the field, evaluated there, improves on
+    the descent.  nfev counts every row at which the field, a piece or
     a piece gradient was evaluated; polish_unconverged counts the solves
     that SLSQP ended without success and polish_nit their SLSQP
     iterations.  stage names what produced the value: "exact", "descent",
     or "polish" when a polished point improved on the descent.  A max of
-    l2 pieces that the S-lemma stage does not certify also counts that
-    stage's candidates in nfev, and carries its bound in lower; every
-    other descended field has lower None.
+    l2 pieces that the S-lemma stage does not certify, or a sum of two
+    that the Cauchy-Schwarz stage does not, also counts that stage's
+    candidates in nfev, and carries its bound in lower; every other
+    descended field has lower None.
     """
-    first = [_exact(select_pieces(pieces, t), n) for t in range(count)]
+    if n > 1 and _cs_sum(pieces):  # a stage that runs its fields in lockstep
+        first = _cauchy_schwarz(pieces, n, count)
+    else:
+        first = [_exact(select_pieces(pieces, t), n) for t in range(count)]
     results = [res if res is not None and res.stage == "exact" else None for res in first]
     left = np.array([t for t, res in enumerate(results) if res is None], dtype=int)
     if not left.size:
@@ -211,7 +224,9 @@ def _exact(pieces, n):
     """The exact result of the field when the exact stage answers it (see
     the module docstring), else None.  A max of l2 pieces gets a result
     from the S-lemma stage whose stage is "bound" when the dual does not
-    certify it: only its lower and its nfev carry over to the descent."""
+    certify it: only its lower and its nfev carry over to the descent.
+    Sums of two l2 pieces go to _cauchy_schwarz, which takes all the
+    fields of a call at once."""
     if n == 1:
         V = np.array([[1.0], [-1.0]])
         vals = _finite_values(pieces, V)
@@ -352,6 +367,248 @@ def _ties(W):
     return X / np.linalg.norm(X, axis=1)[:, None]
 
 
+def _cs_sum(pieces):
+    """Whether the field is |u M_1| + |u M_2|: one sum piece of two parts,
+    each a single l2 piece, the fields of the Cauchy-Schwarz stage."""
+    return (len(pieces) == 1 and pieces[0].kind == "sum" and len(pieces[0].parts) == 2
+            and all(len(part) == 1 and part[0].kind == "l2" for part in pieces[0].parts))
+
+
+def _cauchy_schwarz(pieces, n, count):
+    """The Cauchy-Schwarz stage of the count fields |u M_1| + |u M_2| of
+    pieces, one result per field (None when a matrix is not finite).
+
+    With Q_i = M_i M_i^T, (a + b)^2 = min over w in (0, 1) of
+    a^2 / w + b^2 / (1 - w), so the squared minimum over the sphere is the
+    infimum over w of g(w) = lambda_min(Q_1 / w + Q_2 / (1 - w)), and
+    every w gives a direction, the eigenvector of lambda_min.  At w -> 0
+    the limit is the least |u M_2|^2 over the kernel of M_1^T, and at
+    w -> 1 symmetrically.  Each kernel comes from the SVD of its matrix
+    (singular values up to numpy's rank tolerance max(n, k) eps sigma_1
+    count as zero), and its least vector is the first candidate.
+
+    Branch and bound on w certifies the infimum, with lower bounds on g
+    over intervals [a, b] of w, each eigenvalue less its eigvalsh rounding
+    n eps |S|_2 for the matrix S it comes from:
+    - Loewner monotonicity: g >= lambda_min(Q_1 / b + Q_2 / (1 - a)),
+      computed as lambda_min((1 - a) Q_1 + b Q_2) / (b (1 - a));
+    - near an end where M_i has a kernel, that rounding grows like eps / w
+      while the bound converges only like w, so g is also bounded with the
+      same weights through the split of u into that kernel and its
+      complement (see _split_bounds), whose rounding stays O(eps |M|^2);
+    - on an inner interval still open after those, the tangents at its
+      midpoint m: w -> u^T (Q_1 / w + Q_2 / (1 - w)) u is convex for
+      every u, so g is at least the lesser of the least eigenvalues of the
+      tangent matrix at a and at b.  This bound is second order in b - a,
+      the others first order, so it certifies a minimum inside (0, 1) with
+      a few intervals open at a time;
+    - 0, since g is the least eigenvalue of a PSD matrix.
+    An interval is pruned once its bound is within tol / 2 of the best
+    candidate's squared value, tol = 64 n eps (|M_1|_2^2 + |M_2|_2^2); the
+    other half of tol covers the value's last digits, which the batched
+    evaluation of the candidates can differ in from the lone one.  From
+    each kernel end, a chain of intervals of z = w (or 1 - w) is pruned
+    first: each link is the widest on which the split bound, in closed
+    form at its vertex and then checked, stays at that level, as long as
+    each link at least doubles z and up to z = 1/2.  The rest is searched
+    in the log-odds t = log(w / (1 - w)), so that bisection refines the
+    ends geometrically: 16 equal cells between the chains' ends, or
+    |t| <= T = log(1 / eps), where w is resolved to eps, and the end
+    intervals beyond T where no chain starts.  An open interval is split
+    at its midpoint, whose eigenvector is a candidate.
+
+    A field is exact when all its intervals are pruned and the best
+    candidate's squared value is within tol of the least bound.  Its
+    search gives up, and its result has stage "bound", when none of its
+    open intervals can be split (an end interval, or one whose midpoint's
+    weights equal its ends' in floating point) or when its candidate
+    directions would pass 4096; such a field descends and carries the
+    square root of its least bound as a certified lower bound on its
+    minimum.  The fields run in lockstep rounds, but every operation acts
+    on one field's rows or matrices alone, so a field's result does not
+    depend on the others.  The value is the field at the best direction
+    evaluated alone, as every stage reports it.
+    """
+    eps, out = np.finfo(float).eps, [None] * count
+    M = [np.broadcast_to(part[0].matrix, (count,) + part[0].matrix.shape[-2:])
+         for part in pieces[0].parts]
+    fields = np.flatnonzero(np.all(np.isfinite(M[0]), axis=(1, 2))
+                            & np.all(np.isfinite(M[1]), axis=(1, 2)))
+    if not fields.size:
+        return out
+    M, F = [Mi[fields] for Mi in M], len(fields)
+    Q = [Mi @ Mi.swapaxes(1, 2) for Mi in M]
+    svds = [np.linalg.svd(Mi, full_matrices=True)[:2] for Mi in M]
+    norms = [s[:, 0] if s.shape[1] else np.zeros(F) for _, s in svds]
+    tol = 64 * n * eps * (norms[0] ** 2 + norms[1] ** 2)
+    # kernel ends: a candidate per field and the inputs of _split_bounds,
+    # which are NaN for a field whose M_a has no kernel
+    cand_u, cand_f, ends = [], [], []
+    for a, (Ua, s) in enumerate(svds):
+        ranks = np.sum(s > max(M[a].shape[1:]) * eps * norms[a][:, None], axis=1)
+        end = np.full((4, F), np.nan)  # sigma, eta, c, beta
+        Mb = M[1 - a]
+        for r in np.unique(ranks[ranks < n]):
+            f = np.flatnonzero(ranks == r)
+            K, R = Ua[f][:, :, r:], Ua[f][:, :, :r]
+            KM = K.swapaxes(1, 2) @ Mb[f]
+            c, X = np.linalg.eigh(KM @ KM.swapaxes(1, 2))
+            cand_u.append((K @ X[:, :, :1])[:, :, 0])
+            cand_f.append(f)
+            rounding = n * eps * norms[a][f]
+            sigma = s[f, r - 1] - rounding if r else 0.0
+            eta = np.linalg.norm(K.swapaxes(1, 2) @ M[a][f], axis=(1, 2)) + rounding
+            beta = (np.linalg.norm(KM @ (R.swapaxes(1, 2) @ Mb[f]).swapaxes(1, 2), 2, axis=(1, 2))
+                    if r else 0.0)
+            end[:, f] = np.broadcast_arrays(sigma, eta, c[:, 0] - n * eps * norms[1 - a][f] ** 2,
+                                            beta)
+        ends.append(end)
+
+    def weights(t):
+        # w(t) = 1 / (1 + e^-t) and 1 - w(t), each accurate at its end
+        return 1.0 / (1.0 + np.exp(-t)), 1.0 / (1.0 + np.exp(t))
+
+    def matrices(f, x, y):
+        return x[:, None, None] * Q[0][f] + y[:, None, None] * Q[1][f]
+
+    def least(S):
+        lam = np.linalg.eigvalsh(S)
+        return lam[:, 0] - n * eps * np.abs(lam).max(axis=1)
+
+    def bounds(f, ta, tb, level):
+        (a, va), (b, vb) = weights(ta), weights(tb)
+        out = least(matrices(f, va, b)) / (b * va)
+        for i, end in enumerate(ends):
+            p, q = (1.0 / b, 1.0 / va) if i == 0 else (1.0 / va, 1.0 / b)
+            out = np.fmax(out, _split_bounds(p, q, *end[:, f]))  # fmax skips the NaN
+        tangent = (out < level) & np.isfinite(ta) & np.isfinite(tb)
+        if tangent.any():
+            f, a, va, b, vb = f[tangent], a[tangent], va[tangent], b[tangent], vb[tangent]
+            m, vm = weights(0.5 * (ta[tangent] + tb[tangent]))
+            x = np.concatenate([(2 * m - a) / m ** 2, (2 * m - b) / m ** 2])
+            y = np.concatenate([(2 * vm - va) / vm ** 2, (2 * vm - vb) / vm ** 2])
+            tangents = least(matrices(np.tile(f, 2), x, y)).reshape(2, -1)
+            out[tangent] = np.maximum(out[tangent], tangents.min(axis=0))
+        return np.maximum(out, 0.0)  # g is the least eigenvalue of a PSD matrix
+
+    best_u, upper, rows = np.zeros((F, n)), np.full(F, np.inf), np.zeros(F, dtype=int)
+
+    def offer(f, C):
+        # each row is evaluated alone, so a field's values do not depend on
+        # the other fields' rows
+        C = _normalize_rows(C)
+        vals = sum(np.linalg.norm((C[:, None, :] @ Mi[f])[:, 0], axis=1) for Mi in M)
+        np.add.at(rows, f, 1)
+        order = np.lexsort((vals, f))  # stable: the first of equal values wins
+        i = order[np.r_[True, f[order][1:] != f[order][:-1]]]
+        i = i[vals[i] ** 2 < upper[f[i]]]
+        best_u[f[i]], upper[f[i]] = C[i], vals[i] ** 2
+
+    if cand_f:
+        offer(np.concatenate(cand_f), np.vstack(cand_u))
+    # from each kernel end, a chain of intervals of z = w (or 1 - w) that the
+    # split bound prunes, each as wide as the bound allows above aim
+    floor, T = np.full(F, np.inf), -math.log(eps)
+    span = [np.full(F, -T), np.full(F, T)]  # the grid's ends in t
+    aim = upper - 0.5 * tol
+    for i, (sigma, eta, c, beta) in enumerate(ends):
+        z, going, links = np.zeros(F), np.isfinite(sigma), []
+        while going.any():
+            q = 1.0 / (1.0 - z)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # 1 / z is the least p whose vertex value in _split_bounds is
+                # aim; with R empty the bound is q c whatever p is
+                gap = q * c - aim
+                step = np.minimum((gap * sigma ** 2 - q * eta * (eta * c + 2 * sigma * beta))
+                                  / (q * q * beta ** 2 + q * c * gap), 0.5)
+            step = np.where(sigma > 0.0, step, 0.5)
+            going &= (step > 0.0) & (step >= 2.0 * z)
+            links.append((q, step, going))
+            z = np.where(going, step, z)
+            going = going & (z < 0.5)
+        if not links:
+            continue
+        # each chain ends before its first link whose bound is below aim
+        q, step, made = map(np.array, zip(*links))
+        with np.errstate(divide="ignore"):
+            bound = _split_bounds(1.0 / step, q, sigma, eta, c, beta)
+        used = made & np.logical_and.accumulate(~made | (bound >= aim), axis=0)
+        floor = np.minimum(floor, np.where(used, bound, np.inf).min(axis=0))
+        z = np.where(used, step, 0.0).max(axis=0)
+        with np.errstate(divide="ignore"):
+            t = np.log(z) - np.log1p(-z)
+        span[i] = np.where(z > 0.0, t if i == 0 else -t, span[i])
+    # 16 equal cells between the chains, or between +-T, where w is resolved
+    # to eps, and the end intervals beyond +-T
+    lo, hi = span
+    k = np.arange(17) / 16
+    cells = np.flatnonzero(lo < hi)
+    grid = lo[cells, None] + (hi - lo)[cells, None] * k
+    grid[:, -1] = hi[cells]
+    left, right = np.flatnonzero(lo == -T), np.flatnonzero(hi == T)
+    fi = np.concatenate([np.repeat(cells, 16), left, right])
+    ta = np.concatenate([grid[:, :-1].ravel(), np.full(len(left), -np.inf),
+                         np.full(len(right), T)])
+    tb = np.concatenate([grid[:, 1:].ravel(), np.full(len(left), -T),
+                         np.full(len(right), np.inf)])
+    lower = bounds(fi, ta, tb, aim[fi])
+    while True:
+        live = lower < (upper - 0.5 * tol)[fi]
+        tm = 0.5 * (ta + tb)
+        # an interval splits while its midpoint's weights differ from its ends'
+        (wa, va), (wm, vm), (wb, vb) = weights(ta), weights(tm), weights(tb)
+        split = live & (((wa < wm) & (wm < wb)) | ((va > vm) & (vm > vb)))
+        want = np.bincount(fi[split], minlength=F)
+        split &= (rows + want <= 4096)[fi]
+        if not split.any():
+            break
+        np.minimum.at(floor, fi[~live], lower[~live])
+        w, v = weights(tm[split])
+        offer(fi[split], np.linalg.eigh(matrices(fi[split], v, w))[1][:, :, 0])
+        stay = live & ~split
+        new_f = np.tile(fi[split], 2)
+        new_a = np.concatenate([ta[split], tm[split]])
+        new_b = np.concatenate([tm[split], tb[split]])
+        fi, ta, tb = (np.concatenate([fi[stay], new_f]), np.concatenate([ta[stay], new_a]),
+                      np.concatenate([tb[stay], new_b]))
+        lower = np.concatenate([lower[stay],
+                                bounds(new_f, new_a, new_b, (upper - 0.5 * tol)[new_f])])
+    np.minimum.at(floor, fi, lower)
+    open_ = np.bincount(fi[live], minlength=F) > 0
+    for j, t in enumerate(fields):
+        u = best_u[j]
+        value = float(_finite_values(select_pieces(pieces, t), u[None])[0])
+        exact = not open_[j] and value * value - floor[j] <= tol[j]
+        out[t] = SphereOptResult(value=value, direction=u, nfev=int(rows[j]) + 1,
+                                 stage="exact" if exact else "bound",
+                                 lower=value if exact else math.sqrt(max(floor[j], 0.0)))
+    return out
+
+
+def _split_bounds(p, q, sigma, eta, c, beta):
+    """Lower bounds on min over unit u of p |u M_a|^2 + q |u M_b|^2, for
+    arrays of weights p and q, by the split u = K x + R y with K the
+    kernel of M_a^T: |u M_a| >= sigma |y| - eta, with sigma the least
+    singular value of R^T M_a and eta >= |K^T M_a|_2, and
+    |u M_b|^2 >= c |x|^2 - 2 beta |x| |y|, with c = lambda_min(K^T Q_b K)
+    and beta = |K^T Q_b R|_2.  With s = |y| and |x| <= 1, the sum is at
+    least G(s) = p max(sigma s - eta, 0)^2 + q (c - c s^2 - 2 beta s), a
+    quadratic past s0 = min(eta / sigma, 1).  Before s0 it is at least
+    q (c - max(c, 0) s0^2 - 2 beta s0), its value at s0 unless rounding
+    left c below 0, so its least value on [0, 1] is at s0, at 1 or at the
+    vertex.  The inputs carry their own rounding, so the bound's is
+    O(eps |M|^2) however large p is.  Where R is empty (sigma = 0: M_a is
+    0 to rounding), s = 0 and the bound is q c."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s0 = np.minimum(eta / sigma, 1.0)
+        ends = np.minimum(q * (c - np.maximum(c, 0.0) * s0 * s0 - 2.0 * beta * s0),
+                          p * np.maximum(sigma - eta, 0.0) ** 2 - 2.0 * q * beta)
+        D, B = p * sigma * sigma - q * c, p * sigma * eta + q * beta
+        vertex = q * c - q * (p * eta * (eta * c + 2.0 * sigma * beta) + q * beta * beta) / D
+        inside = (D > 0.0) & (B >= s0 * D) & (B <= D)
+    return np.where(sigma > 0.0, np.where(inside, np.minimum(ends, vertex), ends), q * c)
+
+
 def _polyhedral_rows(pieces, n):
     """Rows P with max(pieces)(u) = max_i <P_i, u>, or None when a piece
     is l2 or smooth or the rows would exceed HULL_ROWS.  A linear piece
@@ -443,8 +700,7 @@ def _finish(pieces, U, vals, nfev, cfg):
     stage, unconverged, nit = "descent", 0, 0
     if cfg.polish:
         program = _Epigraph(pieces, U.shape[1])
-        starts = 1 if _l2_only(pieces) else POLISH_STARTS
-        found = [program.solve(U[j]) for j in _distinct_best(U, vals, starts)]
+        found = [program.solve(U[j]) for j in _distinct_best(U, vals, POLISH_STARTS)]
         found = [u for u in found if u is not None]
         if found:
             cand = np.vstack(found)
@@ -459,12 +715,6 @@ def _finish(pieces, U, vals, nfev, cfg):
     value = float(_finite_values(pieces, best_u[None])[0])
     return SphereOptResult(value=value, direction=best_u, nfev=nfev + 1,
                            polish_unconverged=unconverged, stage=stage, polish_nit=nit)
-
-
-def _l2_only(pieces):
-    """Whether every piece is l2, or a sum whose parts are all l2-only."""
-    return all(p.kind == "l2" or (p.kind == "sum" and all(map(_l2_only, p.parts)))
-               for p in pieces)
 
 
 def _distinct_best(U, vals, count):

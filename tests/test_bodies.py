@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from waistlab._util import sphere_points
-from waistlab.bodies import (BodySpec, ball, construct_body, cross_polytope, cube,
+from waistlab.bodies import (BodySpec, Piece, ball, construct_body, cross_polytope, cube,
                              difference_body, ellipsoid, intersect, linear_image,
-                             mc_volume, minkowski_sum, neighborhood, polar,
-                             product_body, slab_body, truncated_cylinder,
+                             map_pieces, mc_volume, minkowski_sum, neighborhood, polar,
+                             product_body, slab_body, sum_pieces, truncated_cylinder,
                              unit_ball_volume, vertex_polytope, volume_ratio)
 from waistlab.errors import ContainmentError, DomainError, EvaluationError, SpecError
 from waistlab.geometry import haar_rotation
@@ -139,6 +139,37 @@ def test_product_body_split():
     assert P.distance(x) == pytest.approx(0.5, abs=1e-12)
     assert P.support([1.0, 0.0, 0.0]) == pytest.approx(1.0, abs=1e-15)
     assert math.isinf(P.gauge([0.5, 0.1, 0.0]))
+
+
+def test_flat_disk_support_is_one_euclidean_norm():
+    (piece,) = product_body(ball(3, 1.0), ball(1, 0.0)).support_pieces
+    assert piece.kind == "l2"
+    np.testing.assert_array_equal(piece.matrix, np.eye(4)[:, :3])
+
+
+@pytest.mark.parametrize("first, second", [
+    (ball(3, 1.0), ball(1, 0.0)), (ball(1, 0.0), ellipsoid([1.0, 2.0, 0.5])),
+    (cube(2, 1.0), ball(2, 0.0)), (ball(2, 0.0), ball(2, 0.0)),
+    (cross_polytope(2, 1.5), ball(2, 0.7))], ids=["disk", "ellipsoid", "square", "origin", "both"])
+def test_canonical_product_supports_keep_their_bits(first, second):
+    # the support the product had before its sum was made canonical
+    d1, eye = first.dim, np.eye(4)
+    raw = Piece("sum", parts=(map_pieces(first.support_pieces, eye[:, :d1]),
+                              map_pieces(second.support_pieces, eye[:, d1:])))
+    X = np.random.default_rng(11).standard_normal((1000, 4))
+    assert np.array_equal(product_body(first, second).support(X), raw.evaluate(X))
+
+
+def test_zero_pieces_leave_a_maximum_only_beside_a_norm():
+    zero = Piece("l2", np.zeros((2, 1)))
+    norm, rows = Piece("l2", np.eye(2)), Piece("linear", np.array([[-1.0, 0.0]]))
+    (s,) = sum_pieces(((rows, zero), (norm, zero), (zero,)))
+    # beside the linear piece the zero is max(<P, x>, 0), which can differ
+    assert s.parts == ((rows, zero), (norm,))
+    X = np.random.default_rng(12).standard_normal((200, 2))
+    expected = np.maximum(-X[:, 0], 0.0) + np.linalg.norm(X, axis=1)
+    assert np.array_equal(s.evaluate(X), expected)
+    assert sum_pieces(((norm,), (zero,))) == (norm,)
 
 
 def test_truncated_cylinder_flags():

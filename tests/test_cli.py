@@ -212,11 +212,11 @@ CYLINDER8 = {
 }
 
 
-def test_experiment_outputs_do_not_depend_on_blas_threads(tmp_path):
-    # every field of this config, the section diameters' included, is a max
-    # of Euclidean norms that the optimizer's S-lemma stage answers exactly
+def _outputs_under_blas_threads(tmp_path, experiment, config, seed):
+    """(reports without wall_time_s, trials.csv bytes) of one config run
+    through the CLI in subprocesses under one and two BLAS threads."""
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(CYLINDER8))
+    path.write_text(json.dumps(config))
     src = str(Path(waistlab.__file__).resolve().parents[1])
     reports, tables = [], []
     for threads in ("1", "2"):
@@ -226,12 +226,32 @@ def test_experiment_outputs_do_not_depend_on_blas_threads(tmp_path):
         out = tmp_path / f"threads{threads}"
         subprocess.run([sys.executable, "-c",
                         "import sys; from waistlab.cli import main; sys.exit(main(sys.argv[1:]))",
-                        "experiment", "two-bodies", "--config", str(path), "--seed", "11",
+                        "experiment", experiment, "--config", str(path), "--seed", str(seed),
                         "--out", str(out)], env=env, check=True, capture_output=True)
         report = json.loads((out / "report.json").read_text())
         report.pop("wall_time_s")
         reports.append(report)
         tables.append((out / "trials.csv").read_bytes())
+    return reports, tables
+
+
+def test_experiment_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # every field of this config, the section diameters' included, is a max
+    # of Euclidean norms that the optimizer's S-lemma stage answers exactly
+    reports, tables = _outputs_under_blas_threads(tmp_path, "two-bodies", CYLINDER8, 11)
+    assert tables[0] == tables[1]
+    assert reports[0] == reports[1]
+
+
+def test_core_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # every inclusion field of flat disks is a sum of two Euclidean norms
+    # that the optimizer's Cauchy-Schwarz stage answers exactly
+    flat = {"kind": "product", "first": {"kind": "ball", "dim": 3, "radius": 1.0},
+            "second": {"kind": "ball", "dim": 1, "radius": 0.0}}
+    config = {"experiment": "core", "K": flat, "L": flat, "delta_K": 0.4, "delta_L": 0.35,
+              "trials": 3, "sigma_samples": 20_000, "net_probes": 512,
+              "optimizer": {"restarts": 12, "iters": 50, "seed": 0}}
+    reports, tables = _outputs_under_blas_threads(tmp_path, "core", config, 13)
     assert tables[0] == tables[1]
     assert reports[0] == reports[1]
 

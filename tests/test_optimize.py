@@ -6,7 +6,7 @@ import pytest
 from waistlab import optimize
 from waistlab.bodies import (Piece, ball, cross_polytope, cube, ellipsoid, intersect,
                              map_pieces, neighborhood, polar, product_body, select_pieces,
-                             slab_body, truncated_cylinder, vertex_polytope)
+                             slab_body, sum_pieces, truncated_cylinder, vertex_polytope)
 from waistlab.errors import EvaluationError
 from waistlab.estimators import diameter_of_intersection, inclusion_radius
 from waistlab.geometry import haar_rotation
@@ -150,30 +150,43 @@ def _count_polish_solves(monkeypatch):
     return solves
 
 
-def test_l2_only_pieces():
-    flat = product_body(ball(3, 1.0), ball(1, 0.0))
-    assert optimize._l2_only(flat.support_pieces)
-    assert optimize._l2_only(truncated_cylinder(ball(2, 0.5), 4).gauge_pieces)
-    assert not optimize._l2_only(flat.gauge_pieces)  # the origin's gauge is smooth
-    assert not optimize._l2_only(product_body(ball(2, 1.0), cube(1, 1.0)).support_pieces)
-    assert not optimize._l2_only(cross_polytope(3, 1.0).gauge_pieces)
+def test_sums_of_two_norms_are_cauchy_schwarz_fields():
+    flat = product_body(ball(3, 1.0), ball(1, 0.0))  # support: one l2 piece
+    cylinder = product_body(ball(2, 1.0), ball(2, 0.5))  # support: a sum of two l2 parts
+    assert optimize._cs_sum(cylinder.support_pieces)
+    assert optimize._cs_sum(sum_pieces((flat.support_pieces, flat.support_pieces)))
+    assert not optimize._cs_sum(flat.support_pieces)
+    assert not optimize._cs_sum(product_body(ball(2, 1.0), cube(1, 1.0)).support_pieces)
+    assert not optimize._cs_sum(neighborhood(cylinder, 0.1).support_pieces)  # a part is a sum
+    assert not optimize._cs_sum((Piece("sum", parts=tuple((p,) for p in _hexagon())),))
 
 
-def test_l2_only_fields_polish_one_start(monkeypatch):
+def test_euclidean_fields_are_exact_or_polish_every_start(monkeypatch):
     solves = _count_polish_solves(monkeypatch)
+    counts = []
+    distinct_best = optimize._distinct_best
+
+    def recording(U, vals, count):
+        counts.append(count)
+        return distinct_best(U, vals, count)
+
+    monkeypatch.setattr(optimize, "_distinct_best", recording)
     cfg = OptimizerConfig(restarts=16, iters=60, seed=0)
     # a cylinder field is a max of Euclidean norms, which the S-lemma dual
-    # answers without a solve; one it does not certify polishes once
+    # answers without a solve; one it does not certify polishes from every
+    # distinct endpoint, as any other field
     K = truncated_cylinder(ball(4, 0.5), 8, truncation_radius=1e6)
     L = product_body(ball(1, 1e6), ball(7, 0.5))
     res = diameter_of_intersection(K, L, haar_rotation(8, seed=3), cfg)
     assert not solves and res.note == "exact (S-lemma dual)"
     assert minimize_on_sphere(_hexagon(), 2, cfg).stage != "exact"
-    assert len(solves) == 1
+    assert counts == [optimize.POLISH_STARTS] and len(solves) > 1
+    # the flat-disk inclusion field is a sum of two Euclidean norms, which
+    # the Cauchy-Schwarz stage answers without a solve
     solves.clear()
     flat = product_body(ball(5, 1.0), ball(1, 0.0))
-    inclusion_radius(flat, flat, haar_rotation(6, seed=4), cfg)
-    assert len(solves) == 1
+    res = inclusion_radius(flat, flat, haar_rotation(6, seed=4), cfg)
+    assert not solves and res.note == "exact (Cauchy-Schwarz)"
 
 
 def test_polyhedral_fields_keep_every_polish_start(monkeypatch):
@@ -210,12 +223,31 @@ def test_mixed_fields_never_reach_the_s_lemma(monkeypatch):
     def refuse(pieces, n):
         raise AssertionError("the S-lemma stage saw a field with other pieces")
 
+    seen = []
+    cauchy_schwarz = optimize._cauchy_schwarz
+
+    def recording(pieces, n, count):
+        seen.append(pieces)
+        return cauchy_schwarz(pieces, n, count)
+
     monkeypatch.setattr(optimize, "_s_lemma", refuse)
+    monkeypatch.setattr(optimize, "_cauchy_schwarz", recording)
     E = ellipsoid([1.0, 1.4, 0.8])
-    flat = product_body(ball(2, 1.0), ball(1, 0.0))  # support: a sum of l2 parts
-    for pieces in (E.gauge_pieces + cube(3, 0.9).gauge_pieces, E.gauge_pieces + (ZERO,),
-                   flat.support_pieces):
+    for pieces in (E.gauge_pieces + cube(3, 0.9).gauge_pieces, E.gauge_pieces + (ZERO,)):
         assert minimize_on_sphere(pieces, 3, CFG).lower is None
+    # a sum of two Euclidean norms goes to the Cauchy-Schwarz stage instead
+    cylinder = product_body(ball(2, 1.0), ball(1, 0.5)).support_pieces
+    res = minimize_on_sphere(cylinder, 3, CFG)
+    assert seen == [cylinder] and res.stage == "exact" and res.lower == res.value
+    # and sums with other parts, or more than two, go to neither stage
+    mixed = (sum_pieces((E.support_pieces, cube(3, 0.9).support_pieces)),
+             polar(product_body(ball(2, 0.7), cube(1, 0.5))).gauge_pieces,
+             (Piece("sum", parts=tuple((p,) for p in _hexagon())),))
+    assert [p.kind for p in mixed[1][0].parts[1]] == ["l1"]
+    for pieces in mixed:
+        n = pieces[0].parts[0][0].matrix.shape[0]
+        assert minimize_on_sphere(pieces, n, CFG).lower is None
+    assert len(seen) == 1
 
 
 def test_zero_sphere_field_takes_the_better_point():
