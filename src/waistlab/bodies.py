@@ -11,8 +11,8 @@ The gauge and the support are written once, as a max of Pieces: facet
 rows, implicit l1 sign families, Euclidean norms of linear maps and sums of
 such maxima.  A function with no such form (an LP, a membership bisection)
 is one smooth piece, the function itself.  Body evaluates the gauge and
-support from their pieces, and the optimizer's epigraph solve reads the
-same pieces.
+support from their pieces, and the optimizer's descent and epigraph solve
+read the same pieces and their subgradients.
 
 Catalog bodies (balls, cubes, cross-polytopes, ellipsoids, slab
 intersections, products, vertex polytopes, truncated cylinders) get
@@ -80,6 +80,7 @@ DEFAULT_TRUNCATION = 1e6
 BISECTION_STEPS = 64      # halvings of a gauge bracket, and most doublings to find one
 VOLUME_BATCH = 1 << 17    # most points mc_volume draws at once
 VOLUME_CHECK_DIRECTIONS = 512  # sphere directions volume_ratio checks for the unit ball
+FD_STEP = 1e-6            # central-difference step of a smooth piece's gradient
 
 
 def _batch(x, dim):
@@ -106,6 +107,27 @@ def _max_of(pieces, X):
     if len(pieces) == 1:
         return pieces[0].evaluate(X)
     return np.max([p.evaluate(X) for p in pieces], axis=0)
+
+
+def _max_and_gradient(pieces, X):
+    """The max over the pieces at the rows of X, as _max_of gives it, and a
+    subgradient of the max there: the gradient of each row's active piece,
+    the first of tied ones.  A sum piece's value and subgradient come from
+    one pass over its parts."""
+    vals, grads = [], []
+    for p in pieces:
+        if p.kind == "sum":
+            parts = [_max_and_gradient(part, X) for part in p.parts]
+            vals.append(sum(v for v, _ in parts))
+            grads.append(sum(g for _, g in parts))
+        else:
+            vals.append(p.evaluate(X))
+            grads.append(p.gradient(X))
+    if len(pieces) == 1:
+        return vals[0], grads[0]
+    V = np.array(vals)
+    active = V.argmax(axis=0)[None, ..., None]
+    return V.max(axis=0), np.take_along_axis(np.array(grads), active, axis=0)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,14 +176,35 @@ class Piece:
         return self.scale * vals.reshape(Y.shape[:-1])
 
     def gradient(self, X):
-        """Gradients at the rows of X of an l2 piece (0 where x M = 0);
-        None for the other kinds."""
-        if self.kind != "l2":
-            return None
-        M = self.matrix
-        Y = X @ M
-        nrm = np.linalg.norm(Y, axis=-1)
-        return (Y @ M.swapaxes(-1, -2)) / np.where(nrm > 0, nrm, 1.0)[..., None]
+        """A subgradient at the rows of X, (..., rows, n) -> (..., rows, n):
+        - linear: the active row, the first of tied ones;
+        - l1: sign(x M) M^T;
+        - l2: M M^T x^T / |x M|, and 0 where x M = 0;
+        - sum: the sum of each part's max-subgradient (_max_and_gradient);
+        - smooth: central differences of the piece with step FD_STEP, a
+          component with a non-finite side being 0.  Each row of X costs
+          2 n evaluations, made in two calls: the forward shifts of every
+          row, then the backward ones.
+        For the first four, <g(x), x> is the piece's value at x."""
+        if self.kind == "linear":
+            P = self.matrix
+            i = (X @ P.swapaxes(-1, -2)).argmax(axis=-1)
+            return P[i] if P.ndim == 2 else np.take_along_axis(P, i[..., None], axis=-2)
+        if self.kind == "l1":
+            return np.sign(X @ self.matrix) @ self.matrix.swapaxes(-1, -2)
+        if self.kind == "l2":
+            M = self.matrix
+            Y = X @ M
+            nrm = np.linalg.norm(Y, axis=-1)
+            return (Y @ M.swapaxes(-1, -2)) / np.where(nrm > 0, nrm, 1.0)[..., None]
+        if self.kind == "sum":
+            return _max_and_gradient((self,), X)[1]
+        n = X.shape[-1]
+        shifts = FD_STEP * np.eye(n)
+        fp, fm = (self.evaluate((X[..., None, :] + s).reshape(*X.shape[:-2], -1, n))
+                  .reshape(X.shape) for s in (shifts, -shifts))
+        sides = np.isfinite(fp) & np.isfinite(fm)
+        return np.subtract(fp, fm, out=np.zeros_like(fp), where=sides) / (2.0 * FD_STEP)
 
     def mapped(self, A, scale=1.0):
         """The piece x -> scale * piece(x A), for A (n_new, n), or a stack

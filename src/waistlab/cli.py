@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -339,8 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built once per process: parsing leaves it as it is."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -3,14 +3,19 @@
 A field is a max of pieces (see bodies.Piece), and one piece tuple whose
 matrices carry a leading field axis describes many fields at once (one
 per random rotation of a harness).  The optimizer evaluates those pieces
-itself in every stage.  It runs projected descent with central-difference
-gradients from spread-out seed directions, for all fields in lockstep.
-It then polishes the POLISH_STARTS best distinct descent endpoints of
-each field with one SLSQP solve each of the epigraph program of the
-field: min t subject to piece(u) <= t for every piece and |u|^2 = 1,
-with exact constraints and analytic Jacobians.  Several starts are
-needed, since facet fields are multimodal: cube against cross-polytope
-at n = 3 loses up to 5.5e-3 from one start.  Values returned are always
+itself in every stage.  It runs projected descent from spread-out seed
+directions, for all fields in lockstep.  Each iteration evaluates the
+field and a subgradient once at the candidate rows (see
+bodies.Piece.gradient: the gradient of each row's active piece, exact but
+for smooth pieces, which are differenced), and steps along the
+subgradient's tangent component, the Riemannian gradient on the sphere
+(Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds,
+2008, section 3.6).  It then polishes the POLISH_STARTS best distinct
+descent endpoints of each field with one SLSQP solve each of the
+epigraph program of the field: min t subject to piece(u) <= t for every
+piece and |u|^2 = 1, with exact constraints and analytic Jacobians.
+Several starts are needed, since facet fields are multimodal: cube
+against cross-polytope at n = 3 loses up to 5.5e-3 from one start.  Values returned are always
 attained at an explicit feasible direction, so for maximization problems
 the result is a certified bound from the feasible side.
 
@@ -85,7 +90,7 @@ from scipy.optimize import brentq
 from scipy.optimize import minimize as _scipy_minimize
 
 from ._util import rng_from, sphere_points
-from .bodies import Piece, _max_of, select_pieces
+from .bodies import Piece, _max_and_gradient, _max_of, select_pieces
 from .errors import EvaluationError
 
 __all__ = ["OptimizerConfig", "SphereOptResult", "minimize_on_sphere",
@@ -102,7 +107,6 @@ class OptimizerConfig:
 
 
 DEFAULT_OPT = OptimizerConfig()
-FD_STEP = 1e-6            # central-difference step of the descent gradients
 POLISH_STARTS = 16        # distinct descent endpoints polished
 POLISH_SEPARATION = 1e-6  # endpoints closer than this count as one start
 BATCH_ROWS = 1 << 16      # most rows one batched evaluation holds
@@ -119,6 +123,7 @@ class SphereOptResult:
     stage: str = "descent"       # "exact", "descent" or "polish": what produced the value
     polish_nit: int = 0          # SLSQP iterations over the field's epigraph solves
     lower: float | None = None   # certified lower bound on the minimum: the value when exact
+    descent_iters: int = 0       # iterations the descent ran: cfg.iters at its cap, 0 when exact
 
 
 def spread_directions(n: int, count: int, seed=0) -> np.ndarray:
@@ -177,16 +182,21 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
     descended; its nfev counts the rows its pieces expand to (the two
     points on the 0-sphere, the S-lemma and Cauchy-Schwarz stages'
     candidate directions) and the evaluation at its direction, and its
-    lower is its value.  Every other field starts from the same spread
-    directions (and extra_starts) and runs projected descent with
-    central-difference gradients.  A
-    field stops once all its step sizes fall below 1e-12 and is no longer
-    evaluated, so it ends exactly as it would alone.  At most BATCH_ROWS
-    rows go to one evaluation of the pieces; more fields run in
-    consecutive chunks.  With cfg.polish, each field's epigraph program is
-    solved from its POLISH_STARTS best distinct descent endpoints, and a
-    solution is kept only when the field, evaluated there, improves on
-    the descent.  nfev counts every row at which the field, a piece or
+    lower is its value.  Every other field starts from the same m spread
+    directions (and extra_starts) and runs projected subgradient descent:
+    each iteration makes one pass of the field's value and subgradient at
+    its m candidate rows, m rows of nfev, plus 2 n difference rows per row
+    for each smooth piece (see bodies.Piece.gradient), and the starts take
+    one such pass.  A step grows by 1.2 when it improves its row and
+    halves when it does not.  A field stops once all its step sizes fall
+    below 1e-12, or at cfg.iters iterations, and is no longer evaluated,
+    so it ends exactly as it would alone; descent_iters reports how many
+    iterations it ran (0 for an exact field).  At most BATCH_ROWS rows go
+    to one evaluation of the pieces; more fields run in consecutive
+    chunks.  With cfg.polish, each field's epigraph program is solved
+    from its POLISH_STARTS best distinct descent endpoints, and a solution
+    is kept only when the field, evaluated there, improves on the
+    descent.  nfev counts every row at which the field, a piece or
     a piece gradient was evaluated; polish_unconverged counts the solves
     that SLSQP ended without success and polish_nit their SLSQP
     iterations.  stage names what produced the value: "exact", "descent",
@@ -211,9 +221,10 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
     per_call = max(1, BATCH_ROWS // (U0.shape[0] * n))
     for lo in range(0, left.size, per_call):
         idx = left[lo:lo + per_call]
-        U, vals, nfev = _descend(pieces, idx, U0, cfg)
+        U, vals, nfev, iters = _descend(pieces, idx, U0, cfg)
         for j, t in enumerate(idx):
             res = _finish(select_pieces(pieces, t), U[j], vals[j], int(nfev[j]), cfg)
+            res.descent_iters = int(iters[j])
             if first[t] is not None:  # a dual bound that did not certify
                 res.lower, res.nfev = first[t].lower, res.nfev + first[t].nfev
             results[t] = res
@@ -645,51 +656,58 @@ def _finite_values(pieces, V):
     return np.where(np.isfinite(vals), vals, np.inf)
 
 
+def _smooth_count(pieces):
+    """Smooth pieces of a field, those inside sums included."""
+    count = 0
+    for p in pieces:
+        if p.kind == "sum":
+            count += sum(_smooth_count(part) for part in p.parts)
+        else:
+            count += p.kind == "smooth"
+    return count
+
+
 def _descend(pieces, idx, U0, cfg):
     """Lockstep projected descent of the fields idx from the rows of U0.
-    Returns their final rows (k, m, n), values (k, m) and row counts (k,)."""
+    Returns their final rows (k, m, n), values (k, m), row counts (k,) and
+    iterations (k,)."""
     k, (m, n) = len(idx), U0.shape
     run = select_pieces(pieces, idx)  # the running fields; re-selected when one stops
     U = np.repeat(U0[None], k, axis=0)
-    vals = _finite_values(run, U)
+    vals, grad = _max_and_gradient(run, U)
+    vals = np.where(np.isfinite(vals), vals, np.inf)
     U_out, vals_out = np.empty_like(U), np.empty_like(vals)
     iters = np.full(k, cfg.iters)
     live = np.arange(k)
 
-    h = FD_STEP
     steps = np.full((k, m), cfg.step0)
-    shifts = h * np.eye(n)
     for it in range(cfg.iters):
         a = len(live)
-        # central-difference ambient gradient of f(v/|v|) at unit rows
-        plus = _normalize_rows((U[:, :, None, :] + shifts).reshape(-1, n))
-        minus = _normalize_rows((U[:, :, None, :] - shifts).reshape(-1, n))
-        fp = _max_of(run, plus.reshape(a, m * n, n)).reshape(a, m, n)
-        fm = _max_of(run, minus.reshape(a, m * n, n)).reshape(a, m, n)
-        # a component with a non-finite side has no difference: it is zero
-        sides = np.isfinite(fp) & np.isfinite(fm)
-        grad = np.subtract(fp, fm, out=np.zeros_like(fp), where=sides) / (2.0 * h)
-        grad -= (grad * U).sum(axis=2)[:, :, None] * U  # tangent component
-        gn = np.linalg.norm(grad, axis=2)
+        # the Riemannian gradient: the subgradient's tangent component
+        tangent = grad - (grad * U).sum(axis=2)[:, :, None] * U
+        gn = np.linalg.norm(tangent, axis=2)
         gn = np.where(gn > 0, gn, 1.0)
-        cand = _normalize_rows((U - (steps / gn)[:, :, None] * grad).reshape(-1, n))
+        cand = _normalize_rows((U - (steps / gn)[:, :, None] * tangent).reshape(-1, n))
         cand = cand.reshape(a, m, n)
-        cv = _finite_values(run, cand)
+        cv, cg = _max_and_gradient(run, cand)
+        cv = np.where(np.isfinite(cv), cv, np.inf)
         better = cv < vals
         U = np.where(better[:, :, None], cand, U)
         vals = np.where(better, cv, vals)
+        grad = np.where(better[:, :, None], cg, grad)
         steps = np.where(better, steps * 1.2, steps * 0.5)
         done = steps.max(axis=1) < 1e-12
         if done.any():
             stop = live[done]
             U_out[stop], vals_out[stop], iters[stop] = U[done], vals[done], it + 1
             keep = ~done
-            live, U, vals, steps = live[keep], U[keep], vals[keep], steps[keep]
+            live, U, vals, grad, steps = live[keep], U[keep], vals[keep], grad[keep], steps[keep]
             if not live.size:
                 break
             run = select_pieces(pieces, idx[live])
     U_out[live], vals_out[live] = U, vals
-    return U_out, vals_out, m + iters * (2 * m * n + m)
+    rows = m * (1 + 2 * n * _smooth_count(pieces))  # one pass, with the difference rows
+    return U_out, vals_out, (iters + 1) * rows, iters
 
 
 def _finish(pieces, U, vals, nfev, cfg):

@@ -379,6 +379,23 @@ def test_parser_lists_subcommands():
         assert name in text
 
 
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    import waistlab.cli as cli
+
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda real=cli.build_parser: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        argv = ["bounds", "cap", "--n", "8", "--k", "2", "--eps", "0.3"]
+        codes = [main(argv), main(["bounds"]), main(argv)]
+        out = capsys.readouterr()
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1] and codes == [0, 2, 0]
+    first, second = out.out.strip().split("\n")
+    assert first == second and "required" in out.err
+
+
 def test_verify_battery_fast():
     from waistlab.verify import run_all
 

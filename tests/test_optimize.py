@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from waistlab import optimize
+from waistlab import estimators, optimize
 from waistlab.bodies import (Piece, ball, cross_polytope, cube, ellipsoid, intersect,
                              map_pieces, neighborhood, polar, product_body, select_pieces,
                              slab_body, sum_pieces, truncated_cylinder, vertex_polytope)
@@ -22,7 +22,7 @@ def _fields(seen=None):
     field axis: field t is the max of |v M_t|_2 and a smooth piece that is
     0, or inf where (v A_t)_1 > 0.5.  A_t is 0 but for the last field,
     which is infinite on that cap.  The descents stop at different
-    iterations (170, 92, 136 and 98).  seen, when given, collects the row
+    iterations (170, 88, 136 and 98).  seen, when given, collects the row
     count of every call of the smooth piece."""
     rng = np.random.default_rng(5)
     M = []
@@ -94,8 +94,9 @@ def test_stacked_pieces_of_every_kind_equal_solo_runs():
 
 
 def test_infinite_difference_sides_warn_nothing():
-    # rows next to the cap have central differences with an infinite side;
-    # those components are zero, with no inf - inf and no NaN candidate
+    # rows on the cap, where the smooth piece is active, have central
+    # differences with infinite sides; those components are zero, with no
+    # inf - inf and no NaN candidate
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = minimize_on_sphere(_field(3), N, CFG)
@@ -136,6 +137,33 @@ def test_polish_counts_unconverged_solves(monkeypatch):
     assert res.polish_unconverged == len(solves)
     no_polish = OptimizerConfig(restarts=8, iters=200, seed=1, polish=False)
     assert minimize_on_sphere(_field(0), N, no_polish).polish_unconverged == 0
+
+
+def test_descent_reports_its_iterations_and_one_pass_per_iteration():
+    # each iteration evaluates the field and its subgradient once, at the m
+    # candidate rows, as does the start; a smooth piece adds its 2 n
+    # difference rows per row, and the value at the result is one row more
+    cfg = OptimizerConfig(restarts=CFG.restarts, iters=CFG.iters, seed=CFG.seed, polish=False)
+    m, seen = CFG.restarts, []
+    res = minimize_on_sphere(select_pieces(_fields(seen), 1), N, cfg)
+    assert res.stage == "descent" and 0 < res.descent_iters < cfg.iters  # stopped early
+    assert res.nfev == (res.descent_iters + 1) * m * (1 + 2 * N) + 1 == sum(seen)
+    mixed = ellipsoid([1.0, 1.4, 0.8]).gauge_pieces + cube(3, 0.9).gauge_pieces
+    res = minimize_on_sphere(mixed, 3, cfg)
+    assert res.nfev == (res.descent_iters + 1) * m + 1
+
+
+def _record_results(monkeypatch):
+    """The SphereOptResults of every batch the estimators run."""
+    results = []
+
+    def recording(*args, **kwargs):
+        out = minimize_on_sphere_batch(*args, **kwargs)
+        results.extend(out)
+        return out
+
+    monkeypatch.setattr(estimators, "minimize_on_sphere_batch", recording)
+    return results
 
 
 def _count_polish_solves(monkeypatch):
@@ -191,16 +219,20 @@ def test_euclidean_fields_are_exact_or_polish_every_start(monkeypatch):
 
 def test_polyhedral_fields_keep_every_polish_start(monkeypatch):
     solves = _count_polish_solves(monkeypatch)
+    results = _record_results(monkeypatch)
     # a linear piece next to an l2 one: the field still goes to the polish
     res = diameter_of_intersection(ellipsoid([1.0, 1.4, 0.8]), cube(3, 0.9),
                                    haar_rotation(3, seed=7))
     assert res.note.startswith("lower bound")
     assert len(solves) == optimize.POLISH_STARTS
+    # and its descent runs to the iteration cap, which the result says
+    assert [r.descent_iters for r in results] == [optimize.DEFAULT_OPT.iters]
     # a purely polyhedral field is answered by its convex hull, without a
     # solve, at the value recorded when it was polished from 16 starts
     solves.clear()
     res = diameter_of_intersection(cube(3, 1.0), cross_polytope(3, 1.5), haar_rotation(3, seed=7))
     assert not solves and res.note == "exact (convex hull)"
+    assert results[-1].stage == "exact" and results[-1].descent_iters == 0
     recorded = float.fromhex("0x1.2e176daf5c485p+1")
     assert res.diameter == pytest.approx(recorded, rel=1e-14, abs=0)
     assert res.diameter >= recorded * (1.0 - 4 * np.finfo(float).eps)
