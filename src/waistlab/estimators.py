@@ -19,7 +19,8 @@ norms that the Cauchy-Schwarz stage certifies, the 0-sphere) is the
 extremum itself to rounding, and its brackets equal it.  A maximum of
 Euclidean norms or a sum of two that its stage does not certify still
 gets a bracket from the stage's bound, which a requested net may
-tighten.
+tighten.  The notes name the stage as the optimizer reports it in
+SphereOptResult.method: "exact (<method>)" or "two-sided via <method>".
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .bodies import (Body, _check_dims, _max_of, map_pieces, orthogonal_matrix,
                      select_pieces, sum_pieces)
 from .errors import DomainError, EvaluationError
 from .geometry import Subspace, build_net
-from .optimize import DEFAULT_OPT, OptimizerConfig, _cs_sum, _l2_max, minimize_on_sphere_batch
+from .optimize import DEFAULT_OPT, OptimizerConfig, minimize_on_sphere_batch
 from .optimize import minimize_on_sphere  # noqa: F401  (perfbench/test_perfbench.py reads it here)
 
 __all__ = [
@@ -179,23 +180,6 @@ def diameters_of_intersection(K: Body, L: Body, rotations, opt: OptimizerConfig 
     return _diameters(K, L, list(rotations), opt, None)
 
 
-def _exact_note(n, pieces):
-    """How the optimizer's exact stage answered a field of these pieces."""
-    if n == 1:
-        return "exact (both points of the 0-sphere)"
-    if _l2_max(pieces):
-        return "exact (S-lemma dual)"
-    return "exact (Cauchy-Schwarz)" if _cs_sum(pieces) else "exact (convex hull)"
-
-
-def _bound_note(pieces):
-    """How a field's certified lower bound was obtained, when its exact
-    stage gave one but did not certify the field."""
-    if _cs_sum(pieces):
-        return "two-sided via Cauchy-Schwarz bound"
-    return "two-sided via S-lemma dual"
-
-
 def _rotation_stack(L, rotations):
     """The rotations as one (F, n, n) array, each checked to be an
     orthogonal map of L's space."""
@@ -224,9 +208,9 @@ def _diameters(K, L, rotations, opt, bracket_delta):
         note = "lower bound (attained direction)"
         upper = None
         if res.stage == "exact":
-            note, upper = _exact_note(n, pieces), diameter
+            note, upper = f"exact ({res.method})", diameter
         elif res.lower:  # a positive dual bound on the gauge
-            note, upper = _bound_note(pieces), 2.0 / res.lower
+            note, upper = f"two-sided via {res.method}", 2.0 / res.lower
         if (res.stage != "exact" and bracket_delta is not None
                 and K.inner_radius > 0 and L.inner_radius > 0):
             net = build_net(n, bracket_delta, seed=opt.seed)
@@ -283,9 +267,9 @@ def _inclusion_radii(K, L, rotations, opt, combine, bracket_delta):
         note = "upper bound on the minimum (attained direction)"
         lower = None
         if res.stage == "exact":
-            note, lower = _exact_note(n, pieces), res.value
+            note, lower = f"exact ({res.method})", res.value
         elif res.lower is not None:
-            note, lower = _bound_note(pieces), res.lower
+            note, lower = f"two-sided via {res.method}", res.lower
         if (res.stage != "exact" and bracket_delta is not None
                 and math.isfinite(K.outer_radius) and math.isfinite(L.outer_radius)):
             net = build_net(n, bracket_delta, seed=opt.seed)

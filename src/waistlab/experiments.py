@@ -21,12 +21,13 @@ import numpy as np
 
 from ._util import (ball_points, bernoulli_se, canonical_dumps, quantile_summary,
                     rng_from, seed_sequence, sphere_points, write_csv)
-from .bodies import Body, difference_body, linear_image, mc_volume, volume_ratio
+from .bodies import Body, difference_body, linear_image, mc_volume, polar, volume_ratio
 from .errors import (DomainError, HypothesisError, InfeasibleScheduleError,
                      NetConstructionError)
 from .estimators import (diameters_of_intersection, inclusion_radii, mc_sigma_body,
                          section_diameter, section_diameters)
-from .geometry import Subspace, _haar_from_rng, random_subspace, spherical_projection
+from .geometry import (Subspace, _haar_from_rng, check_projected_ball, lift_waist,
+                       spherical_projection)
 from .measures import DEFAULT_CONSTANTS, BoundConstants, SubsphereQuery, sigma_exact, sigma_lip_lower
 from .optimize import BATCH_ROWS, DEFAULT_OPT, OptimizerConfig, minimize_on_sphere
 
@@ -62,16 +63,6 @@ class ScheduleParams:
     delta_L: float
     guaranteed_radius: float
     in_strict_regime: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n, "k": self.k, "a_frac": self.a_frac,
-            "C1_sched": self.C1_sched, "c2_sched": self.c2_sched,
-            "eps_K": self.eps_K, "delta_K": self.delta_K,
-            "eps_L": self.eps_L, "delta_L": self.delta_L,
-            "guaranteed_radius": self.guaranteed_radius,
-            "in_strict_regime": self.in_strict_regime,
-        }
 
 
 def theorem_schedule(n: int, k: int, consts: BoundConstants = DEFAULT_CONSTANTS) -> ScheduleParams:
@@ -295,16 +286,6 @@ def run_core_lemma(K: Body, L: Body, delta_K: float, delta_L: float, trials: int
 # ---------------------------------------------------------------------------
 
 
-def _check_support_dominance(K: Body, E: Subspace, samples: int, rng, what: str):
-    dirs = sphere_points(rng, samples, E.k)
-    supp = np.asarray(K.support(E.embed(dirs)), dtype=float)
-    i = int(np.argmin(supp))
-    if supp[i] < 1.0 - 1e-9:
-        raise HypothesisError(f"{what}: projected body does not contain the unit "
-                              f"ball (support {supp[i]:.6g} < 1)",
-                              witness=E.embed(dirs[i]))
-
-
 def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
                    a_frac: float = 0.25, c_ref: float = 2.0,
                    section_K: Subspace | None = None,
@@ -359,8 +340,8 @@ def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
                     f"declared L-section diameter {dL:.6g} > {section_bound:g}",
                     witness=section_L.frame)
         if dual:
-            _check_support_dominance(K, section_K, 512, rng_v, "P K")
-            _check_support_dominance(L, section_L, 512, rng_v, "Q L")
+            check_projected_ball(K, section_K, 512, rng_v, "P K")
+            check_projected_ball(L, section_L, 512, rng_v, "Q L")
             hypothesis["support_dominance"] = True
 
     columns = ["trial"]
@@ -379,9 +360,7 @@ def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
 
     polar_pair = None
     if dual and dual_products:
-        from .bodies import polar as _polar
-
-        polar_pair = (_polar(K), _polar(L))
+        polar_pair = (polar(K), polar(L))
 
     rotations = [_haar_from_rng(n, np.random.default_rng(c)) for c in s_trials.spawn(trials)]
     rows = [{"trial": i} for i in range(trials)]
@@ -562,14 +541,12 @@ def run_projection(K: Body, P: Subspace, eps: float, samples: int, seed=0, *,
                    lift_checks: int = 200) -> ExperimentReport:
     """Neighborhood-measure lower bound through a projected unit ball, plus
     the lifted-waist containment checks."""
-    from .geometry import lift_waist
-
     t0 = time.perf_counter()
     seed = _resolve_seed(seed)
     n, k = K.dim, P.k
     ss = seed_sequence(seed)
     s_hyp, s_mc, s_lift = ss.spawn(3)
-    _check_support_dominance(K, P, 512, np.random.default_rng(s_hyp), "P K")
+    check_projected_ball(K, P, 512, np.random.default_rng(s_hyp))
 
     lhs, lhs_se = mc_sigma_body(K, eps, samples, seed=s_mc)
     equality_ref = sigma_exact(SubsphereQuery(n - 1, k - 1, math.asin(eps)))

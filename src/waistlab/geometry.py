@@ -23,6 +23,7 @@ __all__ = [
     "geodesic_distance",
     "spherical_projection",
     "build_net",
+    "check_projected_ball",
     "lift_waist",
     "segment_cap_check",
 ]
@@ -57,9 +58,6 @@ class Rotation:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    def to_json_dict(self) -> dict:
-        return {"matrix": self.matrix.tolist(), "residual": self.residual}
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,38 +99,28 @@ class Subspace:
     def project(self, x):
         return self.coords(x) @ self.frame
 
-    def to_json_dict(self) -> dict:
-        return {"frame": self.frame.tolist(), "residual": self.residual}
-
 
 def _haar_from_rng(n: int, rng: np.random.Generator) -> Rotation:
-    g = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    d = np.sign(np.diag(r))
-    d = np.where(d == 0, 1.0, d)
-    q = q * d
-    if rng.integers(0, 2):
-        q = q.copy()
-        q[:, -1] = -q[:, -1]
-    resid = float(np.max(np.abs(q.T @ q - np.eye(n))))
-    return Rotation(q, resid)
+    """One draw of haar_rotations from the generator, as a Rotation."""
+    q = haar_rotations(n, 1, rng)[0]
+    return Rotation(q, float(np.max(np.abs(q.T @ q - np.eye(n)))))
 
 
 def haar_rotation(n: int, seed=None) -> Rotation:
-    """Uniformly random orthogonal matrix.
-
-    Gaussian matrix, QR orthonormalization with the column signs fixed by
-    the diagonal of the triangular factor, then an independent coin flips
-    the sign of the last column.  Deterministic under a fixed seed.
-    """
+    """Uniformly random orthogonal matrix: the one-matrix case of
+    haar_rotations, with its orthogonality residual.  Deterministic under
+    a fixed seed."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     return _haar_from_rng(n, rng_from(seed))
 
 
 def haar_rotations(n: int, count: int, seed=None) -> np.ndarray:
-    """Stacked sampler for statistical tests: (count, n, n) orthogonal
-    matrices with the same per-matrix construction as haar_rotation."""
+    """(count, n, n) uniformly random orthogonal matrices, the one
+    construction behind haar_rotation: Gaussian matrices, QR with the
+    column signs fixed by the diagonal of the triangular factor, then a
+    coin per matrix flips the sign of its last column.  seed may also be
+    a Generator, whose stream the draws continue."""
     rng = rng_from(seed)
     g = rng.standard_normal((count, n, n))
     q, r = np.linalg.qr(g)
@@ -297,6 +285,20 @@ def build_net(n: int, delta: float, seed=None) -> SphereNet:
     raise NetConstructionError("probe certification failed to close after 8 rounds")
 
 
+def check_projected_ball(K: Body, P: Subspace, samples: int, rng, what: str = "P K") -> None:
+    """Check that the projection of the body onto the subspace contains its
+    unit ball: the support of K must be at least 1 - 1e-9 at samples
+    random unit directions of P drawn from rng.  Raises HypothesisError,
+    labelled by what, with the worst direction as its witness."""
+    dirs = sphere_points(rng, samples, P.k)
+    supp = np.asarray(K.support(P.embed(dirs)), dtype=float)
+    i = int(np.argmin(supp))
+    if supp[i] < 1.0 - 1e-9:
+        raise HypothesisError(f"{what}: projected body does not contain the unit "
+                              f"ball (support {supp[i]:.6g} < 1)",
+                              witness=P.embed(dirs[i]))
+
+
 def lift_waist(K: Body, P: Subspace, x, *, verify_hypothesis: bool = True):
     """Norm-minimal lifting of a unit vector of a subspace into the body.
 
@@ -305,7 +307,8 @@ def lift_waist(K: Body, P: Subspace, x, *, verify_hypothesis: bool = True):
     body and the fiber's affine hull from the origin; f = g/|g| lies on
     the unit sphere inside the body.  The min-norm selection is odd for
     symmetric bodies and continuous in x.  verify_hypothesis first checks
-    at LIFT_CHECK_DIRECTIONS directions that P K contains the unit ball.
+    at LIFT_CHECK_DIRECTIONS directions that P K contains the unit ball
+    (see check_projected_ball).
     """
     if P.n != K.dim:
         raise DomainError(f"subspace lives in R^{P.n}, body in R^{K.dim}")
@@ -316,14 +319,7 @@ def lift_waist(K: Body, P: Subspace, x, *, verify_hypothesis: bool = True):
         raise EvaluationError("lifting requires a body with a projection route")
 
     if verify_hypothesis:
-        rng = rng_from(LIFT_CHECK_SEED)
-        dirs = sphere_points(rng, LIFT_CHECK_DIRECTIONS, P.k)
-        supp = np.asarray(K.support(P.embed(dirs)), dtype=float)
-        i = int(np.argmin(supp))
-        if supp[i] < 1.0 - 1e-9:
-            raise HypothesisError(
-                f"projection of the body does not contain the unit ball: "
-                f"support {supp[i]:.6g} < 1", witness=P.embed(dirs[i]))
+        check_projected_ball(K, P, LIFT_CHECK_DIRECTIONS, rng_from(LIFT_CHECK_SEED))
 
     target = P.coords(xv)
 

@@ -77,7 +77,11 @@ below n, or the origin on or outside the hull go on to the descent.
 
 Every stage reports the field's value at its direction evaluated alone,
 since a row's value in a batched evaluation can differ in its last
-digits.
+digits.  Each exact stage names itself in the result's method: "both
+points of the 0-sphere", "S-lemma dual", "Cauchy-Schwarz" or "convex
+hull".  A field that the S-lemma or Cauchy-Schwarz stage bounds but does
+not certify keeps that stage's method along with its lower bound when it
+descends; every other descended field has method None.
 """
 
 from __future__ import annotations
@@ -124,6 +128,7 @@ class SphereOptResult:
     polish_nit: int = 0          # SLSQP iterations over the field's epigraph solves
     lower: float | None = None   # certified lower bound on the minimum: the value when exact
     descent_iters: int = 0       # iterations the descent ran: cfg.iters at its cap, 0 when exact
+    method: str | None = None    # the exact stage that answered or bounded the field, else None
 
 
 def spread_directions(n: int, count: int, seed=0) -> np.ndarray:
@@ -203,8 +208,9 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
     or "polish" when a polished point improved on the descent.  A max of
     l2 pieces that the S-lemma stage does not certify, or a sum of two
     that the Cauchy-Schwarz stage does not, also counts that stage's
-    candidates in nfev, and carries its bound in lower; every other
-    descended field has lower None.
+    candidates in nfev, and carries its bound in lower and the stage's
+    name in method; every other descended field has lower and method
+    None.
     """
     if n > 1 and _cs_sum(pieces):  # a stage that runs its fields in lockstep
         first = _cauchy_schwarz(pieces, n, count)
@@ -226,7 +232,8 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
             res = _finish(select_pieces(pieces, t), U[j], vals[j], int(nfev[j]), cfg)
             res.descent_iters = int(iters[j])
             if first[t] is not None:  # a dual bound that did not certify
-                res.lower, res.nfev = first[t].lower, res.nfev + first[t].nfev
+                res.lower, res.method = first[t].lower, first[t].method
+                res.nfev += first[t].nfev
             results[t] = res
     return results
 
@@ -243,7 +250,7 @@ def _exact(pieces, n):
         vals = _finite_values(pieces, V)
         i = int(np.argmin(vals))
         return SphereOptResult(value=float(vals[i]), direction=V[i], nfev=2, stage="exact",
-                               lower=float(vals[i]))
+                               lower=float(vals[i]), method="both points of the 0-sphere")
     if _l2_max(pieces):
         return _s_lemma(pieces, n)
     P = _polyhedral_rows(pieces, n)
@@ -259,7 +266,7 @@ def _exact(pieces, n):
     u = equations[int(np.argmax(equations[:, -1])), :-1]
     value = float(_finite_values(pieces, u[None])[0])
     return SphereOptResult(value=value, direction=u, nfev=len(P) + 1, stage="exact",
-                           lower=value)
+                           lower=value, method="convex hull")
 
 
 def _l2_max(pieces):
@@ -353,7 +360,8 @@ def _s_lemma(pieces, n):
     exact = value * value - phi <= tol
     return SphereOptResult(value=value, direction=u, nfev=len(C),
                            stage="exact" if exact else "bound",
-                           lower=value if exact else math.sqrt(max(phi - tol, 0.0)))
+                           lower=value if exact else math.sqrt(max(phi - tol, 0.0)),
+                           method="S-lemma dual")
 
 
 def _gram(B, M):
@@ -592,7 +600,8 @@ def _cauchy_schwarz(pieces, n, count):
         exact = not open_[j] and value * value - floor[j] <= tol[j]
         out[t] = SphereOptResult(value=value, direction=u, nfev=int(rows[j]) + 1,
                                  stage="exact" if exact else "bound",
-                                 lower=value if exact else math.sqrt(max(floor[j], 0.0)))
+                                 lower=value if exact else math.sqrt(max(floor[j], 0.0)),
+                                 method="Cauchy-Schwarz")
     return out
 
 

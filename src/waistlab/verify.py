@@ -17,7 +17,7 @@ import numpy as np
 from . import bodies, estimators, experiments, geometry, measures
 from ._util import sphere_points
 from .errors import InfeasibleScheduleError
-from .measures import DEFAULT_CONSTANTS, SubsphereQuery
+from .measures import SubsphereQuery
 from .optimize import OptimizerConfig
 
 

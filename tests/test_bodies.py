@@ -13,6 +13,7 @@ from waistlab.bodies import (BodySpec, Piece, ball, construct_body, cross_polyto
                              unit_ball_volume, vertex_polytope, volume_ratio)
 from waistlab.errors import ContainmentError, DomainError, EvaluationError, SpecError
 from waistlab.geometry import haar_rotation
+from waistlab.optimize import nearest_points
 
 
 def rotation2(theta):
@@ -749,3 +750,19 @@ def test_rogers_shephard_random_polytopes():
 def test_unit_ball_volume_values():
     assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-14)
     assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("K", [cube(3, 0.8), ellipsoid([1.0, 2.0, 0.5])],
+                         ids=["cube", "ellipsoid"])
+def test_linear_image_projects_by_conjugation(K):
+    image = linear_image(K, haar_rotation(3, seed=21), 1.7)
+    rng = np.random.default_rng(3)
+    X = sphere_points(rng, 40, 3) * rng.uniform(0.1, 4.0, 40)[:, None]
+    P = image.project(X)
+    d = np.linalg.norm(X - P, axis=1)
+    assert np.any(d <= 1e-12) and np.any(d > 0.5)  # members and far points
+    assert np.max(np.abs(d - image.distance(X))) <= 1e-12
+    dual = np.linalg.norm(X - nearest_points(image.support_pieces, X), axis=1)
+    assert np.max(np.abs(d - dual)) <= 1e-12
+    assert np.all(image.contains(P))
+    assert np.max(np.abs(image.project(P) - P)) <= 1e-12

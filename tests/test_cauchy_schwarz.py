@@ -78,7 +78,7 @@ def test_nearly_coincident_disks_carry_the_stage_bound():
     U[[0, 0, n - 1, n - 1], [0, n - 1, 0, n - 1]] = [math.cos(t), -math.sin(t),
                                                      math.sin(t), math.cos(t)]
     res = inclusion_radius(_flat_disk(n), _flat_disk(n), U, opt=CFG)
-    assert res.note == "two-sided via Cauchy-Schwarz bound"
+    assert res.note == "two-sided via Cauchy-Schwarz"
     assert 0.0 < res.lower_bracket <= res.value
     assert res.value == pytest.approx(math.sin(t), rel=1e-9)
 

@@ -396,13 +396,13 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
     assert first == second and "required" in out.err
 
 
-def test_verify_battery_fast():
-    from waistlab.verify import run_all
-
-    results = run_all(fast=True)
-    failed = [r for r in results if not r.ok]
-    assert not failed, "; ".join(f"{r.name}: {r.detail}" for r in failed)
-    assert len(results) >= 20
+def test_verify_battery_fast(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--fast")
+    lines = out.strip().split("\n")
+    checks = [line for line in lines if line.startswith(("[PASS]", "[FAIL]"))]
+    failed = [line for line in checks if line.startswith("[FAIL]")]
+    assert code == 0 and not failed, "; ".join(failed)
+    assert len(checks) >= 20 and lines[-1] == f"{len(checks)}/{len(checks)} checks passed"
 
 
 def test_worker_count_env(monkeypatch):

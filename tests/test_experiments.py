@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from waistlab import experiments
 from waistlab.bodies import (ball, cross_polytope, cube, ellipsoid, product_body,
                              truncated_cylinder)
 from waistlab.errors import DomainError, HypothesisError, InfeasibleScheduleError
@@ -120,6 +121,28 @@ def test_two_bodies_ball_anchor():
         assert row["diameter"] == pytest.approx(2.0, abs=1e-12)
         assert row["success"]
     assert rep.summary["C_fit_max"] == pytest.approx(2.0 ** (2 / 4), abs=1e-9)
+
+
+def test_cover_search_falls_back_to_the_optimizer(monkeypatch):
+    # a segment in R^3: the sphere point over a probe need not cover it,
+    # and the search for a center goes to the optimizer, from that point
+    L, delta = product_body(ball(1, 1.0), ball(2, 0.0)), 0.2
+    eff = delta * (1.0 - 1e-9)
+    real, calls = experiments.minimize_on_sphere, []
+
+    def recording(objective, n, cfg, extra_starts=None):
+        res = real(objective, n, cfg, extra_starts=extra_starts)
+        calls.append((res, float(objective(res.direction[None])[0])))
+        return res
+
+    monkeypatch.setattr(experiments, "minimize_on_sphere", recording)
+    centers = cover_ball_with_body(L, delta, probes=1024, seed=0)
+    assert calls
+    for res, residual in calls:
+        assert abs(np.linalg.norm(res.direction) - 1.0) <= 1e-12
+        assert residual <= eff
+        assert any(np.array_equal(res.direction, c) for c in centers)
+    assert np.array_equal(cover_ball_with_body(L, delta, probes=1024, seed=0), centers)
 
 
 def test_two_bodies_deterministic():

@@ -292,6 +292,35 @@ def test_zero_sphere_field_takes_the_better_point():
     assert (res.stage, res.nfev, res.polish_nit) == ("exact", 2, 0)
 
 
+def test_every_stage_names_itself_in_method():
+    exact = {
+        "convex hull": (cube(3, 1.0).support_pieces + cross_polytope(3, 1.0).support_pieces, 3),
+        "S-lemma dual": (ellipsoid([1.0, 2.0, 0.5]).gauge_pieces, 3),
+        "Cauchy-Schwarz": (product_body(ball(2, 1.0), ball(1, 0.5)).support_pieces, 3),
+        "both points of the 0-sphere": ((Piece("smooth", value=lambda V: V[:, 0] ** 2 + V[:, 0]),), 1),
+    }
+    for method, (pieces, n) in exact.items():
+        res = minimize_on_sphere(pieces, n, CFG)
+        assert (res.stage, res.method, res.lower) == ("exact", method, res.value)
+    # fields a stage bounds but does not certify descend, and keep the
+    # stage's method along with its lower bound: the hexagon's S-lemma gap,
+    # and two flat disks 1e-3 rad apart, whose Cauchy-Schwarz search gives up
+    res = minimize_on_sphere(_hexagon(), 2, CFG)
+    assert res.stage in ("descent", "polish") and res.method == "S-lemma dual"
+    assert res.lower == pytest.approx(0.5, rel=1e-12)
+    t = 1e-3
+    U = np.eye(4)
+    U[[0, 0, 3, 3], [0, 3, 0, 3]] = [np.cos(t), -np.sin(t), np.sin(t), np.cos(t)]
+    disk = product_body(ball(3, 1.0), ball(1, 0.0)).support_pieces
+    res = minimize_on_sphere(sum_pieces((disk, map_pieces(disk, U[None]))), 4, CFG)
+    assert res.stage in ("descent", "polish") and res.method == "Cauchy-Schwarz"
+    assert 0.0 < res.lower <= res.value
+    # a field no stage answers or bounds has neither
+    mixed = ellipsoid([1.0, 1.4, 0.8]).gauge_pieces + cube(3, 0.9).gauge_pieces
+    res = minimize_on_sphere(mixed, 3, CFG)
+    assert res.stage in ("descent", "polish") and res.method is None and res.lower is None
+
+
 def test_polyhedral_rows_expand_pieces():
     P = optimize._polyhedral_rows(cube(3, 2.0).support_pieces, 3)  # 2|u|_1
     assert sorted(map(tuple, P)) == sorted(
