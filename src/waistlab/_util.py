@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -91,8 +92,6 @@ def _canon(obj, parts: list[str]) -> None:
         else:
             parts.append(fmt_float(v))
     elif isinstance(obj, str):
-        import json
-
         parts.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray):
         _canon(obj.tolist(), parts)
@@ -101,8 +100,6 @@ def _canon(obj, parts: list[str]) -> None:
         for i, key in enumerate(sorted(obj)):
             if i:
                 parts.append(", ")
-            import json
-
             parts.append(json.dumps(str(key)))
             parts.append(": ")
             _canon(obj[key], parts)

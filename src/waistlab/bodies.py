@@ -17,14 +17,16 @@ read the same pieces and their subgradients.
 Catalog bodies (balls, cubes, cross-polytopes, ellipsoids, slab
 intersections, products, vertex polytopes, truncated cylinders) get
 closed-form pieces.  Combinators (intersection, Minkowski sum,
-neighborhood, similarity image, polar, difference body) compose pieces:
-an intersection joins the gauge pieces, a sum adds the support maxima,
-a product zero-pads its blocks' pieces, an image maps them and a polar
-swaps them.  Every sum is built by sum_pieces, which drops its zero
-parts, so a flat disk's support is one Euclidean norm.  Where no closed
-form exists, projection and distance fall back to programs built on the
-bodies' own oracles: cyclic corrected projections for intersections
-(iteration cap 10^4, which raises), and the dual distance program of
+similarity image, polar) compose pieces: an intersection joins the gauge
+pieces, a sum adds the support maxima, a product zero-pads its blocks'
+pieces, an image maps them and a polar swaps them.  minkowski_sum is the
+one construction of a sum of two bodies: the eps-neighborhood is the sum
+with the eps-ball and the difference body is K + (-K).  Every sum of
+support pieces is built by sum_pieces, which drops its zero parts, so a
+flat disk's support is one Euclidean norm.  Where no closed form exists,
+projection and distance fall back to programs built on the bodies' own
+oracles: cyclic corrected projections for intersections (iteration cap
+10^4, which raises), and the dual distance program of
 optimize.nearest_points for every other body with support pieces.  An
 intersection has no support evaluator: the minimum of the two supports
 is only an upper bound.
@@ -290,8 +292,8 @@ class Body:
     optional; an absent support raises EvaluationError when called.  A body
     without its own projection projects by the dual distance program over
     its support pieces, and one with neither raises EvaluationError.
-    vertices holds the vertex array of a vertex polytope and is None for
-    every other body.
+    vertices holds the vertex array of a vertex polytope or of its linear
+    image, and is None for every other body.
     """
 
     def __init__(self, dim, *, gauge, support=None, membership=None,
@@ -884,103 +886,81 @@ def intersect(K: Body, L: Body) -> Body:
     )
 
 
-def _neighborhood_core(K: Body, r: float) -> Body:
-    def dist(X):
-        return np.maximum(np.asarray(K.distance(X), dtype=float) - r, 0.0)
-
-    def membership(X):
-        return np.asarray(K.distance(X), dtype=float) <= r + DIST_TOL
-
-    def inside(X):
-        # the gauge bisects the true boundary, without the tolerance
-        return np.asarray(K.distance(X), dtype=float) <= r
-
-    project = None
-    if K.can_project:
-        def project(X):
-            Y = K._project_batch(np.asarray(X, dtype=float))
-            diff = X - Y
-            d = np.linalg.norm(diff, axis=1)
-            outside = d > r
-            scale = np.where(outside, r / np.where(d > 0, d, 1.0), 1.0)
-            return np.where(outside[:, None], Y + diff * scale[:, None], X)
-
-    support = None
-    if K._support is not None:
-        support = sum_pieces((K._support, (Piece("l2", r * np.eye(K.dim)),)))
-
-    r_out = K.outer_radius + r
-
-    def bracket(U):
-        # K + rB lies in (1 + r / inner_radius) K and in the outer ball
-        if K.inner_radius == 0:
-            return r_out
-        grown = (1.0 + r / K.inner_radius) * np.asarray(K.radial(U), dtype=float)
-        return np.minimum(grown, r_out)
-
-    return Body(
-        K.dim,
-        support=support,
-        gauge=_bisection_gauge(inside, bracket),
-        membership=membership,
-        project=project,
-        distance=dist,
-        inner_radius=K.inner_radius + r,
-        outer_radius=r_out,
-        symmetric=K.symmetric,
-        truncated=K.truncated,
-        kind="neighborhood",
-    )
-
-
 def neighborhood(K: Body, eps: float) -> Body:
-    """Minkowski sum with the eps-ball; membership is exact through the
-    distance evaluator: x belongs iff distance to K is at most eps."""
+    """K + eps B, the Minkowski sum with the eps-ball: x belongs iff its
+    distance to K is at most eps.  eps = 0 returns K itself, and the
+    neighborhood of a ball is the exact ball, of kind "ball"."""
     if eps < 0:
         raise DomainError(f"eps must be nonnegative, got {eps}")
     if eps == 0:
         return K
-    return _neighborhood_core(K, float(eps))
+    out = minkowski_sum(K, ball(K.dim, eps))
+    if out.kind != "ball":
+        out.kind = "neighborhood"
+    return out
 
 
 def minkowski_sum(K: Body, L: Body) -> Body:
-    """Minkowski sum; support functions add exactly.  A radius-0 ball
-    summand returns the other summand itself, unchanged."""
+    """Minkowski sum K + L, the one construction of every sum of two
+    bodies.  Two balls give a ball, a radius-0 ball summand returns the
+    other summand itself, unchanged, and two bodies with vertex lists give
+    the hull of their vertex sums.  Otherwise support functions add
+    exactly (the sum has a support when both summands have one).  A ball
+    summand of radius r gives the distance max(d_K - r, 0) and, when K
+    projects, the closed-form projection; any other pair needs both
+    supports and takes its distance from the dual program over the summed
+    support.  Membership is distance <= DIST_TOL, and the gauge bisects
+    distance <= 0, the true boundary."""
     _check_dims(K, L)
     if K.kind == "ball" and L.kind == "ball":
         return ball(K.dim, K.outer_radius + L.outer_radius)
     if K.kind == "ball":
         K, L = L, K
-    if L.kind == "ball":
-        if L.outer_radius == 0.0:
-            return K
-        out = _neighborhood_core(K, L.outer_radius)
-        out.kind = "minkowski_sum"
-        return out
+    if L.kind == "ball" and L.outer_radius == 0.0:
+        return K
     if K.vertices is not None and L.vertices is not None:
         sums = (K.vertices[:, None, :] + L.vertices[None, :, :]).reshape(-1, K.dim)
         out = vertex_polytope(sums)
         out.kind = "minkowski_sum"
         return out
 
-    if K._support is None or L._support is None:
+    support = None
+    if K._support is not None and L._support is not None:
+        support = sum_pieces((K._support, L._support))
+    distance = project = None
+    if L.kind == "ball":
+        r = L.outer_radius
+
+        def distance(X):
+            return np.maximum(np.asarray(K._distance_batch(X), dtype=float) - r, 0.0)
+
+        if K.can_project:
+            def project(X):
+                Y = K._project_batch(X)
+                diff = X - Y
+                d = np.linalg.norm(diff, axis=1)
+                outside = d > r
+                scale = np.where(outside, r / np.where(d > 0, d, 1.0), 1.0)
+                return np.where(outside[:, None], Y + diff * scale[:, None], X)
+    elif support is None:
         raise EvaluationError("a generic Minkowski sum needs the support of both summands")
 
-    def membership(X):
-        # by the dual distance program over the summed support
-        return out._distance_batch(X) <= DIST_TOL
-
-    def inside(X):
-        # the gauge bisects the true boundary: the program's distance is 0
-        # exactly for members and a certified lower bound otherwise
-        return out._distance_batch(X) <= 0.0
-
     r_out = K.outer_radius + L.outer_radius
+
+    def bracket(U):
+        # L lies in R_L B, inside (R_L / r_K) K, so K + L lies in (1 + R_L / r_K) K
+        if K.inner_radius == 0:
+            return r_out
+        grown = (1.0 + L.outer_radius / K.inner_radius) * np.asarray(K.radial(U), dtype=float)
+        return np.minimum(grown, r_out)
+
     out = Body(
         K.dim,
-        support=sum_pieces((K._support, L._support)),
-        gauge=_bisection_gauge(inside, lambda U: r_out),
-        membership=membership,
+        support=support,
+        gauge=_bisection_gauge(lambda X: out._distance_batch(X) <= 0.0, bracket),
+        membership=lambda X: out._distance_batch(X) <= DIST_TOL,
+        project=project,
+        distance=distance,
         inner_radius=K.inner_radius + L.inner_radius,
         outer_radius=r_out,
         symmetric=K.symmetric and L.symmetric,
@@ -1005,8 +985,8 @@ def orthogonal_matrix(Q, dim: int) -> np.ndarray:
 def linear_image(K: Body, Q, scale: float = 1.0) -> Body:
     """Image of the body under x -> scale * Q x, for Q orthogonal (a matrix
     or a Rotation) and scale > 0: rotations, reflections and dilations.
-    Every evaluator conjugates; the support evaluator stays absent when K
-    has none."""
+    Every evaluator conjugates, and the vertex list maps along; the support
+    evaluator stays absent when K has none."""
     Q = orthogonal_matrix(Q, K.dim)
     if not scale > 0:
         raise DomainError(f"scale must be positive, got {scale}")
@@ -1027,6 +1007,7 @@ def linear_image(K: Body, Q, scale: float = 1.0) -> Body:
         inner_radius=t * K.inner_radius, outer_radius=t * K.outer_radius,
         symmetric=K.symmetric, truncated=K.truncated,
         kind="linear_image",
+        vertices=None if K.vertices is None else t * K.vertices @ Q.T,
     )
 
 
@@ -1053,14 +1034,10 @@ def polar(K: Body) -> Body:
 
 
 def difference_body(K: Body) -> Body:
-    """K - K; support values in u and -u add.  Always symmetric; equals the
-    dilate 2K when K is already symmetric, and the pairwise vertex
-    differences for vertex polytopes."""
+    """K - K, the Minkowski sum K + (-K); support values in u and -u add.
+    Always symmetric; equals the dilate 2K when K is already symmetric."""
     if K.symmetric:
         out = linear_image(K, np.eye(K.dim), 2.0)
-    elif K.vertices is not None:
-        V = K.vertices
-        out = vertex_polytope((V[:, None, :] - V[None, :, :]).reshape(-1, K.dim))
     else:
         out = minkowski_sum(K, linear_image(K, -np.eye(K.dim)))
     out.kind = "difference_body"

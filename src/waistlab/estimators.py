@@ -186,6 +186,30 @@ def _rotation_stack(L, rotations):
     return np.stack([orthogonal_matrix(U, L.dim) for U in rotations])
 
 
+def _certified_floor(res, field, net, lip):
+    """The best certified lower bound on the field's minimum over the
+    sphere, with its note, or (None, None) when there is none: the exact
+    value; else the stage's lower; else, or when larger, the least field
+    value over the net (None: no bracket asked) less the field's Lipschitz
+    constant lip times the net's largest chord."""
+    if res.stage == "exact":
+        return res.value, f"exact ({res.method})"
+    lower, note = res.lower, None if res.lower is None else f"two-sided via {res.method}"
+    if net is not None:
+        floor = float(_max_of(field, net.points).min()) - lip * 2.0 * math.sin(net.delta / 2.0)
+        if lower is None or floor > lower:
+            lower, note = floor, f"two-sided via net (delta={net.delta:.4g}, N={net.cardinality})"
+    return lower, note
+
+
+def _bracket_net(results, n, bracket_delta, lip, opt):
+    """The certified net of the brackets, built once for all fields; None
+    without bracket_delta, a Lipschitz constant lip or an inexact field."""
+    if bracket_delta is None or lip is None or all(res.stage == "exact" for res in results):
+        return None
+    return build_net(n, bracket_delta, seed=opt.seed)
+
+
 def _diameters(K, L, rotations, opt, bracket_delta):
     _check_dims(K, L)
     if not (K.symmetric and L.symmetric):
@@ -197,6 +221,10 @@ def _diameters(K, L, rotations, opt, bracket_delta):
     pieces = K.gauge_pieces + map_pieces(L.gauge_pieces, _rotation_stack(L, rotations))
     results = minimize_on_sphere_batch(pieces, n, len(rotations), opt)
     truncated = K.truncated or L.truncated
+    lip = None
+    if K.inner_radius > 0 and L.inner_radius > 0:
+        lip = 1.0 / min(K.inner_radius, L.inner_radius)
+    net = _bracket_net(results, n, bracket_delta, lip, opt)
     out = []
     for t, res in enumerate(results):
         gmin = res.value
@@ -205,22 +233,10 @@ def _diameters(K, L, rotations, opt, bracket_delta):
                                       "unbounded direction found", truncated))
             continue
         diameter = 2.0 / gmin
-        note = "lower bound (attained direction)"
-        upper = None
-        if res.stage == "exact":
-            note, upper = f"exact ({res.method})", diameter
-        elif res.lower:  # a positive dual bound on the gauge
-            note, upper = f"two-sided via {res.method}", 2.0 / res.lower
-        if (res.stage != "exact" and bracket_delta is not None
-                and K.inner_radius > 0 and L.inner_radius > 0):
-            net = build_net(n, bracket_delta, seed=opt.seed)
-            gnet = float(_max_of(select_pieces(pieces, t), net.points).min())
-            lip = 1.0 / min(K.inner_radius, L.inner_radius)
-            chord = 2.0 * math.sin(net.delta / 2.0)
-            floor = gnet - lip * chord
-            if floor > 0 and (upper is None or 2.0 / floor < upper):
-                upper = 2.0 / floor
-                note = f"two-sided via net (delta={net.delta:.4g}, N={net.cardinality})"
+        note, upper = "lower bound (attained direction)", None
+        lower, how = _certified_floor(res, select_pieces(pieces, t), net, lip)
+        if lower is not None and lower > 0:  # a positive bound on the gauge
+            note, upper = how, 2.0 / lower
         if truncated and diameter >= 0.5 * min(K.outer_radius, L.outer_radius):
             note += "; truncation active"
         out.append(DiameterResult(diameter, diameter, res.direction, note, truncated, upper))
@@ -262,23 +278,15 @@ def _inclusion_radii(K, L, rotations, opt, combine, bracket_delta):
     else:
         pieces = K.support_pieces + images
     results = minimize_on_sphere_batch(pieces, n, len(rotations), opt)
+    lip = None
+    if math.isfinite(K.outer_radius) and math.isfinite(L.outer_radius):
+        lip = K.outer_radius + L.outer_radius
+    net = _bracket_net(results, n, bracket_delta, lip, opt)
     out = []
     for t, res in enumerate(results):
-        note = "upper bound on the minimum (attained direction)"
-        lower = None
-        if res.stage == "exact":
-            note, lower = f"exact ({res.method})", res.value
-        elif res.lower is not None:
-            note, lower = f"two-sided via {res.method}", res.lower
-        if (res.stage != "exact" and bracket_delta is not None
-                and math.isfinite(K.outer_radius) and math.isfinite(L.outer_radius)):
-            net = build_net(n, bracket_delta, seed=opt.seed)
-            vnet = float(_max_of(select_pieces(pieces, t), net.points).min())
-            lip = K.outer_radius + L.outer_radius
-            floor = vnet - lip * 2.0 * math.sin(net.delta / 2.0)
-            if lower is None or floor > lower:
-                lower = floor
-                note = f"two-sided via net (delta={net.delta:.4g}, N={net.cardinality})"
+        lower, note = _certified_floor(res, select_pieces(pieces, t), net, lip)
+        if note is None:
+            note = "upper bound on the minimum (attained direction)"
         out.append(InclusionResult(res.value, res.direction, note, combine, lower))
     return out
 

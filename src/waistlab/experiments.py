@@ -159,8 +159,7 @@ def _find_cover_center(L: Body, p, eff: float, opt: OptimizerConfig):
     def objective(Z):
         return np.asarray(L.distance(p[None, :] - Z), dtype=float)
 
-    cfg = OptimizerConfig(restarts=min(opt.restarts, 16), iters=60,
-                          seed=opt.seed, step0=0.4, polish=True)
+    cfg = replace(opt, restarts=min(opt.restarts, 16), iters=60)
     res = minimize_on_sphere(objective, n, cfg, extra_starts=z0[None, :])
     if res.value <= eff:
         return res.direction
@@ -291,7 +290,7 @@ def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
                    section_K: Subspace | None = None,
                    section_L: Subspace | None = None,
                    mode: str = "primal", dual_products: bool = False,
-                   verify: bool = True, section_bound: float = 1.0,
+                   section_bound: float = 1.0,
                    opt: OptimizerConfig = DEFAULT_OPT) -> ExperimentReport:
     """Random-rotation intersection experiment.
 
@@ -301,7 +300,7 @@ def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
     hypotheses by support sampling and records the inclusion radius of
     K + UL; dual_products additionally records the product of the polar
     intersection diameter with the hull-of-union inclusion radius, whose
-    exact value is 2.  verify first checks the declared hypotheses, the
+    exact value is 2.  The declared hypotheses are checked first: the
     section diameters against section_bound up to SECTION_TOL.
     """
     if mode not in ("primal", "dual", "both"):
@@ -325,24 +324,23 @@ def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
     hypothesis = {}
     primal = mode in ("primal", "both")
     dual = mode in ("dual", "both")
-    if verify:
-        if primal:
-            dK = section_diameter(K, section_K, opt)
-            dL = section_diameter(L, section_L, opt)
-            hypothesis["section_diam_K"] = dK
-            hypothesis["section_diam_L"] = dL
-            if dK > section_bound + SECTION_TOL:
-                raise HypothesisError(
-                    f"declared K-section diameter {dK:.6g} > {section_bound:g}",
-                    witness=section_K.frame)
-            if dL > section_bound + SECTION_TOL:
-                raise HypothesisError(
-                    f"declared L-section diameter {dL:.6g} > {section_bound:g}",
-                    witness=section_L.frame)
-        if dual:
-            check_projected_ball(K, section_K, 512, rng_v, "P K")
-            check_projected_ball(L, section_L, 512, rng_v, "Q L")
-            hypothesis["support_dominance"] = True
+    if primal:
+        dK = section_diameter(K, section_K, opt)
+        dL = section_diameter(L, section_L, opt)
+        hypothesis["section_diam_K"] = dK
+        hypothesis["section_diam_L"] = dL
+        if dK > section_bound + SECTION_TOL:
+            raise HypothesisError(
+                f"declared K-section diameter {dK:.6g} > {section_bound:g}",
+                witness=section_K.frame)
+        if dL > section_bound + SECTION_TOL:
+            raise HypothesisError(
+                f"declared L-section diameter {dL:.6g} > {section_bound:g}",
+                witness=section_L.frame)
+    if dual:
+        check_projected_ball(K, section_K, 512, rng_v, "P K")
+        check_projected_ball(L, section_L, 512, rng_v, "Q L")
+        hypothesis["support_dominance"] = True
 
     columns = ["trial"]
     if primal:

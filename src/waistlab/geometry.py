@@ -335,8 +335,8 @@ def lift_waist(K: Body, P: Subspace, x, *, verify_hypothesis: bool = True):
 
     if float(np.linalg.norm(P.coords(g) - target)) > 1e-8:
         raise EmptyFiberError("fiber over x appears empty", witness=xv)
-    gauge = float(K.gauge(g)) if math.isfinite(float(K.gauge(g))) else None
-    if gauge is not None and gauge > 1.0 + 1e-6:
+    gauge = float(K.gauge(g))
+    if math.isfinite(gauge) and gauge > 1.0 + 1e-6:
         raise EmptyFiberError(f"lift left the body (gauge {gauge:.6g})", witness=xv)
     nrm = float(np.linalg.norm(g))
     if nrm < 1.0 - 1e-9:

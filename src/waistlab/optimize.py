@@ -106,11 +106,10 @@ class OptimizerConfig:
     restarts: int = 50
     iters: int = 120
     seed: int = 0
-    step0: float = 0.3
-    polish: bool = True
 
 
 DEFAULT_OPT = OptimizerConfig()
+STEP0 = 0.3               # first descent step of every start
 POLISH_STARTS = 16        # distinct descent endpoints polished
 POLISH_SEPARATION = 1e-6  # endpoints closer than this count as one start
 BATCH_ROWS = 1 << 16      # most rows one batched evaluation holds
@@ -192,16 +191,16 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
     each iteration makes one pass of the field's value and subgradient at
     its m candidate rows, m rows of nfev, plus 2 n difference rows per row
     for each smooth piece (see bodies.Piece.gradient), and the starts take
-    one such pass.  A step grows by 1.2 when it improves its row and
-    halves when it does not.  A field stops once all its step sizes fall
-    below 1e-12, or at cfg.iters iterations, and is no longer evaluated,
-    so it ends exactly as it would alone; descent_iters reports how many
-    iterations it ran (0 for an exact field).  At most BATCH_ROWS rows go
-    to one evaluation of the pieces; more fields run in consecutive
-    chunks.  With cfg.polish, each field's epigraph program is solved
-    from its POLISH_STARTS best distinct descent endpoints, and a solution
-    is kept only when the field, evaluated there, improves on the
-    descent.  nfev counts every row at which the field, a piece or
+    one such pass.  A step starts at STEP0, grows by 1.2 when it improves
+    its row and halves when it does not.  A field stops once all its step
+    sizes fall below 1e-12, or at cfg.iters iterations, and is no longer
+    evaluated, so it ends exactly as it would alone; descent_iters
+    reports how many iterations it ran (0 for an exact field).  At most
+    BATCH_ROWS rows go to one evaluation of the pieces; more fields run
+    in consecutive chunks.  Each descended field's epigraph program is
+    then solved from its POLISH_STARTS best distinct descent endpoints,
+    and a solution is kept only when the field, evaluated there, improves
+    on the descent.  nfev counts every row at which the field, a piece or
     a piece gradient was evaluated; polish_unconverged counts the solves
     that SLSQP ended without success and polish_nit their SLSQP
     iterations.  stage names what produced the value: "exact", "descent",
@@ -229,7 +228,7 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
         idx = left[lo:lo + per_call]
         U, vals, nfev, iters = _descend(pieces, idx, U0, cfg)
         for j, t in enumerate(idx):
-            res = _finish(select_pieces(pieces, t), U[j], vals[j], int(nfev[j]), cfg)
+            res = _finish(select_pieces(pieces, t), U[j], vals[j], int(nfev[j]))
             res.descent_iters = int(iters[j])
             if first[t] is not None:  # a dual bound that did not certify
                 res.lower, res.method = first[t].lower, first[t].method
@@ -689,7 +688,7 @@ def _descend(pieces, idx, U0, cfg):
     iters = np.full(k, cfg.iters)
     live = np.arange(k)
 
-    steps = np.full((k, m), cfg.step0)
+    steps = np.full((k, m), STEP0)
     for it in range(cfg.iters):
         a = len(live)
         # the Riemannian gradient: the subgradient's tangent component
@@ -719,29 +718,28 @@ def _descend(pieces, idx, U0, cfg):
     return U_out, vals_out, (iters + 1) * rows, iters
 
 
-def _finish(pieces, U, vals, nfev, cfg):
-    """Best descent row of the field, polished when cfg.polish asks for it."""
+def _finish(pieces, U, vals, nfev):
+    """Best descent row of the field, or its polish when that improves it."""
     # every row only ever improves, so the incumbent is the best current row
     i = int(np.argmin(vals))
     best_u, best_v = U[i].copy(), float(vals[i])
-    stage, unconverged, nit = "descent", 0, 0
-    if cfg.polish:
-        program = _Epigraph(pieces, U.shape[1])
-        found = [program.solve(U[j]) for j in _distinct_best(U, vals, POLISH_STARTS)]
-        found = [u for u in found if u is not None]
-        if found:
-            cand = np.vstack(found)
-            cv = _finite_values(pieces, cand)
-            nfev += len(cand)
-            j = int(np.argmin(cv))
-            if cv[j] < best_v:
-                best_u, best_v, stage = cand[j], float(cv[j]), "polish"
-        nfev += program.rows
-        unconverged, nit = program.unconverged, program.nit
+    stage = "descent"
+    program = _Epigraph(pieces, U.shape[1])
+    found = [program.solve(U[j]) for j in _distinct_best(U, vals, POLISH_STARTS)]
+    found = [u for u in found if u is not None]
+    if found:
+        cand = np.vstack(found)
+        cv = _finite_values(pieces, cand)
+        nfev += len(cand)
+        j = int(np.argmin(cv))
+        if cv[j] < best_v:
+            best_u, best_v, stage = cand[j], float(cv[j]), "polish"
+    nfev += program.rows
     # the value is the field at the direction alone, as every stage reports it
     value = float(_finite_values(pieces, best_u[None])[0])
     return SphereOptResult(value=value, direction=best_u, nfev=nfev + 1,
-                           polish_unconverged=unconverged, stage=stage, polish_nit=nit)
+                           polish_unconverged=program.unconverged, stage=stage,
+                           polish_nit=program.nit)
 
 
 def _distinct_best(U, vals, count):

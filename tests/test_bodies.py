@@ -307,6 +307,10 @@ def test_neighborhood_of_ball_is_ball():
     u = sphere_points(np.random.default_rng(4), 50, 3)
     assert np.allclose(N.support(u), 1.5, atol=1e-12)
     assert N.contains(np.array([1.5, 0.0, 0.0]))
+    # the exact ball, not a bisection
+    assert (N.kind, N.inner_radius, N.outer_radius) == ("ball", 1.5, 1.5)
+    X = np.random.default_rng(5).normal(size=(30, 3))
+    assert np.array_equal(N.gauge(X), ball(3, 1.5).gauge(X))
 
 
 def test_neighborhood_zero_is_same_body():
@@ -314,6 +318,21 @@ def test_neighborhood_zero_is_same_body():
     assert neighborhood(K, 0.0) is K
     with pytest.raises(DomainError):
         neighborhood(K, -0.1)
+
+
+def test_neighborhood_zero_keeps_the_kind_of_a_sum():
+    S = minkowski_sum(cube(2, 1.0), ellipsoid([1.0, 0.5]))
+    assert neighborhood(S, 0.0) is S and S.kind == "minkowski_sum"
+
+
+def test_neighborhood_of_an_intersection_has_a_distance_and_no_support():
+    C = cube(3, 0.8)
+    K = intersect(C, linear_image(C, haar_rotation(3, seed=3)))
+    N = neighborhood(K, 0.3)
+    X = np.random.default_rng(6).normal(size=(20, 3)) * 1.5
+    assert np.array_equal(N.distance(X), np.maximum(K.distance(X) - 0.3, 0.0))
+    with pytest.raises(EvaluationError):
+        N.support(X)
 
 
 def test_neighborhood_segment_cap_membership():
@@ -489,6 +508,20 @@ def test_scale_and_reflect():
     T = vertex_polytope([[0, 0], [1, 0], [0, 1]])
     R = linear_image(T, -np.eye(2))
     assert R.contains([-0.2, -0.2]) and not R.contains([0.2, 0.2])
+
+
+def test_linear_image_maps_the_vertices():
+    P = vertex_polytope(SIMPLEX)
+    Q = haar_rotation(3, seed=21).matrix
+    assert np.array_equal(linear_image(P, Q, 1.7).vertices, 1.7 * P.vertices @ Q.T)
+    assert linear_image(cube(3, 1.0), Q).vertices is None
+
+
+def test_difference_body_of_a_vertex_polytope_lists_the_pairwise_differences():
+    V = np.random.default_rng(10).normal(size=(6, 3)) + 0.4
+    D = difference_body(vertex_polytope(V))
+    assert (D.kind, D.symmetric) == ("difference_body", True)
+    assert np.array_equal(D.vertices, (V[:, None, :] - V[None, :, :]).reshape(-1, 3))
 
 
 def test_dimension_mismatch():

@@ -453,3 +453,28 @@ def test_uncertified_euclidean_fields_carry_the_dual_bracket(opt_small):
     assert r.note == "two-sided via S-lemma dual"
     assert r.value == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-12)
     assert r.lower_bracket == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("delta, diameter_note, upper, inclusion_note, lower", [
+    (0.3, "two-sided via net (delta=0.3, N=16)", 3.453427969287202,
+     "two-sided via S-lemma dual", 0.4999999999999788),
+    (0.05, "two-sided via net (delta=0.05, N=128)", 2.4388217213402936,
+     "two-sided via net (delta=0.05, N=128)", 0.6700837674594065)], ids=["coarse", "fine"])
+def test_brackets_keep_the_best_certified_floor(opt_small, delta, diameter_note, upper,
+                                                inclusion_note, lower):
+    # the hexagon fields above, with L bounded so that the inclusion field
+    # has a Lipschitz constant: a coarse net beats the S-lemma bound on the
+    # diameter's gauge but not on the max of supports, and a fine net beats
+    # both
+    a = [np.array([[math.cos(t)], [math.sin(t)]]) for t in np.radians([0.0, 60.0, 120.0])]
+    K = Body(2, gauge=(Piece("l2", a[0]), Piece("l2", a[1])),
+             support=(Piece("l2", a[0]), Piece("l2", a[1])),
+             inner_radius=1.0, outer_radius=2.0, symmetric=True)
+    L = Body(2, gauge=(Piece("l2", a[2]),), support=(Piece("l2", a[2]),),
+             inner_radius=1.0, outer_radius=2.0, symmetric=True)
+    d = diameter_of_intersection(K, L, np.eye(2), opt=opt_small, bracket_delta=delta)
+    assert d.note == diameter_note
+    assert d.upper_bracket == pytest.approx(upper, rel=1e-12) and d.upper_bracket >= d.diameter
+    r = inclusion_radius(K, L, np.eye(2), opt=opt_small, combine="max", bracket_delta=delta)
+    assert r.note == inclusion_note
+    assert r.lower_bracket == pytest.approx(lower, rel=1e-12) and r.lower_bracket <= r.value

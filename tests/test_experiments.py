@@ -175,8 +175,9 @@ def test_two_bodies_cylinder_hypotheses_pass():
 def test_two_bodies_dual_mode_product():
     K = ellipsoid([1.0, 1.2, 0.9])
     L = ellipsoid([1.1, 0.8, 1.0])
-    rep = run_two_bodies(K, L, 3, 2, trials=3, seed=17, mode="dual",
-                         dual_products=True, verify=False,
+    # L's projection on coordinates 0 and 2 contains the unit ball
+    rep = run_two_bodies(K, L, 3, 2, trials=3, seed=17, mode="dual", dual_products=True,
+                         section_L=Subspace.from_frame([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
                          opt=OptimizerConfig(restarts=24, iters=80, seed=0))
     for row in rep.trials:
         assert row["dual_product"] == pytest.approx(2.0, rel=2e-4)

@@ -62,11 +62,11 @@ def _assert_same(res, solo):
 
 
 @pytest.mark.parametrize("polish", [False, True])
-def test_batch_equals_solo_bit_for_bit(polish):
-    cfg = OptimizerConfig(restarts=CFG.restarts, iters=CFG.iters, seed=CFG.seed,
-                          polish=polish)
-    solo = [minimize_on_sphere(_field(t), N, cfg) for t in range(4)]
-    batch = minimize_on_sphere_batch(_fields(), N, 4, cfg)
+def test_batch_equals_solo_bit_for_bit(polish, monkeypatch):
+    if not polish:
+        monkeypatch.setattr(optimize, "POLISH_STARTS", 0)  # the descent alone
+    solo = [minimize_on_sphere(_field(t), N, CFG) for t in range(4)]
+    batch = minimize_on_sphere_batch(_fields(), N, 4, CFG)
     assert len({r.nfev for r in solo}) == 4  # stopped at different iterations
     for res, one in zip(batch, solo):
         _assert_same(res, one)
@@ -135,21 +135,21 @@ def test_polish_counts_unconverged_solves(monkeypatch):
     res = minimize_on_sphere(_field(0), N, CFG)
     assert len(solves) > 1
     assert res.polish_unconverged == len(solves)
-    no_polish = OptimizerConfig(restarts=8, iters=200, seed=1, polish=False)
-    assert minimize_on_sphere(_field(0), N, no_polish).polish_unconverged == 0
+    monkeypatch.setattr(optimize, "POLISH_STARTS", 0)  # the descent alone
+    assert minimize_on_sphere(_field(0), N, CFG).polish_unconverged == 0
 
 
-def test_descent_reports_its_iterations_and_one_pass_per_iteration():
+def test_descent_reports_its_iterations_and_one_pass_per_iteration(monkeypatch):
     # each iteration evaluates the field and its subgradient once, at the m
     # candidate rows, as does the start; a smooth piece adds its 2 n
     # difference rows per row, and the value at the result is one row more
-    cfg = OptimizerConfig(restarts=CFG.restarts, iters=CFG.iters, seed=CFG.seed, polish=False)
+    monkeypatch.setattr(optimize, "POLISH_STARTS", 0)  # the descent alone
     m, seen = CFG.restarts, []
-    res = minimize_on_sphere(select_pieces(_fields(seen), 1), N, cfg)
-    assert res.stage == "descent" and 0 < res.descent_iters < cfg.iters  # stopped early
+    res = minimize_on_sphere(select_pieces(_fields(seen), 1), N, CFG)
+    assert res.stage == "descent" and 0 < res.descent_iters < CFG.iters  # stopped early
     assert res.nfev == (res.descent_iters + 1) * m * (1 + 2 * N) + 1 == sum(seen)
     mixed = ellipsoid([1.0, 1.4, 0.8]).gauge_pieces + cube(3, 0.9).gauge_pieces
-    res = minimize_on_sphere(mixed, 3, cfg)
+    res = minimize_on_sphere(mixed, 3, CFG)
     assert res.nfev == (res.descent_iters + 1) * m + 1
 
 
@@ -346,14 +346,15 @@ def test_flat_polyhedral_rows_fall_back_to_the_optimizer():
     assert d.diameter == np.inf and d.note == "unbounded direction found"
 
 
-def test_polish_nit_counts_slsqp_iterations():
+def test_polish_nit_counts_slsqp_iterations(monkeypatch):
     K = truncated_cylinder(ball(2, 0.5), 4, truncation_radius=1e6)
     assert minimize_on_sphere(K.gauge_pieces, 4, CFG).stage == "exact"
     pieces = K.gauge_pieces + (ZERO,)  # the same field, past the exact stage
     res = minimize_on_sphere(pieces, 4, CFG)
     assert res.stage != "exact" and res.polish_nit > 0
-    no_polish = OptimizerConfig(restarts=8, iters=200, seed=1, polish=False)
-    res = minimize_on_sphere(pieces, 4, no_polish)
+    with monkeypatch.context() as m:
+        m.setattr(optimize, "POLISH_STARTS", 0)  # the descent alone
+        res = minimize_on_sphere(pieces, 4, CFG)
     assert (res.stage, res.polish_nit) == ("descent", 0)
     C = cube(4, 1.0)
     res = minimize_on_sphere(C.gauge_pieces, 4, CFG)
