@@ -7,6 +7,8 @@ import os
 
 import numpy as np
 
+from .errors import DomainError
+
 THREADS_ENV = "WAISTLAB_THREADS"
 # the quantiles of every summary, by column name
 QUANTILES = {f"q{round(q * 100):02d}": q for q in (0.05, 0.25, 0.5, 0.75, 0.95)}
@@ -67,6 +69,21 @@ def bernoulli_se(p_hat: float, n: int) -> float:
     """Standard error of an empirical proportion."""
     p = min(max(float(p_hat), 0.0), 1.0)
     return float(np.sqrt(p * (1.0 - p) / max(n, 1)))
+
+
+def hit_fraction(samples: int, batch: int, hits):
+    """Monte-Carlo proportion with its standard error: hits(m) draws m
+    points and counts the hits, called on batches of at most `batch`
+    until `samples` points are drawn."""
+    if samples < 1:
+        raise DomainError("samples must be >= 1")
+    count, left = 0, samples
+    while left > 0:
+        m = min(left, batch)
+        count += int(np.count_nonzero(hits(m)))
+        left -= m
+    p = count / samples
+    return p, bernoulli_se(p, samples)
 
 
 def fmt_float(x) -> str:

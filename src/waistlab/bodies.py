@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from ._util import ball_points, bernoulli_se, rng_from, sphere_points
+from ._util import ball_points, hit_fraction, rng_from, sphere_points
 from .errors import ContainmentError, DomainError, EvaluationError, SpecError
 
 __all__ = [
@@ -986,11 +986,14 @@ def linear_image(K: Body, Q, scale: float = 1.0) -> Body:
     """Image of the body under x -> scale * Q x, for Q orthogonal (a matrix
     or a Rotation) and scale > 0: rotations, reflections and dilations.
     Every evaluator conjugates, and the vertex list maps along; the support
-    evaluator stays absent when K has none."""
+    evaluator stays absent when K has none.  The image of a ball is a
+    ball."""
     Q = orthogonal_matrix(Q, K.dim)
     if not scale > 0:
         raise DomainError(f"scale must be positive, got {scale}")
     t = float(scale)
+    if K.kind == "ball":
+        return ball(K.dim, t * K.outer_radius)
 
     project = None
     if K.can_project:
@@ -1061,21 +1064,13 @@ def mc_volume(K: Body, samples: int, seed=None):
     bodies are rejected."""
     if not math.isfinite(K.outer_radius):
         raise DomainError("mc_volume requires a bounded body (finite outer radius)")
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-    if K.outer_radius == 0.0:
-        return 0.0, 0.0
     rng = rng_from(seed)
-    box_vol = unit_ball_volume(K.dim) * K.outer_radius ** K.dim
-    hits = 0
-    left = samples
-    while left > 0:
-        n = min(left, VOLUME_BATCH)
-        pts = ball_points(rng, n, K.dim, K.outer_radius)
-        hits += int(np.count_nonzero(K.contains(pts)))
-        left -= n
-    p = hits / samples
-    return box_vol * p, box_vol * bernoulli_se(p, samples)
+    r = K.outer_radius
+    box_vol = unit_ball_volume(K.dim) * r ** K.dim
+    # a body of outer radius 0 has volume 0, and its points are not drawn
+    p, se = hit_fraction(samples, VOLUME_BATCH,
+                         lambda m: K.contains(ball_points(rng, m, K.dim, r)) if r > 0 else 0)
+    return box_vol * p, box_vol * se
 
 
 def volume_ratio(K: Body, samples: int, seed=None) -> float:

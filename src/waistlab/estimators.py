@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import ball_points, bernoulli_se, rng_from, sphere_points
+from ._util import ball_points, hit_fraction, rng_from, sphere_points
 from .bodies import (Body, _check_dims, _max_of, map_pieces, orthogonal_matrix,
                      select_pieces, sum_pieces)
 from .errors import DomainError, EvaluationError
@@ -59,21 +59,11 @@ MAX_TRANSLATES = 100_000    # covering_number_upper gives up beyond this count
 def mc_sigma_body(K: Body, eps: float, samples: int, seed=None):
     """Fraction of the unit sphere within Euclidean distance eps of the body,
     with its standard error, from SIGMA_BODY_BATCH points at a time."""
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
     if eps < 0:
         raise DomainError(f"eps must be nonnegative, got {eps}")
     rng = rng_from(seed)
-    hits = 0
-    left = samples
-    while left > 0:
-        m = min(left, SIGMA_BODY_BATCH)
-        pts = sphere_points(rng, m, K.dim)
-        d = np.asarray(K.distance(pts), dtype=float)
-        hits += int(np.count_nonzero(d <= eps))
-        left -= m
-    p = hits / samples
-    return p, bernoulli_se(p, samples)
+    return hit_fraction(samples, SIGMA_BODY_BATCH,
+                        lambda m: np.asarray(K.distance(sphere_points(rng, m, K.dim))) <= eps)
 
 
 def covering_number_upper(L: Body, K: Body, *, probes: int = 20_000, seed=0) -> int:

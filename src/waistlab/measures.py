@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import betainc, gammainc
 
-from ._util import bernoulli_se, rng_from
+from ._util import hit_fraction, rng_from
 from .errors import DomainError
 
 __all__ = [
@@ -144,23 +144,17 @@ def sigma_mc(q: SubsphereQuery, samples: int, seed=None):
     arcsine of the norm of the component orthogonal to the subsphere's
     span.  Fixed seeds reproduce the estimate exactly.
     """
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
     rng = rng_from(seed)
     m, j = q.sphere_dim, q.subsphere_dim
     thresh = math.sin(q.theta) ** 2
-    hits = 0
-    left = samples
-    while left > 0:
-        n = min(left, SIGMA_MC_BATCH)
+
+    def hits(n):
         g = rng.standard_normal((n, m + 1))
         sq = g * g
         perp = sq[:, j + 1:].sum(axis=1)
-        total = perp + sq[:, : j + 1].sum(axis=1)
-        hits += int(np.count_nonzero(perp <= thresh * total))
-        left -= n
-    p = hits / samples
-    return p, bernoulli_se(p, samples)
+        return perp <= thresh * (perp + sq[:, : j + 1].sum(axis=1))
+
+    return hit_fraction(samples, SIGMA_MC_BATCH, hits)
 
 
 def sigma_lip_lower(n: int, k: int, theta: float) -> float:

@@ -381,6 +381,28 @@ def test_batched_projection_rows_end_as_alone(monkeypatch):
     assert batched_rows == projected[0]
 
 
+def test_rotated_ball_sum_is_the_neighborhood(monkeypatch):
+    # the image of a ball is a ball, so the sum takes the closed-form
+    # distance of a ball summand and never the dual distance program
+    import waistlab.optimize
+
+    calls = [0]
+    nearest_points = waistlab.optimize.nearest_points
+
+    def counting(pieces, X):
+        calls[0] += 1
+        return nearest_points(pieces, X)
+
+    monkeypatch.setattr(waistlab.optimize, "nearest_points", counting)
+    B = linear_image(ball(3, 0.5), haar_rotation(3, seed=8))
+    assert B.kind == "ball" and B.outer_radius == 0.5
+    S, N = minkowski_sum(cube(3, 0.8), B), neighborhood(cube(3, 0.8), 0.5)
+    X = np.random.default_rng(9).normal(size=(20, 3)) * 1.5
+    assert np.array_equal(S.gauge(X), N.gauge(X))
+    assert np.array_equal(S.distance(X), N.distance(X))
+    assert calls[0] == 0
+
+
 def test_neighborhood_of_unbounded_slab_has_its_own_gauge():
     N = neighborhood(slab_body([[1.0, 0.0]], [1.0]), 0.5)
     assert N.inner_radius == 1.5

@@ -69,6 +69,19 @@ def test_descent_never_beats_the_exact_value(K, L):
         assert other.value >= res.value * (1.0 - 1e-14)
 
 
+@pytest.mark.parametrize("n, budget", [(4, 800), (6, 640), (8, 120)])
+def test_kernel_end_ladders_prune_the_flat_disk_fields(n, budget):
+    # the minima sit at the kernel ends, which the ladders prune before the
+    # grid: 688 / 540 / 60 candidates at n = 4 / 6 / 8, and 1113 / 1054 /
+    # 476 when the grid is searched without them
+    rotations = np.stack([U.matrix for U in _criterion_9_rotations(n, 20)])
+    flat = _flat_disk(n)
+    pieces = sum_pieces((flat.support_pieces, map_pieces(flat.support_pieces, rotations)))
+    results = optimize._cauchy_schwarz(pieces, n, len(rotations))
+    assert all(res.stage == "exact" for res in results)
+    assert sum(res.nfev for res in results) <= budget
+
+
 def test_nearly_coincident_disks_carry_the_stage_bound():
     # rotated by 1e-3 rad in the (e_1, e_n) plane, the two support cones
     # nearly coincide and the search gives up at its budget: the field
