@@ -21,8 +21,8 @@ from .geometry import (Rotation, SphereNet, Subspace, build_net, geodesic_distan
 from .measures import (DEFAULT_CONSTANTS, BoundConstants, CapBounds,
                        GaussianFactReport, LipBounds, SubsphereQuery, cap_angle,
                        cap_angle_compl, cap_bounds, chisq_cdf, gaussian_fact_check,
-                       lip_bounds, sigma_exact, sigma_exact_array, sigma_lip_lower,
-                       sigma_mc)
+                       lip_bounds, sigma_ball_product, sigma_exact, sigma_exact_array,
+                       sigma_lip_lower, sigma_mc)
 from .optimize import OptimizerConfig, minimize_on_sphere
 
 __version__ = "0.1.0"

@@ -28,7 +28,8 @@ from .estimators import (diameters_of_intersection, inclusion_radii, mc_sigma_bo
                          section_diameter, section_diameters)
 from .geometry import (Subspace, _haar_from_rng, check_projected_ball, lift_waist,
                        spherical_projection)
-from .measures import DEFAULT_CONSTANTS, BoundConstants, SubsphereQuery, sigma_exact, sigma_lip_lower
+from .measures import (DEFAULT_CONSTANTS, BoundConstants, SubsphereQuery, sigma_ball_product,
+                       sigma_exact, sigma_lip_lower)
 from .optimize import BATCH_ROWS, DEFAULT_OPT, OptimizerConfig, minimize_on_sphere
 
 __all__ = [
@@ -225,13 +226,38 @@ def _net_lands(K: Body, centers, rotations, tol: float):
     return ok
 
 
+def _sigma_near(K: Body, eps: float, samples: int, seed):
+    """Fraction of the unit sphere within eps of K, its standard error and
+    how it was obtained.  A ball or a product of two balls, recognized from
+    K's spec, has a closed form (d(x, ball(n, r)) = (1 - r)_+ on the sphere;
+    measures.sigma_ball_product for the product) with SE 0; every other
+    body draws samples sphere points."""
+    if eps < 0:
+        raise DomainError(f"eps must be nonnegative, got {eps}")
+    spec = K.spec
+    if spec is not None and spec.kind == "ball":
+        return float(1.0 - spec.params["radius"] <= eps), 0.0, "exact (ball)"
+    if (spec is not None and spec.kind == "product"
+            and spec.params["first"].kind == spec.params["second"].kind == "ball"):
+        a, b = spec.params["first"].params, spec.params["second"].params
+        sigma = sigma_ball_product(a["dim"], a["radius"], b["dim"], b["radius"], eps)
+        return sigma, 0.0, "exact (product of two balls)"
+    return (*mc_sigma_body(K, eps, samples, seed=seed), "Monte Carlo")
+
+
 def run_core_lemma(K: Body, L: Body, delta_K: float, delta_L: float, trials: int,
                    seed=0, *, sigma_samples: int = 200_000, net_probes: int = 4096,
                    opt: OptimizerConfig = DEFAULT_OPT) -> ExperimentReport:
     """Randomized inclusion experiment: build a net of sphere translates
     covering the unit ball through L, rotate it, check the net lands in the
     delta_K-neighborhood of K and that the combined body contains the
-    guaranteed ball; compare the empirical failure rate with N*sigma."""
+    guaranteed ball; compare the empirical failure rate with N*sigma.
+
+    sigma, the fraction of the sphere farther than delta_K from K, is exact
+    when K is a ball or a product of two balls (summary `sigma_method`
+    "exact (ball)" or "exact (product of two balls)", with `sigma_se` and
+    `failure_bound_se` 0); any other K is sampled at sigma_samples sphere
+    points ("Monte Carlo"), the only use of sigma_samples."""
     if not delta_K + delta_L < 1.0:
         raise DomainError(f"need delta_K + delta_L < 1, got {delta_K + delta_L}")
     t0 = time.perf_counter()
@@ -250,7 +276,7 @@ def run_core_lemma(K: Body, L: Body, delta_K: float, delta_L: float, trials: int
     s_net, s_sigma, s_trials = ss.spawn(3)
     centers = cover_ball_with_body(L, delta_L, probes=net_probes, seed=s_net, opt=opt)
     N = centers.shape[0]
-    sigma_in, sigma_in_se = mc_sigma_body(K, delta_K, sigma_samples, seed=s_sigma)
+    sigma_in, sigma_in_se, sigma_method = _sigma_near(K, delta_K, sigma_samples, s_sigma)
     sigma_hat = 1.0 - sigma_in
     threshold = 1.0 - delta_K - delta_L
 
@@ -267,7 +293,7 @@ def run_core_lemma(K: Body, L: Body, delta_K: float, delta_L: float, trials: int
     slack = 3.0 * math.hypot(incl_fail_se, bound_se)
     summary = {
         "net_cardinality": N,
-        "sigma_hat": sigma_hat, "sigma_se": sigma_in_se,
+        "sigma_hat": sigma_hat, "sigma_se": sigma_in_se, "sigma_method": sigma_method,
         "failure_bound": bound, "failure_bound_se": bound_se,
         "net_failure_rate": net_fail, "net_failure_se": net_fail_se,
         "incl_failure_rate": incl_fail, "incl_failure_se": incl_fail_se,

@@ -5,11 +5,11 @@ j-dimensional subsphere inside the m-dimensional sphere has an exact
 expression: for a uniform point, the squared norm of the component
 orthogonal to the subsphere's span is Beta((m-j)/2, (j+1)/2) distributed,
 so the measure equals the regularized incomplete beta function at
-sin^2(theta).  Everything else in this module (chi-square law, two-sided
-cap bounds, odd-map lower bounds, small-ball facts) is evaluated through
-that function and the regularized incomplete gamma function, both exact
-to well below 1e-13 absolute error, which underwrites the 1e-12
-identities asserted by the test suite.
+sin^2(theta).  Everything else in this module (the measure near a product
+of two balls, chi-square law, two-sided cap bounds, odd-map lower bounds,
+small-ball facts) is evaluated through that function and the regularized
+incomplete gamma function, both exact to well below 1e-13 absolute error,
+which underwrites the 1e-12 identities asserted by the test suite.
 
 The absolute constants appearing in the closed-form bounds are not pinned
 by theory; the shipped defaults were fitted by an exhaustive sweep of the
@@ -43,6 +43,7 @@ __all__ = [
     "GaussianFactReport",
     "sigma_exact",
     "sigma_exact_array",
+    "sigma_ball_product",
     "sigma_mc",
     "sigma_lip_lower",
     "cap_bounds",
@@ -134,6 +135,55 @@ def sigma_exact(q: SubsphereQuery) -> float:
     """
     s = math.sin(q.theta)
     return float(sigma_exact_array(q.sphere_dim, q.subsphere_dim, s * s))
+
+
+def _far_gap(r: float, s: float, eps: float, rho: float) -> float:
+    """1 - t2 for the largest t2 in [0, 1] with f(t2) <= eps^2, where
+    f(t) = (sqrt(t) - r)_+^2 + (sqrt(1 - t) - s)_+^2 and eps is at least
+    f's minimum (1 - rho)_+.
+
+    Past f's minimum f grows, and eps is first reached either where only
+    the first term is active, at sqrt(t) = r + eps, or where both are: on
+    the quarter circle (cos phi, sin phi), t = cos^2 phi, f is then the
+    squared distance to the corner (r, s), and it equals eps^2 at
+    phi = atan2(s, r) - alpha with cos(alpha) = (1 + rho^2 - eps^2) / (2 rho).
+    """
+    a = r + eps
+    if a >= 1.0:
+        return 0.0
+    if a * a + s * s >= 1.0:
+        return (1.0 - a) * (1.0 + a)
+    # 1 - cos(alpha) = 2 sin^2(alpha / 2), which keeps alpha accurate near 0
+    half = math.sqrt((eps - 1.0 + rho) * (eps + 1.0 - rho) / (4.0 * rho))
+    return math.sin(math.atan2(s, r) - 2.0 * math.asin(half)) ** 2
+
+
+def sigma_ball_product(k: int, r: float, m: int, s: float, eps: float) -> float:
+    """Fraction of the unit sphere of R^{k+m} within distance eps of the
+    product ball(k, r) x ball(m, s).
+
+    For a unit x, t = |x_{1..k}|^2 is Beta(k/2, m/2) distributed and the
+    squared distance to the product is f(t) = (sqrt(t) - r)_+^2 +
+    (sqrt(1 - t) - s)_+^2.  f is convex, so {f <= eps^2} is one interval
+    [t1, t2] about f's minimum: 0 on [1 - s^2, r^2] when
+    rho = hypot(r, s) >= 1, else (1 - rho)^2 at t = r^2 / rho^2.  The
+    measure is I_{t2} - I_{t1} of the regularized incomplete beta
+    function, computed as 1 minus the two tails outside the interval from
+    each end's closed form (_far_gap; the t1 end is the t2 end of the
+    swapped factors), so swapping the factors gives the same bits.
+    Clamped to [0, 1].
+    """
+    if not (k >= 1 and m >= 1):
+        raise DomainError(f"need factor dimensions k, m >= 1, got k={k}, m={m}")
+    if not (r >= 0.0 and s >= 0.0 and eps >= 0.0):
+        raise DomainError(f"need r, s, eps >= 0, got r={r}, s={s}, eps={eps}")
+    rho = math.sqrt(r * r + s * s)
+    if eps < 1.0 - rho:
+        return 0.0
+    # P(t > t2) = P(1 - t < 1 - t2), and P(t < t1) with t1 = 1 - (1 - t1)
+    tails = (betainc(m / 2.0, k / 2.0, _far_gap(r, s, eps, rho))
+             + betainc(k / 2.0, m / 2.0, _far_gap(s, r, eps, rho)))
+    return float(min(max(1.0 - tails, 0.0), 1.0))
 
 
 def sigma_mc(q: SubsphereQuery, samples: int, seed=None):

@@ -97,6 +97,42 @@ def test_core_flat_disk_rate_below_bound():
     assert {"failure_bound", "incl_failure_rate", "sigma_hat", "sigma_se"} <= set(s)
 
 
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("mc_sigma_body called for a body with an exact sigma")
+
+
+def test_core_flat_disk_sigma_is_exact_without_sampling(monkeypatch):
+    monkeypatch.setattr(experiments, "mc_sigma_body", _no_sampling)
+    flat = product_body(ball(3, 1.0), ball(1, 0.0))
+    rep = run_core_lemma(flat, flat, 0.4, 0.35, trials=5, seed=3,
+                         sigma_samples=50_000, net_probes=512, opt=OPT)
+    s = rep.summary
+    assert s["sigma_method"] == "exact (product of two balls)"
+    assert s["sigma_se"] == 0.0 and s["failure_bound_se"] == 0.0
+    # a flat disk's neighborhood is the subsphere neighborhood of its plane
+    assert s["sigma_hat"] == pytest.approx(
+        1.0 - sigma_exact(SubsphereQuery(3, 2, math.asin(0.4))), abs=1e-12)
+    assert rep.config["sigma_samples"] == 50_000
+
+
+def test_core_ball_sigma_is_exact(monkeypatch):
+    monkeypatch.setattr(experiments, "mc_sigma_body", _no_sampling)
+    rep = run_core_lemma(ball(3, 0.8), ball(3, 1.0), 0.3, 0.3, trials=2, seed=4,
+                         net_probes=256, opt=OPT)
+    assert rep.summary["sigma_method"] == "exact (ball)"
+    assert rep.summary["sigma_hat"] == 0.0 and rep.summary["sigma_se"] == 0.0
+
+
+def test_core_other_bodies_sample_sigma():
+    K = ellipsoid([0.6, 0.9, 1.2])
+    rep = run_core_lemma(K, ball(3, 1.0), 0.2, 0.3, trials=2, seed=5,
+                         sigma_samples=2000, net_probes=256, opt=OPT)
+    s = rep.summary
+    assert s["sigma_method"] == "Monte Carlo"
+    assert 0.0 < s["sigma_hat"] < 1.0
+    assert s["sigma_se"] > 0.0 and s["failure_bound_se"] > 0.0
+
+
 def test_cover_ball_net_certifies():
     L = ball(2, 0.8)
     centers = cover_ball_with_body(L, 0.3, probes=1024, seed=4, opt=OPT)

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from waistlab.bodies import ball, product_body
 from waistlab.errors import DomainError
+from waistlab.estimators import mc_sigma_body
 from waistlab.measures import (BoundConstants, SubsphereQuery, cap_angle,
                                cap_bounds, chisq_cdf, gaussian_fact_check,
-                               lip_bounds, sigma_exact, sigma_exact_array,
-                               sigma_lip_lower, sigma_mc)
+                               lip_bounds, sigma_ball_product, sigma_exact,
+                               sigma_exact_array, sigma_lip_lower, sigma_mc)
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +110,73 @@ def test_sigma_mc_deterministic():
 def test_sigma_mc_rejects_zero_samples():
     with pytest.raises(DomainError):
         sigma_mc(SubsphereQuery(2, 1, 0.5), 0)
+
+
+# ---------------------------------------------------------------------------
+# sigma_ball_product
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k, r, m, s, eps", [
+    # flat disks ball(n - 1, 1) x ball(1, 0)
+    (5, 1.0, 1, 0.0, 0.5), (5, 1.0, 1, 0.0, 0.6),
+    (7, 1.0, 1, 0.0, 0.5), (7, 1.0, 1, 0.0, 0.6),
+    # cylinders ball(k, 1) x ball(n - k, s)
+    (2, 1.0, 4, 0.1, 0.3), (2, 1.0, 4, 0.3, 0.3),
+    (4, 1.0, 6, 0.1, 0.3), (4, 1.0, 6, 0.3, 0.3),
+    # hypot(r, s) < 1: both ends of the interval lie where both terms are active
+    (3, 0.6, 3, 0.5, 0.3), (2, 0.5, 5, 0.4, 0.45),
+])
+def test_ball_product_matches_monte_carlo(k, r, m, s, eps):
+    K = product_body(ball(k, r), ball(m, s))
+    est, se = mc_sigma_body(K, eps, 200_000, seed=100 * (k + m) + int(100 * (s + eps)))
+    assert abs(est - sigma_ball_product(k, r, m, s, eps)) <= 4 * max(se, 1e-9)
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (6, 5), (10, 3)])
+@pytest.mark.parametrize("r", [1.0, 1.7])
+@pytest.mark.parametrize("eps", [0.05, 0.35, 0.9, 1.0])
+def test_ball_product_embedded_ball_is_the_subsphere_neighborhood(n, k, r, eps):
+    # a ball of radius >= 1 in a k-plane: the sphere points within eps of it
+    # are those within geodesic distance asin(eps) of the plane's great sphere
+    ref = sigma_exact(SubsphereQuery(n - 1, k - 1, math.asin(eps)))
+    assert abs(sigma_ball_product(k, r, n - k, 0.0, eps) - ref) < 1e-12
+
+
+def test_ball_product_domain_errors():
+    with pytest.raises(DomainError):
+        sigma_ball_product(0, 1.0, 2, 0.0, 0.3)
+    with pytest.raises(DomainError):
+        sigma_ball_product(2, -0.1, 2, 0.0, 0.3)
+    with pytest.raises(DomainError):
+        sigma_ball_product(2, 1.0, 2, 0.0, -0.3)
+
+
+_dims = st.integers(1, 12)
+_radii = st.floats(0.0, 1.5)
+_eps = st.floats(0.0, 1.2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_dims, _radii, _dims, _radii, _eps)
+def test_ball_product_is_a_measure_symmetric_in_its_factors(k, r, m, s, eps):
+    v = sigma_ball_product(k, r, m, s, eps)
+    assert 0.0 <= v <= 1.0
+    assert sigma_ball_product(m, s, k, r, eps) == v
+    if eps >= 1.0:
+        assert v == 1.0
+    if eps < 1.0 - math.hypot(r, s):
+        assert v == 0.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_dims, _radii, _dims, _radii, _eps, st.floats(0.0, 0.5), st.sampled_from(range(3)))
+def test_ball_product_is_nondecreasing_in_eps_and_radii(k, r, m, s, eps, step, which):
+    grown = [r, s, eps]
+    grown[which] += step
+    assume(grown[2] <= 1.2)
+    assert sigma_ball_product(k, grown[0], m, grown[1], grown[2]) >= \
+        sigma_ball_product(k, r, m, s, eps) - 1e-12
 
 
 # ---------------------------------------------------------------------------
