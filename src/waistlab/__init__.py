@@ -15,9 +15,9 @@ from .estimators import (DiameterResult, InclusionResult, covering_number_upper,
 from .experiments import (ExperimentReport, ScheduleParams, run_core_lemma,
                           run_global_vr, run_higher_sphere, run_projection,
                           run_sections, run_two_bodies, theorem_schedule)
-from .geometry import (Rotation, SphereNet, Subspace, build_net, geodesic_distance,
-                       haar_rotation, haar_rotations, lift_waist, random_subspace,
-                       segment_cap_check, spherical_projection)
+from .geometry import (SphereNet, Subspace, build_net, geodesic_distance, haar_rotation,
+                       haar_rotations, lift_waist, random_subspace, segment_cap_check,
+                       spherical_projection)
 from .measures import (DEFAULT_CONSTANTS, BoundConstants, CapBounds,
                        GaussianFactReport, LipBounds, SubsphereQuery, cap_angle,
                        cap_angle_compl, cap_bounds, chisq_cdf, gaussian_fact_check,

@@ -77,7 +77,7 @@ __all__ = [
 GAUGE_TOL = 1e-9          # membership tolerance at the gauge boundary; ties are in
 DIST_TOL = 1e-9           # membership tolerance for distance-based tests
 PROJECT_CAP = 10_000      # cyclic projection iteration cap
-ORTHO_TOL = 1e-10
+ORTHO_TOL = 1e-10         # largest residual of an orthogonal matrix or an orthonormal frame
 DEFAULT_TRUNCATION = 1e6
 BISECTION_STEPS = 64      # halvings of a gauge bracket, and most doublings to find one
 VOLUME_BATCH = 1 << 17    # most points mc_volume draws at once
@@ -293,13 +293,15 @@ class Body:
     without its own projection projects by the dual distance program over
     its support pieces, and one with neither raises EvaluationError.
     vertices holds the vertex array of a vertex polytope or of its linear
-    image, and is None for every other body.
+    image, and is None for every other body.  factors holds the (first,
+    second) bodies of a product on split coordinates, and is None for
+    every other body.
     """
 
     def __init__(self, dim, *, gauge, support=None, membership=None,
                  project=None, distance=None,
                  inner_radius, outer_radius, symmetric, truncated=False,
-                 kind="custom", spec=None, vertices=None):
+                 kind="custom", spec=None, vertices=None, factors=None):
         self.dim = int(dim)
         self.gauge_pieces = gauge
         self._support = support
@@ -313,6 +315,7 @@ class Body:
         self.kind = kind
         self.spec = spec
         self.vertices = vertices
+        self.factors = factors
 
     def __repr__(self):
         return f"Body(kind={self.kind!r}, dim={self.dim}, symmetric={self.symmetric})"
@@ -684,7 +687,7 @@ def product_body(first: Body, second: Body) -> Body:
         if math.isfinite(first.outer_radius) and math.isfinite(second.outer_radius) else math.inf,
         symmetric=first.symmetric and second.symmetric,
         truncated=first.truncated or second.truncated,
-        kind="product", spec=spec,
+        kind="product", spec=spec, factors=(first, second),
     )
 
 
@@ -971,9 +974,9 @@ def minkowski_sum(K: Body, L: Body) -> Body:
 
 
 def orthogonal_matrix(Q, dim: int) -> np.ndarray:
-    """Q (a matrix or a Rotation) as a float array, checked to be an
-    orthogonal dim x dim matrix to ORTHO_TOL; raises DomainError."""
-    Q = np.asarray(getattr(Q, "matrix", Q), dtype=float)
+    """Q as a float array, checked to be an orthogonal dim x dim matrix to
+    ORTHO_TOL; raises DomainError."""
+    Q = np.asarray(Q, dtype=float)
     if Q.shape != (dim, dim):
         raise DomainError(f"orthogonal map must be {dim}x{dim}, got {Q.shape}")
     resid = float(np.max(np.abs(Q.T @ Q - np.eye(dim))))
@@ -983,8 +986,8 @@ def orthogonal_matrix(Q, dim: int) -> np.ndarray:
 
 
 def linear_image(K: Body, Q, scale: float = 1.0) -> Body:
-    """Image of the body under x -> scale * Q x, for Q orthogonal (a matrix
-    or a Rotation) and scale > 0: rotations, reflections and dilations.
+    """Image of the body under x -> scale * Q x, for Q an orthogonal matrix
+    and scale > 0: rotations, reflections and dilations.
     Every evaluator conjugates, and the vertex list maps along; the support
     evaluator stays absent when K has none.  The image of a ball is a
     ball."""

@@ -36,23 +36,24 @@ _SECTIONS = ("section", "section_K", "section_L", "section_diff")
 
 _COMMON_OPTIONAL = {"experiment", "seed", "schedule"}
 
-_SCHEMAS = {
-    "two-bodies": ({"n", "k", "trials", "K", "L"},
-                   {"a_frac", "c_ref", "mode", "dual_products",
-                    "section_K", "section_L", "section_bound"}),
-    "sections": ({"K", "k_exist", "k_query", "trials"},
-                 {"thresholds", "threshold", "section"}),
-    "core": ({"K", "L", "delta_K", "delta_L", "trials"},
-             {"sigma_samples", "net_probes"}),
-    "higher-sphere": ({"cap_spec", "n", "m", "theta", "samples"}, set()),
-    "projection": ({"K", "k", "eps", "samples"}, {"lift_checks"}),
-    "global-vr": ({"K", "L", "n", "k", "trials"},
-                  {"a_frac", "vol_samples", "section_L", "section_diff"}),
-}
-
 _SCHEDULE_KEYS = ({"n", "k"}, {"a_frac", "C1_sched", "c2_sched"})
 _OPTIMIZER_KEYS = (set(), {f.name for f in dataclasses.fields(OptimizerConfig)})
 _SUBSPACE_KEYS = (set(), {"k", "offset", "frame"})
+
+
+def _schema(name: str):
+    """The (required, optional) config keys of an experiment, read from its
+    harness signature: a parameter without a default is required, one with
+    a default optional.  seed is common to every experiment, opt is the
+    "optimizer" block, and projection's subspace P is set by the key k."""
+    from . import experiments
+
+    keys = (set(), set())
+    for param in inspect.signature(getattr(experiments, _HARNESSES[name])).parameters.values():
+        if param.name != "seed":
+            keys[param.default is not param.empty].add(
+                {"opt": "optimizer", "P": "k"}.get(param.name, param.name))
+    return keys
 
 
 def _require_keys(obj: dict, required: set, optional: set, where: str):
@@ -82,15 +83,12 @@ def load_config(path) -> dict:
     name = data.get("experiment")
     if name is None:
         raise ConfigError("missing key 'experiment' in config")
-    if name not in _SCHEMAS:
+    if name not in _HARNESSES:
         raise ConfigError(f"unknown experiment {name!r}; expected one of {EXPERIMENT_NAMES}")
     from . import experiments
 
-    required, optional = _SCHEMAS[name]
-    optional = optional | _COMMON_OPTIONAL
-    if "opt" in inspect.signature(getattr(experiments, _HARNESSES[name])).parameters:
-        optional = optional | {"optimizer"}  # becomes the harness's opt
-    _require_keys(data, required, optional, "config")
+    required, optional = _schema(name)
+    _require_keys(data, required, optional | _COMMON_OPTIONAL, "config")
     for key in ("K", "L"):
         if key in data:
             try:

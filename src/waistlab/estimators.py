@@ -130,7 +130,6 @@ def entropy_bound(K: Body, sigma_estimate: float) -> float:
 @dataclass
 class DiameterResult:
     diameter: float
-    certified_lower: float
     direction: np.ndarray
     note: str
     truncated: bool
@@ -219,7 +218,7 @@ def _diameters(K, L, rotations, opt, bracket_delta):
     for t, res in enumerate(results):
         gmin = res.value
         if gmin <= 1e-12:
-            out.append(DiameterResult(math.inf, math.inf, res.direction,
+            out.append(DiameterResult(math.inf, res.direction,
                                       "unbounded direction found", truncated))
             continue
         diameter = 2.0 / gmin
@@ -229,7 +228,7 @@ def _diameters(K, L, rotations, opt, bracket_delta):
             note, upper = how, 2.0 / lower
         if truncated and diameter >= 0.5 * min(K.outer_radius, L.outer_radius):
             note += "; truncation active"
-        out.append(DiameterResult(diameter, diameter, res.direction, note, truncated, upper))
+        out.append(DiameterResult(diameter, res.direction, note, truncated, upper))
     return out
 
 

@@ -26,7 +26,7 @@ from .errors import (DomainError, HypothesisError, InfeasibleScheduleError,
                      NetConstructionError)
 from .estimators import (diameters_of_intersection, inclusion_radii, mc_sigma_body,
                          section_diameter, section_diameters)
-from .geometry import (Subspace, _haar_from_rng, check_projected_ball, lift_waist,
+from .geometry import (Subspace, check_projected_ball, haar_rotation, lift_waist,
                        spherical_projection)
 from .measures import (DEFAULT_CONSTANTS, BoundConstants, SubsphereQuery, sigma_ball_product,
                        sigma_exact, sigma_lip_lower)
@@ -91,7 +91,7 @@ def theorem_schedule(n: int, k: int, consts: BoundConstants = DEFAULT_CONSTANTS)
     return ScheduleParams(n=n, k=k, a_frac=a, C1_sched=consts.C1_sched,
                           c2_sched=consts.c2_sched, eps_K=eps_K, delta_K=delta_K,
                           eps_L=eps_L, delta_L=delta_L, guaranteed_radius=radius,
-                          in_strict_regime=a <= 1.0 / 33.0)
+                          in_strict_regime=consts.a_in_strict_regime)
 
 
 @dataclass
@@ -143,6 +143,12 @@ def _rate(flags):
         return 0.0, 0.0
     p = float(flags.mean())
     return p, bernoulli_se(p, flags.size)
+
+
+def _trial_rotations(ss, n: int, count: int) -> np.ndarray:
+    """(count, n, n) rotations, trial i's drawn from child i of the seed
+    sequence ss: the one trial layout of every harness."""
+    return np.array([haar_rotation(n, c) for c in ss.spawn(count)]).reshape(count, n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +226,7 @@ def _net_lands(K: Body, centers, rotations, tol: float):
     per_call = max(1, BATCH_ROWS // len(centers))
     ok = []
     for lo in range(0, len(rotations), per_call):
-        moved = np.vstack([centers @ U.matrix.T for U in rotations[lo:lo + per_call]])
+        moved = np.vstack([centers @ U.T for U in rotations[lo:lo + per_call]])
         d = np.asarray(K.distance(moved), dtype=float).reshape(-1, len(centers))
         ok.extend(d.max(axis=1) <= tol)
     return ok
@@ -228,19 +234,17 @@ def _net_lands(K: Body, centers, rotations, tol: float):
 
 def _sigma_near(K: Body, eps: float, samples: int, seed):
     """Fraction of the unit sphere within eps of K, its standard error and
-    how it was obtained.  A ball or a product of two balls, recognized from
-    K's spec, has a closed form (d(x, ball(n, r)) = (1 - r)_+ on the sphere;
-    measures.sigma_ball_product for the product) with SE 0; every other
-    body draws samples sphere points."""
+    how it was obtained.  A ball, or a product of two balls (a truncated
+    cylinder over a ball too), has a closed form (d(x, ball(n, r)) =
+    (1 - r)_+ on the sphere; measures.sigma_ball_product for the product)
+    with SE 0; every other body draws samples sphere points."""
     if eps < 0:
         raise DomainError(f"eps must be nonnegative, got {eps}")
-    spec = K.spec
-    if spec is not None and spec.kind == "ball":
-        return float(1.0 - spec.params["radius"] <= eps), 0.0, "exact (ball)"
-    if (spec is not None and spec.kind == "product"
-            and spec.params["first"].kind == spec.params["second"].kind == "ball"):
-        a, b = spec.params["first"].params, spec.params["second"].params
-        sigma = sigma_ball_product(a["dim"], a["radius"], b["dim"], b["radius"], eps)
+    if K.kind == "ball":
+        return float(1.0 - K.outer_radius <= eps), 0.0, "exact (ball)"
+    if K.factors is not None and all(F.kind == "ball" for F in K.factors):
+        a, b = K.factors
+        sigma = sigma_ball_product(a.dim, a.outer_radius, b.dim, b.outer_radius, eps)
         return sigma, 0.0, "exact (product of two balls)"
     return (*mc_sigma_body(K, eps, samples, seed=seed), "Monte Carlo")
 
@@ -280,7 +284,7 @@ def run_core_lemma(K: Body, L: Body, delta_K: float, delta_L: float, trials: int
     sigma_hat = 1.0 - sigma_in
     threshold = 1.0 - delta_K - delta_L
 
-    rotations = [_haar_from_rng(n, np.random.default_rng(c)) for c in s_trials.spawn(trials)]
+    rotations = _trial_rotations(s_trials, n, trials)
     net_ok = _net_lands(K, centers, rotations, delta_K + 1e-9)
     incl = inclusion_radii(K, L, rotations, opt=opt)
     rows = [{"trial": i, "net_ok": bool(net_ok[i]),
@@ -386,7 +390,7 @@ def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
     if dual and dual_products:
         polar_pair = (polar(K), polar(L))
 
-    rotations = [_haar_from_rng(n, np.random.default_rng(c)) for c in s_trials.spawn(trials)]
+    rotations = _trial_rotations(s_trials, n, trials)
     rows = [{"trial": i} for i in range(trials)]
     if primal:
         for row, d in zip(rows, diameters_of_intersection(K, L, rotations, opt=opt)):
@@ -441,14 +445,13 @@ def run_sections(K: Body, k_exist: int, k_query: int, trials: int, seed=0, *,
         raise HypothesisError("declared existent section is unbounded",
                               witness=section.frame)
 
-    ss = seed_sequence(seed)
-    rngs = [np.random.default_rng(c) for c in ss.spawn(max(trials, 1))[:trials]]
     columns = ["trial", "diameter", "success"]
     config = {"K": _body_echo(K), "n": n, "k": k_query, "k_exist": k_exist,
               "trials": trials, "existent_diameter": d0,
               "thresholds": list(thresholds)}
 
-    sections = [Subspace.from_frame(_haar_from_rng(n, rng).matrix[:k_query]) for rng in rngs]
+    sections = [Subspace.from_frame(U[:k_query])
+                for U in _trial_rotations(seed_sequence(seed), n, trials)]
     rows = []
     for i, d in enumerate(section_diameters(K, sections, opt)):
         ok = bool(d <= threshold) if threshold is not None else bool(math.isfinite(d))
@@ -529,13 +532,11 @@ def run_higher_sphere(cap_spec: dict, n: int, m: int, theta: float, samples: int
     ss = seed_sequence(seed)
     s_lhs, s_rhs = ss.spawn(2)
     X = sphere_points(np.random.default_rng(s_lhs), samples, n + 1)
-    lhs_hits = dist_native(X) <= theta
-    lhs, lhs_se = float(lhs_hits.mean()), bernoulli_se(lhs_hits.mean(), samples)
+    lhs, lhs_se = _rate(dist_native(X) <= theta)
 
     Y = sphere_points(np.random.default_rng(s_rhs), samples, m + 1)
     dY = dist_embedded(Y)
-    rhs_hits = dY <= theta
-    rhs, rhs_se = float(rhs_hits.mean()), bernoulli_se(rhs_hits.mean(), samples)
+    rhs, rhs_se = _rate(dY <= theta)
 
     par = np.linalg.norm(Y[:, : n + 1], axis=1)
     usable = par > 1e-12

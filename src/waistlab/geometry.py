@@ -1,5 +1,6 @@
 """Sphere geometry: random rotations and frames, geodesics, certified
-covering nets, spherical projection, and norm-minimal waist liftings."""
+covering nets, spherical projection, and norm-minimal waist liftings.
+A rotation is a plain (n, n) orthogonal float array."""
 
 from __future__ import annotations
 
@@ -9,12 +10,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import rng_from, sphere_points
-from .bodies import Body, _dykstra
+from .bodies import ORTHO_TOL, Body, _dykstra
 from .errors import (DomainError, EmptyFiberError, EvaluationError,
                      HypothesisError, NetConstructionError)
 
 __all__ = [
-    "Rotation",
     "Subspace",
     "SphereNet",
     "haar_rotation",
@@ -28,7 +28,6 @@ __all__ = [
     "segment_cap_check",
 ]
 
-FRAME_TOL = 1e-10
 GEODESIC_CHUNK = 1 << 15   # most points measured against a net at once
 NET_PROBES = 10_000        # probes per round of a probe-certified net
 NET_MAX_POINTS = 100_000   # build_net gives up beyond this cardinality
@@ -39,48 +38,26 @@ LIFT_CAP = 50_000          # and its iteration cap, which raises
 
 
 @dataclass(frozen=True, eq=False)
-class Rotation:
-    """Orthogonal matrix with its recorded orthogonality residual."""
-
-    matrix: np.ndarray
-    residual: float
-
-    @classmethod
-    def from_matrix(cls, M) -> "Rotation":
-        M = np.asarray(M, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise DomainError(f"rotation matrix must be square, got {M.shape}")
-        resid = float(np.max(np.abs(M.T @ M - np.eye(M.shape[0]))))
-        if resid > FRAME_TOL:
-            raise DomainError(f"orthogonality residual {resid:.3e} exceeds {FRAME_TOL}")
-        return cls(M, resid)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class Subspace:
     """Orthonormal k-frame whose rows span a subspace of R^n."""
 
     frame: np.ndarray
-    residual: float
 
     @classmethod
     def from_frame(cls, rows) -> "Subspace":
+        """The span of rows orthonormal to ORTHO_TOL; raises DomainError."""
         F = np.atleast_2d(np.asarray(rows, dtype=float))
         resid = float(np.max(np.abs(F @ F.T - np.eye(F.shape[0]))))
-        if resid > FRAME_TOL:
-            raise DomainError(f"frame Gram residual {resid:.3e} exceeds {FRAME_TOL}")
-        return cls(F, resid)
+        if resid > ORTHO_TOL:
+            raise DomainError(f"frame Gram residual {resid:.3e} exceeds {ORTHO_TOL}")
+        return cls(F)
 
     @classmethod
     def canonical(cls, n: int, k: int, offset: int = 0) -> "Subspace":
         """Span of coordinate axes offset .. offset+k-1 in R^n."""
         if not (0 <= offset and offset + k <= n and k >= 1):
             raise DomainError(f"invalid canonical frame: n={n}, k={k}, offset={offset}")
-        return cls(np.eye(n)[offset:offset + k], 0.0)
+        return cls(np.eye(n)[offset:offset + k])
 
     @property
     def k(self) -> int:
@@ -100,19 +77,13 @@ class Subspace:
         return self.coords(x) @ self.frame
 
 
-def _haar_from_rng(n: int, rng: np.random.Generator) -> Rotation:
-    """One draw of haar_rotations from the generator, as a Rotation."""
-    q = haar_rotations(n, 1, rng)[0]
-    return Rotation(q, float(np.max(np.abs(q.T @ q - np.eye(n)))))
-
-
-def haar_rotation(n: int, seed=None) -> Rotation:
-    """Uniformly random orthogonal matrix: the one-matrix case of
-    haar_rotations, with its orthogonality residual.  Deterministic under
-    a fixed seed."""
+def haar_rotation(n: int, seed=None) -> np.ndarray:
+    """Uniformly random (n, n) orthogonal matrix: the one-matrix case of
+    haar_rotations, drawing the same stream.  Deterministic under a fixed
+    seed."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    return _haar_from_rng(n, rng_from(seed))
+    return haar_rotations(n, 1, seed)[0]
 
 
 def haar_rotations(n: int, count: int, seed=None) -> np.ndarray:
@@ -137,8 +108,7 @@ def random_subspace(n: int, k: int, seed=None) -> Subspace:
     """Uniformly distributed k-frame: the first k rows of a random rotation."""
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
-    rot = haar_rotation(n, seed)
-    return Subspace.from_frame(rot.matrix[:k])
+    return Subspace.from_frame(haar_rotation(n, seed)[:k])
 
 
 def _unitize(x, name="vector"):

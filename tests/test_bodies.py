@@ -534,7 +534,7 @@ def test_scale_and_reflect():
 
 def test_linear_image_maps_the_vertices():
     P = vertex_polytope(SIMPLEX)
-    Q = haar_rotation(3, seed=21).matrix
+    Q = haar_rotation(3, seed=21)
     assert np.array_equal(linear_image(P, Q, 1.7).vertices, 1.7 * P.vertices @ Q.T)
     assert linear_image(cube(3, 1.0), Q).vertices is None
 
@@ -637,7 +637,7 @@ def piece_bodies():
     from scipy.spatial import ConvexHull
 
     s = np.array([1.0, 2.0, 0.5])
-    Q = haar_rotation(3, seed=21).matrix
+    Q = haar_rotation(3, seed=21)
     facets = ConvexHull(SIMPLEX).equations
     A, b = facets[:, :-1], -facets[:, -1]
     closed = [

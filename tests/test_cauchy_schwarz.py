@@ -14,7 +14,8 @@ from waistlab._util import seed_sequence, sphere_points
 from waistlab.bodies import (Piece, _max_of, ball, ellipsoid, map_pieces, product_body,
                              sum_pieces)
 from waistlab.estimators import inclusion_radii, inclusion_radius
-from waistlab.geometry import _haar_from_rng, haar_rotation
+from waistlab.experiments import _trial_rotations
+from waistlab.geometry import haar_rotation
 from waistlab.optimize import OptimizerConfig, minimize_on_sphere, minimize_on_sphere_batch
 
 CFG = OptimizerConfig(restarts=8, iters=60, seed=0)
@@ -30,7 +31,7 @@ def _flat_disk(n):
 def test_flat_disk_inclusion_radius_has_its_closed_form(n):
     # h_K(u) + h_K(U^T u) is least at the apex e_n of K's support cone,
     # where it is |(U^T e_n)_{1..n-1}| = sqrt(1 - U_nn^2)
-    U = haar_rotation(n, seed=n).matrix
+    U = haar_rotation(n, seed=n)
     res = inclusion_radius(_flat_disk(n), _flat_disk(n), U, opt=CFG)
     assert res.note == "exact (Cauchy-Schwarz)" and res.lower_bracket == res.value
     closed = math.sqrt(1.0 - U[n - 1, n - 1] ** 2)
@@ -39,7 +40,7 @@ def test_flat_disk_inclusion_radius_has_its_closed_form(n):
 
 def test_batched_fields_equal_one_rotation_calls():
     flat = _flat_disk(5)
-    rotations = [haar_rotation(5, seed=s).matrix for s in range(6)]
+    rotations = [haar_rotation(5, seed=s) for s in range(6)]
     for r, U in zip(inclusion_radii(flat, flat, rotations, opt=CFG), rotations):
         one = inclusion_radius(flat, flat, U, opt=CFG)
         assert r.value == one.value and np.array_equal(r.direction, one.direction)
@@ -48,7 +49,7 @@ def test_batched_fields_equal_one_rotation_calls():
 def _criterion_9_rotations(n, count):
     # the first rotations of acceptance criterion 9's run at n (seed 900 + n)
     s_trials = seed_sequence(900 + n).spawn(3)[2]
-    return [_haar_from_rng(n, np.random.default_rng(c)) for c in s_trials.spawn(500)[:count]]
+    return _trial_rotations(s_trials, n, count)
 
 
 @pytest.mark.parametrize("K, L", [
@@ -59,7 +60,7 @@ def test_descent_never_beats_the_exact_value(K, L):
     # criterion 9's flat disks have their minima at the apexes, at the ends
     # of w; the ellipsoids of criterion 10a have theirs inside (0, 1)
     n = K.dim
-    rotations = np.stack([U.matrix for U in _criterion_9_rotations(n, 20)])
+    rotations = _criterion_9_rotations(n, 20)
     pieces = sum_pieces((K.support_pieces, map_pieces(L.support_pieces, rotations)))
     exact = minimize_on_sphere_batch(pieces, n, len(rotations), OPT)
     # the zero smooth piece sends the same fields past the exact stage
@@ -74,7 +75,7 @@ def test_kernel_end_ladders_prune_the_flat_disk_fields(n, budget):
     # the minima sit at the kernel ends, which the ladders prune before the
     # grid: 688 / 540 / 60 candidates at n = 4 / 6 / 8, and 1113 / 1054 /
     # 476 when the grid is searched without them
-    rotations = np.stack([U.matrix for U in _criterion_9_rotations(n, 20)])
+    rotations = _criterion_9_rotations(n, 20)
     flat = _flat_disk(n)
     pieces = sum_pieces((flat.support_pieces, map_pieces(flat.support_pieces, rotations)))
     results = optimize._cauchy_schwarz(pieces, n, len(rotations))

@@ -278,12 +278,16 @@ def test_schema_keys_are_harness_parameters():
     import inspect
 
     from waistlab import experiments
-    from waistlab.cli import _CASTS, _HARNESSES, _SCHEMAS, _SECTIONS
+    from waistlab.cli import _CASTS, _HARNESSES, _SECTIONS, _schema
 
-    assert set(_HARNESSES) == set(_SCHEMAS)
-    for name, (required, optional) in _SCHEMAS.items():
+    assert _schema("projection") == ({"K", "k", "eps", "samples"}, {"lift_checks"})
+    assert _schema("core") == ({"K", "L", "delta_K", "delta_L", "trials"},
+                               {"sigma_samples", "net_probes", "optimizer"})
+    for name in _HARNESSES:
+        required, optional = _schema(name)
         params = inspect.signature(getattr(experiments, _HARNESSES[name])).parameters
-        for key in required | optional:
+        assert ("optimizer" in optional) == ("opt" in params), name
+        for key in (required | optional) - {"optimizer"}:
             assert key in _CASTS or key in _SECTIONS, (name, key)
             if (name, key) != ("projection", "k"):  # k becomes the subspace P
                 assert key in params, (name, key)
@@ -292,12 +296,12 @@ def test_schema_keys_are_harness_parameters():
 def test_written_out_defaults_match_omitted_ones(capsys, tmp_path):
     import inspect
 
-    from waistlab.cli import _SCHEMAS
+    from waistlab.cli import _schema
     from waistlab.experiments import run_two_bodies
 
     cfg = two_bodies_config(trials=2)
     params = inspect.signature(run_two_bodies).parameters
-    full = {key: params[key].default for key in _SCHEMAS["two-bodies"][1]
+    full = {key: params[key].default for key in _schema("two-bodies")[1] - {"optimizer"}
             if params[key].default is not None}
     # the default sections: coordinates 0..k-1, and the last n - ceil(a k)
     full.update(section_K={"k": 2, "offset": 0}, section_L={"k": 2, "offset": 1})

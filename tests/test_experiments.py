@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from waistlab import experiments
+from waistlab._util import seed_sequence
 from waistlab.bodies import (ball, cross_polytope, cube, ellipsoid, product_body,
                              truncated_cylinder)
 from waistlab.errors import DomainError, HypothesisError, InfeasibleScheduleError
@@ -12,7 +13,7 @@ from waistlab.experiments import (ExperimentReport, cover_ball_with_body,
                                   run_higher_sphere, run_projection,
                                   run_sections, run_two_bodies, theorem_schedule)
 from waistlab.geometry import Subspace
-from waistlab.measures import BoundConstants, SubsphereQuery, sigma_exact
+from waistlab.measures import BoundConstants, SubsphereQuery, sigma_ball_product, sigma_exact
 from waistlab.optimize import OptimizerConfig
 
 OPT = OptimizerConfig(restarts=12, iters=50, seed=0)
@@ -121,6 +122,28 @@ def test_core_ball_sigma_is_exact(monkeypatch):
                          net_probes=256, opt=OPT)
     assert rep.summary["sigma_method"] == "exact (ball)"
     assert rep.summary["sigma_hat"] == 0.0 and rep.summary["sigma_se"] == 0.0
+
+
+def test_core_truncated_cylinder_over_a_ball_sigma_is_exact(monkeypatch):
+    # the cylinder is the product of its core ball with a transverse ball
+    monkeypatch.setattr(experiments, "mc_sigma_body", _no_sampling)
+    K = truncated_cylinder(ball(3, 0.9), 4, transverse_radius=0.2)
+    rep = run_core_lemma(K, ball(4, 1.0), 0.3, 0.4, 5, seed=1)
+    assert rep.summary["sigma_method"] == "exact (product of two balls)"
+    sigma_hat = 1.0 - sigma_ball_product(3, 0.9, 1, 0.2, 0.3)
+    assert rep.summary["sigma_hat"] == sigma_hat == 0.3910022189557705
+
+
+def test_trial_rotations_pin_the_draws():
+    # trial i draws from child i of the trials' sequence, bit for bit
+    R = experiments._trial_rotations(seed_sequence(904).spawn(3)[2], 4, 20)
+    assert R.shape == (20, 4, 4)
+    assert R[0, 0, 0] == float.fromhex("-0x1.eb6b378850c18p-3")
+    assert R[19, 3, 3] == float.fromhex("-0x1.77742a760037cp-2")
+    # fewer trials draw a prefix of the same rotations
+    prefix = experiments._trial_rotations(seed_sequence(904).spawn(3)[2], 4, 7)
+    assert np.array_equal(prefix, R[:7])
+    assert experiments._trial_rotations(seed_sequence(904), 4, 0).shape == (0, 4, 4)
 
 
 def test_core_other_bodies_sample_sigma():

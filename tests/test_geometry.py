@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from waistlab._util import sphere_points
-from waistlab.bodies import ball, cube, product_body, slab_body
+from waistlab.bodies import ball, cube, orthogonal_matrix, product_body, slab_body
 from waistlab.errors import (DomainError, EmptyFiberError, HypothesisError,
                              NetConstructionError)
-from waistlab.geometry import (Rotation, SphereNet, Subspace, build_net,
+from waistlab.geometry import (SphereNet, Subspace, build_net,
                                geodesic_distance, haar_rotation, haar_rotations,
                                lift_waist, random_subspace, segment_cap_check,
                                spherical_projection)
@@ -21,15 +21,15 @@ from waistlab.geometry import (Rotation, SphereNet, Subspace, build_net,
 def test_haar_orthogonality_residual():
     for n in (1, 2, 5, 12):
         U = haar_rotation(n, seed=n)
-        assert U.residual <= 1e-10
-        assert np.max(np.abs(U.matrix.T @ U.matrix - np.eye(n))) <= 1e-10
+        assert U.shape == (n, n)
+        assert np.max(np.abs(U.T @ U - np.eye(n))) <= 1e-10
 
 
 def test_haar_determinism():
-    A = haar_rotation(6, seed=42).matrix
-    B = haar_rotation(6, seed=42).matrix
+    A = haar_rotation(6, seed=42)
+    B = haar_rotation(6, seed=42)
     assert np.array_equal(A, B)
-    C = haar_rotation(6, seed=43).matrix
+    C = haar_rotation(6, seed=43)
     assert not np.array_equal(A, C)
 
 
@@ -44,7 +44,7 @@ def test_haar_first_entry_centered():
 def test_haar_left_invariance():
     # fixed V: the statistics of <U e1, w> match those of <VU e1, w>
     n, count = 4, 60_000
-    V = haar_rotation(n, seed=99).matrix
+    V = haar_rotation(n, seed=99)
     w = np.array([0.5, -0.5, 0.5, 0.5])
     U = haar_rotations(n, count, seed=2)
     a = U[:, :, 0] @ w
@@ -59,14 +59,21 @@ def test_haar_hits_both_components():
     assert (dets > 0).any() and (dets < 0).any()
 
 
-def test_rotation_from_matrix_validates():
+def test_haar_rotation_is_the_first_of_haar_rotations():
+    # one draw consumes the stream of haar_rotations(n, 1), bit for bit
+    for n in range(1, 13):
+        assert np.array_equal(haar_rotation(n, seed=n), haar_rotations(n, 1, seed=n)[0])
+    assert haar_rotation(3, seed=7)[0, 0] == float.fromhex("0x1.69452370f2000p-10")
+
+
+def test_orthogonal_matrix_rejects_a_shear():
     with pytest.raises(DomainError):
-        Rotation.from_matrix(np.array([[1.0, 0.1], [0.0, 1.0]]))
+        orthogonal_matrix(np.array([[1.0, 0.1], [0.0, 1.0]]), 2)
 
 
 def test_random_subspace_full_frame():
     S = random_subspace(4, 4, seed=5)
-    assert S.residual <= 1e-10
+    assert np.max(np.abs(S.frame @ S.frame.T - np.eye(4))) <= 1e-10
     assert S.k == 4
 
 

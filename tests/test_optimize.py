@@ -81,7 +81,7 @@ def test_stacked_pieces_of_every_kind_equal_solo_runs():
                   intersect(sums, neighborhood(cube(3, 0.5), 0.3)))
     assert [p.kind for p in K.gauge_pieces + L.gauge_pieces] == \
         ["linear", "l1", "l2", "sum", "smooth"]
-    rotations = [haar_rotation(3, seed=s).matrix for s in range(4)]
+    rotations = [haar_rotation(3, seed=s) for s in range(4)]
     cfg = OptimizerConfig(restarts=6, iters=60, seed=2)
     stacked = K.gauge_pieces + map_pieces(L.gauge_pieces, np.stack(rotations))
     batch = minimize_on_sphere_batch(stacked, 3, len(rotations), cfg)

@@ -53,7 +53,7 @@ def test_pieces_on_complementary_subspaces_tie_exactly(n, k, a, b):
     # max(a |P u|, b |(I - P) u|) for a rotated coordinate projection P:
     # lambda_min is degenerate all along the edge, and only a mix of the
     # two pieces' eigenvectors ties them at the minimum a b / sqrt(a^2 + b^2)
-    R = haar_rotation(n, seed=n).matrix
+    R = haar_rotation(n, seed=n)
     pieces = (Piece("l2", a * R[:, :k]), Piece("l2", b * R[:, k:]))
     res = minimize_on_sphere(pieces, n, CFG)
     assert res.stage == "exact"
