@@ -7,16 +7,20 @@ import os
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, WaistlabError
 
 THREADS_ENV = "WAISTLAB_THREADS"
 # the quantiles of every summary, by column name
 QUANTILES = {f"q{round(q * 100):02d}": q for q in (0.05, 0.25, 0.5, 0.75, 0.95)}
 
 
-def rng_from(seed) -> np.random.Generator:
-    """Generator from an int seed, SeedSequence, or None (fresh entropy)."""
-    return np.random.default_rng(seed)
+def read_field(cast, value, key, error):
+    """cast(value), where a value that cast rejects raises error naming key."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        why = exc if isinstance(exc, WaistlabError) else f"cannot read {value!r} ({exc})"
+        raise error(f"{key}: {why}") from exc
 
 
 def seed_sequence(seed) -> np.random.SeedSequence:

@@ -44,13 +44,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from ._util import ball_points, hit_fraction, rng_from, sphere_points
+from ._util import ball_points, hit_fraction, read_field, sphere_points
 from .errors import ContainmentError, DomainError, EvaluationError, SpecError
 
 __all__ = [
     "Body",
     "BodySpec",
     "Piece",
+    "ball_factors",
     "map_pieces",
     "select_pieces",
     "sum_pieces",
@@ -293,9 +294,10 @@ class Body:
     without its own projection projects by the dual distance program over
     its support pieces, and one with neither raises EvaluationError.
     vertices holds the vertex array of a vertex polytope or of its linear
-    image, and is None for every other body.  factors holds the (first,
-    second) bodies of a product on split coordinates, and is None for
-    every other body.
+    image, and is None for every other body.  factors holds bodies (first,
+    second) such that K is an orthogonal image of first x second, and is
+    None for every other body.  kind is only a label: ball_factors says
+    whether a body is a ball or a product of two balls.
     """
 
     def __init__(self, dim, *, gauge, support=None, membership=None,
@@ -824,7 +826,8 @@ def construct_body(spec: BodySpec) -> Body:
         spec = BodySpec.from_json_dict(spec)
     p = spec.params
     make, required, optional = _catalog_entry(spec.kind, p)
-    return make(**{key: cast(p[key]) for key, cast in required.items()},
+    return make(**{key: read_field(cast, p[key], key, SpecError)
+                    for key, cast in required.items()},
                 **{key: p[key] for key in optional if key in p})
 
 
@@ -867,6 +870,19 @@ def _check_dims(K: Body, L: Body):
         raise DomainError(f"dimension mismatch: {K.dim} vs {L.dim}")
 
 
+def ball_factors(K: Body) -> tuple:
+    """The Euclidean balls K is made of: (K,) when K is a ball, K.factors
+    when both are balls (K is then an orthogonal image of their product),
+    and () otherwise.  A ball is read off the certified radii, not the
+    kind: an untruncated body with inner_radius == outer_radius is the ball
+    of that radius, as inner_radius <= radial(u) <= outer_radius."""
+    if not K.truncated and K.inner_radius == K.outer_radius:
+        return (K,)
+    if K.factors is not None and all(len(ball_factors(F)) == 1 for F in K.factors):
+        return K.factors
+    return ()
+
+
 def intersect(K: Body, L: Body) -> Body:
     """Intersection: gauges take the max, radials the min.  It has no support
     evaluator: the min of the two supports is only an upper bound."""
@@ -905,9 +921,9 @@ def neighborhood(K: Body, eps: float) -> Body:
 
 def minkowski_sum(K: Body, L: Body) -> Body:
     """Minkowski sum K + L, the one construction of every sum of two
-    bodies.  Two balls give a ball, a radius-0 ball summand returns the
-    other summand itself, unchanged, and two bodies with vertex lists give
-    the hull of their vertex sums.  Otherwise support functions add
+    bodies.  Two balls (as ball_factors finds them) give a ball, a radius-0
+    ball summand returns the other summand itself, unchanged, and two
+    bodies with vertex lists give the hull of their vertex sums.  Otherwise support functions add
     exactly (the sum has a support when both summands have one).  A ball
     summand of radius r gives the distance max(d_K - r, 0) and, when K
     projects, the closed-form projection; any other pair needs both
@@ -915,12 +931,15 @@ def minkowski_sum(K: Body, L: Body) -> Body:
     support.  Membership is distance <= DIST_TOL, and the gauge bisects
     distance <= 0, the true boundary."""
     _check_dims(K, L)
-    if K.kind == "ball" and L.kind == "ball":
-        return ball(K.dim, K.outer_radius + L.outer_radius)
-    if K.kind == "ball":
+    if len(ball_factors(K)) == 1:
         K, L = L, K
-    if L.kind == "ball" and L.outer_radius == 0.0:
-        return K
+    r = L.outer_radius if len(ball_factors(L)) == 1 else None
+    if r is not None:
+        if len(ball_factors(K)) == 1:
+            return ball(K.dim, K.outer_radius + r)
+        if r == 0.0:
+            return K
+        L = ball(L.dim, r)
     if K.vertices is not None and L.vertices is not None:
         sums = (K.vertices[:, None, :] + L.vertices[None, :, :]).reshape(-1, K.dim)
         out = vertex_polytope(sums)
@@ -931,9 +950,7 @@ def minkowski_sum(K: Body, L: Body) -> Body:
     if K._support is not None and L._support is not None:
         support = sum_pieces((K._support, L._support))
     distance = project = None
-    if L.kind == "ball":
-        r = L.outer_radius
-
+    if r is not None:
         def distance(X):
             return np.maximum(np.asarray(K._distance_batch(X), dtype=float) - r, 0.0)
 
@@ -988,14 +1005,14 @@ def orthogonal_matrix(Q, dim: int) -> np.ndarray:
 def linear_image(K: Body, Q, scale: float = 1.0) -> Body:
     """Image of the body under x -> scale * Q x, for Q an orthogonal matrix
     and scale > 0: rotations, reflections and dilations.
-    Every evaluator conjugates, and the vertex list maps along; the support
-    evaluator stays absent when K has none.  The image of a ball is a
-    ball."""
+    Every evaluator conjugates, the vertex list maps along and each factor
+    is dilated by scale; the support evaluator stays absent when K has
+    none.  The image of a ball (ball_factors) is a ball."""
     Q = orthogonal_matrix(Q, K.dim)
     if not scale > 0:
         raise DomainError(f"scale must be positive, got {scale}")
     t = float(scale)
-    if K.kind == "ball":
+    if len(ball_factors(K)) == 1:
         return ball(K.dim, t * K.outer_radius)
 
     project = None
@@ -1014,6 +1031,8 @@ def linear_image(K: Body, Q, scale: float = 1.0) -> Body:
         symmetric=K.symmetric, truncated=K.truncated,
         kind="linear_image",
         vertices=None if K.vertices is None else t * K.vertices @ Q.T,
+        factors=None if K.factors is None
+        else tuple(linear_image(F, np.eye(F.dim), t) for F in K.factors),
     )
 
 
@@ -1067,7 +1086,7 @@ def mc_volume(K: Body, samples: int, seed=None):
     bodies are rejected."""
     if not math.isfinite(K.outer_radius):
         raise DomainError("mc_volume requires a bounded body (finite outer radius)")
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     r = K.outer_radius
     box_vol = unit_ball_volume(K.dim) * r ** K.dim
     # a body of outer radius 0 has volume 0, and its points are not drawn
@@ -1080,7 +1099,7 @@ def volume_ratio(K: Body, samples: int, seed=None) -> float:
     """n-th root of the volume of K relative to the unit ball, after checking
     by the gauges at VOLUME_CHECK_DIRECTIONS sampled directions that the
     unit ball sits inside K."""
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     dirs = sphere_points(rng, VOLUME_CHECK_DIRECTIONS, K.dim)
     g = np.asarray(K.gauge(dirs), dtype=float)
     bad = g > 1.0 + GAUGE_TOL

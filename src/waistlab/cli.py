@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import QUANTILES, canonical_dumps, write_csv
+from ._util import QUANTILES, canonical_dumps, read_field, write_csv
 from .bodies import BodySpec, construct_body
 from .errors import (ConfigError, DomainError, InfeasibleScheduleError,
                      SpecError, WaistlabError)
@@ -123,7 +123,7 @@ def _subspace_from(cfg, n) -> Subspace:
 # subspaces are cast after the bodies, in the dimension n of the config or
 # else of K.  A key the config leaves out takes the harness's own default.
 _CASTS = {
-    **dict.fromkeys(("n", "k", "m", "trials", "k_exist", "k_query", "samples",
+    **dict.fromkeys(("seed", "n", "k", "m", "trials", "k_exist", "k_query", "samples",
                      "sigma_samples", "net_probes", "lift_checks", "vol_samples"), int),
     **dict.fromkeys(("a_frac", "c_ref", "section_bound", "theta", "eps",
                      "delta_K", "delta_L", "threshold"), float),
@@ -136,34 +136,36 @@ _CASTS = {
 def run_experiment_config(config: dict, seed=None):
     """Dispatch a validated configuration to its harness.
 
-    Only the keys the config sets are passed on, cast by _CASTS; every
-    other parameter takes the default of the harness signature.  A
-    projection config's k becomes the canonical subspace P, and an
-    "optimizer" block becomes opt (load_config accepts one only for a
-    harness with an opt parameter).  seed (the config's "seed" when None)
-    is always passed; None draws fresh entropy, which the report records.
+    Only the keys the config sets are passed on, cast by _CASTS (a value
+    that fails its cast raises ConfigError naming the key); every other
+    parameter takes the default of the harness signature.  A projection
+    config's k becomes the canonical subspace P, and an "optimizer" block
+    becomes opt (load_config accepts one only for a harness with an opt
+    parameter).  seed (the config's "seed" when None) is always passed;
+    None draws fresh entropy, which the report records.
     """
     from . import experiments as ex
 
     name = config["experiment"]
     if name not in _HARNESSES:
         raise ConfigError(f"unknown experiment {name!r}")
-    kwargs = {key: None if value is None else _CASTS[key](value)
+    kwargs = {key: None if value is None else read_field(_CASTS[key], value, key, ConfigError)
               for key, value in config.items() if key in _CASTS}
+    kwargs["seed"] = kwargs.get("seed") if seed is None else seed
     for key in _SECTIONS:
         if config.get(key) is not None:
             n = kwargs["n"] if "n" in kwargs else kwargs["K"].dim
-            kwargs[key] = _subspace_from(config[key], n)
+            kwargs[key] = read_field(lambda c: _subspace_from(c, n), config[key], key, ConfigError)
     if name == "projection":
         kwargs["P"] = Subspace.canonical(kwargs["K"].dim, kwargs.pop("k"))
     if "optimizer" in config:
         # each value is cast to the type of its field's default
         kwargs["opt"] = dataclasses.replace(DEFAULT_OPT, **{
-            key: type(getattr(DEFAULT_OPT, key))(value)
+            key: read_field(type(getattr(DEFAULT_OPT, key)), value, f"optimizer.{key}", ConfigError)
             for key, value in config["optimizer"].items()})
     # looked up at each call, so that a wrapper installed on the module is used
     harness = getattr(ex, _HARNESSES[name])
-    return harness(seed=config.get("seed") if seed is None else seed, **kwargs)
+    return harness(**kwargs)
 
 
 def emit_plot_data(report, path) -> None:
@@ -243,11 +245,11 @@ def _cmd_body(args) -> int:
            "inner_radius": body.inner_radius,
            "outer_radius": body.outer_radius if math.isfinite(body.outer_radius) else "inf"}
     if args.direction:
-        u = _parse_vector(args.direction)
+        u = read_field(_parse_vector, args.direction, "--direction", ConfigError)
         out["direction"] = u.tolist()
         out["support"] = float(body.support(u))
     if args.point:
-        x = _parse_vector(args.point)
+        x = read_field(_parse_vector, args.point, "--point", ConfigError)
         g = float(body.gauge(x))
         out["point"] = x.tolist()
         out["gauge"] = g if math.isfinite(g) else "inf"

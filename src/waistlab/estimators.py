@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import ball_points, hit_fraction, rng_from, sphere_points
+from ._util import ball_points, hit_fraction, sphere_points
 from .bodies import (Body, _check_dims, _max_of, map_pieces, orthogonal_matrix,
                      select_pieces, sum_pieces)
 from .errors import DomainError, EvaluationError
@@ -61,7 +61,7 @@ def mc_sigma_body(K: Body, eps: float, samples: int, seed=None):
     with its standard error, from SIGMA_BODY_BATCH points at a time."""
     if eps < 0:
         raise DomainError(f"eps must be nonnegative, got {eps}")
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     return hit_fraction(samples, SIGMA_BODY_BATCH,
                         lambda m: np.asarray(K.distance(sphere_points(rng, m, K.dim))) <= eps)
 
@@ -81,7 +81,7 @@ def covering_number_upper(L: Body, K: Body, *, probes: int = 20_000, seed=0) -> 
         raise DomainError("covering requires a bounded L")
     if not K.inner_radius > 0:
         raise DomainError("covering requires K with nonempty interior")
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     n = L.dim
 
     cand = ball_points(rng, probes, n, L.outer_radius)

@@ -20,8 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._util import (ball_points, bernoulli_se, canonical_dumps, quantile_summary,
-                    rng_from, seed_sequence, sphere_points, write_csv)
-from .bodies import Body, difference_body, linear_image, mc_volume, polar, volume_ratio
+                    seed_sequence, sphere_points, write_csv)
+from .bodies import (Body, ball_factors, difference_body, linear_image, mc_volume, polar,
+                     volume_ratio)
 from .errors import (DomainError, HypothesisError, InfeasibleScheduleError,
                      NetConstructionError)
 from .estimators import (diameters_of_intersection, inclusion_radii, mc_sigma_body,
@@ -180,7 +181,7 @@ def cover_ball_with_body(L: Body, delta_L: float, *, probes: int = 4096, seed=No
     """Sphere-centered translates of (L + delta_L-ball) covering the unit
     ball, certified by probe rounds.  Returns the (N, n) center array;
     more than MAX_NET_CENTERS centers raise NetConstructionError."""
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     n = L.dim
     eff = delta_L * (1.0 - 1e-9)
 
@@ -234,16 +235,18 @@ def _net_lands(K: Body, centers, rotations, tol: float):
 
 def _sigma_near(K: Body, eps: float, samples: int, seed):
     """Fraction of the unit sphere within eps of K, its standard error and
-    how it was obtained.  A ball, or a product of two balls (a truncated
-    cylinder over a ball too), has a closed form (d(x, ball(n, r)) =
-    (1 - r)_+ on the sphere; measures.sigma_ball_product for the product)
-    with SE 0; every other body draws samples sphere points."""
+    how it was obtained.  When ball_factors finds K to be a ball or an
+    orthogonal image of a product of two balls, sigma has a closed form
+    (d(x, ball(n, r)) = (1 - r)_+ on the sphere; the rotation-invariant
+    measures.sigma_ball_product for the product) with SE 0; any other K
+    draws samples sphere points."""
     if eps < 0:
         raise DomainError(f"eps must be nonnegative, got {eps}")
-    if K.kind == "ball":
+    balls = ball_factors(K)
+    if len(balls) == 1:
         return float(1.0 - K.outer_radius <= eps), 0.0, "exact (ball)"
-    if K.factors is not None and all(F.kind == "ball" for F in K.factors):
-        a, b = K.factors
+    if balls:
+        a, b = balls
         sigma = sigma_ball_product(a.dim, a.outer_radius, b.dim, b.outer_radius, eps)
         return sigma, 0.0, "exact (product of two balls)"
     return (*mc_sigma_body(K, eps, samples, seed=seed), "Monte Carlo")
@@ -258,10 +261,11 @@ def run_core_lemma(K: Body, L: Body, delta_K: float, delta_L: float, trials: int
     guaranteed ball; compare the empirical failure rate with N*sigma.
 
     sigma, the fraction of the sphere farther than delta_K from K, is exact
-    when K is a ball or a product of two balls (summary `sigma_method`
-    "exact (ball)" or "exact (product of two balls)", with `sigma_se` and
-    `failure_bound_se` 0); any other K is sampled at sigma_samples sphere
-    points ("Monte Carlo"), the only use of sigma_samples."""
+    when K is a ball or an image of a product of two balls (ball_factors;
+    `sigma_method` "exact (ball)" or "exact (product of two balls)", with
+    `sigma_se` and `failure_bound_se` 0); any other K is sampled at
+    sigma_samples sphere points ("Monte Carlo"), the only use of
+    sigma_samples."""
     if not delta_K + delta_L < 1.0:
         raise DomainError(f"need delta_K + delta_L < 1, got {delta_K + delta_L}")
     t0 = time.perf_counter()

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import rng_from, sphere_points
+from ._util import sphere_points
 from .bodies import ORTHO_TOL, Body, _dykstra
 from .errors import (DomainError, EmptyFiberError, EvaluationError,
                      HypothesisError, NetConstructionError)
@@ -92,7 +92,7 @@ def haar_rotations(n: int, count: int, seed=None) -> np.ndarray:
     column signs fixed by the diagonal of the triangular factor, then a
     coin per matrix flips the sign of its last column.  seed may also be
     a Generator, whose stream the draws continue."""
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((count, n, n))
     q, r = np.linalg.qr(g)
     idx = np.arange(n)
@@ -208,7 +208,7 @@ def build_net(n: int, delta: float, seed=None) -> SphereNet:
         pts = np.array([[1.0], [-1.0]])
         return SphereNet(pts, delta, "exhaustive", 2, 0.0)
 
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     target = 0.8 * delta
     pool = sphere_points(rng, max(8192, 4 * NET_PROBES), n)
     pts = [pool[0]]
@@ -289,7 +289,7 @@ def lift_waist(K: Body, P: Subspace, x, *, verify_hypothesis: bool = True):
         raise EvaluationError("lifting requires a body with a projection route")
 
     if verify_hypothesis:
-        check_projected_ball(K, P, LIFT_CHECK_DIRECTIONS, rng_from(LIFT_CHECK_SEED))
+        check_projected_ball(K, P, LIFT_CHECK_DIRECTIONS, np.random.default_rng(LIFT_CHECK_SEED))
 
     target = P.coords(xv)
 

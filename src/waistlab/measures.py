@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import betainc, gammainc
 
-from ._util import hit_fraction, rng_from
+from ._util import hit_fraction
 from .errors import DomainError
 
 __all__ = [
@@ -194,7 +194,7 @@ def sigma_mc(q: SubsphereQuery, samples: int, seed=None):
     arcsine of the norm of the component orthogonal to the subsphere's
     span.  Fixed seeds reproduce the estimate exactly.
     """
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     m, j = q.sphere_dim, q.subsphere_dim
     thresh = math.sin(q.theta) ** 2
 

@@ -96,7 +96,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.optimize import minimize as _scipy_minimize
 
-from ._util import rng_from, sphere_points
+from ._util import sphere_points
 from .bodies import Piece, _max_and_gradient, _max_of, select_pieces
 from .errors import EvaluationError
 
@@ -140,7 +140,7 @@ def spread_directions(n: int, count: int, seed=0) -> np.ndarray:
     axes = np.vstack([np.eye(n), -np.eye(n)])
     if count <= len(axes):
         return axes[:count]
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     pool = sphere_points(rng, max(SPREAD_POOL * count, 256), n)
     chosen = list(axes)
     sims = np.max(np.abs(pool @ np.asarray(chosen).T), axis=1)

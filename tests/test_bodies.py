@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from waistlab._util import sphere_points
-from waistlab.bodies import (BodySpec, Piece, ball, construct_body, cross_polytope, cube,
+from waistlab.bodies import (BodySpec, Piece, ball, ball_factors, construct_body,
+                             cross_polytope, cube,
                              difference_body, ellipsoid, intersect, linear_image,
                              map_pieces, mc_volume, minkowski_sum, neighborhood, polar,
                              product_body, slab_body, sum_pieces, truncated_cylinder,
@@ -381,9 +382,8 @@ def test_batched_projection_rows_end_as_alone(monkeypatch):
     assert batched_rows == projected[0]
 
 
-def test_rotated_ball_sum_is_the_neighborhood(monkeypatch):
-    # the image of a ball is a ball, so the sum takes the closed-form
-    # distance of a ball summand and never the dual distance program
+def _count_nearest_points(monkeypatch):
+    """A one-item list that counts the calls of optimize.nearest_points."""
     import waistlab.optimize
 
     calls = [0]
@@ -394,13 +394,43 @@ def test_rotated_ball_sum_is_the_neighborhood(monkeypatch):
         return nearest_points(pieces, X)
 
     monkeypatch.setattr(waistlab.optimize, "nearest_points", counting)
-    B = linear_image(ball(3, 0.5), haar_rotation(3, seed=8))
-    assert B.kind == "ball" and B.outer_radius == 0.5
-    S, N = minkowski_sum(cube(3, 0.8), B), neighborhood(cube(3, 0.8), 0.5)
+    return calls
+
+
+def _assert_is_the_neighborhood(S, K, eps):
+    N = neighborhood(K, eps)
     X = np.random.default_rng(9).normal(size=(20, 3)) * 1.5
     assert np.array_equal(S.gauge(X), N.gauge(X))
     assert np.array_equal(S.distance(X), N.distance(X))
+
+
+def test_rotated_ball_sum_is_the_neighborhood(monkeypatch):
+    # the image of a ball is a ball, so the sum takes the closed-form
+    # distance of a ball summand and never the dual distance program
+    calls = _count_nearest_points(monkeypatch)
+    B = linear_image(ball(3, 0.5), haar_rotation(3, seed=8))
+    assert B.kind == "ball" and B.outer_radius == 0.5
+    _assert_is_the_neighborhood(minkowski_sum(cube(3, 0.8), B), cube(3, 0.8), 0.5)
     assert calls[0] == 0
+
+
+def test_sum_with_a_relabeled_ball_is_the_neighborhood(monkeypatch):
+    # difference_body labels its ball 2 B(0.25) "difference_body"; the sum
+    # reads the ball off its certified radii, not off the label
+    calls = _count_nearest_points(monkeypatch)
+    B = difference_body(ball(3, 0.25))
+    assert B.kind == "difference_body" and B.inner_radius == B.outer_radius == 0.5
+    _assert_is_the_neighborhood(minkowski_sum(cube(3, 0.8), B), cube(3, 0.8), 0.5)
+    assert calls[0] == 0
+
+
+def test_ball_factors_follow_orthogonal_images():
+    K = truncated_cylinder(ball(3, 0.9), 4, transverse_radius=0.2)
+    a, b = ball_factors(linear_image(K, haar_rotation(4, seed=3), 2.0))
+    assert (a.dim, a.outer_radius, b.dim, b.outer_radius) == (3, 1.8, 1, 0.4)
+    assert ball_factors(cube(1, 0.5))[0].outer_radius == 0.5  # an interval is a ball
+    assert ball_factors(ellipsoid([0.6, 0.7, 0.8])) == ()
+    assert ball_factors(product_body(ball(2, 1.0), cube(2, 1.0))) == ()
 
 
 def test_neighborhood_of_unbounded_slab_has_its_own_gauge():

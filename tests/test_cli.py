@@ -106,6 +106,19 @@ def test_body_reports_distance_failure(capsys, tmp_path, monkeypatch):
     assert data["gauge"] == 2.0
 
 
+@pytest.mark.parametrize("spec, options, key", [
+    ({"kind": "ball", "dim": "three", "radius": 1.0}, (), "dim"),
+    ({"kind": "cube", "dim": 3, "half_width": 1.0}, ("--direction", "1,,0"), "--direction"),
+    ({"kind": "cube", "dim": 3, "half_width": 1.0}, ("--point", "1,0,abc"), "--point"),
+], ids=["body-field", "direction", "point"])
+def test_body_unreadable_value_is_a_usage_error(capsys, tmp_path, spec, options, key):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "body", "--spec", str(path), *options)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {key}: cannot read ") and err.count("\n") == 1
+
+
 def test_unknown_subcommand_exit_two(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -171,6 +184,21 @@ def test_config_schedule_infeasible_exit_three(capsys, tmp_path):
                            "--out", str(tmp_path / "out"))
     assert code == 3
     assert "a_frac" in err or "schedule" in err
+
+
+@pytest.mark.parametrize("extra, key", [
+    ({"trials": "many"}, "trials"),
+    ({"seed": "x"}, "seed"),
+    ({"optimizer": {"restarts": "x"}}, "optimizer.restarts"),
+    ({"section_K": {"k": "x"}}, "section_K"),
+], ids=["trials", "seed", "optimizer", "section"])
+def test_config_unreadable_value_is_a_usage_error(capsys, tmp_path, extra, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(two_bodies_config(**extra)))
+    code, out, err = run_cli(capsys, "experiment", "two-bodies", "--config", str(path),
+                             "--out", str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {key}: cannot read ") and err.count("\n") == 1
 
 
 def test_config_missing_experiment(tmp_path):

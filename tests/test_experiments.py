@@ -5,8 +5,8 @@ import pytest
 
 from waistlab import experiments
 from waistlab._util import seed_sequence
-from waistlab.bodies import (ball, cross_polytope, cube, ellipsoid, product_body,
-                             truncated_cylinder)
+from waistlab.bodies import (ball, cross_polytope, cube, difference_body, ellipsoid,
+                             intersect, polar, product_body, truncated_cylinder)
 from waistlab.errors import DomainError, HypothesisError, InfeasibleScheduleError
 from waistlab.experiments import (ExperimentReport, cover_ball_with_body,
                                   run_core_lemma, run_global_vr,
@@ -132,6 +132,27 @@ def test_core_truncated_cylinder_over_a_ball_sigma_is_exact(monkeypatch):
     assert rep.summary["sigma_method"] == "exact (product of two balls)"
     sigma_hat = 1.0 - sigma_ball_product(3, 0.9, 1, 0.2, 0.3)
     assert rep.summary["sigma_hat"] == sigma_hat == 0.3910022189557705
+
+
+@pytest.mark.parametrize("K, method, sigma", [
+    (ellipsoid([0.6] * 3), "exact (ball)", 0.0),
+    (polar(ball(3, 2.0)), "exact (ball)", 0.0),
+    (intersect(ball(3, 0.5), cube(3, 1.0)), "exact (ball)", 0.0),
+    (difference_body(ball(3, 0.45)), "exact (ball)", 1.0),
+    (difference_body(product_body(ball(3, 0.9), ball(1, 0.2))),
+     "exact (product of two balls)", sigma_ball_product(3, 1.8, 1, 0.4, 0.3)),
+    (ellipsoid([0.6, 0.7, 0.8]), "Monte Carlo", None),
+], ids=["equal-axis-ellipsoid", "polar", "intersection", "difference-ball",
+        "difference-product", "ellipsoid"])
+def test_sigma_near_reads_balls_off_certified_structure(K, method, sigma):
+    # whatever a body's kind, equal certified radii make it a ball, and
+    # factors that are balls make it a product of balls
+    value, se, how = experiments._sigma_near(K, 0.3, 2000, 0)
+    assert how == method
+    if sigma is None:
+        assert se > 0
+    else:
+        assert (value, se) == (sigma, 0.0)
 
 
 def test_trial_rotations_pin_the_draws():
