@@ -820,29 +820,35 @@ class BodySpec:
 
 
 def construct_body(spec: BodySpec) -> Body:
-    """Build the catalog body described by a spec (or its JSON object): an
-    optional field the spec omits takes the constructor's default."""
+    """Build the catalog body described by a spec (or its JSON object): a
+    field whose cast fails raises SpecError naming it, and an optional
+    field the spec omits or sets to null takes the constructor's default."""
     if not isinstance(spec, BodySpec):
         spec = BodySpec.from_json_dict(spec)
     p = spec.params
     make, required, optional = _catalog_entry(spec.kind, p)
+    fields = {**required, **{key: cast for key, cast in optional.items()
+                             if p.get(key) is not None}}
     return make(**{key: read_field(cast, p[key], key, SpecError)
-                    for key, cast in required.items()},
-                **{key: p[key] for key in optional if key in p})
+                   for key, cast in fields.items()})
 
 
-# kind -> (constructor, required fields with their casts, optional fields);
-# the fields are named as the constructor's parameters
+def _float_array(value):
+    return np.asarray(value, dtype=float)
+
+
+# kind -> (constructor, required fields, optional fields), each field with
+# its cast; the fields are named as the constructor's parameters
 _CATALOG = {
-    "ball": (ball, {"dim": int, "radius": float}, ()),
-    "cube": (cube, {"dim": int, "half_width": float}, ()),
-    "cross_polytope": (cross_polytope, {"dim": int, "radius": float}, ()),
-    "ellipsoid": (ellipsoid, {"semiaxes": np.asarray}, ()),
-    "slab_intersection": (slab_body, {"normals": np.asarray, "widths": np.asarray}, ()),
-    "product": (product_body, {"first": construct_body, "second": construct_body}, ()),
-    "vertex_polytope": (vertex_polytope, {"vertices": np.asarray}, ("symmetric",)),
+    "ball": (ball, {"dim": int, "radius": float}, {}),
+    "cube": (cube, {"dim": int, "half_width": float}, {}),
+    "cross_polytope": (cross_polytope, {"dim": int, "radius": float}, {}),
+    "ellipsoid": (ellipsoid, {"semiaxes": _float_array}, {}),
+    "slab_intersection": (slab_body, {"normals": _float_array, "widths": _float_array}, {}),
+    "product": (product_body, {"first": construct_body, "second": construct_body}, {}),
+    "vertex_polytope": (vertex_polytope, {"vertices": _float_array}, {"symmetric": bool}),
     "truncated_cylinder": (truncated_cylinder, {"core": construct_body, "dim": int},
-                           ("transverse_radius", "truncation_radius")),
+                           {"transverse_radius": float, "truncation_radius": float}),
 }
 
 

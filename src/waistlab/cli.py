@@ -109,7 +109,8 @@ def load_config(path) -> dict:
         sched = data["schedule"]
         consts = BoundConstants(**{key: sched[key] for key in _SCHEDULE_KEYS[1]
                                    if key in sched})
-        experiments.theorem_schedule(int(sched["n"]), int(sched["k"]), consts)
+        n, k = (read_field(int, sched[key], f"schedule.{key}", ConfigError) for key in "nk")
+        experiments.theorem_schedule(n, k, consts)
     return data
 
 

@@ -3,11 +3,14 @@ measures of bodies, covering numbers, intersection diameters, inclusion
 radii, and section diameters.
 
 Optimization-backed quantities come from minima over the sphere of a max
-of gauge or support pieces of the bodies (see bodies.Piece).  A batch of
-rotations or subspaces is one piece tuple: the rotated body's pieces,
-mapped by the stack of maps, carry a leading field axis, and the fixed
-body's pieces are shared by every field.  The optimizer reads nothing
-else, and the value it reports is the field's value at its direction.
+of gauge or support pieces of the bodies (see bodies.Piece).  Each
+quantity has one function: one rotation (n, n) or subspace gives one
+result, and a stack (F, n, n) or a sequence of them gives a list, as the
+body evaluators take one point or a batch.  A batch is one piece tuple:
+the rotated body's pieces, mapped by the stack of maps, carry a leading
+field axis, and the fixed body's pieces are shared by every field.  The
+optimizer reads nothing else, and the value it reports is the field's
+value at its direction.
 These quantities always report a value attained at an explicit
 direction, so they are certified one-sided bounds: lower bounds for the
 max-type problems (diameters), upper bounds for the min-type problems
@@ -45,11 +48,8 @@ __all__ = [
     "DiameterResult",
     "InclusionResult",
     "diameter_of_intersection",
-    "diameters_of_intersection",
     "inclusion_radius",
-    "inclusion_radii",
     "section_diameter",
-    "section_diameters",
 ]
 
 SIGMA_BODY_BATCH = 1 << 18  # most sphere points mc_sigma_body draws at once
@@ -151,28 +151,17 @@ class InclusionResult:
         return float(self.value)
 
 
-def diameter_of_intersection(K: Body, L: Body, U, opt: OptimizerConfig = DEFAULT_OPT,
-                             bracket_delta: float | None = None) -> DiameterResult:
-    """Diameter of the intersection of K with the rotated copy of L:
-    twice the best of min(radial_K, radial_UL) over multistart ascent.
-
-    The returned diameter is attained at the reported direction, hence a
-    certified lower bound; a two-sided bracket is added when bracket_delta
-    requests a certified net and both inner radii are positive.
-    """
-    return _diameters(K, L, [U], opt, bracket_delta)[0]
-
-
-def diameters_of_intersection(K: Body, L: Body, rotations, opt: OptimizerConfig = DEFAULT_OPT):
-    """diameter_of_intersection for each rotation, in one lockstep
-    optimizer run; each result equals the one-rotation call's."""
-    return _diameters(K, L, list(rotations), opt, None)
-
-
-def _rotation_stack(L, rotations):
-    """The rotations as one (F, n, n) array, each checked to be an
-    orthogonal map of L's space."""
-    return np.stack([orthogonal_matrix(U, L.dim) for U in rotations])
+def _rotations(L, U):
+    """U as an (F, n, n) stack of orthogonal maps of L's space, each one
+    checked, and whether U was one (n, n) rotation rather than a stack or
+    a sequence of them."""
+    try:
+        single = np.ndim(U) == 2
+    except ValueError:  # a ragged sequence: its members are checked below
+        single = False
+    n = L.dim
+    members = [U] if single else U
+    return np.array([orthogonal_matrix(Q, n) for Q in members]).reshape(-1, n, n), single
 
 
 def _certified_floor(res, field, net, lip):
@@ -199,16 +188,28 @@ def _bracket_net(results, n, bracket_delta, lip, opt):
     return build_net(n, bracket_delta, seed=opt.seed)
 
 
-def _diameters(K, L, rotations, opt, bracket_delta):
+def diameter_of_intersection(K: Body, L: Body, U, opt: OptimizerConfig = DEFAULT_OPT,
+                             bracket_delta: float | None = None):
+    """Diameter of the intersection of K with the rotated copy of L:
+    twice the best of min(radial_K, radial_UL) over multistart ascent.
+
+    U is one rotation (n, n), which gives one DiameterResult, or a stack
+    (F, n, n) or a sequence of rotations, which gives a list of them from
+    one lockstep optimizer run; each equals the one-rotation call's.
+    The returned diameter is attained at the reported direction, hence a
+    certified lower bound; a two-sided bracket is added when bracket_delta
+    requests a certified net and both inner radii are positive.
+    """
     _check_dims(K, L)
     if not (K.symmetric and L.symmetric):
         raise DomainError("intersection diameter requires symmetric bodies")
-    if not rotations:
+    stack, single = _rotations(L, U)
+    if not len(stack):
         return []
     n = K.dim
     # field t is max(g_K(u), g_L(U_t^T u)), the gauge of K intersected with U_t L
-    pieces = K.gauge_pieces + map_pieces(L.gauge_pieces, _rotation_stack(L, rotations))
-    results = minimize_on_sphere_batch(pieces, n, len(rotations), opt)
+    pieces = K.gauge_pieces + map_pieces(L.gauge_pieces, stack)
+    results = minimize_on_sphere_batch(pieces, n, len(stack), opt)
     truncated = K.truncated or L.truncated
     lip = None
     if K.inner_radius > 0 and L.inner_radius > 0:
@@ -229,11 +230,11 @@ def _diameters(K, L, rotations, opt, bracket_delta):
         if truncated and diameter >= 0.5 * min(K.outer_radius, L.outer_radius):
             note += "; truncation active"
         out.append(DiameterResult(diameter, res.direction, note, truncated, upper))
-    return out
+    return out[0] if single else out
 
 
 def inclusion_radius(K: Body, L: Body, U, opt: OptimizerConfig = DEFAULT_OPT,
-                     combine: str = "sum", bracket_delta: float | None = None) -> InclusionResult:
+                     combine: str = "sum", bracket_delta: float | None = None):
     """Largest r with the r-ball inside the combined body.
 
     combine="sum" minimizes h_K(u) + h_L(U^T u): the inradius of the
@@ -242,31 +243,23 @@ def inclusion_radius(K: Body, L: Body, U, opt: OptimizerConfig = DEFAULT_OPT,
     the intersection diameter of the polars.  Either way the value is an
     upper bound on the minimum, exact at the reported direction up to
     evaluation error; a certified lower bracket is added on request.
+    U is one rotation or a stack or sequence of them, as for
+    diameter_of_intersection, with one InclusionResult or a list.
     """
-    return _inclusion_radii(K, L, [U], opt, combine, bracket_delta)[0]
-
-
-def inclusion_radii(K: Body, L: Body, rotations, opt: OptimizerConfig = DEFAULT_OPT,
-                    combine: str = "sum"):
-    """inclusion_radius for each rotation, in one lockstep optimizer run;
-    each result equals the one-rotation call's."""
-    return _inclusion_radii(K, L, list(rotations), opt, combine, None)
-
-
-def _inclusion_radii(K, L, rotations, opt, combine, bracket_delta):
     _check_dims(K, L)
     if combine not in ("sum", "max"):
         raise DomainError(f"combine must be 'sum' or 'max', got {combine!r}")
-    if not rotations:
+    stack, single = _rotations(L, U)
+    if not len(stack):
         return []
     n = K.dim
     # field t joins h_K(u) and h_L(U_t^T u), the support of U_t L
-    images = map_pieces(L.support_pieces, _rotation_stack(L, rotations))
+    images = map_pieces(L.support_pieces, stack)
     if combine == "sum":
         pieces = sum_pieces((K.support_pieces, images))
     else:
         pieces = K.support_pieces + images
-    results = minimize_on_sphere_batch(pieces, n, len(rotations), opt)
+    results = minimize_on_sphere_batch(pieces, n, len(stack), opt)
     lip = None
     if math.isfinite(K.outer_radius) and math.isfinite(L.outer_radius):
         lip = K.outer_radius + L.outer_radius
@@ -277,31 +270,29 @@ def _inclusion_radii(K, L, rotations, opt, combine, bracket_delta):
         if note is None:
             note = "upper bound on the minimum (attained direction)"
         out.append(InclusionResult(res.value, res.direction, note, combine, lower))
-    return out
+    return out[0] if single else out
 
 
-def section_diameter(K: Body, E: Subspace, opt: OptimizerConfig = DEFAULT_OPT) -> float:
+def section_diameter(K: Body, E, opt: OptimizerConfig = DEFAULT_OPT):
     """Diameter of the section of a symmetric body by the subspace: twice
-    the largest radial value over unit directions inside it."""
-    return section_diameters(K, [E], opt)[0]
-
-
-def section_diameters(K: Body, subspaces, opt: OptimizerConfig = DEFAULT_OPT) -> list:
-    """section_diameter for each of a list of subspaces of one dimension,
-    in one lockstep optimizer run; each value equals the one-subspace
-    call's."""
+    the largest radial value over unit directions inside it.  E is one
+    Subspace, which gives one float, or a sequence of subspaces of one
+    dimension, which gives a list from one lockstep optimizer run; each
+    value equals the one-subspace call's."""
     if not K.symmetric:
         raise DomainError("section diameter requires a symmetric body")
-    subspaces = list(subspaces)
-    for E in subspaces:
-        if E.n != K.dim:
-            raise DomainError(f"subspace lives in R^{E.n}, body in R^{K.dim}")
+    single = isinstance(E, Subspace)
+    subspaces = [E] if single else list(E)
+    for S in subspaces:
+        if S.n != K.dim:
+            raise DomainError(f"subspace lives in R^{S.n}, body in R^{K.dim}")
     if not subspaces:
         return []
     k = subspaces[0].k
-    if any(E.k != k for E in subspaces):
+    if any(S.k != k for S in subspaces):
         raise DomainError("subspaces of one batch must share their dimension")
     # field t is the gauge of K at w E_t, for w in the frame's coordinates
-    pieces = map_pieces(K.gauge_pieces, np.stack([E.frame for E in subspaces]))
+    pieces = map_pieces(K.gauge_pieces, np.stack([S.frame for S in subspaces]))
     results = minimize_on_sphere_batch(pieces, k, len(subspaces), opt)
-    return [math.inf if res.value <= 1e-12 else 2.0 / res.value for res in results]
+    out = [math.inf if res.value <= 1e-12 else 2.0 / res.value for res in results]
+    return out[0] if single else out

@@ -25,8 +25,8 @@ from .bodies import (Body, ball_factors, difference_body, linear_image, mc_volum
                      volume_ratio)
 from .errors import (DomainError, HypothesisError, InfeasibleScheduleError,
                      NetConstructionError)
-from .estimators import (diameters_of_intersection, inclusion_radii, mc_sigma_body,
-                         section_diameter, section_diameters)
+from .estimators import (diameter_of_intersection, inclusion_radius, mc_sigma_body,
+                         section_diameter)
 from .geometry import (Subspace, check_projected_ball, haar_rotation, lift_waist,
                        spherical_projection)
 from .measures import (DEFAULT_CONSTANTS, BoundConstants, SubsphereQuery, sigma_ball_product,
@@ -290,7 +290,7 @@ def run_core_lemma(K: Body, L: Body, delta_K: float, delta_L: float, trials: int
 
     rotations = _trial_rotations(s_trials, n, trials)
     net_ok = _net_lands(K, centers, rotations, delta_K + 1e-9)
-    incl = inclusion_radii(K, L, rotations, opt=opt)
+    incl = inclusion_radius(K, L, rotations, opt=opt)
     rows = [{"trial": i, "net_ok": bool(net_ok[i]),
              "incl_ok": bool(r.value >= threshold - 1e-7), "incl_value": r.value}
             for i, r in enumerate(incl)]
@@ -397,17 +397,17 @@ def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
     rotations = _trial_rotations(s_trials, n, trials)
     rows = [{"trial": i} for i in range(trials)]
     if primal:
-        for row, d in zip(rows, diameters_of_intersection(K, L, rotations, opt=opt)):
+        for row, d in zip(rows, diameter_of_intersection(K, L, rotations, opt=opt)):
             row["diameter"] = d.diameter
             row["success"] = bool(d.diameter <= threshold)
             row["truncated"] = d.truncated
     if dual:
-        for row, incl in zip(rows, inclusion_radii(K, L, rotations, opt=opt, combine="sum")):
+        for row, incl in zip(rows, inclusion_radius(K, L, rotations, opt=opt, combine="sum")):
             row["incl_sum"] = incl.value
         if dual_products:
-            imax = inclusion_radii(K, L, rotations, opt=opt, combine="max")
+            imax = inclusion_radius(K, L, rotations, opt=opt, combine="max")
             alt = replace(opt, seed=opt.seed + 7919)
-            pd = diameters_of_intersection(*polar_pair, rotations, opt=alt)
+            pd = diameter_of_intersection(*polar_pair, rotations, opt=alt)
             for row, im, d in zip(rows, imax, pd):
                 row["incl_max"] = im.value
                 row["dual_product"] = d.diameter * im.value
@@ -457,7 +457,7 @@ def run_sections(K: Body, k_exist: int, k_query: int, trials: int, seed=0, *,
     sections = [Subspace.from_frame(U[:k_query])
                 for U in _trial_rotations(seed_sequence(seed), n, trials)]
     rows = []
-    for i, d in enumerate(section_diameters(K, sections, opt)):
+    for i, d in enumerate(section_diameter(K, sections, opt)):
         ok = bool(d <= threshold) if threshold is not None else bool(math.isfinite(d))
         rows.append({"trial": i, "diameter": d, "success": ok})
     diam = np.array([r["diameter"] for r in rows]) if rows else np.array([])

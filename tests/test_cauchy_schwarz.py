@@ -13,7 +13,7 @@ from waistlab import optimize
 from waistlab._util import seed_sequence, sphere_points
 from waistlab.bodies import (Piece, _max_of, ball, ellipsoid, map_pieces, product_body,
                              sum_pieces)
-from waistlab.estimators import inclusion_radii, inclusion_radius
+from waistlab.estimators import inclusion_radius
 from waistlab.experiments import _trial_rotations
 from waistlab.geometry import haar_rotation
 from waistlab.optimize import OptimizerConfig, minimize_on_sphere, minimize_on_sphere_batch
@@ -41,7 +41,7 @@ def test_flat_disk_inclusion_radius_has_its_closed_form(n):
 def test_batched_fields_equal_one_rotation_calls():
     flat = _flat_disk(5)
     rotations = [haar_rotation(5, seed=s) for s in range(6)]
-    for r, U in zip(inclusion_radii(flat, flat, rotations, opt=CFG), rotations):
+    for r, U in zip(inclusion_radius(flat, flat, rotations, opt=CFG), rotations):
         one = inclusion_radius(flat, flat, U, opt=CFG)
         assert r.value == one.value and np.array_equal(r.direction, one.direction)
 
@@ -140,5 +140,5 @@ def test_the_stage_sees_every_sum_of_two_norms(monkeypatch):
         return real(pieces, n, count)
 
     monkeypatch.setattr(optimize, "_cauchy_schwarz", recording)
-    inclusion_radii(_flat_disk(4), _flat_disk(4), [np.eye(4)] * 3, opt=CFG)
+    inclusion_radius(_flat_disk(4), _flat_disk(4), [np.eye(4)] * 3, opt=CFG)
     assert seen == [3]  # one lockstep call for the three fields

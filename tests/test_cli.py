@@ -110,7 +110,10 @@ def test_body_reports_distance_failure(capsys, tmp_path, monkeypatch):
     ({"kind": "ball", "dim": "three", "radius": 1.0}, (), "dim"),
     ({"kind": "cube", "dim": 3, "half_width": 1.0}, ("--direction", "1,,0"), "--direction"),
     ({"kind": "cube", "dim": 3, "half_width": 1.0}, ("--point", "1,0,abc"), "--point"),
-], ids=["body-field", "direction", "point"])
+    ({"kind": "ellipsoid", "semiaxes": ["a", 1]}, (), "semiaxes"),
+    ({"kind": "truncated_cylinder", "core": {"kind": "ball", "dim": 2, "radius": 1.0},
+      "dim": 4, "transverse_radius": "x"}, (), "transverse_radius"),
+], ids=["body-field", "direction", "point", "array-field", "optional-field"])
 def test_body_unreadable_value_is_a_usage_error(capsys, tmp_path, spec, options, key):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -191,7 +194,8 @@ def test_config_schedule_infeasible_exit_three(capsys, tmp_path):
     ({"seed": "x"}, "seed"),
     ({"optimizer": {"restarts": "x"}}, "optimizer.restarts"),
     ({"section_K": {"k": "x"}}, "section_K"),
-], ids=["trials", "seed", "optimizer", "section"])
+    ({"schedule": {"n": "x", "k": 2}}, "schedule.n"),
+], ids=["trials", "seed", "optimizer", "section", "schedule"])
 def test_config_unreadable_value_is_a_usage_error(capsys, tmp_path, extra, key):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(two_bodies_config(**extra)))

@@ -10,10 +10,9 @@ from waistlab.bodies import (Body, Piece, ball, cross_polytope, cube, ellipsoid,
                              truncated_cylinder, unit_ball_volume, vertex_polytope)
 from waistlab.errors import DomainError
 from waistlab.estimators import (covering_number_upper, diameter_of_intersection,
-                                 diameters_of_intersection, entropy_bound,
-                                 inclusion_radii, inclusion_radius, mc_sigma_body,
-                                 section_diameter, section_diameters)
-from waistlab.geometry import Subspace, haar_rotation
+                                 entropy_bound, inclusion_radius, mc_sigma_body,
+                                 section_diameter)
+from waistlab.geometry import Subspace, haar_rotation, haar_rotations
 from waistlab.measures import SubsphereQuery, sigma_exact, sigma_lip_lower
 from waistlab.optimize import OptimizerConfig
 
@@ -284,27 +283,36 @@ def test_duality_product_exact_two(opt_tight):
 
 def test_batched_estimators_equal_one_rotation_calls(opt_small):
     # a vertex polytope evaluates through matrix products; a batch stacks
-    # the rotations into one array, whichever memory layout each U has
+    # the rotations into one array, whichever memory layout each U has,
+    # and a sequence of rotations and an (F, n, n) stack are the same batch
     rng = np.random.default_rng(8)
     P = rng.standard_normal((9, 4))
     K = vertex_polytope(np.vstack([P, -P]))
     L = ellipsoid([1.0, 1.4, 0.8, 1.2])
-    rotations = [haar_rotation(4, seed=s) for s in range(5)]
+    stack = haar_rotations(4, 5, seed=8)
+    rotations = list(stack)
     rotations[1::2] = [np.asfortranarray(U) for U in rotations[1::2]]
-    for d, U in zip(diameters_of_intersection(K, L, rotations, opt=opt_small), rotations):
-        one = diameter_of_intersection(K, L, U, opt=opt_small)
-        assert d.diameter == one.diameter
-        assert np.array_equal(d.direction, one.direction)
-    for combine in ("sum", "max"):
-        batch = inclusion_radii(K, L, rotations, opt=opt_small, combine=combine)
-        for r, U in zip(batch, rotations):
-            one = inclusion_radius(K, L, U, opt=opt_small, combine=combine)
-            assert r.value == one.value
-            assert np.array_equal(r.direction, one.direction)
+    for batch in (rotations, stack):
+        ds = diameter_of_intersection(K, L, batch, opt=opt_small)
+        assert len(ds) == len(rotations)
+        for d, U in zip(ds, rotations):
+            one = diameter_of_intersection(K, L, U, opt=opt_small)
+            assert d.diameter == one.diameter
+            assert np.array_equal(d.direction, one.direction)
+        for combine in ("sum", "max"):
+            rs = inclusion_radius(K, L, batch, opt=opt_small, combine=combine)
+            assert len(rs) == len(rotations)
+            for r, U in zip(rs, rotations):
+                one = inclusion_radius(K, L, U, opt=opt_small, combine=combine)
+                assert r.value == one.value
+                assert np.array_equal(r.direction, one.direction)
     sections = [Subspace.from_frame(U[:2]) for U in rotations]
-    assert section_diameters(K, sections, opt=opt_small) == \
+    assert section_diameter(K, sections, opt=opt_small) == \
         [section_diameter(K, E, opt=opt_small) for E in sections]
-    assert diameters_of_intersection(K, L, [], opt=opt_small) == []
+    for empty in ([], np.zeros((0, 4, 4))):
+        assert diameter_of_intersection(K, L, empty, opt=opt_small) == []
+        assert inclusion_radius(K, L, empty, opt=opt_small) == []
+    assert section_diameter(K, [], opt=opt_small) == []
 
 
 @pytest.mark.parametrize("bad", [np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
@@ -313,8 +321,8 @@ def test_estimators_reject_non_orthogonal_rotations(bad, opt_small):
     K, L = cube(3, 1.0), ellipsoid([1.0, 1.4, 0.8])
     calls = [lambda: diameter_of_intersection(K, L, bad, opt=opt_small),
              lambda: inclusion_radius(K, L, bad, opt=opt_small),
-             lambda: diameters_of_intersection(K, L, [np.eye(3), bad], opt=opt_small),
-             lambda: inclusion_radii(K, L, [np.eye(3), bad], opt=opt_small)]
+             lambda: diameter_of_intersection(K, L, [np.eye(3), bad], opt=opt_small),
+             lambda: inclusion_radius(K, L, [np.eye(3), bad], opt=opt_small)]
     for call in calls:
         with pytest.raises(DomainError):
             call()
@@ -327,7 +335,7 @@ def test_two_body_estimators_reject_mismatched_dimensions(K, L, opt_small):
     U = np.eye(L.dim)
     calls = [lambda: diameter_of_intersection(K, L, U, opt=opt_small),
              lambda: inclusion_radius(K, L, U, opt=opt_small),
-             lambda: inclusion_radii(K, L, [U], opt=opt_small, combine="max")]
+             lambda: inclusion_radius(K, L, [U], opt=opt_small, combine="max")]
     for call in calls:
         with pytest.raises(DomainError, match="dimension mismatch"):
             call()
@@ -335,8 +343,8 @@ def test_two_body_estimators_reject_mismatched_dimensions(K, L, opt_small):
 
 def test_section_batch_requires_one_dimension(opt_small):
     with pytest.raises(DomainError):
-        section_diameters(ball(3, 1.0), [Subspace.canonical(3, 1), Subspace.canonical(3, 2)],
-                          opt=opt_small)
+        section_diameter(ball(3, 1.0), [Subspace.canonical(3, 1), Subspace.canonical(3, 2)],
+                         opt=opt_small)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +359,9 @@ def _polytope_pairs(n):
 
 
 def _polytope_estimates(K, L, rotations, opt):
-    return (diameters_of_intersection(K, L, rotations, opt=opt),
-            inclusion_radii(K, L, rotations, opt=opt, combine="sum"),
-            inclusion_radii(K, L, rotations, opt=opt, combine="max"))
+    return (diameter_of_intersection(K, L, rotations, opt=opt),
+            inclusion_radius(K, L, rotations, opt=opt, combine="sum"),
+            inclusion_radius(K, L, rotations, opt=opt, combine="max"))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -425,9 +433,9 @@ def test_s_lemma_values_bound_the_optimizer(n, monkeypatch):
     L = product_body(ball(m2, 1e6), ball(n - m2, 0.5))
     opt = OptimizerConfig(restarts=16, iters=60, seed=0)
     rotations = [haar_rotation(n, seed=1000 * n + s) for s in range(8)]
-    exact = diameters_of_intersection(K, L, rotations, opt=opt)
+    exact = diameter_of_intersection(K, L, rotations, opt=opt)
     monkeypatch.setattr(optimize, "_s_lemma", lambda pieces, n: None)
-    found = diameters_of_intersection(K, L, rotations, opt=opt)
+    found = diameter_of_intersection(K, L, rotations, opt=opt)
     for d, od in zip(exact, found):
         assert d.note == "exact (S-lemma dual)" and od.note.startswith("lower bound")
         assert d.upper_bracket == d.diameter

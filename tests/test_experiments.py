@@ -482,3 +482,37 @@ def test_core_trial_count_independent():
     _first_trials_agree(lambda t: run_core_lemma(flat, flat, 0.4, 0.35, trials=t, seed=43,
                                                  sigma_samples=10_000, net_probes=512,
                                                  opt=OPT))
+
+
+# ---------------------------------------------------------------------------
+# the harnesses' estimator calls
+# ---------------------------------------------------------------------------
+
+
+def test_harnesses_measure_trials_through_the_public_estimators(monkeypatch):
+    # a tracer that wraps the three public estimator names sees every batch
+    # of trials: one call per quantity, with one result per trial
+    seen = []
+    for name in ("diameter_of_intersection", "inclusion_radius", "section_diameter"):
+        def counting(*args, _name=name, _real=getattr(experiments, name), **kwargs):
+            out = _real(*args, **kwargs)
+            seen.append((_name, len(out) if isinstance(out, list) else None))
+            return out
+
+        monkeypatch.setattr(experiments, name, counting)
+    run_two_bodies(cube(3, 1.0), cross_polytope(3, 1.5), 3, 2, trials=4, seed=37,
+                   mode="both", dual_products=True,
+                   section_K=Subspace.canonical(3, 1),
+                   section_L=Subspace.canonical(3, 2, offset=1),
+                   section_bound=3.0 * math.sqrt(3), opt=OPT)
+    assert seen == [("section_diameter", None), ("section_diameter", None),
+                    ("diameter_of_intersection", 4), ("inclusion_radius", 4),
+                    ("inclusion_radius", 4), ("diameter_of_intersection", 4)]
+    seen.clear()
+    flat = product_body(ball(3, 1.0), ball(1, 0.0))
+    run_core_lemma(flat, flat, 0.4, 0.35, trials=5, seed=43, sigma_samples=10_000,
+                   net_probes=512, opt=OPT)
+    assert seen == [("inclusion_radius", 5)]
+    seen.clear()
+    run_sections(ellipsoid([1.0, 1.5, 0.7, 2.0]), 4, 2, trials=3, seed=41, opt=OPT)
+    assert seen == [("section_diameter", None), ("section_diameter", 3)]
