@@ -23,6 +23,14 @@ def read_field(cast, value, key, error):
         raise error(f"{key}: {why}") from exc
 
 
+def strict_bool(value):
+    """value as a bool when it is one (JSON true or false); any other value,
+    such as the string "false" or the number 0, raises TypeError."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise TypeError(f"expected true or false, got {type(value).__name__}")
+
+
 def seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed

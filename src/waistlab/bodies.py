@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from ._util import ball_points, hit_fraction, read_field, sphere_points
+from ._util import ball_points, hit_fraction, read_field, sphere_points, strict_bool
 from .errors import ContainmentError, DomainError, EvaluationError, SpecError
 
 __all__ = [
@@ -846,7 +846,7 @@ _CATALOG = {
     "ellipsoid": (ellipsoid, {"semiaxes": _float_array}, {}),
     "slab_intersection": (slab_body, {"normals": _float_array, "widths": _float_array}, {}),
     "product": (product_body, {"first": construct_body, "second": construct_body}, {}),
-    "vertex_polytope": (vertex_polytope, {"vertices": _float_array}, {"symmetric": bool}),
+    "vertex_polytope": (vertex_polytope, {"vertices": _float_array}, {"symmetric": strict_bool}),
     "truncated_cylinder": (truncated_cylinder, {"core": construct_body, "dim": int},
                            {"transverse_radius": float, "truncation_radius": float}),
 }

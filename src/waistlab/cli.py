@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import QUANTILES, canonical_dumps, read_field, write_csv
+from ._util import QUANTILES, canonical_dumps, read_field, strict_bool, write_csv
 from .bodies import BodySpec, construct_body
 from .errors import (ConfigError, DomainError, InfeasibleScheduleError,
                      SpecError, WaistlabError)
@@ -128,7 +128,7 @@ _CASTS = {
                      "sigma_samples", "net_probes", "lift_checks", "vol_samples"), int),
     **dict.fromkeys(("a_frac", "c_ref", "section_bound", "theta", "eps",
                      "delta_K", "delta_L", "threshold"), float),
-    "dual_products": bool, "thresholds": tuple,
+    "dual_products": strict_bool, "thresholds": tuple,
     "mode": lambda value: value, "cap_spec": lambda value: value,
     "K": construct_body, "L": construct_body,
 }

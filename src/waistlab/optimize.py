@@ -16,11 +16,10 @@ epigraph program of the field: min t subject to piece(u) <= t for every
 piece and |u|^2 = 1, with exact constraints and analytic Jacobians.
 Several starts are needed, since fields with l1 terms are multimodal:
 on the polytope-dual benchmark (seeds 21, 1 and 2, jobs 0-23), one start
-matches 16 to 4.4e-15 on all 108 fields of a Euclidean norm beside facet
-rows or an l1 term, but loses 1.7e-4 relative on 1 of the 36 sums of a
-Euclidean norm and an l1 term.  Values returned are always attained at
-an explicit feasible direction, so for maximization problems the result
-is a certified bound from the feasible side.
+loses 1.7e-4 relative against 16 on 1 of the 36 sums of a Euclidean
+norm and an l1 term.  Values returned are always attained at an
+explicit feasible direction, so for maximization problems the result is
+a certified bound from the feasible side.
 
 The same program with |u|^2 <= 1 and the objective t - <x, u> is the dual
 of the Euclidean distance to a convex body with support max(pieces):
@@ -31,19 +30,24 @@ Before any descent, an exact stage answers the fields it can.  On the
 0-sphere (n = 1) it evaluates both points +1 and -1.
 
 A field whose every piece is l2, max_i |u M_i|, is answered by the
-S-lemma dual (see _s_lemma).  With Q_i = M_i M_i^T, the minimum over the
-sphere of the squared field is at least lambda_min(sum_i lambda_i Q_i)
-for every lambda in the simplex.  The stage maximizes that bound over
-the simplex's vertices and edges, and recovers directions from the
-eigenvectors of lambda_min there.  The field is exact when the best
-direction's squared value is within 64 n eps |sum_i lambda_i Q_i|_2 of
-the bound.  For two pieces and n >= 3 the bound has no gap, since the
-joint range of two quadratic forms on that sphere is convex (Brickman,
-Proc. AMS 12, 1961; Polik & Terlaky, SIAM Review 49, 2007).  The
-cylinder, ball, ellipsoid and section fields of the harnesses are of
-this kind.  A field that does not certify descends as any other, and
-its result carries the square root of the bound, less the same
-tolerance, as a certified lower bound on its minimum.
+S-lemma dual (see _s_lemma).  So is a field with an l2 piece beside
+linear pieces whose rows come in exact pairs +-p_j: such a piece is
+max_j |<u, p_j>|, a max of rank-1 norms (see _norms).  The gauge of an
+ellipsoid intersected with a rotated cube is of this kind.  With
+Q_i = M_i M_i^T, the minimum over the sphere of the squared field is at
+least lambda_min(sum_i lambda_i Q_i) for every lambda in the simplex.
+The stage maximizes that bound over the simplex's vertices and edges,
+and recovers directions from the eigenvectors of lambda_min there.  The
+field is exact when the best direction's squared value is within
+64 n eps |sum_i lambda_i Q_i|_2 of the bound.  For two pieces and
+n >= 3 the bound has no gap, since the joint range of two quadratic
+forms on that sphere is convex (Brickman, Proc. AMS 12, 1961; Polik &
+Terlaky, SIAM Review 49, 2007).  The cylinder, ball, ellipsoid and
+section fields of the harnesses are of this kind.  A field that does
+not certify descends as any other, and its result carries the square
+root of the bound, less the same tolerance, as a certified lower bound
+on its minimum; one with a linear piece first goes on to the hull stage
+below, and keeps the better of the two bounds.
 
 A field that is the sum of two Euclidean norms, |u M_1| + |u M_2|, is
 answered by the Cauchy-Schwarz stage (see _cauchy_schwarz).  Sums are
@@ -71,18 +75,42 @@ attained at the normal of the facet nearest the origin (Qhull: Barber,
 Dobkin & Huhdanpaa, ACM TOMS 1996).
 HULL_ROWS bounds the Qhull cost, which grows with the facet count: the
 320-row Minkowski-sum field of a 5-cube and a rotated 5-cross-polytope
-(about 4800 facets) takes about 33 ms, every other field of the
-polytope-dual benchmark 4 ms or less.  The default optimizer spends more
+(about 4800 facets) takes about 33 ms, every other polyhedral field of
+the polytope-dual benchmark 4 ms or less.  The default optimizer spends more
 than that on the same fields: the benchmark's n = 5 cube/cross jobs ran
 faster with 512 rows than with 256, which sends that field to the
 optimizer.  Fields with other pieces, more rows, rows of affine rank
-below n, or the origin on or outside the hull go on to the descent.
+below n, or the origin on or outside the hull go on to the descent, as
+do fields on which Qhull raises QhullError (QH6271, a "wide merge", on
+dense clouds).
+
+The hull stage also takes l2 pieces beside polyhedral ones, by Kelley's
+cutting planes (Kelley, J. SIAM 8, 1960; Bertsekas & Yu, SIAM J. Optim.
+21, 2011), whose zero-round case is the hull above.  Each l2 piece
+|u M| = max over |y| <= 1 of <u, M y> is replaced by rows at its support
+points M M^T a / |a M|, first at a = +-e_i.  The rows are points of the
+body whose support is the field, so their hull's support h_inner is at
+most the field, and the facet nearest the origin gives a certified lower
+bound, the hull's inradius.  The field at that facet's normal is an
+attained value.  Each round adds the support points at the normals of
+the n nearest facets, until the gap between the best value and the
+bound is within n eps max_i |P_i|, the hull's rounding, or stops
+shrinking within 64 times that, where Qhull merges the new points.  The
+field is exact when the gap is within 8 n eps max_i |P_i|: at the
+other stages' 64, values of random ellipsoid and cube fields certified
+up to 2.7e-14 relative above the descent's.  The inclusion field
+max(h_E, h_UC) of an ellipsoid and a rotated cube, and the polar
+diameter field, the same field through the polars, are of this kind.
+A field that CUT_ROUNDS rounds do not certify descends, and carries the
+hull's inradius as a certified lower bound on its minimum.  Sums with
+an l2 part stay on the descent.
 
 Every stage reports the field's value at its direction evaluated alone,
 since a row's value in a batched evaluation can differ in its last
 digits.  Each exact stage names itself in the result's method: "both
-points of the 0-sphere", "S-lemma dual", "Cauchy-Schwarz" or "convex
-hull".  A field that the S-lemma or Cauchy-Schwarz stage bounds but does
+points of the 0-sphere", "S-lemma dual", "Cauchy-Schwarz", "convex
+hull", or "cutting planes" for a hull stage with l2 pieces.  A field
+that the S-lemma, Cauchy-Schwarz or cutting-plane stage bounds but does
 not certify keeps that stage's method along with its lower bound when it
 descends; every other descended field has method None.
 """
@@ -118,6 +146,7 @@ POLISH_SEPARATION = 1e-6  # endpoints closer than this count as one start
 BATCH_ROWS = 1 << 16      # most rows one batched evaluation holds
 SPREAD_POOL = 24          # random pool rows per spread direction
 HULL_ROWS = 512           # most rows a polyhedral field expands to for the exact stage
+CUT_ROUNDS = 16           # most cutting-plane rounds of the hull stage
 
 
 @dataclass
@@ -188,16 +217,18 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
     A field the exact stage answers (see the module docstring) is not
     descended; its nfev counts the rows its pieces expand to (the two
     points on the 0-sphere, the S-lemma and Cauchy-Schwarz stages'
-    candidate directions) and the evaluation at its direction, and its
-    lower is its value.  Every other field starts from the same m spread
-    directions (and extra_starts) and runs projected subgradient descent:
-    each iteration makes one pass of the field's value and subgradient at
-    its m candidate rows, m rows of nfev, plus 2 n difference rows per row
-    for each smooth piece (see bodies.Piece.gradient), and the starts take
-    one such pass.  A step starts at STEP0, grows by 1.2 when it improves
-    its row and halves when it does not.  A field stops once all its step
-    sizes fall below 1e-12, or at cfg.iters iterations, and is no longer
-    evaluated, so it ends exactly as it would alone; descent_iters
+    candidate directions, the hull's rows with every cutting-plane
+    round's support points) and the evaluations at its directions (one
+    per cutting-plane round), and its lower is its value.  Every other
+    field starts from the same m spread directions (and extra_starts) and
+    runs projected subgradient descent: each iteration makes one pass of
+    the field's value and subgradient at its m candidate rows, m rows of
+    nfev, plus 2 n difference rows per row for each smooth piece (see
+    bodies.Piece.gradient), and the starts take one such pass.  A step
+    starts at STEP0, grows by 1.2 when it improves its row and halves when
+    it does not.  A field stops once all its step sizes fall below 1e-12,
+    or at cfg.iters iterations, and is no longer evaluated, so it ends
+    exactly as it would alone; descent_iters
     reports how many iterations it ran (0 for an exact field).  At most
     BATCH_ROWS rows go to one evaluation of the pieces; more fields run
     in consecutive chunks.  Each descended field's epigraph program is
@@ -207,12 +238,11 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
     a piece gradient was evaluated; polish_unconverged counts the solves
     that SLSQP ended without success and polish_nit their SLSQP
     iterations.  stage names what produced the value: "exact", "descent",
-    or "polish" when a polished point improved on the descent.  A max of
-    l2 pieces that the S-lemma stage does not certify, or a sum of two
-    that the Cauchy-Schwarz stage does not, also counts that stage's
-    candidates in nfev, and carries its bound in lower and the stage's
-    name in method; every other descended field has lower and method
-    None.
+    or "polish" when a polished point improved on the descent.  A field
+    that the S-lemma stage, the Cauchy-Schwarz stage or the cutting
+    planes bound without certifying it also counts that stage's rows in
+    nfev, and carries its bound in lower and the stage's name in method;
+    every other descended field has lower and method None.
     """
     if n > 1 and _cs_sum(pieces):  # a stage that runs its fields in lockstep
         first = _cauchy_schwarz(pieces, n, count)
@@ -242,42 +272,122 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
 
 def _exact(pieces, n):
     """The exact result of the field when the exact stage answers it (see
-    the module docstring), else None.  A max of l2 pieces gets a result
-    from the S-lemma stage whose stage is "bound" when the dual does not
-    certify it: only its lower and its nfev carry over to the descent.
-    Sums of two l2 pieces go to _cauchy_schwarz, which takes all the
-    fields of a call at once."""
+    the module docstring), else None.  The S-lemma and hull stages give a
+    result whose stage is "bound" when they do not certify the field: only
+    its lower and its nfev carry over to the descent.  A field of the
+    S-lemma stage with a linear piece that the dual does not certify goes
+    on to the hull stage, and keeps the larger of the two bounds, with the
+    nfev of both.  Sums of two l2 pieces go to _cauchy_schwarz, which
+    takes all the fields of a call at once."""
     if n == 1:
         V = np.array([[1.0], [-1.0]])
         vals = _finite_values(pieces, V)
         i = int(np.argmin(vals))
         return SphereOptResult(value=float(vals[i]), direction=V[i], nfev=2, stage="exact",
                                lower=float(vals[i]), method="both points of the 0-sphere")
-    if _l2_max(pieces):
-        return _s_lemma(pieces, n)
-    P = _polyhedral_rows(pieces, n)
-    if P is None or np.linalg.matrix_rank(P[1:] - P[0]) < n:
+    if _norms(pieces) is None:
+        return _hull(pieces, n)
+    dual = _s_lemma(pieces, n)
+    if dual is None or dual.stage == "exact" or all(p.kind == "l2" for p in pieces):
+        return dual
+    hull = _hull(pieces, n)
+    if hull is None:
+        return dual
+    if hull.stage != "exact" and hull.lower <= dual.lower:
+        hull.lower, hull.method = dual.lower, dual.method
+    hull.nfev += dual.nfev
+    return hull
+
+
+def _norms(pieces):
+    """The matrices M_i of a field that is max_i |u M_i|, or None: the
+    S-lemma stage's fields.  They are its l2 pieces' matrices and, when it
+    has an l2 piece, the rank-1 columns p_j of each linear piece whose rows
+    come in exact pairs +-p_j, since max(<u, p_j>, <u, -p_j>) = |<u, p_j>|.
+    A field of linear pieces alone stays with the hull stage."""
+    if not any(p.kind == "l2" for p in pieces):
         return None
+    M = []
+    for p in pieces:
+        if p.kind == "l2":
+            M.append(p.matrix)
+            continue
+        if p.kind != "linear":
+            return None
+        P = p.matrix
+        partner = np.all(P[:, None, :] == -P[None, :, :], axis=2)
+        j = partner.argmax(axis=1)
+        if not partner[np.arange(len(P)), j].all():
+            return None
+        M += [row[:, None] for row in P[np.arange(len(P)) < j]]  # one row of each pair
+    return M
+
+
+def _hull(pieces, n):
+    """The convex-hull stage: Kelley's cutting planes, whose zero-round
+    case is the hull of a polyhedral field's rows (see the module
+    docstring).  None when the field has a smooth piece or a sum with an
+    l2 part, more than HULL_ROWS rows, rows of affine rank below n, the
+    origin on or outside their hull, or when Qhull fails; a field that
+    CUT_ROUNDS rounds, or HULL_ROWS rows, do not certify gets stage
+    "bound"."""
     from scipy.spatial import ConvexHull
+    from scipy.spatial._qhull import QhullError
 
-    # facets a.x + c <= 0 with unit a: the origin is interior iff every c < 0,
-    # and the facet nearest to it has the largest c
-    equations = ConvexHull(P).equations
-    if not np.all(equations[:, -1] < 0.0):
+    norms = [p.matrix for p in pieces if p.kind == "l2"]
+    P = _polyhedral_rows(tuple(p for p in pieces if p.kind != "l2"), n)
+    if P is None:
         return None
-    u = equations[int(np.argmax(equations[:, -1])), :-1]
-    value = float(_finite_values(pieces, u[None])[0])
-    return SphereOptResult(value=value, direction=u, nfev=len(P) + 1, stage="exact",
-                           lower=value, method="convex hull")
+    if norms:
+        P = np.vstack([P] + [_support_points(M, np.vstack([np.eye(n), -np.eye(n)]))
+                             for M in norms])
+    if (len(P) > HULL_ROWS or not np.all(np.isfinite(P))
+            or np.linalg.matrix_rank(P[1:] - P[0]) < n):
+        return None
+    rounding = n * np.finfo(float).eps * np.linalg.norm(P, axis=1).max()
+    best_u, best, gap, evals = None, np.inf, np.inf, 0
+    for _ in range(CUT_ROUNDS + 1):
+        # facets a.x + c <= 0 with unit a: the origin is interior iff every
+        # c < 0, and the facet nearest to it has the largest c
+        try:
+            equations = ConvexHull(P).equations
+        except QhullError:
+            return None
+        if not np.all(equations[:, -1] < 0.0):
+            return None
+        nearest = np.argsort(-equations[:, -1], kind="stable")[:n]
+        lower = -float(equations[nearest[0], -1])  # the inradius: h_conv(P) <= the field
+        u = equations[nearest[0], :-1]
+        value = float(_finite_values(pieces, u[None])[0])
+        evals += 1
+        if value < best:
+            best_u, best = u, value
+        last, gap = gap, best - lower
+        # the rounds go on until the gap is within the hull's rounding, or
+        # stops shrinking near it, where Qhull merges the new points
+        if (not norms or gap <= rounding or (gap <= 64 * rounding and gap >= last)
+                or len(P) + n * len(norms) > HULL_ROWS):
+            break
+        P = np.vstack([P] + [_support_points(M, equations[nearest, :-1]) for M in norms])
+    exact = not norms or gap <= 8 * rounding
+    return SphereOptResult(value=best, direction=best_u, nfev=len(P) + evals,
+                           stage="exact" if exact else "bound", lower=best if exact else lower,
+                           method="cutting planes" if norms else "convex hull")
 
 
-def _l2_max(pieces):
-    """Whether every piece is l2: the fields of the S-lemma stage."""
-    return all(p.kind == "l2" for p in pieces)
+def _support_points(M, U):
+    """The points M M^T u / |u M| of the ellipsoid {M y : |y| <= 1} at
+    which the rows u of U are its outer normals, for the rows with
+    u M != 0."""
+    Y = U @ M
+    nrm = np.linalg.norm(Y, axis=1)
+    keep = nrm > 0
+    return (Y[keep] @ M.T) / nrm[keep, None]
 
 
 def _s_lemma(pieces, n):
-    """The S-lemma dual stage of the field max_i |u M_i|, Q_i = M_i M_i^T.
+    """The S-lemma dual stage of the field max_i |u M_i|, with the M_i of
+    _norms and Q_i = M_i M_i^T.
 
     For every lambda in the simplex, min over the sphere of the squared
     field is at least phi(lambda) = lambda_min(S), S = sum_i lambda_i Q_i,
@@ -287,8 +397,8 @@ def _s_lemma(pieces, n):
     the edge parametrized by S ~ (1 - t) Q_a / |Q_a| + t Q_b / |Q_b| so
     that t resolves pieces of any scale.  An edge is skipped when Weyl's
     bound on phi along it, min(max(lambda_min(Q_a), lambda_max(Q_b)),
-    max(lambda_max(Q_a), lambda_min(Q_b))), does not beat the best value
-    so far.
+    max(lambda_max(Q_a), lambda_min(Q_b))), or 0 when M_a and M_b have
+    fewer than n columns together, does not beat the best value so far.
 
     Every point searched whose phi is within tol of the best gives
     candidate directions: the first eigenvector of lambda_min; at a
@@ -305,7 +415,7 @@ def _s_lemma(pieces, n):
     forms on that sphere is convex (Brickman, Proc. AMS 12, 1961); three
     or more can leave a gap.  None when a matrix is not finite.
     """
-    M = [p.matrix for p in pieces]
+    M = _norms(pieces)
     Q = np.stack([Mi @ Mi.T for Mi in M])
     if not np.all(np.isfinite(Q)):
         return None
@@ -313,7 +423,10 @@ def _s_lemma(pieces, n):
     w, V = np.linalg.eigh(Q)
     points = [(w[a], V[a], (a,)) for a in range(k)]  # eigenpairs of S, pieces of its face
     phi = w[:, 0].max()
-    caps = sorted(((min(max(w[a, 0], w[b, -1]), max(w[a, -1], w[b, 0])), a, b)
+    # sum_i lambda_i Q_i is singular on an edge whose matrices have fewer
+    # than n columns between them, such as two rank-1 norms of paired facets
+    caps = sorted(((min(max(w[a, 0], w[b, -1]), max(w[a, -1], w[b, 0]))
+                    if M[a].shape[1] + M[b].shape[1] >= n else 0.0, a, b)
                    for a in range(k) for b in range(a + 1, k)), reverse=True)
     for cap, a, b in caps:
         if cap <= phi:  # also every edge of a zero piece, so |Q_a|, |Q_b| > 0 below

@@ -113,7 +113,9 @@ def test_body_reports_distance_failure(capsys, tmp_path, monkeypatch):
     ({"kind": "ellipsoid", "semiaxes": ["a", 1]}, (), "semiaxes"),
     ({"kind": "truncated_cylinder", "core": {"kind": "ball", "dim": 2, "radius": 1.0},
       "dim": 4, "transverse_radius": "x"}, (), "transverse_radius"),
-], ids=["body-field", "direction", "point", "array-field", "optional-field"])
+    ({"kind": "vertex_polytope", "vertices": [[0, 0], [1, 0], [0, 1]], "symmetric": "false"},
+     (), "symmetric"),
+], ids=["body-field", "direction", "point", "array-field", "optional-field", "boolean-field"])
 def test_body_unreadable_value_is_a_usage_error(capsys, tmp_path, spec, options, key):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -195,7 +197,8 @@ def test_config_schedule_infeasible_exit_three(capsys, tmp_path):
     ({"optimizer": {"restarts": "x"}}, "optimizer.restarts"),
     ({"section_K": {"k": "x"}}, "section_K"),
     ({"schedule": {"n": "x", "k": 2}}, "schedule.n"),
-], ids=["trials", "seed", "optimizer", "section", "schedule"])
+    ({"dual_products": "false"}, "dual_products"),
+], ids=["trials", "seed", "optimizer", "section", "schedule", "boolean"])
 def test_config_unreadable_value_is_a_usage_error(capsys, tmp_path, extra, key):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(two_bodies_config(**extra)))
@@ -285,6 +288,30 @@ def test_core_outputs_do_not_depend_on_blas_threads(tmp_path):
               "optimizer": {"restarts": 12, "iters": 50, "seed": 0}}
     reports, tables = _outputs_under_blas_threads(tmp_path, "core", config, 13)
     assert tables[0] == tables[1]
+    assert reports[0] == reports[1]
+
+
+def test_dual_products_do_not_depend_on_blas_threads(tmp_path):
+    # an ellipsoid and a cube in R^5: the diameter field is a Euclidean norm
+    # beside facet rows in +- pairs (the S-lemma stage), and the incl_max
+    # field and the polar diameter field are a norm beside an l1 piece (the
+    # hull stage's cutting planes); all three are exact.  incl_sum, a sum
+    # of a norm and an l1 piece, is still descended and polished, and its
+    # last digits differ between one and two threads for this seed
+    config = {"experiment": "two-bodies", "n": 5, "k": 2, "trials": 1,
+              "K": {"kind": "ellipsoid", "semiaxes": [1.0, 1.4, 0.8, 1.2, 0.9]},
+              "L": {"kind": "cube", "dim": 5, "half_width": 1.0},
+              "mode": "both", "dual_products": True, "section_K": {"k": 1, "offset": 0},
+              "section_L": {"k": 2, "offset": 3}, "section_bound": 3.0 * math.sqrt(5)}
+    reports, tables = _outputs_under_blas_threads(tmp_path, "two-bodies", config, 179246715)
+    columns = [dict(zip(t.decode().splitlines()[0].split(","), zip(*(
+        line.split(",") for line in t.decode().splitlines()[1:])))) for t in tables]
+    for name in ("diameter", "incl_max", "dual_product"):
+        assert columns[0][name] == columns[1][name]
+    for report in reports:
+        report["summary"].pop("incl_sum")
+        for row in report["trials"]:
+            row.pop("incl_sum")
     assert reports[0] == reports[1]
 
 

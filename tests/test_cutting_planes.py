@@ -1,0 +1,103 @@
+"""Properties of the optimizer's hull stage on Euclidean norms beside
+facets, drawn by hypothesis: the gauge of an ellipsoid E intersected with
+a rotated cube U C, and the larger of their supports, max(h_E, h_UC)."""
+
+import numpy as np
+import pytest
+import scipy.spatial
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial._qhull import QhullError
+
+from waistlab import optimize
+from waistlab.bodies import _max_of, cube, ellipsoid, map_pieces
+from waistlab.geometry import haar_rotation
+from waistlab.optimize import OptimizerConfig, minimize_on_sphere
+
+CFG = OptimizerConfig(restarts=16, iters=120, seed=0)
+
+
+def _descended(pieces, n):
+    """The field's result with the exact stage switched off."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(optimize, "_exact", lambda pieces, n: None)
+        return minimize_on_sphere(pieces, n, CFG)
+
+
+@st.composite
+def mixed_fields(draw, kinds=("gauge", "support")):
+    """(n, pieces): for E with semiaxes in [0.5, 2] on R^n, n = 3-5, and a
+    Haar rotation U, the gauge pieces of E and U C (an l2 piece and facet
+    rows in +- pairs) or their support pieces (an l2 piece and an l1
+    piece)."""
+    n = draw(st.integers(3, 5))
+    E = ellipsoid(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+    U = haar_rotation(n, seed=draw(st.integers(0, 2**32 - 1)))
+    if draw(st.sampled_from(kinds)) == "gauge":
+        return n, E.gauge_pieces + map_pieces(cube(n, 1.0).gauge_pieces, U)
+    return n, E.support_pieces + map_pieces(cube(n, 1.0).support_pieces, U)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mixed_fields())
+def test_certified_values_never_lose_to_the_descent(field):
+    n, pieces = field
+    res = minimize_on_sphere(pieces, n, CFG)
+    assert res.value == _max_of(pieces, res.direction[None])[0]
+    found = _descended(pieces, n).value
+    if res.stage == "exact":
+        assert res.method in ("S-lemma dual", "cutting planes") and res.lower == res.value
+        assert res.value <= found * (1.0 + 1e-14)
+    else:  # a bound that did not certify still holds
+        assert res.lower <= found * (1.0 + 1e-14)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(mixed_fields(kinds=("support",)))
+def test_qhull_errors_fall_back_to_the_descent(field):
+    n, pieces = field
+
+    def fail(*args, **kwargs):
+        raise QhullError("QH6271 qhull topology error (qh_check_dupridge)")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(scipy.spatial, "ConvexHull", fail)
+        res = minimize_on_sphere(pieces, n, CFG)
+    found = _descended(pieces, n)
+    assert res.stage in ("descent", "polish") and (res.method, res.lower) == (None, None)
+    assert res.value == found.value and np.array_equal(res.direction, found.direction)
+
+
+def _capped(pieces, n):
+    """The hull stage's result and the optimizer's under a one-round cap."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(optimize, "CUT_ROUNDS", 1)
+        return optimize._hull(pieces, n), minimize_on_sphere(pieces, n, CFG)
+
+
+def _says_so(hull, res):
+    """A field the capped rounds leave open is reported as bounded, and
+    descends with the hull's inradius as its lower bound."""
+    assert hull.stage == "bound" and np.isfinite(hull.lower) and hull.lower <= hull.value
+    assert res.stage in ("descent", "polish") and res.method == "cutting planes"
+    assert res.lower == hull.lower and res.lower <= res.value
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(mixed_fields(kinds=("support",)))
+def test_a_field_the_round_cap_leaves_open_says_so(field):
+    n, pieces = field
+    hull, res = _capped(pieces, n)
+    if hull.stage == "exact":  # certified within one round
+        assert res.stage == "exact" and res.value == hull.value
+    else:
+        _says_so(hull, res)
+
+
+def test_one_round_leaves_a_slow_field_open():
+    # certified after 10 rounds without the cap
+    U = haar_rotation(4, seed=1043)
+    E, C = ellipsoid([1.0, 1.4, 0.8, 1.2]), cube(4, 1.0)
+    pieces = E.support_pieces + map_pieces(C.support_pieces, U)
+    assert optimize._hull(pieces, 4).stage == "exact"
+    _says_so(*_capped(pieces, 4))

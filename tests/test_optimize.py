@@ -148,9 +148,9 @@ def test_descent_reports_its_iterations_and_one_pass_per_iteration(monkeypatch):
     res = minimize_on_sphere(select_pieces(_fields(seen), 1), N, CFG)
     assert res.stage == "descent" and 0 < res.descent_iters < CFG.iters  # stopped early
     assert res.nfev == (res.descent_iters + 1) * m * (1 + 2 * N) + 1 == sum(seen)
-    mixed = ellipsoid([1.0, 1.4, 0.8]).gauge_pieces + cube(3, 0.9).gauge_pieces
-    res = minimize_on_sphere(mixed, 3, CFG)
-    assert res.nfev == (res.descent_iters + 1) * m + 1
+    mixed = sum_pieces((ellipsoid([1.0, 1.4, 0.8]).support_pieces, cube(3, 0.9).support_pieces))
+    res = minimize_on_sphere(map_pieces(mixed, haar_rotation(3, seed=7)), 3, CFG)
+    assert res.stage == "descent" and res.nfev == (res.descent_iters + 1) * m + 1
 
 
 def _record_results(monkeypatch):
@@ -220,13 +220,18 @@ def test_euclidean_fields_are_exact_or_polish_every_start(monkeypatch):
 def test_polyhedral_fields_keep_every_polish_start(monkeypatch):
     solves = _count_polish_solves(monkeypatch)
     results = _record_results(monkeypatch)
-    # a linear piece next to an l2 one: the field still goes to the polish
-    res = diameter_of_intersection(ellipsoid([1.0, 1.4, 0.8]), cube(3, 0.9),
-                                   haar_rotation(3, seed=7))
-    assert res.note.startswith("lower bound")
+    # a sum of an l2 part and an l1 part: the field still goes to the polish
+    res = inclusion_radius(ellipsoid([1.0, 1.4, 0.8]), cube(3, 0.9), haar_rotation(3, seed=7))
+    assert res.note.startswith("upper bound")
     assert len(solves) == optimize.POLISH_STARTS
     # and its descent runs to the iteration cap, which the result says
     assert [r.descent_iters for r in results] == [optimize.DEFAULT_OPT.iters]
+    # facet rows in +- pairs next to an l2 piece are rank-1 norms, and the
+    # S-lemma dual answers the field without a solve
+    solves.clear()
+    res = diameter_of_intersection(ellipsoid([1.0, 1.4, 0.8]), cube(3, 0.9),
+                                   haar_rotation(3, seed=7))
+    assert not solves and res.note == "exact (S-lemma dual)"
     # a purely polyhedral field is answered by its convex hull, without a
     # solve, at the value recorded when it was polished from 16 starts
     solves.clear()
@@ -265,8 +270,15 @@ def test_mixed_fields_never_reach_the_s_lemma(monkeypatch):
     monkeypatch.setattr(optimize, "_s_lemma", refuse)
     monkeypatch.setattr(optimize, "_cauchy_schwarz", recording)
     E = ellipsoid([1.0, 1.4, 0.8])
-    for pieces in (E.gauge_pieces + cube(3, 0.9).gauge_pieces, E.gauge_pieces + (ZERO,)):
-        assert minimize_on_sphere(pieces, 3, CFG).lower is None
+    assert minimize_on_sphere(E.gauge_pieces + (ZERO,), 3, CFG).lower is None
+    # facets beside a norm go to the hull stage when they are an l1 piece or
+    # rows that do not come in +- pairs
+    simplex = vertex_polytope([[1.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, -1.0, 1.0],
+                                [-1.0, -1.0, -1.0]])
+    for pieces in (E.gauge_pieces + cube(3, 0.9).support_pieces,
+                   E.gauge_pieces + simplex.gauge_pieces):
+        assert optimize._norms(pieces) is None
+        assert minimize_on_sphere(pieces, 3, CFG).method == "cutting planes"
     # a sum of two Euclidean norms goes to the Cauchy-Schwarz stage instead
     cylinder = product_body(ball(2, 1.0), ball(1, 0.5)).support_pieces
     res = minimize_on_sphere(cylinder, 3, CFG)
@@ -295,6 +307,8 @@ def test_zero_sphere_field_takes_the_better_point():
 def test_every_stage_names_itself_in_method():
     exact = {
         "convex hull": (cube(3, 1.0).support_pieces + cross_polytope(3, 1.0).support_pieces, 3),
+        "cutting planes": (ellipsoid([1.0, 1.4, 0.8]).support_pieces
+                           + map_pieces(cube(3, 0.9).support_pieces, haar_rotation(3, seed=7)), 3),
         "S-lemma dual": (ellipsoid([1.0, 2.0, 0.5]).gauge_pieces, 3),
         "Cauchy-Schwarz": (product_body(ball(2, 1.0), ball(1, 0.5)).support_pieces, 3),
         "both points of the 0-sphere": ((Piece("smooth", value=lambda V: V[:, 0] ** 2 + V[:, 0]),), 1),
@@ -316,8 +330,8 @@ def test_every_stage_names_itself_in_method():
     assert res.stage in ("descent", "polish") and res.method == "Cauchy-Schwarz"
     assert 0.0 < res.lower <= res.value
     # a field no stage answers or bounds has neither
-    mixed = ellipsoid([1.0, 1.4, 0.8]).gauge_pieces + cube(3, 0.9).gauge_pieces
-    res = minimize_on_sphere(mixed, 3, CFG)
+    mixed = sum_pieces((ellipsoid([1.0, 1.4, 0.8]).support_pieces, cube(3, 0.9).support_pieces))
+    res = minimize_on_sphere(map_pieces(mixed, haar_rotation(3, seed=7)), 3, CFG)
     assert res.stage in ("descent", "polish") and res.method is None and res.lower is None
 
 
