@@ -177,6 +177,5 @@ def quantile_summary(values) -> dict:
         return {"count": 0}
     out = {"count": int(arr.size), "min": float(arr.min()), "max": float(arr.max()),
            "mean": float(arr.mean())}
-    for name, q in QUANTILES.items():
-        out[name] = float(np.quantile(arr, q))
+    out.update(zip(QUANTILES, np.quantile(arr, list(QUANTILES.values())).tolist()))
     return out

@@ -190,8 +190,8 @@ def emit_plot_data(report, path) -> None:
         if not diam or n is None or k is None:
             continue
         arr = np.asarray(diam, dtype=float)
-        summary_rows.append([n, k, n / k] + [float(np.quantile(arr, q))
-                                             for q in QUANTILES.values()])
+        summary_rows.append([n, k, n / k]
+                            + np.quantile(arr, list(QUANTILES.values())).tolist())
     spath = path.with_name(path.stem + "_summary.csv")
     write_csv(spath, ["n", "k", "n_over_k", *QUANTILES], summary_rows)
 

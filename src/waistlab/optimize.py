@@ -15,11 +15,12 @@ descent endpoints of each field with one SLSQP solve each of the
 epigraph program of the field: min t subject to piece(u) <= t for every
 piece and |u|^2 = 1, with exact constraints and analytic Jacobians.
 Several starts are needed, since fields with l1 terms are multimodal:
-on the polytope-dual benchmark (seeds 21, 1 and 2, jobs 0-23), one start
-loses 1.7e-4 relative against 16 on 1 of the 36 sums of a Euclidean
-norm and an l1 term.  Values returned are always attained at an
-explicit feasible direction, so for maximization problems the result is
-a certified bound from the feasible side.
+on the polytope-dual benchmark (seeds 1, 2, 3 and 21, jobs 0-23), one
+start loses 1.7e-4 relative against 16 on 1 of the 16 sums of a
+Euclidean norm and an l1 term in R^5, the only sums there that the hull
+stage below leaves to the descent.  Values returned are always attained
+at an explicit feasible direction, so for maximization problems the
+result is a certified bound from the feasible side.
 
 The same program with |u|^2 <= 1 and the objective t - <x, u> is the dual
 of the Euclidean distance to a convex body with support max(pieces):
@@ -84,26 +85,39 @@ below n, or the origin on or outside the hull go on to the descent, as
 do fields on which Qhull raises QhullError (QH6271, a "wide merge", on
 dense clouds).
 
-The hull stage also takes l2 pieces beside polyhedral ones, by Kelley's
-cutting planes (Kelley, J. SIAM 8, 1960; Bertsekas & Yu, SIAM J. Optim.
-21, 2011), whose zero-round case is the hull above.  Each l2 piece
-|u M| = max over |y| <= 1 of <u, M y> is replaced by rows at its support
-points M M^T a / |a M|, first at a = +-e_i.  The rows are points of the
-body whose support is the field, so their hull's support h_inner is at
-most the field, and the facet nearest the origin gives a certified lower
-bound, the hull's inradius.  The field at that facet's normal is an
-attained value.  Each round adds the support points at the normals of
-the n nearest facets, until the gap between the best value and the
-bound is within n eps max_i |P_i|, the hull's rounding, or stops
-shrinking within 64 times that, where Qhull merges the new points.  The
-field is exact when the gap is within 8 n eps max_i |P_i|: at the
+The hull stage also takes l2 pieces, beside polyhedral ones or in the
+parts of sums, by Kelley's cutting planes (Kelley, J. SIAM 8, 1960;
+Bertsekas & Yu, SIAM J. Optim. 21, 2011), whose zero-round case is the
+hull above.  Each l2 piece |u M| = max over |y| <= 1 of <u, M y> is
+replaced by rows at its support points M M^T a / |a M| at the seed
+directions a: +-e_i and +- the unit columns of every l1 matrix of the
+field, which are a rotated cube's facet normals.  The minima of the
+polytope-dual benchmark's sums of an ellipsoid's and a rotated cube's
+supports all sit at such a normal.  A sum's rows are the pairwise sums of
+its parts' rows, as for a polyhedral sum, so HULL_ROWS decides which sums
+enter: 12 seeds times 8 cube rows in R^3 and 16 times 16 in R^4 do, while
+the 20 times 32 of R^5 decline before any hull is built.  The rows are
+points of the body whose support is the field, so their hull's support
+h_inner is at most the field, and the facet nearest the origin gives a
+certified lower bound, the hull's inradius.  The field at that facet's
+normal is an attained value.  Each round adds, at the normals of the n
+nearest facets, the subgradient (bodies.Piece.gradient) of every piece
+that holds an l2 piece: the support point of an l2 piece, and for a sum
+the sum of its parts' support points, again points of the body.  The
+rounds go on until the gap between the best value and the bound is
+within n eps max_i |P_i|, the hull's rounding.  They stop earlier when
+the gap stops shrinking within 64 times that, where Qhull merges the new
+points, or when it has not shrunk 16-fold over the last 4 rounds, as on
+a ridge of a norm and facets, where each round only about quarters it.
+The field is exact when the gap is within 8 n eps max_i |P_i|: at the
 other stages' 64, values of random ellipsoid and cube fields certified
 up to 2.7e-14 relative above the descent's.  The inclusion field
-max(h_E, h_UC) of an ellipsoid and a rotated cube, and the polar
-diameter field, the same field through the polars, are of this kind.
-A field that CUT_ROUNDS rounds do not certify descends, and carries the
-hull's inradius as a certified lower bound on its minimum.  Sums with
-an l2 part stay on the descent.
+max(h_E, h_UC) of an ellipsoid and a rotated cube, the polar diameter
+field, the same field through the polars, and the Minkowski-sum
+inclusion field h_E + h_UC in R^3 and R^4 are of this kind.  A field
+that the rounds leave open, after CUT_ROUNDS of them or earlier, descends,
+and carries the hull's inradius as a certified lower bound on its
+minimum.
 
 Every stage reports the field's value at its direction evaluated alone,
 since a row's value in a batched evaluation can differ in its last
@@ -217,9 +231,9 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
     A field the exact stage answers (see the module docstring) is not
     descended; its nfev counts the rows its pieces expand to (the two
     points on the 0-sphere, the S-lemma and Cauchy-Schwarz stages'
-    candidate directions, the hull's rows with every cutting-plane
-    round's support points) and the evaluations at its directions (one
-    per cutting-plane round), and its lower is its value.  Every other
+    candidate directions, the hull's rows at its seeds with every
+    cutting-plane round's support points) and the evaluations at its
+    directions (one per cutting-plane round), and its lower is its value.  Every other
     field starts from the same m spread directions (and extra_starts) and
     runs projected subgradient descent: each iteration makes one pass of
     the field's value and subgradient at its m candidate rows, m rows of
@@ -326,26 +340,23 @@ def _norms(pieces):
 def _hull(pieces, n):
     """The convex-hull stage: Kelley's cutting planes, whose zero-round
     case is the hull of a polyhedral field's rows (see the module
-    docstring).  None when the field has a smooth piece or a sum with an
-    l2 part, more than HULL_ROWS rows, rows of affine rank below n, the
-    origin on or outside their hull, or when Qhull fails; a field that
-    CUT_ROUNDS rounds, or HULL_ROWS rows, do not certify gets stage
-    "bound"."""
+    docstring).  None when the field has a smooth piece, more than
+    HULL_ROWS rows at its seeds (see _seeds), rows of affine rank below
+    n, the origin on or outside their hull, or when Qhull fails; a field
+    that CUT_ROUNDS rounds, HULL_ROWS rows, or a stalled gap leave open
+    gets stage "bound"."""
     from scipy.spatial import ConvexHull
     from scipy.spatial._qhull import QhullError
 
-    norms = [p.matrix for p in pieces if p.kind == "l2"]
-    P = _polyhedral_rows(tuple(p for p in pieces if p.kind != "l2"), n)
-    if P is None:
-        return None
-    if norms:
-        P = np.vstack([P] + [_support_points(M, np.vstack([np.eye(n), -np.eye(n)]))
-                             for M in norms])
-    if (len(P) > HULL_ROWS or not np.all(np.isfinite(P))
+    cut = [p for p in pieces if _holds_l2(p)]  # the pieces each round adds points of
+    # facet rows first, then the support points of l2 pieces, which the
+    # rounds append to (a stable sort)
+    P = _polyhedral_rows(sorted(pieces, key=lambda p: p.kind == "l2"), n, _seeds(pieces, n))
+    if (P is None or len(P) <= n or not np.all(np.isfinite(P))
             or np.linalg.matrix_rank(P[1:] - P[0]) < n):
         return None
     rounding = n * np.finfo(float).eps * np.linalg.norm(P, axis=1).max()
-    best_u, best, gap, evals = None, np.inf, np.inf, 0
+    best_u, best, gaps, evals = None, np.inf, [np.inf], 0
     for _ in range(CUT_ROUNDS + 1):
         # facets a.x + c <= 0 with unit a: the origin is interior iff every
         # c < 0, and the facet nearest to it has the largest c
@@ -362,17 +373,46 @@ def _hull(pieces, n):
         evals += 1
         if value < best:
             best_u, best = u, value
-        last, gap = gap, best - lower
+        gaps.append(best - lower)
+        gap = gaps[-1]
         # the rounds go on until the gap is within the hull's rounding, or
-        # stops shrinking near it, where Qhull merges the new points
-        if (not norms or gap <= rounding or (gap <= 64 * rounding and gap >= last)
-                or len(P) + n * len(norms) > HULL_ROWS):
+        # stops shrinking near it, where Qhull merges the new points, or
+        # has not shrunk 16-fold over the last 4 rounds
+        if (not cut or gap <= rounding or (gap <= 64 * rounding and gap >= gaps[-2])
+                or (len(gaps) > 5 and 16 * gap > gaps[-5])
+                or len(P) + n * len(cut) > HULL_ROWS):
             break
-        P = np.vstack([P] + [_support_points(M, equations[nearest, :-1]) for M in norms])
-    exact = not norms or gap <= 8 * rounding
+        P = np.vstack([P] + [p.gradient(equations[nearest, :-1]) for p in cut])
+    exact = not cut or gap <= 8 * rounding
     return SphereOptResult(value=best, direction=best_u, nfev=len(P) + evals,
                            stage="exact" if exact else "bound", lower=best if exact else lower,
-                           method="cutting planes" if norms else "convex hull")
+                           method="cutting planes" if cut else "convex hull")
+
+
+def _holds_l2(p):
+    """Whether a piece is l2 or a sum with an l2 piece in a part."""
+    return p.kind == "l2" or (p.kind == "sum" and any(_holds_l2(q) for part in p.parts
+                                                       for q in part))
+
+
+def _seeds(pieces, n):
+    """The directions at which the hull stage first takes the support
+    points of l2 pieces: +-e_i, then +- the unit columns of every l1
+    matrix of the field, sums' parts included (the facet normals of a
+    mapped cube), each direction once."""
+    def columns(pieces):
+        for p in pieces:
+            if p.kind == "l1":
+                yield p.matrix.T
+            elif p.kind == "sum":
+                for part in p.parts:
+                    yield from columns(part)
+
+    C = np.vstack([np.empty((0, n))] + list(columns(pieces)))
+    C = _normalize_rows(C[np.linalg.norm(C, axis=1) > 0])
+    S = np.vstack([np.eye(n), -np.eye(n), C, -C])
+    first = np.unique(S, axis=0, return_index=True)[1]
+    return S[np.sort(first)]
 
 
 def _support_points(M, U):
@@ -729,11 +769,13 @@ def _split_bounds(p, q, sigma, eta, c, beta):
     return np.where(sigma > 0.0, np.where(inside, np.minimum(ends, vertex), ends), q * c)
 
 
-def _polyhedral_rows(pieces, n):
+def _polyhedral_rows(pieces, n, seeds=None):
     """Rows P with max(pieces)(u) = max_i <P_i, u>, or None when a piece
-    is l2 or smooth or the rows would exceed HULL_ROWS.  A linear piece
-    gives its rows, an l1 piece its 2^k sign rows, and a sum the pairwise
-    sums of its parts' rows."""
+    is smooth or the rows would exceed HULL_ROWS.  A linear piece gives
+    its rows, an l1 piece its 2^k sign rows, and a sum the pairwise sums
+    of its parts' rows.  An l2 piece gives its support points at the rows
+    of seeds, points of its ellipsoid, and None without seeds: with one,
+    max_i <P_i, u> is only at most max(pieces)(u)."""
     blocks, total = [], 0
     for p in pieces:
         if p.kind == "linear":
@@ -744,10 +786,12 @@ def _polyhedral_rows(pieces, n):
                 return None
             signs = 1.0 - 2.0 * ((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1)
             R = signs @ p.matrix.T
+        elif p.kind == "l2" and seeds is not None:
+            R = _support_points(p.matrix, seeds)
         elif p.kind == "sum":
             R = np.zeros((1, n))
             for part in p.parts:
-                Q = _polyhedral_rows(part, n)
+                Q = _polyhedral_rows(part, n, seeds)
                 if Q is None or len(R) * len(Q) > HULL_ROWS:
                     return None
                 R = (R[:, None, :] + Q[None, :, :]).reshape(-1, n)

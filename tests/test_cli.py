@@ -296,8 +296,9 @@ def test_dual_products_do_not_depend_on_blas_threads(tmp_path):
     # beside facet rows in +- pairs (the S-lemma stage), and the incl_max
     # field and the polar diameter field are a norm beside an l1 piece (the
     # hull stage's cutting planes); all three are exact.  incl_sum, a sum
-    # of a norm and an l1 piece, is still descended and polished, and its
-    # last digits differ between one and two threads for this seed
+    # of a norm and an l1 piece whose rows pass HULL_ROWS in R^5, is still
+    # descended and polished, and its last digits differ between one and
+    # two threads for this seed
     config = {"experiment": "two-bodies", "n": 5, "k": 2, "trials": 1,
               "K": {"kind": "ellipsoid", "semiaxes": [1.0, 1.4, 0.8, 1.2, 0.9]},
               "L": {"kind": "cube", "dim": 5, "half_width": 1.0},
@@ -312,6 +313,21 @@ def test_dual_products_do_not_depend_on_blas_threads(tmp_path):
         report["summary"].pop("incl_sum")
         for row in report["trials"]:
             row.pop("incl_sum")
+    assert reports[0] == reports[1]
+
+
+def test_dual_products_in_four_dimensions_do_not_depend_on_blas_threads(tmp_path):
+    # an ellipsoid and a cube in R^4: besides the exact fields of the R^5
+    # config above, incl_sum, whose 16 seed support points times 16 cube
+    # rows fit in HULL_ROWS, is exact by the hull stage's cutting planes,
+    # so every column is the same bytes at one and two threads
+    config = {"experiment": "two-bodies", "n": 4, "k": 2, "trials": 1,
+              "K": {"kind": "ellipsoid", "semiaxes": [1.0, 1.4, 0.8, 1.2]},
+              "L": {"kind": "cube", "dim": 4, "half_width": 1.0},
+              "mode": "both", "dual_products": True, "section_K": {"k": 1, "offset": 0},
+              "section_L": {"k": 2, "offset": 2}, "section_bound": 6.0}
+    reports, tables = _outputs_under_blas_threads(tmp_path, "two-bodies", config, 3245052511)
+    assert tables[0] == tables[1]
     assert reports[0] == reports[1]
 
 

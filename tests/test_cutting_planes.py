@@ -1,6 +1,8 @@
 """Properties of the optimizer's hull stage on Euclidean norms beside
 facets, drawn by hypothesis: the gauge of an ellipsoid E intersected with
-a rotated cube U C, and the larger of their supports, max(h_E, h_UC)."""
+a rotated cube U C, the larger of their supports, max(h_E, h_UC), and the
+support of their Minkowski sum, h_E + h_UC, or of E + U B for a
+cross-polytope B."""
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 from scipy.spatial._qhull import QhullError
 
 from waistlab import optimize
-from waistlab.bodies import _max_of, cube, ellipsoid, map_pieces
+from waistlab._util import sphere_points
+from waistlab.bodies import _max_of, cross_polytope, cube, ellipsoid, map_pieces, sum_pieces
 from waistlab.geometry import haar_rotation
 from waistlab.optimize import OptimizerConfig, minimize_on_sphere
 
@@ -101,3 +104,65 @@ def test_one_round_leaves_a_slow_field_open():
     pieces = E.support_pieces + map_pieces(C.support_pieces, U)
     assert optimize._hull(pieces, 4).stage == "exact"
     _says_so(*_capped(pieces, 4))
+
+
+@st.composite
+def sum_fields(draw, dims=(2, 4), kinds=("cube", "cross")):
+    """(n, pieces): for E with semiaxes in [0.5, 2] on R^n and a Haar
+    rotation U, the support of E + U C for the cube C = [-1, 1]^n (a sum of
+    an l2 part and an l1 part) or of E + U B for the cross-polytope B of
+    radius 1.5 (a sum of an l2 part and a linear part)."""
+    n = draw(st.integers(*dims))
+    E = ellipsoid(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+    U = haar_rotation(n, seed=draw(st.integers(0, 2**32 - 1)))
+    L = cube(n, 1.0) if draw(st.sampled_from(kinds)) == "cube" else cross_polytope(n, 1.5)
+    return n, sum_pieces((E.support_pieces, map_pieces(L.support_pieces, U)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_certified_sums_are_attained_and_never_lose(n, data):
+    n, pieces = data.draw(sum_fields(dims=(n, n)))
+    res = minimize_on_sphere(pieces, n, CFG)
+    assert res.value == _max_of(pieces, res.direction[None])[0]
+    assert res.method == "cutting planes" and res.lower <= res.value
+    if res.stage == "exact":
+        assert res.lower == res.value
+        assert res.value <= _descended(pieces, n).value * (1.0 + 1e-14)
+        V = sphere_points(np.random.default_rng(0), 20_000, n)
+        assert res.value <= _max_of(pieces, V).min() * (1.0 + 1e-12)
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(sum_fields(dims=(5, 5), kinds=("cube",)))
+def test_sums_past_the_row_cap_decline_before_qhull(field):
+    # 20 seed support points of E times 32 cube rows pass HULL_ROWS before
+    # any hull is built
+    n, pieces = field
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ConvexHull called")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(scipy.spatial, "ConvexHull", refuse)
+        assert optimize._hull(pieces, n) is None
+
+
+def test_a_stalled_gap_ends_the_rounds_early(monkeypatch):
+    # the support of E + U B for a cross-polytope B: the gap is not 16
+    # times smaller after 4 rounds, far from the hull's rounding and with
+    # rows to spare, so the field is left open before CUT_ROUNDS
+    B = map_pieces(cross_polytope(3, 1.5).support_pieces, haar_rotation(3, seed=0))
+    pieces = sum_pieces((ellipsoid([1.0, 1.4, 0.8]).support_pieces, B))
+    hulls = []
+    real = scipy.spatial.ConvexHull
+
+    def counting(*args, **kwargs):
+        hulls.append(real(*args, **kwargs))
+        return hulls[-1]
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", counting)
+    res = optimize._hull(pieces, 3)
+    assert res.stage == "bound" and len(hulls) == 5 < optimize.CUT_ROUNDS
+    assert res.value - res.lower > 1e-3 and len(hulls[-1].points) < optimize.HULL_ROWS

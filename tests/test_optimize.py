@@ -41,6 +41,11 @@ def _fields(seen=None):
 
 
 ZERO = Piece("smooth", value=lambda V: np.zeros(len(V)))  # leaves any field as it is
+E5 = ellipsoid([1.0, 1.4, 0.8, 1.2, 0.9])
+# the sum of an ellipsoid's support and a rotated cube's in R^5: its 20
+# seed support points times 32 cube rows pass HULL_ROWS, so it descends
+SUM5 = map_pieces(sum_pieces((E5.support_pieces, cube(5, 0.9).support_pieces)),
+                  haar_rotation(5, seed=7))
 
 
 def _hexagon():
@@ -148,8 +153,7 @@ def test_descent_reports_its_iterations_and_one_pass_per_iteration(monkeypatch):
     res = minimize_on_sphere(select_pieces(_fields(seen), 1), N, CFG)
     assert res.stage == "descent" and 0 < res.descent_iters < CFG.iters  # stopped early
     assert res.nfev == (res.descent_iters + 1) * m * (1 + 2 * N) + 1 == sum(seen)
-    mixed = sum_pieces((ellipsoid([1.0, 1.4, 0.8]).support_pieces, cube(3, 0.9).support_pieces))
-    res = minimize_on_sphere(map_pieces(mixed, haar_rotation(3, seed=7)), 3, CFG)
+    res = minimize_on_sphere(SUM5, 5, CFG)
     assert res.stage == "descent" and res.nfev == (res.descent_iters + 1) * m + 1
 
 
@@ -220,12 +224,18 @@ def test_euclidean_fields_are_exact_or_polish_every_start(monkeypatch):
 def test_polyhedral_fields_keep_every_polish_start(monkeypatch):
     solves = _count_polish_solves(monkeypatch)
     results = _record_results(monkeypatch)
-    # a sum of an l2 part and an l1 part: the field still goes to the polish
-    res = inclusion_radius(ellipsoid([1.0, 1.4, 0.8]), cube(3, 0.9), haar_rotation(3, seed=7))
+    # a sum of an l2 part and an l1 part past HULL_ROWS: the field still
+    # goes to the polish
+    res = inclusion_radius(E5, cube(5, 0.9), haar_rotation(5, seed=7))
     assert res.note.startswith("upper bound")
     assert len(solves) == optimize.POLISH_STARTS
     # and its descent runs to the iteration cap, which the result says
     assert [r.descent_iters for r in results] == [optimize.DEFAULT_OPT.iters]
+    # in R^3 its rows fit, and the hull stage's cutting planes answer it
+    # without a solve
+    solves.clear()
+    res = inclusion_radius(ellipsoid([1.0, 1.4, 0.8]), cube(3, 0.9), haar_rotation(3, seed=7))
+    assert not solves and res.note == "exact (cutting planes)"
     # facet rows in +- pairs next to an l2 piece are rank-1 norms, and the
     # S-lemma dual answers the field without a solve
     solves.clear()
@@ -283,14 +293,16 @@ def test_mixed_fields_never_reach_the_s_lemma(monkeypatch):
     cylinder = product_body(ball(2, 1.0), ball(1, 0.5)).support_pieces
     res = minimize_on_sphere(cylinder, 3, CFG)
     assert seen == [cylinder] and res.stage == "exact" and res.lower == res.value
-    # and sums with other parts, or more than two, go to neither stage
+    # and sums with other parts, or more than two, go to neither stage: the
+    # hull stage's cutting planes answer them, or, past HULL_ROWS, nothing
     mixed = (sum_pieces((E.support_pieces, cube(3, 0.9).support_pieces)),
              polar(product_body(ball(2, 0.7), cube(1, 0.5))).gauge_pieces,
              (Piece("sum", parts=tuple((p,) for p in _hexagon())),))
     assert [p.kind for p in mixed[1][0].parts[1]] == ["l1"]
     for pieces in mixed:
         n = pieces[0].parts[0][0].matrix.shape[0]
-        assert minimize_on_sphere(pieces, n, CFG).lower is None
+        assert minimize_on_sphere(pieces, n, CFG).method == "cutting planes"
+    assert minimize_on_sphere(SUM5, 5, CFG).lower is None
     assert len(seen) == 1
 
 
@@ -330,8 +342,7 @@ def test_every_stage_names_itself_in_method():
     assert res.stage in ("descent", "polish") and res.method == "Cauchy-Schwarz"
     assert 0.0 < res.lower <= res.value
     # a field no stage answers or bounds has neither
-    mixed = sum_pieces((ellipsoid([1.0, 1.4, 0.8]).support_pieces, cube(3, 0.9).support_pieces))
-    res = minimize_on_sphere(map_pieces(mixed, haar_rotation(3, seed=7)), 3, CFG)
+    res = minimize_on_sphere(SUM5, 5, CFG)
     assert res.stage in ("descent", "polish") and res.method is None and res.lower is None
 
 
