@@ -81,7 +81,10 @@ PROJECT_CAP = 10_000      # cyclic projection iteration cap
 ORTHO_TOL = 1e-10         # largest residual of an orthogonal matrix or an orthonormal frame
 DEFAULT_TRUNCATION = 1e6
 BISECTION_STEPS = 64      # halvings of a gauge bracket, and most doublings to find one
-VOLUME_BATCH = 1 << 17    # most points mc_volume draws at once
+# most points mc_volume draws at once.  It is not a _util.chunk_rows
+# chunk: ball_points draws a chunk's radii after that chunk's directions,
+# so the seeded stream, and the volume, depend on this batch size.
+VOLUME_BATCH = 1 << 17
 VOLUME_CHECK_DIRECTIONS = 512  # sphere directions volume_ratio checks for the unit ball
 FD_STEP = 1e-6            # central-difference step of a smooth piece's gradient
 

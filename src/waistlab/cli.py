@@ -120,12 +120,24 @@ def _subspace_from(cfg, n) -> Subspace:
     return Subspace.canonical(n, int(cfg["k"]), int(cfg.get("offset", 0)))
 
 
+def _count_at_least(minimum: int):
+    """An int cast for a count: a value below minimum raises DomainError."""
+    def cast(value):
+        count = int(value)
+        if count < minimum:
+            raise DomainError(f"must be a count >= {minimum}, got {count}")
+        return count
+    return cast
+
+
 # How each harness key of a config becomes a harness argument.  Section
 # subspaces are cast after the bodies, in the dimension n of the config or
 # else of K.  A key the config leaves out takes the harness's own default.
 _CASTS = {
-    **dict.fromkeys(("seed", "n", "k", "m", "trials", "k_exist", "k_query", "samples",
-                     "sigma_samples", "net_probes", "lift_checks", "vol_samples"), int),
+    **dict.fromkeys(("seed", "n", "k", "m", "trials", "k_exist", "k_query"), int),
+    **dict.fromkeys(("samples", "sigma_samples", "net_probes", "vol_samples"),
+                    _count_at_least(1)),
+    "lift_checks": _count_at_least(0),
     **dict.fromkeys(("a_frac", "c_ref", "section_bound", "theta", "eps",
                      "delta_K", "delta_L", "threshold"), float),
     "dual_products": strict_bool, "thresholds": tuple,

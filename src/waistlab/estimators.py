@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import ball_points, hit_fraction, sphere_points
+from ._util import ball_points, chunk_rows, hit_fraction, sphere_points
 from .bodies import (Body, _check_dims, _max_of, map_pieces, orthogonal_matrix,
                      select_pieces, sum_pieces)
 from .errors import DomainError, EvaluationError
@@ -53,17 +53,19 @@ __all__ = [
     "section_diameter",
 ]
 
-SIGMA_BODY_BATCH = 1 << 18  # most sphere points mc_sigma_body draws at once
 MAX_TRANSLATES = 100_000    # covering_number_upper gives up beyond this count
 
 
 def mc_sigma_body(K: Body, eps: float, samples: int, seed=None):
     """Fraction of the unit sphere within Euclidean distance eps of the body,
-    with its standard error, from SIGMA_BODY_BATCH points at a time."""
+    with its standard error.  The sphere points come in chunks of
+    _util.chunk_rows(K.dim), so peak memory does not depend on samples,
+    and the estimate does not depend on the chunk size: the points are
+    one stream, and each one's distance is its own."""
     if eps < 0:
         raise DomainError(f"eps must be nonnegative, got {eps}")
     rng = np.random.default_rng(seed)
-    return hit_fraction(samples, SIGMA_BODY_BATCH,
+    return hit_fraction(samples, chunk_rows(K.dim),
                         lambda m: np.asarray(K.distance(sphere_points(rng, m, K.dim))) <= eps)
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import (ball_points, bernoulli_se, canonical_dumps, quantile_summary,
-                    seed_sequence, sphere_points, write_csv)
+from ._util import (ball_points, bernoulli_se, canonical_dumps, chunk_rows, chunk_sizes,
+                    quantile_summary, seed_sequence, sphere_points, write_csv)
 from .bodies import (Body, ball_factors, difference_body, linear_image, mc_volume, polar,
                      volume_ratio)
 from .errors import (DomainError, HypothesisError, InfeasibleScheduleError,
@@ -479,7 +479,8 @@ def run_sections(K: Body, k_exist: int, k_query: int, trials: int, seed=0, *,
 
 def _cap_distances(cap_spec: dict, ambient_sub: int):
     """Distance evaluators to a symmetric set on the n-sphere (ambient n+1),
-    both for points of that sphere and for points of a larger one."""
+    both for points of that sphere and for points of a larger one, and the
+    most float64 values per point that their intermediates hold."""
     kind = cap_spec.get("kind")
     if kind == "subsphere":
         j = int(cap_spec["dim"])
@@ -492,7 +493,7 @@ def _cap_distances(cap_spec: dict, ambient_sub: int):
             par = np.linalg.norm(Y[:, : j + 1], axis=1)
             return np.arccos(np.clip(par, 0.0, 1.0))
 
-        return dist_native, dist_embedded
+        return dist_native, dist_embedded, 1
 
     if kind == "caps":
         C = np.atleast_2d(np.asarray(cap_spec["centers"], dtype=float))
@@ -515,7 +516,7 @@ def _cap_distances(cap_spec: dict, ambient_sub: int):
             best = np.cos(np.maximum(ang - r[None, :], 0.0)) * pn[:, None]
             return np.arccos(np.clip(best, -1.0, 1.0)).min(axis=1)
 
-        return dist_native, dist_embedded
+        return dist_native, dist_embedded, C.shape[0]
 
     raise DomainError(f"cap_spec kind must be 'subsphere' or 'caps', got {kind!r}")
 
@@ -524,37 +525,45 @@ def run_higher_sphere(cap_spec: dict, n: int, m: int, theta: float, samples: int
                       seed=0) -> ExperimentReport:
     """Compare the theta-neighborhood measure of a symmetric set on the
     n-sphere with its measure inside the m-sphere (m >= n), and check the
-    pointwise projection claim sample by sample, up to CLAIM_TOL."""
+    pointwise projection claim sample by sample, up to CLAIM_TOL.
+
+    The two seeded point streams are drawn and evaluated in chunks of
+    _util.chunk_rows rows of R^{m+1}, or of the cap angles when there are
+    more of them, so peak memory does not depend on samples, and the
+    summary does not depend on the chunk size."""
     if m < n:
         raise DomainError(f"need m >= n, got n={n}, m={m}")
     if not 0.0 < theta <= math.pi / 2.0:
         raise DomainError(f"theta must lie in (0, pi/2], got {theta}")
     t0 = time.perf_counter()
     seed = _resolve_seed(seed)
-    dist_native, dist_embedded = _cap_distances(cap_spec, n + 1)
+    dist_native, dist_embedded, width = _cap_distances(cap_spec, n + 1)
 
-    ss = seed_sequence(seed)
-    s_lhs, s_rhs = ss.spawn(2)
-    X = sphere_points(np.random.default_rng(s_lhs), samples, n + 1)
-    lhs, lhs_se = _rate(dist_native(X) <= theta)
-
-    Y = sphere_points(np.random.default_rng(s_rhs), samples, m + 1)
-    dY = dist_embedded(Y)
-    rhs, rhs_se = _rate(dY <= theta)
-
-    par = np.linalg.norm(Y[:, : n + 1], axis=1)
-    usable = par > 1e-12
-    X1 = spherical_projection(Y[usable], n + 1)
-    claim_gap = dist_native(X1) - dY[usable]
-    violations = int(np.count_nonzero(claim_gap > CLAIM_TOL))
+    rng_lhs, rng_rhs = (np.random.default_rng(s) for s in seed_sequence(seed).spawn(2))
+    lhs_hits = rhs_hits = claim_samples = violations = 0
+    max_gap = -math.inf
+    for size in chunk_sizes(samples, chunk_rows(max(m + 1, width))):
+        X = sphere_points(rng_lhs, size, n + 1)
+        lhs_hits += int(np.count_nonzero(dist_native(X) <= theta))
+        Y = sphere_points(rng_rhs, size, m + 1)
+        dY = dist_embedded(Y)
+        rhs_hits += int(np.count_nonzero(dY <= theta))
+        usable = np.linalg.norm(Y[:, : n + 1], axis=1) > 1e-12
+        claim_gap = dist_native(spherical_projection(Y[usable], n + 1)) - dY[usable]
+        claim_samples += claim_gap.size
+        violations += int(np.count_nonzero(claim_gap > CLAIM_TOL))
+        if claim_gap.size:
+            max_gap = max(max_gap, float(claim_gap.max()))
+    lhs, rhs = lhs_hits / samples, rhs_hits / samples
+    lhs_se, rhs_se = bernoulli_se(lhs, samples), bernoulli_se(rhs, samples)
 
     combined_se = math.hypot(lhs_se, rhs_se)
     summary = {
         "lhs": lhs, "lhs_se": lhs_se, "rhs": rhs, "rhs_se": rhs_se,
         "inequality_holds_4se": lhs + 4.0 * combined_se >= rhs,
-        "claim_samples": int(usable.sum()),
+        "claim_samples": claim_samples,
         "claim_violations": violations,
-        "claim_max_gap": float(claim_gap.max()) if claim_gap.size else 0.0,
+        "claim_max_gap": max_gap if claim_samples else 0.0,
     }
     if cap_spec.get("kind") == "subsphere":
         j = int(cap_spec["dim"])

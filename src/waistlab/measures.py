@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import betainc, gammainc
 
-from ._util import hit_fraction
+from ._util import chunk_rows, hit_fraction
 from .errors import DomainError
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
 ]
 
 _HALF_PI = math.pi / 2.0
-SIGMA_MC_BATCH = 1 << 19  # most Gaussian rows sigma_mc draws at once
 
 
 @dataclass(frozen=True)
@@ -189,10 +188,13 @@ def sigma_ball_product(k: int, r: float, m: int, s: float, eps: float) -> float:
 def sigma_mc(q: SubsphereQuery, samples: int, seed=None):
     """Monte-Carlo estimate of sigma_exact with its standard error.
 
-    Samples uniform points on the m-sphere, SIGMA_MC_BATCH at a time, and
-    tests the geodesic distance to the canonical subsphere, which is the
-    arcsine of the norm of the component orthogonal to the subsphere's
-    span.  Fixed seeds reproduce the estimate exactly.
+    Draws Gaussian rows in R^{m+1} (uniform directions on the m-sphere)
+    and tests the geodesic distance to the canonical subsphere, which is
+    the arcsine of the norm of the component orthogonal to the
+    subsphere's span.  Fixed seeds reproduce the estimate exactly.  The
+    rows come in chunks of _util.chunk_rows(m + 1), so peak memory does
+    not depend on samples, and the estimate does not depend on the chunk
+    size: the rows are one stream, tested row by row.
     """
     rng = np.random.default_rng(seed)
     m, j = q.sphere_dim, q.subsphere_dim
@@ -200,11 +202,11 @@ def sigma_mc(q: SubsphereQuery, samples: int, seed=None):
 
     def hits(n):
         g = rng.standard_normal((n, m + 1))
-        sq = g * g
-        perp = sq[:, j + 1:].sum(axis=1)
-        return perp <= thresh * (perp + sq[:, : j + 1].sum(axis=1))
+        np.multiply(g, g, out=g)
+        perp = g[:, j + 1:].sum(axis=1)
+        return perp <= thresh * (perp + g[:, : j + 1].sum(axis=1))
 
-    return hit_fraction(samples, SIGMA_MC_BATCH, hits)
+    return hit_fraction(samples, chunk_rows(m + 1), hits)
 
 
 def sigma_lip_lower(n: int, k: int, theta: float) -> float:

@@ -208,6 +208,53 @@ def test_config_unreadable_value_is_a_usage_error(capsys, tmp_path, extra, key):
     assert err.startswith(f"error: {key}: cannot read ") and err.count("\n") == 1
 
 
+HIGHER_CAPS = {"experiment": "higher-sphere", "n": 3, "m": 6, "theta": 0.7,
+               "samples": 100_003,
+               "cap_spec": {"kind": "caps", "centers": [[1, 0, 0, 0], [0, 0.6, 0.8, 0]],
+                            "radii": [0.35, 0.5]}}
+PROJECTION_CYLINDER = {"experiment": "projection", "k": 2, "eps": 0.3, "samples": 100_003,
+                       "lift_checks": 8,
+                       "K": {"kind": "product", "first": {"kind": "ball", "dim": 2, "radius": 1.0},
+                             "second": {"kind": "ball", "dim": 3, "radius": 0.2}}}
+FLAT_DISK3 = {"kind": "product", "first": {"kind": "ball", "dim": 2, "radius": 1.0},
+              "second": {"kind": "ball", "dim": 1, "radius": 0.0}}
+CORE_FLAT = {"experiment": "core", "K": FLAT_DISK3, "L": FLAT_DISK3, "delta_K": 0.5,
+             "delta_L": 0.4, "trials": 1}
+GLOBAL_BALL = {"experiment": "global-vr", "K": BALL3, "L": BALL3, "n": 3, "k": 2, "trials": 1}
+
+
+@pytest.mark.parametrize("config, key, value", [
+    (HIGHER_CAPS, "samples", 0),
+    (HIGHER_CAPS, "samples", -5),
+    (PROJECTION_CYLINDER, "samples", 0),
+    (PROJECTION_CYLINDER, "lift_checks", -1),
+    (CORE_FLAT, "sigma_samples", 0),
+    (CORE_FLAT, "net_probes", -2),
+    (GLOBAL_BALL, "vol_samples", 0),
+], ids=["higher-zero", "higher-negative", "projection", "lift-checks", "sigma-samples",
+        "net-probes", "vol-samples"])
+def test_config_sample_count_below_its_floor_is_a_usage_error(capsys, tmp_path, config,
+                                                               key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**config, key: value}))
+    code, out, err = run_cli(capsys, "experiment", config["experiment"], "--config", str(path),
+                             "--out", str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    floor = 0 if key == "lift_checks" else 1
+    assert err == f"error: {key}: must be a count >= {floor}, got {value}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_zero_lift_checks_is_accepted(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**PROJECTION_CYLINDER, "samples": 1000, "lift_checks": 0}))
+    code, _, _ = run_cli(capsys, "experiment", "projection", "--config", str(path),
+                         "--out", str(tmp_path / "out"))
+    assert code == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["summary"]["lift"]["count"] == 0
+
+
 def test_config_missing_experiment(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n": 3}))
@@ -327,6 +374,17 @@ def test_dual_products_in_four_dimensions_do_not_depend_on_blas_threads(tmp_path
               "mode": "both", "dual_products": True, "section_K": {"k": 1, "offset": 0},
               "section_L": {"k": 2, "offset": 2}, "section_bound": 6.0}
     reports, tables = _outputs_under_blas_threads(tmp_path, "two-bodies", config, 3245052511)
+    assert tables[0] == tables[1]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("experiment, config", [
+    ("higher-sphere", HIGHER_CAPS), ("projection", PROJECTION_CYLINDER),
+], ids=["higher-sphere", "projection"])
+def test_sampled_outputs_do_not_depend_on_blas_threads(tmp_path, experiment, config):
+    # the samplers draw and evaluate their points in chunks, whose cap
+    # matmuls and distance evaluations run on chunk-sized shapes
+    reports, tables = _outputs_under_blas_threads(tmp_path, experiment, config, 17)
     assert tables[0] == tables[1]
     assert reports[0] == reports[1]
 

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from waistlab import experiments
+from waistlab import _util, experiments
 from waistlab._util import seed_sequence
 from waistlab.bodies import (ball, cross_polytope, cube, difference_body, ellipsoid,
                              intersect, polar, product_body, truncated_cylinder)
@@ -316,6 +317,57 @@ def test_higher_sphere_equal_dimensions():
 def test_higher_sphere_rejects_bad_dims():
     with pytest.raises(DomainError):
         run_higher_sphere({"kind": "subsphere", "dim": 1}, 4, 3, 0.5, 1000, seed=0)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_higher_sphere_rejects_sample_counts_below_one(samples):
+    with pytest.raises(DomainError, match="samples"):
+        run_higher_sphere({"kind": "subsphere", "dim": 1}, 2, 3, 0.5, samples, seed=0)
+
+
+TWO_CAPS = {"kind": "caps", "centers": [[1, 0, 0, 0], [0, 0.6, 0.8, 0]], "radii": [0.35, 0.5]}
+
+
+def test_higher_sphere_golden_summaries():
+    # the exact summaries from whole X and Y arrays; 100_003 rows of R^7 are
+    # ten chunks of 9362 rows and a short one
+    assert run_higher_sphere(TWO_CAPS, 3, 6, 0.7, 100_003, seed=5).summary == {
+        "lhs": 0.7702368928932132, "lhs_se": 0.0013302883624163615,
+        "rhs": 0.2552223433297001, "rhs_se": 0.001378688494363768,
+        "inequality_holds_4se": True, "claim_samples": 100003, "claim_violations": 0,
+        "claim_max_gap": -5.9280663559757585e-05}
+    assert run_higher_sphere({"kind": "subsphere", "dim": 1}, 3, 5, 0.6, 50_001,
+                             seed=6).summary == {
+        "lhs": 0.3171536569268615, "lhs_se": 0.0020811673818658064,
+        "rhs": 0.1003379932401352, "rhs_se": 0.001343640390753256,
+        "inequality_holds_4se": True, "claim_samples": 50001, "claim_violations": 0,
+        "claim_max_gap": -2.3820702972354724e-06,
+        "exact_lhs": 0.31882112276166324, "exact_rhs": 0.10164690831900755}
+
+
+def test_higher_sphere_does_not_depend_on_the_chunk_size(monkeypatch):
+    alone = run_higher_sphere(TWO_CAPS, 3, 6, 0.7, 10_004, seed=8).summary
+    monkeypatch.setattr(_util, "CHUNK_FLOATS", 7 * 7)  # 7 rows of R^7; the last chunk is 1 row
+    assert run_higher_sphere(TWO_CAPS, 3, 6, 0.7, 10_004, seed=8).summary == alone
+
+
+_CENTERS = np.random.default_rng(0).standard_normal((200, 4))
+
+
+@pytest.mark.parametrize("cap_spec, samples", [
+    (TWO_CAPS, 10**6),
+    ({"kind": "caps", "centers": _CENTERS.tolist(), "radii": [0.05] * 200}, 20_000),
+], ids=["two-caps", "200-caps"])
+def test_higher_sphere_memory_does_not_grow_with_samples(cap_spec, samples):
+    # whole X and Y arrays peaked at 222 MB and 246 MB here; chunks as
+    # wide as R^7 alone, not as the 400 cap angles, at 115 MB
+    tracemalloc.start()
+    try:
+        run_higher_sphere(cap_spec, 3, 6, 0.7, samples, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from waistlab import _util
 from waistlab.bodies import ball, product_body
 from waistlab.errors import DomainError
 from waistlab.estimators import mc_sigma_body
@@ -110,6 +112,52 @@ def test_sigma_mc_deterministic():
 def test_sigma_mc_rejects_zero_samples():
     with pytest.raises(DomainError):
         sigma_mc(SubsphereQuery(2, 1, 0.5), 0)
+
+
+# (m, j, theta), samples, seed and the exact (est, se) that sigma_mc gave
+# when it drew whole batches of 2^19 rows; 10^6 rows at m = 30 are no
+# multiple of the chunk (2114 rows), so the last chunk is a short one
+SIGMA_MC_GOLDEN = [
+    ((3, 1, 0.5), 100_000, 1, (0.23116, 0.0013331356060056307)),
+    ((15, 7, 0.9), 123_457, 2, (0.7345067513385227, 0.0012568017511663454)),
+    ((30, 15, 0.7), 1_000_000, 3, (0.297236, 0.0004570413113756786)),
+]
+
+
+@pytest.mark.parametrize("query, samples, seed, expected", SIGMA_MC_GOLDEN,
+                         ids=["m3", "m15", "m30"])
+def test_sigma_mc_golden_values(query, samples, seed, expected):
+    assert sigma_mc(SubsphereQuery(*query), samples, seed=seed) == expected
+
+
+def test_sigma_mc_does_not_depend_on_the_chunk_size(monkeypatch):
+    query, samples, seed, expected = SIGMA_MC_GOLDEN[0]
+    monkeypatch.setattr(_util, "CHUNK_FLOATS", 7 * 4)  # 7 rows of R^4; 100_000 = 7 * 14285 + 5
+    assert _util.chunk_rows(4) == 7
+    assert sigma_mc(SubsphereQuery(*query), samples, seed=seed) == expected
+
+
+def _peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_sigma_mc_memory_does_not_grow_with_samples():
+    # whole batches of 2^19 rows peaked at 256 MB here
+    assert _peak_mb(lambda: sigma_mc(SubsphereQuery(30, 15, 0.7), 10**6)) < 16
+
+
+def test_mc_sigma_body_golden_value_and_chunk_size(monkeypatch):
+    # the exact (est, se) from whole batches of 2^18 points
+    K = product_body(ball(2, 1.0), ball(3, 0.2))
+    assert mc_sigma_body(K, 0.3, 300_001, seed=4) == (0.1254262485791714, 0.0006046876303773074)
+    alone = mc_sigma_body(K, 0.3, 20_001, seed=5)
+    monkeypatch.setattr(_util, "CHUNK_FLOATS", 7 * 5)  # 7 points of R^5
+    assert mc_sigma_body(K, 0.3, 20_001, seed=5) == alone
 
 
 # ---------------------------------------------------------------------------
