@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ._util import ball_points, hit_fraction, read_field, sphere_points, strict_bool
 from .errors import ContainmentError, DomainError, EvaluationError, SpecError
@@ -87,6 +86,12 @@ BISECTION_STEPS = 64      # halvings of a gauge bracket, and most doublings to f
 VOLUME_BATCH = 1 << 17
 VOLUME_CHECK_DIRECTIONS = 512  # sphere directions volume_ratio checks for the unit ball
 FD_STEP = 1e-6            # central-difference step of a smooth piece's gradient
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported at the first call: it is slow to import."""
+    from scipy.optimize import linprog
+    return linprog(*args, **kwargs)
 
 
 def _batch(x, dim):

@@ -31,7 +31,7 @@ from .geometry import (Subspace, check_projected_ball, haar_rotation, lift_waist
                        spherical_projection)
 from .measures import (DEFAULT_CONSTANTS, BoundConstants, SubsphereQuery, sigma_ball_product,
                        sigma_exact, sigma_lip_lower)
-from .optimize import BATCH_ROWS, DEFAULT_OPT, OptimizerConfig, minimize_on_sphere
+from .optimize import BATCH_ROWS, DEFAULT_OPT, OptimizerConfig, minimize_on_sphere, share_exact
 
 __all__ = [
     "ScheduleParams",
@@ -405,9 +405,10 @@ def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
         for row, incl in zip(rows, inclusion_radius(K, L, rotations, opt=opt, combine="sum")):
             row["incl_sum"] = incl.value
         if dual_products:
-            imax = inclusion_radius(K, L, rotations, opt=opt, combine="max")
             alt = replace(opt, seed=opt.seed + 7919)
-            pd = diameter_of_intersection(*polar_pair, rotations, opt=alt)
+            with share_exact():  # the polar field is the hull-of-union field
+                imax = inclusion_radius(K, L, rotations, opt=opt, combine="max")
+                pd = diameter_of_intersection(*polar_pair, rotations, opt=alt)
             for row, im, d in zip(rows, imax, pd):
                 row["incl_max"] = im.value
                 row["dual_product"] = d.diameter * im.value

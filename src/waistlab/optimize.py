@@ -74,16 +74,41 @@ h_conv(P)(u) over the rows P it expands to.  When 0 is interior to
 conv(P), its minimum over the sphere is the inradius of conv(P),
 attained at the normal of the facet nearest the origin (Qhull: Barber,
 Dobkin & Huhdanpaa, ACM TOMS 1996).
-HULL_ROWS bounds the Qhull cost, which grows with the facet count: the
-320-row Minkowski-sum field of a 5-cube and a rotated 5-cross-polytope
-(about 4800 facets) takes about 33 ms, every other polyhedral field of
-the polytope-dual benchmark 4 ms or less.  The default optimizer spends more
-than that on the same fields: the benchmark's n = 5 cube/cross jobs ran
-faster with 512 rows than with 256, which sends that field to the
-optimizer.  Fields with other pieces, more rows, rows of affine rank
+HULL_ROWS bounds the Qhull cost, which grows with the facet count: on
+one thread, the hull of the 320 rows of the Minkowski sum of a 5-cube and
+a rotated 5-cross-polytope (about 4800 triangulated facets on 330-360
+distinct planes) takes 25-35 ms, and every other polyhedral field of the
+polytope-dual benchmark 3 ms or less.  The facet stage below answers
+such sums instead, and takes the same bound, so HULL_ROWS = 0 switches
+both off.  Fields with other pieces, more rows, rows of affine rank
 below n, or the origin on or outside the hull go on to the descent, as
 do fields on which Qhull raises QhullError (QH6271, a "wide merge", on
 dense clouds).
+
+A field that is the Minkowski sum of zonotopes and the hull of pairs
++-p_j that span R^n, sum_i |<u, g_i>| + max_j |<u, p_j>| (one sum piece:
+l1 parts, whose matrix columns are the generators g_i, and one linear
+part whose rows come in exact pairs), is answered by its facets (see
+_minkowski_facets) before any hull is built.  A facet of a Minkowski sum
+is the sum of the parts' exposed faces at its normal u: the zonotope's
+face spans the generators orthogonal to u, and the face of the pairs'
+hull is the hull of the sigma_j p_j that attain max_j |<u, p_j>|,
+sigma_j = sign <u, p_j>, at the level h(u) > 0 (the pairs span R^n, so
+the origin is interior).  So every facet normal, scaled to h(u) = 1,
+solves a square system [g_I; sigma_J p_J] u = [0; 1] with
+|I| + |J| = n, and sigma = +1 on the first pair of J (-u covers the
+other sign): 841 systems for five generators and five pairs in R^5,
+160 in R^4 and 31 in R^3.  The minimum over the sphere is the inradius,
+attained at a facet normal, so the least field value at +- the systems'
+solutions is the minimum, attained at its direction.  On 800 random
+sums in R^2 to R^5 (rotated and aligned cubes plus cross-polytopes,
+random zonotopes plus random pairs) it agreed with the hull's value
+within 7.1e-15 relative, in about 1 ms at n = 5 against Qhull's 25 ms.
+With pairs of rank below n, the face of the pairs' hull at a normal
+orthogonal to them sits at level 0, and the systems miss that facet: for
+a 3-cube of half-width 1 plus an aligned flat cross-polytope of radius
+1.5, the least candidate value is 2.47 against the minimum 1.  Such a
+field goes to the hull.
 
 The hull stage also takes l2 pieces, beside polyhedral ones or in the
 parts of sums, by Kelley's cutting planes (Kelley, J. SIAM 8, 1960;
@@ -122,21 +147,30 @@ minimum.
 Every stage reports the field's value at its direction evaluated alone,
 since a row's value in a batched evaluation can differ in its last
 digits.  Each exact stage names itself in the result's method: "both
-points of the 0-sphere", "S-lemma dual", "Cauchy-Schwarz", "convex
-hull", or "cutting planes" for a hull stage with l2 pieces.  A field
-that the S-lemma, Cauchy-Schwarz or cutting-plane stage bounds but does
-not certify keeps that stage's method along with its lower bound when it
-descends; every other descended field has method None.
+points of the 0-sphere", "S-lemma dual", "Cauchy-Schwarz", "Minkowski
+facets", "convex hull", or "cutting planes" for a hull stage with l2
+pieces.  A field that the S-lemma, Cauchy-Schwarz or cutting-plane stage
+bounds but does not certify keeps that stage's method along with its
+lower bound when it descends; every other descended field has method
+None.
+
+Inside a share_exact block, which the two-bodies harness opens around
+its hull-of-union inclusion radii and polar diameters (one field, since
+a polar swaps the support and gauge pieces), the exact stage answers
+each distinct field once; the descent of a field it does not answer is
+unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from itertools import combinations, product
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.optimize import minimize as _scipy_minimize
 
 from ._util import sphere_points
 from .bodies import Piece, _max_and_gradient, _max_of, select_pieces
@@ -233,7 +267,8 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
     points on the 0-sphere, the S-lemma and Cauchy-Schwarz stages'
     candidate directions, the hull's rows at its seeds with every
     cutting-plane round's support points) and the evaluations at its
-    directions (one per cutting-plane round), and its lower is its value.  Every other
+    directions (one per cutting-plane round; one for the facet stage, whose
+    candidate directions count as its rows), and its lower is its value.  Every other
     field starts from the same m spread directions (and extra_starts) and
     runs projected subgradient descent: each iteration makes one pass of
     the field's value and subgradient at its m candidate rows, m rows of
@@ -261,7 +296,7 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
     if n > 1 and _cs_sum(pieces):  # a stage that runs its fields in lockstep
         first = _cauchy_schwarz(pieces, n, count)
     else:
-        first = [_exact(select_pieces(pieces, t), n) for t in range(count)]
+        first = [_exact_once(select_pieces(pieces, t), n) for t in range(count)]
     results = [res if res is not None and res.stage == "exact" else None for res in first]
     left = np.array([t for t, res in enumerate(results) if res is None], dtype=int)
     if not left.size:
@@ -284,6 +319,54 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
     return results
 
 
+_ANSWERS = ContextVar("exact_answers", default=None)  # the open share_exact memo, else None
+
+
+@contextmanager
+def share_exact():
+    """Within the block, the exact stage answers each distinct field once:
+    a field whose pieces have the same kinds, shapes and matrix bytes as
+    one answered before (see _field_key) gets a copy of that answer.  The
+    answers are deterministic, so nothing but the time changes.  The memo
+    lives until the block ends; outside any block nothing is shared."""
+    token = _ANSWERS.set({})
+    try:
+        yield
+    finally:
+        _ANSWERS.reset(token)
+
+
+def _field_key(pieces):
+    """The content of a field as a hashable key: each piece's kind, and
+    the shape and bytes of its matrix, through the parts of sums.  None
+    when the field has a smooth piece, whose function has no such key."""
+    key = []
+    for p in pieces:
+        if p.kind == "smooth":
+            return None
+        if p.kind == "sum":
+            parts = tuple(_field_key(part) for part in p.parts)
+            if None in parts:
+                return None
+            key.append(("sum", parts))
+        else:
+            key.append((p.kind, p.matrix.shape, p.matrix.dtype.str, p.matrix.tobytes()))
+    return tuple(key)
+
+
+def _exact_once(pieces, n):
+    """_exact of the field, answered once per distinct field inside a
+    share_exact block; a copy, so that no caller sees another's result."""
+    memo = _ANSWERS.get()
+    key = None if memo is None else _field_key(pieces)
+    if key is None:
+        return _exact(pieces, n)
+    if (n, key) not in memo:
+        memo[n, key] = _exact(pieces, n)
+    res = memo[n, key]
+    return None if res is None else replace(res, direction=res.direction.copy())
+
+
 def _exact(pieces, n):
     """The exact result of the field when the exact stage answers it (see
     the module docstring), else None.  The S-lemma and hull stages give a
@@ -292,7 +375,8 @@ def _exact(pieces, n):
     S-lemma stage with a linear piece that the dual does not certify goes
     on to the hull stage, and keeps the larger of the two bounds, with the
     nfev of both.  Sums of two l2 pieces go to _cauchy_schwarz, which
-    takes all the fields of a call at once."""
+    takes all the fields of a call at once, and a sum of zonotopes and
+    paired facets that _minkowski_facets declines goes to the hull."""
     if n == 1:
         V = np.array([[1.0], [-1.0]])
         vals = _finite_values(pieces, V)
@@ -300,7 +384,7 @@ def _exact(pieces, n):
         return SphereOptResult(value=float(vals[i]), direction=V[i], nfev=2, stage="exact",
                                lower=float(vals[i]), method="both points of the 0-sphere")
     if _norms(pieces) is None:
-        return _hull(pieces, n)
+        return _minkowski_facets(pieces, n) or _hull(pieces, n)
     dual = _s_lemma(pieces, n)
     if dual is None or dual.stage == "exact" or all(p.kind == "l2" for p in pieces):
         return dual
@@ -326,15 +410,84 @@ def _norms(pieces):
         if p.kind == "l2":
             M.append(p.matrix)
             continue
-        if p.kind != "linear":
+        pairs = _pairs(p) if p.kind == "linear" else None
+        if pairs is None:
             return None
-        P = p.matrix
-        partner = np.all(P[:, None, :] == -P[None, :, :], axis=2)
-        j = partner.argmax(axis=1)
-        if not partner[np.arange(len(P)), j].all():
-            return None
-        M += [row[:, None] for row in P[np.arange(len(P)) < j]]  # one row of each pair
+        M += [row[:, None] for row in pairs]
     return M
+
+
+def _pairs(p):
+    """One row of each exact pair +-p_j of a linear piece's rows, the first
+    of each, or None when a row has no partner."""
+    P = p.matrix
+    partner = np.all(P[:, None, :] == -P[None, :, :], axis=2)
+    j = partner.argmax(axis=1)
+    if not partner[np.arange(len(P)), j].all():
+        return None
+    return P[np.arange(len(P)) < j]
+
+
+def _minkowski_facets(pieces, n):
+    """The facet stage of a Minkowski sum of zonotopes and the hull of
+    pairs +-p_j that span R^n: the field sum_i |<u, g_i>| + max_j
+    |<u, p_j>|, one sum piece whose parts are single l1 pieces, with the
+    columns of their matrices as the generators g_i, and one linear piece
+    whose rows come in exact pairs (see _pairs).  Every facet normal of the
+    sum solves one of the square systems of _facet_systems (see the module
+    docstring), and the least field value over +- their solutions is the
+    minimum, attained at its direction.  None, for the hull stage, when
+    the field is of another kind, has more than HULL_ROWS rows (so the
+    hull stage's HULL_ROWS switches this stage too), a matrix that is not
+    finite, pairs of rank below n, or a value that is not positive."""
+    if len(pieces) != 1 or pieces[0].kind != "sum":
+        return None
+    parts = pieces[0].parts
+    if any(len(part) != 1 for part in parts):
+        return None
+    linear = [part[0] for part in parts if part[0].kind == "linear"]
+    l1 = [part[0].matrix for part in parts if part[0].kind == "l1"]
+    if len(linear) != 1 or len(l1) + 1 != len(parts):
+        return None
+    if math.prod(2 ** M.shape[1] for M in l1) * len(linear[0].matrix) > HULL_ROWS:
+        return None
+    P = _pairs(linear[0])
+    G = np.hstack(l1).T
+    G = G[np.any(G != 0.0, axis=1)]  # a zero generator adds nothing
+    if (P is None or not np.all(np.isfinite(G)) or not np.all(np.isfinite(P))
+            or np.linalg.matrix_rank(P) < n):
+        return None
+    idx = _facet_systems(n, len(G), len(P))
+    A = np.vstack([G, P, -P])[idx]
+    b = (idx >= len(G)).astype(float)  # <u, g_i> = 0 and <u, +-p_j> = 1
+    keep = np.linalg.det(A) != 0.0  # the systems with a solution
+    try:
+        U = np.linalg.solve(A[keep], b[keep, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        return None
+    U = _normalize_rows(U[np.all(np.isfinite(U), axis=1)])
+    C = np.vstack([U, -U])
+    u = C[int(np.argmin(_finite_values(pieces, C)))]
+    value = float(_finite_values(pieces, u[None])[0])  # alone, as every stage reports it
+    if not value > 0.0:
+        return None
+    return SphereOptResult(value=value, direction=u, nfev=len(C) + 1, stage="exact",
+                           lower=value, method="Minkowski facets")
+
+
+@lru_cache(maxsize=None)
+def _facet_systems(n, k, m):
+    """The square systems of _minkowski_facets for k generators and m
+    pairs in R^n, as rows into [g_1..g_k; p_1..p_m; -p_1..-p_m]: every
+    choice of |I| generators and |J| >= 1 pairs with |I| + |J| = n, and of
+    signs sigma_J with sigma = +1 on the first pair of J (the other sign
+    is -u).  841 systems for k = m = n = 5, 160 for 4 and 31 for 3."""
+    rows = [I + (k + J[0],) + tuple(k + j + m * s for j, s in zip(J[1:], signs))
+            for size in range(1, min(n, m) + 1) if n - size <= k
+            for I in combinations(range(k), n - size)
+            for J in combinations(range(m), size)
+            for signs in product((0, 1), repeat=size - 1)]
+    return np.array(rows, dtype=int).reshape(-1, n)
 
 
 def _hull(pieces, n):
@@ -411,8 +564,8 @@ def _seeds(pieces, n):
     C = np.vstack([np.empty((0, n))] + list(columns(pieces)))
     C = _normalize_rows(C[np.linalg.norm(C, axis=1) > 0])
     S = np.vstack([np.eye(n), -np.eye(n), C, -C])
-    first = np.unique(S, axis=0, return_index=True)[1]
-    return S[np.sort(first)]
+    # a row stays unless an earlier row equals it
+    return S[~np.tril(np.all(S[:, None, :] == S[None, :, :], axis=2), -1).any(axis=1)]
 
 
 def _support_points(M, U):
@@ -455,6 +608,8 @@ def _s_lemma(pieces, n):
     forms on that sphere is convex (Brickman, Proc. AMS 12, 1961); three
     or more can leave a gap.  None when a matrix is not finite.
     """
+    from scipy.optimize import brentq  # imported where it is called: it is slow to import
+
     M = _norms(pieces)
     Q = np.stack([Mi @ Mi.T for Mi in M])
     if not np.all(np.isfinite(Q)):
@@ -897,6 +1052,12 @@ def _distinct_best(U, vals, count):
         if all(np.linalg.norm(U[i] - U[j]) > POLISH_SEPARATION for j in taken):
             taken.append(int(i))
     return taken
+
+
+def _scipy_minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported at the first call: it is slow to import."""
+    from scipy.optimize import minimize
+    return minimize(*args, **kwargs)
 
 
 def _aux_count(pieces):

@@ -549,3 +549,15 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() == 3
     monkeypatch.setenv("WAISTLAB_THREADS", "not-a-number")
     assert worker_count() >= 1
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported where linprog, brentq and minimize are
+    # called, since importing it takes longer than most commands run
+    src = str(Path(waistlab.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, waistlab.cli; print('scipy.optimize' in sys.modules)"],
+                         env=env, check=True, capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

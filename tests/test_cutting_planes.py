@@ -13,7 +13,7 @@ from scipy.spatial._qhull import QhullError
 
 from waistlab import optimize
 from waistlab._util import sphere_points
-from waistlab.bodies import _max_of, cross_polytope, cube, ellipsoid, map_pieces, sum_pieces
+from waistlab.bodies import Piece, _max_of, cross_polytope, cube, ellipsoid, map_pieces, sum_pieces
 from waistlab.geometry import haar_rotation
 from waistlab.optimize import OptimizerConfig, minimize_on_sphere
 
@@ -166,3 +166,20 @@ def test_a_stalled_gap_ends_the_rounds_early(monkeypatch):
     res = optimize._hull(pieces, 3)
     assert res.stage == "bound" and len(hulls) == 5 < optimize.CUT_ROUNDS
     assert res.value - res.lower > 1e-3 and len(hulls[-1].points) < optimize.HULL_ROWS
+
+
+def test_seeds_keep_the_first_of_equal_rows():
+    # columns along the axes (one with a signed zero) and a repeated new
+    # direction: each seed once, in the order of its first occurrence, as
+    # np.unique's first indices give them
+    M = np.array([[1.0, 0.0, 2.0, 0.0, 1.0, 0.0, 3.0],
+                  [0.0, 0.0, 0.0, 1.0, 1.0, -0.0, 3.0],
+                  [0.0, -3.0, 0.0, 0.0, 0.0, 4.0, 0.0]])
+    E = ellipsoid([1.0, 1.4, 0.8])
+    for pieces in (E.support_pieces + (Piece("l1", M),),
+                   sum_pieces((E.support_pieces, (Piece("l1", M),)))):
+        C = M.T / np.linalg.norm(M, axis=0)[:, None]
+        S = np.vstack([np.eye(3), -np.eye(3), C, -C])
+        first = S[np.sort(np.unique(S, axis=0, return_index=True)[1])]
+        seeds = optimize._seeds(pieces, 3)
+        assert seeds.tobytes() == first.tobytes() and len(seeds) < len(S)

@@ -1,0 +1,232 @@
+"""Properties of the optimizer's facet stage on Minkowski sums of zonotopes
+and the hull of +- pairs, drawn by hypothesis, and of the shared exact
+answers of the two-bodies harness."""
+
+import contextlib
+
+import numpy as np
+import pytest
+import scipy.spatial
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from waistlab import experiments, optimize
+from waistlab.bodies import (Piece, _max_of, cross_polytope, cube, ellipsoid, map_pieces, polar,
+                             sum_pieces)
+from waistlab.estimators import diameter_of_intersection, inclusion_radius
+from waistlab.geometry import Subspace, haar_rotation
+from waistlab.optimize import OptimizerConfig, minimize_on_sphere
+
+CFG = OptimizerConfig(restarts=16, iters=120, seed=0)
+
+
+def _descended(pieces, n):
+    """The field's result with the exact stage switched off."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(optimize, "_exact", lambda pieces, n: None)
+        return minimize_on_sphere(pieces, n, CFG)
+
+
+def _sum(M, P):
+    """The field |u M|_1 + max_j |<u, p_j>| over the rows p_j of P."""
+    return (Piece("sum", parts=((Piece("l1", M),), (Piece("linear", np.vstack([P, -P])),))),)
+
+
+@st.composite
+def minkowski_sums(draw):
+    """(n, pieces) for n = 2-5: the support of cube(w) + U cross(r) for a
+    Haar rotation U, of the same sum with U = I, or of a random zonotope of
+    k generators plus the hull of m random pairs, k in [1, min(n + 1, 5)]
+    and m in [n, n + 2], which span R^n almost surely."""
+    n = draw(st.integers(2, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["rotated", "aligned", "random"]))
+    if kind == "random":
+        rng = np.random.default_rng(seed)
+        k, m = draw(st.integers(1, min(n + 1, 5))), draw(st.integers(n, n + 2))
+        return n, _sum(rng.standard_normal((n, k)), rng.standard_normal((m, n)))
+    w, r = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    U = haar_rotation(n, seed=seed) if kind == "rotated" else np.eye(n)
+    return n, sum_pieces((cube(n, w).support_pieces,
+                          map_pieces(cross_polytope(n, r).support_pieces, U)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(minkowski_sums())
+def test_facet_values_equal_the_hull_and_never_lose_to_the_descent(field):
+    n, pieces = field
+    res = optimize._minkowski_facets(pieces, n)
+    assert (res.stage, res.method, res.lower) == ("exact", "Minkowski facets", res.value)
+    assert res.value == _max_of(pieces, res.direction[None])[0]  # attained at its direction
+    assert np.linalg.norm(res.direction) == pytest.approx(1.0, abs=1e-15)
+    hull = optimize._hull(pieces, n)
+    assert hull.stage == "exact" and hull.method == "convex hull"
+    assert abs(res.value - hull.value) <= 1e-14 * hull.value
+    assert res.value <= _descended(pieces, n).value * (1.0 + 1e-14)
+    # the stage answers the field ahead of the hull, with one Qhull call less
+    assert minimize_on_sphere(pieces, n, CFG).method == "Minkowski facets"
+
+
+def test_facet_systems_count_every_choice_of_generators_pairs_and_signs():
+    assert [len(optimize._facet_systems(n, n, n)) for n in (3, 4, 5)] == [31, 160, 841]
+    # sigma is +1 on the first pair of every system: its rows index p_j, not -p_j
+    idx = optimize._facet_systems(4, 3, 5)
+    first = (idx >= 3).argmax(axis=1)
+    assert np.all(idx[np.arange(len(idx)), first] < 3 + 5)
+    assert len({tuple(sorted(row)) for row in idx}) == len(idx)
+
+
+def test_sum_field_makes_no_qhull_call(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the facet stage built a hull")
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", fail)
+    n = 5
+    cross = map_pieces(cross_polytope(n, 1.5).support_pieces, haar_rotation(n, seed=3))
+    pieces = sum_pieces((cube(n, 1.0).support_pieces, cross))
+    res = minimize_on_sphere(pieces, n, CFG)
+    assert (res.stage, res.method, res.descent_iters) == ("exact", "Minkowski facets", 0)
+    assert res.nfev == 2 * 841 + 1  # every system of R^5 has a solution here
+
+
+def _declined():
+    """Fields the facet stage must leave to the other stages."""
+    n = 3
+    U = haar_rotation(n, seed=11)
+    cross = map_pieces(cross_polytope(n, 1.5).support_pieces, U)
+    simplex = Piece("linear", np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                                        [-1.0, -1.0, -1.0]]))
+    smooth = Piece("smooth", value=lambda V: np.linalg.norm(V, axis=1))
+    flat = np.diag([1.5, 1.5, 0.0])[:2]  # pairs that span a plane only
+    return {
+        "l2 part": sum_pieces((ellipsoid([1.0, 1.4, 0.8]).support_pieces, cross)),
+        "smooth part": (Piece("sum", parts=(cube(n, 1.0).support_pieces, cross, (smooth,))),),
+        "unpaired rows": sum_pieces((cube(n, 1.0).support_pieces, (simplex,))),
+        "flat pairs": _sum(np.eye(n), flat),
+        "two pieces in a part": (Piece("sum", parts=(cube(n, 1.0).support_pieces,
+                                                     cross + cube(n, 0.5).support_pieces)),),
+    }
+
+
+@pytest.mark.parametrize("name", list(_declined()))
+def test_other_fields_decline_to_todays_path(name, monkeypatch):
+    pieces, n = _declined()[name], 3
+    assert optimize._minkowski_facets(pieces, n) is None
+    res = minimize_on_sphere(pieces, n, CFG)
+    monkeypatch.setattr(optimize, "_minkowski_facets", lambda pieces, n: None)
+    alone = minimize_on_sphere(pieces, n, CFG)
+    assert (res.value, res.stage, res.method, res.lower) == (alone.value, alone.stage,
+                                                             alone.method, alone.lower)
+    assert np.array_equal(res.direction, alone.direction)
+    if name == "flat pairs":  # at e_3, a facet the systems would miss (their least value is 2.47)
+        assert (res.stage, res.method) == ("exact", "convex hull")
+        assert res.value == pytest.approx(1.0, rel=1e-14)
+
+
+def test_rows_past_hull_rows_decline(monkeypatch):
+    n = 4
+    cross = map_pieces(cross_polytope(n, 1.5).support_pieces, haar_rotation(n, seed=5))
+    pieces = sum_pieces((cube(n, 1.0).support_pieces, cross))
+    assert optimize._minkowski_facets(pieces, n) is not None
+    monkeypatch.setattr(optimize, "HULL_ROWS", 16 * 8 - 1)  # one row short of the 128
+    assert optimize._minkowski_facets(pieces, n) is None
+    monkeypatch.setattr(optimize, "HULL_ROWS", 0)
+    res = minimize_on_sphere(pieces, n, CFG)
+    assert res.stage in ("descent", "polish") and (res.method, res.lower) == (None, None)
+
+
+# ---------------------------------------------------------------------------
+# the shared exact answers of run_two_bodies
+# ---------------------------------------------------------------------------
+
+
+def _spy_hulls(monkeypatch):
+    """Counts of Qhull calls, by whether a polar diameter was running."""
+    counts = {"polar": 0, "other": 0}
+    phase = ["other"]
+    real_hull, real_diameter = scipy.spatial.ConvexHull, experiments.diameter_of_intersection
+
+    def hull(*args, **kwargs):
+        counts[phase[0]] += 1
+        return real_hull(*args, **kwargs)
+
+    def diameter(K, L, *args, **kwargs):
+        phase[0] = "polar" if K.kind == "polar" else "other"
+        try:
+            return real_diameter(K, L, *args, **kwargs)
+        finally:
+            phase[0] = "other"
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", hull)
+    monkeypatch.setattr(experiments, "diameter_of_intersection", diameter)
+    return counts
+
+
+def _dual_products(n, K, L):
+    report = experiments.run_two_bodies(
+        K, L, n, 2, trials=4, seed=3, mode="dual", dual_products=True,
+        section_K=Subspace.canonical(n, 1), section_L=Subspace.canonical(n, 2, offset=n - 2),
+        opt=OptimizerConfig(restarts=8, iters=40, seed=0))
+    return report.to_json_dict(include_wall_time=False), [row["dual_product"]
+                                                          for row in report.trials]
+
+
+@pytest.mark.parametrize("n, K, L", [
+    (4, cube(4, 1.0), cross_polytope(4, 1.5)),
+    (5, ellipsoid([1.0, 1.4, 0.8, 1.2, 0.9]), cube(5, 1.0)),
+], ids=["cube-cross", "ellipsoid-cube"])
+def test_polar_diameters_reuse_the_hull_of_union_answers(n, K, L, monkeypatch):
+    counts = _spy_hulls(monkeypatch)
+    shared, products = _dual_products(n, K, L)
+    assert counts["polar"] == 0 and counts["other"] > 0
+    assert products == pytest.approx([2.0] * 4, rel=1e-12)
+    # the same report, byte for byte, when nothing is shared
+    monkeypatch.setattr(experiments, "share_exact", contextlib.nullcontext)
+    counts.update(polar=0, other=0)
+    alone, _ = _dual_products(n, K, L)
+    assert counts["polar"] > 0
+    assert experiments.canonical_dumps(shared) == experiments.canonical_dumps(alone)
+
+
+def test_estimator_calls_outside_a_harness_share_nothing(monkeypatch):
+    counts = _spy_hulls(monkeypatch)
+    n = 4
+    K, L, U = cube(n, 1.0), cross_polytope(n, 1.5), haar_rotation(n, seed=2)
+    imax = inclusion_radius(K, L, U, combine="max")
+    hulls = counts["other"]
+    pd = diameter_of_intersection(polar(K), polar(L), U)
+    assert hulls > 0 and counts["other"] == 2 * hulls  # the same field, answered again
+    with optimize.share_exact():
+        inclusion_radius(K, L, U, combine="max")
+        again = diameter_of_intersection(polar(K), polar(L), U)
+    assert counts["other"] == 3 * hulls
+    assert (again.diameter, again.note) == (pd.diameter, pd.note)
+    assert optimize._ANSWERS.get() is None
+    # after the block, the field is answered from scratch again
+    assert inclusion_radius(K, L, U, combine="max").value == imax.value
+    assert counts["other"] == 4 * hulls
+
+
+def test_shared_answers_are_copies():
+    n = 3
+    pieces = cube(n, 1.0).support_pieces + map_pieces(cross_polytope(n, 1.5).support_pieces,
+                                                      haar_rotation(n, seed=4))
+    with optimize.share_exact():
+        first = minimize_on_sphere(pieces, n, CFG)
+        first.direction[:] = 0.0
+        first.value = -1.0
+        second = minimize_on_sphere(pieces, n, CFG)
+    fresh = minimize_on_sphere(pieces, n, CFG)
+    assert second.value == fresh.value and np.array_equal(second.direction, fresh.direction)
+
+
+def test_fields_with_smooth_pieces_have_no_key():
+    smooth = Piece("smooth", value=lambda V: V[:, 0] ** 2)
+    assert optimize._field_key((smooth,)) is None
+    assert optimize._field_key((Piece("sum", parts=(cube(2, 1.0).support_pieces,
+                                                    (smooth,))),)) is None
+    a = cube(2, 1.0).support_pieces + cross_polytope(2, 1.0).support_pieces
+    b = cube(2, 1.0).support_pieces + cross_polytope(2, 1.0).support_pieces
+    assert optimize._field_key(a) == optimize._field_key(b)
+    assert optimize._field_key(a) != optimize._field_key(cube(2, 1.0).support_pieces
+                                                         + cross_polytope(2, 2.0).support_pieces)

@@ -319,6 +319,8 @@ def test_zero_sphere_field_takes_the_better_point():
 def test_every_stage_names_itself_in_method():
     exact = {
         "convex hull": (cube(3, 1.0).support_pieces + cross_polytope(3, 1.0).support_pieces, 3),
+        "Minkowski facets": (sum_pieces((cube(3, 1.0).support_pieces,
+                                         cross_polytope(3, 1.0).support_pieces)), 3),
         "cutting planes": (ellipsoid([1.0, 1.4, 0.8]).support_pieces
                            + map_pieces(cube(3, 0.9).support_pieces, haar_rotation(3, seed=7)), 3),
         "S-lemma dual": (ellipsoid([1.0, 2.0, 0.5]).gauge_pieces, 3),
