@@ -54,6 +54,7 @@ __all__ = [
     "map_pieces",
     "select_pieces",
     "sum_pieces",
+    "leaves",
     "construct_body",
     "ball",
     "cube",
@@ -252,12 +253,21 @@ def select_pieces(pieces, idx):
     return tuple(out)
 
 
+def leaves(pieces):
+    """The pieces that are not sums, in order, with every sum replaced by
+    the pieces of its parts, depth first."""
+    for p in pieces:
+        if p.kind == "sum":
+            for part in p.parts:
+                yield from leaves(part)
+        else:
+            yield p
+
+
 def _is_zero(p):
     """Whether a piece is identically zero: a linear, l1 or l2 piece with a
     zero matrix, or a sum of such pieces."""
-    if p.kind == "sum":
-        return all(_is_zero(q) for part in p.parts for q in part)
-    return p.kind != "smooth" and not p.matrix.any()
+    return all(q.kind != "smooth" and not q.matrix.any() for q in leaves((p,)))
 
 
 def sum_pieces(parts):

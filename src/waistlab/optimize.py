@@ -27,8 +27,23 @@ of the Euclidean distance to a convex body with support max(pieces):
 dist(x, C) = max over |u| <= 1 of <x, u> - h_C(u) (Rockafellar, Convex
 Analysis, 1970, section 16).  nearest_points solves it row by row.
 
-Before any descent, an exact stage answers the fields it can.  On the
-0-sphere (n = 1) it evaluates both points +1 and -1.
+Before any descent, exact stages answer the fields they can.  Each
+stage gives a field an exact result, a bound (a result of stage "bound"
+whose lower is a certified lower bound on the minimum), or None for a
+field it does not take.  When a call's fields are sums of two
+Euclidean norms, the Cauchy-Schwarz stage takes them all at once, in
+lockstep.  Every other field goes through the per-field stages in the
+order 0-sphere, S-lemma dual, Minkowski facets, convex hull, up to the
+first exact result.  One rule, _join, joins a field's results, the
+stages' in order and then the descent's: the first exact result wins;
+otherwise the larger lower bound wins, with the method of the stage
+that gave it, the earlier one on a tie; nfev adds up over every stage
+that ran.  So a descended field carries the best bound of its stages
+and that stage's method, or lower and method None when no stage
+bounded it.
+
+On the 0-sphere (n = 1), the field is evaluated at both points +1 and
+-1.
 
 A field whose every piece is l2, max_i |u M_i|, is answered by the
 S-lemma dual (see _s_lemma).  So is a field with an l2 piece beside
@@ -45,10 +60,8 @@ n >= 3 the bound has no gap, since the joint range of two quadratic
 forms on that sphere is convex (Brickman, Proc. AMS 12, 1961; Polik &
 Terlaky, SIAM Review 49, 2007).  The cylinder, ball, ellipsoid and
 section fields of the harnesses are of this kind.  A field that does
-not certify descends as any other, and its result carries the square
-root of the bound, less the same tolerance, as a certified lower bound
-on its minimum; one with a linear piece first goes on to the hull stage
-below, and keeps the better of the two bounds.
+not certify gets the square root of the bound, less the same tolerance,
+as its bound.
 
 A field that is the sum of two Euclidean norms, |u M_1| + |u M_2|, is
 answered by the Cauchy-Schwarz stage (see _cauchy_schwarz).  Sums are
@@ -64,9 +77,7 @@ are the kernels of the M_i^T.  Branch and bound on w certifies the
 infimum with lower bounds on g over intervals.  The field is exact when
 the best direction's squared value is within
 64 n eps (|M_1|_2^2 + |M_2|_2^2) of the least bound.  A field that does
-not certify descends, and carries the square root of that bound as a
-certified lower bound on its minimum.  Sums of more parts, and parts
-that are maxima, go on to the other stages.
+not certify gets the square root of that bound as its bound.
 
 A polyhedral field, whose every piece is linear, an l1 piece of at most
 HULL_ROWS sign rows, or a sum of such parts, is max_i <P_i, u> =
@@ -79,22 +90,22 @@ one thread, the hull of the 320 rows of the Minkowski sum of a 5-cube and
 a rotated 5-cross-polytope (about 4800 triangulated facets on 330-360
 distinct planes) takes 25-35 ms, and every other polyhedral field of the
 polytope-dual benchmark 3 ms or less.  The facet stage below answers
-such sums instead, and takes the same bound, so HULL_ROWS = 0 switches
-both off.  Fields with other pieces, more rows, rows of affine rank
-below n, or the origin on or outside the hull go on to the descent, as
-do fields on which Qhull raises QhullError (QH6271, a "wide merge", on
+such sums first, and takes the same bound, so HULL_ROWS = 0 switches
+both off.  The stage declines fields with other pieces, more rows, rows
+of affine rank below n, or the origin on or outside the hull, and
+fields on which Qhull raises QhullError (QH6271, a "wide merge", on
 dense clouds).
 
 A field that is the Minkowski sum of zonotopes and the hull of pairs
 +-p_j that span R^n, sum_i |<u, g_i>| + max_j |<u, p_j>| (one sum piece:
 l1 parts, whose matrix columns are the generators g_i, and one linear
 part whose rows come in exact pairs), is answered by its facets (see
-_minkowski_facets) before any hull is built.  A facet of a Minkowski sum
-is the sum of the parts' exposed faces at its normal u: the zonotope's
-face spans the generators orthogonal to u, and the face of the pairs'
-hull is the hull of the sigma_j p_j that attain max_j |<u, p_j>|,
-sigma_j = sign <u, p_j>, at the level h(u) > 0 (the pairs span R^n, so
-the origin is interior).  So every facet normal, scaled to h(u) = 1,
+_minkowski_facets).  A facet of a Minkowski sum is the sum of the
+parts' exposed faces at its normal u: the zonotope's face spans the
+generators orthogonal to u, and the face of the pairs' hull is the hull
+of the sigma_j p_j that attain max_j |<u, p_j>|, sigma_j = sign <u, p_j>,
+at the level h(u) > 0 (the pairs span R^n, so the origin is
+interior).  So every facet normal, scaled to h(u) = 1,
 solves a square system [g_I; sigma_J p_J] u = [0; 1] with
 |I| + |J| = n, and sigma = +1 on the first pair of J (-u covers the
 other sign): 841 systems for five generators and five pairs in R^5,
@@ -107,16 +118,18 @@ within 7.1e-15 relative, in about 1 ms at n = 5 against Qhull's 25 ms.
 With pairs of rank below n, the face of the pairs' hull at a normal
 orthogonal to them sits at level 0, and the systems miss that facet: for
 a 3-cube of half-width 1 plus an aligned flat cross-polytope of radius
-1.5, the least candidate value is 2.47 against the minimum 1.  Such a
-field goes to the hull.
+1.5, the least candidate value is 2.47 against the minimum 1.  The
+stage declines such a field.
 
 The hull stage also takes l2 pieces, beside polyhedral ones or in the
-parts of sums, by Kelley's cutting planes (Kelley, J. SIAM 8, 1960;
-Bertsekas & Yu, SIAM J. Optim. 21, 2011), whose zero-round case is the
-hull above.  Each l2 piece |u M| = max over |y| <= 1 of <u, M y> is
-replaced by rows at its support points M M^T a / |a M| at the seed
-directions a: +-e_i and +- the unit columns of every l1 matrix of the
-field, which are a rotated cube's facet normals.  The minima of the
+parts of sums (a field whose every piece is l2 is the S-lemma stage's
+alone, and the hull stage declines it), by Kelley's cutting planes
+(Kelley, J. SIAM 8, 1960; Bertsekas & Yu, SIAM J. Optim. 21, 2011),
+whose zero-round case is the hull above.  Each l2 piece
+|u M| = max over |y| <= 1 of <u, M y> is replaced by rows at its
+support points M M^T a / |a M| at the seed directions a: +-e_i and +-
+the unit columns of every l1 matrix of the field, which are a rotated
+cube's facet normals.  The minima of the
 polytope-dual benchmark's sums of an ellipsoid's and a rotated cube's
 supports all sit at such a normal.  A sum's rows are the pairwise sums of
 its parts' rows, as for a polyhedral sum, so HULL_ROWS decides which sums
@@ -140,23 +153,19 @@ up to 2.7e-14 relative above the descent's.  The inclusion field
 max(h_E, h_UC) of an ellipsoid and a rotated cube, the polar diameter
 field, the same field through the polars, and the Minkowski-sum
 inclusion field h_E + h_UC in R^3 and R^4 are of this kind.  A field
-that the rounds leave open, after CUT_ROUNDS of them or earlier, descends,
-and carries the hull's inradius as a certified lower bound on its
-minimum.
+that the rounds leave open, after CUT_ROUNDS of them or earlier, gets
+the hull's inradius as its bound.
 
 Every stage reports the field's value at its direction evaluated alone,
 since a row's value in a batched evaluation can differ in its last
 digits.  Each exact stage names itself in the result's method: "both
 points of the 0-sphere", "S-lemma dual", "Cauchy-Schwarz", "Minkowski
 facets", "convex hull", or "cutting planes" for a hull stage with l2
-pieces.  A field that the S-lemma, Cauchy-Schwarz or cutting-plane stage
-bounds but does not certify keeps that stage's method along with its
-lower bound when it descends; every other descended field has method
-None.
+pieces.
 
 Inside a share_exact block, which the two-bodies harness opens around
 its hull-of-union inclusion radii and polar diameters (one field, since
-a polar swaps the support and gauge pieces), the exact stage answers
+a polar swaps the support and gauge pieces), the per-field stages answer
 each distinct field once; the descent of a field it does not answer is
 unchanged.
 """
@@ -173,7 +182,7 @@ from itertools import combinations, product
 import numpy as np
 
 from ._util import sphere_points
-from .bodies import Piece, _max_and_gradient, _max_of, select_pieces
+from .bodies import Piece, _max_and_gradient, _max_of, leaves, select_pieces
 from .errors import EvaluationError
 
 __all__ = ["OptimizerConfig", "SphereOptResult", "minimize_on_sphere",
@@ -262,7 +271,7 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
     select_pieces(pieces, t), and a result's value is that max at its
     direction, with non-finite values read as inf.
 
-    A field the exact stage answers (see the module docstring) is not
+    A field an exact stage answers (see the module docstring) is not
     descended; its nfev counts the rows its pieces expand to (the two
     points on the 0-sphere, the S-lemma and Cauchy-Schwarz stages'
     candidate directions, the hull's rows at its seeds with every
@@ -287,11 +296,9 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
     a piece gradient was evaluated; polish_unconverged counts the solves
     that SLSQP ended without success and polish_nit their SLSQP
     iterations.  stage names what produced the value: "exact", "descent",
-    or "polish" when a polished point improved on the descent.  A field
-    that the S-lemma stage, the Cauchy-Schwarz stage or the cutting
-    planes bound without certifying it also counts that stage's rows in
-    nfev, and carries its bound in lower and the stage's name in method;
-    every other descended field has lower and method None.
+    or "polish" when a polished point improved on the descent.  Each
+    descended result is joined to its exact stages' result by _join,
+    which adds their nfev and carries their bound in lower and method.
     """
     if n > 1 and _cs_sum(pieces):  # a stage that runs its fields in lockstep
         first = _cauchy_schwarz(pieces, n, count)
@@ -312,10 +319,7 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
         for j, t in enumerate(idx):
             res = _finish(select_pieces(pieces, t), U[j], vals[j], int(nfev[j]))
             res.descent_iters = int(iters[j])
-            if first[t] is not None:  # a dual bound that did not certify
-                res.lower, res.method = first[t].lower, first[t].method
-                res.nfev += first[t].nfev
-            results[t] = res
+            results[t] = _join(first[t], res)
     return results
 
 
@@ -368,33 +372,40 @@ def _exact_once(pieces, n):
 
 
 def _exact(pieces, n):
-    """The exact result of the field when the exact stage answers it (see
-    the module docstring), else None.  The S-lemma and hull stages give a
-    result whose stage is "bound" when they do not certify the field: only
-    its lower and its nfev carry over to the descent.  A field of the
-    S-lemma stage with a linear piece that the dual does not certify goes
-    on to the hull stage, and keeps the larger of the two bounds, with the
-    nfev of both.  Sums of two l2 pieces go to _cauchy_schwarz, which
-    takes all the fields of a call at once, and a sum of zonotopes and
-    paired facets that _minkowski_facets declines goes to the hull."""
-    if n == 1:
-        V = np.array([[1.0], [-1.0]])
-        vals = _finite_values(pieces, V)
-        i = int(np.argmin(vals))
-        return SphereOptResult(value=float(vals[i]), direction=V[i], nfev=2, stage="exact",
-                               lower=float(vals[i]), method="both points of the 0-sphere")
-    if _norms(pieces) is None:
-        return _minkowski_facets(pieces, n) or _hull(pieces, n)
-    dual = _s_lemma(pieces, n)
-    if dual is None or dual.stage == "exact" or all(p.kind == "l2" for p in pieces):
-        return dual
-    hull = _hull(pieces, n)
-    if hull is None:
-        return dual
-    if hull.stage != "exact" and hull.lower <= dual.lower:
-        hull.lower, hull.method = dual.lower, dual.method
-    hull.nfev += dual.nfev
-    return hull
+    """The per-field exact stages of the field in order, joined by _join
+    up to the first exact result: that result, else the best bound, else
+    None (see the module docstring)."""
+    res = None
+    for stage in (_zero_sphere, _s_lemma, _minkowski_facets, _hull):
+        res = _join(res, stage(pieces, n))
+        if res is not None and res.stage == "exact":
+            break
+    return res
+
+
+def _join(a, b):
+    """The results a and b of one field, a from the earlier stage, as one:
+    the first exact one, else b with the larger lower bound and the method
+    that gave it (a's on a tie; a lower of None is no bound).  nfev adds
+    up, and None is no result."""
+    if a is None or b is None:
+        return b if a is None else a
+    if a.stage == "exact" or b.stage == "exact":
+        return replace(a if a.stage == "exact" else b, nfev=a.nfev + b.nfev)
+    low = a if b.lower is None or (a.lower is not None and a.lower >= b.lower) else b
+    return replace(b, lower=low.lower, method=low.method, nfev=a.nfev + b.nfev)
+
+
+def _zero_sphere(pieces, n):
+    """The field on the 0-sphere at the better of its two points +1 and
+    -1; None unless n = 1."""
+    if n != 1:
+        return None
+    V = np.array([[1.0], [-1.0]])
+    vals = _finite_values(pieces, V)
+    i = int(np.argmin(vals))
+    return SphereOptResult(value=float(vals[i]), direction=V[i], nfev=2, stage="exact",
+                           lower=float(vals[i]), method="both points of the 0-sphere")
 
 
 def _norms(pieces):
@@ -436,10 +447,10 @@ def _minkowski_facets(pieces, n):
     whose rows come in exact pairs (see _pairs).  Every facet normal of the
     sum solves one of the square systems of _facet_systems (see the module
     docstring), and the least field value over +- their solutions is the
-    minimum, attained at its direction.  None, for the hull stage, when
-    the field is of another kind, has more than HULL_ROWS rows (so the
-    hull stage's HULL_ROWS switches this stage too), a matrix that is not
-    finite, pairs of rank below n, or a value that is not positive."""
+    minimum, attained at its direction.  None when the field is of
+    another kind, has more than HULL_ROWS rows (so the hull stage's
+    HULL_ROWS switches this stage too), a matrix that is not finite,
+    pairs of rank below n, or a value that is not positive."""
     if len(pieces) != 1 or pieces[0].kind != "sum":
         return None
     parts = pieces[0].parts
@@ -493,15 +504,18 @@ def _facet_systems(n, k, m):
 def _hull(pieces, n):
     """The convex-hull stage: Kelley's cutting planes, whose zero-round
     case is the hull of a polyhedral field's rows (see the module
-    docstring).  None when the field has a smooth piece, more than
-    HULL_ROWS rows at its seeds (see _seeds), rows of affine rank below
-    n, the origin on or outside their hull, or when Qhull fails; a field
-    that CUT_ROUNDS rounds, HULL_ROWS rows, or a stalled gap leave open
-    gets stage "bound"."""
+    docstring).  None when every piece is l2, when the field has a smooth
+    piece, more than HULL_ROWS rows at its seeds (see _seeds), rows of
+    affine rank below n, the origin on or outside their hull, or when
+    Qhull fails; a field that CUT_ROUNDS rounds, HULL_ROWS rows, or a
+    stalled gap leave open gets stage "bound"."""
+    if all(p.kind == "l2" for p in pieces):
+        return None
     from scipy.spatial import ConvexHull
     from scipy.spatial._qhull import QhullError
 
-    cut = [p for p in pieces if _holds_l2(p)]  # the pieces each round adds points of
+    # the pieces each round adds points of: l2 pieces and sums with one in a part
+    cut = [p for p in pieces if any(q.kind == "l2" for q in leaves((p,)))]
     # facet rows first, then the support points of l2 pieces, which the
     # rounds append to (a stable sort)
     P = _polyhedral_rows(sorted(pieces, key=lambda p: p.kind == "l2"), n, _seeds(pieces, n))
@@ -542,40 +556,16 @@ def _hull(pieces, n):
                            method="cutting planes" if cut else "convex hull")
 
 
-def _holds_l2(p):
-    """Whether a piece is l2 or a sum with an l2 piece in a part."""
-    return p.kind == "l2" or (p.kind == "sum" and any(_holds_l2(q) for part in p.parts
-                                                       for q in part))
-
-
 def _seeds(pieces, n):
     """The directions at which the hull stage first takes the support
     points of l2 pieces: +-e_i, then +- the unit columns of every l1
     matrix of the field, sums' parts included (the facet normals of a
     mapped cube), each direction once."""
-    def columns(pieces):
-        for p in pieces:
-            if p.kind == "l1":
-                yield p.matrix.T
-            elif p.kind == "sum":
-                for part in p.parts:
-                    yield from columns(part)
-
-    C = np.vstack([np.empty((0, n))] + list(columns(pieces)))
+    C = np.vstack([np.empty((0, n))] + [p.matrix.T for p in leaves(pieces) if p.kind == "l1"])
     C = _normalize_rows(C[np.linalg.norm(C, axis=1) > 0])
     S = np.vstack([np.eye(n), -np.eye(n), C, -C])
     # a row stays unless an earlier row equals it
     return S[~np.tril(np.all(S[:, None, :] == S[None, :, :], axis=2), -1).any(axis=1)]
-
-
-def _support_points(M, U):
-    """The points M M^T u / |u M| of the ellipsoid {M y : |y| <= 1} at
-    which the rows u of U are its outer normals, for the rows with
-    u M != 0."""
-    Y = U @ M
-    nrm = np.linalg.norm(Y, axis=1)
-    keep = nrm > 0
-    return (Y[keep] @ M.T) / nrm[keep, None]
 
 
 def _s_lemma(pieces, n):
@@ -606,11 +596,14 @@ def _s_lemma(pieces, n):
     sqrt(max(phi - tol, 0)) as a certified lower bound on its minimum.
     Two pieces certify for n >= 3, since the joint range of two quadratic
     forms on that sphere is convex (Brickman, Proc. AMS 12, 1961); three
-    or more can leave a gap.  None when a matrix is not finite.
+    or more can leave a gap.  None when _norms declines the field or a
+    matrix is not finite.
     """
+    M = _norms(pieces)
+    if M is None:
+        return None
     from scipy.optimize import brentq  # imported where it is called: it is slow to import
 
-    M = _norms(pieces)
     Q = np.stack([Mi @ Mi.T for Mi in M])
     if not np.all(np.isfinite(Q)):
         return None
@@ -929,7 +922,8 @@ def _polyhedral_rows(pieces, n, seeds=None):
     is smooth or the rows would exceed HULL_ROWS.  A linear piece gives
     its rows, an l1 piece its 2^k sign rows, and a sum the pairwise sums
     of its parts' rows.  An l2 piece gives its support points at the rows
-    of seeds, points of its ellipsoid, and None without seeds: with one,
+    of seeds, its nonzero gradients there (see bodies.Piece.gradient),
+    which are points of its ellipsoid, and None without seeds: with one,
     max_i <P_i, u> is only at most max(pieces)(u)."""
     blocks, total = [], 0
     for p in pieces:
@@ -942,7 +936,8 @@ def _polyhedral_rows(pieces, n, seeds=None):
             signs = 1.0 - 2.0 * ((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1)
             R = signs @ p.matrix.T
         elif p.kind == "l2" and seeds is not None:
-            R = _support_points(p.matrix, seeds)
+            R = p.gradient(seeds)
+            R = R[np.any(R != 0.0, axis=1)]
         elif p.kind == "sum":
             R = np.zeros((1, n))
             for part in p.parts:
@@ -962,17 +957,6 @@ def _polyhedral_rows(pieces, n, seeds=None):
 def _finite_values(pieces, V):
     vals = _max_of(pieces, V)
     return np.where(np.isfinite(vals), vals, np.inf)
-
-
-def _smooth_count(pieces):
-    """Smooth pieces of a field, those inside sums included."""
-    count = 0
-    for p in pieces:
-        if p.kind == "sum":
-            count += sum(_smooth_count(part) for part in p.parts)
-        else:
-            count += p.kind == "smooth"
-    return count
 
 
 def _descend(pieces, idx, U0, cfg):
@@ -1014,7 +998,8 @@ def _descend(pieces, idx, U0, cfg):
                 break
             run = select_pieces(pieces, idx[live])
     U_out[live], vals_out[live] = U, vals
-    rows = m * (1 + 2 * n * _smooth_count(pieces))  # one pass, with the difference rows
+    smooth = sum(p.kind == "smooth" for p in leaves(pieces))
+    rows = m * (1 + 2 * n * smooth)  # one pass, with the difference rows
     return U_out, vals_out, (iters + 1) * rows, iters
 
 

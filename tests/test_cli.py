@@ -553,11 +553,21 @@ def test_worker_count_env(monkeypatch):
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
     # scipy.optimize is imported where linprog, brentq and minimize are
-    # called, since importing it takes longer than most commands run
+    # called, since importing it takes longer than most commands run; the
+    # exact stages that do not take a field decline it before any import
     src = str(Path(waistlab.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c",
-                          "import sys, waistlab.cli; print('scipy.optimize' in sys.modules)"],
-                         env=env, check=True, capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
+    polytopes = """
+from waistlab.bodies import cross_polytope, cube, sum_pieces
+from waistlab.optimize import minimize_on_sphere
+K, L = cube(3, 1.0), cross_polytope(3, 1.2)
+methods = [minimize_on_sphere(K.gauge_pieces + L.gauge_pieces, 3).method,
+           minimize_on_sphere(sum_pieces((K.support_pieces, L.support_pieces)), 3).method]
+assert methods == ["convex hull", "Minkowski facets"], methods
+"""
+    for script in ("import waistlab.cli", polytopes):
+        out = subprocess.run([sys.executable, "-c",
+                              script + "\nimport sys; print('scipy.optimize' in sys.modules)"],
+                             env=env, check=True, capture_output=True, text=True)
+        assert out.stdout.strip() == "False"

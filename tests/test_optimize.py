@@ -267,17 +267,21 @@ def test_hexagon_field_descends_and_carries_the_dual_bound(monkeypatch):
 
 
 def test_mixed_fields_never_reach_the_s_lemma(monkeypatch):
-    def refuse(pieces, n):
-        raise AssertionError("the S-lemma stage saw a field with other pieces")
+    # every field but the Cauchy-Schwarz stage's reaches the S-lemma stage,
+    # which declines the ones with other pieces
+    declined, seen = [], []
+    s_lemma, cauchy_schwarz = optimize._s_lemma, optimize._cauchy_schwarz
 
-    seen = []
-    cauchy_schwarz = optimize._cauchy_schwarz
+    def wrapped(pieces, n):
+        res = s_lemma(pieces, n)
+        declined.append(res is None)
+        return res
 
     def recording(pieces, n, count):
         seen.append(pieces)
         return cauchy_schwarz(pieces, n, count)
 
-    monkeypatch.setattr(optimize, "_s_lemma", refuse)
+    monkeypatch.setattr(optimize, "_s_lemma", wrapped)
     monkeypatch.setattr(optimize, "_cauchy_schwarz", recording)
     E = ellipsoid([1.0, 1.4, 0.8])
     assert minimize_on_sphere(E.gauge_pieces + (ZERO,), 3, CFG).lower is None
@@ -303,7 +307,63 @@ def test_mixed_fields_never_reach_the_s_lemma(monkeypatch):
         n = pieces[0].parts[0][0].matrix.shape[0]
         assert minimize_on_sphere(pieces, n, CFG).method == "cutting planes"
     assert minimize_on_sphere(SUM5, 5, CFG).lower is None
-    assert len(seen) == 1
+    assert len(seen) == 1 and declined == [True] * 7
+
+
+def _result(stage, lower, method, nfev, value=1.0):
+    return optimize.SphereOptResult(value=value, direction=np.array([0.6, 0.8]), nfev=nfev,
+                                    stage=stage, lower=lower, method=method)
+
+
+def test_join_takes_the_first_exact_result_else_the_larger_bound():
+    join = optimize._join
+    dual = _result("bound", 0.5, "S-lemma dual", 10)
+    hull = _result("bound", 0.7, "cutting planes", 20, value=0.9)
+    exact = _result("exact", 0.8, "convex hull", 5, value=0.8)
+    descent = _result("descent", None, None, 100, value=0.85)
+    # None on either side is no result
+    assert join(None, None) is None and join(dual, None) is dual and join(None, dual) is dual
+    # the first exact result wins whichever side it is on, and nfev adds up
+    for a, b in ((exact, dual), (dual, exact), (exact, _result("exact", 0.9, "other", 1))):
+        res = join(a, b)
+        assert (res.stage, res.value, res.lower, res.method) == ("exact", 0.8, 0.8, "convex hull")
+        assert res.nfev == a.nfev + b.nfev
+    # otherwise the later result, with the larger bound and its method
+    res = join(dual, hull)
+    assert (res.stage, res.value, res.lower, res.method, res.nfev) == (
+        "bound", 0.9, 0.7, "cutting planes", 30)
+    res = join(hull, dual)
+    assert (res.value, res.lower, res.method, res.nfev) == (1.0, 0.7, "cutting planes", 30)
+    # a tie keeps the earlier stage's method
+    assert join(dual, _result("bound", 0.5, "cutting planes", 20)).method == "S-lemma dual"
+    # a descended result keeps its value and stage, and takes the bound
+    res = join(dual, descent)
+    assert (res.stage, res.value, res.lower, res.method, res.nfev) == (
+        "descent", 0.85, 0.5, "S-lemma dual", 110)
+    assert res.direction is descent.direction
+    # the inputs are left as they were
+    assert (dual.nfev, descent.lower, descent.method, descent.nfev) == (10, None, None, 100)
+
+
+def test_each_stage_declines_the_fields_it_does_not_take():
+    E = ellipsoid([1.0, 1.4, 0.8])
+    facets = cube(3, 1.0).gauge_pieces + cross_polytope(3, 1.2).gauge_pieces
+    zonotope = sum_pieces((cube(3, 1.0).support_pieces, cross_polytope(3, 1.2).support_pieces))
+    mixed_sum = sum_pieces((E.support_pieces, cube(3, 0.9).support_pieces))
+    line = (Piece("linear", np.array([[1.0], [-2.0]])),)
+    stages = {  # a field the stage answers, and fields it declines
+        "_zero_sphere": ((line, 1), [(E.gauge_pieces, 3), (facets, 3)]),
+        "_s_lemma": ((E.gauge_pieces, 3), [(facets, 3), (zonotope, 3), (mixed_sum, 3),
+                                           (E.gauge_pieces + (ZERO,), 3)]),
+        "_minkowski_facets": ((zonotope, 3), [(E.gauge_pieces, 3), (facets, 3), (mixed_sum, 3)]),
+        "_hull": ((facets, 3), [(E.gauge_pieces, 3), (_hexagon(), 2),
+                                (E.gauge_pieces + (ZERO,), 3)]),
+    }
+    for name, ((pieces, n), declined) in stages.items():
+        stage = getattr(optimize, name)
+        assert stage(pieces, n).stage == "exact", name
+        for pieces, n in declined:
+            assert stage(pieces, n) is None, name
 
 
 def test_zero_sphere_field_takes_the_better_point():
