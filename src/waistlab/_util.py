@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import json
+import math
 import os
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -121,42 +122,58 @@ def fmt_float(x) -> str:
 
 
 def _canon(obj, parts: list[str]) -> None:
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        if np.isnan(v):
-            parts.append('"nan"')
-        elif np.isinf(v):
-            parts.append('"inf"' if v > 0 else '"-inf"')
+    """Append the canonical JSON of obj to parts: the exact types that
+    reports hold first, by type identity, then every other type by
+    isinstance (see _canon_other)."""
+    kind = type(obj)
+    if kind is float or kind is np.float64:
+        if math.isfinite(obj):
+            parts.append(format(float(obj), ".17g"))
         else:
-            parts.append(fmt_float(v))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, np.ndarray):
-        _canon(obj.tolist(), parts)
-    elif isinstance(obj, dict):
+            parts.append('"nan"' if obj != obj else '"inf"' if obj > 0 else '"-inf"')
+    elif kind is dict:
         parts.append("{")
         for i, key in enumerate(sorted(obj)):
             if i:
                 parts.append(", ")
-            parts.append(json.dumps(str(key)))
+            parts.append(encode_basestring_ascii(str(key)))
             parts.append(": ")
             _canon(obj[key], parts)
         parts.append("}")
-    elif isinstance(obj, (list, tuple)):
+    elif kind is list or kind is tuple:
         parts.append("[")
         for i, item in enumerate(obj):
             if i:
                 parts.append(", ")
             _canon(item, parts)
         parts.append("]")
+    elif kind is str:
+        parts.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        parts.append("null")
+    elif kind is bool:
+        parts.append("true" if obj else "false")
+    elif kind is int:
+        parts.append(str(obj))
+    else:
+        _canon_other(obj, parts)
+
+
+def _canon_other(obj, parts: list[str]) -> None:
+    """_canon of the types it does not dispatch on exactly: numpy integers
+    and floats, arrays, and subclasses of the builtin types."""
+    if isinstance(obj, (int, np.integer)):
+        parts.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        _canon(float(obj), parts)
+    elif isinstance(obj, str):
+        parts.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, np.ndarray):
+        _canon(obj.tolist(), parts)
+    elif isinstance(obj, dict):
+        _canon(dict(obj), parts)
+    elif isinstance(obj, (list, tuple)):
+        _canon(list(obj), parts)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

@@ -41,11 +41,13 @@ _OPTIMIZER_KEYS = (set(), {f.name for f in dataclasses.fields(OptimizerConfig)})
 _SUBSPACE_KEYS = (set(), {"k", "offset", "frame"})
 
 
+@functools.cache
 def _schema(name: str):
-    """The (required, optional) config keys of an experiment, read from its
-    harness signature: a parameter without a default is required, one with
-    a default optional.  seed is common to every experiment, opt is the
-    "optimizer" block, and projection's subspace P is set by the key k."""
+    """The (required, optional) config keys of an experiment, as frozensets,
+    read once from its harness signature: a parameter without a default is
+    required, one with a default optional.  seed is common to every
+    experiment, opt is the "optimizer" block, and projection's subspace P
+    is set by the key k."""
     from . import experiments
 
     keys = (set(), set())
@@ -53,7 +55,7 @@ def _schema(name: str):
         if param.name != "seed":
             keys[param.default is not param.empty].add(
                 {"opt": "optimizer", "P": "k"}.get(param.name, param.name))
-    return keys
+    return frozenset(keys[0]), frozenset(keys[1])
 
 
 def _require_keys(obj: dict, required: set, optional: set, where: str):

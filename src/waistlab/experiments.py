@@ -27,7 +27,7 @@ from .errors import (DomainError, HypothesisError, InfeasibleScheduleError,
                      NetConstructionError)
 from .estimators import (diameter_of_intersection, inclusion_radius, mc_sigma_body,
                          section_diameter)
-from .geometry import (Subspace, check_projected_ball, haar_rotation, lift_waist,
+from .geometry import (Subspace, check_projected_ball, haar_rotations_per_seed, lift_waist,
                        spherical_projection)
 from .measures import (DEFAULT_CONSTANTS, BoundConstants, SubsphereQuery, sigma_ball_product,
                        sigma_exact, sigma_lip_lower)
@@ -149,7 +149,7 @@ def _rate(flags):
 def _trial_rotations(ss, n: int, count: int) -> np.ndarray:
     """(count, n, n) rotations, trial i's drawn from child i of the seed
     sequence ss: the one trial layout of every harness."""
-    return np.array([haar_rotation(n, c) for c in ss.spawn(count)]).reshape(count, n, n)
+    return haar_rotations_per_seed(n, ss.spawn(count))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ __all__ = [
     "SphereNet",
     "haar_rotation",
     "haar_rotations",
+    "haar_rotations_per_seed",
     "random_subspace",
     "geodesic_distance",
     "spherical_projection",
@@ -94,12 +95,29 @@ def haar_rotations(n: int, count: int, seed=None) -> np.ndarray:
     a Generator, whose stream the draws continue."""
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((count, n, n))
+    return _orthogonalize(g, rng.integers(0, 2, size=count).astype(bool))
+
+
+def haar_rotations_per_seed(n: int, seeds) -> np.ndarray:
+    """(len(seeds), n, n) rotations, the i-th equal to
+    haar_rotation(n, seeds[i]) bit for bit: each draws its Gaussian matrix
+    and coin from its own stream, and one stacked QR orthogonalizes them
+    all, with the same bits as one QR per matrix."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    g = np.array([rng.standard_normal((n, n)) for rng in rngs]).reshape(len(rngs), n, n)
+    flips = np.array([rng.integers(0, 2, size=1)[0] for rng in rngs], dtype=bool)
+    return _orthogonalize(g, flips)
+
+
+def _orthogonalize(g, flips):
+    """The rotations of the Gaussian matrices g (count, n, n): the Q
+    factors of their QR, with column signs fixed by the diagonal of R,
+    and the last column negated where flips is true."""
     q, r = np.linalg.qr(g)
-    idx = np.arange(n)
+    idx = np.arange(g.shape[-1])
     d = np.sign(r[:, idx, idx])
     d = np.where(d == 0, 1.0, d)
     q = q * d[:, None, :]
-    flips = rng.integers(0, 2, size=count).astype(bool)
     q[flips, :, -1] *= -1.0
     return q
 

@@ -53,7 +53,15 @@ ellipsoid intersected with a rotated cube is of this kind.  With
 Q_i = M_i M_i^T, the minimum over the sphere of the squared field is at
 least lambda_min(sum_i lambda_i Q_i) for every lambda in the simplex.
 The stage maximizes that bound over the simplex's vertices and edges,
-and recovers directions from the eigenvectors of lambda_min there.  The
+and recovers directions from the eigenvectors of lambda_min there.  On
+an edge it takes safeguarded Newton steps on the bound's slope, whose
+derivative comes from the same eigendecomposition by first-order
+perturbation; a step that leaves the slope's sign bracket, or one where
+the two lowest eigenvalues are within rounding, bisects instead, and at
+most NEWTON_SOLVES eigendecompositions are made on one edge.  The slopes
+at an edge's ends come from its vertices' eigenvectors.  A zero piece
+beside a norm is dropped, since max(|u M|, 0) = |u M|.  The least of the
+candidate directions is chosen from one batched evaluation.  The
 field is exact when the best direction's squared value is within
 64 n eps |sum_i lambda_i Q_i|_2 of the bound.  For two pieces and
 n >= 3 the bound has no gap, since the joint range of two quadratic
@@ -61,7 +69,8 @@ forms on that sphere is convex (Brickman, Proc. AMS 12, 1961; Polik &
 Terlaky, SIAM Review 49, 2007).  The cylinder, ball, ellipsoid and
 section fields of the harnesses are of this kind.  A field that does
 not certify gets the square root of the bound, less the same tolerance,
-as its bound.
+as its bound.  The stage imports nothing from SciPy, so the harnesses'
+ball, cylinder and ellipsoid runs never load scipy.optimize.
 
 A field that is the sum of two Euclidean norms, |u M_1| + |u M_2|, is
 answered by the Cauchy-Schwarz stage (see _cauchy_schwarz).  Sums are
@@ -204,6 +213,7 @@ BATCH_ROWS = 1 << 16      # most rows one batched evaluation holds
 SPREAD_POOL = 24          # random pool rows per spread direction
 HULL_ROWS = 512           # most rows a polyhedral field expands to for the exact stage
 CUT_ROUNDS = 16           # most cutting-plane rounds of the hull stage
+NEWTON_SOLVES = 64        # most eigh solves on one edge of the S-lemma stage
 
 
 @dataclass
@@ -276,8 +286,10 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
     points on the 0-sphere, the S-lemma and Cauchy-Schwarz stages'
     candidate directions, the hull's rows at its seeds with every
     cutting-plane round's support points) and the evaluations at its
-    directions (one per cutting-plane round; one for the facet stage, whose
-    candidate directions count as its rows), and its lower is its value.  Every other
+    directions (one per cutting-plane round; one for the facet and S-lemma
+    stages, whose candidate directions count as their rows, and for an
+    S-lemma field that its batched best does not certify, one more per
+    candidate), and its lower is its value.  Every other
     field starts from the same m spread directions (and extra_starts) and
     runs projected subgradient descent: each iteration makes one pass of
     the field's value and subgradient at its m candidate rows, m rows of
@@ -413,7 +425,9 @@ def _norms(pieces):
     S-lemma stage's fields.  They are its l2 pieces' matrices and, when it
     has an l2 piece, the rank-1 columns p_j of each linear piece whose rows
     come in exact pairs +-p_j, since max(<u, p_j>, <u, -p_j>) = |<u, p_j>|.
-    A field of linear pieces alone stays with the hull stage."""
+    A zero matrix is dropped when another remains: every piece is a norm,
+    so max(|u M|, 0) = |u M|.  A field of linear pieces alone stays with
+    the hull stage."""
     if not any(p.kind == "l2" for p in pieces):
         return None
     M = []
@@ -425,7 +439,7 @@ def _norms(pieces):
         if pairs is None:
             return None
         M += [row[:, None] for row in pairs]
-    return M
+    return [Mi for Mi in M if np.any(Mi)] or M[:1]
 
 
 def _pairs(p):
@@ -575,24 +589,32 @@ def _s_lemma(pieces, n):
     For every lambda in the simplex, min over the sphere of the squared
     field is at least phi(lambda) = lambda_min(S), S = sum_i lambda_i Q_i,
     and phi is concave.  It is searched at the vertices of the simplex and
-    on its edges.  On an edge (a, b), brentq finds the sign change of the
-    slope |v M_b|^2 - |v M_a|^2 at the eigenvector v of lambda_min, with
-    the edge parametrized by S ~ (1 - t) Q_a / |Q_a| + t Q_b / |Q_b| so
-    that t resolves pieces of any scale.  An edge is skipped when Weyl's
-    bound on phi along it, min(max(lambda_min(Q_a), lambda_max(Q_b)),
-    max(lambda_max(Q_a), lambda_min(Q_b))), or 0 when M_a and M_b have
-    fewer than n columns together, does not beat the best value so far.
+    on its edges.  On an edge (a, b), safeguarded Newton steps (see _edge)
+    find the sign change of the slope |v M_b|^2 - |v M_a|^2 at the
+    eigenvector v of lambda_min, with the edge parametrized by
+    S ~ (1 - t) Q_a / |Q_a| + t Q_b / |Q_b| so that t resolves pieces of
+    any scale; the last of at most NEWTON_SOLVES eigh solves is the edge's
+    point.  An edge is skipped when Weyl's bound on phi along it,
+    min(max(lambda_min(Q_a), lambda_max(Q_b)), max(lambda_max(Q_a),
+    lambda_min(Q_b))), or 0 when M_a and M_b have fewer than n columns
+    together, does not beat the best value so far, and when the slope at
+    an end, taken at that vertex's eigenvector, points out of the edge.
 
     Every point searched whose phi is within tol of the best gives
     candidate directions: the first eigenvector of lambda_min; at a
     vertex a whose eigenspace is degenerate, the vector of that space with
     the least q_b = |u M_b|^2, for each other piece b; on an edge, the
-    vectors on which q_a = q_b, between the two lowest eigenvectors (brentq
-    resolves the edge only to rounding) and, when the eigenspace V is
-    degenerate, between the extreme eigenvectors of V^T (Q_a - Q_b) V.
-    With phi the best value and tol = 64 n eps |S|_2 there, which covers
-    eigh's rounding, the field is exact when its least candidate value f
-    has f^2 - phi <= tol.  A field that does not certify carries
+    vectors on which q_a = q_b, between the two lowest eigenvectors (the
+    steps resolve the edge only to rounding, or less at their cap) and,
+    when the eigenspace V is degenerate, between the extreme eigenvectors
+    of V^T (Q_a - Q_b) V.  The least candidate is chosen from one batched
+    evaluation, and its value f is then evaluated alone.  With phi the
+    best value and tol = 64 n eps |S|_2 there, which covers eigh's
+    rounding, the field is exact when f^2 - phi <= tol; a field that does
+    not is evaluated at every candidate alone, since a batched value can
+    differ in its last digits, and is exact when the best of those
+    certifies.  Any point gives a valid phi, so a capped edge can only
+    leave a field open.  A field that does not certify carries
     sqrt(max(phi - tol, 0)) as a certified lower bound on its minimum.
     Two pieces certify for n >= 3, since the joint range of two quadratic
     forms on that sphere is convex (Brickman, Proc. AMS 12, 1961); three
@@ -602,8 +624,6 @@ def _s_lemma(pieces, n):
     M = _norms(pieces)
     if M is None:
         return None
-    from scipy.optimize import brentq  # imported where it is called: it is slow to import
-
     Q = np.stack([Mi @ Mi.T for Mi in M])
     if not np.all(np.isfinite(Q)):
         return None
@@ -619,18 +639,13 @@ def _s_lemma(pieces, n):
     for cap, a, b in caps:
         if cap <= phi:  # also every edge of a zero piece, so |Q_a|, |Q_b| > 0 below
             break
-        Qa, Qb = Q[a] / w[a, -1], Q[b] / w[b, -1]
-
-        def slope(t, Qa=Qa, Qb=Qb, Ma=M[a], Mb=M[b]):
-            v = np.linalg.eigh((1.0 - t) * Qa + t * Qb)[1][:, 0]
-            return np.sum((v @ Mb) ** 2) - np.sum((v @ Ma) ** 2)
-
         # phi is concave along the edge: a slope pointing out of it at an
-        # end leaves that end's vertex as the edge's maximum
-        if slope(0.0) <= 0.0 or slope(1.0) >= 0.0:
+        # end, at the end's vertex eigenvector, leaves that vertex as the
+        # edge's maximum
+        if (_slopes(V[a][:, :1], M[a], M[b])[0] <= 0.0
+                or _slopes(V[b][:, :1], M[a], M[b])[0] >= 0.0):
             continue
-        t = brentq(slope, 0.0, 1.0, xtol=eps, rtol=4 * eps, disp=False)
-        wS, VS = np.linalg.eigh((1.0 - t) * Qa + t * Qb)
+        t, wS, VS = _edge(Q[a] / w[a, -1], Q[b] / w[b, -1], M[a], M[b])
         points.append((wS / ((1.0 - t) / w[a, -1] + t / w[b, -1]), VS, (a, b)))
         phi = max(phi, points[-1][0][0])
     tol = 64 * n * eps * max(points, key=lambda point: point[0][0])[0][-1]
@@ -647,24 +662,74 @@ def _s_lemma(pieces, n):
             continue
         # where the edge's pieces tie: between the extreme eigenvectors of
         # V^T (Q_a - Q_b) V on the eigenspace, and between the two lowest
-        # eigenvectors, since brentq resolves the edge only to rounding
+        # eigenvectors, since _edge resolves the edge only to rounding
         bases = [VS[:, :2]]
         if E.shape[1] > 1:
             X = np.linalg.eigh(_gram(E, M[face[0]]) - _gram(E, M[face[1]]))[1]
             bases.append(E @ X[:, [0, -1]])
         for B in bases:
             cands += list(_ties(_gram(B, M[face[0]]) - _gram(B, M[face[1]])) @ B.T)
-    # one row at a time, as every stage reports its value: a row's value in
-    # a batch can differ in its last digits
     C = _normalize_rows(np.array(cands))
-    vals = [float(_finite_values(pieces, u[None])[0]) for u in C]
-    i = int(np.argmin(vals))
-    u, value = C[i], vals[i]
+    u = C[int(np.argmin(_finite_values(pieces, C)))]
+    value = float(_finite_values(pieces, u[None])[0])  # alone, as every stage reports it
+    nfev = len(C) + 1
+    if value * value - phi > tol:
+        # a row's value in a batch can differ from its value alone in its
+        # last digits, so a field that does not certify takes its best row alone
+        vals = [float(_finite_values(pieces, c[None])[0]) for c in C]
+        i = int(np.argmin(vals))
+        u, value, nfev = C[i], vals[i], nfev + len(C)
     exact = value * value - phi <= tol
-    return SphereOptResult(value=value, direction=u, nfev=len(C),
+    return SphereOptResult(value=value, direction=u, nfev=nfev,
                            stage="exact" if exact else "bound",
                            lower=value if exact else math.sqrt(max(phi - tol, 0.0)),
                            method="S-lemma dual")
+
+
+def _slopes(X, Ma, Mb):
+    """x^T (Q_b - Q_a) x_0 for the columns x of X, x_0 the first, with
+    Q_i = M_i M_i^T: through the M_i^T x, which resolve q_b - q_a on a
+    small norm beside a large one."""
+    Ya, Yb = Ma.T @ X, Mb.T @ X
+    return Yb.T @ Yb[:, 0] - Ya.T @ Ya[:, 0]
+
+
+def _edge(Qa, Qb, Ma, Mb):
+    """The point t of the edge S(t) = (1 - t) Qa + t Qb of the S-lemma
+    stage where the slope s(t) = |v M_b|^2 - |v M_a|^2 at the eigenvector v
+    of lambda_min changes sign, given s(0) > 0 > s(1): (t, eigenvalues,
+    eigenvectors) of the last eigh solve, at t.
+
+    Newton steps on s start at t = 1/2.  By first-order perturbation,
+    s'(t) = 2 sum_{j>=1} (v^T R v_j)(v_j^T D v) / (lambda_0 - lambda_j)
+    with R = M_b M_b^T - M_a M_a^T and D = Qb - Qa, from the same eigh.
+    A step that leaves the bracket of the sign change, or one taken where
+    lambda_1 - lambda_0 is within 64 n eps |S|_2, so that s' is not
+    resolved, bisects the bracket instead.  The steps stop once one is
+    within eps + 4 eps t, the rounding of t, or after NEWTON_SOLVES
+    solves; every t gives a valid bound, so a capped edge can only weaken
+    it."""
+    eps, n = np.finfo(float).eps, len(Qa)
+    D = Qb - Qa
+    lo, hi, t = 0.0, 1.0, 0.5
+    for solves in range(1, NEWTON_SOLVES + 1):
+        wS, VS = np.linalg.eigh((1.0 - t) * Qa + t * Qb)
+        r = _slopes(VS, Ma, Mb)
+        s = r[0]
+        if s == 0.0:
+            break
+        lo, hi = (t, hi) if s > 0.0 else (lo, t)
+        xtol, step = eps + 4 * eps * t, 0.5 * (lo + hi)
+        if wS[1] - wS[0] > 64 * n * eps * wS[-1]:
+            ds = 2.0 * np.sum(r[1:] * (VS[:, 1:].T @ (D @ VS[:, 0])) / (wS[0] - wS[1:]))
+            if abs(s) < abs(ds) * (hi - lo):  # so that s / ds cannot overflow
+                newton = t - s / ds
+                if lo < newton < hi or abs(newton - t) <= xtol:
+                    step = newton
+        if abs(step - t) <= xtol or solves == NEWTON_SOLVES:
+            break
+        t = step
+    return t, wS, VS
 
 
 def _gram(B, M):

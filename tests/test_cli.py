@@ -552,9 +552,10 @@ def test_worker_count_env(monkeypatch):
 
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is imported where linprog, brentq and minimize are
-    # called, since importing it takes longer than most commands run; the
-    # exact stages that do not take a field decline it before any import
+    # scipy.optimize is imported where linprog and minimize are called,
+    # since importing it takes longer than most commands run; the exact
+    # stages import nothing from it, and those that do not take a field
+    # decline it before any import
     src = str(Path(waistlab.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -566,7 +567,20 @@ methods = [minimize_on_sphere(K.gauge_pieces + L.gauge_pieces, 3).method,
            minimize_on_sphere(sum_pieces((K.support_pieces, L.support_pieces)), 3).method]
 assert methods == ["convex hull", "Minkowski facets"], methods
 """
-    for script in ("import waistlab.cli", polytopes):
+    norms = """
+import waistlab.optimize as optimize
+from waistlab.bodies import ball, product_body, truncated_cylinder
+from waistlab.estimators import diameter_of_intersection, section_diameter
+from waistlab.geometry import Subspace, haar_rotation
+answers, s_lemma = [], optimize._s_lemma
+optimize._s_lemma = lambda pieces, n: answers.append(s_lemma(pieces, n)) or answers[-1]
+K = truncated_cylinder(ball(4, 0.5), 8)
+L = product_body(ball(1, 1e6), ball(7, 0.5))
+diameter_of_intersection(K, L, haar_rotation(8, 1))
+section_diameter(L, Subspace.canonical(8, 7, offset=1))
+assert [(r.stage, r.method) for r in answers] == [("exact", "S-lemma dual")] * 2, answers
+"""
+    for script in ("import waistlab.cli", polytopes, norms):
         out = subprocess.run([sys.executable, "-c",
                               script + "\nimport sys; print('scipy.optimize' in sys.modules)"],
                              env=env, check=True, capture_output=True, text=True)

@@ -13,7 +13,7 @@ from waistlab.experiments import (ExperimentReport, cover_ball_with_body,
                                   run_core_lemma, run_global_vr,
                                   run_higher_sphere, run_projection,
                                   run_sections, run_two_bodies, theorem_schedule)
-from waistlab.geometry import Subspace
+from waistlab.geometry import Subspace, haar_rotation
 from waistlab.measures import BoundConstants, SubsphereQuery, sigma_ball_product, sigma_exact
 from waistlab.optimize import OptimizerConfig
 
@@ -166,6 +166,15 @@ def test_trial_rotations_pin_the_draws():
     prefix = experiments._trial_rotations(seed_sequence(904).spawn(3)[2], 4, 7)
     assert np.array_equal(prefix, R[:7])
     assert experiments._trial_rotations(seed_sequence(904), 4, 0).shape == (0, 4, 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
+def test_trial_rotations_equal_one_rotation_per_child(n):
+    # one stacked QR gives the bits of one haar_rotation per child stream
+    for seed in range(4):
+        R = experiments._trial_rotations(seed_sequence(seed), n, 7)
+        alone = [haar_rotation(n, c) for c in seed_sequence(seed).spawn(7)]
+        assert np.array_equal(R, np.array(alone))
 
 
 def test_core_other_bodies_sample_sigma():

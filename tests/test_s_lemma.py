@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waistlab import optimize
 from waistlab._util import sphere_points
 from waistlab.bodies import Piece, _max_of
 from waistlab.geometry import haar_rotation
@@ -58,3 +59,33 @@ def test_pieces_on_complementary_subspaces_tie_exactly(n, k, a, b):
     res = minimize_on_sphere(pieces, n, CFG)
     assert res.stage == "exact"
     assert res.value == pytest.approx(a * b / np.hypot(a, b), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("zero", [np.zeros((5, 3)), np.zeros((5, 1))])
+def test_a_zero_piece_beside_norms_changes_nothing(zero):
+    # max(|u M|, 0) = |u M|: the stage drops the zero piece
+    R = haar_rotation(5, seed=3)
+    norms = (Piece("l2", 2.0 * R[:, :2]), Piece("l2", 0.7 * R[:, 1:]))
+    alone = minimize_on_sphere(norms, 5, CFG)
+    for pieces in (norms + (Piece("l2", zero),), (Piece("l2", zero),) + norms):
+        res = minimize_on_sphere(pieces, 5, CFG)
+        assert (res.value, res.stage, res.lower, res.method, res.nfev) == (
+            alone.value, alone.stage, alone.lower, alone.method, alone.nfev)
+        assert np.array_equal(res.direction, alone.direction)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(l2_fields())
+def test_s_lemma_capped_at_one_solve_per_edge_stays_attained_and_bracketed(field):
+    # any point of an edge gives a valid bound, so a capped edge can only
+    # leave a field open: a field is exact only when its value is the minimum
+    n, pieces = field
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "NEWTON_SOLVES", 1)
+        res = optimize._s_lemma(pieces, n)
+    assert res.value == _max_of(pieces, res.direction[None])[0]
+    assert res.value >= res.lower * (1.0 - 1e-12)
+    sampled = _max_of(pieces, sphere_points(np.random.default_rng(n), 20_000, n)).min()
+    assert res.lower <= sampled * (1.0 + 1e-12)
+    if res.stage == "exact":
+        assert res.value <= sampled * (1.0 + 1e-12)
