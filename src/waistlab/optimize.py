@@ -16,9 +16,15 @@ epigraph program of the field: min t subject to piece(u) <= t for every
 piece and |u|^2 = 1, with exact constraints and analytic Jacobians.
 Several starts are needed, since fields with l1 terms are multimodal:
 on the polytope-dual benchmark (seeds 1, 2, 3 and 21, jobs 0-23), one
-start loses 1.7e-4 relative against 16 on 1 of the 16 sums of a
-Euclidean norm and an l1 term in R^5, the only sums there that the hull
-stage below leaves to the descent.  Values returned are always attained
+start lost 1.7e-4 relative against 16 on 1 of the 16 sums of a
+Euclidean norm and an l1 term in R^5, which the facet stage below now
+answers.  The fields that still reach the polish are those that every
+exact stage leaves open: on that benchmark, job 15's hull-of-union field
+at seed 21, where the hull stage's rounds stall as Qhull merges their
+points, and, rarely, a sum of an ellipsoid and a cube whose facet rounds
+stop at HULL_ROWS; in the tests, the hull-of-union fields of a ball and
+a rotated cube, nested sums of Euclidean norms and fields with smooth
+pieces.  Values returned are always attained
 at an explicit feasible direction, so for maximization problems the
 result is a certified bound from the feasible side.
 
@@ -130,6 +136,32 @@ a 3-cube of half-width 1 plus an aligned flat cross-polytope of radius
 1.5, the least candidate value is 2.47 against the minimum 1.  The
 stage declines such a field.
 
+The facet stage also takes a Minkowski sum of zonotopes and ellipsoids,
+sum_i |<u, g_i>| + h_E(u) with h_E the sum of l2 parts, in place of
+the paired linear part, by Kelley's cutting planes over the same
+systems.  The pairs +-p_j are support points of E (the l2 parts'
+summed gradients, bodies.Piece.gradient), first at the unit generator
+directions, so the inner polytope Z + conv(+-p_j) lies inside the
+field's body and its support is at most the field.  Each round solves
+only the systems that use the newest pair (their solutions join the
+earlier rounds'), takes the least support of the inner polytope over +-
+every solution, its inradius, as a certified lower bound, and the field
+at that nearest normal as an attained value, and adds E's support point
+there as a new pair, until the best value is within the hull stage's
+8 n eps max_i |P_i| of the bound, over the rows P that the first pairs
+expand to.  The rounds stop after CUT_ROUNDS, or when one more pair
+would take the 2^k 2m rows of k generators and m pairs past HULL_ROWS,
+which is checked before any system is built; the field then goes on to
+the hull stage and the descent with the inradius as its bound.  The
+polytope-dual benchmark's Minkowski-sum inclusion fields h_E + h_UC of
+an ellipsoid and a rotated cube in R^3 to R^5 are of this kind, with
+their minima at the cube's facet normals, whose systems are among the
+first round's: at seeds 1, 2, 3 and 21, jobs 0-23, every one certifies,
+within 8.1e-16 relative of the hull stage's or the polish's values.  On
+12 such fields in R^5 (Haar seeds 0-11, one BLAS thread, 2 vCPUs) the
+stage takes a median of 1.3 ms and at most 5.1 ms, with no Qhull call,
+against a median of 18 ms for the descent and polish.
+
 The hull stage also takes l2 pieces, beside polyhedral ones or in the
 parts of sums (a field whose every piece is l2 is the S-lemma stage's
 alone, and the hull stage declines it), by Kelley's cutting planes
@@ -160,8 +192,9 @@ The field is exact when the gap is within 8 n eps max_i |P_i|: at the
 other stages' 64, values of random ellipsoid and cube fields certified
 up to 2.7e-14 relative above the descent's.  The inclusion field
 max(h_E, h_UC) of an ellipsoid and a rotated cube, the polar diameter
-field, the same field through the polars, and the Minkowski-sum
-inclusion field h_E + h_UC in R^3 and R^4 are of this kind.  A field
+field, and the same field through the polars are of this kind, and so
+is a Minkowski-sum inclusion field h_E + h_UC that the facet stage
+leaves open.  A field
 that the rounds leave open, after CUT_ROUNDS of them or earlier, gets
 the hull's inradius as its bound.
 
@@ -283,13 +316,13 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
 
     A field an exact stage answers (see the module docstring) is not
     descended; its nfev counts the rows its pieces expand to (the two
-    points on the 0-sphere, the S-lemma and Cauchy-Schwarz stages'
-    candidate directions, the hull's rows at its seeds with every
-    cutting-plane round's support points) and the evaluations at its
-    directions (one per cutting-plane round; one for the facet and S-lemma
-    stages, whose candidate directions count as their rows, and for an
-    S-lemma field that its batched best does not certify, one more per
-    candidate), and its lower is its value.  Every other
+    points on the 0-sphere, the S-lemma, Cauchy-Schwarz and facet
+    stages' candidate directions, the hull's rows at its seeds, and the
+    support points of every cutting-plane round of the hull and facet
+    stages) and the evaluations at its directions (one per cutting-plane
+    round, the facet stage's zero-round case included; one for the
+    S-lemma stage, and for an S-lemma field that its batched best does
+    not certify, one more per candidate), and its lower is its value.  Every other
     field starts from the same m spread directions (and extra_starts) and
     runs projected subgradient descent: each iteration makes one pass of
     the field's value and subgradient at its m candidate rows, m rows of
@@ -454,63 +487,119 @@ def _pairs(p):
 
 
 def _minkowski_facets(pieces, n):
-    """The facet stage of a Minkowski sum of zonotopes and the hull of
-    pairs +-p_j that span R^n: the field sum_i |<u, g_i>| + max_j
-    |<u, p_j>|, one sum piece whose parts are single l1 pieces, with the
-    columns of their matrices as the generators g_i, and one linear piece
-    whose rows come in exact pairs (see _pairs).  Every facet normal of the
-    sum solves one of the square systems of _facet_systems (see the module
-    docstring), and the least field value over +- their solutions is the
-    minimum, attained at its direction.  None when the field is of
-    another kind, has more than HULL_ROWS rows (so the hull stage's
-    HULL_ROWS switches this stage too), a matrix that is not finite,
-    pairs of rank below n, or a value that is not positive."""
+    """The facet stage of a Minkowski sum Z + B of zonotopes Z and a
+    symmetric body B: one sum piece whose parts are single l1 pieces, with
+    the columns of their matrices as the generators g_i, and either one
+    linear piece whose rows come in exact pairs +-p_j (see _pairs), B their
+    hull, or single l2 pieces, B the sum E of their ellipsoids.  Every facet
+    normal of Z + conv(+-p_j) solves one of the square systems of
+    _facet_systems (see the module docstring), and the least support of
+    Z + conv(+-p_j) over +- their solutions is its inradius, attained at
+    its direction; for paired rows it is the field's minimum.
+
+    With l2 parts, the pairs are support points of E (the sum of the l2
+    parts' gradients, bodies.Piece.gradient), first at the unit generator
+    directions, so Z + conv(+-p_j) lies inside the field's body, and
+    Kelley's cutting planes run on it: each round solves only the systems
+    that use the newest pair, takes the least support of Z + conv(+-p_j)
+    over +- every solution so far as lower, the field at that normal, the
+    nearest, as an attained value, and adds E's support point there, until
+    the best value is within 8 n eps max_i |P_i| of lower, the hull stage's
+    rule, over the rows P that the first pairs expand to.  A field that
+    CUT_ROUNDS rounds leave open, or that one more pair would take past
+    HULL_ROWS expanded rows, gets stage "bound" with that lower.
+
+    None when the field is of another kind, when its expanded rows (2^k
+    times the linear rows, or times 2m for m pairs of E, k the l1 columns)
+    pass HULL_ROWS, which is checked before any system is built (so the
+    hull stage's HULL_ROWS switches this stage too), a matrix is not
+    finite, the pairs have rank below n, or the value is not positive."""
     if len(pieces) != 1 or pieces[0].kind != "sum":
         return None
     parts = pieces[0].parts
     if any(len(part) != 1 for part in parts):
         return None
-    linear = [part[0] for part in parts if part[0].kind == "linear"]
-    l1 = [part[0].matrix for part in parts if part[0].kind == "l1"]
-    if len(linear) != 1 or len(l1) + 1 != len(parts):
+    l1, l2, linear = ([part[0] for part in parts if part[0].kind == kind]
+                      for kind in ("l1", "l2", "linear"))
+    # zonotopes and either one paired linear part or l2 parts
+    if not l1 or len(l1) + len(l2) + len(linear) != len(parts) or len(linear) + bool(l2) != 1:
         return None
-    if math.prod(2 ** M.shape[1] for M in l1) * len(linear[0].matrix) > HULL_ROWS:
-        return None
-    P = _pairs(linear[0])
-    G = np.hstack(l1).T
+    G = np.hstack([p.matrix for p in l1]).T
     G = G[np.any(G != 0.0, axis=1)]  # a zero generator adds nothing
-    if (P is None or not np.all(np.isfinite(G)) or not np.all(np.isfinite(P))
-            or np.linalg.matrix_rank(P) < n):
+    zonotope = 2 ** sum(p.matrix.shape[1] for p in l1)  # the rows Z expands to
+    if zonotope * (len(linear[0].matrix) if linear else 2 * len(G)) > HULL_ROWS:
         return None
-    idx = _facet_systems(n, len(G), len(P))
-    A = np.vstack([G, P, -P])[idx]
-    b = (idx >= len(G)).astype(float)  # <u, g_i> = 0 and <u, +-p_j> = 1
-    keep = np.linalg.det(A) != 0.0  # the systems with a solution
-    try:
-        U = np.linalg.solve(A[keep], b[keep, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
+    if not all(np.all(np.isfinite(p.matrix)) for p in l1 + l2 + linear):
         return None
-    U = _normalize_rows(U[np.all(np.isfinite(U), axis=1)])
-    C = np.vstack([U, -U])
-    u = C[int(np.argmin(_finite_values(pieces, C)))]
-    value = float(_finite_values(pieces, u[None])[0])  # alone, as every stage reports it
-    if not value > 0.0:
+
+    def support(V):  # E's support points at the rows of V
+        return sum(p.gradient(V) for p in l2)
+
+    P = _pairs(linear[0]) if linear else support(_normalize_rows(G))
+    if P is None or np.linalg.matrix_rank(P) < n:
         return None
-    return SphereOptResult(value=value, direction=u, nfev=len(C) + 1, stage="exact",
-                           lower=value, method="Minkowski facets")
+    if l2:  # the hull stage's rounding, over the rows Z + conv(+-p_j) expands to
+        inner = Piece("sum", parts=tuple((p,) for p in l1)
+                      + ((Piece("linear", np.vstack([P, -P])),),))
+        rows = _polyhedral_rows((inner,), n)
+        rounding = n * np.finfo(float).eps * np.linalg.norm(rows, axis=1).max()
+    U, h, z = np.empty((0, n)), np.empty(0), np.empty(0)
+    best_u, best, nfev = None, np.inf, len(P) if l2 else 0
+    for r in range(CUT_ROUNDS + 1):
+        idx = _facet_systems(n, len(G), len(P), r > 0)
+        A = np.vstack([G, P, -P])[idx]
+        b = (idx >= len(G)).astype(float)  # <u, g_i> = 0 and <u, +-p_j> = 1
+        keep = np.linalg.det(A) != 0.0  # the systems with a solution
+        try:
+            X = np.linalg.solve(A[keep], b[keep, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            return None
+        X = _normalize_rows(X[np.all(np.isfinite(X), axis=1)])
+        X = np.vstack([X, -X])
+        if l2:
+            # the support of Z + conv(+-p_j) is z + max_j |<u, p_j>|, with
+            # z the zonotope's: the newest pair at the rows so far, every
+            # pair at the new rows
+            zx = np.abs(X @ G.T).sum(axis=1)
+            h = np.concatenate([np.maximum(h, z + np.abs(U @ P[-1])),
+                                zx + np.abs(X @ P.T).max(axis=1)])
+            z = np.concatenate([z, zx])
+        else:  # the field itself
+            h = _finite_values(pieces, X)
+        U = np.vstack([U, X])
+        i = int(np.argmin(h))
+        value = float(_finite_values(pieces, U[i][None])[0])  # alone, as every stage reports it
+        nfev += len(X) + 1
+        if value < best:
+            best_u, best = U[i], value
+        lower = float(h[i])
+        if (not l2 or best - lower <= 8 * rounding or r == CUT_ROUNDS
+                or zonotope * 2 * (len(P) + 1) > HULL_ROWS):
+            break
+        P = np.vstack([P, support(U[i][None])])  # at the nearest normal
+        nfev += 1
+    if not best > 0.0:
+        return None
+    exact = not l2 or best - lower <= 8 * rounding
+    return SphereOptResult(value=best, direction=best_u, nfev=nfev,
+                           stage="exact" if exact else "bound", lower=best if exact else lower,
+                           method="Minkowski facets")
 
 
 @lru_cache(maxsize=None)
-def _facet_systems(n, k, m):
+def _facet_systems(n, k, m, newest=False):
     """The square systems of _minkowski_facets for k generators and m
     pairs in R^n, as rows into [g_1..g_k; p_1..p_m; -p_1..-p_m]: every
     choice of |I| generators and |J| >= 1 pairs with |I| + |J| = n, and of
     signs sigma_J with sigma = +1 on the first pair of J (the other sign
-    is -u).  841 systems for k = m = n = 5, 160 for 4 and 31 for 3."""
+    is -u).  841 systems for k = m = n = 5, 160 for 4 and 31 for 3.  With
+    newest, only the systems whose J holds pair m - 1, in the same order,
+    built directly: the systems a cutting-plane round adds."""
     rows = [I + (k + J[0],) + tuple(k + j + m * s for j, s in zip(J[1:], signs))
             for size in range(1, min(n, m) + 1) if n - size <= k
             for I in combinations(range(k), n - size)
-            for J in combinations(range(m), size)
+            for J in (combinations(range(m), size) if not newest else
+                      (c + (m - 1,) for c in combinations(range(m - 1), size - 1)))
             for signs in product((0, 1), repeat=size - 1)]
     return np.array(rows, dtype=int).reshape(-1, n)
 

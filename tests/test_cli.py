@@ -340,34 +340,24 @@ def test_core_outputs_do_not_depend_on_blas_threads(tmp_path):
 
 def test_dual_products_do_not_depend_on_blas_threads(tmp_path):
     # an ellipsoid and a cube in R^5: the diameter field is a Euclidean norm
-    # beside facet rows in +- pairs (the S-lemma stage), and the incl_max
-    # field and the polar diameter field are a norm beside an l1 piece (the
-    # hull stage's cutting planes); all three are exact.  incl_sum, a sum
-    # of a norm and an l1 piece whose rows pass HULL_ROWS in R^5, is still
-    # descended and polished, and its last digits differ between one and
-    # two threads for this seed
+    # beside facet rows in +- pairs (the S-lemma stage), the incl_max field
+    # and the polar diameter field are a norm beside an l1 piece (the hull
+    # stage's cutting planes), and incl_sum, a sum of a norm and an l1
+    # piece, is answered by the facet stage's cutting planes; all are
+    # exact, so every column is the same bytes at one and two threads
     config = {"experiment": "two-bodies", "n": 5, "k": 2, "trials": 1,
               "K": {"kind": "ellipsoid", "semiaxes": [1.0, 1.4, 0.8, 1.2, 0.9]},
               "L": {"kind": "cube", "dim": 5, "half_width": 1.0},
               "mode": "both", "dual_products": True, "section_K": {"k": 1, "offset": 0},
               "section_L": {"k": 2, "offset": 3}, "section_bound": 3.0 * math.sqrt(5)}
     reports, tables = _outputs_under_blas_threads(tmp_path, "two-bodies", config, 179246715)
-    columns = [dict(zip(t.decode().splitlines()[0].split(","), zip(*(
-        line.split(",") for line in t.decode().splitlines()[1:])))) for t in tables]
-    for name in ("diameter", "incl_max", "dual_product"):
-        assert columns[0][name] == columns[1][name]
-    for report in reports:
-        report["summary"].pop("incl_sum")
-        for row in report["trials"]:
-            row.pop("incl_sum")
+    assert tables[0] == tables[1]
     assert reports[0] == reports[1]
 
 
 def test_dual_products_in_four_dimensions_do_not_depend_on_blas_threads(tmp_path):
-    # an ellipsoid and a cube in R^4: besides the exact fields of the R^5
-    # config above, incl_sum, whose 16 seed support points times 16 cube
-    # rows fit in HULL_ROWS, is exact by the hull stage's cutting planes,
-    # so every column is the same bytes at one and two threads
+    # an ellipsoid and a cube in R^4: the fields of the R^5 config above,
+    # all exact, so every column is the same bytes at one and two threads
     config = {"experiment": "two-bodies", "n": 4, "k": 2, "trials": 1,
               "K": {"kind": "ellipsoid", "semiaxes": [1.0, 1.4, 0.8, 1.2]},
               "L": {"kind": "cube", "dim": 4, "half_width": 1.0},

@@ -123,8 +123,9 @@ def sum_fields(draw, dims=(2, 4), kinds=("cube", "cross")):
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_certified_sums_are_attained_and_never_lose(n, data):
+    # the hull stage alone: the facet stage answers the cube sums first
     n, pieces = data.draw(sum_fields(dims=(n, n)))
-    res = minimize_on_sphere(pieces, n, CFG)
+    res = optimize._hull(pieces, n)
     assert res.value == _max_of(pieces, res.direction[None])[0]
     assert res.method == "cutting planes" and res.lower <= res.value
     if res.stage == "exact":

@@ -1,6 +1,6 @@
 """Properties of the optimizer's facet stage on Minkowski sums of zonotopes
-and the hull of +- pairs, drawn by hypothesis, and of the shared exact
-answers of the two-bodies harness."""
+and the hull of +- pairs or ellipsoids, drawn by hypothesis, and of the
+shared exact answers of the two-bodies harness."""
 
 import contextlib
 
@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waistlab import experiments, optimize
-from waistlab.bodies import (Piece, _max_of, cross_polytope, cube, ellipsoid, map_pieces, polar,
-                             sum_pieces)
+from waistlab.bodies import (Piece, _max_of, ball, cross_polytope, cube, ellipsoid, map_pieces,
+                             polar, sum_pieces)
 from waistlab.estimators import diameter_of_intersection, inclusion_radius
 from waistlab.geometry import Subspace, haar_rotation
 from waistlab.optimize import OptimizerConfig, minimize_on_sphere
@@ -133,6 +133,95 @@ def test_rows_past_hull_rows_decline(monkeypatch):
     monkeypatch.setattr(optimize, "HULL_ROWS", 0)
     res = minimize_on_sphere(pieces, n, CFG)
     assert res.stage in ("descent", "polish") and (res.method, res.lower) == (None, None)
+
+
+# ---------------------------------------------------------------------------
+# sums of zonotopes and ellipsoids: cutting planes over the facet systems
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def ellipsoid_sums(draw):
+    """(n, pieces) for n = 2-5: the support of E + U Z for an ellipsoid E
+    with semiaxes in [0.5, 2] or a ball of radius in [0.5, 2], a Haar
+    rotation U, and Z a cube of half-width in [0.5, 2] or a random
+    parallelotope of n generators."""
+    n = draw(st.integers(2, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        E = ellipsoid(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+    else:
+        E = ball(n, draw(st.floats(0.5, 2.0)))
+    if draw(st.booleans()):
+        Z = cube(n, draw(st.floats(0.5, 2.0))).support_pieces
+    else:
+        Z = (Piece("l1", np.random.default_rng(seed).standard_normal((n, n))),)
+    return n, sum_pieces((E.support_pieces, map_pieces(Z, haar_rotation(n, seed=seed))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(ellipsoid_sums())
+def test_ellipsoid_sums_are_attained_and_never_lose_to_the_descent(field):
+    n, pieces = field
+    res = optimize._minkowski_facets(pieces, n)
+    assert res.method == "Minkowski facets"
+    assert res.value == _max_of(pieces, res.direction[None])[0]  # attained at its direction
+    found = _descended(pieces, n).value
+    if res.stage == "exact":
+        assert res.lower == res.value and res.value <= found * (1.0 + 1e-14)
+        hull = optimize._hull(pieces, n)
+        if hull is not None and hull.stage == "exact":
+            assert abs(res.value - hull.value) <= 1e-14 * hull.value
+    else:  # a bound that did not certify still holds
+        assert res.stage == "bound" and 0.0 < res.lower <= found * (1.0 + 1e-14)
+
+
+@pytest.mark.parametrize("n, k, ms", [(3, 3, (4, 9, 20)), (4, 4, (5, 8, 12)), (5, 5, (6, 7, 8)),
+                                      (4, 2, (5, 6)), (5, 7, (6, 8))])
+def test_a_rounds_systems_are_those_of_the_full_table_that_use_the_newest_pair(n, k, ms):
+    for m in ms:
+        full = optimize._facet_systems(n, k, m)
+        newest = np.any((full >= k) & ((full - k) % m == m - 1), axis=1)
+        assert np.array_equal(optimize._facet_systems(n, k, m, True), full[newest])
+
+
+def test_five_dimensional_ellipsoid_cube_sums_make_no_hull_or_slsqp_call(monkeypatch):
+    # the incl_sum field of the polytope-dual benchmark's R^5 jobs
+    def fail(*args, **kwargs):
+        raise AssertionError("a hull or SLSQP call")
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", fail)
+    monkeypatch.setattr(optimize, "_scipy_minimize", fail)
+    E = ellipsoid([1.0, 1.4, 0.8, 1.2, 0.9])
+    for seed in range(4):
+        res = inclusion_radius(E, cube(5, 1.0), haar_rotation(5, seed=seed))
+        assert res.note == "exact (Minkowski facets)" and res.lower_bracket == res.value
+
+
+def test_an_elongated_sum_leaves_the_stage_bounded_at_hull_rows(monkeypatch):
+    n = 5
+    pieces = sum_pieces((ellipsoid([0.1, 3.0, 0.2, 2.5, 1.0]).support_pieces,
+                         map_pieces(cube(n, 1.0).support_pieces, haar_rotation(n, seed=3))))
+    systems, real = [], optimize._facet_systems
+    monkeypatch.setattr(optimize, "_facet_systems",
+                        lambda *args: systems.append(args) or real(*args))
+    bound = optimize._minkowski_facets(pieces, n)
+    assert bound.stage == "bound" and 0.0 < bound.lower <= bound.value
+    # 5 pairs, then one per round, until 32 cube rows times 2 (m + 1) pass 512
+    assert systems == [(n, n, 5, False), (n, n, 6, True), (n, n, 7, True), (n, n, 8, True)]
+    res = minimize_on_sphere(pieces, n, CFG)
+    assert res.stage in ("descent", "polish") and res.method == "Minkowski facets"
+    assert res.lower == bound.lower <= res.value
+    # the bound is checked before any system is built
+    systems.clear()
+    monkeypatch.setattr(optimize, "HULL_ROWS", 32 * 10 - 1)
+    assert optimize._minkowski_facets(pieces, n) is None and not systems
+
+
+def test_ball_and_cube_sums_of_criterion_10a_are_exact():
+    for s in range(2):
+        res = inclusion_radius(ball(4, 1.2), cube(4, 0.8), haar_rotation(4, seed=1040 + s))
+        assert (res.note, res.value, res.lower_bracket) == ("exact (Minkowski facets)", 2.0, 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -41,11 +41,12 @@ def _fields(seen=None):
 
 
 ZERO = Piece("smooth", value=lambda V: np.zeros(len(V)))  # leaves any field as it is
-E5 = ellipsoid([1.0, 1.4, 0.8, 1.2, 0.9])
-# the sum of an ellipsoid's support and a rotated cube's in R^5: its 20
-# seed support points times 32 cube rows pass HULL_ROWS, so it descends
-SUM5 = map_pieces(sum_pieces((E5.support_pieces, cube(5, 0.9).support_pieces)),
-                  haar_rotation(5, seed=7))
+E5 = ellipsoid([0.1, 3.0, 0.2, 2.5, 1.0])  # elongated
+# the sum of E5's support and a rotated cube's in R^5: the facet stage's
+# cutting planes stop at HULL_ROWS with a bound, the hull stage declines
+# its 20 seed support points times 32 cube rows, and the field descends
+SUM5 = sum_pieces((E5.support_pieces,
+                   map_pieces(cube(5, 1.0).support_pieces, haar_rotation(5, seed=3))))
 
 
 def _hexagon():
@@ -153,8 +154,11 @@ def test_descent_reports_its_iterations_and_one_pass_per_iteration(monkeypatch):
     res = minimize_on_sphere(select_pieces(_fields(seen), 1), N, CFG)
     assert res.stage == "descent" and 0 < res.descent_iters < CFG.iters  # stopped early
     assert res.nfev == (res.descent_iters + 1) * m * (1 + 2 * N) + 1 == sum(seen)
+    # the facet stage's rows add to the descent's
     res = minimize_on_sphere(SUM5, 5, CFG)
-    assert res.stage == "descent" and res.nfev == (res.descent_iters + 1) * m + 1
+    bound = optimize._minkowski_facets(SUM5, 5)
+    assert res.stage == "descent" and res.method == "Minkowski facets"
+    assert res.nfev == bound.nfev + (res.descent_iters + 1) * m + 1
 
 
 def _record_results(monkeypatch):
@@ -224,17 +228,20 @@ def test_euclidean_fields_are_exact_or_polish_every_start(monkeypatch):
 def test_polyhedral_fields_keep_every_polish_start(monkeypatch):
     solves = _count_polish_solves(monkeypatch)
     results = _record_results(monkeypatch)
-    # a sum of an l2 part and an l1 part past HULL_ROWS: the field still
-    # goes to the polish
-    res = inclusion_radius(E5, cube(5, 0.9), haar_rotation(5, seed=7))
-    assert res.note.startswith("upper bound")
+    # a sum of an l2 part and an l1 part that the facet stage only bounds,
+    # past the hull stage's HULL_ROWS: the field still goes to the polish
+    res = inclusion_radius(E5, cube(5, 1.0), haar_rotation(5, seed=3))
+    assert res.note == "two-sided via Minkowski facets"
     assert len(solves) == optimize.POLISH_STARTS
     # and its descent runs to the iteration cap, which the result says
     assert [r.descent_iters for r in results] == [optimize.DEFAULT_OPT.iters]
-    # in R^3 its rows fit, and the hull stage's cutting planes answer it
-    # without a solve
+    # the facet stage answers a less elongated sum without a solve, and the
+    # hull stage's cutting planes the larger of the two supports
     solves.clear()
     res = inclusion_radius(ellipsoid([1.0, 1.4, 0.8]), cube(3, 0.9), haar_rotation(3, seed=7))
+    assert not solves and res.note == "exact (Minkowski facets)"
+    res = inclusion_radius(ellipsoid([1.0, 1.4, 0.8]), cube(3, 0.9), haar_rotation(3, seed=7),
+                           combine="max")
     assert not solves and res.note == "exact (cutting planes)"
     # facet rows in +- pairs next to an l2 piece are rank-1 norms, and the
     # S-lemma dual answers the field without a solve
@@ -298,15 +305,16 @@ def test_mixed_fields_never_reach_the_s_lemma(monkeypatch):
     res = minimize_on_sphere(cylinder, 3, CFG)
     assert seen == [cylinder] and res.stage == "exact" and res.lower == res.value
     # and sums with other parts, or more than two, go to neither stage: the
-    # hull stage's cutting planes answer them, or, past HULL_ROWS, nothing
-    mixed = (sum_pieces((E.support_pieces, cube(3, 0.9).support_pieces)),
-             polar(product_body(ball(2, 0.7), cube(1, 0.5))).gauge_pieces,
-             (Piece("sum", parts=tuple((p,) for p in _hexagon())),))
-    assert [p.kind for p in mixed[1][0].parts[1]] == ["l1"]
-    for pieces in mixed:
-        n = pieces[0].parts[0][0].matrix.shape[0]
-        assert minimize_on_sphere(pieces, n, CFG).method == "cutting planes"
-    assert minimize_on_sphere(SUM5, 5, CFG).lower is None
+    # facet stage or the hull stage's cutting planes answer or bound them
+    mixed = {"Minkowski facets": (sum_pieces((E.support_pieces, cube(3, 0.9).support_pieces)),
+                                  SUM5),
+             "cutting planes": (polar(product_body(ball(2, 0.7), cube(1, 0.5))).gauge_pieces,
+                                (Piece("sum", parts=tuple((p,) for p in _hexagon())),))}
+    assert [p.kind for p in mixed["cutting planes"][0][0].parts[1]] == ["l1"]
+    for method, fields in mixed.items():
+        for pieces in fields:
+            n = pieces[0].parts[0][0].matrix.shape[0]
+            assert minimize_on_sphere(pieces, n, CFG).method == method
     assert len(seen) == 1 and declined == [True] * 7
 
 
@@ -351,11 +359,13 @@ def test_each_stage_declines_the_fields_it_does_not_take():
     zonotope = sum_pieces((cube(3, 1.0).support_pieces, cross_polytope(3, 1.2).support_pieces))
     mixed_sum = sum_pieces((E.support_pieces, cube(3, 0.9).support_pieces))
     line = (Piece("linear", np.array([[1.0], [-2.0]])),)
+    line3 = (Piece("linear", np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])),)
     stages = {  # a field the stage answers, and fields it declines
         "_zero_sphere": ((line, 1), [(E.gauge_pieces, 3), (facets, 3)]),
         "_s_lemma": ((E.gauge_pieces, 3), [(facets, 3), (zonotope, 3), (mixed_sum, 3),
                                            (E.gauge_pieces + (ZERO,), 3)]),
-        "_minkowski_facets": ((zonotope, 3), [(E.gauge_pieces, 3), (facets, 3), (mixed_sum, 3)]),
+        "_minkowski_facets": ((zonotope, 3), [(E.gauge_pieces, 3), (facets, 3),
+                                              (sum_pieces((E.support_pieces, line3)), 3)]),
         "_hull": ((facets, 3), [(E.gauge_pieces, 3), (_hexagon(), 2),
                                 (E.gauge_pieces + (ZERO,), 3)]),
     }
@@ -377,22 +387,26 @@ def test_zero_sphere_field_takes_the_better_point():
 
 
 def test_every_stage_names_itself_in_method():
-    exact = {
-        "convex hull": (cube(3, 1.0).support_pieces + cross_polytope(3, 1.0).support_pieces, 3),
-        "Minkowski facets": (sum_pieces((cube(3, 1.0).support_pieces,
+    E = ellipsoid([1.0, 1.4, 0.8])
+    exact = [
+        ("convex hull", cube(3, 1.0).support_pieces + cross_polytope(3, 1.0).support_pieces, 3),
+        ("Minkowski facets", sum_pieces((cube(3, 1.0).support_pieces,
                                          cross_polytope(3, 1.0).support_pieces)), 3),
-        "cutting planes": (ellipsoid([1.0, 1.4, 0.8]).support_pieces
-                           + map_pieces(cube(3, 0.9).support_pieces, haar_rotation(3, seed=7)), 3),
-        "S-lemma dual": (ellipsoid([1.0, 2.0, 0.5]).gauge_pieces, 3),
-        "Cauchy-Schwarz": (product_body(ball(2, 1.0), ball(1, 0.5)).support_pieces, 3),
-        "both points of the 0-sphere": ((Piece("smooth", value=lambda V: V[:, 0] ** 2 + V[:, 0]),), 1),
-    }
-    for method, (pieces, n) in exact.items():
+        ("Minkowski facets", sum_pieces((E.support_pieces, cube(3, 0.9).support_pieces)), 3),
+        ("cutting planes", E.support_pieces
+         + map_pieces(cube(3, 0.9).support_pieces, haar_rotation(3, seed=7)), 3),
+        ("S-lemma dual", ellipsoid([1.0, 2.0, 0.5]).gauge_pieces, 3),
+        ("Cauchy-Schwarz", product_body(ball(2, 1.0), ball(1, 0.5)).support_pieces, 3),
+        ("both points of the 0-sphere",
+         (Piece("smooth", value=lambda V: V[:, 0] ** 2 + V[:, 0]),), 1),
+    ]
+    for method, pieces, n in exact:
         res = minimize_on_sphere(pieces, n, CFG)
         assert (res.stage, res.method, res.lower) == ("exact", method, res.value)
     # fields a stage bounds but does not certify descend, and keep the
     # stage's method along with its lower bound: the hexagon's S-lemma gap,
-    # and two flat disks 1e-3 rad apart, whose Cauchy-Schwarz search gives up
+    # two flat disks 1e-3 rad apart, whose Cauchy-Schwarz search gives up,
+    # and the elongated sum, whose facet rounds stop at HULL_ROWS
     res = minimize_on_sphere(_hexagon(), 2, CFG)
     assert res.stage in ("descent", "polish") and res.method == "S-lemma dual"
     assert res.lower == pytest.approx(0.5, rel=1e-12)
@@ -403,8 +417,11 @@ def test_every_stage_names_itself_in_method():
     res = minimize_on_sphere(sum_pieces((disk, map_pieces(disk, U[None]))), 4, CFG)
     assert res.stage in ("descent", "polish") and res.method == "Cauchy-Schwarz"
     assert 0.0 < res.lower <= res.value
-    # a field no stage answers or bounds has neither
     res = minimize_on_sphere(SUM5, 5, CFG)
+    assert res.stage in ("descent", "polish") and res.method == "Minkowski facets"
+    assert 0.0 < res.lower <= res.value
+    # a field no stage answers or bounds has neither
+    res = minimize_on_sphere(lambda V: V[:, 0] ** 2 + V[:, 1], 3, CFG)
     assert res.stage in ("descent", "polish") and res.method is None and res.lower is None
 
 
