@@ -31,7 +31,7 @@ from .geometry import (Subspace, check_projected_ball, haar_rotations_per_seed, 
                        spherical_projection)
 from .measures import (DEFAULT_CONSTANTS, BoundConstants, SubsphereQuery, sigma_ball_product,
                        sigma_exact, sigma_lip_lower)
-from .optimize import BATCH_ROWS, DEFAULT_OPT, OptimizerConfig, minimize_on_sphere, share_exact
+from .optimize import BATCH_ROWS, DEFAULT_OPT, OptimizerConfig, minimize_on_sphere
 
 __all__ = [
     "ScheduleParams",
@@ -334,8 +334,12 @@ def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
     hypotheses by support sampling and records the inclusion radius of
     K + UL; dual_products additionally records the product of the polar
     intersection diameter with the hull-of-union inclusion radius, whose
-    exact value is 2.  The declared hypotheses are checked first: the
-    section diameters against section_bound up to SECTION_TOL.
+    exact value is 2.  Both minimize one field, max(h_K, h_UL), so a trial
+    whose radius r is certified gets the polar diameter 2 / r; only the
+    open trials are minimized again, through the polars, with their own
+    optimizer seed (opt.seed + 7919).  The declared hypotheses are
+    checked first: the section diameters against section_bound up to
+    SECTION_TOL.
     """
     if mode not in ("primal", "dual", "both"):
         raise DomainError(f"mode must be primal, dual, or both, got {mode!r}")
@@ -405,13 +409,16 @@ def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
         for row, incl in zip(rows, inclusion_radius(K, L, rotations, opt=opt, combine="sum")):
             row["incl_sum"] = incl.value
         if dual_products:
+            # the polar diameter field is the hull-of-union field, so a
+            # certified radius r gives the polar diameter 2 / r
+            imax = inclusion_radius(K, L, rotations, opt=opt, combine="max")
+            open_trials = np.array([im.lower_bracket != im.value for im in imax], dtype=bool)
             alt = replace(opt, seed=opt.seed + 7919)
-            with share_exact():  # the polar field is the hull-of-union field
-                imax = inclusion_radius(K, L, rotations, opt=opt, combine="max")
-                pd = diameter_of_intersection(*polar_pair, rotations, opt=alt)
-            for row, im, d in zip(rows, imax, pd):
+            pd = iter(diameter_of_intersection(*polar_pair, rotations[open_trials], opt=alt))
+            for row, im, is_open in zip(rows, imax, open_trials):
                 row["incl_max"] = im.value
-                row["dual_product"] = d.diameter * im.value
+                d = next(pd).diameter if is_open else 2.0 / im.value
+                row["dual_product"] = d * im.value
 
     summary = {"hypothesis": hypothesis, "threshold": threshold}
     if primal and rows:

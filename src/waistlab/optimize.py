@@ -19,14 +19,17 @@ on the polytope-dual benchmark (seeds 1, 2, 3 and 21, jobs 0-23), one
 start lost 1.7e-4 relative against 16 on 1 of the 16 sums of a
 Euclidean norm and an l1 term in R^5, which the facet stage below now
 answers.  The fields that still reach the polish are those that every
-exact stage leaves open: on that benchmark, job 15's hull-of-union field
-at seed 21, where the hull stage's rounds stall as Qhull merges their
-points, and, rarely, a sum of an ellipsoid and a cube whose facet rounds
-stop at HULL_ROWS; in the tests, the hull-of-union fields of a ball and
-a rotated cube, nested sums of Euclidean norms and fields with smooth
-pieces.  Values returned are always attained
-at an explicit feasible direction, so for maximization problems the
-result is a certified bound from the feasible side.
+exact stage leaves open.  On that benchmark's jobs 0-23 at seeds 1-12
+and 21 they are the hull-of-union fields max(h_E, h_UC) of job 15 at
+seed 21, jobs 3 and 21 at seed 6 and job 3 at seed 7, which the hull
+stage's cutting planes leave open (their rounds stall as Qhull merges
+their points) though the value they attain is within 8e-15 of the
+polish's, and the sum of an ellipsoid and a cube of job 23 at seed 5,
+whose facet rounds stop at HULL_ROWS.  In the tests they are the
+hull-of-union fields of a ball and a rotated cube, nested sums of
+Euclidean norms and fields with smooth pieces.  Values returned are
+always attained at an explicit feasible direction, so for maximization
+problems the result is a certified bound from the feasible side.
 
 The same program with |u|^2 <= 1 and the objective t - <x, u> is the dual
 of the Euclidean distance to a convex body with support max(pieces):
@@ -204,19 +207,11 @@ digits.  Each exact stage names itself in the result's method: "both
 points of the 0-sphere", "S-lemma dual", "Cauchy-Schwarz", "Minkowski
 facets", "convex hull", or "cutting planes" for a hull stage with l2
 pieces.
-
-Inside a share_exact block, which the two-bodies harness opens around
-its hull-of-union inclusion radii and polar diameters (one field, since
-a polar swaps the support and gauge pieces), the per-field stages answer
-each distinct field once; the descent of a field it does not answer is
-unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, product
@@ -348,7 +343,7 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
     if n > 1 and _cs_sum(pieces):  # a stage that runs its fields in lockstep
         first = _cauchy_schwarz(pieces, n, count)
     else:
-        first = [_exact_once(select_pieces(pieces, t), n) for t in range(count)]
+        first = [_exact(select_pieces(pieces, t), n) for t in range(count)]
     results = [res if res is not None and res.stage == "exact" else None for res in first]
     left = np.array([t for t, res in enumerate(results) if res is None], dtype=int)
     if not left.size:
@@ -366,54 +361,6 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
             res.descent_iters = int(iters[j])
             results[t] = _join(first[t], res)
     return results
-
-
-_ANSWERS = ContextVar("exact_answers", default=None)  # the open share_exact memo, else None
-
-
-@contextmanager
-def share_exact():
-    """Within the block, the exact stage answers each distinct field once:
-    a field whose pieces have the same kinds, shapes and matrix bytes as
-    one answered before (see _field_key) gets a copy of that answer.  The
-    answers are deterministic, so nothing but the time changes.  The memo
-    lives until the block ends; outside any block nothing is shared."""
-    token = _ANSWERS.set({})
-    try:
-        yield
-    finally:
-        _ANSWERS.reset(token)
-
-
-def _field_key(pieces):
-    """The content of a field as a hashable key: each piece's kind, and
-    the shape and bytes of its matrix, through the parts of sums.  None
-    when the field has a smooth piece, whose function has no such key."""
-    key = []
-    for p in pieces:
-        if p.kind == "smooth":
-            return None
-        if p.kind == "sum":
-            parts = tuple(_field_key(part) for part in p.parts)
-            if None in parts:
-                return None
-            key.append(("sum", parts))
-        else:
-            key.append((p.kind, p.matrix.shape, p.matrix.dtype.str, p.matrix.tobytes()))
-    return tuple(key)
-
-
-def _exact_once(pieces, n):
-    """_exact of the field, answered once per distinct field inside a
-    share_exact block; a copy, so that no caller sees another's result."""
-    memo = _ANSWERS.get()
-    key = None if memo is None else _field_key(pieces)
-    if key is None:
-        return _exact(pieces, n)
-    if (n, key) not in memo:
-        memo[n, key] = _exact(pieces, n)
-    res = memo[n, key]
-    return None if res is None else replace(res, direction=res.direction.copy())
 
 
 def _exact(pieces, n):

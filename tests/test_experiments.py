@@ -566,9 +566,11 @@ def test_harnesses_measure_trials_through_the_public_estimators(monkeypatch):
                    section_K=Subspace.canonical(3, 1),
                    section_L=Subspace.canonical(3, 2, offset=1),
                    section_bound=3.0 * math.sqrt(3), opt=OPT)
+    # every hull-of-union radius of these polytopes is certified, so the
+    # polar diameter is called with the open trials: none
     assert seen == [("section_diameter", None), ("section_diameter", None),
                     ("diameter_of_intersection", 4), ("inclusion_radius", 4),
-                    ("inclusion_radius", 4), ("diameter_of_intersection", 4)]
+                    ("inclusion_radius", 4), ("diameter_of_intersection", 0)]
     seen.clear()
     flat = product_body(ball(3, 1.0), ball(1, 0.0))
     run_core_lemma(flat, flat, 0.4, 0.35, trials=5, seed=43, sigma_samples=10_000,

@@ -1,8 +1,8 @@
 """Properties of the optimizer's facet stage on Minkowski sums of zonotopes
 and the hull of +- pairs or ellipsoids, drawn by hypothesis, and of the
-shared exact answers of the two-bodies harness."""
+polar diameters of the two-bodies harness."""
 
-import contextlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from waistlab import experiments, optimize
 from waistlab.bodies import (Piece, _max_of, ball, cross_polytope, cube, ellipsoid, map_pieces,
-                             polar, sum_pieces)
+                             polar, product_body, sum_pieces)
 from waistlab.estimators import diameter_of_intersection, inclusion_radius
 from waistlab.geometry import Subspace, haar_rotation
 from waistlab.optimize import OptimizerConfig, minimize_on_sphere
@@ -225,97 +225,128 @@ def test_ball_and_cube_sums_of_criterion_10a_are_exact():
 
 
 # ---------------------------------------------------------------------------
-# the shared exact answers of run_two_bodies
+# the polar diameters of run_two_bodies
 # ---------------------------------------------------------------------------
 
+HARNESS_OPT = OptimizerConfig(restarts=8, iters=40, seed=0)
 
-def _spy_hulls(monkeypatch):
-    """Counts of Qhull calls, by whether a polar diameter was running."""
-    counts = {"polar": 0, "other": 0}
-    phase = ["other"]
-    real_hull, real_diameter = scipy.spatial.ConvexHull, experiments.diameter_of_intersection
+
+def _spy_harness(monkeypatch):
+    """What run_two_bodies passes on: the rotations of its hull-of-union
+    radius ("imax") and of its polar diameter ("polar"), and the Qhull
+    calls and descents that the polar diameter makes."""
+    seen = {"imax": None, "polar": None, "hulls": 0, "descents": 0}
+    polar_running = [False]
+    real_hull, real_descend = scipy.spatial.ConvexHull, optimize._descend
+    real_radius, real_diameter = experiments.inclusion_radius, experiments.diameter_of_intersection
 
     def hull(*args, **kwargs):
-        counts[phase[0]] += 1
+        seen["hulls"] += polar_running[0]
         return real_hull(*args, **kwargs)
 
-    def diameter(K, L, *args, **kwargs):
-        phase[0] = "polar" if K.kind == "polar" else "other"
+    def descend(*args, **kwargs):
+        seen["descents"] += polar_running[0]
+        return real_descend(*args, **kwargs)
+
+    def radius(K, L, U, *args, **kwargs):
+        if kwargs.get("combine") == "max":
+            seen["imax"] = np.array(U)
+        return real_radius(K, L, U, *args, **kwargs)
+
+    def diameter(K, L, U, *args, **kwargs):
+        polar_running[0] = K.kind == "polar"
+        if polar_running[0]:
+            seen["polar"] = np.array(U)
         try:
-            return real_diameter(K, L, *args, **kwargs)
+            return real_diameter(K, L, U, *args, **kwargs)
         finally:
-            phase[0] = "other"
+            polar_running[0] = False
 
     monkeypatch.setattr(scipy.spatial, "ConvexHull", hull)
+    monkeypatch.setattr(optimize, "_descend", descend)
+    monkeypatch.setattr(experiments, "inclusion_radius", radius)
     monkeypatch.setattr(experiments, "diameter_of_intersection", diameter)
-    return counts
+    return seen
 
 
-def _dual_products(n, K, L):
-    report = experiments.run_two_bodies(
-        K, L, n, 2, trials=4, seed=3, mode="dual", dual_products=True,
+def _dual_products(n, K, L, trials, seed):
+    return experiments.run_two_bodies(
+        K, L, n, 2, trials=trials, seed=seed, mode="dual", dual_products=True,
         section_K=Subspace.canonical(n, 1), section_L=Subspace.canonical(n, 2, offset=n - 2),
-        opt=OptimizerConfig(restarts=8, iters=40, seed=0))
-    return report.to_json_dict(include_wall_time=False), [row["dual_product"]
-                                                          for row in report.trials]
+        opt=HARNESS_OPT)
 
 
-@pytest.mark.parametrize("n, K, L", [
-    (4, cube(4, 1.0), cross_polytope(4, 1.5)),
-    (5, ellipsoid([1.0, 1.4, 0.8, 1.2, 0.9]), cube(5, 1.0)),
-], ids=["cube-cross", "ellipsoid-cube"])
-def test_polar_diameters_reuse_the_hull_of_union_answers(n, K, L, monkeypatch):
-    counts = _spy_hulls(monkeypatch)
-    shared, products = _dual_products(n, K, L)
-    assert counts["polar"] == 0 and counts["other"] > 0
-    assert products == pytest.approx([2.0] * 4, rel=1e-12)
-    # the same report, byte for byte, when nothing is shared
-    monkeypatch.setattr(experiments, "share_exact", contextlib.nullcontext)
-    counts.update(polar=0, other=0)
-    alone, _ = _dual_products(n, K, L)
-    assert counts["polar"] > 0
-    assert experiments.canonical_dumps(shared) == experiments.canonical_dumps(alone)
+@pytest.mark.parametrize("n, K, L, trials, seed, opened", [
+    (4, cube(4, 1.0), cross_polytope(4, 1.5), 4, 3, 0),
+    (5, ellipsoid([1.0, 1.4, 0.8, 1.2, 0.9]), cube(5, 1.0), 4, 3, 0),
+    (4, ellipsoid([1.0, 1.4, 0.8, 1.2]), cube(4, 1.0), 24, 0, 1),
+    (4, ball(4, 1.2), cube(4, 1.0), 4, 3, 4),
+], ids=["cube-cross", "ellipsoid-cube", "mixed", "all-open"])
+def test_polar_diameters_reuse_the_hull_of_union_answers(n, K, L, trials, seed, opened,
+                                                         monkeypatch):
+    seen = _spy_harness(monkeypatch)
+    report = _dual_products(n, K, L, trials, seed)
+    rotations = seen["imax"]
+    imax = inclusion_radius(K, L, rotations, opt=HARNESS_OPT, combine="max")
+    open_trials = np.array([im.lower_bracket != im.value for im in imax])
+    assert open_trials.sum() == opened
+    # the polar estimator sees exactly the open trials, and nothing else runs for it
+    assert np.array_equal(seen["polar"], rotations[open_trials])
+    if not opened:
+        assert seen["hulls"] == 0 and seen["descents"] == 0
+    # each product equals the one from a polar diameter of that trial alone
+    alt = replace(HARNESS_OPT, seed=HARNESS_OPT.seed + 7919)
+    for row, U, im, is_open in zip(report.trials, rotations, imax, open_trials):
+        assert row["incl_max"] == im.value
+        assert abs(row["dual_product"] - 2.0) <= (1e-4 if is_open else 1e-12)
+        d = diameter_of_intersection(polar(K), polar(L), U, opt=alt)
+        assert row["dual_product"] == d.diameter * im.value
 
 
-def test_estimator_calls_outside_a_harness_share_nothing(monkeypatch):
-    counts = _spy_hulls(monkeypatch)
-    n = 4
-    K, L, U = cube(n, 1.0), cross_polytope(n, 1.5), haar_rotation(n, seed=2)
-    imax = inclusion_radius(K, L, U, combine="max")
-    hulls = counts["other"]
-    pd = diameter_of_intersection(polar(K), polar(L), U)
-    assert hulls > 0 and counts["other"] == 2 * hulls  # the same field, answered again
-    with optimize.share_exact():
-        inclusion_radius(K, L, U, combine="max")
-        again = diameter_of_intersection(polar(K), polar(L), U)
-    assert counts["other"] == 3 * hulls
-    assert (again.diameter, again.note) == (pd.diameter, pd.note)
-    assert optimize._ANSWERS.get() is None
-    # after the block, the field is answered from scratch again
-    assert inclusion_radius(K, L, U, combine="max").value == imax.value
-    assert counts["other"] == 4 * hulls
+def test_open_trials_take_their_polar_diameters_from_the_estimator(monkeypatch):
+    real = experiments.diameter_of_intersection
+
+    def diameter(K, L, U, *args, **kwargs):
+        out = real(K, L, U, *args, **kwargs)
+        if K.kind == "polar":  # polar diameters of 3, never 2 / r
+            for d in out:
+                d.diameter = 3.0
+        return out
+
+    monkeypatch.setattr(experiments, "diameter_of_intersection", diameter)
+    rows = _dual_products(4, ellipsoid([1.0, 1.4, 0.8, 1.2]), cube(4, 1.0), 24, 0).trials
+    assert sum(row["dual_product"] == 3.0 * row["incl_max"] for row in rows) == 1  # the open one
+    assert sum(abs(row["dual_product"] - 2.0) <= 1e-12 for row in rows) == len(rows) - 1
 
 
-def test_shared_answers_are_copies():
-    n = 3
-    pieces = cube(n, 1.0).support_pieces + map_pieces(cross_polytope(n, 1.5).support_pieces,
-                                                      haar_rotation(n, seed=4))
-    with optimize.share_exact():
-        first = minimize_on_sphere(pieces, n, CFG)
-        first.direction[:] = 0.0
-        first.value = -1.0
-        second = minimize_on_sphere(pieces, n, CFG)
-    fresh = minimize_on_sphere(pieces, n, CFG)
-    assert second.value == fresh.value and np.array_equal(second.direction, fresh.direction)
+@st.composite
+def catalog_pairs(draw):
+    """(n, K, L, U) for n = 2-5: two symmetric catalog bodies (a cube, a
+    cross-polytope, an ellipsoid, a ball, or a ball times a cube) with
+    sizes in [0.5, 2], and a Haar rotation U."""
+    n = draw(st.integers(2, 5))
+
+    def body():
+        kind = draw(st.sampled_from(["cube", "cross", "ellipsoid", "ball", "ball x cube"]))
+        if kind == "ellipsoid":
+            return ellipsoid(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+        if kind == "ball x cube":
+            k = draw(st.integers(1, n - 1))
+            return product_body(ball(k, draw(st.floats(0.5, 2.0))),
+                                cube(n - k, draw(st.floats(0.5, 2.0))))
+        make = {"cube": cube, "cross": cross_polytope, "ball": ball}[kind]
+        return make(n, draw(st.floats(0.5, 2.0)))
+
+    return n, body(), body(), haar_rotation(n, seed=draw(st.integers(0, 2**32 - 1)))
 
 
-def test_fields_with_smooth_pieces_have_no_key():
-    smooth = Piece("smooth", value=lambda V: V[:, 0] ** 2)
-    assert optimize._field_key((smooth,)) is None
-    assert optimize._field_key((Piece("sum", parts=(cube(2, 1.0).support_pieces,
-                                                    (smooth,))),)) is None
-    a = cube(2, 1.0).support_pieces + cross_polytope(2, 1.0).support_pieces
-    b = cube(2, 1.0).support_pieces + cross_polytope(2, 1.0).support_pieces
-    assert optimize._field_key(a) == optimize._field_key(b)
-    assert optimize._field_key(a) != optimize._field_key(cube(2, 1.0).support_pieces
-                                                         + cross_polytope(2, 2.0).support_pieces)
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(catalog_pairs())
+def test_the_polar_diameter_times_the_hull_of_union_radius_is_two(pair):
+    # the identity run_two_bodies relies on: both minimize max(h_K, h_UL)
+    n, K, L, U = pair
+    r = inclusion_radius(K, L, U, combine="max")
+    d = diameter_of_intersection(polar(K), polar(L), U)
+    certified = r.lower_bracket == r.value
+    assert (d.upper_bracket == d.diameter) == certified  # one field, certified or not
+    assert abs(d.diameter * r.value - 2.0) <= (1e-12 if certified else 1e-4)
