@@ -21,13 +21,13 @@ Euclidean norm and an l1 term in R^5, which the facet stage below now
 answers.  The fields that still reach the polish are those that every
 exact stage leaves open.  On that benchmark's jobs 0-23 at seeds 1-12
 and 21 they are the hull-of-union fields max(h_E, h_UC) of job 15 at
-seed 21, jobs 3 and 21 at seed 6 and job 3 at seed 7, which the hull
-stage's cutting planes leave open (their rounds stall as Qhull merges
-their points) though the value they attain is within 8e-15 of the
-polish's, and the sum of an ellipsoid and a cube of job 23 at seed 5,
-whose facet rounds stop at HULL_ROWS.  In the tests they are the
-hull-of-union fields of a ball and a rotated cube, nested sums of
-Euclidean norms and fields with smooth pieces.  Values returned are
+seed 21, jobs 3 and 21 at seed 6 and job 3 at seed 7, which the piece
+floor does not certify and the hull stage's cutting planes leave open
+(their rounds stall as Qhull merges their points) though the value they
+attain is within 8e-15 of the polish's, and the sum of an ellipsoid and
+a cube of job 23 at seed 5, whose facet rounds stop at HULL_ROWS.  In
+the tests they are nested sums of Euclidean norms and fields with
+smooth pieces.  Values returned are
 always attained at an explicit feasible direction, so for maximization
 problems the result is a certified bound from the feasible side.
 
@@ -42,12 +42,12 @@ whose lower is a certified lower bound on the minimum), or None for a
 field it does not take.  When a call's fields are sums of two
 Euclidean norms, the Cauchy-Schwarz stage takes them all at once, in
 lockstep.  Every other field goes through the per-field stages in the
-order 0-sphere, S-lemma dual, Minkowski facets, convex hull, up to the
-first exact result.  One rule, _join, joins a field's results, the
-stages' in order and then the descent's: the first exact result wins;
-otherwise the larger lower bound wins, with the method of the stage
-that gave it, the earlier one on a tie; nfev adds up over every stage
-that ran.  So a descended field carries the best bound of its stages
+order 0-sphere, S-lemma dual, Minkowski facets, piece floor, convex
+hull, up to the first exact result.  One rule, _join, joins a field's
+results, the stages' in order and then the descent's: the first exact
+result wins; otherwise the larger lower bound wins, with the method of
+the stage that gave it, the earlier one on a tie; nfev adds up over
+every stage that ran.  So a descended field carries the best bound of its stages
 and that stage's method, or lower and method None when no stage
 bounded it.
 
@@ -96,6 +96,22 @@ infimum with lower bounds on g over intervals.  The field is exact when
 the best direction's squared value is within
 64 n eps (|M_1|_2^2 + |M_2|_2^2) of the least bound.  A field that does
 not certify gets the square root of that bound as its bound.
+
+A field whose pieces are l1, l2 and linear pieces, and not the S-lemma
+stage's, is first tried by the piece floor (see _floor): the least value
+of a max of pieces is at least the largest least value of one piece, and
+an l2 piece |u M| or an l1 piece |u G|_1 >= |u G|_2 has least value at
+least sigma_min of its matrix when that has rank n.  The field is
+evaluated at +- the left-singular vectors of each matrix's sigma_min
+(all of them when it repeats, as for a ball) and the unit rows of
+pinv(G) for each l1 matrix G (where u G is one-hot: a mapped cube's
+facet normals), and it is exact when the least of those values is within
+the hull stage's 8 n eps times the largest piece scale of the floor.
+The ball and rotated-cube hull-of-union fields of acceptance criterion
+10a, which the hull stage's cutting planes leave open, certify so at the
+ball's radius, as do about half of the fields the hull stage answered on
+the polytope-dual benchmark, with no Qhull call.  A floor that does not
+certify gives a bound, joined like any other.
 
 A polyhedral field, whose every piece is linear, an l1 piece of at most
 HULL_ROWS sign rows, or a sum of such parts, is max_i <P_i, u> =
@@ -205,8 +221,8 @@ Every stage reports the field's value at its direction evaluated alone,
 since a row's value in a batched evaluation can differ in its last
 digits.  Each exact stage names itself in the result's method: "both
 points of the 0-sphere", "S-lemma dual", "Cauchy-Schwarz", "Minkowski
-facets", "convex hull", or "cutting planes" for a hull stage with l2
-pieces.
+facets", "piece floor", "convex hull", or "cutting planes" for a hull
+stage with l2 pieces.
 """
 
 from __future__ import annotations
@@ -214,7 +230,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -311,14 +327,15 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
 
     A field an exact stage answers (see the module docstring) is not
     descended; its nfev counts the rows its pieces expand to (the two
-    points on the 0-sphere, the S-lemma, Cauchy-Schwarz and facet
+    points on the 0-sphere, the S-lemma, Cauchy-Schwarz, facet and floor
     stages' candidate directions, the hull's rows at its seeds, and the
     support points of every cutting-plane round of the hull and facet
     stages) and the evaluations at its directions (one per cutting-plane
     round, the facet stage's zero-round case included; one for the
-    S-lemma stage, and for an S-lemma field that its batched best does
-    not certify, one more per candidate), and its lower is its value.  Every other
-    field starts from the same m spread directions (and extra_starts) and
+    S-lemma and floor stages, and for an S-lemma field that its batched
+    best does not certify, one more per candidate), and its lower is its
+    value.  Every other field starts from the same m spread directions
+    (and extra_starts) and
     runs projected subgradient descent: each iteration makes one pass of
     the field's value and subgradient at its m candidate rows, m rows of
     nfev, plus 2 n difference rows per row for each smooth piece (see
@@ -368,7 +385,7 @@ def _exact(pieces, n):
     up to the first exact result: that result, else the best bound, else
     None (see the module docstring)."""
     res = None
-    for stage in (_zero_sphere, _s_lemma, _minkowski_facets, _hull):
+    for stage in (_zero_sphere, _s_lemma, _minkowski_facets, _floor, _hull):
         res = _join(res, stage(pieces, n))
         if res is not None and res.stage == "exact":
             break
@@ -541,14 +558,92 @@ def _facet_systems(n, k, m, newest=False):
     signs sigma_J with sigma = +1 on the first pair of J (the other sign
     is -u).  841 systems for k = m = n = 5, 160 for 4 and 31 for 3.  With
     newest, only the systems whose J holds pair m - 1, in the same order,
-    built directly: the systems a cutting-plane round adds."""
-    rows = [I + (k + J[0],) + tuple(k + j + m * s for j, s in zip(J[1:], signs))
-            for size in range(1, min(n, m) + 1) if n - size <= k
-            for I in combinations(range(k), n - size)
-            for J in (combinations(range(m), size) if not newest else
-                      (c + (m - 1,) for c in combinations(range(m - 1), size - 1)))
-            for signs in product((0, 1), repeat=size - 1)]
-    return np.array(rows, dtype=int).reshape(-1, n)
+    built directly: the systems a cutting-plane round adds.  The order is
+    I, then J, then the signs, each lexicographic, with sigma_J's first
+    free sign the most significant bit; the tables are built by
+    broadcasting, one block per |J|."""
+    blocks = [np.empty((0, n), dtype=int)]
+    for size in range(max(1, n - k), min(n, m) + 1):  # |J|, with |I| <= k
+        I = _subsets(k, n - size)
+        if newest:  # J holds pair m - 1 last
+            J = _subsets(m - 1, size - 1)
+            J = np.hstack([J, np.full((len(J), 1), m - 1)])
+        else:
+            J = _subsets(m, size)
+        signs = (np.arange(2 ** (size - 1))[:, None] >> np.arange(size - 2, -1, -1)) & 1
+        shape = (len(I), len(J), len(signs))
+        block = np.concatenate([
+            np.broadcast_to(I[:, None, None, :], shape + (n - size,)),
+            np.broadcast_to(k + J[None, :, None, :1], shape + (1,)),
+            np.broadcast_to(k + J[None, :, None, 1:] + m * signs[None, None, :, :],
+                            shape + (size - 1,))], axis=3)
+        blocks.append(block.reshape(-1, n))
+    return np.vstack(blocks)
+
+
+def _subsets(N, r):
+    """The r-subsets of range(N) as the rows of an (C(N, r), r) array, in
+    the order of itertools.combinations."""
+    rows = list(combinations(range(N), r))
+    return np.array(rows, dtype=int).reshape(len(rows), r)
+
+
+def _floor(pieces, n):
+    """The piece-floor stage: min over the sphere of a max of pieces is at
+    least the largest of the pieces' own minima.  An l2 piece |u M| with M
+    of rank n has least value sigma_min(M), and an l1 piece |u G|_1 at
+    least sigma_min(G), since |y|_1 >= |y|_2; linear pieces and pieces of
+    lower rank give no floor.  The field is evaluated at +- every
+    candidate: the left-singular vectors of each l1 and l2 matrix for
+    sigma_min, all of them when it repeats, and the unit rows of pinv(G)
+    for each l1 matrix G, where u G is one-hot (a mapped cube's facet
+    normals; rows of norm about 0, from zero or dependent columns, are
+    dropped, so every candidate is a unit vector).  The field is exact when
+    its value at the least candidate, evaluated alone, is within 8 n eps
+    times the largest piece scale (sigma_max of a matrix, the longest row
+    of a linear piece) of the floor, the hull stage's rule; otherwise it
+    gets stage "bound", with the floor less that tolerance as lower.
+
+    None when a piece is a sum or smooth, when a matrix is not finite,
+    when no piece gives a floor, or for the S-lemma stage's fields (see
+    _norms), whose bound is at least this floor."""
+    if any(p.kind not in ("l1", "l2", "linear") for p in pieces) or _norms(pieces) is not None:
+        return None
+    if not all(np.all(np.isfinite(p.matrix)) for p in pieces):
+        return None
+    eps = np.finfo(float).eps
+    floor, scale, cands = 0.0, 0.0, []
+    for p in pieces:
+        if p.kind == "linear":
+            scale = max(scale, float(np.linalg.norm(p.matrix, axis=1).max(initial=0.0)))
+            continue
+        k = p.matrix.shape[1]
+        U, s, Vt = np.linalg.svd(p.matrix)
+        if not s.size or s[0] == 0.0:
+            continue
+        s_n = np.zeros(n)  # the n singular values, 0 past the k of M
+        s_n[:len(s)] = s
+        scale = max(scale, float(s[0]))
+        rank = int(np.sum(s > max(n, k) * eps * s[0]))
+        if rank == n:
+            floor = max(floor, float(s_n[-1]))
+        cands.append(U[:, s_n <= s_n[-1] + 8 * n * eps * s[0]].T)
+        if p.kind == "l1":  # the rows of pinv(G), where u G is one-hot
+            R = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
+            norms = np.linalg.norm(R, axis=1)
+            cands.append(R[norms > n * eps * norms.max()])
+    if floor == 0.0:
+        return None
+    C = _normalize_rows(np.vstack(cands))
+    C = np.vstack([C, -C])
+    u = C[int(np.argmin(_finite_values(pieces, C)))]
+    value = float(_finite_values(pieces, u[None])[0])  # alone, as every stage reports it
+    tol = 8 * n * eps * scale
+    exact = value - floor <= tol
+    return SphereOptResult(value=value, direction=u, nfev=len(C) + 1,
+                           stage="exact" if exact else "bound",
+                           lower=value if exact else max(floor - tol, 0.0),
+                           method="piece floor")
 
 
 def _hull(pieces, n):

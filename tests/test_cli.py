@@ -341,9 +341,9 @@ def test_core_outputs_do_not_depend_on_blas_threads(tmp_path):
 def test_dual_products_do_not_depend_on_blas_threads(tmp_path):
     # an ellipsoid and a cube in R^5: the diameter field is a Euclidean norm
     # beside facet rows in +- pairs (the S-lemma stage), the incl_max field
-    # and the polar diameter field are a norm beside an l1 piece (the hull
-    # stage's cutting planes), and incl_sum, a sum of a norm and an l1
-    # piece, is answered by the facet stage's cutting planes; all are
+    # is a norm beside an l1 piece (the piece floor at this seed), whose
+    # radius gives the polar diameter, and incl_sum, a sum of a norm and an
+    # l1 piece, is answered by the facet stage's cutting planes; all are
     # exact, so every column is the same bytes at one and two threads
     config = {"experiment": "two-bodies", "n": 5, "k": 2, "trials": 1,
               "K": {"kind": "ellipsoid", "semiaxes": [1.0, 1.4, 0.8, 1.2, 0.9]},
@@ -357,7 +357,8 @@ def test_dual_products_do_not_depend_on_blas_threads(tmp_path):
 
 def test_dual_products_in_four_dimensions_do_not_depend_on_blas_threads(tmp_path):
     # an ellipsoid and a cube in R^4: the fields of the R^5 config above,
-    # all exact, so every column is the same bytes at one and two threads
+    # with incl_max answered by the hull stage's cutting planes, all exact,
+    # so every column is the same bytes at one and two threads
     config = {"experiment": "two-bodies", "n": 4, "k": 2, "trials": 1,
               "K": {"kind": "ellipsoid", "semiaxes": [1.0, 1.4, 0.8, 1.2]},
               "L": {"kind": "cube", "dim": 4, "half_width": 1.0},

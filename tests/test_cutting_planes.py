@@ -7,7 +7,7 @@ cross-polytope B."""
 import numpy as np
 import pytest
 import scipy.spatial
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial._qhull import QhullError
 
@@ -49,7 +49,8 @@ def test_certified_values_never_lose_to_the_descent(field):
     assert res.value == _max_of(pieces, res.direction[None])[0]
     found = _descended(pieces, n).value
     if res.stage == "exact":
-        assert res.method in ("S-lemma dual", "cutting planes") and res.lower == res.value
+        assert res.method in ("S-lemma dual", "piece floor", "cutting planes")
+        assert res.lower == res.value
         assert res.value <= found * (1.0 + 1e-14)
     else:  # a bound that did not certify still holds
         assert res.lower <= found * (1.0 + 1e-14)
@@ -58,7 +59,10 @@ def test_certified_values_never_lose_to_the_descent(field):
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(mixed_fields(kinds=("support",)))
 def test_qhull_errors_fall_back_to_the_descent(field):
+    # fields the piece floor leaves open, which reach the hull stage
     n, pieces = field
+    floor = optimize._floor(pieces, n)
+    assume(floor.stage == "bound")
 
     def fail(*args, **kwargs):
         raise QhullError("QH6271 qhull topology error (qh_check_dupridge)")
@@ -67,7 +71,9 @@ def test_qhull_errors_fall_back_to_the_descent(field):
         m.setattr(scipy.spatial, "ConvexHull", fail)
         res = minimize_on_sphere(pieces, n, CFG)
     found = _descended(pieces, n)
-    assert res.stage in ("descent", "polish") and (res.method, res.lower) == (None, None)
+    # the descent carries the floor's bound, the only one left
+    assert res.stage in ("descent", "polish")
+    assert (res.method, res.lower) == ("piece floor", floor.lower)
     assert res.value == found.value and np.array_equal(res.direction, found.direction)
 
 
@@ -80,16 +86,22 @@ def _capped(pieces, n):
 
 def _says_so(hull, res):
     """A field the capped rounds leave open is reported as bounded, and
-    descends with the hull's inradius as its lower bound."""
+    descends with the hull's inradius as its lower bound, or the piece
+    floor's when that is larger."""
     assert hull.stage == "bound" and np.isfinite(hull.lower) and hull.lower <= hull.value
-    assert res.stage in ("descent", "polish") and res.method == "cutting planes"
-    assert res.lower == hull.lower and res.lower <= res.value
+    assert res.stage in ("descent", "polish") and res.lower <= res.value
+    if res.method == "cutting planes":
+        assert res.lower == hull.lower
+    else:
+        assert res.method == "piece floor" and hull.lower < res.lower
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(mixed_fields(kinds=("support",)))
 def test_a_field_the_round_cap_leaves_open_says_so(field):
+    # fields the piece floor leaves open, which reach the hull stage
     n, pieces = field
+    assume(optimize._floor(pieces, n).stage == "bound")
     hull, res = _capped(pieces, n)
     if hull.stage == "exact":  # certified within one round
         assert res.stage == "exact" and res.value == hull.value

@@ -3,6 +3,7 @@ and the hull of +- pairs or ellipsoids, drawn by hypothesis, and of the
 polar diameters of the two-bodies harness."""
 
 from dataclasses import replace
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -74,6 +75,28 @@ def test_facet_systems_count_every_choice_of_generators_pairs_and_signs():
     first = (idx >= 3).argmax(axis=1)
     assert np.all(idx[np.arange(len(idx)), first] < 3 + 5)
     assert len({tuple(sorted(row)) for row in idx}) == len(idx)
+
+
+def _reference_systems(n, k, m, newest):
+    """The systems of _facet_systems, listed by itertools: generators I,
+    then pairs J, then the signs of J past its first pair."""
+    rows = [I + (k + J[0],) + tuple(k + j + m * s for j, s in zip(J[1:], signs))
+            for size in range(1, min(n, m) + 1) if n - size <= k
+            for I in combinations(range(k), n - size)
+            for J in (combinations(range(m), size) if not newest else
+                      (c + (m - 1,) for c in combinations(range(m - 1), size - 1)))
+            for signs in product((0, 1), repeat=size - 1)]
+    return np.array(rows, dtype=int).reshape(-1, n)
+
+
+@pytest.mark.parametrize("newest", [False, True])
+def test_facet_systems_equal_an_itertools_listing_row_for_row(newest):
+    for n in range(1, 6):
+        for k in range(7):
+            for m in range(1, 11):
+                idx = optimize._facet_systems(n, k, m, newest)
+                assert np.array_equal(idx, _reference_systems(n, k, m, newest)), (n, k, m)
+                assert idx.shape[1] == n and idx.dtype.kind == "i"
 
 
 def test_sum_field_makes_no_qhull_call(monkeypatch):
@@ -280,7 +303,7 @@ def _dual_products(n, K, L, trials, seed):
     (4, cube(4, 1.0), cross_polytope(4, 1.5), 4, 3, 0),
     (5, ellipsoid([1.0, 1.4, 0.8, 1.2, 0.9]), cube(5, 1.0), 4, 3, 0),
     (4, ellipsoid([1.0, 1.4, 0.8, 1.2]), cube(4, 1.0), 24, 0, 1),
-    (4, ball(4, 1.2), cube(4, 1.0), 4, 3, 4),
+    (4, ellipsoid([1.0, 1.4, 0.8, 1.2]), cube(4, 1.0), 2, 4, 2),
 ], ids=["cube-cross", "ellipsoid-cube", "mixed", "all-open"])
 def test_polar_diameters_reuse_the_hull_of_union_answers(n, K, L, trials, seed, opened,
                                                          monkeypatch):

@@ -236,13 +236,15 @@ def test_polyhedral_fields_keep_every_polish_start(monkeypatch):
     # and its descent runs to the iteration cap, which the result says
     assert [r.descent_iters for r in results] == [optimize.DEFAULT_OPT.iters]
     # the facet stage answers a less elongated sum without a solve, and the
-    # hull stage's cutting planes the larger of the two supports
+    # piece floor or the hull stage's cutting planes the larger of the two
+    # supports
     solves.clear()
     res = inclusion_radius(ellipsoid([1.0, 1.4, 0.8]), cube(3, 0.9), haar_rotation(3, seed=7))
     assert not solves and res.note == "exact (Minkowski facets)"
-    res = inclusion_radius(ellipsoid([1.0, 1.4, 0.8]), cube(3, 0.9), haar_rotation(3, seed=7),
-                           combine="max")
-    assert not solves and res.note == "exact (cutting planes)"
+    for seed, method in ((7, "piece floor"), (5, "cutting planes")):
+        res = inclusion_radius(ellipsoid([1.0, 1.4, 0.8]), cube(3, 0.9),
+                               haar_rotation(3, seed=seed), combine="max")
+        assert not solves and res.note == f"exact ({method})"
     # facet rows in +- pairs next to an l2 piece are rank-1 norms, and the
     # S-lemma dual answers the field without a solve
     solves.clear()
@@ -292,14 +294,18 @@ def test_mixed_fields_never_reach_the_s_lemma(monkeypatch):
     monkeypatch.setattr(optimize, "_cauchy_schwarz", recording)
     E = ellipsoid([1.0, 1.4, 0.8])
     assert minimize_on_sphere(E.gauge_pieces + (ZERO,), 3, CFG).lower is None
-    # facets beside a norm go to the hull stage when they are an l1 piece or
-    # rows that do not come in +- pairs
+    # facets beside a norm go past the S-lemma stage when they are an l1
+    # piece or rows that do not come in +- pairs: to the piece floor, which
+    # answers the aligned cube's field at its facet normal on E's longest
+    # axis, or to the hull stage
     simplex = vertex_polytope([[1.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, -1.0, 1.0],
                                 [-1.0, -1.0, -1.0]])
-    for pieces in (E.gauge_pieces + cube(3, 0.9).support_pieces,
-                   E.gauge_pieces + simplex.gauge_pieces):
+    rotated = map_pieces(cube(3, 0.7).support_pieces, haar_rotation(3, seed=0))
+    for pieces, method in ((E.gauge_pieces + cube(3, 0.9).support_pieces, "piece floor"),
+                           (E.gauge_pieces + rotated, "cutting planes"),
+                           (E.gauge_pieces + simplex.gauge_pieces, "cutting planes")):
         assert optimize._norms(pieces) is None
-        assert minimize_on_sphere(pieces, 3, CFG).method == "cutting planes"
+        assert minimize_on_sphere(pieces, 3, CFG).method == method
     # a sum of two Euclidean norms goes to the Cauchy-Schwarz stage instead
     cylinder = product_body(ball(2, 1.0), ball(1, 0.5)).support_pieces
     res = minimize_on_sphere(cylinder, 3, CFG)
@@ -315,7 +321,7 @@ def test_mixed_fields_never_reach_the_s_lemma(monkeypatch):
         for pieces in fields:
             n = pieces[0].parts[0][0].matrix.shape[0]
             assert minimize_on_sphere(pieces, n, CFG).method == method
-    assert len(seen) == 1 and declined == [True] * 7
+    assert len(seen) == 1 and declined == [True] * 8
 
 
 def _result(stage, lower, method, nfev, value=1.0):
@@ -366,6 +372,9 @@ def test_each_stage_declines_the_fields_it_does_not_take():
                                            (E.gauge_pieces + (ZERO,), 3)]),
         "_minkowski_facets": ((zonotope, 3), [(E.gauge_pieces, 3), (facets, 3),
                                               (sum_pieces((E.support_pieces, line3)), 3)]),
+        "_floor": ((E.gauge_pieces + cube(3, 0.9).support_pieces, 3),
+                   [(E.gauge_pieces, 3), (zonotope, 3), (E.gauge_pieces + (ZERO,), 3),
+                    (line3, 3)]),
         "_hull": ((facets, 3), [(E.gauge_pieces, 3), (_hexagon(), 2),
                                 (E.gauge_pieces + (ZERO,), 3)]),
     }
@@ -389,12 +398,14 @@ def test_zero_sphere_field_takes_the_better_point():
 def test_every_stage_names_itself_in_method():
     E = ellipsoid([1.0, 1.4, 0.8])
     exact = [
-        ("convex hull", cube(3, 1.0).support_pieces + cross_polytope(3, 1.0).support_pieces, 3),
+        ("piece floor", cube(3, 1.0).support_pieces + cross_polytope(3, 1.0).support_pieces, 3),
+        ("convex hull", cube(3, 1.0).support_pieces
+         + map_pieces(cross_polytope(3, 1.5).support_pieces, haar_rotation(3, seed=0)), 3),
         ("Minkowski facets", sum_pieces((cube(3, 1.0).support_pieces,
                                          cross_polytope(3, 1.0).support_pieces)), 3),
         ("Minkowski facets", sum_pieces((E.support_pieces, cube(3, 0.9).support_pieces)), 3),
         ("cutting planes", E.support_pieces
-         + map_pieces(cube(3, 0.9).support_pieces, haar_rotation(3, seed=7)), 3),
+         + map_pieces(cube(3, 0.9).support_pieces, haar_rotation(3, seed=5)), 3),
         ("S-lemma dual", ellipsoid([1.0, 2.0, 0.5]).gauge_pieces, 3),
         ("Cauchy-Schwarz", product_body(ball(2, 1.0), ball(1, 0.5)).support_pieces, 3),
         ("both points of the 0-sphere",
