@@ -14,8 +14,7 @@ THREADS_ENV = "WAISTLAB_THREADS"
 # the quantiles of every summary, by column name
 QUANTILES = {f"q{round(q * 100):02d}": q for q in (0.05, 0.25, 0.5, 0.75, 0.95)}
 # float64 values (512 KB) in one chunk of a Monte-Carlo stream.  Chunks
-# of 2^14 to 2^18 values sample equally fast; the sphere-mc benchmark's
-# peak RSS read 91.0 MB at 2^17 and 87.0 MB at 2^16 (seed 11, 2 vCPUs).
+# of 2^14 to 2^18 values sample equally fast, and smaller chunks peak lower.
 CHUNK_FLOATS = 1 << 16
 
 

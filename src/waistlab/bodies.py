@@ -7,12 +7,8 @@ single point of shape (n,) or a batch of shape (m, n).  An evaluator
 computes its quantity (to solver tolerance), never only a bound on it; one
 with no such form is absent, and calling it raises EvaluationError.
 
-The gauge and the support are written once, as a max of Pieces: facet
-rows, implicit l1 sign families, Euclidean norms of linear maps and sums of
-such maxima.  A function with no such form (an LP, a membership bisection)
-is one smooth piece, the function itself.  Body evaluates the gauge and
-support from their pieces, and the optimizer's descent and epigraph solve
-read the same pieces and their subgradients.
+The gauge and the support are written once, as a max of pieces (see
+pieces.Piece), which Body evaluates and the optimizer reads.
 
 Catalog bodies (balls, cubes, cross-polytopes, ellipsoids, slab
 intersections, products, vertex polytopes, truncated cylinders) get
@@ -22,8 +18,7 @@ pieces, a sum adds the support maxima, a product zero-pads its blocks'
 pieces, an image maps them and a polar swaps them.  minkowski_sum is the
 one construction of a sum of two bodies: the eps-neighborhood is the sum
 with the eps-ball and the difference body is K + (-K).  Every sum of
-support pieces is built by sum_pieces, which drops its zero parts, so a
-flat disk's support is one Euclidean norm.  Where no closed form exists,
+support pieces is built by pieces.sum_pieces.  Where no closed form exists,
 projection and distance fall back to programs built on the bodies' own
 oracles: cyclic corrected projections for intersections (iteration cap
 10^4, which raises), and the dual distance program of
@@ -43,18 +38,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import optimize
 from ._util import ball_points, hit_fraction, read_field, sphere_points, strict_bool
 from .errors import ContainmentError, DomainError, EvaluationError, SpecError
+from .pieces import Piece, map_pieces, max_of, sum_pieces
 
 __all__ = [
     "Body",
     "BodySpec",
-    "Piece",
     "ball_factors",
-    "map_pieces",
-    "select_pieces",
-    "sum_pieces",
-    "leaves",
     "construct_body",
     "ball",
     "cube",
@@ -86,7 +78,6 @@ BISECTION_STEPS = 64      # halvings of a gauge bracket, and most doublings to f
 # so the seeded stream, and the volume, depend on this batch size.
 VOLUME_BATCH = 1 << 17
 VOLUME_CHECK_DIRECTIONS = 512  # sphere directions volume_ratio checks for the unit ball
-FD_STEP = 1e-6            # central-difference step of a smooth piece's gradient
 
 
 def linprog(*args, **kwargs):
@@ -112,184 +103,6 @@ def _scalarize(vals, single):
         v = vals[0]
         return bool(v) if vals.dtype == bool else float(v)
     return vals
-
-
-def _max_of(pieces, X):
-    """Max over the pieces at the rows of X; a lone piece's own values."""
-    if len(pieces) == 1:
-        return pieces[0].evaluate(X)
-    return np.max([p.evaluate(X) for p in pieces], axis=0)
-
-
-def _max_and_gradient(pieces, X):
-    """The max over the pieces at the rows of X, as _max_of gives it, and a
-    subgradient of the max there: the gradient of each row's active piece,
-    the first of tied ones.  A sum piece's value and subgradient come from
-    one pass over its parts."""
-    vals, grads = [], []
-    for p in pieces:
-        if p.kind == "sum":
-            parts = [_max_and_gradient(part, X) for part in p.parts]
-            vals.append(sum(v for v, _ in parts))
-            grads.append(sum(g for _, g in parts))
-        else:
-            vals.append(p.evaluate(X))
-            grads.append(p.gradient(X))
-    if len(pieces) == 1:
-        return vals[0], grads[0]
-    V = np.array(vals)
-    active = V.argmax(axis=0)[None, ..., None]
-    return V.max(axis=0), np.take_along_axis(np.array(grads), active, axis=0)[0]
-
-
-@dataclass(frozen=True, eq=False)
-class Piece:
-    """One piece of a gauge or support, which is the max of its pieces.
-
-    kind "linear": x -> max_i <P_i, x> over the rows of matrix P (m, n).
-    kind "l1": x -> |x M|_1 for matrix M (n, k): the max of <s, x M> over
-      all 2^k sign patterns s, kept implicit instead of listed.
-    kind "l2": x -> |x M|_2 for matrix M (n, k), smooth off the kernel of
-      M^T: the gauges and supports of balls and ellipsoids.
-    kind "sum": x -> the sum over parts of the max over the part's pieces;
-      the support of a product or a Minkowski sum.
-    kind "smooth": x -> scale * value(x A), where matrix A (n, n0) is the
-      input map (None: the identity): the one piece of a function with no
-      closed form, which has no analytic gradient.  value maps the rows of
-      a 2-D array to their values.
-    Every piece is positively homogeneous, as gauges and supports are.
-
-    A matrix may carry a leading field axis, (F, m, n) for P and (F, n, k)
-    for M and A: the piece then describes F functions at once, one per
-    slice, and evaluates a stack X (F, rows, n), slice X[j] under
-    function j.  A matrix without that axis is shared by every field.
-    map_pieces with a stack of maps builds such pieces and select_pieces
-    picks fields out of them.
-    """
-
-    kind: str
-    matrix: np.ndarray | None = None
-    value: object = None
-    scale: float = 1.0
-    parts: tuple = ()
-
-    def evaluate(self, X):
-        """Piece values at the rows of X, (..., rows, n) -> (..., rows)."""
-        if self.kind == "linear":
-            return (X @ self.matrix.swapaxes(-1, -2)).max(axis=-1)
-        if self.kind == "l1":
-            return np.abs(X @ self.matrix).sum(axis=-1)
-        if self.kind == "l2":
-            return np.linalg.norm(X @ self.matrix, axis=-1)
-        if self.kind == "sum":
-            return sum(_max_of(part, X) for part in self.parts)
-        Y = X if self.matrix is None else X @ self.matrix
-        vals = np.asarray(self.value(Y.reshape(-1, Y.shape[-1])), dtype=float)
-        return self.scale * vals.reshape(Y.shape[:-1])
-
-    def gradient(self, X):
-        """A subgradient at the rows of X, (..., rows, n) -> (..., rows, n):
-        - linear: the active row, the first of tied ones;
-        - l1: sign(x M) M^T;
-        - l2: M M^T x^T / |x M|, and 0 where x M = 0;
-        - sum: the sum of each part's max-subgradient (_max_and_gradient);
-        - smooth: central differences of the piece with step FD_STEP, a
-          component with a non-finite side being 0.  Each row of X costs
-          2 n evaluations, made in two calls: the forward shifts of every
-          row, then the backward ones.
-        For the first four, <g(x), x> is the piece's value at x."""
-        if self.kind == "linear":
-            P = self.matrix
-            i = (X @ P.swapaxes(-1, -2)).argmax(axis=-1)
-            return P[i] if P.ndim == 2 else np.take_along_axis(P, i[..., None], axis=-2)
-        if self.kind == "l1":
-            return np.sign(X @ self.matrix) @ self.matrix.swapaxes(-1, -2)
-        if self.kind == "l2":
-            M = self.matrix
-            Y = X @ M
-            nrm = np.linalg.norm(Y, axis=-1)
-            return (Y @ M.swapaxes(-1, -2)) / np.where(nrm > 0, nrm, 1.0)[..., None]
-        if self.kind == "sum":
-            return _max_and_gradient((self,), X)[1]
-        n = X.shape[-1]
-        shifts = FD_STEP * np.eye(n)
-        fp, fm = (self.evaluate((X[..., None, :] + s).reshape(*X.shape[:-2], -1, n))
-                  .reshape(X.shape) for s in (shifts, -shifts))
-        sides = np.isfinite(fp) & np.isfinite(fm)
-        return np.subtract(fp, fm, out=np.zeros_like(fp), where=sides) / (2.0 * FD_STEP)
-
-    def mapped(self, A, scale=1.0):
-        """The piece x -> scale * piece(x A), for A (n_new, n), or a stack
-        (F, n_new, n) of maps, and scale > 0."""
-        if self.kind == "linear":
-            return Piece("linear", scale * (self.matrix @ A.swapaxes(-1, -2)))
-        if self.kind in ("l1", "l2"):
-            return Piece(self.kind, scale * (A @ self.matrix))
-        if self.kind == "sum":
-            return Piece("sum", parts=tuple(map_pieces(part, A, scale) for part in self.parts))
-        inner = A if self.matrix is None else A @ self.matrix
-        return Piece("smooth", inner, self.value, scale * self.scale)
-
-
-def map_pieces(pieces, A, scale=1.0):
-    """Compose every piece with x -> x A and multiply it by scale.  A stack
-    of maps A (F, n_new, n) gives pieces with a leading field axis, field j
-    composed with A[j]."""
-    A = np.asarray(A, dtype=float)
-    return tuple(p.mapped(A, scale) for p in pieces)
-
-
-def select_pieces(pieces, idx):
-    """The fields idx of pieces with a leading field axis: an index gives
-    one field's pieces with 2-D matrices, an index array a smaller stack.
-    Matrices without the axis are shared and come back as they are."""
-    out = []
-    for p in pieces:
-        if p.kind == "sum":
-            p = Piece("sum", parts=tuple(select_pieces(part, idx) for part in p.parts))
-        elif p.matrix is not None and p.matrix.ndim == 3:
-            p = Piece(p.kind, p.matrix[idx], p.value, p.scale)
-        out.append(p)
-    return tuple(out)
-
-
-def leaves(pieces):
-    """The pieces that are not sums, in order, with every sum replaced by
-    the pieces of its parts, depth first."""
-    for p in pieces:
-        if p.kind == "sum":
-            for part in p.parts:
-                yield from leaves(part)
-        else:
-            yield p
-
-
-def _is_zero(p):
-    """Whether a piece is identically zero: a linear, l1 or l2 piece with a
-    zero matrix, or a sum of such pieces."""
-    return all(q.kind != "smooth" and not q.matrix.any() for q in leaves((p,)))
-
-
-def sum_pieces(parts):
-    """The pieces of the sum over parts of the max over each part's pieces,
-    made canonical.  A part whose pieces are all identically zero is
-    dropped.  Within a part, zero pieces are dropped beside a nonzero l1
-    or l2 piece, which is nonnegative; a linear piece can be negative, so
-    beside one a zero piece is max(., 0) and stays.  A sum left with one
-    part is that part's pieces (with none left, the first part's).  Parts
-    keep their order and are never re-associated, and x + 0 and max(x, 0)
-    for x >= 0 are exact, so every value keeps its bits."""
-    kept = []
-    for part in parts:
-        zero = [_is_zero(p) for p in part]
-        if all(zero):
-            continue
-        if any(p.kind in ("l1", "l2") and not z for p, z in zip(part, zero)):
-            part = tuple(p for p, z in zip(part, zero) if not z)
-        kept.append(tuple(part))
-    if len(kept) > 1:
-        return (Piece("sum", parts=tuple(kept)),)
-    return kept[0] if kept else tuple(parts[0])
 
 
 def _abs_rows(M):
@@ -346,17 +159,17 @@ class Body:
         """h(u) = sup over members x of <x, u> (positively homogeneous)."""
         pieces = self.support_pieces
         U, single = _batch(u, self.dim)
-        return _scalarize(_max_of(pieces, U), single)
+        return _scalarize(max_of(pieces, U), single)
 
     def gauge(self, x):
         """Minkowski functional; inf off the affine hull of a flat body."""
         X, single = _batch(x, self.dim)
-        return _scalarize(_max_of(self.gauge_pieces, X), single)
+        return _scalarize(max_of(self.gauge_pieces, X), single)
 
     def radial(self, u):
         """Boundary distance from the origin along u (1/gauge for unit u)."""
         X, single = _batch(u, self.dim)
-        g = _max_of(self.gauge_pieces, X)
+        g = max_of(self.gauge_pieces, X)
         with np.errstate(divide="ignore"):
             r = np.where(g > 0, 1.0 / np.where(g > 0, g, 1.0), np.inf)
         return _scalarize(r, single)
@@ -367,7 +180,7 @@ class Body:
         if self._membership is not None:
             return _scalarize(np.asarray(self._membership(X), dtype=bool), single)
         if self.inner_radius > 0:
-            g = _max_of(self.gauge_pieces, X)
+            g = max_of(self.gauge_pieces, X)
             return _scalarize(g <= 1.0 + GAUGE_TOL, single)
         d = np.asarray(self._distance_batch(X), dtype=float)
         return _scalarize(d <= DIST_TOL, single)
@@ -400,8 +213,7 @@ class Body:
         if self._project is not None:
             return self._project(X)
         if self._support is not None:
-            from .optimize import nearest_points  # optimize imports this module
-            return nearest_points(self._support, X)
+            return optimize.nearest_points(self._support, X)
         raise EvaluationError(f"{self.kind} body has no projection route")
 
     def _distance_batch(self, X):
@@ -416,7 +228,7 @@ class Body:
 # ---------------------------------------------------------------------------
 
 
-def _dykstra(projectors, X, tol=1e-10, max_iter=PROJECT_CAP):
+def dykstra(projectors, X, tol=1e-10, max_iter=PROJECT_CAP):
     """Cyclic corrected projections onto an intersection, batched over rows;
     a row stops after a sweep that moves it by at most tol, as it would
     alone.  A row still moving after max_iter sweeps raises."""
@@ -655,7 +467,7 @@ def slab_body(normals, widths) -> Body:
         dim,
         support=(Piece("smooth", value=supp),),
         gauge=(_abs_rows(Nh / wh[:, None]),),
-        project=lambda X: _dykstra(projectors, X),
+        project=lambda X: dykstra(projectors, X),
         inner_radius=float(wh.min()), outer_radius=r_out, symmetric=True,
         kind="slab_intersection",
         spec=BodySpec("slab_intersection",
@@ -889,7 +701,7 @@ def _catalog_entry(kind, keys):
 # ---------------------------------------------------------------------------
 
 
-def _check_dims(K: Body, L: Body):
+def check_dims(K: Body, L: Body):
     if K.dim != L.dim:
         raise DomainError(f"dimension mismatch: {K.dim} vs {L.dim}")
 
@@ -910,11 +722,11 @@ def ball_factors(K: Body) -> tuple:
 def intersect(K: Body, L: Body) -> Body:
     """Intersection: gauges take the max, radials the min.  It has no support
     evaluator: the min of the two supports is only an upper bound."""
-    _check_dims(K, L)
+    check_dims(K, L)
     project = None
     if K.can_project and L.can_project:
         def project(X):
-            return _dykstra([K._project_batch, L._project_batch], X)
+            return dykstra([K._project_batch, L._project_batch], X)
 
     return Body(
         K.dim,
@@ -954,7 +766,7 @@ def minkowski_sum(K: Body, L: Body) -> Body:
     supports and takes its distance from the dual program over the summed
     support.  Membership is distance <= DIST_TOL, and the gauge bisects
     distance <= 0, the true boundary."""
-    _check_dims(K, L)
+    check_dims(K, L)
     if len(ball_factors(K)) == 1:
         K, L = L, K
     r = L.outer_radius if len(ball_factors(L)) == 1 else None

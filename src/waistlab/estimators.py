@@ -3,7 +3,7 @@ measures of bodies, covering numbers, intersection diameters, inclusion
 radii, and section diameters.
 
 Optimization-backed quantities come from minima over the sphere of a max
-of gauge or support pieces of the bodies (see bodies.Piece).  Each
+of gauge or support pieces of the bodies (see pieces.Piece).  Each
 quantity has one function: one rotation (n, n) or subspace gives one
 result, and a stack (F, n, n) or a sequence of them gives a list, as the
 body evaluators take one point or a batch.  A batch is one piece tuple:
@@ -36,12 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import ball_points, chunk_rows, hit_fraction, sphere_points
-from .bodies import (Body, _check_dims, _max_of, map_pieces, orthogonal_matrix,
-                     select_pieces, sum_pieces)
+from .bodies import Body, check_dims, orthogonal_matrix
 from .errors import DomainError, EvaluationError
 from .geometry import Subspace, build_net
 from .optimize import DEFAULT_OPT, OptimizerConfig, minimize_on_sphere_batch
 from .optimize import minimize_on_sphere  # noqa: F401  (perfbench/test_perfbench.py reads it here)
+from .pieces import map_pieces, max_of, select_pieces, sum_pieces
 
 __all__ = [
     "mc_sigma_body",
@@ -178,7 +178,7 @@ def _certified_floor(res, field, net, lip):
         return res.value, f"exact ({res.method})"
     lower, note = res.lower, None if res.lower is None else f"two-sided via {res.method}"
     if net is not None:
-        floor = float(_max_of(field, net.points).min()) - lip * 2.0 * math.sin(net.delta / 2.0)
+        floor = float(max_of(field, net.points).min()) - lip * 2.0 * math.sin(net.delta / 2.0)
         if lower is None or floor > lower:
             lower, note = floor, f"two-sided via net (delta={net.delta:.4g}, N={net.cardinality})"
     return lower, note
@@ -204,7 +204,7 @@ def diameter_of_intersection(K: Body, L: Body, U, opt: OptimizerConfig = DEFAULT
     certified lower bound; a two-sided bracket is added when bracket_delta
     requests a certified net and both inner radii are positive.
     """
-    _check_dims(K, L)
+    check_dims(K, L)
     if not (K.symmetric and L.symmetric):
         raise DomainError("intersection diameter requires symmetric bodies")
     stack, single = _rotations(L, U)
@@ -250,7 +250,7 @@ def inclusion_radius(K: Body, L: Body, U, opt: OptimizerConfig = DEFAULT_OPT,
     U is one rotation or a stack or sequence of them, as for
     diameter_of_intersection, with one InclusionResult or a list.
     """
-    _check_dims(K, L)
+    check_dims(K, L)
     if combine not in ("sum", "max"):
         raise DomainError(f"combine must be 'sum' or 'max', got {combine!r}")
     stack, single = _rotations(L, U)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import sphere_points
-from .bodies import ORTHO_TOL, Body, _dykstra
+from .bodies import ORTHO_TOL, Body, dykstra
 from .errors import (DomainError, EmptyFiberError, EvaluationError,
                      HypothesisError, NetConstructionError)
 
@@ -316,8 +316,8 @@ def lift_waist(K: Body, P: Subspace, x, *, verify_hypothesis: bool = True):
 
     start = np.zeros((1, K.dim))
     try:
-        g = _dykstra([K._project_batch, proj_affine], start,
-                     tol=LIFT_TOL, max_iter=LIFT_CAP)[0]
+        g = dykstra([K._project_batch, proj_affine], start,
+                    tol=LIFT_TOL, max_iter=LIFT_CAP)[0]
     except EvaluationError as exc:
         raise EmptyFiberError(f"lifting failed to converge: {exc}", witness=xv) from exc
 

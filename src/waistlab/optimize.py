@@ -1,228 +1,51 @@
-"""Multistart minimization of scalar fields over the unit sphere.
+"""Multistart minimization of scalar fields over the unit sphere, behind
+exact stages that certify the fields they can.
 
-A field is a max of pieces (see bodies.Piece), and one piece tuple whose
-matrices carry a leading field axis describes many fields at once (one
-per random rotation of a harness).  The optimizer evaluates those pieces
-itself in every stage.  It runs projected descent from spread-out seed
-directions, for all fields in lockstep.  Each iteration evaluates the
-field and a subgradient once at the candidate rows (see
-bodies.Piece.gradient: the gradient of each row's active piece, exact but
-for smooth pieces, which are differenced), and steps along the
-subgradient's tangent component, the Riemannian gradient on the sphere
-(Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds,
-2008, section 3.6).  It then polishes the POLISH_STARTS best distinct
-descent endpoints of each field with one SLSQP solve each of the
-epigraph program of the field: min t subject to piece(u) <= t for every
-piece and |u|^2 = 1, with exact constraints and analytic Jacobians.
-Several starts are needed, since fields with l1 terms are multimodal:
-on the polytope-dual benchmark (seeds 1, 2, 3 and 21, jobs 0-23), one
-start lost 1.7e-4 relative against 16 on 1 of the 16 sums of a
-Euclidean norm and an l1 term in R^5, which the facet stage below now
-answers.  The fields that still reach the polish are those that every
-exact stage leaves open.  On that benchmark's jobs 0-23 at seeds 1-12
-and 21 they are the hull-of-union fields max(h_E, h_UC) of job 15 at
-seed 21, jobs 3 and 21 at seed 6 and job 3 at seed 7, which the piece
-floor does not certify and the hull stage's cutting planes leave open
-(their rounds stall as Qhull merges their points) though the value they
-attain is within 8e-15 of the polish's, and the sum of an ellipsoid and
-a cube of job 23 at seed 5, whose facet rounds stop at HULL_ROWS.  In
-the tests they are nested sums of Euclidean norms and fields with
-smooth pieces.  Values returned are
-always attained at an explicit feasible direction, so for maximization
-problems the result is a certified bound from the feasible side.
+A field is a max of pieces (see pieces.Piece), and one piece tuple whose
+matrices carry a leading field axis describes many fields at once, one
+per random rotation of a harness.  Fields that no exact stage certifies
+are descended and polished (see minimize_on_sphere_batch).
+nearest_points solves the dual distance form of the polish's program.
 
-The same program with |u|^2 <= 1 and the objective t - <x, u> is the dual
-of the Euclidean distance to a convex body with support max(pieces):
-dist(x, C) = max over |u| <= 1 of <x, u> - h_C(u) (Rockafellar, Convex
-Analysis, 1970, section 16).  nearest_points solves it row by row.
+The exact stages.  When a call's fields are sums of two Euclidean norms
+(_cs_sum), _cauchy_schwarz takes them all at once, in lockstep.  Every
+other field goes through the per-field stages of _exact in the order
+_zero_sphere, _s_lemma, _minkowski_facets, _floor, _hull, up to the
+first exact result.  Each stage takes (pieces, n) and returns an exact
+result, a bound, or None for a field it does not take; its docstring
+says which fields it takes and when it certifies one.
 
-Before any descent, exact stages answer the fields they can.  Each
-stage gives a field an exact result, a bound (a result of stage "bound"
-whose lower is a certified lower bound on the minimum), or None for a
-field it does not take.  When a call's fields are sums of two
-Euclidean norms, the Cauchy-Schwarz stage takes them all at once, in
-lockstep.  Every other field goes through the per-field stages in the
-order 0-sphere, S-lemma dual, Minkowski facets, piece floor, convex
-hull, up to the first exact result.  One rule, _join, joins a field's
-results, the stages' in order and then the descent's: the first exact
-result wins; otherwise the larger lower bound wins, with the method of
-the stage that gave it, the earlier one on a tie; nfev adds up over
-every stage that ran.  So a descended field carries the best bound of its stages
-and that stage's method, or lower and method None when no stage
-bounded it.
+The join.  One rule, _join, joins a field's results, the stages' in
+order and then the descent's: the first exact result wins; otherwise
+the larger lower bound wins, with the method of the stage that gave it,
+the earlier one on a tie; nfev adds up over every stage that ran.  So a
+descended field carries the best bound of its stages and that stage's
+method, or lower and method None when no stage bounded it.
 
-On the 0-sphere (n = 1), the field is evaluated at both points +1 and
--1.
-
-A field whose every piece is l2, max_i |u M_i|, is answered by the
-S-lemma dual (see _s_lemma).  So is a field with an l2 piece beside
-linear pieces whose rows come in exact pairs +-p_j: such a piece is
-max_j |<u, p_j>|, a max of rank-1 norms (see _norms).  The gauge of an
-ellipsoid intersected with a rotated cube is of this kind.  With
-Q_i = M_i M_i^T, the minimum over the sphere of the squared field is at
-least lambda_min(sum_i lambda_i Q_i) for every lambda in the simplex.
-The stage maximizes that bound over the simplex's vertices and edges,
-and recovers directions from the eigenvectors of lambda_min there.  On
-an edge it takes safeguarded Newton steps on the bound's slope, whose
-derivative comes from the same eigendecomposition by first-order
-perturbation; a step that leaves the slope's sign bracket, or one where
-the two lowest eigenvalues are within rounding, bisects instead, and at
-most NEWTON_SOLVES eigendecompositions are made on one edge.  The slopes
-at an edge's ends come from its vertices' eigenvectors.  A zero piece
-beside a norm is dropped, since max(|u M|, 0) = |u M|.  The least of the
-candidate directions is chosen from one batched evaluation.  The
-field is exact when the best direction's squared value is within
-64 n eps |sum_i lambda_i Q_i|_2 of the bound.  For two pieces and
-n >= 3 the bound has no gap, since the joint range of two quadratic
-forms on that sphere is convex (Brickman, Proc. AMS 12, 1961; Polik &
-Terlaky, SIAM Review 49, 2007).  The cylinder, ball, ellipsoid and
-section fields of the harnesses are of this kind.  A field that does
-not certify gets the square root of the bound, less the same tolerance,
-as its bound.  The stage imports nothing from SciPy, so the harnesses'
-ball, cylinder and ellipsoid runs never load scipy.optimize.
-
-A field that is the sum of two Euclidean norms, |u M_1| + |u M_2|, is
-answered by the Cauchy-Schwarz stage (see _cauchy_schwarz).  Sums are
-canonical where they are built (bodies.sum_pieces drops identically
-zero parts and zero pieces beside norms, and a sum of one part is that
-part), so the Minkowski-sum inclusion field of two flat disks, balls,
-ellipsoids or cylinders is one such sum.  With Q_i = M_i M_i^T, the
-squared minimum is the infimum over w in (0, 1) of
-g(w) = lambda_min(Q_1 / w + Q_2 / (1 - w)), since
-(a + b)^2 = min over w of a^2 / w + b^2 / (1 - w); every w gives a
-direction, the eigenvector of lambda_min, and the limits at the ends
-are the kernels of the M_i^T.  Branch and bound on w certifies the
-infimum with lower bounds on g over intervals.  The field is exact when
-the best direction's squared value is within
-64 n eps (|M_1|_2^2 + |M_2|_2^2) of the least bound.  A field that does
-not certify gets the square root of that bound as its bound.
-
-A field whose pieces are l1, l2 and linear pieces, and not the S-lemma
-stage's, is first tried by the piece floor (see _floor): the least value
-of a max of pieces is at least the largest least value of one piece, and
-an l2 piece |u M| or an l1 piece |u G|_1 >= |u G|_2 has least value at
-least sigma_min of its matrix when that has rank n.  The field is
-evaluated at +- the left-singular vectors of each matrix's sigma_min
-(all of them when it repeats, as for a ball) and the unit rows of
-pinv(G) for each l1 matrix G (where u G is one-hot: a mapped cube's
-facet normals), and it is exact when the least of those values is within
-the hull stage's 8 n eps times the largest piece scale of the floor.
-The ball and rotated-cube hull-of-union fields of acceptance criterion
-10a, which the hull stage's cutting planes leave open, certify so at the
-ball's radius, as do about half of the fields the hull stage answered on
-the polytope-dual benchmark, with no Qhull call.  A floor that does not
-certify gives a bound, joined like any other.
-
-A polyhedral field, whose every piece is linear, an l1 piece of at most
-HULL_ROWS sign rows, or a sum of such parts, is max_i <P_i, u> =
-h_conv(P)(u) over the rows P it expands to.  When 0 is interior to
-conv(P), its minimum over the sphere is the inradius of conv(P),
-attained at the normal of the facet nearest the origin (Qhull: Barber,
-Dobkin & Huhdanpaa, ACM TOMS 1996).
-HULL_ROWS bounds the Qhull cost, which grows with the facet count: on
-one thread, the hull of the 320 rows of the Minkowski sum of a 5-cube and
-a rotated 5-cross-polytope (about 4800 triangulated facets on 330-360
-distinct planes) takes 25-35 ms, and every other polyhedral field of the
-polytope-dual benchmark 3 ms or less.  The facet stage below answers
-such sums first, and takes the same bound, so HULL_ROWS = 0 switches
-both off.  The stage declines fields with other pieces, more rows, rows
-of affine rank below n, or the origin on or outside the hull, and
-fields on which Qhull raises QhullError (QH6271, a "wide merge", on
-dense clouds).
-
-A field that is the Minkowski sum of zonotopes and the hull of pairs
-+-p_j that span R^n, sum_i |<u, g_i>| + max_j |<u, p_j>| (one sum piece:
-l1 parts, whose matrix columns are the generators g_i, and one linear
-part whose rows come in exact pairs), is answered by its facets (see
-_minkowski_facets).  A facet of a Minkowski sum is the sum of the
-parts' exposed faces at its normal u: the zonotope's face spans the
-generators orthogonal to u, and the face of the pairs' hull is the hull
-of the sigma_j p_j that attain max_j |<u, p_j>|, sigma_j = sign <u, p_j>,
-at the level h(u) > 0 (the pairs span R^n, so the origin is
-interior).  So every facet normal, scaled to h(u) = 1,
-solves a square system [g_I; sigma_J p_J] u = [0; 1] with
-|I| + |J| = n, and sigma = +1 on the first pair of J (-u covers the
-other sign): 841 systems for five generators and five pairs in R^5,
-160 in R^4 and 31 in R^3.  The minimum over the sphere is the inradius,
-attained at a facet normal, so the least field value at +- the systems'
-solutions is the minimum, attained at its direction.  On 800 random
-sums in R^2 to R^5 (rotated and aligned cubes plus cross-polytopes,
-random zonotopes plus random pairs) it agreed with the hull's value
-within 7.1e-15 relative, in about 1 ms at n = 5 against Qhull's 25 ms.
-With pairs of rank below n, the face of the pairs' hull at a normal
-orthogonal to them sits at level 0, and the systems miss that facet: for
-a 3-cube of half-width 1 plus an aligned flat cross-polytope of radius
-1.5, the least candidate value is 2.47 against the minimum 1.  The
-stage declines such a field.
-
-The facet stage also takes a Minkowski sum of zonotopes and ellipsoids,
-sum_i |<u, g_i>| + h_E(u) with h_E the sum of l2 parts, in place of
-the paired linear part, by Kelley's cutting planes over the same
-systems.  The pairs +-p_j are support points of E (the l2 parts'
-summed gradients, bodies.Piece.gradient), first at the unit generator
-directions, so the inner polytope Z + conv(+-p_j) lies inside the
-field's body and its support is at most the field.  Each round solves
-only the systems that use the newest pair (their solutions join the
-earlier rounds'), takes the least support of the inner polytope over +-
-every solution, its inradius, as a certified lower bound, and the field
-at that nearest normal as an attained value, and adds E's support point
-there as a new pair, until the best value is within the hull stage's
-8 n eps max_i |P_i| of the bound, over the rows P that the first pairs
-expand to.  The rounds stop after CUT_ROUNDS, or when one more pair
-would take the 2^k 2m rows of k generators and m pairs past HULL_ROWS,
-which is checked before any system is built; the field then goes on to
-the hull stage and the descent with the inradius as its bound.  The
-polytope-dual benchmark's Minkowski-sum inclusion fields h_E + h_UC of
-an ellipsoid and a rotated cube in R^3 to R^5 are of this kind, with
-their minima at the cube's facet normals, whose systems are among the
-first round's: at seeds 1, 2, 3 and 21, jobs 0-23, every one certifies,
-within 8.1e-16 relative of the hull stage's or the polish's values.  On
-12 such fields in R^5 (Haar seeds 0-11, one BLAS thread, 2 vCPUs) the
-stage takes a median of 1.3 ms and at most 5.1 ms, with no Qhull call,
-against a median of 18 ms for the descent and polish.
-
-The hull stage also takes l2 pieces, beside polyhedral ones or in the
-parts of sums (a field whose every piece is l2 is the S-lemma stage's
-alone, and the hull stage declines it), by Kelley's cutting planes
-(Kelley, J. SIAM 8, 1960; Bertsekas & Yu, SIAM J. Optim. 21, 2011),
-whose zero-round case is the hull above.  Each l2 piece
-|u M| = max over |y| <= 1 of <u, M y> is replaced by rows at its
-support points M M^T a / |a M| at the seed directions a: +-e_i and +-
-the unit columns of every l1 matrix of the field, which are a rotated
-cube's facet normals.  The minima of the
-polytope-dual benchmark's sums of an ellipsoid's and a rotated cube's
-supports all sit at such a normal.  A sum's rows are the pairwise sums of
-its parts' rows, as for a polyhedral sum, so HULL_ROWS decides which sums
-enter: 12 seeds times 8 cube rows in R^3 and 16 times 16 in R^4 do, while
-the 20 times 32 of R^5 decline before any hull is built.  The rows are
-points of the body whose support is the field, so their hull's support
-h_inner is at most the field, and the facet nearest the origin gives a
-certified lower bound, the hull's inradius.  The field at that facet's
-normal is an attained value.  Each round adds, at the normals of the n
-nearest facets, the subgradient (bodies.Piece.gradient) of every piece
-that holds an l2 piece: the support point of an l2 piece, and for a sum
-the sum of its parts' support points, again points of the body.  The
-rounds go on until the gap between the best value and the bound is
-within n eps max_i |P_i|, the hull's rounding.  They stop earlier when
-the gap stops shrinking within 64 times that, where Qhull merges the new
-points, or when it has not shrunk 16-fold over the last 4 rounds, as on
-a ridge of a norm and facets, where each round only about quarters it.
-The field is exact when the gap is within 8 n eps max_i |P_i|: at the
-other stages' 64, values of random ellipsoid and cube fields certified
-up to 2.7e-14 relative above the descent's.  The inclusion field
-max(h_E, h_UC) of an ellipsoid and a rotated cube, the polar diameter
-field, and the same field through the polars are of this kind, and so
-is a Minkowski-sum inclusion field h_E + h_UC that the facet stage
-leaves open.  A field
-that the rounds leave open, after CUT_ROUNDS of them or earlier, gets
-the hull's inradius as its bound.
-
-Every stage reports the field's value at its direction evaluated alone,
-since a row's value in a batched evaluation can differ in its last
-digits.  Each exact stage names itself in the result's method: "both
-points of the 0-sphere", "S-lemma dual", "Cauchy-Schwarz", "Minkowski
-facets", "piece floor", "convex hull", or "cutting planes" for a hull
-stage with l2 pieces.
+A result (SphereOptResult) means:
+- value: the field at direction, a unit vector, evaluated alone, since a
+  row's value in a batched evaluation can differ in its last digits;
+  non-finite values read as inf.  It is attained, so it bounds the
+  minimum from above, and a maximum from the feasible side.
+- lower: a certified lower bound on the minimum; the value itself when
+  exact, None when no stage bounded the field.
+- nfev: every row at which the field, a piece or a piece gradient was
+  evaluated.  An exact stage counts the rows its pieces expand to (the
+  two points of the 0-sphere, the S-lemma, Cauchy-Schwarz, facet and
+  floor stages' candidate directions, the hull's rows at its seeds, and
+  the support points of every cutting-plane round) and the evaluations
+  at its directions (one per cutting-plane round, the facet stage's
+  zero-round case included; one for the S-lemma and floor stages, and
+  for an S-lemma field that its batched best does not certify, one more
+  per candidate).
+- stage: "exact" when a stage certified the value within its rounding
+  of lower; "bound" for a stage that only bounded the field, a result
+  that reaches the caller only joined into the descent's; "descent" or
+  "polish" for what produced a descended field's value.
+- method: the stage that answered or bounded the field: "both points of
+  the 0-sphere", "S-lemma dual", "Cauchy-Schwarz", "Minkowski facets",
+  "piece floor", "convex hull", or "cutting planes" for a hull stage
+  with l2 pieces; None when no stage did.
 """
 
 from __future__ import annotations
@@ -235,8 +58,8 @@ from itertools import combinations
 import numpy as np
 
 from ._util import sphere_points
-from .bodies import Piece, _max_and_gradient, _max_of, leaves, select_pieces
 from .errors import EvaluationError
+from .pieces import Piece, leaves, max_and_gradient, max_of, select_pieces
 
 __all__ = ["OptimizerConfig", "SphereOptResult", "minimize_on_sphere",
            "minimize_on_sphere_batch", "nearest_points", "spread_directions"]
@@ -266,7 +89,7 @@ class SphereOptResult:
     direction: np.ndarray
     nfev: int
     polish_unconverged: int = 0  # epigraph solves SLSQP ended without success
-    stage: str = "descent"       # "exact", "descent" or "polish": what produced the value
+    stage: str = "descent"       # "exact", "bound", "descent" or "polish": what produced it
     polish_nit: int = 0          # SLSQP iterations over the field's epigraph solves
     lower: float | None = None   # certified lower bound on the minimum: the value when exact
     descent_iters: int = 0       # iterations the descent ran: cfg.iters at its cap, 0 when exact
@@ -293,8 +116,7 @@ def spread_directions(n: int, count: int, seed=0) -> np.ndarray:
 
 def _normalize_rows(V):
     nrm = np.linalg.norm(V, axis=1)
-    nrm = np.where(nrm > 0, nrm, 1.0)
-    return V / nrm[:, None]
+    return V / np.where(nrm > 0, nrm, 1.0)[:, None]
 
 
 def minimize_on_sphere(field, n: int, cfg: OptimizerConfig = DEFAULT_OPT,
@@ -305,8 +127,7 @@ def minimize_on_sphere(field, n: int, cfg: OptimizerConfig = DEFAULT_OPT,
     "sum" pieces), or a callable mapping an (m, n) array of rows to an
     (m,) array, which becomes the one smooth piece and is evaluated at the
     rows normalized to unit length.  Deterministic for a fixed config
-    seed.  This is the one-field case of minimize_on_sphere_batch, which
-    documents the stages and nfev.
+    seed.  This is the one-field case of minimize_on_sphere_batch.
     """
     if callable(field):
         f = field
@@ -320,42 +141,37 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
     SphereOptResult per field.
 
     pieces describes every field at once: its matrices carry a leading
-    field axis of length count (see bodies.Piece), and a matrix without
+    field axis of length count (see pieces.Piece), and a matrix without
     one is shared by all fields.  Field t is the max of
     select_pieces(pieces, t), and a result's value is that max at its
     direction, with non-finite values read as inf.
 
     A field an exact stage answers (see the module docstring) is not
-    descended; its nfev counts the rows its pieces expand to (the two
-    points on the 0-sphere, the S-lemma, Cauchy-Schwarz, facet and floor
-    stages' candidate directions, the hull's rows at its seeds, and the
-    support points of every cutting-plane round of the hull and facet
-    stages) and the evaluations at its directions (one per cutting-plane
-    round, the facet stage's zero-round case included; one for the
-    S-lemma and floor stages, and for an S-lemma field that its batched
-    best does not certify, one more per candidate), and its lower is its
-    value.  Every other field starts from the same m spread directions
-    (and extra_starts) and
-    runs projected subgradient descent: each iteration makes one pass of
-    the field's value and subgradient at its m candidate rows, m rows of
-    nfev, plus 2 n difference rows per row for each smooth piece (see
-    bodies.Piece.gradient), and the starts take one such pass.  A step
+    descended.  Every other field starts from the same m spread directions
+    (and extra_starts) and runs projected subgradient descent: each
+    iteration makes one pass of the field's value and subgradient at its
+    m candidate rows, m rows of nfev, plus 2 n difference rows per row for
+    each smooth piece (see pieces.Piece.gradient), and steps along the
+    subgradient's tangent component, the Riemannian gradient on the
+    sphere (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
+    Manifolds, 2008, section 3.6); the starts take one such pass.  A step
     starts at STEP0, grows by 1.2 when it improves its row and halves when
     it does not.  A field stops once all its step sizes fall below 1e-12,
     or at cfg.iters iterations, and is no longer evaluated, so it ends
-    exactly as it would alone; descent_iters
-    reports how many iterations it ran (0 for an exact field).  At most
-    BATCH_ROWS rows go to one evaluation of the pieces; more fields run
-    in consecutive chunks.  Each descended field's epigraph program is
-    then solved from its POLISH_STARTS best distinct descent endpoints,
-    and a solution is kept only when the field, evaluated there, improves
-    on the descent.  nfev counts every row at which the field, a piece or
-    a piece gradient was evaluated; polish_unconverged counts the solves
-    that SLSQP ended without success and polish_nit their SLSQP
-    iterations.  stage names what produced the value: "exact", "descent",
-    or "polish" when a polished point improved on the descent.  Each
-    descended result is joined to its exact stages' result by _join,
-    which adds their nfev and carries their bound in lower and method.
+    exactly as it would alone; descent_iters reports how many iterations
+    it ran (0 for an exact field).  At most BATCH_ROWS rows go to one
+    evaluation of the pieces; more fields run in consecutive chunks.
+
+    Each descended field's epigraph program, min t subject to
+    piece(u) <= t for every piece and |u|^2 = 1 (see _Epigraph), is then
+    solved by SLSQP from its POLISH_STARTS best distinct descent
+    endpoints, several since fields with l1 terms are multimodal, and a
+    solution is kept only when the field, evaluated there, improves on the
+    descent.  polish_unconverged counts the solves that SLSQP ended
+    without success and polish_nit their SLSQP iterations.  stage is
+    "polish" when a polished point improved on the descent, else
+    "descent".  Each descended result is joined to its exact stages'
+    result by _join.
     """
     if n > 1 and _cs_sum(pieces):  # a stage that runs its fields in lockstep
         first = _cauchy_schwarz(pieces, n, count)
@@ -455,14 +271,22 @@ def _minkowski_facets(pieces, n):
     symmetric body B: one sum piece whose parts are single l1 pieces, with
     the columns of their matrices as the generators g_i, and either one
     linear piece whose rows come in exact pairs +-p_j (see _pairs), B their
-    hull, or single l2 pieces, B the sum E of their ellipsoids.  Every facet
-    normal of Z + conv(+-p_j) solves one of the square systems of
-    _facet_systems (see the module docstring), and the least support of
-    Z + conv(+-p_j) over +- their solutions is its inradius, attained at
-    its direction; for paired rows it is the field's minimum.
+    hull, or single l2 pieces, B the sum E of their ellipsoids.
+
+    A facet of Z + conv(+-p_j) is the sum of the parts' exposed faces at
+    its normal u: the zonotope's face spans the generators orthogonal to
+    u, and the face of the pairs' hull is the hull of the sigma_j p_j that
+    attain max_j |<u, p_j>|, sigma_j = sign <u, p_j>, at the level
+    h(u) > 0 (the pairs span R^n, so the origin is interior).  So every
+    facet normal, scaled to h(u) = 1, solves one of the square systems
+    [g_I; sigma_J p_J] u = [0; 1] of _facet_systems, and the least support
+    of Z + conv(+-p_j) over +- their solutions is its inradius, attained
+    at its direction; for paired rows it is the field's minimum.  With
+    pairs of rank below n, a facet whose normal is orthogonal to them sits
+    at level 0 and no system gives it, so the stage declines.
 
     With l2 parts, the pairs are support points of E (the sum of the l2
-    parts' gradients, bodies.Piece.gradient), first at the unit generator
+    parts' gradients, pieces.Piece.gradient), first at the unit generator
     directions, so Z + conv(+-p_j) lies inside the field's body, and
     Kelley's cutting planes run on it: each round solves only the systems
     that use the newest pair, takes the least support of Z + conv(+-p_j)
@@ -647,13 +471,43 @@ def _floor(pieces, n):
 
 
 def _hull(pieces, n):
-    """The convex-hull stage: Kelley's cutting planes, whose zero-round
-    case is the hull of a polyhedral field's rows (see the module
-    docstring).  None when every piece is l2, when the field has a smooth
-    piece, more than HULL_ROWS rows at its seeds (see _seeds), rows of
-    affine rank below n, the origin on or outside their hull, or when
-    Qhull fails; a field that CUT_ROUNDS rounds, HULL_ROWS rows, or a
-    stalled gap leave open gets stage "bound"."""
+    """The convex-hull stage, by Kelley's cutting planes (Kelley, J. SIAM 8,
+    1960; Bertsekas & Yu, SIAM J. Optim. 21, 2011), whose zero-round case
+    is the hull of a polyhedral field's rows.
+
+    A polyhedral field, whose every piece is linear, an l1 piece or a sum
+    of such parts, is max_i <P_i, u> = h_conv(P)(u) over the rows P it
+    expands to (see _polyhedral_rows).  When 0 is interior to conv(P), its
+    minimum over the sphere is the inradius of conv(P), attained at the
+    normal of the facet nearest the origin (Qhull: Barber, Dobkin &
+    Huhdanpaa, ACM TOMS 1996).  HULL_ROWS bounds the rows, and so Qhull's
+    cost, which grows with the facet count.
+
+    An l2 piece |u M| = max over |y| <= 1 of <u, M y>, beside polyhedral
+    pieces or in the parts of sums, is replaced by rows at its support
+    points M M^T a / |a M| at the seed directions a of _seeds.  The rows
+    are points of the body whose support is the field, so their hull's
+    support is at most the field, and its inradius is a certified lower
+    bound; the field at the nearest facet's normal is an attained value.
+    Each round adds, at the normals of the n nearest facets, the
+    subgradient (pieces.Piece.gradient) of every piece that holds an l2
+    piece: the support point of an l2 piece, and for a sum the sum of its
+    parts' support points, again points of the body.  With
+    r = n eps max_i |P_i|, the hull's rounding, the rounds go on until the
+    gap between the best value and the bound is within r.  They stop
+    earlier when the gap stops shrinking within 64 r, where Qhull merges
+    the new points, when it has not shrunk 16-fold over the last 4
+    rounds, as on a ridge of a norm and facets, where each round only
+    about quarters it, after CUT_ROUNDS rounds, or before the rows pass
+    HULL_ROWS.  The field is exact when the gap is within 8 r (at 64 r,
+    values of random ellipsoid and cube fields certified up to 2.7e-14
+    relative above the descent's); a field left open gets stage "bound",
+    with the inradius as lower.
+
+    None when every piece is l2 (the S-lemma stage's fields), when the
+    field has a smooth piece, more than HULL_ROWS rows at its seeds, rows
+    of affine rank below n, the origin on or outside their hull, or when
+    Qhull raises QhullError (a "wide merge" on dense clouds)."""
     if all(p.kind == "l2" for p in pieces):
         return None
     from scipy.spatial import ConvexHull
@@ -687,9 +541,6 @@ def _hull(pieces, n):
             best_u, best = u, value
         gaps.append(best - lower)
         gap = gaps[-1]
-        # the rounds go on until the gap is within the hull's rounding, or
-        # stops shrinking near it, where Qhull merges the new points, or
-        # has not shrunk 16-fold over the last 4 rounds
         if (not cut or gap <= rounding or (gap <= 64 * rounding and gap >= gaps[-2])
                 or (len(gaps) > 5 and 16 * gap > gaps[-5])
                 or len(P) + n * len(cut) > HULL_ROWS):
@@ -748,9 +599,11 @@ def _s_lemma(pieces, n):
     leave a field open.  A field that does not certify carries
     sqrt(max(phi - tol, 0)) as a certified lower bound on its minimum.
     Two pieces certify for n >= 3, since the joint range of two quadratic
-    forms on that sphere is convex (Brickman, Proc. AMS 12, 1961); three
-    or more can leave a gap.  None when _norms declines the field or a
-    matrix is not finite.
+    forms on that sphere is convex (Brickman, Proc. AMS 12, 1961; Polik &
+    Terlaky, SIAM Review 49, 2007); three or more can leave a gap.  The
+    stage imports nothing from SciPy, so fields of balls, cylinders and
+    ellipsoids never load scipy.optimize.  None when _norms declines the
+    field or a matrix is not finite.
     """
     M = _norms(pieces)
     if M is None:
@@ -1118,7 +971,7 @@ def _polyhedral_rows(pieces, n, seeds=None):
     is smooth or the rows would exceed HULL_ROWS.  A linear piece gives
     its rows, an l1 piece its 2^k sign rows, and a sum the pairwise sums
     of its parts' rows.  An l2 piece gives its support points at the rows
-    of seeds, its nonzero gradients there (see bodies.Piece.gradient),
+    of seeds, its nonzero gradients there (see pieces.Piece.gradient),
     which are points of its ellipsoid, and None without seeds: with one,
     max_i <P_i, u> is only at most max(pieces)(u)."""
     blocks, total = [], 0
@@ -1151,7 +1004,7 @@ def _polyhedral_rows(pieces, n, seeds=None):
 
 
 def _finite_values(pieces, V):
-    vals = _max_of(pieces, V)
+    vals = max_of(pieces, V)
     return np.where(np.isfinite(vals), vals, np.inf)
 
 
@@ -1162,7 +1015,7 @@ def _descend(pieces, idx, U0, cfg):
     k, (m, n) = len(idx), U0.shape
     run = select_pieces(pieces, idx)  # the running fields; re-selected when one stops
     U = np.repeat(U0[None], k, axis=0)
-    vals, grad = _max_and_gradient(run, U)
+    vals, grad = max_and_gradient(run, U)
     vals = np.where(np.isfinite(vals), vals, np.inf)
     U_out, vals_out = np.empty_like(U), np.empty_like(vals)
     iters = np.full(k, cfg.iters)
@@ -1177,7 +1030,7 @@ def _descend(pieces, idx, U0, cfg):
         gn = np.where(gn > 0, gn, 1.0)
         cand = _normalize_rows((U - (steps / gn)[:, :, None] * tangent).reshape(-1, n))
         cand = cand.reshape(a, m, n)
-        cv, cg = _max_and_gradient(run, cand)
+        cv, cg = max_and_gradient(run, cand)
         cv = np.where(np.isfinite(cv), cv, np.inf)
         better = cv < vals
         U = np.where(better[:, :, None], cand, U)
@@ -1279,9 +1132,7 @@ class _Epigraph:
     def __init__(self, pieces, n):
         self.n = n
         self.nz = n + 1 + _aux_count(pieces)
-        self.rows = 0
-        self.nit = 0
-        self.unconverged = 0
+        self.rows = self.nit = self.unconverged = 0
         self.blocks = []     # row blocks of C
         self.levels = []     # (variable, pieces whose max it bounds)
         self.l1 = []         # (first auxiliary variable, M)
@@ -1402,7 +1253,9 @@ class _Epigraph:
 def nearest_points(pieces, X):
     """Nearest points to the rows of X (m, n) of the convex body whose
     support is the max of pieces, by the dual program
-    dist(x, C) = max over |u| <= 1 of <x, u> - h_C(u).
+    dist(x, C) = max over |u| <= 1 of <x, u> - h_C(u) (Rockafellar, Convex
+    Analysis, 1970, section 16): the epigraph program of _Epigraph with
+    |u|^2 <= 1 and the objective t - <x, u>.
 
     Each row's solution u is normalized to unit length, and
     d = <x, u> - h_C(u) is re-evaluated from the pieces: a lower bound on

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from waistlab._util import sphere_points
-from waistlab.bodies import (BodySpec, Piece, ball, ball_factors, construct_body,
+from waistlab.bodies import (BodySpec, ball, ball_factors, construct_body,
                              cross_polytope, cube,
                              difference_body, ellipsoid, intersect, linear_image,
-                             map_pieces, mc_volume, minkowski_sum, neighborhood, polar,
-                             product_body, slab_body, sum_pieces, truncated_cylinder,
+                             mc_volume, minkowski_sum, neighborhood, polar,
+                             product_body, slab_body, truncated_cylinder,
                              unit_ball_volume, vertex_polytope, volume_ratio)
 from waistlab.errors import ContainmentError, DomainError, EvaluationError, SpecError
 from waistlab.geometry import haar_rotation
 from waistlab.optimize import nearest_points
+from waistlab.pieces import Piece, map_pieces, sum_pieces
 
 
 def rotation2(theta):
@@ -359,6 +360,9 @@ def test_neighborhood_gauge_bisects_the_boundary_without_tolerance():
     assert N.contains([1.5 + 0.5e-9, 0.0, 0.0])
 
 
+_POLYGON = vertex_polytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+
+
 def test_batched_projection_rows_end_as_alone(monkeypatch):
     # a row leaves the cyclic projections once it stops moving, so a batch
     # projects each row as often as the row alone, to the same bits
@@ -372,6 +376,9 @@ def test_batched_projection_rows_end_as_alone(monkeypatch):
         return nearest_points(pieces, X)
 
     monkeypatch.setattr(waistlab.optimize, "nearest_points", counting)
+    _POLYGON.distance([2.0, 2.0])  # the patch is live: a vertex polytope projects through it
+    assert projected[0] >= 1
+    projected[0] = 0
     K = intersect(vertex_polytope(np.random.default_rng(4).normal(size=(12, 3))),
                   ellipsoid([0.9, 0.5, 1.4]))
     X = np.random.default_rng(5).normal(size=(5, 3)) * 2
@@ -394,6 +401,9 @@ def _count_nearest_points(monkeypatch):
         return nearest_points(pieces, X)
 
     monkeypatch.setattr(waistlab.optimize, "nearest_points", counting)
+    _POLYGON.distance([2.0, 2.0])  # the patch is live: a vertex polytope projects through it
+    assert calls[0] >= 1
+    calls[0] = 0
     return calls
 
 

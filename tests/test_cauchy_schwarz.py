@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from waistlab import optimize
 from waistlab._util import seed_sequence, sphere_points
-from waistlab.bodies import (Piece, _max_of, ball, ellipsoid, map_pieces, product_body,
-                             sum_pieces)
+from waistlab.bodies import ball, ellipsoid, product_body
 from waistlab.estimators import inclusion_radius
 from waistlab.experiments import _trial_rotations
 from waistlab.geometry import haar_rotation
 from waistlab.optimize import OptimizerConfig, minimize_on_sphere, minimize_on_sphere_batch
+from waistlab.pieces import Piece, map_pieces, max_of, sum_pieces
 
 CFG = OptimizerConfig(restarts=8, iters=60, seed=0)
 OPT = OptimizerConfig(restarts=12, iters=50, seed=0)  # acceptance criterion 9's
@@ -124,11 +124,11 @@ def two_norm_sums(draw):
 def test_cauchy_schwarz_results_are_attained_bracketed_and_minimal(field):
     n, pieces = field
     res = minimize_on_sphere(pieces, n, CFG)
-    assert res.value == _max_of(pieces, res.direction[None])[0]
+    assert res.value == max_of(pieces, res.direction[None])[0]
     assert res.value >= res.lower * (1.0 - 1e-12)
     if res.stage == "exact":
         V = sphere_points(np.random.default_rng(n), 20_000, n)
-        assert res.value <= _max_of(pieces, V).min() * (1.0 + 1e-12)
+        assert res.value <= max_of(pieces, V).min() * (1.0 + 1e-12)
 
 
 def test_the_stage_sees_every_sum_of_two_norms(monkeypatch):

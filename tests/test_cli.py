@@ -551,8 +551,9 @@ def test_importing_the_cli_leaves_scipy_optimize_unloaded():
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     polytopes = """
-from waistlab.bodies import cross_polytope, cube, sum_pieces
+from waistlab.bodies import cross_polytope, cube
 from waistlab.optimize import minimize_on_sphere
+from waistlab.pieces import sum_pieces
 K, L = cube(3, 1.0), cross_polytope(3, 1.2)
 methods = [minimize_on_sphere(K.gauge_pieces + L.gauge_pieces, 3).method,
            minimize_on_sphere(sum_pieces((K.support_pieces, L.support_pieces)), 3).method]

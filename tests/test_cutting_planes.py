@@ -13,9 +13,10 @@ from scipy.spatial._qhull import QhullError
 
 from waistlab import optimize
 from waistlab._util import sphere_points
-from waistlab.bodies import Piece, _max_of, cross_polytope, cube, ellipsoid, map_pieces, sum_pieces
+from waistlab.bodies import cross_polytope, cube, ellipsoid
 from waistlab.geometry import haar_rotation
 from waistlab.optimize import OptimizerConfig, minimize_on_sphere
+from waistlab.pieces import Piece, map_pieces, max_of, sum_pieces
 
 CFG = OptimizerConfig(restarts=16, iters=120, seed=0)
 
@@ -46,7 +47,7 @@ def mixed_fields(draw, kinds=("gauge", "support")):
 def test_certified_values_never_lose_to_the_descent(field):
     n, pieces = field
     res = minimize_on_sphere(pieces, n, CFG)
-    assert res.value == _max_of(pieces, res.direction[None])[0]
+    assert res.value == max_of(pieces, res.direction[None])[0]
     found = _descended(pieces, n).value
     if res.stage == "exact":
         assert res.method in ("S-lemma dual", "piece floor", "cutting planes")
@@ -138,13 +139,13 @@ def test_certified_sums_are_attained_and_never_lose(n, data):
     # the hull stage alone: the facet stage answers the cube sums first
     n, pieces = data.draw(sum_fields(dims=(n, n)))
     res = optimize._hull(pieces, n)
-    assert res.value == _max_of(pieces, res.direction[None])[0]
+    assert res.value == max_of(pieces, res.direction[None])[0]
     assert res.method == "cutting planes" and res.lower <= res.value
     if res.stage == "exact":
         assert res.lower == res.value
         assert res.value <= _descended(pieces, n).value * (1.0 + 1e-14)
         V = sphere_points(np.random.default_rng(0), 20_000, n)
-        assert res.value <= _max_of(pieces, V).min() * (1.0 + 1e-12)
+        assert res.value <= max_of(pieces, V).min() * (1.0 + 1e-12)
 
 
 @settings(max_examples=5, deadline=None, derandomize=True)

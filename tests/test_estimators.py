@@ -5,7 +5,7 @@ import pytest
 
 from waistlab import optimize
 from waistlab._util import sphere_points
-from waistlab.bodies import (Body, Piece, ball, cross_polytope, cube, ellipsoid, linear_image,
+from waistlab.bodies import (Body, ball, cross_polytope, cube, ellipsoid, linear_image,
                              polar, product_body, slab_body,
                              truncated_cylinder, unit_ball_volume, vertex_polytope)
 from waistlab.errors import DomainError
@@ -15,6 +15,7 @@ from waistlab.estimators import (covering_number_upper, diameter_of_intersection
 from waistlab.geometry import Subspace, haar_rotation, haar_rotations
 from waistlab.measures import SubsphereQuery, sigma_exact, sigma_lip_lower
 from waistlab.optimize import OptimizerConfig
+from waistlab.pieces import Piece
 
 
 def rotation2(theta):

@@ -332,7 +332,7 @@ def test_segment_cap_domain():
 def test_waist_containment_ten_thousand_samples():
     # batched form of the lifting: project every start at once through the
     # same cyclic-projection scheme lift_waist uses pointwise
-    from waistlab.bodies import _dykstra
+    from waistlab.bodies import dykstra
 
     K = cube(3, 1.0)
     P = Subspace.canonical(3, 2)
@@ -343,8 +343,8 @@ def test_waist_containment_ten_thousand_samples():
     def proj_affine(Y):
         return Y + (targets - Y @ P.frame.T) @ P.frame
 
-    G = _dykstra([K._project_batch, proj_affine], np.zeros((10_000, 3)),
-                 tol=1e-11, max_iter=50_000)
+    G = dykstra([K._project_batch, proj_affine], np.zeros((10_000, 3)),
+                tol=1e-11, max_iter=50_000)
     norms = np.linalg.norm(G, axis=1)
     assert np.all(norms >= 1.0 - 1e-9)
     F = G / norms[:, None]

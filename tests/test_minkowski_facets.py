@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waistlab import experiments, optimize
-from waistlab.bodies import (Piece, _max_of, ball, cross_polytope, cube, ellipsoid, map_pieces,
-                             polar, product_body, sum_pieces)
+from waistlab.bodies import ball, cross_polytope, cube, ellipsoid, polar, product_body
 from waistlab.estimators import diameter_of_intersection, inclusion_radius
 from waistlab.geometry import Subspace, haar_rotation
 from waistlab.optimize import OptimizerConfig, minimize_on_sphere
+from waistlab.pieces import Piece, map_pieces, max_of, sum_pieces
 
 CFG = OptimizerConfig(restarts=16, iters=120, seed=0)
 
@@ -58,7 +58,7 @@ def test_facet_values_equal_the_hull_and_never_lose_to_the_descent(field):
     n, pieces = field
     res = optimize._minkowski_facets(pieces, n)
     assert (res.stage, res.method, res.lower) == ("exact", "Minkowski facets", res.value)
-    assert res.value == _max_of(pieces, res.direction[None])[0]  # attained at its direction
+    assert res.value == max_of(pieces, res.direction[None])[0]  # attained at its direction
     assert np.linalg.norm(res.direction) == pytest.approx(1.0, abs=1e-15)
     hull = optimize._hull(pieces, n)
     assert hull.stage == "exact" and hull.method == "convex hull"
@@ -188,7 +188,7 @@ def test_ellipsoid_sums_are_attained_and_never_lose_to_the_descent(field):
     n, pieces = field
     res = optimize._minkowski_facets(pieces, n)
     assert res.method == "Minkowski facets"
-    assert res.value == _max_of(pieces, res.direction[None])[0]  # attained at its direction
+    assert res.value == max_of(pieces, res.direction[None])[0]  # attained at its direction
     found = _descended(pieces, n).value
     if res.stage == "exact":
         assert res.lower == res.value and res.value <= found * (1.0 + 1e-14)

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from waistlab import estimators, optimize
-from waistlab.bodies import (Piece, ball, cross_polytope, cube, ellipsoid, intersect,
-                             map_pieces, neighborhood, polar, product_body, select_pieces,
-                             slab_body, sum_pieces, truncated_cylinder, vertex_polytope)
+from waistlab.bodies import (ball, cross_polytope, cube, ellipsoid, intersect, neighborhood,
+                             polar, product_body, slab_body, truncated_cylinder, vertex_polytope)
 from waistlab.errors import EvaluationError
 from waistlab.estimators import diameter_of_intersection, inclusion_radius
 from waistlab.geometry import haar_rotation
 from waistlab.optimize import (OptimizerConfig, minimize_on_sphere, minimize_on_sphere_batch,
                                nearest_points)
+from waistlab.pieces import Piece, map_pieces, select_pieces, sum_pieces
 
 N = 4
 CFG = OptimizerConfig(restarts=8, iters=200, seed=1)

@@ -10,11 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from waistlab import experiments, optimize
-from waistlab.bodies import (Piece, _max_of, ball, cross_polytope, cube, ellipsoid, map_pieces,
-                             polar)
+from waistlab.bodies import ball, cross_polytope, cube, ellipsoid, polar
 from waistlab.estimators import diameter_of_intersection, inclusion_radius, section_diameter
 from waistlab.geometry import Subspace, haar_rotation
 from waistlab.optimize import OptimizerConfig, minimize_on_sphere
+from waistlab.pieces import Piece, map_pieces, max_of
 
 CFG = OptimizerConfig(restarts=16, iters=120, seed=0)
 EPS = np.finfo(float).eps
@@ -54,7 +54,7 @@ def test_floor_values_are_attained_minima(field):
     assume(res is not None and res.stage == "exact")
     assert res.method == "piece floor" and res.lower == res.value
     assert np.linalg.norm(res.direction) == pytest.approx(1.0, abs=4 * EPS)
-    assert res.value == _max_of(pieces, res.direction[None])[0]
+    assert res.value == max_of(pieces, res.direction[None])[0]
     # a minimum to rounding: the field at +-u can differ in its last digit
     assert res.value <= _descended(pieces, n).value * (1.0 + 4 * EPS)
     hull = optimize._hull(pieces, n)
@@ -91,7 +91,7 @@ def test_rank_deficient_l1_matrices_never_certify_zero():
         res = optimize._floor(pieces, 4)
         assert res.value > 0.0 and res.lower > 0.0
         assert np.linalg.norm(res.direction) == pytest.approx(1.0, abs=4 * EPS)
-        assert res.value == _max_of(pieces, res.direction[None])[0]
+        assert res.value == max_of(pieces, res.direction[None])[0]
     # with no piece of rank n there is no floor
     assert optimize._floor((flat,), 4) is None
     assert optimize._floor((flat, Piece("linear", G.T)), 4) is None

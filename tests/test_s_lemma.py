@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from waistlab import optimize
 from waistlab._util import sphere_points
-from waistlab.bodies import Piece, _max_of
 from waistlab.geometry import haar_rotation
 from waistlab.optimize import OptimizerConfig, minimize_on_sphere
+from waistlab.pieces import Piece, max_of
 
 CFG = OptimizerConfig(restarts=8, iters=60, seed=0)
 
@@ -38,11 +38,11 @@ def l2_fields(draw):
 def test_s_lemma_results_are_attained_bracketed_and_exact_for_two_pieces(field):
     n, pieces = field
     res = minimize_on_sphere(pieces, n, CFG)
-    assert res.value == _max_of(pieces, res.direction[None])[0]
+    assert res.value == max_of(pieces, res.direction[None])[0]
     assert res.value >= res.lower * (1.0 - 1e-12)
     if res.stage == "exact":
         V = sphere_points(np.random.default_rng(n), 20_000, n)
-        assert res.value <= _max_of(pieces, V).min() * (1.0 + 1e-12)
+        assert res.value <= max_of(pieces, V).min() * (1.0 + 1e-12)
     if len(pieces) == 2 and n >= 3:
         # the joint range of two quadratic forms on the sphere of R^n, n >= 3,
         # is convex (Brickman, 1961): the dual has no gap
@@ -83,9 +83,9 @@ def test_s_lemma_capped_at_one_solve_per_edge_stays_attained_and_bracketed(field
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimize, "NEWTON_SOLVES", 1)
         res = optimize._s_lemma(pieces, n)
-    assert res.value == _max_of(pieces, res.direction[None])[0]
+    assert res.value == max_of(pieces, res.direction[None])[0]
     assert res.value >= res.lower * (1.0 - 1e-12)
-    sampled = _max_of(pieces, sphere_points(np.random.default_rng(n), 20_000, n)).min()
+    sampled = max_of(pieces, sphere_points(np.random.default_rng(n), 20_000, n)).min()
     assert res.lower <= sampled * (1.0 + 1e-12)
     if res.stage == "exact":
         assert res.value <= sampled * (1.0 + 1e-12)

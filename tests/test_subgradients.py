@@ -1,5 +1,5 @@
-"""Subgradients of pieces (bodies.Piece.gradient) and of maxima of pieces
-(bodies._max_and_gradient) on random linear, l1, l2 and sum pieces, drawn
+"""Subgradients of pieces (pieces.Piece.gradient) and of maxima of pieces
+(pieces.max_and_gradient) on random linear, l1, l2 and sum pieces, drawn
 by hypothesis: g = g(x) has <g, x> = f(x) and <g, y> <= f(y) for every y,
 to rounding, at kinks too."""
 
@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waistlab.bodies import Piece, _max_and_gradient, _max_of, select_pieces
+from waistlab.pieces import Piece, max_and_gradient, max_of, select_pieces
 
 EPS = np.finfo(float).eps
 SIMPLE = ("linear", "l1", "l2")
@@ -82,17 +82,17 @@ def test_piece_gradients_are_subgradients(field):
     for field_pieces, Xs, Ys in cases:
         for p in field_pieces:
             _assert_subgradient(p.evaluate, p.gradient(Xs), Xs, Ys, bound)
-        value, G = _max_and_gradient(field_pieces, Xs)
-        assert np.array_equal(value, _max_of(field_pieces, Xs))
-        _assert_subgradient(lambda V, fp=field_pieces: _max_of(fp, V), G, Xs, Ys, bound)
+        value, G = max_and_gradient(field_pieces, Xs)
+        assert np.array_equal(value, max_of(field_pieces, Xs))
+        _assert_subgradient(lambda V, fp=field_pieces: max_of(fp, V), G, Xs, Ys, bound)
 
 
 def test_ties_take_the_first_active_piece():
     x = np.array([[1.0, 1.0]])
     first, second = Piece("linear", np.array([[1.0, 0.0]])), Piece("l1", np.eye(2)[:, 1:])
-    value, G = _max_and_gradient((first, second), x)
+    value, G = max_and_gradient((first, second), x)
     assert value.tolist() == [1.0] and G.tolist() == [[1.0, 0.0]]
-    value, G = _max_and_gradient((second, first), x)
+    value, G = max_and_gradient((second, first), x)
     assert value.tolist() == [1.0] and G.tolist() == [[0.0, 1.0]]
     # a linear piece's tied rows: the first
     assert Piece("linear", np.array([[0.0, 1.0], [1.0, 0.0]])).gradient(x).tolist() == [[0.0, 1.0]]
