@@ -316,7 +316,7 @@ def lift_waist(K: Body, P: Subspace, x, *, verify_hypothesis: bool = True):
 
     start = np.zeros((1, K.dim))
     try:
-        g = dykstra([K._project_batch, proj_affine], start,
+        g = dykstra([K.project, proj_affine], start,
                     tol=LIFT_TOL, max_iter=LIFT_CAP)[0]
     except EvaluationError as exc:
         raise EmptyFiberError(f"lifting failed to converge: {exc}", witness=xv) from exc

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from scipy.spatial._qhull import QhullError
 
 from waistlab import optimize
-from waistlab._util import sphere_points
+from waistlab._util import seed_sequence, sphere_points
 from waistlab.bodies import cross_polytope, cube, ellipsoid
-from waistlab.geometry import haar_rotation
-from waistlab.optimize import OptimizerConfig, minimize_on_sphere
-from waistlab.pieces import Piece, map_pieces, max_of, sum_pieces
+from waistlab.geometry import haar_rotation, haar_rotations_per_seed
+from waistlab.optimize import OptimizerConfig, minimize_on_sphere, minimize_on_sphere_batch
+from waistlab.pieces import Piece, map_pieces, max_of, select_pieces, sum_pieces
 
 CFG = OptimizerConfig(restarts=16, iters=120, seed=0)
 
@@ -169,17 +169,56 @@ def test_a_stalled_gap_ends_the_rounds_early(monkeypatch):
     # rows to spare, so the field is left open before CUT_ROUNDS
     B = map_pieces(cross_polytope(3, 1.5).support_pieces, haar_rotation(3, seed=0))
     pieces = sum_pieces((ellipsoid([1.0, 1.4, 0.8]).support_pieces, B))
-    hulls = []
+    hulls, rounds = _count_hull_rounds(monkeypatch)
+    res = optimize._hull(pieces, 3)
+    assert res.stage == "bound" and len(rounds) == 5 < optimize.CUT_ROUNDS
+    assert res.value - res.lower > 1e-3 and len(hulls[-1].points) < optimize.HULL_ROWS
+
+
+def _count_hull_rounds(monkeypatch):
+    """The hulls that _hull builds and its rounds, one entry per hull
+    construction or add_points call."""
+    hulls, rounds = [], []
     real = scipy.spatial.ConvexHull
+    add_points = real.add_points
 
     def counting(*args, **kwargs):
         hulls.append(real(*args, **kwargs))
+        rounds.append(hulls[-1])
         return hulls[-1]
 
+    def adding(self, *args, **kwargs):
+        rounds.append(self)
+        return add_points(self, *args, **kwargs)
+
     monkeypatch.setattr(scipy.spatial, "ConvexHull", counting)
-    res = optimize._hull(pieces, 3)
-    assert res.stage == "bound" and len(hulls) == 5 < optimize.CUT_ROUNDS
-    assert res.value - res.lower > 1e-3 and len(hulls[-1].points) < optimize.HULL_ROWS
+    monkeypatch.setattr(real, "add_points", adding)
+    return hulls, rounds
+
+
+def test_one_incremental_hull_matches_a_one_shot_hull_of_the_final_rows(monkeypatch):
+    # an ellipsoid x cube hull-of-union field certified in 5 rounds: they
+    # grow one Qhull by add_points, and its last facets are those of a hull
+    # built in one shot from every row
+    U = haar_rotation(4, seed=38)
+    pieces = (ellipsoid([1.0, 1.4, 0.8, 1.2]).support_pieces
+              + map_pieces(cube(4, 1.0).support_pieces, U))
+    hulls, rounds = _count_hull_rounds(monkeypatch)
+    res = optimize._hull(pieces, 4)
+    assert res.stage == "exact" and len(hulls) == 1 and len(rounds) == 5
+    grown = hulls[0]  # closed, with the attributes of its last round
+    monkeypatch.undo()
+    once = scipy.spatial.ConvexHull(grown.points)
+    # the same vertices, up to which of two equal support points is kept
+    assert np.array_equal(np.unique(once.points[once.vertices], axis=0),
+                          np.unique(grown.points[grown.vertices], axis=0))
+    # every facet plane of either hull supports every row: both are the hull
+    # of the same rows, whichever way Qhull triangulates their facets
+    for hull in (once, grown):
+        slack = grown.points @ hull.equations[:, :-1].T + hull.equations[:, -1]
+        assert np.abs(slack.max(axis=0)).max() <= 1e-14
+    assert once.equations[:, -1].max() == pytest.approx(grown.equations[:, -1].max(),
+                                                        rel=1e-14)
 
 
 def test_seeds_keep_the_first_of_equal_rows():
@@ -197,3 +236,47 @@ def test_seeds_keep_the_first_of_equal_rows():
         first = S[np.sort(np.unique(S, axis=0, return_index=True)[1])]
         seeds = optimize._seeds(pieces, 3)
         assert seeds.tobytes() == first.tobytes() and len(seeds) < len(S)
+
+
+def _spy_descend(monkeypatch):
+    """The field counts of every call of optimize._descend."""
+    calls, real = [], optimize._descend
+
+    def spy(pieces, idx, U0, cfg):
+        calls.append(len(idx))
+        return real(pieces, idx, U0, cfg)
+
+    monkeypatch.setattr(optimize, "_descend", spy)
+    return calls
+
+
+def test_a_bracketed_field_is_polished_from_its_stage_direction(monkeypatch):
+    # the hull-of-union fields max(h_E, h_UC) of trials 0 and 1 of the
+    # R^4 ellipsoid x cube dual-products config at seed 4, which the piece
+    # floor and the cutting planes leave open within 64 n eps of the value
+    rotations = haar_rotations_per_seed(4, seed_sequence(4).spawn(2)[1].spawn(4))[:2]
+    pieces = (ellipsoid([1.0, 1.4, 0.8, 1.2]).support_pieces
+              + map_pieces(cube(4, 1.0).support_pieces, rotations))
+    stages = [optimize._exact(select_pieces(pieces, t), 4) for t in range(2)]
+    calls = _spy_descend(monkeypatch)
+    results = minimize_on_sphere_batch(pieces, 4, 2, OptimizerConfig(restarts=8, iters=40))
+    assert not calls
+    for t, (stage, res) in enumerate(zip(stages, results)):
+        assert stage.stage == "bound" and stage.method == "cutting planes"
+        assert optimize._bracketed(stage, 4)
+        assert res.descent_iters == 0 and res.stage in ("descent", "polish")
+        assert (res.lower, res.method) == (stage.lower, stage.method)
+        assert stage.lower <= res.value <= stage.value
+        assert res.value == max_of(select_pieces(pieces, t), res.direction[None])[0]
+
+
+def test_a_wide_bracket_still_descends(monkeypatch):
+    # the E + U B field above whose rounds stall far from rounding
+    B = map_pieces(cross_polytope(3, 1.5).support_pieces, haar_rotation(3, seed=0))
+    pieces = sum_pieces((ellipsoid([1.0, 1.4, 0.8]).support_pieces, B))
+    stage = optimize._exact(pieces, 3)
+    assert stage.stage == "bound" and not optimize._bracketed(stage, 3)
+    calls = _spy_descend(monkeypatch)
+    res = minimize_on_sphere(pieces, 3, CFG)
+    assert calls == [1] and res.descent_iters > 0
+    assert res.lower == stage.lower and res.value <= stage.value

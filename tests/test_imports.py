@@ -52,3 +52,30 @@ def test_pieces_imports_only_util_and_errors():
 
 def test_optimize_does_not_import_bodies():
     assert "bodies" not in {source for source, _, _ in _imports("optimize")}
+
+
+def _body_private_names():
+    """The underscore names of bodies.Body: its private methods and the
+    private attributes its methods set on self."""
+    tree = ast.parse((SRC / "bodies.py").read_text())
+    body = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Body")
+    names = set()
+    for node in ast.walk(body):
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "self"):
+            names.add(node.attr)
+    return {name for name in names if name.startswith("_") and not name.endswith("__")}
+
+
+def test_body_private_names_are_found():
+    assert {"_project_batch", "_distance_batch", "_support"} <= _body_private_names()
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "bodies"])
+def test_no_module_but_bodies_reads_a_private_attribute_of_body(module):
+    private = _body_private_names()
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    assert not [(node.lineno, node.attr) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in private]
