@@ -194,27 +194,13 @@ def csv_cell(value) -> str:
     return str(value)
 
 
-def write_output(path, text: str) -> None:
-    """Write text to path as a new file, with newlines untranslated.
-
-    An existing file is unlinked first, not truncated in place: ext4 (with
-    its default auto_da_alloc) flushes a file that was truncated to zero
-    and rewritten when it is closed, and a new file it does not.  Nothing
-    is fsynced."""
-    try:
-        os.unlink(path)
-    except FileNotFoundError:
-        pass
-    with open(path, "x", newline="") as fh:
-        fh.write(text)
-
-
 def write_csv(path, header: list[str], rows) -> None:
     """CSV with '\\n' newlines and canonical cell formatting (byte-stable)."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(csv_cell(c) for c in row))
-    write_output(path, "\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def quantile_summary(values) -> dict:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._util import (ball_points, bernoulli_se, canonical_dumps, chunk_rows, chunk_sizes,
-                    quantile_summary, seed_sequence, sphere_points, write_csv, write_output)
+                    quantile_summary, seed_sequence, sphere_points, write_csv)
 from .bodies import (Body, ball_factors, difference_body, linear_image, mc_volume, polar,
                      volume_ratio)
 from .errors import (DomainError, HypothesisError, InfeasibleScheduleError,
@@ -116,7 +116,8 @@ class ExperimentReport:
         return out
 
     def write_json(self, path) -> None:
-        write_output(path, canonical_dumps(self.to_json_dict()) + "\n")
+        with open(path, "w", newline="") as fh:
+            fh.write(canonical_dumps(self.to_json_dict()) + "\n")
 
     def write_trials_csv(self, path) -> None:
         rows = [[row[c] for c in self.trial_columns] for row in self.trials]
@@ -337,10 +338,10 @@ def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
     whose radius r is certified gets the polar diameter 2 / r; only the
     open trials are minimized again, through the polars, with their own
     optimizer seed (opt.seed + 7919).  A trial whose exact stages bracket
-    it tightly is polished from the stage's direction without a seeded
-    descent, so its polar rerun repeats the same local polish: its polar
-    diameter is 2 / r to the bit, and its dual_product is (2 / r) r, as a
-    certified trial's is.  The declared hypotheses are
+    it tightly keeps the stage's result without a seeded descent, so its
+    polar rerun returns the same result: its polar diameter is 2 / r to
+    the bit, and its dual_product is (2 / r) r, as a certified trial's
+    is.  The declared hypotheses are
     checked first: the section diameters against section_bound up to
     SECTION_TOL.
     """

@@ -4,9 +4,9 @@ exact stages that certify the fields they can.
 A field is a max of pieces (see pieces.Piece), and one piece tuple whose
 matrices carry a leading field axis describes many fields at once, one
 per random rotation of a harness.  Which fields descend: a field that no
-exact stage certifies is polished from its stage's direction alone when
-the stage bracketed it within 64 n eps of its value, and otherwise is
-descended from spread starts and polished (see minimize_on_sphere_batch).
+exact stage certifies is descended from spread starts and polished (see
+minimize_on_sphere_batch), unless the stage bracketed it within 64 n eps
+of its value; then the stage's result is the field's.
 nearest_points solves the dual distance form of the polish's program.
 
 The exact stages.  When a call's fields are sums of two Euclidean norms
@@ -18,10 +18,10 @@ result, a bound, or None for a field it does not take; its docstring
 says which fields it takes and when it certifies one.
 
 The join.  One rule, _join, joins a field's results, the stages' in
-order and then the polish's: the first exact result wins; otherwise
+order and then the descent's: the first exact result wins; otherwise
 the larger lower bound wins, with the method of the stage that gave it,
 the earlier one on a tie; nfev adds up over every stage that ran.  So a
-polished field carries the best bound of its stages and that stage's
+descended field carries the best bound of its stages and that stage's
 method, or lower and method None when no stage bounded it.
 
 A result (SphereOptResult) means:
@@ -42,11 +42,11 @@ A result (SphereOptResult) means:
   per candidate).
 - stage: "exact" when a stage certified the value within its rounding
   of lower; "bound" for a stage that only bounded the field, a result
-  that reaches the caller only joined into the polish's; "polish" when
-  the polish improved on its starts, else "descent": for a locally
-  polished field, the value is then its stage's.
-- descent_iters: the descent's iterations; 0 for an exact field and for
-  a field polished from its stage's direction.
+  that reaches the caller as it is only for a bracketed field, and
+  otherwise joined into the descent's; "descent" or "polish" for what
+  produced a descended field's value.
+- descent_iters: the descent's iterations; 0 for an exact or bracketed
+  field.
 - method: the stage that answered or bounded the field: "both points of
   the 0-sphere", "S-lemma dual", "Cauchy-Schwarz", "Minkowski facets",
   "piece floor", "convex hull", or "cutting planes" for a hull stage
@@ -153,14 +153,14 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
 
     A field an exact stage answers (see the module docstring) is not
     descended.  Nor is a field whose stage left it open with a bracket
-    value - lower <= 64 n eps |value| (see _bracketed): it is polished
-    by _finish from the stage's direction alone, since no descent can beat
-    the stage's value by more than the bracket.  Every other field starts
-    from the same m spread directions
-    (and extra_starts) and runs projected subgradient descent: each
-    iteration makes one pass of the field's value and subgradient at its
-    m candidate rows, m rows of nfev, plus 2 n difference rows per row for
-    each smooth piece (see pieces.Piece.gradient), and steps along the
+    value - lower <= 64 n eps |value| (see _bracketed): the stage's result
+    is returned as it is, since no descent can beat the stage's value by
+    more than the bracket.  Every other field starts from the same m
+    spread directions (and extra_starts) and runs projected subgradient
+    descent: each iteration makes one pass of the field's value and
+    subgradient at its m candidate rows, m rows of nfev, plus 2 n
+    difference rows per row for each smooth piece (see
+    pieces.Piece.gradient), and steps along the
     subgradient's tangent component, the Riemannian gradient on the
     sphere (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
     Manifolds, 2008, section 3.6); the starts take one such pass.  A step
@@ -168,9 +168,9 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
     it does not.  A field stops once all its step sizes fall below 1e-12,
     or at cfg.iters iterations, and is no longer evaluated, so it ends
     exactly as it would alone; descent_iters reports how many iterations
-    it ran (0 for an exact or locally polished field).  At most
-    BATCH_ROWS rows go to one evaluation of the pieces; more fields run in
-    consecutive chunks.
+    it ran (0 for an exact or bracketed field).  At most BATCH_ROWS rows
+    go to one evaluation of the pieces; more fields run in consecutive
+    chunks.
 
     Each descended field's epigraph program, min t subject to
     piece(u) <= t for every piece and |u|^2 = 1 (see _Epigraph), is then
@@ -180,19 +180,16 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
     descent.  polish_unconverged counts the solves that SLSQP ended
     without success and polish_nit their SLSQP iterations.  stage is
     "polish" when a polished point improved on the descent, else
-    "descent".  Each polished result is joined to its exact stages'
+    "descent".  Each descended result is joined to its exact stages'
     result by _join.
     """
     if n > 1 and _cs_sum(pieces):  # a stage that runs its fields in lockstep
         first = _cauchy_schwarz(pieces, n, count)
     else:
         first = [_exact(select_pieces(pieces, t), n) for t in range(count)]
-    results = [res if res is not None and res.stage == "exact" else None for res in first]
-    for t, res in enumerate(first):
-        if results[t] is None and _bracketed(res, n):
-            # no descent can beat the stage's value by more than its bracket
-            local = _finish(select_pieces(pieces, t), res.direction[None], np.array([res.value]), 0)
-            results[t] = _join(res, local)
+    # no descent can beat a bracketed field's value by more than its bracket
+    results = [res if res is not None and (res.stage == "exact" or _bracketed(res, n)) else None
+               for res in first]
     left = np.array([t for t, res in enumerate(results) if res is None], dtype=int)
     if not left.size:
         return results
@@ -213,8 +210,8 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
 
 def _bracketed(res, n):
     """Whether a stage bounded the field within 64 n eps of its finite
-    value, the gap at which the hull stage's rounds stall: such a field is
-    polished from the stage's direction alone, and not descended."""
+    value, the gap at which the hull stage's rounds stall: such a field
+    keeps the stage's result, and is not descended."""
     return (res is not None and res.lower is not None and math.isfinite(res.value)
             and res.value - res.lower <= 64 * n * np.finfo(float).eps * abs(res.value))
 
@@ -515,14 +512,12 @@ def _hull(pieces, n):
     Each round adds, at the normals of the n nearest facets, the
     subgradient (pieces.Piece.gradient) of every piece that holds an l2
     piece: the support point of an l2 piece, and for a sum the sum of its
-    parts' support points, again points of the body.  Such a field keeps
-    one incremental Qhull, ConvexHull(P, incremental=True), across its
-    rounds: each round passes only its new support points to add_points
-    (Qhull's incremental insertion) instead of rebuilding the hull from
-    every row, and the hull is closed on return.  A polyhedral field
-    builds its one hull in one shot.  With
-    r = n eps max_i |P_i|, the hull's rounding, the rounds go on until the
-    gap between the best value and the bound is within r.  They stop
+    parts' support points, again points of the body.  Each round builds
+    its hull from every row anew: growing one hull by Qhull's incremental
+    add_points ends the process on some fields, which no except clause
+    can catch.  With r = n eps max_i |P_i|, the hull's rounding, the
+    rounds go on until the gap between the best value and the bound is
+    within r.  They stop
     earlier when the gap stops shrinking within 64 r, where Qhull merges
     the new points, when it has not shrunk 16-fold over the last 4
     rounds, as on a ridge of a norm and facets, where each round only
@@ -551,39 +546,29 @@ def _hull(pieces, n):
         return None
     rounding = n * np.finfo(float).eps * np.linalg.norm(P, axis=1).max()
     best_u, best, gaps, evals = None, np.inf, [np.inf], 0
-    hull = None
-    try:
-        for _ in range(CUT_ROUNDS + 1):
-            # facets a.x + c <= 0 with unit a: the origin is interior iff
-            # every c < 0, and the facet nearest to it has the largest c
-            try:
-                if hull is None:
-                    hull = ConvexHull(P, incremental=bool(cut))
-                else:
-                    hull.add_points(new)
-            except QhullError:
-                return None
-            equations = hull.equations
-            if not np.all(equations[:, -1] < 0.0):
-                return None
-            nearest = np.argsort(-equations[:, -1], kind="stable")[:n]
-            lower = -float(equations[nearest[0], -1])  # the inradius: h_conv(P) <= the field
-            u = equations[nearest[0], :-1]
-            value = float(_finite_values(pieces, u[None])[0])
-            evals += 1
-            if value < best:
-                best_u, best = u, value
-            gaps.append(best - lower)
-            gap = gaps[-1]
-            if (not cut or gap <= rounding or (gap <= 64 * rounding and gap >= gaps[-2])
-                    or (len(gaps) > 5 and 16 * gap > gaps[-5])
-                    or len(P) + n * len(cut) > HULL_ROWS):
-                break
-            new = np.vstack([p.gradient(equations[nearest, :-1]) for p in cut])
-            P = np.vstack([P, new])
-    finally:
-        if hull is not None:
-            hull.close()
+    for _ in range(CUT_ROUNDS + 1):
+        # facets a.x + c <= 0 with unit a: the origin is interior iff every
+        # c < 0, and the facet nearest to it has the largest c
+        try:
+            equations = ConvexHull(P).equations
+        except QhullError:
+            return None
+        if not np.all(equations[:, -1] < 0.0):
+            return None
+        nearest = np.argsort(-equations[:, -1], kind="stable")[:n]
+        lower = -float(equations[nearest[0], -1])  # the inradius: h_conv(P) <= the field
+        u = equations[nearest[0], :-1]
+        value = float(_finite_values(pieces, u[None])[0])
+        evals += 1
+        if value < best:
+            best_u, best = u, value
+        gaps.append(best - lower)
+        gap = gaps[-1]
+        if (not cut or gap <= rounding or (gap <= 64 * rounding and gap >= gaps[-2])
+                or (len(gaps) > 5 and 16 * gap > gaps[-5])
+                or len(P) + n * len(cut) > HULL_ROWS):
+            break
+        P = np.vstack([P] + [p.gradient(equations[nearest, :-1]) for p in cut])
     exact = not cut or gap <= 8 * rounding
     return SphereOptResult(value=best, direction=best_u, nfev=len(P) + evals,
                            stage="exact" if exact else "bound", lower=best if exact else lower,
@@ -1091,8 +1076,7 @@ def _descend(pieces, idx, U0, cfg):
 
 
 def _finish(pieces, U, vals, nfev):
-    """Best row of the field among U, its descent endpoints or its stage's
-    direction, or its polish when that improves it."""
+    """Best descent row of the field, or its polish when that improves it."""
     # every row only ever improves, so the incumbent is the best current row
     i = int(np.argmin(vals))
     best_u, best_v = U[i].copy(), float(vals[i])
