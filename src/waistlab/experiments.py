@@ -27,8 +27,7 @@ from .errors import (DomainError, HypothesisError, InfeasibleScheduleError,
                      NetConstructionError)
 from .estimators import (diameter_of_intersection, inclusion_radius, mc_sigma_body,
                          section_diameter)
-from .geometry import (Subspace, check_projected_ball, haar_rotations_per_seed, lift_waist,
-                       spherical_projection)
+from .geometry import Subspace, check_projected_ball, haar_rotations_per_seed, lift_waist
 from .measures import (DEFAULT_CONSTANTS, BoundConstants, SubsphereQuery, sigma_ball_product,
                        sigma_exact, sigma_lip_lower)
 from .optimize import BATCH_ROWS, DEFAULT_OPT, OptimizerConfig, minimize_on_sphere
@@ -490,9 +489,21 @@ def run_sections(K: Body, k_exist: int, k_query: int, trials: int, seed=0, *,
 
 
 def _cap_distances(cap_spec: dict, ambient_sub: int):
-    """Distance evaluators to a symmetric set on the n-sphere (ambient n+1),
-    both for points of that sphere and for points of a larger one, and the
-    most float64 values per point that their intermediates hold."""
+    """Distance evaluators to a symmetric set on the n-sphere, whose points
+    have ambient_sub = n + 1 coordinates, and the most float64 values per
+    point that their intermediates hold.
+
+    dist_native(X) takes points X of that sphere.  dist_embedded(Y, pn)
+    takes points Y of a larger sphere with the norms pn of their first
+    ambient_sub coordinates, which the caller computes once per chunk, and
+    returns the distances of Y and of its projections Y_1..ambient_sub / pn
+    onto the n-sphere (meaningless where pn is 0).  Each point's distances
+    read that point's row alone.  The caps' angles are laid out
+    caps-major, one row per cap, so that the min over the caps runs along
+    axis 0 rather than along a short last axis."""
+    def project(Y, pn):
+        return Y[:, :ambient_sub] / np.where(pn > 0, pn, 1.0)[:, None]
+
     kind = cap_spec.get("kind")
     if kind == "subsphere":
         j = int(cap_spec["dim"])
@@ -501,32 +512,45 @@ def _cap_distances(cap_spec: dict, ambient_sub: int):
             perp = np.linalg.norm(X[:, j + 1:], axis=1)
             return np.arcsin(np.clip(perp, 0.0, 1.0))
 
-        def dist_embedded(Y):
+        def dist_embedded(Y, pn):
             par = np.linalg.norm(Y[:, : j + 1], axis=1)
-            return np.arccos(np.clip(par, 0.0, 1.0))
+            return np.arccos(np.clip(par, 0.0, 1.0)), dist_native(project(Y, pn))
 
         return dist_native, dist_embedded, 1
 
     if kind == "caps":
         C = np.atleast_2d(np.asarray(cap_spec["centers"], dtype=float))
+        if C.shape[1] != ambient_sub:
+            raise DomainError(f"cap centers need {ambient_sub} coordinates, got {C.shape[1]}")
         C = C / np.linalg.norm(C, axis=1)[:, None]
         r = np.atleast_1d(np.asarray(cap_spec["radii"], dtype=float))
         if C.shape[0] != r.shape[0]:
             raise DomainError("radii must match the number of cap centers")
         C = np.vstack([C, -C])
-        r = np.concatenate([r, r])
+        r = np.concatenate([r, r])[:, None]
+
+        def gaps(U):
+            """max(angle to each cap's center - its radius, 0), one row per cap.
+
+            numpy multiplies a one-row matrix by BLAS gemv, which rounds
+            differently from the gemm of longer chunks, so a one-row chunk
+            is doubled first."""
+            ang = ((U if len(U) > 1 else np.vstack([U, U])) @ C.T)[: len(U)].T.copy()
+            np.clip(ang, -1.0, 1.0, out=ang)
+            np.arccos(ang, out=ang)
+            ang -= r
+            return np.maximum(ang, 0.0, out=ang)
 
         def dist_native(X):
-            ang = np.arccos(np.clip(X @ C.T, -1.0, 1.0))
-            return np.maximum(ang - r[None, :], 0.0).min(axis=1)
+            return gaps(X).min(axis=0)
 
-        def dist_embedded(Y):
-            sub = Y[:, : C.shape[1]]
-            pn = np.linalg.norm(sub, axis=1)
-            safe = np.where(pn > 0, pn, 1.0)
-            ang = np.arccos(np.clip((sub / safe[:, None]) @ C.T, -1.0, 1.0))
-            best = np.cos(np.maximum(ang - r[None, :], 0.0)) * pn[:, None]
-            return np.arccos(np.clip(best, -1.0, 1.0)).min(axis=1)
+        def dist_embedded(Y, pn):
+            best = gaps(project(Y, pn))
+            projected = best.min(axis=0)
+            np.cos(best, out=best)
+            best *= pn
+            np.clip(best, -1.0, 1.0, out=best)
+            return np.arccos(best, out=best).min(axis=0), projected
 
         return dist_native, dist_embedded, C.shape[0]
 
@@ -541,8 +565,14 @@ def run_higher_sphere(cap_spec: dict, n: int, m: int, theta: float, samples: int
 
     The two seeded point streams are drawn and evaluated in chunks of
     _util.chunk_rows rows of R^{m+1}, or of the cap angles when there are
-    more of them, so peak memory does not depend on samples, and the
-    summary does not depend on the chunk size."""
+    more of them, so peak memory does not depend on samples.  Each point's
+    tests read that point's row alone, so the summary does not depend on
+    the chunk size: its reductions run along the row or across the caps,
+    and its cap angles come from a BLAS gemm of two rows or more, which
+    rounds a row the same wherever it sits, never from a BLAS matvec
+    (gemv), which does not.
+    |Y_1..n+1| is computed once per chunk, for the embedded distance, the
+    projection onto the n-sphere and the test that the projection exists."""
     if m < n:
         raise DomainError(f"need m >= n, got n={n}, m={m}")
     if not 0.0 < theta <= math.pi / 2.0:
@@ -558,10 +588,11 @@ def run_higher_sphere(cap_spec: dict, n: int, m: int, theta: float, samples: int
         X = sphere_points(rng_lhs, size, n + 1)
         lhs_hits += int(np.count_nonzero(dist_native(X) <= theta))
         Y = sphere_points(rng_rhs, size, m + 1)
-        dY = dist_embedded(Y)
+        pn = np.linalg.norm(Y[:, : n + 1], axis=1)
+        dY, projected = dist_embedded(Y, pn)
         rhs_hits += int(np.count_nonzero(dY <= theta))
-        usable = np.linalg.norm(Y[:, : n + 1], axis=1) > 1e-12
-        claim_gap = dist_native(spherical_projection(Y[usable], n + 1)) - dY[usable]
+        usable = pn > 1e-12
+        claim_gap = projected[usable] - dY[usable]
         claim_samples += claim_gap.size
         violations += int(np.count_nonzero(claim_gap > CLAIM_TOL))
         if claim_gap.size:

@@ -195,16 +195,25 @@ def sigma_mc(q: SubsphereQuery, samples: int, seed=None):
     rows come in chunks of _util.chunk_rows(m + 1), so peak memory does
     not depend on samples, and the estimate does not depend on the chunk
     size: the rows are one stream, tested row by row.
+
+    A row g hits when perp <= s^2 (perp + par), s = sin(theta), for the
+    sums par and perp of its squares on and off the span, that is when
+    g^2 . w <= 0 with w = -s^2 on the span's j + 1 coordinates and
+    1 - s^2 on the rest.  That one contraction is an einsum, whose sum
+    for each row reads that row alone; a BLAS matvec (g @ w) rounds a row
+    differently by where it sits in the chunk, which would tie the
+    estimate to the chunk size.
     """
     rng = np.random.default_rng(seed)
     m, j = q.sphere_dim, q.subsphere_dim
     thresh = math.sin(q.theta) ** 2
+    w = np.full(m + 1, 1.0 - thresh)
+    w[: j + 1] = -thresh
 
     def hits(n):
         g = rng.standard_normal((n, m + 1))
         np.multiply(g, g, out=g)
-        perp = g[:, j + 1:].sum(axis=1)
-        return perp <= thresh * (perp + g[:, : j + 1].sum(axis=1))
+        return np.einsum("ij,j->i", g, w) <= 0.0
 
     return hit_fraction(samples, chunk_rows(m + 1), hits)
 

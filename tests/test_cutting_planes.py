@@ -116,12 +116,27 @@ def test_a_field_the_round_cap_leaves_open_says_so(field):
         _says_so(hull, res)
 
 
-def test_one_round_leaves_a_slow_field_open():
-    # certified after 10 rounds without the cap
+def _count_hulls(monkeypatch):
+    """The list that each later scipy.spatial.ConvexHull call appends its hull to."""
+    hulls = []
+    real = scipy.spatial.ConvexHull
+
+    def counting(*args, **kwargs):
+        hulls.append(real(*args, **kwargs))
+        return hulls[-1]
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", counting)
+    return hulls
+
+
+def test_one_round_leaves_a_slow_field_open(monkeypatch):
+    # certified by its third hull without the cap; the one-round cap stops
+    # the rounds after the second
     U = haar_rotation(4, seed=1043)
     E, C = ellipsoid([1.0, 1.4, 0.8, 1.2]), cube(4, 1.0)
     pieces = E.support_pieces + map_pieces(C.support_pieces, U)
-    assert optimize._hull(pieces, 4).stage == "exact"
+    hulls = _count_hulls(monkeypatch)
+    assert optimize._hull(pieces, 4).stage == "exact" and len(hulls) > 2
     _says_so(*_capped(pieces, 4))
 
 
@@ -175,14 +190,7 @@ def test_a_stalled_gap_ends_the_rounds_early(monkeypatch):
     # rows to spare, so the field is left open before CUT_ROUNDS
     B = map_pieces(cross_polytope(3, 1.5).support_pieces, haar_rotation(3, seed=0))
     pieces = sum_pieces((ellipsoid([1.0, 1.4, 0.8]).support_pieces, B))
-    hulls = []
-    real = scipy.spatial.ConvexHull
-
-    def counting(*args, **kwargs):
-        hulls.append(real(*args, **kwargs))
-        return hulls[-1]
-
-    monkeypatch.setattr(scipy.spatial, "ConvexHull", counting)
+    hulls = _count_hulls(monkeypatch)
     res = optimize._hull(pieces, 3)
     assert res.stage == "bound" and len(hulls) == 5 < optimize.CUT_ROUNDS
     assert res.value - res.lower > 1e-3 and len(hulls[-1].points) < optimize.HULL_ROWS

@@ -379,6 +379,43 @@ def test_higher_sphere_memory_does_not_grow_with_samples(cap_spec, samples):
     assert peak < 16 * 2**20
 
 
+ONE_CAP = {"kind": "caps", "centers": [[0.3, -1.0, 0.5]], "radii": [0.45]}
+
+
+def test_higher_sphere_cap_golden_summaries():
+    # the exact summaries of cap angles laid out point-major, with the cap
+    # min along each point's row; the 400 cap angles, not R^7, size the
+    # 200-caps chunks (163 rows)
+    caps200 = {"kind": "caps", "centers": _CENTERS.tolist(), "radii": [0.05] * 200}
+    assert run_higher_sphere(caps200, 3, 6, 0.7, 20_000, seed=5).summary == {
+        "lhs": 1.0, "lhs_se": 0.0, "rhs": 0.47795, "rhs_se": 0.003532094261907516,
+        "inequality_holds_4se": True, "claim_samples": 20000, "claim_violations": 0,
+        "claim_max_gap": -0.0008539142206540062}
+    assert run_higher_sphere(ONE_CAP, 2, 5, 0.8, 30_001, seed=9).summary == {
+        "lhs": 0.6861437952068264, "lhs_se": 0.002679199565763911,
+        "rhs": 0.2370254324855838, "rhs_se": 0.0024551873580621266,
+        "inequality_holds_4se": True, "claim_samples": 30001, "claim_violations": 0,
+        "claim_max_gap": -0.0007547781897212502}
+
+
+@pytest.mark.parametrize("cap_spec, n, m, seed", [
+    (TWO_CAPS, 3, 6, 1), (ONE_CAP, 2, 5, 9), ({"kind": "subsphere", "dim": 1}, 3, 5, 6),
+], ids=["two-caps", "one-cap", "subsphere"])
+def test_higher_sphere_one_row_chunks_give_the_same_summary(monkeypatch, cap_spec, n, m, seed):
+    # numpy multiplies a one-row matrix by BLAS gemv, which rounds some
+    # products differently from gemm; when a one-row chunk took that path,
+    # two-caps at seed 1 moved claim_max_gap by 1.1e-16
+    alone = run_higher_sphere(cap_spec, n, m, 0.7, 3001, seed=seed).summary
+    monkeypatch.setattr(_util, "CHUNK_FLOATS", 1)
+    assert _util.chunk_rows(m + 1) == 1
+    assert run_higher_sphere(cap_spec, n, m, 0.7, 3001, seed=seed).summary == alone
+
+
+def test_higher_sphere_rejects_centers_off_the_n_sphere():
+    with pytest.raises(DomainError, match="coordinates"):
+        run_higher_sphere(ONE_CAP, 3, 5, 0.7, 1000, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # projection harness
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from waistlab import _util
+from waistlab import _util, measures
 from waistlab.bodies import ball, product_body
 from waistlab.errors import DomainError
 from waistlab.estimators import mc_sigma_body
@@ -135,6 +135,48 @@ def test_sigma_mc_does_not_depend_on_the_chunk_size(monkeypatch):
     monkeypatch.setattr(_util, "CHUNK_FLOATS", 7 * 4)  # 7 rows of R^4; 100_000 = 7 * 14285 + 5
     assert _util.chunk_rows(4) == 7
     assert sigma_mc(SubsphereQuery(*query), samples, seed=seed) == expected
+
+
+@pytest.mark.parametrize("golden, rows", [
+    (SIGMA_MC_GOLDEN[1], 7),     # 123_457 = 7 * 17636 + 5
+    (SIGMA_MC_GOLDEN[2], 1003),  # 10^6 = 1003 * 997 + 9
+], ids=["m15", "m30"])
+def test_sigma_mc_golden_values_at_chunks_of_odd_rows(monkeypatch, golden, rows):
+    query, samples, seed, expected = golden
+    monkeypatch.setattr(_util, "CHUNK_FLOATS", (query[0] + 1) * rows)
+    assert _util.chunk_rows(query[0] + 1) == rows
+    assert sigma_mc(SubsphereQuery(*query), samples, seed=seed) == expected
+
+
+def _hit_rows(q, rows, seed):
+    """sigma_mc's hit test of its first `rows` rows, one bool a row."""
+    tested = []
+
+    def one_chunk(samples, batch, hits):
+        tested.append(hits(samples))
+        return 0.0, 0.0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "hit_fraction", one_chunk)
+        sigma_mc(q, rows, seed=seed)
+    return tested[0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m=st.integers(1, 40), data=st.data(),
+       theta=st.floats(0.0, math.pi / 2, exclude_min=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_sigma_mc_hit_test_is_the_two_sum_test_row_for_row(m, data, theta, seed):
+    # the hit test perp <= s^2 (perp + par) on the squared Gaussian rows,
+    # as sums over the coordinates off and on the span; rows may differ
+    # only where its two sides agree to the rounding of those sums
+    j = data.draw(st.integers(0, m - 1))
+    g = np.random.default_rng(seed).standard_normal((500, m + 1)) ** 2
+    perp, par = g[:, j + 1:].sum(axis=1), g[:, : j + 1].sum(axis=1)
+    bound = math.sin(theta) ** 2 * (perp + par)
+    near = np.abs(perp - bound) <= 4 * (m + 1) * np.finfo(float).eps * (perp + par)
+    hits = _hit_rows(SubsphereQuery(m, j, theta), 500, seed)
+    assert np.array_equal(hits[~near], (perp <= bound)[~near])
 
 
 def _peak_mb(fn):
