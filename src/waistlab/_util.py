@@ -75,10 +75,13 @@ def sphere_points(rng: np.random.Generator, count: int, ambient_dim: int) -> np.
 
 
 def ball_points(rng: np.random.Generator, count: int, dim: int, radius: float = 1.0) -> np.ndarray:
-    """Uniform points in the centered Euclidean ball of the given radius."""
-    u = sphere_points(rng, count, dim)
-    r = rng.random(count) ** (1.0 / dim)
-    return u * (radius * r)[:, None]
+    """Uniform points in the centered Euclidean ball of the given radius:
+    the first dim coordinates of uniform points on the sphere of
+    R^(dim + 2) (Barthe, Guedon, Mendelson & Naor, Ann. Probab. 33, 2005,
+    case p = 2).  Each point is one row of dim + 2 Gaussians, so a
+    sampler that draws its points chunk by chunk draws the same stream at
+    any chunk size."""
+    return radius * sphere_points(rng, count, dim + 2)[:, :dim]
 
 
 def bernoulli_se(p_hat: float, n: int) -> float:

@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import optimize
-from ._util import ball_points, hit_fraction, read_field, sphere_points, strict_bool
+from ._util import (ball_points, chunk_rows, hit_fraction, read_field, sphere_points,
+                    strict_bool)
 from .errors import ContainmentError, DomainError, EvaluationError, SpecError
 from .pieces import Piece, map_pieces, max_of, sum_pieces
 
@@ -73,10 +74,6 @@ PROJECT_CAP = 10_000      # cyclic projection iteration cap
 ORTHO_TOL = 1e-10         # largest residual of an orthogonal matrix or an orthonormal frame
 DEFAULT_TRUNCATION = 1e6
 BISECTION_STEPS = 64      # halvings of a gauge bracket, and most doublings to find one
-# most points mc_volume draws at once.  It is not a _util.chunk_rows
-# chunk: ball_points draws a chunk's radii after that chunk's directions,
-# so the seeded stream, and the volume, depend on this batch size.
-VOLUME_BATCH = 1 << 17
 VOLUME_CHECK_DIRECTIONS = 512  # sphere directions volume_ratio checks for the unit ball
 
 
@@ -917,16 +914,19 @@ def unit_ball_volume(n: int) -> float:
 
 
 def mc_volume(K: Body, samples: int, seed=None):
-    """Hit-or-miss volume estimate inside the outer-radius ball, from
-    VOLUME_BATCH points at a time, with its standard error.  Unbounded
-    bodies are rejected."""
+    """Hit-or-miss volume estimate inside the outer-radius ball, with its
+    standard error.  Each ball point is one row of K.dim + 2 Gaussians
+    (see _util.ball_points), drawn in chunks of _util.chunk_rows of that
+    width, so peak memory does not grow with samples or the dimension,
+    and the estimate does not depend on the chunk size.  Unbounded bodies
+    are rejected."""
     if not math.isfinite(K.outer_radius):
         raise DomainError("mc_volume requires a bounded body (finite outer radius)")
     rng = np.random.default_rng(seed)
     r = K.outer_radius
     box_vol = unit_ball_volume(K.dim) * r ** K.dim
     # a body of outer radius 0 has volume 0, and its points are not drawn
-    p, se = hit_fraction(samples, VOLUME_BATCH,
+    p, se = hit_fraction(samples, chunk_rows(K.dim + 2),
                          lambda m: K.contains(ball_points(rng, m, K.dim, r)) if r > 0 else 0)
     return box_vol * p, box_vol * se
 

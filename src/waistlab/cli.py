@@ -184,30 +184,22 @@ def run_experiment_config(config: dict, seed=None):
 
 
 def emit_plot_data(report, path) -> None:
-    """Per-trial plot table (trial, diameter, success, n, k) at `path`, and a
-    quantile summary per (n, k) in a sibling *_summary.csv file."""
-    reports = report if isinstance(report, (list, tuple)) else [report]
-    rows = []
-    for rep in reports:
-        n = rep.config.get("n", "")
-        k = rep.config.get("k", "")
-        for trial in rep.trials:
-            rows.append([trial.get("trial", ""), trial.get("diameter", ""),
-                         trial.get("success", ""), n, k])
+    """Per-trial plot table (trial, diameter, success, n, k) of one report at
+    `path`, and the quantiles of its diameters in a sibling *_summary.csv
+    file: one row for the report's (n, k), none without diameters."""
+    config = report.config
     path = Path(path)
-    write_csv(path, ["trial", "diameter", "success", "n", "k"], rows)
-
+    write_csv(path, ["trial", "diameter", "success", "n", "k"],
+              [[t.get("trial", ""), t.get("diameter", ""), t.get("success", ""),
+                config.get("n", ""), config.get("k", "")] for t in report.trials])
+    n, k = config.get("n"), config.get("k")
+    diam = [t["diameter"] for t in report.trials if "diameter" in t]
     summary_rows = []
-    for rep in reports:
-        n, k = rep.config.get("n"), rep.config.get("k")
-        diam = [t["diameter"] for t in rep.trials if "diameter" in t]
-        if not diam or n is None or k is None:
-            continue
-        arr = np.asarray(diam, dtype=float)
-        summary_rows.append([n, k, n / k]
-                            + np.quantile(arr, list(QUANTILES.values())).tolist())
-    spath = path.with_name(path.stem + "_summary.csv")
-    write_csv(spath, ["n", "k", "n_over_k", *QUANTILES], summary_rows)
+    if diam and n is not None and k is not None:
+        summary_rows.append([n, k, n / k] + np.quantile(np.asarray(diam, dtype=float),
+                                                        list(QUANTILES.values())).tolist())
+    write_csv(path.with_name(path.stem + "_summary.csv"),
+              ["n", "k", "n_over_k", *QUANTILES], summary_rows)
 
 
 # ---------------------------------------------------------------------------

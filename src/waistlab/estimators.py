@@ -16,16 +16,12 @@ direction, so they are certified one-sided bounds: lower bounds for the
 max-type problems (diameters), upper bounds for the min-type problems
 (inclusion radii).  Two-sided brackets are available on request through
 a certified net and the bodies' radius-derived Lipschitz bounds.
-A value from the optimizer's exact stage (polyhedral fields, Minkowski
-sums of zonotopes and spanning +- pairs answered by their facets, maxima
-of Euclidean norms that the S-lemma dual certifies, Euclidean norms
-beside facets that the cutting planes certify, sums of two Euclidean
-norms that the Cauchy-Schwarz stage certifies, the 0-sphere) is the
-extremum itself to rounding, and its brackets equal it.  A field that
-one of those stages bounds without certifying it still gets a bracket
-from the stage's bound, which a requested net may tighten.  The notes name the
-stage as the optimizer reports it in SphereOptResult.method:
-"exact (<method>)" or "two-sided via <method>".
+A value that one of the optimizer's exact stages certifies is the
+extremum itself to rounding, and its brackets equal it; a field that a
+stage only bounds gets a bracket from the stage's bound, which a
+requested net may tighten.  The notes name the stage by its
+optimize.SphereOptResult.method: "exact (<method>)" or
+"two-sided via <method>".
 """
 
 from __future__ import annotations

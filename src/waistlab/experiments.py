@@ -30,7 +30,7 @@ from .estimators import (diameter_of_intersection, inclusion_radius, mc_sigma_bo
 from .geometry import Subspace, check_projected_ball, haar_rotations_per_seed, lift_waist
 from .measures import (DEFAULT_CONSTANTS, BoundConstants, SubsphereQuery, sigma_ball_product,
                        sigma_exact, sigma_lip_lower)
-from .optimize import BATCH_ROWS, DEFAULT_OPT, OptimizerConfig, minimize_on_sphere
+from .optimize import DEFAULT_OPT, OptimizerConfig, minimize_on_sphere
 
 __all__ = [
     "ScheduleParams",
@@ -223,7 +223,7 @@ def cover_ball_with_body(L: Body, delta_L: float, *, probes: int = 4096, seed=No
 def _net_lands(K: Body, centers, rotations, tol: float):
     """Per rotation U, whether every rotated center U c lies within tol of
     K; the distances of many rotations go to K in one stack of rows."""
-    per_call = max(1, BATCH_ROWS // len(centers))
+    per_call = chunk_rows(len(centers) * K.dim)
     ok = []
     for lo in range(0, len(rotations), per_call):
         moved = np.vstack([centers @ U.T for U in rotations[lo:lo + per_call]])

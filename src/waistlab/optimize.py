@@ -62,7 +62,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._util import sphere_points
+from ._util import chunk_rows, sphere_points
 from .errors import EvaluationError
 from .pieces import Piece, leaves, max_and_gradient, max_of, select_pieces
 
@@ -81,7 +81,6 @@ DEFAULT_OPT = OptimizerConfig()
 STEP0 = 0.3               # first descent step of every start
 POLISH_STARTS = 16        # distinct descent endpoints polished
 POLISH_SEPARATION = 1e-6  # endpoints closer than this count as one start
-BATCH_ROWS = 1 << 16      # most rows one batched evaluation holds
 SPREAD_POOL = 24          # random pool rows per spread direction
 HULL_ROWS = 512           # most rows a polyhedral field expands to for the exact stage
 CUT_ROUNDS = 16           # most cutting-plane rounds of the hull stage
@@ -168,9 +167,9 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
     it does not.  A field stops once all its step sizes fall below 1e-12,
     or at cfg.iters iterations, and is no longer evaluated, so it ends
     exactly as it would alone; descent_iters reports how many iterations
-    it ran (0 for an exact or bracketed field).  At most BATCH_ROWS rows
-    go to one evaluation of the pieces; more fields run in consecutive
-    chunks.
+    it ran (0 for an exact or bracketed field).  One descent call takes
+    _util.chunk_rows(m n) fields, so that its m rows of R^n per field fit
+    one chunk; more fields run in consecutive calls.
 
     Each descended field's epigraph program, min t subject to
     piece(u) <= t for every piece and |u|^2 = 1 (see _Epigraph), is then
@@ -197,7 +196,7 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
     if extra_starts is not None and len(extra_starts):
         starts = np.vstack([np.atleast_2d(np.asarray(extra_starts, dtype=float)), starts])
     U0 = _normalize_rows(np.array(starts, dtype=float))
-    per_call = max(1, BATCH_ROWS // (U0.shape[0] * n))
+    per_call = chunk_rows(U0.shape[0] * n)
     for lo in range(0, left.size, per_call):
         idx = left[lo:lo + per_call]
         U, vals, nfev, iters = _descend(pieces, idx, U0, cfg)
@@ -1117,18 +1116,6 @@ def _scipy_minimize(*args, **kwargs):
     return minimize(*args, **kwargs)
 
 
-def _aux_count(pieces):
-    """Auxiliary variables of the epigraph: a block per l1 piece and a
-    level per part of a sum piece."""
-    count = 0
-    for p in pieces:
-        if p.kind == "l1":
-            count += p.matrix.shape[1]
-        elif p.kind == "sum":
-            count += len(p.parts) + sum(_aux_count(part) for part in p.parts)
-    return count
-
-
 class _Epigraph:
     """The epigraph program of a max of pieces, for SLSQP.
 
@@ -1145,7 +1132,10 @@ class _Epigraph:
       gradient does not exist;
     - smooth: z_v - p(u) >= 0, differentiated by finite differences inside
       SLSQP.
-    Linear, l1 and sum pieces are linear in z: rows C z >= 0.  rows counts
+    Linear, l1 and sum pieces are linear in z: rows C z >= 0.  _group
+    allocates the auxiliary variables as it walks the pieces, and each
+    block of C, which references only variables allocated before it, is
+    padded to the final width nz.  rows counts
     the pieces evaluated or differentiated at a point, nit SLSQP's
     iterations over all solves, and unconverged the solves that SLSQP
     ended with a nonzero status (an iteration cap, a failed line search or
@@ -1154,15 +1144,15 @@ class _Epigraph:
 
     def __init__(self, pieces, n):
         self.n = n
-        self.nz = n + 1 + _aux_count(pieces)
         self.rows = self.nit = self.unconverged = 0
-        self.blocks = []     # row blocks of C
+        self.blocks = []     # row blocks of C, as wide as the variables so far
         self.levels = []     # (variable, pieces whose max it bounds)
         self.l1 = []         # (first auxiliary variable, M)
         self.l2, self.smooth = [], []  # (variable, piece)
-        self._next = n + 1
+        self.nz = n + 1
         self._group(pieces, n)
-        self.C = np.vstack(self.blocks) if self.blocks else None
+        self.C = np.vstack([np.pad(B, ((0, 0), (0, self.nz - B.shape[1])))
+                            for B in self.blocks]) if self.blocks else None
         self.n_linear = sum(p.kind != "smooth" for _, group in self.levels for p in group)
         self.c = np.zeros(self.nz)
         self.c[n] = 1.0
@@ -1175,8 +1165,8 @@ class _Epigraph:
         return B
 
     def _new(self, k):
-        first = self._next
-        self._next += k
+        first = self.nz
+        self.nz += k
         return first
 
     def _group(self, pieces, v):

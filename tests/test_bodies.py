@@ -1,10 +1,12 @@
 import inspect
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from waistlab import _util
 from waistlab._util import sphere_points
 from waistlab.bodies import (BodySpec, ball, ball_factors, construct_body,
                              cross_polytope, cube,
@@ -808,6 +810,31 @@ def test_mc_volume_flat_is_zero():
     seg = product_body(cube(1, 1.0), ball(1, 0.0))
     vol, se = mc_volume(seg, 50_000, seed=3)
     assert vol == 0.0
+
+
+def test_mc_volume_golden_value_and_chunk_size(monkeypatch):
+    # each ball point is one row of 3 + 2 Gaussians, so chunks of 7 and
+    # 1003 rows draw the stream of the default chunks
+    K = cross_polytope(3, 1.0)
+    vol, se = mc_volume(K, 100_003, seed=11)
+    assert (vol, se) == (1.3416292537154695, 0.006180388200103771)
+    assert abs(vol - 4.0 / 3.0) <= 3 * se
+    for rows in (7, 1003):  # 100_003 = 7 * 14286 + 1 = 1003 * 99 + 706
+        monkeypatch.setattr(_util, "CHUNK_FLOATS", 5 * rows)
+        assert _util.chunk_rows(5) == rows
+        assert mc_volume(K, 100_003, seed=11) == (vol, se)
+
+
+@pytest.mark.parametrize("n", [4, 10, 20])
+def test_mc_volume_memory_does_not_grow_with_the_dimension(n):
+    # one chunk of ball points holds _util.CHUNK_FLOATS values at any dimension
+    tracemalloc.start()
+    try:
+        mc_volume(cube(n, 1.0), 200_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 def test_mc_volume_rejects_unbounded():

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import waistlab
+from waistlab._util import fmt_float
 from waistlab.cli import build_parser, emit_plot_data, load_config, main, run_experiment_config
 from waistlab.errors import ConfigError
+from waistlab.measures import BoundConstants, lip_bounds
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +72,14 @@ def test_bounds_cap(capsys):
 def test_bounds_chisq(capsys):
     code, out, _ = run_cli(capsys, "bounds", "chisq", "--k", "2", "--x", "2.0")
     assert json.loads(out)["cdf"] == pytest.approx(1 - math.exp(-1), abs=1e-12)
+
+
+def test_bounds_lip_equals_lip_bounds(capsys):
+    code, out, _ = run_cli(capsys, "bounds", "lip", "--n", "16", "--k", "4",
+                           "--eps", "0.1", "--c", "0.05", "--C", "10.0")
+    assert code == 0
+    b = lip_bounds(16, 4, 0.1, BoundConstants(c_small=0.05, C_big=10.0))
+    assert json.loads(out) == b._asdict()
 
 
 def test_bounds_usage_error(capsys):
@@ -281,6 +291,21 @@ def test_experiment_byte_identical_reruns(capsys, tmp_path):
     report = json.loads((tmp_path / "a" / "report.json").read_text())
     assert report["seed"] == 7
     assert len(report["trials"]) == 3
+
+
+def test_frame_section_equals_its_canonical_section(capsys, tmp_path):
+    tables = []
+    for tag, section in (("canonical", {"k": 2, "offset": 1}),
+                         ("frame", {"frame": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]})):
+        path = tmp_path / f"{tag}.json"
+        path.write_text(json.dumps(two_bodies_config(
+            K={"kind": "ellipsoid", "semiaxes": [1.0, 1.4, 0.8]}, section_bound=3.0,
+            section_L=section)))
+        code, _, _ = run_cli(capsys, "experiment", "two-bodies", "--config", str(path),
+                             "--seed", "7", "--out", str(tmp_path / tag))
+        assert code == 0
+        tables.append((tmp_path / tag / "trials.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_a_rerun_over_stale_outputs_writes_a_fresh_runs_bytes(capsys, tmp_path):
@@ -513,14 +538,15 @@ def test_emit_plot_data_empty_report(tmp_path):
 
 
 def test_emit_plot_data_sweep(tmp_path):
-    reports = [_report_from(two_bodies_config(n=n, k=2, trials=3,
-                                              K={"kind": "ball", "dim": n, "radius": 1.0},
-                                              L={"kind": "ball", "dim": n, "radius": 1.0}), seed=5)
-               for n in (3, 4)]
-    out = tmp_path / "sweep.csv"
-    emit_plot_data(reports, out)
-    summary = (tmp_path / "sweep_summary.csv").read_text().strip().split("\n")
-    assert len(summary) == 3  # header + one row per (n, k)
+    # a sweep writes one table per report, each summarized at its own (n, k)
+    for n in (3, 4):
+        rep = _report_from(two_bodies_config(n=n, k=2, trials=3,
+                                             K={"kind": "ball", "dim": n, "radius": 1.0},
+                                             L={"kind": "ball", "dim": n, "radius": 1.0}), seed=5)
+        emit_plot_data(rep, tmp_path / f"sweep{n}.csv")
+        summary = (tmp_path / f"sweep{n}_summary.csv").read_text().strip().split("\n")
+        assert len(summary) == 2  # header + the report's (n, k)
+        assert summary[1].split(",")[:3] == [str(n), "2", fmt_float(n / 2)]
 
 
 def test_parser_lists_subcommands():

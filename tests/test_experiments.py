@@ -199,6 +199,25 @@ def test_cover_ball_net_certifies():
     assert dmin.max() <= 0.3 + 1e-9
 
 
+def test_net_lands_does_not_depend_on_the_chunk_size(monkeypatch):
+    # the rotated centers of one rotation are K.dim-wide rows of one chunk;
+    # chunks of 1 and 7 rotations give every center the same distance
+    K = ellipsoid([1.0, 1.4, 0.8])
+    centers = 1.2 * _util.sphere_points(np.random.default_rng(3), 5, 3)
+    rotations = [haar_rotation(3, seed=s) for s in range(20)]
+    real, seen = K.distance, []
+    monkeypatch.setattr(K, "distance", lambda X: seen.append(np.asarray(real(X))) or seen[-1])
+    runs = []
+    for rows in (1, 7):
+        monkeypatch.setattr(_util, "CHUNK_FLOATS", len(centers) * K.dim * rows)
+        seen.clear()
+        ok = experiments._net_lands(K, centers, rotations, 0.3)
+        assert [len(d) for d in seen] == [len(centers) * r for r in _util.chunk_sizes(20, rows)]
+        runs.append((ok, np.concatenate(seen)))
+    assert runs[0][0] == runs[1][0] and 0 < sum(runs[0][0]) < len(rotations)
+    assert np.array_equal(runs[0][1], runs[1][1])
+
+
 # ---------------------------------------------------------------------------
 # two-bodies harness
 # ---------------------------------------------------------------------------

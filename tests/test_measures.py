@@ -11,7 +11,7 @@ from waistlab import _util, measures
 from waistlab.bodies import ball, product_body
 from waistlab.errors import DomainError
 from waistlab.estimators import mc_sigma_body
-from waistlab.measures import (BoundConstants, SubsphereQuery, cap_angle,
+from waistlab.measures import (BoundConstants, SubsphereQuery, cap_angle, cap_angle_compl,
                                cap_bounds, chisq_cdf, gaussian_fact_check,
                                lip_bounds, sigma_ball_product, sigma_exact,
                                sigma_exact_array, sigma_lip_lower, sigma_mc)
@@ -339,6 +339,19 @@ def test_cap_bounds_domain():
         cap_bounds(8, 9, 0.25)
     with pytest.raises(DomainError):
         cap_bounds(8, 2, 0.5)
+
+
+@pytest.mark.parametrize("n, k, eps", [(8, 2, 0.25), (10, 3, 0.2), (5, 5, 0.49)])
+def test_cap_angle_compl_complements_cap_angle(n, k, eps):
+    total = math.sin(cap_angle(n, k, eps)) ** 2 + math.sin(cap_angle_compl(n, k, eps)) ** 2
+    assert total == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("n, k, eps", [(8, 1, 0.25), (8, 9, 0.25), (8, 2, 0.0), (8, 2, 0.5),
+                                       (8.0, 2, 0.25)])
+def test_cap_angle_compl_domain(n, k, eps):
+    with pytest.raises(DomainError):
+        cap_angle_compl(n, k, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from waistlab import estimators, optimize
+from waistlab import _util, estimators, optimize
 from waistlab.bodies import (ball, cross_polytope, cube, ellipsoid, intersect, neighborhood,
                              polar, product_body, slab_body, truncated_cylinder, vertex_polytope)
 from waistlab.errors import EvaluationError
@@ -112,17 +112,17 @@ def test_infinite_difference_sides_warn_nothing():
 def test_batch_results_do_not_depend_on_chunking(monkeypatch):
     whole = minimize_on_sphere_batch(_fields(), N, 4, CFG)
     m = CFG.restarts
-    monkeypatch.setattr(optimize, "BATCH_ROWS", 3 * m * N)  # chunks of 3 and 1
+    monkeypatch.setattr(_util, "CHUNK_FLOATS", 3 * m * N)  # chunks of 3 and 1
     chunked = minimize_on_sphere_batch(_fields(), N, 4, CFG)
     for res, one in zip(chunked, whole):
         _assert_same(res, one)
 
 
 def test_batch_call_never_exceeds_row_cap(monkeypatch):
-    monkeypatch.setattr(optimize, "BATCH_ROWS", 2 * CFG.restarts * N)
+    monkeypatch.setattr(_util, "CHUNK_FLOATS", 2 * CFG.restarts * N)
     seen = []
     minimize_on_sphere_batch(_fields(seen), N, 4, CFG)
-    assert max(seen) == optimize.BATCH_ROWS
+    assert max(seen) == _util.CHUNK_FLOATS
 
 
 def test_polish_counts_unconverged_solves(monkeypatch):
