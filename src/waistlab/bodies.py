@@ -918,8 +918,10 @@ def mc_volume(K: Body, samples: int, seed=None):
     standard error.  Each ball point is one row of K.dim + 2 Gaussians
     (see _util.ball_points), drawn in chunks of _util.chunk_rows of that
     width, so peak memory does not grow with samples or the dimension,
-    and the estimate does not depend on the chunk size.  Unbounded bodies
-    are rejected."""
+    and the estimate does not depend on the chunk size.  When no sample
+    hits, the error term is the rule of three's one-sided 95% bound,
+    box volume times 3 / samples, not a standard error of 0.  Unbounded
+    bodies are rejected."""
     if not math.isfinite(K.outer_radius):
         raise DomainError("mc_volume requires a bounded body (finite outer radius)")
     rng = np.random.default_rng(seed)
@@ -928,13 +930,14 @@ def mc_volume(K: Body, samples: int, seed=None):
     # a body of outer radius 0 has volume 0, and its points are not drawn
     p, se = hit_fraction(samples, chunk_rows(K.dim + 2),
                          lambda m: K.contains(ball_points(rng, m, K.dim, r)) if r > 0 else 0)
-    return box_vol * p, box_vol * se
+    return box_vol * p, box_vol * (se if p > 0 else 3.0 / samples)
 
 
 def volume_ratio(K: Body, samples: int, seed=None) -> float:
     """n-th root of the volume of K relative to the unit ball, after checking
     by the gauges at VOLUME_CHECK_DIRECTIONS sampled directions that the
-    unit ball sits inside K."""
+    unit ball sits inside K.  A volume estimate with no hit raises
+    EvaluationError: it only bounds the ratio from above."""
     rng = np.random.default_rng(seed)
     dirs = sphere_points(rng, VOLUME_CHECK_DIRECTIONS, K.dim)
     g = np.asarray(K.gauge(dirs), dtype=float)
@@ -945,4 +948,6 @@ def volume_ratio(K: Body, samples: int, seed=None) -> float:
             f"unit ball not contained: gauge {g[i]:.6g} > 1 on a sphere direction",
             direction=dirs[i])
     vol, _ = mc_volume(K, samples, seed=rng)
+    if vol == 0.0:
+        raise EvaluationError(f"no one of {samples} volume samples hit the body")
     return float((vol / unit_ball_volume(K.dim)) ** (1.0 / K.dim))

@@ -15,7 +15,8 @@ class SpecError(WaistlabError, ValueError):
 
 class EvaluationError(WaistlabError, RuntimeError):
     """A body lacks the evaluator needed for the requested computation,
-    or an iterative evaluator failed to reach its tolerance."""
+    an iterative evaluator failed to reach its tolerance, or no Monte-Carlo
+    sample hit a body whose volume is needed."""
 
 
 class ContainmentError(WaistlabError):

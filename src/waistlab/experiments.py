@@ -23,7 +23,7 @@ from ._util import (ball_points, bernoulli_se, canonical_dumps, chunk_rows, chun
                     quantile_summary, seed_sequence, sphere_points, write_csv)
 from .bodies import (Body, ball_factors, difference_body, linear_image, mc_volume, polar,
                      volume_ratio)
-from .errors import (DomainError, HypothesisError, InfeasibleScheduleError,
+from .errors import (DomainError, EvaluationError, HypothesisError, InfeasibleScheduleError,
                      NetConstructionError)
 from .estimators import (diameter_of_intersection, inclusion_radius, mc_sigma_body,
                          section_diameter)
@@ -677,7 +677,8 @@ def run_global_vr(K: Body, L: Body, n: int, k: int, trials: int, seed=0, *,
                   opt: OptimizerConfig = DEFAULT_OPT) -> ExperimentReport:
     """Volume-ratio pipeline: measure the volume ratio, form the difference
     body, check its volume against the binomial bound, rescale its declared
-    bounded section to diameter 1, and run the intersection experiment."""
+    bounded section to diameter 1, and run the intersection experiment.
+    A volume estimate with no hit raises EvaluationError."""
     t0 = time.perf_counter()
     seed = _resolve_seed(seed)
     if K.dim != n or L.dim != n:
@@ -689,6 +690,8 @@ def run_global_vr(K: Body, L: Body, n: int, k: int, trials: int, seed=0, *,
     vol_K, se_K = mc_volume(K, vol_samples, seed=s_vk)
     K2 = difference_body(K)
     vol_K2, se_K2 = mc_volume(K2, vol_samples, seed=s_vk2)
+    if vol_K == 0.0 or vol_K2 == 0.0:
+        raise EvaluationError(f"no one of {vol_samples} volume samples hit K or K - K")
     rs_ratio = vol_K2 / vol_K
     rs_se = rs_ratio * math.hypot(se_K / vol_K, se_K2 / vol_K2)
     rs_bound = float(math.comb(2 * n, n))

@@ -82,8 +82,8 @@ STEP0 = 0.3               # first descent step of every start
 POLISH_STARTS = 16        # distinct descent endpoints polished
 POLISH_SEPARATION = 1e-6  # endpoints closer than this count as one start
 SPREAD_POOL = 24          # random pool rows per spread direction
-HULL_ROWS = 512           # most rows a polyhedral field expands to for the exact stage
-CUT_ROUNDS = 16           # most cutting-plane rounds of the hull stage
+HULL_ROWS = 512           # most rows of a polyhedral field or of either cutting-plane oracle
+CUT_ROUNDS = 16           # most rounds of either cutting-plane oracle
 NEWTON_SOLVES = 64        # most eigh solves on one edge of the S-lemma stage
 
 
@@ -209,7 +209,7 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
 
 def _bracketed(res, n):
     """Whether a stage bounded the field within 64 n eps of its finite
-    value, the gap at which the hull stage's rounds stall: such a field
+    value, the gap at which the cutting-plane rounds stall: such a field
     keeps the stage's result, and is not descended."""
     return (res is not None and res.lower is not None and math.isfinite(res.value)
             and res.value - res.lower <= 64 * n * np.finfo(float).eps * abs(res.value))
@@ -306,26 +306,20 @@ def _minkowski_facets(pieces, n):
 
     With l2 parts, the pairs are support points of E (the sum of the l2
     parts' gradients, pieces.Piece.gradient), first at the unit generator
-    directions, so Z + conv(+-p_j) lies inside the field's body, and
-    Kelley's cutting planes run on it: each round solves only the systems
-    that use the newest pair, takes the least support of Z + conv(+-p_j)
-    over +- every solution so far as lower, the field at that normal, the
-    nearest, as an attained value, and adds E's support point there, until
-    the best value is within 8 n eps max_i |P_i| of lower, the hull stage's
-    rule, over the rows P that the first pairs expand to.  A field that
-    CUT_ROUNDS rounds leave open, or that one more pair would take past
-    HULL_ROWS expanded rows, gets stage "bound" with that lower.
+    directions, so Z + conv(+-p_j) lies inside the field's body, and it is
+    the inner polytope of _cutting_planes.  Each round solves only the
+    systems that use the newest pair, takes the least support over +-
+    every solution so far, and adds E's support point at the nearest
+    normal as one more pair.
 
     None when the field is of another kind, when its expanded rows (2^k
     times the linear rows, or times 2m for m pairs of E, k the l1 columns)
     pass HULL_ROWS, which is checked before any system is built (so the
     hull stage's HULL_ROWS switches this stage too), a matrix is not
-    finite, the pairs have rank below n, or the value is not positive."""
-    if len(pieces) != 1 or pieces[0].kind != "sum":
+    finite, or the pairs have rank below n."""
+    if len(pieces) != 1 or pieces[0].kind != "sum" or any(len(q) != 1 for q in pieces[0].parts):
         return None
     parts = pieces[0].parts
-    if any(len(part) != 1 for part in parts):
-        return None
     l1, l2, linear = ([part[0] for part in parts if part[0].kind == kind]
                       for kind in ("l1", "l2", "linear"))
     # zonotopes and either one paired linear part or l2 parts
@@ -334,63 +328,41 @@ def _minkowski_facets(pieces, n):
     G = np.hstack([p.matrix for p in l1]).T
     G = G[np.any(G != 0.0, axis=1)]  # a zero generator adds nothing
     zonotope = 2 ** sum(p.matrix.shape[1] for p in l1)  # the rows Z expands to
-    if zonotope * (len(linear[0].matrix) if linear else 2 * len(G)) > HULL_ROWS:
+    if (zonotope * (len(linear[0].matrix) if linear else 2 * len(G)) > HULL_ROWS
+            or not all(np.all(np.isfinite(p.matrix)) for p in l1 + l2 + linear)):
         return None
-    if not all(np.all(np.isfinite(p.matrix)) for p in l1 + l2 + linear):
-        return None
-
-    def support(V):  # E's support points at the rows of V
-        return sum(p.gradient(V) for p in l2)
-
-    P = _pairs(linear[0]) if linear else support(_normalize_rows(G))
+    P = _pairs(linear[0]) if linear else sum(p.gradient(_normalize_rows(G)) for p in l2)
     if P is None or np.linalg.matrix_rank(P) < n:
         return None
-    if l2:  # the hull stage's rounding, over the rows Z + conv(+-p_j) expands to
-        inner = Piece("sum", parts=tuple((p,) for p in l1)
-                      + ((Piece("linear", np.vstack([P, -P])),),))
-        rows = _polyhedral_rows((inner,), n)
-        rounding = n * np.finfo(float).eps * np.linalg.norm(rows, axis=1).max()
-    U, h, z = np.empty((0, n)), np.empty(0), np.empty(0)
-    best_u, best, nfev = None, np.inf, len(P) if l2 else 0
-    for r in range(CUT_ROUNDS + 1):
-        idx = _facet_systems(n, len(G), len(P), r > 0)
-        A = np.vstack([G, P, -P])[idx]
-        b = (idx >= len(G)).astype(float)  # <u, g_i> = 0 and <u, +-p_j> = 1
-        keep = np.linalg.det(A) != 0.0  # the systems with a solution
-        try:
+    inner = Piece("sum", parts=tuple((p,) for p in l1) + ((Piece("linear", np.vstack([P, -P])),),))
+
+    def rounds(P):
+        U, h, z = np.empty((0, n)), np.empty(0), np.empty(0)
+        while True:
+            idx = _facet_systems(n, len(G), len(P), len(U) > 0)
+            A = np.vstack([G, P, -P])[idx]
+            b = (idx >= len(G)).astype(float)  # <u, g_i> = 0 and <u, +-p_j> = 1
+            keep = np.linalg.det(A) != 0.0  # the systems with a solution
             X = np.linalg.solve(A[keep], b[keep, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            return None
-        X = _normalize_rows(X[np.all(np.isfinite(X), axis=1)])
-        X = np.vstack([X, -X])
-        if l2:
-            # the support of Z + conv(+-p_j) is z + max_j |<u, p_j>|, with
-            # z the zonotope's: the newest pair at the rows so far, every
-            # pair at the new rows
-            zx = np.abs(X @ G.T).sum(axis=1)
-            h = np.concatenate([np.maximum(h, z + np.abs(U @ P[-1])),
-                                zx + np.abs(X @ P.T).max(axis=1)])
-            z = np.concatenate([z, zx])
-        else:  # the field itself
-            h = _finite_values(pieces, X)
-        U = np.vstack([U, X])
-        i = int(np.argmin(h))
-        value = float(_finite_values(pieces, U[i][None])[0])  # alone, as every stage reports it
-        nfev += len(X) + 1
-        if value < best:
-            best_u, best = U[i], value
-        lower = float(h[i])
-        if (not l2 or best - lower <= 8 * rounding or r == CUT_ROUNDS
-                or zonotope * 2 * (len(P) + 1) > HULL_ROWS):
-            break
-        P = np.vstack([P, support(U[i][None])])  # at the nearest normal
-        nfev += 1
-    if not best > 0.0:
-        return None
-    exact = not l2 or best - lower <= 8 * rounding
-    return SphereOptResult(value=best, direction=best_u, nfev=nfev,
-                           stage="exact" if exact else "bound", lower=best if exact else lower,
-                           method="Minkowski facets")
+            X = _normalize_rows(X[np.all(np.isfinite(X), axis=1)])
+            X = np.vstack([X, -X])
+            if l2:
+                # the support of Z + conv(+-p_j) is z + max_j |<u, p_j>|, with
+                # z the zonotope's: the newest pair at the rows so far, every
+                # pair at the new rows
+                zx = np.abs(X @ G.T).sum(axis=1)
+                h = np.concatenate([np.maximum(h, z + np.abs(U @ P[-1])),
+                                    zx + np.abs(X @ P.T).max(axis=1)])
+                z = np.concatenate([z, zx])
+            else:  # the field itself
+                h = _finite_values(pieces, X)
+            U = np.vstack([U, X])
+            i = int(np.argmin(h))
+            yield float(h[i]), U[i][None], len(X)
+            P = np.vstack([P, sum(p.gradient(U[i][None]) for p in l2)])  # E's support point
+
+    return _cutting_planes(pieces, n, _polyhedral_rows((inner,), n), 2 * zonotope,
+                           len(P) if l2 else 0, "Minkowski facets", rounds(P))
 
 
 @lru_cache(maxsize=None)
@@ -444,7 +416,7 @@ def _floor(pieces, n):
     dropped, so every candidate is a unit vector).  The field is exact when
     its value at the least candidate, evaluated alone, is within 8 n eps
     times the largest piece scale (sigma_max of a matrix, the longest row
-    of a linear piece) of the floor, the hull stage's rule; otherwise it
+    of a linear piece) of the floor, the cutting planes' rule; otherwise it
     gets stage "bound", with the floor less that tolerance as lower.
 
     None when a piece is a sum or smooth, when a matrix is not finite,
@@ -490,9 +462,8 @@ def _floor(pieces, n):
 
 
 def _hull(pieces, n):
-    """The convex-hull stage, by Kelley's cutting planes (Kelley, J. SIAM 8,
-    1960; Bertsekas & Yu, SIAM J. Optim. 21, 2011), whose zero-round case
-    is the hull of a polyhedral field's rows.
+    """The convex-hull stage, whose zero-round case is the hull of a
+    polyhedral field's rows.
 
     A polyhedral field, whose every piece is linear, an l1 piece or a sum
     of such parts, is max_i <P_i, u> = h_conv(P)(u) over the rows P it
@@ -505,26 +476,15 @@ def _hull(pieces, n):
     An l2 piece |u M| = max over |y| <= 1 of <u, M y>, beside polyhedral
     pieces or in the parts of sums, is replaced by rows at its support
     points M M^T a / |a M| at the seed directions a of _seeds.  The rows
-    are points of the body whose support is the field, so their hull's
-    support is at most the field, and its inradius is a certified lower
-    bound; the field at the nearest facet's normal is an attained value.
-    Each round adds, at the normals of the n nearest facets, the
+    are points of the body whose support is the field, and their hull is
+    the inner polytope of _cutting_planes.  Each round takes the n nearest
+    facets from Qhull's equations and adds, at their normals, the
     subgradient (pieces.Piece.gradient) of every piece that holds an l2
     piece: the support point of an l2 piece, and for a sum the sum of its
     parts' support points, again points of the body.  Each round builds
     its hull from every row anew: growing one hull by Qhull's incremental
     add_points ends the process on some fields, which no except clause
-    can catch.  With r = n eps max_i |P_i|, the hull's rounding, the
-    rounds go on until the gap between the best value and the bound is
-    within r.  They stop
-    earlier when the gap stops shrinking within 64 r, where Qhull merges
-    the new points, when it has not shrunk 16-fold over the last 4
-    rounds, as on a ridge of a norm and facets, where each round only
-    about quarters it, after CUT_ROUNDS rounds, or before the rows pass
-    HULL_ROWS.  The field is exact when the gap is within 8 r (at 64 r,
-    values of random ellipsoid and cube fields certified up to 2.7e-14
-    relative above the descent's); a field left open gets stage "bound",
-    with the inradius as lower.
+    can catch.
 
     None when every piece is l2 (the S-lemma stage's fields), when the
     field has a smooth piece, more than HULL_ROWS rows at its seeds, rows
@@ -543,35 +503,73 @@ def _hull(pieces, n):
     if (P is None or len(P) <= n or not np.all(np.isfinite(P))
             or np.linalg.matrix_rank(P[1:] - P[0]) < n):
         return None
-    rounding = n * np.finfo(float).eps * np.linalg.norm(P, axis=1).max()
-    best_u, best, gaps, evals = None, np.inf, [np.inf], 0
-    for _ in range(CUT_ROUNDS + 1):
-        # facets a.x + c <= 0 with unit a: the origin is interior iff every
-        # c < 0, and the facet nearest to it has the largest c
-        try:
-            equations = ConvexHull(P).equations
-        except QhullError:
-            return None
-        if not np.all(equations[:, -1] < 0.0):
-            return None
-        nearest = np.argsort(-equations[:, -1], kind="stable")[:n]
-        lower = -float(equations[nearest[0], -1])  # the inradius: h_conv(P) <= the field
-        u = equations[nearest[0], :-1]
-        value = float(_finite_values(pieces, u[None])[0])
-        evals += 1
+
+    def rounds(P):
+        while True:
+            # facets a.x + c <= 0 with unit a: the origin is interior iff
+            # every c < 0, and the facet nearest to it has the largest c
+            try:
+                equations = ConvexHull(P).equations
+            except QhullError:
+                return
+            if not np.all(equations[:, -1] < 0.0):
+                return
+            normals = equations[np.argsort(-equations[:, -1], kind="stable")[:n]]
+            yield -float(normals[0, -1]), normals[:, :-1], 0
+            P = np.vstack([P] + [p.gradient(normals[:, :-1]) for p in cut])
+
+    return _cutting_planes(pieces, n, P, n * len(cut), len(P),
+                           "cutting planes" if cut else "convex hull", rounds(P))
+
+
+def _cutting_planes(pieces, n, rows, grows, nfev, method, rounds):
+    """Kelley's cutting planes (Kelley, J. SIAM 8, 1960; Bertsekas & Yu,
+    SIAM J. Optim. 21, 2011) of the facet and hull stages, over an inner
+    polytope of points of the field's body, whose support is at most the
+    field.  rows are its first rows, whose making evaluated nfev rows, and
+    each round adds grows rows.
+
+    A stage's oracle is the generator rounds.  Each round it yields the
+    inner polytope's least support, its inradius, a lower bound on the
+    field; its nearest facets' normals, the nearest first; and the rows it
+    evaluated to find them.  Resumed, it adds at those normals the support
+    points of every piece that holds an l2 piece, a row of nfev each; it
+    ends when the stage declines the field, and the loop returns None.
+    Each round's value is the field at the nearest normal, evaluated alone.
+
+    A field without an l2 piece is its own inner polytope, and its first
+    round is exact.  Otherwise, with r = n eps max_i |rows_i|, the first
+    inner polytope's rounding, the rounds go on until the gap between the
+    best value and the inradius is within r.  They stop earlier when the
+    gap stops shrinking within 64 r, where Qhull merges the new points;
+    when it has not shrunk 16-fold over the last 4 n cuts, a cut a normal,
+    as on a ridge of a norm and facets, where a hull round of n cuts only
+    about quarters it; after CUT_ROUNDS rounds; or before the rows pass
+    HULL_ROWS.  The field is exact when the gap is within 8 r; one left
+    open gets stage "bound", with the last inradius as lower.  None as
+    well when the best value is not positive."""
+    cut = sum(any(q.kind == "l2" for q in leaves((p,))) for p in pieces)
+    rounding = n * np.finfo(float).eps * np.linalg.norm(rows, axis=1).max()
+    best_u, best, gaps = None, np.inf, [np.inf]
+    for r, (lower, normals, evals) in enumerate(rounds):
+        value = float(_finite_values(pieces, normals[:1])[0])  # alone, as every stage reports it
+        nfev += evals + 1
         if value < best:
-            best_u, best = u, value
+            best_u, best = normals[0], value
         gaps.append(best - lower)
-        gap = gaps[-1]
+        gap, back = gaps[-1], 4 * n // len(normals)  # the rounds of the last 4 n cuts
         if (not cut or gap <= rounding or (gap <= 64 * rounding and gap >= gaps[-2])
-                or (len(gaps) > 5 and 16 * gap > gaps[-5])
-                or len(P) + n * len(cut) > HULL_ROWS):
+                or (len(gaps) > back + 1 and 16 * gap > gaps[-back - 1]) or r == CUT_ROUNDS
+                or len(rows) + (r + 1) * grows > HULL_ROWS):
             break
-        P = np.vstack([P] + [p.gradient(equations[nearest, :-1]) for p in cut])
+        nfev += len(normals) * cut  # the support points that resuming rounds adds
+    else:  # the stage declined the field
+        return None
+    if not best > 0.0:
+        return None
     exact = not cut or gap <= 8 * rounding
-    return SphereOptResult(value=best, direction=best_u, nfev=len(P) + evals,
-                           stage="exact" if exact else "bound", lower=best if exact else lower,
-                           method="cutting planes" if cut else "convex hull")
+    return SphereOptResult(value=best, direction=best_u, nfev=nfev, lower=best if exact else lower,
+                           stage="exact" if exact else "bound", method=method)
 
 
 def _seeds(pieces, n):

@@ -812,6 +812,19 @@ def test_mc_volume_flat_is_zero():
     assert vol == 0.0
 
 
+def test_mc_volume_without_a_hit_reports_the_rule_of_three_bound():
+    # cube(30, 1) fills about 3e-9 of its outer ball, so no seed gets a hit
+    K = cube(30, 1.0)
+    box = unit_ball_volume(30) * K.outer_radius ** 30
+    for seed in range(3):
+        assert mc_volume(K, 20_000, seed=seed) == (0.0, box * 3.0 / 20_000)
+
+
+def test_volume_ratio_rejects_a_volume_without_a_hit():
+    with pytest.raises(EvaluationError, match="hit"):
+        volume_ratio(cube(30, 1.0), 20_000, seed=0)
+
+
 def test_mc_volume_golden_value_and_chunk_size(monkeypatch):
     # each ball point is one row of 3 + 2 Gaussians, so chunks of 7 and
     # 1003 rows draw the stream of the default chunks

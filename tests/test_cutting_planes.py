@@ -2,7 +2,8 @@
 facets, drawn by hypothesis: the gauge of an ellipsoid E intersected with
 a rotated cube U C, the larger of their supports, max(h_E, h_UC), and the
 support of their Minkowski sum, h_E + h_UC, or of E + U B for a
-cross-polytope B."""
+cross-polytope B; and the round cap and stall of the facet stage's
+cutting planes on such sums."""
 
 import os
 import subprocess
@@ -19,7 +20,7 @@ from scipy.spatial._qhull import QhullError
 import waistlab
 from waistlab import optimize
 from waistlab._util import seed_sequence, sphere_points
-from waistlab.bodies import cross_polytope, cube, ellipsoid
+from waistlab.bodies import ball, cross_polytope, cube, ellipsoid
 from waistlab.geometry import haar_rotation, haar_rotations_per_seed
 from waistlab.optimize import OptimizerConfig, minimize_on_sphere, minimize_on_sphere_batch
 from waistlab.pieces import Piece, map_pieces, max_of, select_pieces, sum_pieces
@@ -84,23 +85,25 @@ def test_qhull_errors_fall_back_to_the_descent(field):
     assert res.value == found.value and np.array_equal(res.direction, found.direction)
 
 
-def _capped(pieces, n):
-    """The hull stage's result and the optimizer's under a one-round cap."""
+def _capped(pieces, n, stage="_hull"):
+    """The cutting-plane stage's result (the hull stage's, or the facet
+    stage's for stage "_minkowski_facets") and the optimizer's under a
+    one-round cap."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(optimize, "CUT_ROUNDS", 1)
-        return optimize._hull(pieces, n), minimize_on_sphere(pieces, n, CFG)
+        return getattr(optimize, stage)(pieces, n), minimize_on_sphere(pieces, n, CFG)
 
 
-def _says_so(hull, res):
+def _says_so(capped, res):
     """A field the capped rounds leave open is reported as bounded, and
-    descends with the hull's inradius as its lower bound, or the piece
+    descends with the stage's inradius as its lower bound, or the piece
     floor's when that is larger."""
-    assert hull.stage == "bound" and np.isfinite(hull.lower) and hull.lower <= hull.value
+    assert capped.stage == "bound" and np.isfinite(capped.lower) and capped.lower <= capped.value
     assert res.stage in ("descent", "polish") and res.lower <= res.value
-    if res.method == "cutting planes":
-        assert res.lower == hull.lower
+    if res.method == capped.method:
+        assert res.lower == capped.lower
     else:
-        assert res.method == "piece floor" and hull.lower < res.lower
+        assert res.method == "piece floor" and capped.lower < res.lower
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -184,16 +187,65 @@ def test_sums_past_the_row_cap_decline_before_qhull(field):
         assert optimize._hull(pieces, n) is None
 
 
+def _spy_systems(m):
+    """The list that each later optimize._facet_systems call appends its
+    arguments to, one call per round of the facet stage."""
+    systems, real = [], optimize._facet_systems
+    m.setattr(optimize, "_facet_systems", lambda *args: systems.append(args) or real(*args))
+    return systems
+
+
+def test_one_round_leaves_a_facet_field_open(monkeypatch):
+    # the support of an elongated E + U C in R^5, which the facet stage
+    # takes over 4 rounds and the hull stage declines: capped at one round
+    # past the first, in the stage and in the optimizer's call of it, it
+    # descends with the facet stage's bound
+    pieces = sum_pieces((ellipsoid([0.1, 3.0, 0.2, 2.5, 1.0]).support_pieces,
+                         map_pieces(cube(5, 1.0).support_pieces, haar_rotation(5, seed=3))))
+    assert optimize._hull(pieces, 5) is None
+    systems = _spy_systems(monkeypatch)
+    facets, res = _capped(pieces, 5, "_minkowski_facets")
+    assert systems == [(5, 5, 5, False), (5, 5, 6, True)] * 2
+    _says_so(facets, res)
+    assert res.method == "Minkowski facets"
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(sum_fields(dims=(5, 5), kinds=("cube",)))
+def test_the_round_cap_leaves_a_facet_field_open_and_says_so(field):
+    # E + U C in R^5, which the facet stage takes and the hull stage declines
+    n, pieces = field
+    with pytest.MonkeyPatch.context() as m:
+        systems = _spy_systems(m)
+        facets, res = _capped(pieces, n, "_minkowski_facets")
+    assert facets.method == "Minkowski facets"
+    assert len(systems) <= 2 * 2  # two rounds at most, in the stage and in the optimizer
+    if facets.stage == "exact":  # certified within one round
+        assert res.stage == "exact" and res.value == facets.value
+    else:
+        _says_so(facets, res)
+
+
 def test_a_stalled_gap_ends_the_rounds_early(monkeypatch):
-    # the support of E + U B for a cross-polytope B: the gap is not 16
-    # times smaller after 4 rounds, far from the hull's rounding and with
-    # rows to spare, so the field is left open before CUT_ROUNDS
+    # the gap is not 16 times smaller over the last 4 n cuts, far from the
+    # rounding and with rows to spare, so the field is left open before
+    # CUT_ROUNDS.  The hull stage on the support of E + U B for a
+    # cross-polytope B, after 4 rounds of n cuts:
     B = map_pieces(cross_polytope(3, 1.5).support_pieces, haar_rotation(3, seed=0))
     pieces = sum_pieces((ellipsoid([1.0, 1.4, 0.8]).support_pieces, B))
     hulls = _count_hulls(monkeypatch)
     res = optimize._hull(pieces, 3)
     assert res.stage == "bound" and len(hulls) == 5 < optimize.CUT_ROUNDS
     assert res.value - res.lower > 1e-3 and len(hulls[-1].points) < optimize.HULL_ROWS
+    # the facet stage on the support of a ball plus a rotated cube, whose
+    # tied nearest facets hold the gap, after 4 n rounds of one cut: its
+    # rows are 2^3 cube rows times 2 per pair, one pair more each round
+    C = map_pieces(cube(3, 0.8).support_pieces, haar_rotation(3, seed=0))
+    pieces = sum_pieces((ball(3, 3.0).support_pieces, C))
+    systems = _spy_systems(monkeypatch)
+    res = optimize._minkowski_facets(pieces, 3)
+    assert res.stage == "bound" and len(systems) == 13 < optimize.CUT_ROUNDS
+    assert res.value - res.lower > 1e-3 and 16 * systems[-1][2] < optimize.HULL_ROWS
 
 
 def test_seeds_keep_the_first_of_equal_rows():

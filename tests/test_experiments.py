@@ -8,7 +8,8 @@ from waistlab import _util, experiments
 from waistlab._util import seed_sequence
 from waistlab.bodies import (ball, cross_polytope, cube, difference_body, ellipsoid,
                              intersect, polar, product_body, truncated_cylinder)
-from waistlab.errors import DomainError, HypothesisError, InfeasibleScheduleError
+from waistlab.errors import (DomainError, EvaluationError, HypothesisError,
+                             InfeasibleScheduleError)
 from waistlab.experiments import (ExperimentReport, cover_ball_with_body,
                                   run_core_lemma, run_global_vr,
                                   run_higher_sphere, run_projection,
@@ -507,6 +508,15 @@ def test_global_vr_ellipsoid_pipeline_fields():
                 "beta_fit", "two_bodies"):
         assert key in s
     assert len(rep.trials) == 5
+
+
+def test_global_vr_rejects_a_volume_without_a_hit(monkeypatch):
+    # cube(30, 1) fills about 3e-9 of its outer ball: past the volume ratio,
+    # which would raise first, |K| has no hit and rs_ratio no denominator
+    monkeypatch.setattr(experiments, "volume_ratio", lambda K, samples, seed: 1.0)
+    with pytest.raises(EvaluationError, match="hit"):
+        run_global_vr(cube(30, 1.0), ball(30, 1.0), 30, 2, trials=1, seed=0,
+                      vol_samples=20_000, opt=OPT)
 
 
 # ---------------------------------------------------------------------------
