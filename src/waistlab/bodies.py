@@ -34,13 +34,12 @@ the orthogonal decomposition instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import optimize
-from ._util import (ball_points, chunk_rows, hit_fraction, read_field, sphere_points,
-                    strict_bool)
+from ._util import ball_points, chunk_rows, hit_fraction, read_field, strict_bool
 from .errors import ContainmentError, DomainError, EvaluationError, SpecError
 from .pieces import Piece, map_pieces, max_of, sum_pieces
 
@@ -66,6 +65,7 @@ __all__ = [
     "mc_volume",
     "volume_ratio",
     "unit_ball_volume",
+    "unit_ball_check",
 ]
 
 GAUGE_TOL = 1e-9          # membership tolerance at the gauge boundary; ties are in
@@ -74,7 +74,6 @@ PROJECT_CAP = 10_000      # cyclic projection iteration cap
 ORTHO_TOL = 1e-10         # largest residual of an orthogonal matrix or an orthonormal frame
 DEFAULT_TRUNCATION = 1e6
 BISECTION_STEPS = 64      # halvings of a gauge bracket, and most doublings to find one
-VOLUME_CHECK_DIRECTIONS = 512  # sphere directions volume_ratio checks for the unit ball
 
 
 def linprog(*args, **kwargs):
@@ -876,13 +875,10 @@ def polar(K: Body) -> Body:
         raise DomainError("polar requires a symmetric body")
     if not K.inner_radius > 0:
         raise DomainError("polar of a body with inner radius 0 is unbounded; rejected")
-    if K._support is None:
-        raise EvaluationError(f"polar needs an exact support evaluator; "
-                              f"the {K.kind} body has none")
     return Body(
         K.dim,
         support=K.gauge_pieces,
-        gauge=K._support,
+        gauge=K.support_pieces,  # raises EvaluationError for a body without a support
         membership=lambda X: np.asarray(K.support(X)) <= 1.0 + GAUGE_TOL,
         inner_radius=1.0 / K.outer_radius if math.isfinite(K.outer_radius) else 0.0,
         outer_radius=1.0 / K.inner_radius,
@@ -934,20 +930,29 @@ def mc_volume(K: Body, samples: int, seed=None):
 
 
 def volume_ratio(K: Body, samples: int, seed=None) -> float:
-    """n-th root of the volume of K relative to the unit ball, after checking
-    by the gauges at VOLUME_CHECK_DIRECTIONS sampled directions that the
-    unit ball sits inside K.  A volume estimate with no hit raises
-    EvaluationError: it only bounds the ratio from above."""
-    rng = np.random.default_rng(seed)
-    dirs = sphere_points(rng, VOLUME_CHECK_DIRECTIONS, K.dim)
-    g = np.asarray(K.gauge(dirs), dtype=float)
-    bad = g > 1.0 + GAUGE_TOL
-    if bad.any():
-        i = int(np.argmax(g))
-        raise ContainmentError(
-            f"unit ball not contained: gauge {g[i]:.6g} > 1 on a sphere direction",
-            direction=dirs[i])
-    vol, _ = mc_volume(K, samples, seed=rng)
+    """n-th root of the volume of K relative to the unit ball.  First
+    unit_ball_check with the identity frame: a refuted check raises
+    ContainmentError with its witness.  EvaluationError: K has no support,
+    or no volume sample hit it (the estimate then only bounds the ratio)."""
+    status, res = unit_ball_check(K, np.eye(K.dim))
+    if status == "refuted":
+        raise ContainmentError(f"unit ball not contained: support {res.value:.12g} < 1 "
+                               f"on a sphere direction", direction=res.direction)
+    vol, _ = mc_volume(K, samples, seed=seed)
     if vol == 0.0:
         raise EvaluationError(f"no one of {samples} volume samples hit the body")
     return float((vol / unit_ball_volume(K.dim)) ** (1.0 / K.dim))
+
+
+def unit_ball_check(K: Body, F, opt: optimize.OptimizerConfig = optimize.DEFAULT_OPT):
+    """(status, result) of the optimizer's min of h_K(w F) over unit w, for
+    F (k, n) an orthonormal frame: "certified" (the unit ball lies in the
+    projection of K onto F's span) when result.lower >= 1 - GAUGE_TOL,
+    "refuted" when result.value is below that, else "unverified"; the
+    result's direction is the witness w F.  No support: EvaluationError."""
+    if F.shape[1] != K.dim:
+        raise DomainError(f"frame lives in R^{F.shape[1]}, body in R^{K.dim}")
+    res = optimize.minimize_on_sphere_batch(map_pieces(K.support_pieces, F), len(F), 1, opt)[0]
+    status = ("certified" if res.lower is not None and res.lower >= 1.0 - GAUGE_TOL
+              else "refuted" if res.value < 1.0 - GAUGE_TOL else "unverified")
+    return status, replace(res, direction=res.direction @ F)

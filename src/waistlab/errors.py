@@ -28,7 +28,7 @@ class ContainmentError(WaistlabError):
 
 
 class HypothesisError(WaistlabError):
-    """A sampled hypothesis check failed; carries the witness sample."""
+    """A hypothesis check refuted its hypothesis; carries the witness."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)

@@ -211,26 +211,28 @@ def diameter_of_intersection(K: Body, L: Body, U, opt: OptimizerConfig = DEFAULT
     pieces = K.gauge_pieces + map_pieces(L.gauge_pieces, stack)
     results = minimize_on_sphere_batch(pieces, n, len(stack), opt)
     truncated = K.truncated or L.truncated
-    lip = None
-    if K.inner_radius > 0 and L.inner_radius > 0:
-        lip = 1.0 / min(K.inner_radius, L.inner_radius)
+    r_in = min(K.inner_radius, L.inner_radius)
+    lip = 1.0 / r_in if r_in > 0 else None
     net = _bracket_net(results, n, bracket_delta, lip, opt)
-    out = []
-    for t, res in enumerate(results):
-        gmin = res.value
-        if gmin <= 1e-12:
-            out.append(DiameterResult(math.inf, res.direction,
-                                      "unbounded direction found", truncated))
-            continue
-        diameter = 2.0 / gmin
-        note, upper = "lower bound (attained direction)", None
-        lower, how = _certified_floor(res, select_pieces(pieces, t), net, lip)
-        if lower is not None and lower > 0:  # a positive bound on the gauge
-            note, upper = how, 2.0 / lower
-        if truncated and diameter >= 0.5 * min(K.outer_radius, L.outer_radius):
-            note += "; truncation active"
-        out.append(DiameterResult(diameter, res.direction, note, truncated, upper))
+    out = [_diameter(res, res.direction, select_pieces(pieces, t), truncated,
+                     min(K.outer_radius, L.outer_radius), net, lip)
+           for t, res in enumerate(results)]
     return out[0] if single else out
+
+
+def _diameter(res, direction, field, truncated, outer, net=None, lip=None):
+    """The DiameterResult 2 / res.value of a gauge field's minimum res (inf at
+    most 1e-12), bracketed by the field's _certified_floor."""
+    if res.value <= 1e-12:
+        return DiameterResult(math.inf, direction, "unbounded direction found", truncated)
+    diameter = 2.0 / res.value
+    note, upper = "lower bound (attained direction)", None
+    lower, how = _certified_floor(res, field, net, lip)
+    if lower is not None and lower > 0:  # a positive bound on the gauge
+        note, upper = how, 2.0 / lower
+    if truncated and diameter >= 0.5 * outer:
+        note += "; truncation active"
+    return DiameterResult(diameter, direction, note, truncated, upper)
 
 
 def inclusion_radius(K: Body, L: Body, U, opt: OptimizerConfig = DEFAULT_OPT,
@@ -274,11 +276,11 @@ def inclusion_radius(K: Body, L: Body, U, opt: OptimizerConfig = DEFAULT_OPT,
 
 
 def section_diameter(K: Body, E, opt: OptimizerConfig = DEFAULT_OPT):
-    """Diameter of the section of a symmetric body by the subspace: twice
-    the largest radial value over unit directions inside it.  E is one
-    Subspace, which gives one float, or a sequence of subspaces of one
-    dimension, which gives a list from one lockstep optimizer run; each
-    value equals the one-subspace call's."""
+    """Diameter of the section of a symmetric body by the subspace, twice the
+    largest radial value inside it: a DiameterResult as diameter_of_intersection
+    gives, its direction in R^n.  E is one Subspace, which gives one result,
+    or a sequence of subspaces of one dimension, which gives a list from one
+    lockstep optimizer run; each equals the one-subspace call's."""
     if not K.symmetric:
         raise DomainError("section diameter requires a symmetric body")
     single = isinstance(E, Subspace)
@@ -294,5 +296,6 @@ def section_diameter(K: Body, E, opt: OptimizerConfig = DEFAULT_OPT):
     # field t is the gauge of K at w E_t, for w in the frame's coordinates
     pieces = map_pieces(K.gauge_pieces, np.stack([S.frame for S in subspaces]))
     results = minimize_on_sphere_batch(pieces, k, len(subspaces), opt)
-    out = [math.inf if res.value <= 1e-12 else 2.0 / res.value for res in results]
+    out = [_diameter(res, S.embed(res.direction), select_pieces(pieces, t), K.truncated,
+                     K.outer_radius) for t, (res, S) in enumerate(zip(results, subspaces))]
     return out[0] if single else out

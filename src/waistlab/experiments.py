@@ -129,6 +129,11 @@ def _body_echo(K: Body) -> dict:
     return {"kind": K.kind, "dim": K.dim}
 
 
+def _ball_echo(status, res) -> dict:
+    """The report entry of a unit-ball check's (status, result)."""
+    return {"status": status, "value": res.value, "lower": res.lower, "method": res.method}
+
+
 def _resolve_seed(seed) -> int:
     """Fixed seeds pass through; None draws fresh entropy, which the report
     records so the run stays reproducible."""
@@ -329,10 +334,9 @@ def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
 
     Primal mode records diam(K intersect UL) per trial with the success
     indicator diameter <= c_ref^(n/k) and the fitted constants from the
-    max and 95th-percentile diameters.  Dual mode verifies the projection
-    hypotheses by support sampling and records the inclusion radius of
-    K + UL; dual_products additionally records the product of the polar
-    intersection diameter with the hull-of-union inclusion radius, whose
+    max and 95th-percentile diameters.  Dual mode records the inclusion
+    radius of K + UL; dual_products (dual modes only) adds the polar
+    intersection diameter times the hull-of-union inclusion radius, whose
     exact value is 2.  Both minimize one field, max(h_K, h_UL), so a trial
     whose radius r is certified gets the polar diameter 2 / r; only the
     open trials are minimized again, through the polars, with their own
@@ -340,9 +344,10 @@ def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
     it tightly keeps the stage's result without a seeded descent, so its
     polar rerun returns the same result: its polar diameter is 2 / r to
     the bit, and its dual_product is (2 / r) r, as a certified trial's
-    is.  The declared hypotheses are
-    checked first: the section diameters against section_bound up to
-    SECTION_TOL.
+    is.  The hypotheses come first, with opt; a refuted one raises
+    HypothesisError.  Primal: section diameters within section_bound +
+    SECTION_TOL, certified if their upper brackets are.  Dual: B in P K
+    and Q L (check_projected_ball).  summary["hypothesis"] reports them.
     """
     if mode not in ("primal", "dual", "both"):
         raise DomainError(f"mode must be primal, dual, or both, got {mode!r}")
@@ -358,30 +363,26 @@ def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
     if section_L is None:
         section_L = Subspace.canonical(n, n - ak, offset=ak)
 
-    ss = seed_sequence(seed)
-    s_verify, s_trials = ss.spawn(2)
-    rng_v = np.random.default_rng(s_verify)
+    _, s_trials = seed_sequence(seed).spawn(2)
 
     hypothesis = {}
     primal = mode in ("primal", "both")
     dual = mode in ("dual", "both")
+    if dual_products and not dual:
+        raise DomainError(f"dual_products needs mode dual or both, got {mode!r}")
     if primal:
-        dK = section_diameter(K, section_K, opt)
-        dL = section_diameter(L, section_L, opt)
-        hypothesis["section_diam_K"] = dK
-        hypothesis["section_diam_L"] = dL
-        if dK > section_bound + SECTION_TOL:
-            raise HypothesisError(
-                f"declared K-section diameter {dK:.6g} > {section_bound:g}",
-                witness=section_K.frame)
-        if dL > section_bound + SECTION_TOL:
-            raise HypothesisError(
-                f"declared L-section diameter {dL:.6g} > {section_bound:g}",
-                witness=section_L.frame)
+        for name, body, S in (("K", K, section_K), ("L", L, section_L)):
+            d = section_diameter(body, S, opt)
+            if d.diameter > section_bound + SECTION_TOL:
+                raise HypothesisError(f"declared {name}-section diameter {d.diameter:.6g} > "
+                                      f"{section_bound:g}", witness=S.frame)
+            ok = d.upper_bracket is not None and d.upper_bracket <= section_bound + SECTION_TOL
+            hypothesis[f"section_diam_{name}"] = d.diameter
+            hypothesis[f"section_{name}"] = {"status": "certified" if ok else "unverified",
+                                             "upper_bracket": d.upper_bracket, "note": d.note}
     if dual:
-        check_projected_ball(K, section_K, 512, rng_v, "P K")
-        check_projected_ball(L, section_L, 512, rng_v, "Q L")
-        hypothesis["support_dominance"] = True
+        hypothesis["ball_in_PK"] = _ball_echo(*check_projected_ball(K, section_K, "P K", opt))
+        hypothesis["ball_in_QL"] = _ball_echo(*check_projected_ball(L, section_L, "Q L", opt))
 
     columns = ["trial"]
     if primal:
@@ -455,7 +456,7 @@ def run_sections(K: Body, k_exist: int, k_query: int, trials: int, seed=0, *,
         raise DomainError("section dimensions out of range")
     if section is None:
         section = Subspace.canonical(n, k_exist)
-    d0 = section_diameter(K, section, opt)
+    d0 = section_diameter(K, section, opt).diameter
     if not math.isfinite(d0):
         raise HypothesisError("declared existent section is unbounded",
                               witness=section.frame)
@@ -468,7 +469,7 @@ def run_sections(K: Body, k_exist: int, k_query: int, trials: int, seed=0, *,
     sections = [Subspace.from_frame(U[:k_query])
                 for U in _trial_rotations(seed_sequence(seed), n, trials)]
     rows = []
-    for i, d in enumerate(section_diameter(K, sections, opt)):
+    for i, d in enumerate(res.diameter for res in section_diameter(K, sections, opt)):
         ok = bool(d <= threshold) if threshold is not None else bool(math.isfinite(d))
         rows.append({"trial": i, "diameter": d, "success": ok})
     diam = np.array([r["diameter"] for r in rows]) if rows else np.array([])
@@ -621,13 +622,12 @@ def run_higher_sphere(cap_spec: dict, n: int, m: int, theta: float, samples: int
 def run_projection(K: Body, P: Subspace, eps: float, samples: int, seed=0, *,
                    lift_checks: int = 200) -> ExperimentReport:
     """Neighborhood-measure lower bound through a projected unit ball, plus
-    the lifted-waist containment checks."""
+    the lifted-waist containment checks, after check_projected_ball."""
     t0 = time.perf_counter()
     seed = _resolve_seed(seed)
     n, k = K.dim, P.k
-    ss = seed_sequence(seed)
-    s_hyp, s_mc, s_lift = ss.spawn(3)
-    check_projected_ball(K, P, 512, np.random.default_rng(s_hyp))
+    _, s_mc, s_lift = seed_sequence(seed).spawn(3)
+    hypothesis = {"ball_in_PK": _ball_echo(*check_projected_ball(K, P))}
 
     lhs, lhs_se = mc_sigma_body(K, eps, samples, seed=s_mc)
     equality_ref = sigma_exact(SubsphereQuery(n - 1, k - 1, math.asin(eps)))
@@ -638,9 +638,7 @@ def run_projection(K: Body, P: Subspace, eps: float, samples: int, seed=0, *,
     xs = np.vstack([xs, -xs])
     ambient = P.embed(xs)
     lift_stats = {"count": int(ambient.shape[0])}
-    max_resid = 0.0
-    max_gauge = 0.0
-    odd_gap = 0.0
+    max_resid = max_gauge = odd_gap = 0.0
     contained = 0
     for i in range(ambient.shape[0] // 2):
         g_pos, f_pos = lift_waist(K, P, ambient[i], verify_hypothesis=False)
@@ -658,7 +656,7 @@ def run_projection(K: Body, P: Subspace, eps: float, samples: int, seed=0, *,
                        "waist_contained": contained,
                        "waist_checked": int(ambient.shape[0] // 2)})
 
-    summary = {"lhs": lhs, "lhs_se": lhs_se,
+    summary = {"hypothesis": hypothesis, "lhs": lhs, "lhs_se": lhs_se,
                "equality_ref": equality_ref,
                "rhs_lip_lower": rhs,
                "lift": lift_stats}
@@ -699,7 +697,7 @@ def run_global_vr(K: Body, L: Body, n: int, k: int, trials: int, seed=0, *,
     ak = max(1, math.ceil(a_frac * k))
     if section_diff is None:
         section_diff = Subspace.canonical(n, n - ak, offset=ak)
-    d_sec = section_diameter(K2, section_diff, opt)
+    d_sec = section_diameter(K2, section_diff, opt).diameter
     K2s = linear_image(K2, np.eye(n), 1.0 / d_sec)
 
     sub = run_two_bodies(L, K2s, n, k, trials=trials,

@@ -10,9 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import sphere_points
-from .bodies import ORTHO_TOL, Body, dykstra
+from .bodies import ORTHO_TOL, Body, dykstra, unit_ball_check
 from .errors import (DomainError, EmptyFiberError, EvaluationError,
                      HypothesisError, NetConstructionError)
+from .optimize import DEFAULT_OPT, OptimizerConfig
 
 __all__ = [
     "Subspace",
@@ -32,8 +33,6 @@ __all__ = [
 GEODESIC_CHUNK = 1 << 15   # most points measured against a net at once
 NET_PROBES = 10_000        # probes per round of a probe-certified net
 NET_MAX_POINTS = 100_000   # build_net gives up beyond this cardinality
-LIFT_CHECK_DIRECTIONS = 256  # directions lift_waist checks its hypothesis on
-LIFT_CHECK_SEED = 0        # seed of those directions
 LIFT_TOL = 1e-12           # lift_waist's cyclic projection tolerance
 LIFT_CAP = 50_000          # and its iteration cap, which raises
 
@@ -273,18 +272,14 @@ def build_net(n: int, delta: float, seed=None) -> SphereNet:
     raise NetConstructionError("probe certification failed to close after 8 rounds")
 
 
-def check_projected_ball(K: Body, P: Subspace, samples: int, rng, what: str = "P K") -> None:
-    """Check that the projection of the body onto the subspace contains its
-    unit ball: the support of K must be at least 1 - 1e-9 at samples
-    random unit directions of P drawn from rng.  Raises HypothesisError,
-    labelled by what, with the worst direction as its witness."""
-    dirs = sphere_points(rng, samples, P.k)
-    supp = np.asarray(K.support(P.embed(dirs)), dtype=float)
-    i = int(np.argmin(supp))
-    if supp[i] < 1.0 - 1e-9:
+def check_projected_ball(K: Body, P: Subspace, what="P K", opt: OptimizerConfig = DEFAULT_OPT):
+    """bodies.unit_ball_check of P K, returned; a refuted check raises
+    HypothesisError, labelled by what, with the check's witness."""
+    status, res = unit_ball_check(K, P.frame, opt)
+    if status == "refuted":
         raise HypothesisError(f"{what}: projected body does not contain the unit "
-                              f"ball (support {supp[i]:.6g} < 1)",
-                              witness=P.embed(dirs[i]))
+                              f"ball (support {res.value:.12g} < 1)", witness=res.direction)
+    return status, res
 
 
 def lift_waist(K: Body, P: Subspace, x, *, verify_hypothesis: bool = True):
@@ -294,9 +289,8 @@ def lift_waist(K: Body, P: Subspace, x, *, verify_hypothesis: bool = True):
     {y in K : P y = x}, found by cyclic corrected projections between the
     body and the fiber's affine hull from the origin; f = g/|g| lies on
     the unit sphere inside the body.  The min-norm selection is odd for
-    symmetric bodies and continuous in x.  verify_hypothesis first checks
-    at LIFT_CHECK_DIRECTIONS directions that P K contains the unit ball
-    (see check_projected_ball).
+    symmetric bodies and continuous in x.  verify_hypothesis first runs
+    check_projected_ball, which raises when it refutes that B is in P K.
     """
     if P.n != K.dim:
         raise DomainError(f"subspace lives in R^{P.n}, body in R^{K.dim}")
@@ -307,7 +301,7 @@ def lift_waist(K: Body, P: Subspace, x, *, verify_hypothesis: bool = True):
         raise EvaluationError("lifting requires a body with a projection route")
 
     if verify_hypothesis:
-        check_projected_ball(K, P, LIFT_CHECK_DIRECTIONS, np.random.default_rng(LIFT_CHECK_SEED))
+        check_projected_ball(K, P)
 
     target = P.coords(xv)
 

@@ -283,7 +283,7 @@ def _check_optimizers(fast):
     assert abs(d.diameter - ref) < 1e-6, f"rotated diamond diameter {d.diameter} vs {ref}"
     E = bodies.ellipsoid([1.0, 2.0, 0.5])
     sd = estimators.section_diameter(E, geometry.Subspace.canonical(3, 1, offset=1), opt=opt)
-    assert abs(sd - 4.0) < 1e-6, f"axis section {sd}"
+    assert abs(sd.diameter - 4.0) < 1e-6, f"axis section {sd.diameter}"
     return "diameter, inclusion, and section anchors to 1e-6"
 
 

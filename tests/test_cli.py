@@ -218,6 +218,15 @@ def test_config_unreadable_value_is_a_usage_error(capsys, tmp_path, extra, key):
     assert err.startswith(f"error: {key}: cannot read ") and err.count("\n") == 1
 
 
+def test_dual_products_in_primal_mode_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(two_bodies_config(mode="primal", dual_products=True)))
+    code, out, err = run_cli(capsys, "experiment", "two-bodies", "--config", str(path),
+                             "--out", str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    assert "dual_products" in err and err.count("\n") == 1
+
+
 HIGHER_CAPS = {"experiment": "higher-sphere", "n": 3, "m": 6, "theta": 0.7,
                "samples": 100_003,
                "cap_spec": {"kind": "caps", "centers": [[1, 0, 0, 0], [0, 0.6, 0.8, 0]],

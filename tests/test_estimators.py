@@ -214,7 +214,7 @@ def test_inclusion_invalid_combine(opt_small):
 
 
 def test_section_cube_face_diagonal(opt_small):
-    d = section_diameter(cube(3, 1.0), Subspace.canonical(3, 2), opt=opt_small)
+    d = section_diameter(cube(3, 1.0), Subspace.canonical(3, 2), opt=opt_small).diameter
     assert d == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-9)
 
 
@@ -222,14 +222,14 @@ def test_section_ball_any_subspace(opt_small):
     from waistlab.geometry import random_subspace
 
     E = random_subspace(5, 3, seed=11)
-    assert section_diameter(ball(5, 1.0), E, opt=opt_small) == pytest.approx(2.0, abs=1e-9)
+    assert section_diameter(ball(5, 1.0), E, opt=opt_small).diameter == pytest.approx(2.0, abs=1e-9)
 
 
 def test_section_ellipsoid_axis(opt_small):
     E = ellipsoid([1.0, 2.0, 0.5])
-    assert section_diameter(E, Subspace.canonical(3, 1, offset=1), opt=opt_small) == \
+    assert section_diameter(E, Subspace.canonical(3, 1, offset=1), opt=opt_small).diameter == \
         pytest.approx(4.0, abs=1e-9)
-    assert section_diameter(E, Subspace.canonical(3, 1, offset=2), opt=opt_small) == \
+    assert section_diameter(E, Subspace.canonical(3, 1, offset=2), opt=opt_small).diameter == \
         pytest.approx(1.0, abs=1e-9)
 
 
@@ -308,8 +308,8 @@ def test_batched_estimators_equal_one_rotation_calls(opt_small):
                 assert r.value == one.value
                 assert np.array_equal(r.direction, one.direction)
     sections = [Subspace.from_frame(U[:2]) for U in rotations]
-    assert section_diameter(K, sections, opt=opt_small) == \
-        [section_diameter(K, E, opt=opt_small) for E in sections]
+    assert [d.diameter for d in section_diameter(K, sections, opt=opt_small)] == \
+        [section_diameter(K, E, opt=opt_small).diameter for E in sections]
     for empty in ([], np.zeros((0, 4, 4))):
         assert diameter_of_intersection(K, L, empty, opt=opt_small) == []
         assert inclusion_radius(K, L, empty, opt=opt_small) == []
@@ -421,7 +421,7 @@ def test_one_dimensional_sections_are_exact(opt_small):
     frame = np.array([[0.6, 0.8, 0.0]])
     # the section's diameter is twice the radial value along the frame row
     expected = 2.0 / E.gauge(frame[0])
-    assert section_diameter(E, Subspace.from_frame(frame), opt=opt_small) == expected
+    assert section_diameter(E, Subspace.from_frame(frame), opt=opt_small).diameter == expected
     d = diameter_of_intersection(cube(1, 1.0), ball(1, 0.5), np.eye(1), opt=opt_small)
     assert (d.diameter, d.upper_bracket) == (1.0, 1.0)
     assert d.note == "exact (both points of the 0-sphere)"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -7,14 +8,15 @@ import pytest
 from waistlab import _util, experiments
 from waistlab._util import seed_sequence
 from waistlab.bodies import (ball, cross_polytope, cube, difference_body, ellipsoid,
-                             intersect, polar, product_body, truncated_cylinder)
-from waistlab.errors import (DomainError, EvaluationError, HypothesisError,
+                             intersect, polar, product_body, truncated_cylinder,
+                             vertex_polytope, volume_ratio)
+from waistlab.errors import (ContainmentError, DomainError, EvaluationError, HypothesisError,
                              InfeasibleScheduleError)
 from waistlab.experiments import (ExperimentReport, cover_ball_with_body,
                                   run_core_lemma, run_global_vr,
                                   run_higher_sphere, run_projection,
                                   run_sections, run_two_bodies, theorem_schedule)
-from waistlab.geometry import Subspace, haar_rotation
+from waistlab.geometry import Subspace, check_projected_ball, haar_rotation, lift_waist
 from waistlab.measures import BoundConstants, SubsphereQuery, sigma_ball_product, sigma_exact
 from waistlab.optimize import OptimizerConfig
 
@@ -517,6 +519,73 @@ def test_global_vr_rejects_a_volume_without_a_hit(monkeypatch):
     with pytest.raises(EvaluationError, match="hit"):
         run_global_vr(cube(30, 1.0), ball(30, 1.0), 30, 2, trials=1, seed=0,
                       vol_samples=20_000, opt=OPT)
+
+
+# ---------------------------------------------------------------------------
+# the theorem's hypotheses, certified by the optimizer
+# ---------------------------------------------------------------------------
+
+
+def _thin_cap():
+    # the cube [-1, 1]^3 with its top facet at x3 = 1 - 1e-7: the unit ball
+    # leaves it only near e3, where the gauge exceeds 1 + 1e-9 within 4.5e-4
+    # and the support falls below 1 - 1e-9 within 1e-7, caps that 512 random
+    # directions miss; the convex-hull stage finds support 1 - 1e-7 at e3
+    V = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
+    V[V[:, 2] > 0, 2] = 1.0 - 1e-7
+    return vertex_polytope(V)
+
+
+@pytest.mark.parametrize("check, error", [
+    (lambda K: check_projected_ball(K, Subspace.canonical(3, 3)), HypothesisError),
+    (lambda K: run_two_bodies(K, cube(3, 1.0), 3, 2, trials=1, seed=0, mode="dual",
+                              section_K=Subspace.canonical(3, 2, offset=1), opt=OPT),
+     HypothesisError),
+    (lambda K: lift_waist(K, Subspace.canonical(3, 3), [0.0, 0.0, 1.0]), HypothesisError),
+    (lambda K: volume_ratio(K, 1000, seed=0), ContainmentError),
+], ids=["check_projected_ball", "two-bodies-dual", "lift_waist", "volume_ratio"])
+def test_a_thin_cap_outside_the_body_is_refuted(check, error):
+    with pytest.raises(error, match="0.9999999 < 1") as exc:
+        check(_thin_cap())
+    witness = exc.value.direction if error is ContainmentError else exc.value.witness
+    assert np.allclose(witness, [0.0, 0.0, 1.0], atol=1e-12)
+
+
+def test_volume_ratio_needs_a_support():
+    with pytest.raises(EvaluationError, match="support"):
+        volume_ratio(intersect(cube(3, 1.0), ball(3, 1.5)), 1000, seed=0)
+
+
+def test_dual_products_need_a_dual_mode():
+    with pytest.raises(DomainError, match="dual_products"):
+        run_two_bodies(ball(3, 1.0), ball(3, 1.0), 3, 2, trials=1, seed=0, mode="primal",
+                       dual_products=True, section_bound=2.0, opt=OPT)
+
+
+def _assert_certified(entry):
+    assert entry["status"] == "certified"
+    assert entry["method"] and entry["lower"] >= 1.0 and entry["value"] >= entry["lower"]
+
+
+def test_report_hypothesis_blocks_are_certified():
+    rep = run_two_bodies(cube(3, 1.0), cross_polytope(3, 1.5), 3, 2, trials=2, seed=37,
+                         mode="both", section_K=Subspace.canonical(3, 1),
+                         section_L=Subspace.canonical(3, 2, offset=1),
+                         section_bound=3.0 * math.sqrt(3), opt=OPT)
+    hyp = rep.summary["hypothesis"]
+    assert set(hyp) == {"section_diam_K", "section_diam_L", "section_K", "section_L",
+                        "ball_in_PK", "ball_in_QL"}
+    _assert_certified(hyp["ball_in_PK"])
+    _assert_certified(hyp["ball_in_QL"])
+    for name in ("K", "L"):
+        entry = hyp[f"section_{name}"]
+        assert entry["status"] == "certified" and entry["note"].startswith("exact (")
+        assert hyp[f"section_diam_{name}"] == entry["upper_bracket"]
+    K = product_body(ball(2, 1.0), ball(2, 0.5))
+    rep = run_projection(K, Subspace.canonical(4, 2), 0.3, 1000, seed=0, lift_checks=2)
+    assert set(rep.summary["hypothesis"]) == {"ball_in_PK"}
+    _assert_certified(rep.summary["hypothesis"]["ball_in_PK"])
+    assert rep.summary["hypothesis"]["ball_in_PK"]["method"] == "Cauchy-Schwarz"
 
 
 # ---------------------------------------------------------------------------

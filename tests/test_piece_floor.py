@@ -97,7 +97,8 @@ def test_rank_deficient_l1_matrices_never_certify_zero():
     assert optimize._floor((flat, Piece("linear", G.T)), 4) is None
     # a 2-D section of a cross-polytope: the gauge's l1 matrix keeps the
     # plane's two columns, and the others are zero
-    assert section_diameter(cross_polytope(4, 1.5), Subspace.canonical(4, 2, offset=2)) == 3.0
+    assert section_diameter(cross_polytope(4, 1.5), Subspace.canonical(4, 2, offset=2)).diameter \
+        == 3.0
 
 
 def test_an_open_hull_of_union_trial_still_reaches_the_hull_stage(monkeypatch):
