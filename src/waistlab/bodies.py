@@ -66,6 +66,7 @@ __all__ = [
     "volume_ratio",
     "unit_ball_volume",
     "unit_ball_check",
+    "orthonormal_frame",
 ]
 
 GAUGE_TOL = 1e-9          # membership tolerance at the gauge boundary; ties are in
@@ -231,7 +232,12 @@ def dykstra(projectors, X, tol=1e-10, max_iter=PROJECT_CAP):
     Y = np.array(X, dtype=float, copy=True)
     corr = [np.zeros_like(Y) for _ in projectors]
     live = np.arange(Y.shape[0])
-    for _ in range(max_iter):
+    sweeps = 0
+    while live.size:
+        if sweeps == max_iter:
+            raise EvaluationError("cyclic projection failed to reach tolerance "
+                                  f"{tol} within {max_iter} iterations")
+        sweeps += 1
         W = prev = Y[live]
         for i, proj in enumerate(projectors):
             Z = W + corr[i][live]
@@ -240,10 +246,7 @@ def dykstra(projectors, X, tol=1e-10, max_iter=PROJECT_CAP):
         Y[live] = W
         moved = np.max(np.abs(W - prev), axis=1)
         live = live[~(moved <= tol)]  # a NaN row keeps moving
-        if not live.size:
-            return Y
-    raise EvaluationError("cyclic projection failed to reach tolerance "
-                          f"{tol} within {max_iter} iterations")
+    return Y
 
 
 def _bisection_gauge(contains, bracket):
@@ -416,6 +419,9 @@ def slab_body(normals, widths) -> Body:
 
     Normals need not be unit; each pair is renormalized.  Unbounded when
     the normals do not span, in which case outer_radius is infinite.
+    When the normals form a basis, the body is {x : |A x|_inf <= 1} for
+    A = diag(1/w) N, and its support is the closed form |u A^-1|_1 (an
+    l1 piece); any other slab body's support is an LP per row.
     """
     N = np.atleast_2d(np.asarray(normals, dtype=float))
     w = np.atleast_1d(np.asarray(widths, dtype=float))
@@ -434,7 +440,7 @@ def slab_body(normals, widths) -> Body:
     full_rank = sv.size >= dim and sv[min(dim, sv.size) - 1] > 1e-12
     r_out = float(np.linalg.norm(wh) / sv[dim - 1]) if full_rank else math.inf
 
-    def supp(U):
+    def lp_support(U):
         A_ub = np.vstack([Nh, -Nh])
         b_ub = np.concatenate([wh, wh])
         vals = np.empty(U.shape[0])
@@ -459,10 +465,16 @@ def slab_body(normals, widths) -> Body:
 
         projectors.append(proj)
 
+    A = Nh / wh[:, None]
+    if full_rank and A.shape[0] == dim:
+        support = Piece("l1", np.linalg.inv(A))
+    else:
+        support = Piece("smooth", value=lp_support)
+
     return Body(
         dim,
-        support=(Piece("smooth", value=supp),),
-        gauge=(_abs_rows(Nh / wh[:, None]),),
+        support=(support,),
+        gauge=(_abs_rows(A),),
         project=lambda X: dykstra(projectors, X),
         inner_radius=float(wh.min()), outer_radius=r_out, symmetric=True,
         kind="slab_intersection",
@@ -822,16 +834,20 @@ def minkowski_sum(K: Body, L: Body) -> Body:
     return out
 
 
-def orthogonal_matrix(Q, dim: int) -> np.ndarray:
-    """Q as a float array, checked to be an orthogonal dim x dim matrix to
-    ORTHO_TOL; raises DomainError."""
-    Q = np.asarray(Q, dtype=float)
-    if Q.shape != (dim, dim):
-        raise DomainError(f"orthogonal map must be {dim}x{dim}, got {Q.shape}")
-    resid = float(np.max(np.abs(Q.T @ Q - np.eye(dim))))
+def orthonormal_frame(F, dim: int, k: int | None = None) -> np.ndarray:
+    """F as a float (k, dim) array whose rows are orthonormal to ORTHO_TOL,
+    1 <= k <= dim: a frame of a k-dimensional subspace of R^dim, and for
+    k = dim an orthogonal matrix.  k None takes any row count; a given k
+    is required.  Raises DomainError."""
+    F = np.asarray(F, dtype=float)
+    if F.ndim != 2 or F.shape[1] != dim or not 1 <= F.shape[0] <= dim \
+            or (k is not None and F.shape[0] != k):
+        rows = f"{k}" if k is not None else f"1..{dim}"
+        raise DomainError(f"frame must be ({rows}, {dim}), got shape {F.shape}")
+    resid = float(np.max(np.abs(F @ F.T - np.eye(F.shape[0]))))
     if resid > ORTHO_TOL:
-        raise DomainError(f"matrix is not orthogonal (residual {resid:.2e} > {ORTHO_TOL})")
-    return Q
+        raise DomainError(f"frame rows are not orthonormal (residual {resid:.2e} > {ORTHO_TOL})")
+    return F
 
 
 def linear_image(K: Body, Q, scale: float = 1.0) -> Body:
@@ -840,7 +856,7 @@ def linear_image(K: Body, Q, scale: float = 1.0) -> Body:
     Every evaluator conjugates, the vertex list maps along and each factor
     is dilated by scale; the support evaluator stays absent when K has
     none.  The image of a ball (ball_factors) is a ball."""
-    Q = orthogonal_matrix(Q, K.dim)
+    Q = orthonormal_frame(Q, K.dim, K.dim)
     if not scale > 0:
         raise DomainError(f"scale must be positive, got {scale}")
     t = float(scale)
@@ -949,9 +965,9 @@ def unit_ball_check(K: Body, F, opt: optimize.OptimizerConfig = optimize.DEFAULT
     F (k, n) an orthonormal frame: "certified" (the unit ball lies in the
     projection of K onto F's span) when result.lower >= 1 - GAUGE_TOL,
     "refuted" when result.value is below that, else "unverified"; the
-    result's direction is the witness w F.  No support: EvaluationError."""
-    if F.shape[1] != K.dim:
-        raise DomainError(f"frame lives in R^{F.shape[1]}, body in R^{K.dim}")
+    result's direction is the witness w F.  F is checked by
+    orthonormal_frame (DomainError); no support: EvaluationError."""
+    F = orthonormal_frame(F, K.dim)
     res = optimize.minimize_on_sphere_batch(map_pieces(K.support_pieces, F), len(F), 1, opt)[0]
     status = ("certified" if res.lower is not None and res.lower >= 1.0 - GAUGE_TOL
               else "refuted" if res.value < 1.0 - GAUGE_TOL else "unverified")

@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from ._util import QUANTILES, canonical_dumps, read_field, strict_bool, write_csv
-from .bodies import BodySpec, construct_body
+from .bodies import BodySpec, construct_body, orthonormal_frame
 from .errors import (ConfigError, DomainError, InfeasibleScheduleError,
                      SpecError, WaistlabError)
-from .geometry import Subspace
+from .geometry import canonical_frame
 from .measures import (BoundConstants, DEFAULT_CONSTANTS, SubsphereQuery,
                        cap_bounds, chisq_cdf, lip_bounds, sigma_exact, sigma_mc)
 from .optimize import DEFAULT_OPT, OptimizerConfig
@@ -116,10 +116,12 @@ def load_config(path) -> dict:
     return data
 
 
-def _subspace_from(cfg, n) -> Subspace:
+def _subspace_from(cfg, n) -> np.ndarray:
+    """The frame (k, n) of a section config: its "frame" rows, checked, or
+    the canonical frame of its "k" and "offset"."""
     if "frame" in cfg:
-        return Subspace.from_frame(cfg["frame"])
-    return Subspace.canonical(n, int(cfg["k"]), int(cfg.get("offset", 0)))
+        return orthonormal_frame(np.atleast_2d(cfg["frame"]), n)
+    return canonical_frame(n, int(cfg["k"]), int(cfg.get("offset", 0)))
 
 
 def _count_at_least(minimum: int):
@@ -172,7 +174,7 @@ def run_experiment_config(config: dict, seed=None):
             n = kwargs["n"] if "n" in kwargs else kwargs["K"].dim
             kwargs[key] = read_field(lambda c: _subspace_from(c, n), config[key], key, ConfigError)
     if name == "projection":
-        kwargs["P"] = Subspace.canonical(kwargs["K"].dim, kwargs.pop("k"))
+        kwargs["P"] = canonical_frame(kwargs["K"].dim, kwargs.pop("k"))
     if "optimizer" in config:
         # each value is cast to the type of its field's default
         kwargs["opt"] = dataclasses.replace(DEFAULT_OPT, **{

@@ -6,7 +6,12 @@ class WaistlabError(Exception):
 
 
 class DomainError(WaistlabError, ValueError):
-    """Arguments outside an operation's mathematical domain."""
+    """Arguments outside an operation's mathematical domain; carries the
+    offending point of a batch as witness, when there is one."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class SpecError(WaistlabError, ValueError):

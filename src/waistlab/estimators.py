@@ -4,13 +4,13 @@ radii, and section diameters.
 
 Optimization-backed quantities come from minima over the sphere of a max
 of gauge or support pieces of the bodies (see pieces.Piece).  Each
-quantity has one function: one rotation (n, n) or subspace gives one
-result, and a stack (F, n, n) or a sequence of them gives a list, as the
-body evaluators take one point or a batch.  A batch is one piece tuple:
-the rotated body's pieces, mapped by the stack of maps, carry a leading
-field axis, and the fixed body's pieces are shared by every field.  The
-optimizer reads nothing else, and the value it reports is the field's
-value at its direction.
+quantity has one function: one rotation (n, n), or one subspace frame
+(k, n), gives one result, and a stack (F, n, n) or (F, k, n) or a
+sequence of them gives a list, as the body evaluators take one point or
+a batch.  A batch is one piece tuple: the rotated body's pieces, mapped
+by the stack of maps, carry a leading field axis, and the fixed body's
+pieces are shared by every field.  The optimizer reads nothing else,
+and the value it reports is the field's value at its direction.
 These quantities always report a value attained at an explicit
 direction, so they are certified one-sided bounds: lower bounds for the
 max-type problems (diameters), upper bounds for the min-type problems
@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import ball_points, chunk_rows, hit_fraction, sphere_points
-from .bodies import Body, check_dims, orthogonal_matrix
+from .bodies import Body, check_dims, orthonormal_frame
 from .errors import DomainError, EvaluationError
-from .geometry import Subspace, build_net
+from .geometry import build_net
 from .optimize import DEFAULT_OPT, OptimizerConfig, minimize_on_sphere_batch
 from .optimize import minimize_on_sphere  # noqa: F401  (perfbench/test_perfbench.py reads it here)
 from .pieces import map_pieces, max_of, select_pieces, sum_pieces
@@ -151,17 +151,19 @@ class InclusionResult:
         return float(self.value)
 
 
-def _rotations(L, U):
-    """U as an (F, n, n) stack of orthogonal maps of L's space, each one
-    checked, and whether U was one (n, n) rotation rather than a stack or
-    a sequence of them."""
+def _frames(U, n, k=None):
+    """U as an (F, k, n) stack of orthonormal frames of R^n, each one
+    checked by bodies.orthonormal_frame (k = n: rotations), and whether U
+    was one (k, n) frame rather than a stack or a sequence of them.  The
+    frames of one batch share their k."""
     try:
         single = np.ndim(U) == 2
     except ValueError:  # a ragged sequence: its members are checked below
         single = False
-    n = L.dim
-    members = [U] if single else U
-    return np.array([orthogonal_matrix(Q, n) for Q in members]).reshape(-1, n, n), single
+    members = [orthonormal_frame(F, n, k) for F in ([U] if single else U)]
+    if len({F.shape[0] for F in members}) > 1:
+        raise DomainError("frames of one batch must share their dimension")
+    return np.array(members), single
 
 
 def _certified_floor(res, field, net, lip):
@@ -203,7 +205,7 @@ def diameter_of_intersection(K: Body, L: Body, U, opt: OptimizerConfig = DEFAULT
     check_dims(K, L)
     if not (K.symmetric and L.symmetric):
         raise DomainError("intersection diameter requires symmetric bodies")
-    stack, single = _rotations(L, U)
+    stack, single = _frames(U, L.dim, L.dim)
     if not len(stack):
         return []
     n = K.dim
@@ -251,7 +253,7 @@ def inclusion_radius(K: Body, L: Body, U, opt: OptimizerConfig = DEFAULT_OPT,
     check_dims(K, L)
     if combine not in ("sum", "max"):
         raise DomainError(f"combine must be 'sum' or 'max', got {combine!r}")
-    stack, single = _rotations(L, U)
+    stack, single = _frames(U, L.dim, L.dim)
     if not len(stack):
         return []
     n = K.dim
@@ -278,24 +280,18 @@ def inclusion_radius(K: Body, L: Body, U, opt: OptimizerConfig = DEFAULT_OPT,
 def section_diameter(K: Body, E, opt: OptimizerConfig = DEFAULT_OPT):
     """Diameter of the section of a symmetric body by the subspace, twice the
     largest radial value inside it: a DiameterResult as diameter_of_intersection
-    gives, its direction in R^n.  E is one Subspace, which gives one result,
-    or a sequence of subspaces of one dimension, which gives a list from one
-    lockstep optimizer run; each equals the one-subspace call's."""
+    gives, its direction in R^n.  E is one frame (k, n), which gives one
+    result, or a stack (F, k, n) or a sequence of frames of one k, which
+    gives a list from one lockstep optimizer run; each equals the one-frame
+    call's."""
     if not K.symmetric:
         raise DomainError("section diameter requires a symmetric body")
-    single = isinstance(E, Subspace)
-    subspaces = [E] if single else list(E)
-    for S in subspaces:
-        if S.n != K.dim:
-            raise DomainError(f"subspace lives in R^{S.n}, body in R^{K.dim}")
-    if not subspaces:
+    stack, single = _frames(E, K.dim)
+    if not len(stack):
         return []
-    k = subspaces[0].k
-    if any(S.k != k for S in subspaces):
-        raise DomainError("subspaces of one batch must share their dimension")
     # field t is the gauge of K at w E_t, for w in the frame's coordinates
-    pieces = map_pieces(K.gauge_pieces, np.stack([S.frame for S in subspaces]))
-    results = minimize_on_sphere_batch(pieces, k, len(subspaces), opt)
-    out = [_diameter(res, S.embed(res.direction), select_pieces(pieces, t), K.truncated,
-                     K.outer_radius) for t, (res, S) in enumerate(zip(results, subspaces))]
+    pieces = map_pieces(K.gauge_pieces, stack)
+    results = minimize_on_sphere_batch(pieces, stack.shape[1], len(stack), opt)
+    out = [_diameter(res, res.direction @ S, select_pieces(pieces, t), K.truncated,
+                     K.outer_radius) for t, (res, S) in enumerate(zip(results, stack))]
     return out[0] if single else out

@@ -21,13 +21,13 @@ import numpy as np
 
 from ._util import (ball_points, bernoulli_se, canonical_dumps, chunk_rows, chunk_sizes,
                     quantile_summary, seed_sequence, sphere_points, write_csv)
-from .bodies import (Body, ball_factors, difference_body, linear_image, mc_volume, polar,
-                     volume_ratio)
+from .bodies import (Body, ball_factors, difference_body, linear_image, mc_volume,
+                     orthonormal_frame, polar, volume_ratio)
 from .errors import (DomainError, EvaluationError, HypothesisError, InfeasibleScheduleError,
                      NetConstructionError)
 from .estimators import (diameter_of_intersection, inclusion_radius, mc_sigma_body,
                          section_diameter)
-from .geometry import Subspace, check_projected_ball, haar_rotations_per_seed, lift_waist
+from .geometry import canonical_frame, check_projected_ball, haar_rotations_per_seed, lift_waist
 from .measures import (DEFAULT_CONSTANTS, BoundConstants, SubsphereQuery, sigma_ball_product,
                        sigma_exact, sigma_lip_lower)
 from .optimize import DEFAULT_OPT, OptimizerConfig, minimize_on_sphere
@@ -325,8 +325,8 @@ def run_core_lemma(K: Body, L: Body, delta_K: float, delta_L: float, trials: int
 
 def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
                    a_frac: float = 0.25, c_ref: float = 2.0,
-                   section_K: Subspace | None = None,
-                   section_L: Subspace | None = None,
+                   section_K: np.ndarray | None = None,
+                   section_L: np.ndarray | None = None,
                    mode: str = "primal", dual_products: bool = False,
                    section_bound: float = 1.0,
                    opt: OptimizerConfig = DEFAULT_OPT) -> ExperimentReport:
@@ -359,9 +359,9 @@ def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
     if ak > n - 1:
         raise DomainError(f"a_frac*k rounds to {ak} > n-1")
     if section_K is None:
-        section_K = Subspace.canonical(n, k)
+        section_K = canonical_frame(n, k)
     if section_L is None:
-        section_L = Subspace.canonical(n, n - ak, offset=ak)
+        section_L = canonical_frame(n, n - ak, offset=ak)
 
     _, s_trials = seed_sequence(seed).spawn(2)
 
@@ -375,7 +375,7 @@ def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
             d = section_diameter(body, S, opt)
             if d.diameter > section_bound + SECTION_TOL:
                 raise HypothesisError(f"declared {name}-section diameter {d.diameter:.6g} > "
-                                      f"{section_bound:g}", witness=S.frame)
+                                      f"{section_bound:g}", witness=S)
             ok = d.upper_bracket is not None and d.upper_bracket <= section_bound + SECTION_TOL
             hypothesis[f"section_diam_{name}"] = d.diameter
             hypothesis[f"section_{name}"] = {"status": "certified" if ok else "unverified",
@@ -444,7 +444,7 @@ def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
 
 
 def run_sections(K: Body, k_exist: int, k_query: int, trials: int, seed=0, *,
-                 section: Subspace | None = None, thresholds=(2.0, 4.0, 8.0),
+                 section: np.ndarray | None = None, thresholds=(2.0, 4.0, 8.0),
                  threshold: float | None = None,
                  opt: OptimizerConfig = DEFAULT_OPT) -> ExperimentReport:
     """Random-section diameters of a symmetric body, against the diameter of
@@ -455,19 +455,18 @@ def run_sections(K: Body, k_exist: int, k_query: int, trials: int, seed=0, *,
     if not (1 <= k_exist <= n and 1 <= k_query <= n):
         raise DomainError("section dimensions out of range")
     if section is None:
-        section = Subspace.canonical(n, k_exist)
+        section = canonical_frame(n, k_exist)
     d0 = section_diameter(K, section, opt).diameter
     if not math.isfinite(d0):
         raise HypothesisError("declared existent section is unbounded",
-                              witness=section.frame)
+                              witness=section)
 
     columns = ["trial", "diameter", "success"]
     config = {"K": _body_echo(K), "n": n, "k": k_query, "k_exist": k_exist,
               "trials": trials, "existent_diameter": d0,
               "thresholds": list(thresholds)}
 
-    sections = [Subspace.from_frame(U[:k_query])
-                for U in _trial_rotations(seed_sequence(seed), n, trials)]
+    sections = _trial_rotations(seed_sequence(seed), n, trials)[:, :k_query]
     rows = []
     for i, d in enumerate(res.diameter for res in section_diameter(K, sections, opt)):
         ok = bool(d <= threshold) if threshold is not None else bool(math.isfinite(d))
@@ -619,13 +618,16 @@ def run_higher_sphere(cap_spec: dict, n: int, m: int, theta: float, samples: int
                             time.perf_counter() - t0)
 
 
-def run_projection(K: Body, P: Subspace, eps: float, samples: int, seed=0, *,
+def run_projection(K: Body, P: np.ndarray, eps: float, samples: int, seed=0, *,
                    lift_checks: int = 200) -> ExperimentReport:
     """Neighborhood-measure lower bound through a projected unit ball, plus
-    the lifted-waist containment checks, after check_projected_ball."""
+    the lifted-waist containment checks, after check_projected_ball.  P is
+    the subspace's frame (k, n); lift_checks random unit vectors x of it
+    and their negatives are lifted in one lift_waist call."""
     t0 = time.perf_counter()
     seed = _resolve_seed(seed)
-    n, k = K.dim, P.k
+    P = orthonormal_frame(P, K.dim)
+    n, k = K.dim, len(P)
     _, s_mc, s_lift = seed_sequence(seed).spawn(3)
     hypothesis = {"ball_in_PK": _ball_echo(*check_projected_ball(K, P))}
 
@@ -634,27 +636,20 @@ def run_projection(K: Body, P: Subspace, eps: float, samples: int, seed=0, *,
     rhs = sigma_lip_lower(n - 1, k - 1, math.asin(eps)) if k >= 2 else None
 
     rng = np.random.default_rng(s_lift)
-    xs = sphere_points(rng, lift_checks, k)
-    xs = np.vstack([xs, -xs])
-    ambient = P.embed(xs)
-    lift_stats = {"count": int(ambient.shape[0])}
-    max_resid = max_gauge = odd_gap = 0.0
-    contained = 0
-    for i in range(ambient.shape[0] // 2):
-        g_pos, f_pos = lift_waist(K, P, ambient[i], verify_hypothesis=False)
-        g_neg, f_neg = lift_waist(K, P, -ambient[i], verify_hypothesis=False)
-        max_resid = max(max_resid, float(np.linalg.norm(P.project(g_pos) - ambient[i])))
-        gval = float(K.gauge(f_pos))
-        if math.isfinite(gval):
-            max_gauge = max(max_gauge, gval)
-        if gval <= 1.0 + 1e-6 or K.distance(f_pos) <= 1e-6:
-            contained += 1
-        odd_gap = max(odd_gap, float(np.max(np.abs(g_pos + g_neg))))
-    lift_stats.update({"max_projection_residual": max_resid,
-                       "max_waist_gauge": max_gauge,
-                       "odd_gap": odd_gap,
-                       "waist_contained": contained,
-                       "waist_checked": int(ambient.shape[0] // 2)})
+    X = sphere_points(rng, lift_checks, k) @ P
+    G, F = lift_waist(K, P, np.vstack([X, -X]), verify_hypothesis=False)
+    g_pos, f_pos = G[:lift_checks], F[:lift_checks]
+    gauge = np.asarray(K.gauge(f_pos))
+    contained = gauge <= 1.0 + 1e-6
+    if not contained.all():
+        contained[~contained] = np.asarray(K.distance(f_pos[~contained])) <= 1e-6
+    resid = np.linalg.norm(g_pos @ P.T @ P - X, axis=1)
+    lift_stats = {"count": 2 * lift_checks,
+                  "max_projection_residual": float(np.max(resid, initial=0.0)),
+                  "max_waist_gauge": float(np.max(gauge[np.isfinite(gauge)], initial=0.0)),
+                  "odd_gap": float(np.max(np.abs(g_pos + G[lift_checks:]), initial=0.0)),
+                  "waist_contained": int(contained.sum()),
+                  "waist_checked": lift_checks}
 
     summary = {"hypothesis": hypothesis, "lhs": lhs, "lhs_se": lhs_se,
                "equality_ref": equality_ref,
@@ -670,8 +665,8 @@ def run_projection(K: Body, P: Subspace, eps: float, samples: int, seed=0, *,
 
 def run_global_vr(K: Body, L: Body, n: int, k: int, trials: int, seed=0, *,
                   a_frac: float = 1.0 / 3.0, vol_samples: int = 200_000,
-                  section_L: Subspace | None = None,
-                  section_diff: Subspace | None = None,
+                  section_L: np.ndarray | None = None,
+                  section_diff: np.ndarray | None = None,
                   opt: OptimizerConfig = DEFAULT_OPT) -> ExperimentReport:
     """Volume-ratio pipeline: measure the volume ratio, form the difference
     body, check its volume against the binomial bound, rescale its declared
@@ -696,7 +691,7 @@ def run_global_vr(K: Body, L: Body, n: int, k: int, trials: int, seed=0, *,
 
     ak = max(1, math.ceil(a_frac * k))
     if section_diff is None:
-        section_diff = Subspace.canonical(n, n - ak, offset=ak)
+        section_diff = canonical_frame(n, n - ak, offset=ak)
     d_sec = section_diameter(K2, section_diff, opt).diameter
     K2s = linear_image(K2, np.eye(n), 1.0 / d_sec)
 

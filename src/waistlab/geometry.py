@@ -1,6 +1,9 @@
 """Sphere geometry: random rotations and frames, geodesics, certified
 covering nets, spherical projection, and norm-minimal waist liftings.
-A rotation is a plain (n, n) orthogonal float array."""
+A rotation is a plain (n, n) orthogonal float array, and a k-dimensional
+subspace of R^n is a plain (k, n) float array of orthonormal rows, its
+frame; bodies.orthonormal_frame checks both.  lift_waist lifts one unit
+vector of a subspace or a batch of them, in one cyclic projection."""
 
 from __future__ import annotations
 
@@ -10,14 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import sphere_points
-from .bodies import ORTHO_TOL, Body, dykstra, unit_ball_check
+from .bodies import Body, dykstra, orthonormal_frame, unit_ball_check
 from .errors import (DomainError, EmptyFiberError, EvaluationError,
                      HypothesisError, NetConstructionError)
 from .optimize import DEFAULT_OPT, OptimizerConfig
 
 __all__ = [
-    "Subspace",
     "SphereNet",
+    "canonical_frame",
     "haar_rotation",
     "haar_rotations",
     "haar_rotations_per_seed",
@@ -35,46 +38,6 @@ NET_PROBES = 10_000        # probes per round of a probe-certified net
 NET_MAX_POINTS = 100_000   # build_net gives up beyond this cardinality
 LIFT_TOL = 1e-12           # lift_waist's cyclic projection tolerance
 LIFT_CAP = 50_000          # and its iteration cap, which raises
-
-
-@dataclass(frozen=True, eq=False)
-class Subspace:
-    """Orthonormal k-frame whose rows span a subspace of R^n."""
-
-    frame: np.ndarray
-
-    @classmethod
-    def from_frame(cls, rows) -> "Subspace":
-        """The span of rows orthonormal to ORTHO_TOL; raises DomainError."""
-        F = np.atleast_2d(np.asarray(rows, dtype=float))
-        resid = float(np.max(np.abs(F @ F.T - np.eye(F.shape[0]))))
-        if resid > ORTHO_TOL:
-            raise DomainError(f"frame Gram residual {resid:.3e} exceeds {ORTHO_TOL}")
-        return cls(F)
-
-    @classmethod
-    def canonical(cls, n: int, k: int, offset: int = 0) -> "Subspace":
-        """Span of coordinate axes offset .. offset+k-1 in R^n."""
-        if not (0 <= offset and offset + k <= n and k >= 1):
-            raise DomainError(f"invalid canonical frame: n={n}, k={k}, offset={offset}")
-        return cls(np.eye(n)[offset:offset + k])
-
-    @property
-    def k(self) -> int:
-        return self.frame.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.frame.shape[1]
-
-    def coords(self, x):
-        return np.asarray(x, dtype=float) @ self.frame.T
-
-    def embed(self, w):
-        return np.asarray(w, dtype=float) @ self.frame
-
-    def project(self, x):
-        return self.coords(x) @ self.frame
 
 
 def haar_rotation(n: int, seed=None) -> np.ndarray:
@@ -121,11 +84,19 @@ def _orthogonalize(g, flips):
     return q
 
 
-def random_subspace(n: int, k: int, seed=None) -> Subspace:
-    """Uniformly distributed k-frame: the first k rows of a random rotation."""
+def random_subspace(n: int, k: int, seed=None) -> np.ndarray:
+    """Uniformly distributed k-frame (k, n): the first k rows of a random
+    rotation."""
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return Subspace.from_frame(haar_rotation(n, seed)[:k])
+    return haar_rotation(n, seed)[:k]
+
+
+def canonical_frame(n: int, k: int, offset: int = 0) -> np.ndarray:
+    """The frame (k, n) of coordinate axes offset .. offset+k-1 of R^n."""
+    if not (0 <= offset and offset + k <= n and k >= 1):
+        raise DomainError(f"invalid canonical frame: n={n}, k={k}, offset={offset}")
+    return np.eye(n)[offset:offset + k]
 
 
 def _unitize(x, name="vector"):
@@ -272,58 +243,87 @@ def build_net(n: int, delta: float, seed=None) -> SphereNet:
     raise NetConstructionError("probe certification failed to close after 8 rounds")
 
 
-def check_projected_ball(K: Body, P: Subspace, what="P K", opt: OptimizerConfig = DEFAULT_OPT):
-    """bodies.unit_ball_check of P K, returned; a refuted check raises
-    HypothesisError, labelled by what, with the check's witness."""
-    status, res = unit_ball_check(K, P.frame, opt)
+def check_projected_ball(K: Body, P, what="P K", opt: OptimizerConfig = DEFAULT_OPT):
+    """bodies.unit_ball_check of P K, for P a frame (k, n), returned; a
+    refuted check raises HypothesisError, labelled by what, with the
+    check's witness."""
+    status, res = unit_ball_check(K, P, opt)
     if status == "refuted":
         raise HypothesisError(f"{what}: projected body does not contain the unit "
                               f"ball (support {res.value:.12g} < 1)", witness=res.direction)
     return status, res
 
 
-def lift_waist(K: Body, P: Subspace, x, *, verify_hypothesis: bool = True):
-    """Norm-minimal lifting of a unit vector of a subspace into the body.
+def _first(mask):
+    """The index of the first true entry of mask, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
 
-    Returns (g, f): g is the minimum-Euclidean-norm point of the fiber
-    {y in K : P y = x}, found by cyclic corrected projections between the
-    body and the fiber's affine hull from the origin; f = g/|g| lies on
-    the unit sphere inside the body.  The min-norm selection is odd for
-    symmetric bodies and continuous in x.  verify_hypothesis first runs
-    check_projected_ball, which raises when it refutes that B is in P K.
+
+def lift_waist(K: Body, P, x, *, verify_hypothesis: bool = True):
+    """Norm-minimal liftings of unit vectors of a subspace into the body.
+
+    P is the subspace's frame (k, n), and x one unit vector (n,) of the
+    subspace or a batch (m, n) of them.  Returns (g, f) of x's shape: each
+    row of g is the minimum-Euclidean-norm point of the fiber
+    {y in K : P y = x}, and f = g/|g| lies on the unit sphere inside the
+    body.  All rows are lifted by one run of cyclic corrected projections
+    between the body and the fibers' affine hulls, from the origin; every
+    step reads only its own row, so a row's lift equals its lift alone,
+    bit for bit.  The min-norm selection is odd for symmetric bodies and
+    continuous in x.  verify_hypothesis first runs check_projected_ball,
+    once, which raises when it refutes that B is in P K.  A row that is
+    not a unit vector of the subspace raises DomainError, and one whose
+    fiber is empty EmptyFiberError, with the first such row as witness; a
+    run that does not converge raises EmptyFiberError witnessed by x.
     """
-    if P.n != K.dim:
-        raise DomainError(f"subspace lives in R^{P.n}, body in R^{K.dim}")
-    xv = _unitize(x, "x")
-    if float(np.linalg.norm(P.project(xv) - xv)) > 1e-8:
-        raise DomainError("x must lie in the subspace")
+    P = orthonormal_frame(P, K.dim)
+    X = np.asarray(x, dtype=float)
+    single = X.ndim == 1
+    if X.ndim not in (1, 2) or X.shape[-1] != K.dim:
+        raise DomainError(f"x must have shape (n,) or (m, n) with n={K.dim}, got {X.shape}")
+    X = X.reshape(-1, K.dim)
+    nrm = np.linalg.norm(X, axis=1)
+    if (i := _first(~(np.abs(nrm - 1.0) <= 1e-6))) is not None:
+        raise DomainError(f"x is not unit (norm {nrm[i]})", witness=X[i])
+    X = X / nrm[:, None]
+    T = np.einsum("ij,kj->ik", X, P)  # the coordinates of each row in the frame
+    if (i := _first(np.linalg.norm(T @ P - X, axis=1) > 1e-8)) is not None:
+        raise DomainError("x must lie in the subspace", witness=X[i])
     if not K.can_project:
         raise EvaluationError("lifting requires a body with a projection route")
 
     if verify_hypothesis:
         check_projected_ball(K, P)
 
-    target = P.coords(xv)
+    # each row carries its target coordinates t in its last k columns,
+    # which neither projection moves, so dykstra's live rows keep theirs
+    n = K.dim
 
-    def proj_affine(Y):
-        return Y + (target[None, :] - Y @ P.frame.T) @ P.frame
+    def proj_body(Z):
+        return np.hstack([K.project(Z[:, :n]), Z[:, n:]])
 
-    start = np.zeros((1, K.dim))
+    def proj_fiber(Z):
+        Y, t = Z[:, :n], Z[:, n:]
+        return np.hstack([Y + np.einsum("ik,kj->ij", t - np.einsum("ij,kj->ik", Y, P), P), t])
+
+    start = np.hstack([np.zeros_like(X), T])
     try:
-        g = dykstra([K.project, proj_affine], start,
-                    tol=LIFT_TOL, max_iter=LIFT_CAP)[0]
+        G = dykstra([proj_body, proj_fiber], start, tol=LIFT_TOL, max_iter=LIFT_CAP)[:, :n]
     except EvaluationError as exc:
-        raise EmptyFiberError(f"lifting failed to converge: {exc}", witness=xv) from exc
+        raise EmptyFiberError(f"lifting failed to converge: {exc}",
+                              witness=X[0] if single else X) from exc
 
-    if float(np.linalg.norm(P.coords(g) - target)) > 1e-8:
-        raise EmptyFiberError("fiber over x appears empty", witness=xv)
-    gauge = float(K.gauge(g))
-    if math.isfinite(gauge) and gauge > 1.0 + 1e-6:
-        raise EmptyFiberError(f"lift left the body (gauge {gauge:.6g})", witness=xv)
-    nrm = float(np.linalg.norm(g))
-    if nrm < 1.0 - 1e-9:
-        raise EvaluationError(f"lift norm {nrm} fell below 1; projections inconsistent")
-    return g, g / nrm
+    if (i := _first(np.linalg.norm(G @ P.T - T, axis=1) > 1e-8)) is not None:
+        raise EmptyFiberError("fiber over x appears empty", witness=X[i])
+    gauge = np.asarray(K.gauge(G))
+    if (i := _first(np.isfinite(gauge) & (gauge > 1.0 + 1e-6))) is not None:
+        raise EmptyFiberError(f"lift left the body (gauge {gauge[i]:.6g})", witness=X[i])
+    norms = np.linalg.norm(G, axis=1)
+    if (i := _first(norms < 1.0 - 1e-9)) is not None:
+        raise EvaluationError(f"lift norm {norms[i]} fell below 1; projections inconsistent")
+    F = G / norms[:, None]
+    return (G[0], F[0]) if single else (G, F)
 
 
 def segment_cap_check(y, z, eps: float) -> bool:

@@ -188,7 +188,7 @@ def _check_volumes(fast):
 
 
 def _check_rotations(fast):
-    U = bodies.orthogonal_matrix(geometry.haar_rotation(6, seed=0), 6)
+    U = bodies.orthonormal_frame(geometry.haar_rotation(6, seed=0), 6, 6)
     assert np.array_equal(U, geometry.haar_rotation(6, seed=0)), "determinism broke"
     count = 20_000 if fast else 100_000
     qs = geometry.haar_rotations(3, count, seed=1)
@@ -233,7 +233,7 @@ def _check_segment_property(fast):
 
 def _check_lifting(fast):
     K = bodies.cube(2, 1.0)
-    P = geometry.Subspace.canonical(2, 1)
+    P = geometry.canonical_frame(2, 1)
     g, f = geometry.lift_waist(K, P, [1.0, 0.0])
     assert np.allclose(g, [1.0, 0.0], atol=1e-8), f"cube lift {g}"
     K2 = bodies.slab_body([[1.0, 0.0], [-1.0, 1.0]], [1.0, 0.5])
@@ -282,7 +282,7 @@ def _check_optimizers(fast):
     ref = 2.0 / (math.cos(math.pi / 8) + math.sin(math.pi / 8))
     assert abs(d.diameter - ref) < 1e-6, f"rotated diamond diameter {d.diameter} vs {ref}"
     E = bodies.ellipsoid([1.0, 2.0, 0.5])
-    sd = estimators.section_diameter(E, geometry.Subspace.canonical(3, 1, offset=1), opt=opt)
+    sd = estimators.section_diameter(E, geometry.canonical_frame(3, 1, offset=1), opt=opt)
     assert abs(sd.diameter - 4.0) < 1e-6, f"axis section {sd.diameter}"
     return "diameter, inclusion, and section anchors to 1e-6"
 

@@ -264,7 +264,7 @@ def test_criterion_10b_cylinder_fit_stability():
         K = wl.truncated_cylinder(wl.ball(k, 0.5), n, truncation_radius=1e6)
         L = wl.product_body(wl.ball(m2, 1e6), wl.ball(n - m2, 0.5))
         rep = wl.run_two_bodies(K, L, n, k, trials=200, seed=20260808, a_frac=0.25,
-                                section_L=wl.Subspace.canonical(n, n - m2, offset=m2),
+                                section_L=wl.canonical_frame(n, n - m2, offset=m2),
                                 opt=wl.OptimizerConfig(restarts=16, iters=60, seed=0))
         q95 = rep.summary["diameter"]["q95"]
         assert math.isfinite(q95), f"95th percentile diameter not finite at n={n}"
@@ -308,7 +308,7 @@ def test_criterion_11_global_vr_pipeline():
     L = wl.product_body(wl.ball(3, 0.5), wl.ball(3, 8.0))
     rep = wl.run_global_vr(K, L, 6, 3, trials=30, seed=1104, a_frac=1.0 / 3.0,
                            vol_samples=150_000,
-                           section_L=wl.Subspace.canonical(6, 3), opt=OPT)
+                           section_L=wl.canonical_frame(6, 3), opt=OPT)
     s = rep.summary
     assert s["rs_holds_3se"]
     assert s["volume_ratio"] == pytest.approx(np.prod([1.0, 1.1, 1.2, 1.3, 1.4, 1.5]) ** (1 / 6),
@@ -337,11 +337,11 @@ def test_criterion_12_determinism(tmp_path):
             {"kind": "subsphere", "dim": 1}, 2, 4, 0.5, 20_000, seed=seed),
         "projection": lambda seed: wl.run_projection(
             wl.product_body(wl.ball(2, 1.0), wl.ball(2, 0.0)),
-            wl.Subspace.canonical(4, 2), 0.3, 20_000, seed=seed, lift_checks=5),
+            wl.canonical_frame(4, 2), 0.3, 20_000, seed=seed, lift_checks=5),
         "global-vr": lambda seed: wl.run_global_vr(
             wl.ball(4, 1.0), wl.product_body(wl.ball(2, 0.5), wl.ball(2, 4.0)),
             4, 2, trials=3, seed=seed, a_frac=0.5, vol_samples=10_000,
-            section_L=wl.Subspace.canonical(4, 2), opt=OPT),
+            section_L=wl.canonical_frame(4, 2), opt=OPT),
     }
     for name, runner in runs.items():
         a, b = runner(123), runner(123)

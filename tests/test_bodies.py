@@ -1,5 +1,6 @@
 import inspect
 import math
+import time
 import tracemalloc
 from collections import Counter
 
@@ -13,7 +14,8 @@ from waistlab.bodies import (BodySpec, ball, ball_factors, construct_body,
                              difference_body, ellipsoid, intersect, linear_image,
                              mc_volume, minkowski_sum, neighborhood, polar,
                              product_body, slab_body, truncated_cylinder,
-                             unit_ball_volume, vertex_polytope, volume_ratio)
+                             unit_ball_check, unit_ball_volume, vertex_polytope,
+                             volume_ratio)
 from waistlab.errors import ContainmentError, DomainError, EvaluationError, SpecError
 from waistlab.geometry import haar_rotation
 from waistlab.optimize import nearest_points
@@ -108,6 +110,46 @@ def test_slab_body_unbounded_support():
     K = slab_body([[1.0, 0.0, 0.0]], [0.5])
     assert math.isinf(K.outer_radius)
     assert math.isinf(K.support([0.0, 1.0, 0.0]))
+
+
+def test_slab_basis_support_is_closed_form():
+    # three normals in R^3: the support is one l1 piece, which equals the LP
+    # support of the same slabs with a redundant fourth slab added
+    N = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.3], [-0.5, 1.0, 1.0]])
+    w = [1.1, 1.0, 1.3]
+    K = slab_body(N, w)
+    (piece,) = K.support_pieces
+    assert piece.kind == "l1"
+    lp = slab_body(np.vstack([N, [1.0, 0.0, 0.0]]), w + [5.0])
+    assert lp.support_pieces[0].kind == "smooth"
+    U = sphere_points(np.random.default_rng(30), 50, 3)
+    assert np.allclose(K.support(U), lp.support(U), rtol=1e-12, atol=0)
+
+
+def test_slab_unit_ball_check_certifies_fast():
+    t0 = time.perf_counter()
+    status, res = unit_ball_check(slab_body(np.eye(3), [1.0, 1.2, 1.5]), np.eye(3))
+    assert status == "certified" and res.value == pytest.approx(1.0, abs=1e-12)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_unit_ball_check_rejects_a_non_orthonormal_frame():
+    # 2 I is no frame: read as one, it would certify that the ball of
+    # radius 0.6 contains the unit ball
+    with pytest.raises(DomainError):
+        unit_ball_check(ball(3, 0.6), 2 * np.eye(3))
+    assert unit_ball_check(ball(3, 0.6), np.eye(3))[0] == "refuted"
+
+
+def test_vertex_polytope_interval():
+    # the one-dimensional branch: the interval [-1, 2]
+    K = vertex_polytope([[-1.0], [2.0]])
+    assert K.support([1.0]) == 2.0 and K.support([-1.0]) == 1.0
+    assert np.array_equal(K.gauge(np.array([[1.0], [-1.0], [0.5]])), [0.5, 1.0, 0.25])
+    assert K.contains([2.0]) and not K.contains([2.1])
+    assert not K.symmetric
+    with pytest.raises(SpecError):
+        vertex_polytope([[1.0], [1.0]])
 
 
 def test_vertex_polytope_triangle():

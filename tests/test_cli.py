@@ -621,13 +621,13 @@ assert methods == ["convex hull", "Minkowski facets"], methods
 import waistlab.optimize as optimize
 from waistlab.bodies import ball, product_body, truncated_cylinder
 from waistlab.estimators import diameter_of_intersection, section_diameter
-from waistlab.geometry import Subspace, haar_rotation
+from waistlab.geometry import canonical_frame, haar_rotation
 answers, s_lemma = [], optimize._s_lemma
 optimize._s_lemma = lambda pieces, n: answers.append(s_lemma(pieces, n)) or answers[-1]
 K = truncated_cylinder(ball(4, 0.5), 8)
 L = product_body(ball(1, 1e6), ball(7, 0.5))
 diameter_of_intersection(K, L, haar_rotation(8, 1))
-section_diameter(L, Subspace.canonical(8, 7, offset=1))
+section_diameter(L, canonical_frame(8, 7, offset=1))
 assert [(r.stage, r.method) for r in answers] == [("exact", "S-lemma dual")] * 2, answers
 """
     for script in ("import waistlab.cli", polytopes, norms):

@@ -12,7 +12,7 @@ from waistlab.errors import DomainError
 from waistlab.estimators import (covering_number_upper, diameter_of_intersection,
                                  entropy_bound, inclusion_radius, mc_sigma_body,
                                  section_diameter)
-from waistlab.geometry import Subspace, haar_rotation, haar_rotations
+from waistlab.geometry import canonical_frame, haar_rotation, haar_rotations
 from waistlab.measures import SubsphereQuery, sigma_exact, sigma_lip_lower
 from waistlab.optimize import OptimizerConfig
 from waistlab.pieces import Piece
@@ -214,7 +214,7 @@ def test_inclusion_invalid_combine(opt_small):
 
 
 def test_section_cube_face_diagonal(opt_small):
-    d = section_diameter(cube(3, 1.0), Subspace.canonical(3, 2), opt=opt_small).diameter
+    d = section_diameter(cube(3, 1.0), canonical_frame(3, 2), opt=opt_small).diameter
     assert d == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-9)
 
 
@@ -227,9 +227,9 @@ def test_section_ball_any_subspace(opt_small):
 
 def test_section_ellipsoid_axis(opt_small):
     E = ellipsoid([1.0, 2.0, 0.5])
-    assert section_diameter(E, Subspace.canonical(3, 1, offset=1), opt=opt_small).diameter == \
+    assert section_diameter(E, canonical_frame(3, 1, offset=1), opt=opt_small).diameter == \
         pytest.approx(4.0, abs=1e-9)
-    assert section_diameter(E, Subspace.canonical(3, 1, offset=2), opt=opt_small).diameter == \
+    assert section_diameter(E, canonical_frame(3, 1, offset=2), opt=opt_small).diameter == \
         pytest.approx(1.0, abs=1e-9)
 
 
@@ -307,9 +307,10 @@ def test_batched_estimators_equal_one_rotation_calls(opt_small):
                 one = inclusion_radius(K, L, U, opt=opt_small, combine=combine)
                 assert r.value == one.value
                 assert np.array_equal(r.direction, one.direction)
-    sections = [Subspace.from_frame(U[:2]) for U in rotations]
-    assert [d.diameter for d in section_diameter(K, sections, opt=opt_small)] == \
-        [section_diameter(K, E, opt=opt_small).diameter for E in sections]
+    sections = stack[:, :2]
+    for batch in (sections, list(sections)):
+        assert [d.diameter for d in section_diameter(K, batch, opt=opt_small)] == \
+            [section_diameter(K, E, opt=opt_small).diameter for E in sections]
     for empty in ([], np.zeros((0, 4, 4))):
         assert diameter_of_intersection(K, L, empty, opt=opt_small) == []
         assert inclusion_radius(K, L, empty, opt=opt_small) == []
@@ -344,7 +345,7 @@ def test_two_body_estimators_reject_mismatched_dimensions(K, L, opt_small):
 
 def test_section_batch_requires_one_dimension(opt_small):
     with pytest.raises(DomainError):
-        section_diameter(ball(3, 1.0), [Subspace.canonical(3, 1), Subspace.canonical(3, 2)],
+        section_diameter(ball(3, 1.0), [canonical_frame(3, 1), canonical_frame(3, 2)],
                          opt=opt_small)
 
 
@@ -421,7 +422,7 @@ def test_one_dimensional_sections_are_exact(opt_small):
     frame = np.array([[0.6, 0.8, 0.0]])
     # the section's diameter is twice the radial value along the frame row
     expected = 2.0 / E.gauge(frame[0])
-    assert section_diameter(E, Subspace.from_frame(frame), opt=opt_small).diameter == expected
+    assert section_diameter(E, frame, opt=opt_small).diameter == expected
     d = diameter_of_intersection(cube(1, 1.0), ball(1, 0.5), np.eye(1), opt=opt_small)
     assert (d.diameter, d.upper_bracket) == (1.0, 1.0)
     assert d.note == "exact (both points of the 0-sphere)"

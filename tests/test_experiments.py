@@ -16,7 +16,7 @@ from waistlab.experiments import (ExperimentReport, cover_ball_with_body,
                                   run_core_lemma, run_global_vr,
                                   run_higher_sphere, run_projection,
                                   run_sections, run_two_bodies, theorem_schedule)
-from waistlab.geometry import Subspace, check_projected_ball, haar_rotation, lift_waist
+from waistlab.geometry import canonical_frame, check_projected_ball, haar_rotation, lift_waist
 from waistlab.measures import BoundConstants, SubsphereQuery, sigma_ball_product, sigma_exact
 from waistlab.optimize import OptimizerConfig
 
@@ -279,7 +279,7 @@ def test_two_bodies_cylinder_hypotheses_pass():
     K = truncated_cylinder(ball(k, 0.5), n, truncation_radius=1e4)
     L = product_body(ball(m2, 1e4), ball(n - m2, 0.5))
     rep = run_two_bodies(K, L, n, k, trials=8, seed=13, a_frac=0.25,
-                         section_L=Subspace.canonical(n, n - m2, offset=m2), opt=OPT)
+                         section_L=canonical_frame(n, n - m2, offset=m2), opt=OPT)
     assert rep.summary["hypothesis"]["section_diam_K"] <= 1 + 1e-4
     assert all(math.isfinite(r["diameter"]) for r in rep.trials)
 
@@ -289,7 +289,7 @@ def test_two_bodies_dual_mode_product():
     L = ellipsoid([1.1, 0.8, 1.0])
     # L's projection on coordinates 0 and 2 contains the unit ball
     rep = run_two_bodies(K, L, 3, 2, trials=3, seed=17, mode="dual", dual_products=True,
-                         section_L=Subspace.from_frame([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+                         section_L=np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
                          opt=OptimizerConfig(restarts=24, iters=80, seed=0))
     for row in rep.trials:
         assert row["dual_product"] == pytest.approx(2.0, rel=2e-4)
@@ -446,7 +446,7 @@ def test_higher_sphere_rejects_centers_off_the_n_sphere():
 def test_projection_equality_case():
     n, k = 5, 2
     K = product_body(ball(k, 1.0), ball(n - k, 0.0))
-    rep = run_projection(K, Subspace.canonical(n, k), 0.4, 150_000, seed=41,
+    rep = run_projection(K, canonical_frame(n, k), 0.4, 150_000, seed=41,
                          lift_checks=40)
     s = rep.summary
     assert abs(s["lhs"] - s["equality_ref"]) <= 4 * s["lhs_se"]
@@ -457,7 +457,7 @@ def test_projection_equality_case():
 
 def test_projection_ball_trivial():
     K = ball(4, 1.0)
-    rep = run_projection(K, Subspace.canonical(4, 2), 0.3, 20_000, seed=43,
+    rep = run_projection(K, canonical_frame(4, 2), 0.3, 20_000, seed=43,
                          lift_checks=10)
     assert rep.summary["lhs"] == 1.0
 
@@ -467,7 +467,7 @@ def test_projection_cylinder_gap_grows():
     lhs = {}
     for t in (0.05, 0.1):
         K = product_body(ball(k, 1.0), ball(n - k, t))
-        rep = run_projection(K, Subspace.canonical(n, k), 0.3, 150_000,
+        rep = run_projection(K, canonical_frame(n, k), 0.3, 150_000,
                              seed=47, lift_checks=10)
         eq_ref = rep.summary["equality_ref"]
         lhs[t] = rep.summary["lhs"]
@@ -478,7 +478,7 @@ def test_projection_cylinder_gap_grows():
 def test_projection_hypothesis_failure():
     K = ball(4, 0.5)
     with pytest.raises(HypothesisError):
-        run_projection(K, Subspace.canonical(4, 2), 0.3, 1000, seed=0)
+        run_projection(K, canonical_frame(4, 2), 0.3, 1000, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +490,7 @@ def test_global_vr_unit_ball():
     D = ball(4, 1.0)
     L = product_body(ball(2, 0.5), ball(2, 4.0))
     rep = run_global_vr(D, L, 4, 2, trials=4, seed=53, a_frac=0.5,
-                        vol_samples=20_000, section_L=Subspace.canonical(4, 2),
+                        vol_samples=20_000, section_L=canonical_frame(4, 2),
                         opt=OPT)
     s = rep.summary
     assert s["volume_ratio"] == pytest.approx(1.0, abs=1e-12)
@@ -502,7 +502,7 @@ def test_global_vr_ellipsoid_pipeline_fields():
     K = ellipsoid([1.0, 1.2, 1.3, 1.4])
     L = product_body(ball(2, 0.5), ball(2, 4.0))
     rep = run_global_vr(K, L, 4, 2, trials=5, seed=59, a_frac=0.5,
-                        vol_samples=40_000, section_L=Subspace.canonical(4, 2),
+                        vol_samples=40_000, section_L=canonical_frame(4, 2),
                         opt=OPT)
     s = rep.summary
     assert s["volume_ratio"] == pytest.approx((1.0 * 1.2 * 1.3 * 1.4) ** 0.25, abs=0.02)
@@ -537,11 +537,11 @@ def _thin_cap():
 
 
 @pytest.mark.parametrize("check, error", [
-    (lambda K: check_projected_ball(K, Subspace.canonical(3, 3)), HypothesisError),
+    (lambda K: check_projected_ball(K, canonical_frame(3, 3)), HypothesisError),
     (lambda K: run_two_bodies(K, cube(3, 1.0), 3, 2, trials=1, seed=0, mode="dual",
-                              section_K=Subspace.canonical(3, 2, offset=1), opt=OPT),
+                              section_K=canonical_frame(3, 2, offset=1), opt=OPT),
      HypothesisError),
-    (lambda K: lift_waist(K, Subspace.canonical(3, 3), [0.0, 0.0, 1.0]), HypothesisError),
+    (lambda K: lift_waist(K, canonical_frame(3, 3), [0.0, 0.0, 1.0]), HypothesisError),
     (lambda K: volume_ratio(K, 1000, seed=0), ContainmentError),
 ], ids=["check_projected_ball", "two-bodies-dual", "lift_waist", "volume_ratio"])
 def test_a_thin_cap_outside_the_body_is_refuted(check, error):
@@ -569,8 +569,8 @@ def _assert_certified(entry):
 
 def test_report_hypothesis_blocks_are_certified():
     rep = run_two_bodies(cube(3, 1.0), cross_polytope(3, 1.5), 3, 2, trials=2, seed=37,
-                         mode="both", section_K=Subspace.canonical(3, 1),
-                         section_L=Subspace.canonical(3, 2, offset=1),
+                         mode="both", section_K=canonical_frame(3, 1),
+                         section_L=canonical_frame(3, 2, offset=1),
                          section_bound=3.0 * math.sqrt(3), opt=OPT)
     hyp = rep.summary["hypothesis"]
     assert set(hyp) == {"section_diam_K", "section_diam_L", "section_K", "section_L",
@@ -582,7 +582,7 @@ def test_report_hypothesis_blocks_are_certified():
         assert entry["status"] == "certified" and entry["note"].startswith("exact (")
         assert hyp[f"section_diam_{name}"] == entry["upper_bracket"]
     K = product_body(ball(2, 1.0), ball(2, 0.5))
-    rep = run_projection(K, Subspace.canonical(4, 2), 0.3, 1000, seed=0, lift_checks=2)
+    rep = run_projection(K, canonical_frame(4, 2), 0.3, 1000, seed=0, lift_checks=2)
     assert set(rep.summary["hypothesis"]) == {"ball_in_PK"}
     _assert_certified(rep.summary["hypothesis"]["ball_in_PK"])
     assert rep.summary["hypothesis"]["ball_in_PK"]["method"] == "Cauchy-Schwarz"
@@ -657,14 +657,14 @@ def test_two_bodies_primal_trial_count_independent():
     L = product_body(ball(m2, 1e4), ball(n - m2, 0.5))
     _first_trials_agree(lambda t: run_two_bodies(
         K, L, n, k, trials=t, seed=31, a_frac=0.25,
-        section_L=Subspace.canonical(n, n - m2, offset=m2), opt=OPT))
+        section_L=canonical_frame(n, n - m2, offset=m2), opt=OPT))
 
 
 def test_two_bodies_both_modes_trial_count_independent():
     K, L = cube(3, 1.0), cross_polytope(3, 1.5)
     _first_trials_agree(lambda t: run_two_bodies(
         K, L, 3, 2, trials=t, seed=37, mode="both", dual_products=True,
-        section_K=Subspace.canonical(3, 1), section_L=Subspace.canonical(3, 2, offset=1),
+        section_K=canonical_frame(3, 1), section_L=canonical_frame(3, 2, offset=1),
         section_bound=3.0 * math.sqrt(3), opt=OPT))
 
 
@@ -698,8 +698,8 @@ def test_harnesses_measure_trials_through_the_public_estimators(monkeypatch):
         monkeypatch.setattr(experiments, name, counting)
     run_two_bodies(cube(3, 1.0), cross_polytope(3, 1.5), 3, 2, trials=4, seed=37,
                    mode="both", dual_products=True,
-                   section_K=Subspace.canonical(3, 1),
-                   section_L=Subspace.canonical(3, 2, offset=1),
+                   section_K=canonical_frame(3, 1),
+                   section_L=canonical_frame(3, 2, offset=1),
                    section_bound=3.0 * math.sqrt(3), opt=OPT)
     # every hull-of-union radius of these polytopes is certified, so the
     # polar diameter is called with the open trials: none

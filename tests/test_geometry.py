@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from waistlab._util import sphere_points
-from waistlab.bodies import ball, cube, orthogonal_matrix, product_body, slab_body
+from waistlab.bodies import (ball, cube, ellipsoid, orthonormal_frame, product_body,
+                             slab_body)
 from waistlab.errors import (DomainError, EmptyFiberError, HypothesisError,
                              NetConstructionError)
-from waistlab.geometry import (SphereNet, Subspace, build_net,
+from waistlab.geometry import (SphereNet, build_net, canonical_frame,
                                geodesic_distance, haar_rotation, haar_rotations,
                                lift_waist, random_subspace, segment_cap_check,
                                spherical_projection)
@@ -66,15 +67,24 @@ def test_haar_rotation_is_the_first_of_haar_rotations():
     assert haar_rotation(3, seed=7)[0, 0] == float.fromhex("0x1.69452370f2000p-10")
 
 
-def test_orthogonal_matrix_rejects_a_shear():
+def test_orthonormal_frame_rejects_a_shear():
+    # the one check of rotations (k = n) and of subspace frames (k < n)
     with pytest.raises(DomainError):
-        orthogonal_matrix(np.array([[1.0, 0.1], [0.0, 1.0]]), 2)
+        orthonormal_frame(np.array([[1.0, 0.1], [0.0, 1.0]]), 2, 2)
+    with pytest.raises(DomainError):
+        orthonormal_frame([[1.0, 0.1, 0.0]], 3)
+    for F, dim, k in ((np.eye(3)[:2], 3, 3), (np.eye(3)[:2], 2, None),
+                      (np.zeros((0, 3)), 3, None), (np.ones(3), 3, None)):
+        with pytest.raises(DomainError):
+            orthonormal_frame(F, dim, k)
+    F = np.eye(4)[1:3]
+    assert np.array_equal(orthonormal_frame(F.tolist(), 4, 2), F)
 
 
 def test_random_subspace_full_frame():
     S = random_subspace(4, 4, seed=5)
-    assert np.max(np.abs(S.frame @ S.frame.T - np.eye(4))) <= 1e-10
-    assert S.k == 4
+    assert np.max(np.abs(S @ S.T - np.eye(4))) <= 1e-10
+    assert S.shape == (4, 4)
 
 
 def test_random_subspace_projection_moment():
@@ -87,19 +97,22 @@ def test_random_subspace_projection_moment():
 
 
 def test_random_subspace_determinism_and_domain():
-    A = random_subspace(5, 2, seed=8).frame
-    B = random_subspace(5, 2, seed=8).frame
+    A = random_subspace(5, 2, seed=8)
+    B = random_subspace(5, 2, seed=8)
     assert np.array_equal(A, B)
     with pytest.raises(DomainError):
         random_subspace(3, 4, seed=0)
 
 
-def test_subspace_canonical_roundtrip():
-    S = Subspace.canonical(5, 2, offset=1)
+def test_canonical_frame_roundtrip():
+    S = canonical_frame(5, 2, offset=1)
+    assert np.array_equal(S, np.eye(5)[1:3])
     x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    assert np.allclose(S.coords(x), [2.0, 3.0])
-    assert np.allclose(S.embed([2.0, 3.0]), [0, 2.0, 3.0, 0, 0])
-    assert np.allclose(S.project(x), [0, 2.0, 3.0, 0, 0])
+    assert np.array_equal(x @ S.T, [2.0, 3.0])
+    assert np.array_equal(np.array([2.0, 3.0]) @ S, [0, 2.0, 3.0, 0, 0])
+    for n, k, offset in ((5, 0, 0), (5, 2, 4), (5, 2, -1), (3, 4, 0)):
+        with pytest.raises(DomainError):
+            canonical_frame(n, k, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +224,7 @@ def test_net_json_fields():
 
 def test_lift_identity_on_ball():
     K = ball(4, 1.0)
-    P = Subspace.canonical(4, 2)
+    P = canonical_frame(4, 2)
     x = np.array([math.sqrt(0.5), math.sqrt(0.5), 0.0, 0.0])
     g, f = lift_waist(K, P, x)
     assert np.allclose(g, x, atol=1e-9)
@@ -219,13 +232,13 @@ def test_lift_identity_on_ball():
 
 
 def test_lift_cube_anchor():
-    g, f = lift_waist(cube(2, 1.0), Subspace.canonical(2, 1), [1.0, 0.0])
+    g, f = lift_waist(cube(2, 1.0), canonical_frame(2, 1), [1.0, 0.0])
     assert np.allclose(g, [1.0, 0.0], atol=1e-8)
 
 
 def test_lift_slab_worked_case():
     K = slab_body([[1.0, 0.0], [-1.0, 1.0]], [1.0, 0.5])
-    g, f = lift_waist(K, Subspace.canonical(2, 1), [1.0, 0.0])
+    g, f = lift_waist(K, canonical_frame(2, 1), [1.0, 0.0])
     assert np.allclose(g, [1.0, 0.5], atol=1e-7)
     assert np.allclose(f, [2 / math.sqrt(5), 1 / math.sqrt(5)], atol=1e-7)
     assert np.allclose(f, [0.89443, 0.44721], atol=5e-6)
@@ -233,10 +246,10 @@ def test_lift_slab_worked_case():
 
 def test_lift_norm_at_least_one_and_waist_inside():
     K = cube(3, 1.0)
-    P = Subspace.canonical(3, 2)
+    P = canonical_frame(3, 2)
     rng = np.random.default_rng(20)
     for x2 in sphere_points(rng, 100, 2):
-        g, f = lift_waist(K, P, P.embed(x2), verify_hypothesis=False)
+        g, f = lift_waist(K, P, x2 @ P, verify_hypothesis=False)
         assert np.linalg.norm(g) >= 1.0 - 1e-9
         assert float(K.gauge(f)) <= 1.0 + 1e-9
         assert abs(np.linalg.norm(f) - 1.0) < 1e-12
@@ -245,7 +258,7 @@ def test_lift_norm_at_least_one_and_waist_inside():
 def test_lift_oddness_exact():
     K = slab_body([[1.0, 0.0, 0.0], [0.0, 1.0, 0.3], [-0.5, 1.0, 1.0]],
                   [1.1, 1.0, 1.3])
-    P = Subspace.canonical(3, 1)
+    P = canonical_frame(3, 1)
     rng = np.random.default_rng(21)
     for _ in range(20):
         s = 1.0 if rng.random() < 0.5 else -1.0
@@ -257,33 +270,69 @@ def test_lift_oddness_exact():
 
 def test_lift_empirical_continuity_modulus():
     K = cube(3, 1.0)
-    P = Subspace.canonical(3, 2)
+    P = canonical_frame(3, 2)
     rng = np.random.default_rng(22)
     for _ in range(50):
         w = sphere_points(rng, 1, 2)[0]
         t = np.array([-w[1], w[0]])
         w2 = w + 1e-4 * t
         w2 /= np.linalg.norm(w2)
-        g1, _ = lift_waist(K, P, P.embed(w), verify_hypothesis=False)
-        g2, _ = lift_waist(K, P, P.embed(w2), verify_hypothesis=False)
+        g1, _ = lift_waist(K, P, w @ P, verify_hypothesis=False)
+        g2, _ = lift_waist(K, P, w2 @ P, verify_hypothesis=False)
         assert np.linalg.norm(g1 - g2) <= 0.1
 
 
 def test_lift_hypothesis_violation():
     with pytest.raises(HypothesisError) as exc:
-        lift_waist(ball(3, 0.5), Subspace.canonical(3, 2), [1.0, 0.0, 0.0])
+        lift_waist(ball(3, 0.5), canonical_frame(3, 2), [1.0, 0.0, 0.0])
     assert exc.value.witness is not None
 
 
 def test_lift_empty_fiber_reported():
     with pytest.raises(EmptyFiberError):
-        lift_waist(ball(3, 0.9), Subspace.canonical(3, 1), [1.0, 0.0, 0.0],
+        lift_waist(ball(3, 0.9), canonical_frame(3, 1), [1.0, 0.0, 0.0],
                    verify_hypothesis=False)
 
 
 def test_lift_rejects_off_subspace_input():
     with pytest.raises(DomainError):
-        lift_waist(ball(3, 1.0), Subspace.canonical(3, 1), [0.0, 1.0, 0.0])
+        lift_waist(ball(3, 1.0), canonical_frame(3, 1), [0.0, 1.0, 0.0])
+
+
+_SLAB3 = slab_body([[1.0, 0.0, 0.0], [0.0, 1.0, 0.3], [-0.5, 1.0, 1.0]], [1.1, 1.0, 1.3])
+
+
+@pytest.mark.parametrize("K, k", [(cube(3, 1.0), 2),
+                                  (product_body(ball(2, 1.0), ball(3, 0.2)), 2),
+                                  (_SLAB3, 1)], ids=["cube", "cylinder", "slab"])
+@pytest.mark.parametrize("m", [1, 2, 17])
+def test_lift_batch_rows_equal_their_lifts_alone(K, k, m):
+    P = canonical_frame(K.dim, k)
+    X = sphere_points(np.random.default_rng(24 + m), m, k) @ P
+    G, F = lift_waist(K, P, X, verify_hypothesis=False)
+    assert G.shape == F.shape == (m, K.dim)
+    for i in range(m):
+        g, f = lift_waist(K, P, X[i], verify_hypothesis=False)
+        assert np.array_equal(g, G[i]) and np.array_equal(f, F[i])
+
+
+def test_lift_batch_names_its_bad_row():
+    # the fiber over e1 meets the ellipsoid, the one over e2 does not
+    K, P = ellipsoid([1.2, 0.8, 1.0]), canonical_frame(3, 2)
+    good = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    for bad, error in (([0.0, 1.0, 0.0], EmptyFiberError),
+                       ([0.0, 0.0, 1.0], DomainError),
+                       ([0.5, 0.0, 0.0], DomainError)):
+        with pytest.raises(error) as exc:
+            lift_waist(K, P, np.vstack([good, bad, good]), verify_hypothesis=False)
+        assert np.array_equal(exc.value.witness, bad)
+    G, _ = lift_waist(K, P, good, verify_hypothesis=False)
+    assert np.allclose(G, good, atol=1e-9)
+
+
+def test_lift_empty_batch():
+    G, F = lift_waist(cube(3, 1.0), canonical_frame(3, 2), np.zeros((0, 3)))
+    assert G.shape == F.shape == (0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -330,27 +379,11 @@ def test_segment_cap_domain():
 
 
 def test_waist_containment_ten_thousand_samples():
-    # batched form of the lifting: project every start at once through the
-    # same cyclic-projection scheme lift_waist uses pointwise
-    from waistlab.bodies import dykstra
-
     K = cube(3, 1.0)
-    P = Subspace.canonical(3, 2)
+    P = canonical_frame(3, 2)
     rng = np.random.default_rng(23)
-    X = sphere_points(rng, 10_000, 2)
-    targets = X  # coordinates in the subspace
-
-    def proj_affine(Y):
-        return Y + (targets - Y @ P.frame.T) @ P.frame
-
-    G = dykstra([K._project_batch, proj_affine], np.zeros((10_000, 3)),
-                tol=1e-11, max_iter=50_000)
-    norms = np.linalg.norm(G, axis=1)
-    assert np.all(norms >= 1.0 - 1e-9)
-    F = G / norms[:, None]
+    X = sphere_points(rng, 10_000, 2)  # coordinates in the subspace
+    G, F = lift_waist(K, P, X @ P, verify_hypothesis=False)
+    assert np.all(np.linalg.norm(G, axis=1) >= 1.0 - 1e-9)
     assert np.max(np.asarray(K.gauge(F))) <= 1.0 + 1e-9
-    assert np.max(np.abs(np.asarray(P.coords(G)) - targets)) <= 1e-8
-    # spot-agreement with the pointwise lifting
-    for i in (0, 17, 4096):
-        g, f = lift_waist(K, P, P.embed(X[i]), verify_hypothesis=False)
-        assert np.allclose(g, G[i], atol=1e-7)
+    assert np.max(np.abs(G @ P.T - X)) <= 1e-8

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from waistlab import experiments, optimize
 from waistlab.bodies import ball, cross_polytope, cube, ellipsoid, polar, product_body
 from waistlab.estimators import diameter_of_intersection, inclusion_radius
-from waistlab.geometry import Subspace, haar_rotation
+from waistlab.geometry import canonical_frame, haar_rotation
 from waistlab.optimize import OptimizerConfig, minimize_on_sphere
 from waistlab.pieces import Piece, map_pieces, max_of, sum_pieces
 
@@ -295,7 +295,7 @@ def _spy_harness(monkeypatch):
 def _dual_products(n, K, L, trials, seed):
     return experiments.run_two_bodies(
         K, L, n, 2, trials=trials, seed=seed, mode="dual", dual_products=True,
-        section_K=Subspace.canonical(n, 1), section_L=Subspace.canonical(n, 2, offset=n - 2),
+        section_K=canonical_frame(n, 1), section_L=canonical_frame(n, 2, offset=n - 2),
         opt=HARNESS_OPT)
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from waistlab import experiments, optimize
 from waistlab.bodies import ball, cross_polytope, cube, ellipsoid, polar
 from waistlab.estimators import diameter_of_intersection, inclusion_radius, section_diameter
-from waistlab.geometry import Subspace, haar_rotation
+from waistlab.geometry import canonical_frame, haar_rotation
 from waistlab.optimize import OptimizerConfig, minimize_on_sphere
 from waistlab.pieces import Piece, map_pieces, max_of
 
@@ -97,7 +97,7 @@ def test_rank_deficient_l1_matrices_never_certify_zero():
     assert optimize._floor((flat, Piece("linear", G.T)), 4) is None
     # a 2-D section of a cross-polytope: the gauge's l1 matrix keeps the
     # plane's two columns, and the others are zero
-    assert section_diameter(cross_polytope(4, 1.5), Subspace.canonical(4, 2, offset=2)).diameter \
+    assert section_diameter(cross_polytope(4, 1.5), canonical_frame(4, 2, offset=2)).diameter \
         == 3.0
 
 
@@ -116,7 +116,7 @@ def test_an_open_hull_of_union_trial_still_reaches_the_hull_stage(monkeypatch):
     opt = OptimizerConfig(restarts=8, iters=40, seed=0)
     experiments.run_two_bodies(
         K, L, n, 2, trials=24, seed=0, mode="dual", dual_products=True,
-        section_K=Subspace.canonical(n, 1), section_L=Subspace.canonical(n, 2, offset=n - 2),
+        section_K=canonical_frame(n, 1), section_L=canonical_frame(n, 2, offset=n - 2),
         opt=opt)
     imax = real(K, L, seen["rotations"], opt=opt, combine="max")
     open_trials = [t for t, im in enumerate(imax) if im.lower_bracket != im.value]
