@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import optimize
-from ._util import ball_points, chunk_rows, hit_fraction, read_field, strict_bool
+from ._util import ball_points, chunk_rows, hit_fraction, read_field, row_norms, strict_bool
 from .errors import ContainmentError, DomainError, EvaluationError, SpecError
 from .pieces import Piece, map_pieces, max_of, sum_pieces
 
@@ -217,7 +217,7 @@ class Body:
         if self._distance is not None:
             return self._distance(X)
         Y = self._project_batch(X)
-        return np.linalg.norm(X - Y, axis=1)
+        return row_norms(X - Y)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +256,7 @@ def _bisection_gauge(contains, bracket):
     the first radius 1, 2, 4, ... whose point leaves the body is the bracket;
     a row still inside after BISECTION_STEPS doublings has gauge 0."""
     def gauge(X):
-        nrm = np.linalg.norm(X, axis=1)
+        nrm = row_norms(X)
         units = X / np.where(nrm > 0, nrm, 1.0)[:, None]
         top = np.array(np.broadcast_to(bracket(units), nrm.shape), dtype=float)
         grow = np.flatnonzero(~np.isfinite(top) & (nrm > 0))
@@ -303,15 +303,15 @@ def ball(dim: int, radius: float) -> Body:
             dim,
             support=(Piece("l2", np.zeros((dim, dim))),),
             gauge=(Piece("smooth", value=lambda X: np.where(
-                np.linalg.norm(X, axis=1) == 0.0, 0.0, np.inf)),),
+                row_norms(X) == 0.0, 0.0, np.inf)),),
             project=lambda X: np.zeros_like(X),
-            distance=lambda X: np.linalg.norm(X, axis=1),
+            distance=row_norms,
             inner_radius=0.0, outer_radius=0.0, symmetric=True,
             kind="ball", spec=BodySpec("ball", {"dim": dim, "radius": 0.0}),
         )
 
     def proj(X):
-        nrm = np.linalg.norm(X, axis=1)
+        nrm = row_norms(X)
         f = np.where(nrm > r, r / np.where(nrm > 0, nrm, 1.0), 1.0)
         return X * f[:, None]
 
@@ -320,7 +320,7 @@ def ball(dim: int, radius: float) -> Body:
         support=(Piece("l2", r * np.eye(dim)),),
         gauge=(Piece("l2", np.eye(dim) / r),),
         project=proj,
-        distance=lambda X: np.maximum(np.linalg.norm(X, axis=1) - r, 0.0),
+        distance=lambda X: np.maximum(row_norms(X) - r, 0.0),
         inner_radius=r, outer_radius=r, symmetric=True,
         kind="ball", spec=BodySpec("ball", {"dim": dim, "radius": r}),
     )
@@ -332,7 +332,7 @@ def cube(dim: int, half_width: float) -> Body:
 
     def dist(X):
         excess = np.maximum(np.abs(X) - a, 0.0)
-        return np.linalg.norm(excess, axis=1)
+        return row_norms(excess)
 
     return Body(
         dim,
@@ -386,13 +386,13 @@ def ellipsoid(semiaxes) -> Body:
     s2 = s * s
 
     def proj(X):
-        g = np.linalg.norm(X / s, axis=1)
+        g = row_norms(X / s)
         out = np.array(X, copy=True)
         mask = g > 1.0
         if mask.any():
             Xo = X[mask]
             lo = np.zeros(Xo.shape[0])
-            hi = s.max() * np.linalg.norm(Xo, axis=1)
+            hi = s.max() * row_norms(Xo)
             x2s2 = s2 * Xo * Xo
             for _ in range(80):
                 lam = 0.5 * (lo + hi)
@@ -429,7 +429,7 @@ def slab_body(normals, widths) -> Body:
         raise SpecError("widths: must match the number of normals")
     if not (w > 0).all():
         raise SpecError("widths: must be strictly positive")
-    norms = np.linalg.norm(N, axis=1)
+    norms = row_norms(N)
     if not (norms > 0).all():
         raise SpecError("normals: zero normal vector")
     Nh = N / norms[:, None]
@@ -497,12 +497,12 @@ def product_body(first: Body, second: Body) -> Body:
 
     def dist(X):
         A, B = split(X)
-        return np.hypot(np.asarray(first.distance(A), dtype=float),
-                        np.asarray(second.distance(B), dtype=float))
+        return np.hypot(np.asarray(first._distance_batch(A), dtype=float),
+                        np.asarray(second._distance_batch(B), dtype=float))
 
     def proj(X):
         A, B = split(X)
-        return np.hstack([first.project(A), second.project(B)])
+        return np.hstack([first._project_batch(A), second._project_batch(B)])
 
     spec = None
     if first.spec is not None and second.spec is not None:
@@ -589,7 +589,7 @@ def vertex_polytope(vertices, symmetric=None) -> Body:
                else Piece("smooth", value=gauge_lp),),
         membership=membership,
         inner_radius=float(b.min()) if interior0 else 0.0,
-        outer_radius=float(np.linalg.norm(V, axis=1).max()),
+        outer_radius=float(row_norms(V).max()),
         symmetric=is_sym,
         kind="vertex_polytope",
         spec=BodySpec("vertex_polytope", {"vertices": V.tolist()}),
@@ -802,7 +802,7 @@ def minkowski_sum(K: Body, L: Body) -> Body:
             def project(X):
                 Y = K._project_batch(X)
                 diff = X - Y
-                d = np.linalg.norm(diff, axis=1)
+                d = row_norms(diff)
                 outside = d > r
                 scale = np.where(outside, r / np.where(d > 0, d, 1.0), 1.0)
                 return np.where(outside[:, None], Y + diff * scale[:, None], X)
@@ -874,7 +874,7 @@ def linear_image(K: Body, Q, scale: float = 1.0) -> Body:
         gauge=map_pieces(K.gauge_pieces, Q / t),
         membership=lambda X: np.asarray(K.contains((X @ Q) / t)),
         project=project,
-        distance=lambda X: t * np.asarray(K.distance((X @ Q) / t)),
+        distance=lambda X: t * np.asarray(K._distance_batch((X @ Q) / t)),
         inner_radius=t * K.inner_radius, outer_radius=t * K.outer_radius,
         symmetric=K.symmetric, truncated=K.truncated,
         kind="linear_image",

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import ball_points, chunk_rows, hit_fraction, sphere_points
+from ._util import ball_points, chunk_rows, hit_fraction, row_norms, sphere_points
 from .bodies import Body, check_dims, orthonormal_frame
 from .errors import DomainError, EvaluationError
 from .geometry import build_net
@@ -93,29 +93,27 @@ def covering_number_upper(L: Body, K: Body, *, probes: int = 20_000, seed=0) -> 
     boundary = dirs[finite] * radial[finite][:, None]
     pts = np.vstack([np.zeros((1, n)), interior, boundary])
 
-    uncovered = np.ones(pts.shape[0], dtype=bool)
+    rest = np.arange(pts.shape[0])  # the uncovered probes, in order
     pull = K.inner_radius
     count = 0
-    norms = np.linalg.norm(pts, axis=1)
+    norms = row_norms(pts)
     depths = (1.0, 0.85, 0.7, 0.55, 0.4, 0.25, 0.1)
-    while uncovered.any():
+    while rest.size:
         if count >= MAX_TRANSLATES:
             raise EvaluationError(f"covering exceeded {MAX_TRANSLATES} translates")
-        idx = np.flatnonzero(uncovered)
-        i = idx[int(np.argmax(norms[idx]))]
-        p = pts[i]
-        np_ = norms[i]
+        i = rest[int(np.argmax(norms[rest]))]
+        p, np_, outstanding = pts[i], norms[i], np.take(pts, rest, axis=0)
         # candidate centers pull the probe inward by a fraction of K's inner
         # radius; every candidate still covers the probe itself, and the
         # fraction covering the most outstanding probes wins
         best_hit = None
         for beta in depths:
             center = p * (max(np_ - beta * pull, 0.0) / np_) if np_ > 0 else p
-            hit = np.asarray(K.contains(pts[idx] - center), dtype=bool)
+            hit = np.asarray(K.contains(outstanding - center), dtype=bool)
             if best_hit is None or hit.sum() > best_hit.sum():
                 best_hit = hit
         count += 1
-        uncovered[idx] = ~best_hit
+        rest = rest[~best_hit]
     return count
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._util import (ball_points, bernoulli_se, canonical_dumps, chunk_rows, chunk_sizes,
-                    quantile_summary, seed_sequence, sphere_points, write_csv)
+                    quantile_summary, row_norms, seed_sequence, sphere_points, write_csv)
 from .bodies import (Body, ball_factors, difference_body, linear_image, mc_volume,
                      orthonormal_frame, polar, volume_ratio)
 from .errors import (DomainError, EvaluationError, HypothesisError, InfeasibleScheduleError,
@@ -197,23 +197,23 @@ def cover_ball_with_body(L: Body, delta_L: float, *, probes: int = 4096, seed=No
     centers: list[np.ndarray] = []
 
     def cover(points):
-        uncovered = np.ones(points.shape[0], dtype=bool)
+        # the uncovered probes, in order; np.take gathers their rows faster
+        # than points[rest] does
+        rest = np.arange(points.shape[0])
         for z in centers:
-            idx = np.flatnonzero(uncovered)
-            if idx.size == 0:
+            if rest.size == 0:
                 return
-            d = np.asarray(L.distance(points[idx] - z), dtype=float)
-            uncovered[idx] = d > eff
-        norms = np.linalg.norm(points, axis=1)
-        while uncovered.any():
+            d = np.asarray(L.distance(np.take(points, rest, axis=0) - z), dtype=float)
+            rest = rest[d > eff]
+        norms = row_norms(points)
+        while rest.size:
             if len(centers) >= MAX_NET_CENTERS:
                 raise NetConstructionError(f"covering exceeded {MAX_NET_CENTERS} centers")
-            idx = np.flatnonzero(uncovered)
-            p = points[idx[int(np.argmax(norms[idx]))]]
+            p = points[rest[int(np.argmax(norms[rest]))]]
             z = _find_cover_center(L, p, eff, opt)
             centers.append(z)
-            d = np.asarray(L.distance(points[idx] - z), dtype=float)
-            uncovered[idx] = d > eff
+            d = np.asarray(L.distance(np.take(points, rest, axis=0) - z), dtype=float)
+            rest = rest[d > eff]
 
     cover(batch())
     for _ in range(6):
@@ -509,11 +509,11 @@ def _cap_distances(cap_spec: dict, ambient_sub: int):
         j = int(cap_spec["dim"])
 
         def dist_native(X):
-            perp = np.linalg.norm(X[:, j + 1:], axis=1)
+            perp = row_norms(X[:, j + 1:])
             return np.arcsin(np.clip(perp, 0.0, 1.0))
 
         def dist_embedded(Y, pn):
-            par = np.linalg.norm(Y[:, : j + 1], axis=1)
+            par = row_norms(Y[:, : j + 1])
             return np.arccos(np.clip(par, 0.0, 1.0)), dist_native(project(Y, pn))
 
         return dist_native, dist_embedded, 1
@@ -522,7 +522,7 @@ def _cap_distances(cap_spec: dict, ambient_sub: int):
         C = np.atleast_2d(np.asarray(cap_spec["centers"], dtype=float))
         if C.shape[1] != ambient_sub:
             raise DomainError(f"cap centers need {ambient_sub} coordinates, got {C.shape[1]}")
-        C = C / np.linalg.norm(C, axis=1)[:, None]
+        C = C / row_norms(C)[:, None]
         r = np.atleast_1d(np.asarray(cap_spec["radii"], dtype=float))
         if C.shape[0] != r.shape[0]:
             raise DomainError("radii must match the number of cap centers")
@@ -588,7 +588,7 @@ def run_higher_sphere(cap_spec: dict, n: int, m: int, theta: float, samples: int
         X = sphere_points(rng_lhs, size, n + 1)
         lhs_hits += int(np.count_nonzero(dist_native(X) <= theta))
         Y = sphere_points(rng_rhs, size, m + 1)
-        pn = np.linalg.norm(Y[:, : n + 1], axis=1)
+        pn = row_norms(Y[:, : n + 1])
         dY, projected = dist_embedded(Y, pn)
         rhs_hits += int(np.count_nonzero(dY <= theta))
         usable = pn > 1e-12
@@ -643,7 +643,7 @@ def run_projection(K: Body, P: np.ndarray, eps: float, samples: int, seed=0, *,
     contained = gauge <= 1.0 + 1e-6
     if not contained.all():
         contained[~contained] = np.asarray(K.distance(f_pos[~contained])) <= 1e-6
-    resid = np.linalg.norm(g_pos @ P.T @ P - X, axis=1)
+    resid = row_norms(g_pos @ P.T @ P - X)
     lift_stats = {"count": 2 * lift_checks,
                   "max_projection_residual": float(np.max(resid, initial=0.0)),
                   "max_waist_gauge": float(np.max(gauge[np.isfinite(gauge)], initial=0.0)),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import sphere_points
+from ._util import row_norms, sphere_points
 from .bodies import Body, dykstra, orthonormal_frame, unit_ball_check
 from .errors import (DomainError, EmptyFiberError, EvaluationError,
                      HypothesisError, NetConstructionError)
@@ -122,7 +122,7 @@ def spherical_projection(x, n_sub: int) -> np.ndarray:
     if not 1 <= n_sub <= v.shape[-1]:
         raise DomainError(f"target dimension {n_sub} out of range for {v.shape[-1]}")
     p = v[..., :n_sub]
-    nrm = np.linalg.norm(p, axis=-1)
+    nrm = row_norms(p)
     if np.any(nrm <= 1e-12):
         raise DomainError("undefined projection: input orthogonal to the subspace")
     return p / nrm[..., None] if p.ndim > 1 else p / nrm
@@ -178,7 +178,7 @@ def _angle_grid(n: int, h: float) -> np.ndarray:
         pts[:, i] = sin_prod * np.cos(a)
         sin_prod = sin_prod * np.sin(a)
     pts[:, n - 1] = sin_prod
-    return pts / np.linalg.norm(pts, axis=1)[:, None]
+    return pts / row_norms(pts)[:, None]
 
 
 _GRID_BUDGET = 5_000_000
@@ -283,12 +283,12 @@ def lift_waist(K: Body, P, x, *, verify_hypothesis: bool = True):
     if X.ndim not in (1, 2) or X.shape[-1] != K.dim:
         raise DomainError(f"x must have shape (n,) or (m, n) with n={K.dim}, got {X.shape}")
     X = X.reshape(-1, K.dim)
-    nrm = np.linalg.norm(X, axis=1)
+    nrm = row_norms(X)
     if (i := _first(~(np.abs(nrm - 1.0) <= 1e-6))) is not None:
         raise DomainError(f"x is not unit (norm {nrm[i]})", witness=X[i])
     X = X / nrm[:, None]
     T = np.einsum("ij,kj->ik", X, P)  # the coordinates of each row in the frame
-    if (i := _first(np.linalg.norm(T @ P - X, axis=1) > 1e-8)) is not None:
+    if (i := _first(row_norms(T @ P - X) > 1e-8)) is not None:
         raise DomainError("x must lie in the subspace", witness=X[i])
     if not K.can_project:
         raise EvaluationError("lifting requires a body with a projection route")
@@ -314,12 +314,12 @@ def lift_waist(K: Body, P, x, *, verify_hypothesis: bool = True):
         raise EmptyFiberError(f"lifting failed to converge: {exc}",
                               witness=X[0] if single else X) from exc
 
-    if (i := _first(np.linalg.norm(G @ P.T - T, axis=1) > 1e-8)) is not None:
+    if (i := _first(row_norms(G @ P.T - T) > 1e-8)) is not None:
         raise EmptyFiberError("fiber over x appears empty", witness=X[i])
     gauge = np.asarray(K.gauge(G))
     if (i := _first(np.isfinite(gauge) & (gauge > 1.0 + 1e-6))) is not None:
         raise EmptyFiberError(f"lift left the body (gauge {gauge[i]:.6g})", witness=X[i])
-    norms = np.linalg.norm(G, axis=1)
+    norms = row_norms(G)
     if (i := _first(norms < 1.0 - 1e-9)) is not None:
         raise EvaluationError(f"lift norm {norms[i]} fell below 1; projections inconsistent")
     F = G / norms[:, None]

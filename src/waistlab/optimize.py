@@ -62,7 +62,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._util import chunk_rows, sphere_points
+from ._util import chunk_rows, row_norms, sphere_points
 from .errors import EvaluationError
 from .pieces import Piece, leaves, max_and_gradient, max_of, select_pieces
 
@@ -119,7 +119,7 @@ def spread_directions(n: int, count: int, seed=0) -> np.ndarray:
 
 
 def _normalize_rows(V):
-    nrm = np.linalg.norm(V, axis=1)
+    nrm = row_norms(V)
     return V / np.where(nrm > 0, nrm, 1.0)[:, None]
 
 
@@ -430,7 +430,7 @@ def _floor(pieces, n):
     floor, scale, cands = 0.0, 0.0, []
     for p in pieces:
         if p.kind == "linear":
-            scale = max(scale, float(np.linalg.norm(p.matrix, axis=1).max(initial=0.0)))
+            scale = max(scale, float(row_norms(p.matrix).max(initial=0.0)))
             continue
         k = p.matrix.shape[1]
         U, s, Vt = np.linalg.svd(p.matrix)
@@ -445,7 +445,7 @@ def _floor(pieces, n):
         cands.append(U[:, s_n <= s_n[-1] + 8 * n * eps * s[0]].T)
         if p.kind == "l1":  # the rows of pinv(G), where u G is one-hot
             R = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
-            norms = np.linalg.norm(R, axis=1)
+            norms = row_norms(R)
             cands.append(R[norms > n * eps * norms.max()])
     if floor == 0.0:
         return None
@@ -549,7 +549,7 @@ def _cutting_planes(pieces, n, rows, grows, nfev, method, rounds):
     open gets stage "bound", with the last inradius as lower.  None as
     well when the best value is not positive."""
     cut = sum(any(q.kind == "l2" for q in leaves((p,))) for p in pieces)
-    rounding = n * np.finfo(float).eps * np.linalg.norm(rows, axis=1).max()
+    rounding = n * np.finfo(float).eps * row_norms(rows).max()
     best_u, best, gaps = None, np.inf, [np.inf]
     for r, (lower, normals, evals) in enumerate(rounds):
         value = float(_finite_values(pieces, normals[:1])[0])  # alone, as every stage reports it
@@ -578,7 +578,7 @@ def _seeds(pieces, n):
     matrix of the field, sums' parts included (the facet normals of a
     mapped cube), each direction once."""
     C = np.vstack([np.empty((0, n))] + [p.matrix.T for p in leaves(pieces) if p.kind == "l1"])
-    C = _normalize_rows(C[np.linalg.norm(C, axis=1) > 0])
+    C = _normalize_rows(C[row_norms(C) > 0])
     S = np.vstack([np.eye(n), -np.eye(n), C, -C])
     # a row stays unless an earlier row equals it
     return S[~np.tril(np.all(S[:, None, :] == S[None, :, :], axis=2), -1).any(axis=1)]
@@ -755,7 +755,7 @@ def _ties(W):
     if q == 0.0:  # b = 0 and a d = 0: a basis vector ties
         return np.eye(2)[[0 if a == 0.0 else 1]]
     X = np.array([[q, a], [d, q]])
-    return X / np.linalg.norm(X, axis=1)[:, None]
+    return X / row_norms(X)[:, None]
 
 
 def _cs_sum(pieces):
@@ -888,7 +888,7 @@ def _cauchy_schwarz(pieces, n, count):
         # each row is evaluated alone, so a field's values do not depend on
         # the other fields' rows
         C = _normalize_rows(C)
-        vals = sum(np.linalg.norm((C[:, None, :] @ Mi[f])[:, 0], axis=1) for Mi in M)
+        vals = sum(row_norms((C[:, None, :] @ Mi[f])[:, 0]) for Mi in M)
         np.add.at(rows, f, 1)
         order = np.lexsort((vals, f))  # stable: the first of equal values wins
         i = order[np.r_[True, f[order][1:] != f[order][:-1]]]
@@ -1046,7 +1046,7 @@ def _descend(pieces, idx, U0, cfg):
         a = len(live)
         # the Riemannian gradient: the subgradient's tangent component
         tangent = grad - (grad * U).sum(axis=2)[:, :, None] * U
-        gn = np.linalg.norm(tangent, axis=2)
+        gn = row_norms(tangent)
         gn = np.where(gn > 0, gn, 1.0)
         cand = _normalize_rows((U - (steps / gn)[:, :, None] * tangent).reshape(-1, n))
         cand = cand.reshape(a, m, n)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import row_norms
+
 __all__ = ["FD_STEP", "Piece", "is_zero", "leaves", "map_pieces", "max_and_gradient",
            "max_of", "select_pieces", "sum_pieces"]
 
@@ -91,7 +93,7 @@ class Piece:
         if self.kind == "l1":
             return np.abs(X @ self.matrix).sum(axis=-1)
         if self.kind == "l2":
-            return np.linalg.norm(X @ self.matrix, axis=-1)
+            return row_norms(X @ self.matrix)
         if self.kind == "sum":
             return sum(max_of(part, X) for part in self.parts)
         Y = X if self.matrix is None else X @ self.matrix
@@ -118,7 +120,7 @@ class Piece:
         if self.kind == "l2":
             M = self.matrix
             Y = X @ M
-            nrm = np.linalg.norm(Y, axis=-1)
+            nrm = row_norms(Y)
             return (Y @ M.swapaxes(-1, -2)) / np.where(nrm > 0, nrm, 1.0)[..., None]
         if self.kind == "sum":
             return max_and_gradient((self,), X)[1]

@@ -202,6 +202,21 @@ def test_cover_ball_net_certifies():
     assert dmin.max() <= 0.3 + 1e-9
 
 
+@pytest.mark.parametrize("seed, centers, net, net_ok, incl_ok", [
+    (1, 14, 11, "00000000000000000000", "11111111111111111111"),
+    (2, 13, 12, "00100000001000000000", "11111111111111111111"),
+])
+def test_flat_disk_cover_and_core_run_are_pinned(seed, centers, net, net_ok, incl_ok):
+    # integers and booleans only, so every numpy gives the same: the greedy
+    # cover's center count, and the core harness's net and trial outcomes
+    disk = product_body(ball(5, 1.0), ball(1, 0.0))
+    assert len(cover_ball_with_body(disk, 0.35, probes=2048, seed=seed)) == centers
+    rep = run_core_lemma(disk, disk, 0.5, 0.4, trials=20, seed=seed)
+    assert rep.summary["net_cardinality"] == net
+    assert "".join("01"[row["net_ok"]] for row in rep.trials) == net_ok
+    assert "".join("01"[row["incl_ok"]] for row in rep.trials) == incl_ok
+
+
 def test_net_lands_does_not_depend_on_the_chunk_size(monkeypatch):
     # the rotated centers of one rotation are K.dim-wide rows of one chunk;
     # chunks of 1 and 7 rotations give every center the same distance
