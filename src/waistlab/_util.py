@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -16,6 +17,10 @@ QUANTILES = {f"q{round(q * 100):02d}": q for q in (0.05, 0.25, 0.5, 0.75, 0.95)}
 # float64 values (512 KB) in one chunk of a Monte-Carlo stream.  Chunks
 # of 2^14 to 2^18 values sample equally fast, and smaller chunks peak lower.
 CHUNK_FLOATS = 1 << 16
+# rows in one block of a Monte-Carlo stream.  Block b draws from child b of
+# the seed's SeedSequence, so an estimate depends on the seed and
+# STREAM_ROWS only, not on the chunk size or on how many threads draw it.
+STREAM_ROWS = 4096
 # row_norms sums an (..., k) array column by column from ROW_NORM_ROWS
 # (k - 2) rows on; below that np.linalg.norm's one call costs less than a
 # pass per column (crossover about 57 (k - 2) rows at k = 3-7, measured
@@ -49,8 +54,10 @@ def seed_sequence(seed) -> np.random.SeedSequence:
 def worker_count() -> int:
     """The WAISTLAB_THREADS environment variable as a count (>= 1).
 
-    Nothing in waistlab reads it: every harness runs its trials batched
-    on one thread.  It is kept only because perfbench/run.py records it,
+    Nothing in waistlab reads it: the harnesses run their trials batched
+    on one thread, and the Monte-Carlo samplers' pool (hit_fraction)
+    sizes itself from the CPU affinity (cpu_count), not from this
+    variable.  It is kept only because perfbench/run.py records it,
     until a change to the benchmark drops it."""
     raw = os.environ.get(THREADS_ENV, "")
     try:
@@ -60,6 +67,15 @@ def worker_count() -> int:
     if n >= 1:
         return n
     return max(1, os.cpu_count() or 1)
+
+
+def cpu_count() -> int:
+    """CPUs in this process's affinity mask (os.cpu_count() where the
+    platform has no affinity call), at least 1."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:
+        return max(1, os.cpu_count() or 1)
 
 
 def parallel_map(fn, items):
@@ -133,13 +149,44 @@ def chunk_sizes(samples: int, rows: int):
     return (min(rows, samples - start) for start in range(0, samples, rows))
 
 
-def hit_fraction(samples: int, batch: int, hits):
-    """Monte-Carlo proportion with its standard error: hits(m) draws m
-    points and counts the hits, called on chunks of at most `batch`
-    points until `samples` points are drawn.  Peak memory is that of one
-    chunk; with a batch from chunk_rows it does not grow with samples."""
-    count = sum(int(np.count_nonzero(hits(m))) for m in chunk_sizes(samples, batch))
-    p = count / samples
+def block_rng(ss: np.random.SeedSequence, b: int) -> np.random.Generator:
+    """The generator of block b of a Monte-Carlo stream: child b of ss by
+    NumPy's spawn-key scheme, the stream ss.spawn would give its child b,
+    built without spawning, so that ss itself is not mutated."""
+    return np.random.default_rng(np.random.SeedSequence(
+        ss.entropy, spawn_key=(*ss.spawn_key, b), pool_size=ss.pool_size))
+
+
+def hit_fraction(samples: int, width: int, hits, seed=None):
+    """Monte-Carlo proportion with its standard error: hits(rng, m) draws
+    m points of `width` float64 values each from rng and returns their
+    hits (a mask or a count), until `samples` points are drawn.
+
+    The points come in blocks of STREAM_ROWS (the last may be shorter),
+    and block b draws from block_rng(seed_sequence(seed), b).  A pool of
+    min(cpu_count(), blocks) threads counts the blocks (one worker counts
+    them inline); each worker draws its block in chunks of
+    chunk_rows(width * workers) points, so the values in flight stay at
+    CHUNK_FLOATS, and peak memory does not grow with samples.  The counts
+    are integers, so their sum, and the estimate, depend on the seed and
+    STREAM_ROWS only: not on the chunk size, the worker count or the
+    order in which the blocks finish.  Evaluators that hold the GIL, such
+    as a Python loop of SLSQP solves, gain nothing from the pool."""
+    ss = seed_sequence(seed)
+    blocks = list(chunk_sizes(samples, STREAM_ROWS))
+    workers = min(cpu_count(), len(blocks))
+    rows = chunk_rows(width * workers)
+
+    def count(b):
+        rng = block_rng(ss, b)
+        return sum(int(np.count_nonzero(hits(rng, m))) for m in chunk_sizes(blocks[b], rows))
+
+    if workers == 1:
+        total = sum(map(count, range(len(blocks))))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            total = sum(pool.map(count, range(len(blocks))))
+    p = total / samples
     return p, bernoulli_se(p, samples)
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import optimize
-from ._util import ball_points, chunk_rows, hit_fraction, read_field, row_norms, strict_bool
+from ._util import ball_points, hit_fraction, read_field, row_norms, strict_bool
 from .errors import ContainmentError, DomainError, EvaluationError, SpecError
 from .pieces import Piece, map_pieces, max_of, sum_pieces
 
@@ -928,20 +928,21 @@ def unit_ball_volume(n: int) -> float:
 def mc_volume(K: Body, samples: int, seed=None):
     """Hit-or-miss volume estimate inside the outer-radius ball, with its
     standard error.  Each ball point is one row of K.dim + 2 Gaussians
-    (see _util.ball_points), drawn in chunks of _util.chunk_rows of that
-    width, so peak memory does not grow with samples or the dimension,
-    and the estimate does not depend on the chunk size.  When no sample
+    (see _util.ball_points), drawn in seeded blocks and chunks of that
+    width (see _util.hit_fraction), so peak memory does not grow with
+    samples or the dimension, and the estimate depends neither on the
+    chunk size nor on the worker count.  When no sample
     hits, the error term is the rule of three's one-sided 95% bound,
     box volume times 3 / samples, not a standard error of 0.  Unbounded
     bodies are rejected."""
     if not math.isfinite(K.outer_radius):
         raise DomainError("mc_volume requires a bounded body (finite outer radius)")
-    rng = np.random.default_rng(seed)
     r = K.outer_radius
     box_vol = unit_ball_volume(K.dim) * r ** K.dim
     # a body of outer radius 0 has volume 0, and its points are not drawn
-    p, se = hit_fraction(samples, chunk_rows(K.dim + 2),
-                         lambda m: K.contains(ball_points(rng, m, K.dim, r)) if r > 0 else 0)
+    p, se = hit_fraction(samples, K.dim + 2,
+                         lambda rng, m: K.contains(ball_points(rng, m, K.dim, r)) if r > 0 else 0,
+                         seed)
     return box_vol * p, box_vol * (se if p > 0 else 3.0 / samples)
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import ball_points, chunk_rows, hit_fraction, row_norms, sphere_points
+from ._util import ball_points, hit_fraction, row_norms, sphere_points
 from .bodies import Body, check_dims, orthonormal_frame
 from .errors import DomainError, EvaluationError
 from .geometry import build_net
@@ -55,15 +55,16 @@ MAX_TRANSLATES = 100_000    # covering_number_upper gives up beyond this count
 
 def mc_sigma_body(K: Body, eps: float, samples: int, seed=None):
     """Fraction of the unit sphere within Euclidean distance eps of the body,
-    with its standard error.  The sphere points come in chunks of
-    _util.chunk_rows(K.dim), so peak memory does not depend on samples,
-    and the estimate does not depend on the chunk size: the points are
-    one stream, and each one's distance is its own."""
+    with its standard error.  The sphere points come in seeded blocks,
+    drawn in chunks on a thread pool (see _util.hit_fraction), so peak
+    memory does not depend on samples, and the estimate depends neither
+    on the chunk size nor on the worker count: each block is one stream,
+    and each point's distance is its own."""
     if eps < 0:
         raise DomainError(f"eps must be nonnegative, got {eps}")
-    rng = np.random.default_rng(seed)
-    return hit_fraction(samples, chunk_rows(K.dim),
-                        lambda m: np.asarray(K.distance(sphere_points(rng, m, K.dim))) <= eps)
+    return hit_fraction(
+        samples, K.dim,
+        lambda rng, m: np.asarray(K.distance(sphere_points(rng, m, K.dim))) <= eps, seed)
 
 
 def covering_number_upper(L: Body, K: Body, *, probes: int = 20_000, seed=0) -> int:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import betainc, gammainc
 
-from ._util import chunk_rows, hit_fraction
+from ._util import hit_fraction
 from .errors import DomainError
 
 __all__ = [
@@ -192,9 +192,10 @@ def sigma_mc(q: SubsphereQuery, samples: int, seed=None):
     and tests the geodesic distance to the canonical subsphere, which is
     the arcsine of the norm of the component orthogonal to the
     subsphere's span.  Fixed seeds reproduce the estimate exactly.  The
-    rows come in chunks of _util.chunk_rows(m + 1), so peak memory does
-    not depend on samples, and the estimate does not depend on the chunk
-    size: the rows are one stream, tested row by row.
+    rows come in seeded blocks, drawn in chunks on a thread pool (see
+    _util.hit_fraction), so peak memory does not depend on samples, and
+    the estimate depends neither on the chunk size nor on the worker
+    count: each block is one stream, tested row by row.
 
     A row g hits when perp <= s^2 (perp + par), s = sin(theta), for the
     sums par and perp of its squares on and off the span, that is when
@@ -204,18 +205,17 @@ def sigma_mc(q: SubsphereQuery, samples: int, seed=None):
     differently by where it sits in the chunk, which would tie the
     estimate to the chunk size.
     """
-    rng = np.random.default_rng(seed)
     m, j = q.sphere_dim, q.subsphere_dim
     thresh = math.sin(q.theta) ** 2
     w = np.full(m + 1, 1.0 - thresh)
     w[: j + 1] = -thresh
 
-    def hits(n):
+    def hits(rng, n):
         g = rng.standard_normal((n, m + 1))
         np.multiply(g, g, out=g)
         return np.einsum("ij,j->i", g, w) <= 0.0
 
-    return hit_fraction(samples, chunk_rows(m + 1), hits)
+    return hit_fraction(samples, m + 1, hits, seed)
 
 
 def sigma_lip_lower(n: int, k: int, theta: float) -> float:

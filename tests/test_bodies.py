@@ -869,12 +869,13 @@ def test_volume_ratio_rejects_a_volume_without_a_hit():
 
 def test_mc_volume_golden_value_and_chunk_size(monkeypatch):
     # each ball point is one row of 3 + 2 Gaussians, so chunks of 7 and
-    # 1003 rows draw the stream of the default chunks
+    # 1003 rows (at one worker; 3 and 501 at two) draw each block's stream
+    # of the default chunks; (vol, se) as at one and at two workers
     K = cross_polytope(3, 1.0)
     vol, se = mc_volume(K, 100_003, seed=11)
-    assert (vol, se) == (1.3416292537154695, 0.006180388200103771)
+    assert (vol, se) == (1.3358907832890248, 0.006173368376662436)
     assert abs(vol - 4.0 / 3.0) <= 3 * se
-    for rows in (7, 1003):  # 100_003 = 7 * 14286 + 1 = 1003 * 99 + 706
+    for rows in (7, 1003):  # 4096 = 7 * 585 + 1 = 1003 * 4 + 84
         monkeypatch.setattr(_util, "CHUNK_FLOATS", 5 * rows)
         assert _util.chunk_rows(5) == rows
         assert mc_volume(K, 100_003, seed=11) == (vol, se)

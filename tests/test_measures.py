@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from waistlab import _util, measures
-from waistlab.bodies import ball, product_body
+from waistlab.bodies import ball, cross_polytope, mc_volume, product_body, vertex_polytope
 from waistlab.errors import DomainError
 from waistlab.estimators import mc_sigma_body
 from waistlab.measures import (BoundConstants, SubsphereQuery, cap_angle, cap_angle_compl,
@@ -115,12 +115,12 @@ def test_sigma_mc_rejects_zero_samples():
 
 
 # (m, j, theta), samples, seed and the exact (est, se) that sigma_mc gave
-# when it drew whole batches of 2^19 rows; 10^6 rows at m = 30 are no
-# multiple of the chunk (2114 rows), so the last chunk is a short one
+# at one and at two workers; 10^6 rows at m = 30 are 244 blocks of
+# STREAM_ROWS (4096) and a short one of 576 rows
 SIGMA_MC_GOLDEN = [
-    ((3, 1, 0.5), 100_000, 1, (0.23116, 0.0013331356060056307)),
-    ((15, 7, 0.9), 123_457, 2, (0.7345067513385227, 0.0012568017511663454)),
-    ((30, 15, 0.7), 1_000_000, 3, (0.297236, 0.0004570413113756786)),
+    ((3, 1, 0.5), 100_000, 1, (0.23024, 0.0013312758632229459)),
+    ((15, 7, 0.9), 123_457, 2, (0.7363454482127381, 0.0012540087888325182)),
+    ((30, 15, 0.7), 1_000_000, 3, (0.297002, 0.0004569374267840182)),
 ]
 
 
@@ -132,14 +132,15 @@ def test_sigma_mc_golden_values(query, samples, seed, expected):
 
 def test_sigma_mc_does_not_depend_on_the_chunk_size(monkeypatch):
     query, samples, seed, expected = SIGMA_MC_GOLDEN[0]
-    monkeypatch.setattr(_util, "CHUNK_FLOATS", 7 * 4)  # 7 rows of R^4; 100_000 = 7 * 14285 + 5
+    # 7 rows of R^4 at one worker (3 at two); 4096 = 7 * 585 + 1
+    monkeypatch.setattr(_util, "CHUNK_FLOATS", 7 * 4)
     assert _util.chunk_rows(4) == 7
     assert sigma_mc(SubsphereQuery(*query), samples, seed=seed) == expected
 
 
 @pytest.mark.parametrize("golden, rows", [
-    (SIGMA_MC_GOLDEN[1], 7),     # 123_457 = 7 * 17636 + 5
-    (SIGMA_MC_GOLDEN[2], 1003),  # 10^6 = 1003 * 997 + 9
+    (SIGMA_MC_GOLDEN[1], 7),     # 4096 = 7 * 585 + 1
+    (SIGMA_MC_GOLDEN[2], 1003),  # 4096 = 1003 * 4 + 84
 ], ids=["m15", "m30"])
 def test_sigma_mc_golden_values_at_chunks_of_odd_rows(monkeypatch, golden, rows):
     query, samples, seed, expected = golden
@@ -149,11 +150,12 @@ def test_sigma_mc_golden_values_at_chunks_of_odd_rows(monkeypatch, golden, rows)
 
 
 def _hit_rows(q, rows, seed):
-    """sigma_mc's hit test of its first `rows` rows, one bool a row."""
+    """sigma_mc's hit test of the first `rows` rows of block 0's stream,
+    one bool a row."""
     tested = []
 
-    def one_chunk(samples, batch, hits):
-        tested.append(hits(samples))
+    def one_chunk(samples, width, hits, seed):
+        tested.append(hits(_util.block_rng(_util.seed_sequence(seed), 0), samples))
         return 0.0, 0.0
 
     with pytest.MonkeyPatch.context() as mp:
@@ -171,7 +173,7 @@ def test_sigma_mc_hit_test_is_the_two_sum_test_row_for_row(m, data, theta, seed)
     # as sums over the coordinates off and on the span; rows may differ
     # only where its two sides agree to the rounding of those sums
     j = data.draw(st.integers(0, m - 1))
-    g = np.random.default_rng(seed).standard_normal((500, m + 1)) ** 2
+    g = _util.block_rng(np.random.SeedSequence(seed), 0).standard_normal((500, m + 1)) ** 2
     perp, par = g[:, j + 1:].sum(axis=1), g[:, : j + 1].sum(axis=1)
     bound = math.sin(theta) ** 2 * (perp + par)
     near = np.abs(perp - bound) <= 4 * (m + 1) * np.finfo(float).eps * (perp + par)
@@ -194,12 +196,45 @@ def test_sigma_mc_memory_does_not_grow_with_samples():
 
 
 def test_mc_sigma_body_golden_value_and_chunk_size(monkeypatch):
-    # the exact (est, se) from whole batches of 2^18 points
+    # the exact (est, se) at one and at two workers
     K = product_body(ball(2, 1.0), ball(3, 0.2))
-    assert mc_sigma_body(K, 0.3, 300_001, seed=4) == (0.1254262485791714, 0.0006046876303773074)
+    assert mc_sigma_body(K, 0.3, 300_001, seed=4) == (0.1263262455791814, 0.0006065408954752952)
     alone = mc_sigma_body(K, 0.3, 20_001, seed=5)
     monkeypatch.setattr(_util, "CHUNK_FLOATS", 7 * 5)  # 7 points of R^5
     assert mc_sigma_body(K, 0.3, 20_001, seed=5) == alone
+
+
+# each of hit_fraction's three samplers, as sampler(seed), with its
+# STREAM_ROWS; each draws several blocks, so that the pool runs.  The
+# vertex polytope's distances are SLSQP solves (optimize.nearest_points)
+# at about 0.7 ms a point, run here from pool threads, so its blocks are
+# shorter than the default
+POOLED_SAMPLERS = {
+    "sigma_mc": (lambda seed: sigma_mc(SubsphereQuery(15, 7, 0.9), 20_001, seed=seed),
+                 _util.STREAM_ROWS),
+    "mc_sigma_body": (lambda seed: mc_sigma_body(product_body(ball(2, 1.0), ball(3, 0.2)),
+                                                 0.3, 20_001, seed=seed), _util.STREAM_ROWS),
+    "mc_sigma_body-polytope": (
+        lambda seed: mc_sigma_body(vertex_polytope(np.random.default_rng(3).standard_normal((6, 3))),
+                                   0.4, 2001, seed=seed), 500),
+    "mc_volume": (lambda seed: mc_volume(cross_polytope(3, 1.0), 20_001, seed=seed),
+                  _util.STREAM_ROWS),
+}
+
+
+@pytest.mark.parametrize("name", POOLED_SAMPLERS)
+def test_mc_samplers_do_not_depend_on_the_worker_count_or_the_chunk(monkeypatch, name):
+    sampler, rows = POOLED_SAMPLERS[name]
+    monkeypatch.setattr(_util, "STREAM_ROWS", rows)
+    ss = np.random.SeedSequence(17)
+    runs = []
+    for workers, floats in ((1, _util.CHUNK_FLOATS), (2, 1001), (3, _util.CHUNK_FLOATS)):
+        monkeypatch.setattr(_util, "cpu_count", lambda: workers)
+        monkeypatch.setattr(_util, "CHUNK_FLOATS", floats)
+        runs.append(sampler(ss))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    # the blocks' streams are built from ss, not spawned from it
+    assert ss.n_children_spawned == 0
 
 
 # ---------------------------------------------------------------------------
