@@ -19,12 +19,14 @@ pieces, an image maps them and a polar swaps them.  minkowski_sum is the
 one construction of a sum of two bodies: the eps-neighborhood is the sum
 with the eps-ball and the difference body is K + (-K).  Every sum of
 support pieces is built by pieces.sum_pieces.  Where no closed form exists,
-projection and distance fall back to programs built on the bodies' own
-oracles: cyclic corrected projections for intersections (iteration cap
-10^4, which raises), and the dual distance program of
-optimize.nearest_points for every other body with support pieces.  An
-intersection has no support evaluator: the minimum of the two supports
-is only an upper bound.
+projection and distance go through programs: every polyhedral body (slab
+intersections, vertex polytopes, and intersections whose joined gauge is
+polyhedral with a positive inner radius) through the exact least-distance
+program of optimize.polyhedron_points, an intersection with a curved part
+through cyclic corrected projections (iteration cap 10^4, which raises),
+and every other body with support pieces through the dual distance program
+of optimize.nearest_points.  An intersection has no support evaluator: the
+minimum of the two supports is only an upper bound.
 
 Lower-dimensional bodies (radius-0 balls and their products) carry an
 infinite gauge off their affine hull; membership and distance go through
@@ -75,6 +77,7 @@ PROJECT_CAP = 10_000      # cyclic projection iteration cap
 ORTHO_TOL = 1e-10         # largest residual of an orthogonal matrix or an orthonormal frame
 DEFAULT_TRUNCATION = 1e6
 BISECTION_STEPS = 64      # halvings of a gauge bracket, and most doublings to find one
+FACET_TOL = 1e-12         # a vertex polytope's facet offsets this small pass through the origin
 
 
 def linprog(*args, **kwargs):
@@ -417,11 +420,14 @@ def ellipsoid(semiaxes) -> Body:
 def slab_body(normals, widths) -> Body:
     """Intersection of symmetric slabs {x : |<n_i, x>| <= w_i}.
 
-    Normals need not be unit; each pair is renormalized.  Unbounded when
-    the normals do not span, in which case outer_radius is infinite.
-    When the normals form a basis, the body is {x : |A x|_inf <= 1} for
-    A = diag(1/w) N, and its support is the closed form |u A^-1|_1 (an
-    l1 piece); any other slab body's support is an LP per row.
+    Normals need not be unit; each pair is renormalized to (n_i, w_i)
+    with |n_i| = 1.  Unbounded when the normals do not span, in which case
+    outer_radius is infinite.  The body projects as the polyhedron
+    [N; -N] x <= [w; w] (optimize.polyhedron_points), so one normal's
+    points are its clip.  When the normals form a basis, the body is
+    {x : |A x|_inf <= 1} for A = diag(1/w) N, and its support is the
+    closed form |u A^-1|_1 (an l1 piece); any other slab body's support is
+    an LP per row.
     """
     N = np.atleast_2d(np.asarray(normals, dtype=float))
     w = np.atleast_1d(np.asarray(widths, dtype=float))
@@ -455,16 +461,7 @@ def slab_body(normals, widths) -> Body:
                 raise EvaluationError(f"support LP failed: {res.message}")
         return vals
 
-    projectors = []
-    for i in range(Nh.shape[0]):
-        nh_i, w_i = Nh[i], wh[i]
-
-        def proj(Y, nh_i=nh_i, w_i=w_i):
-            t = Y @ nh_i
-            return Y - np.outer(t - np.clip(t, -w_i, w_i), nh_i)
-
-        projectors.append(proj)
-
+    facets, offsets = np.vstack([Nh, -Nh]), np.concatenate([wh, wh])
     A = Nh / wh[:, None]
     if full_rank and A.shape[0] == dim:
         support = Piece("l1", np.linalg.inv(A))
@@ -475,7 +472,7 @@ def slab_body(normals, widths) -> Body:
         dim,
         support=(support,),
         gauge=(_abs_rows(A),),
-        project=lambda X: dykstra(projectors, X),
+        project=lambda X: optimize.polyhedron_points(facets, offsets, X),
         inner_radius=float(wh.min()), outer_radius=r_out, symmetric=True,
         kind="slab_intersection",
         spec=BodySpec("slab_intersection",
@@ -532,7 +529,11 @@ def product_body(first: Body, second: Body) -> Body:
 
 
 def vertex_polytope(vertices, symmetric=None) -> Body:
-    """Convex hull of a finite full-dimensional vertex list."""
+    """Convex hull of a finite full-dimensional vertex list, the polyhedron
+    A x <= b of its hull facets, through which it projects
+    (optimize.polyhedron_points).  Its gauge is the facet max
+    max_i A_i x / b_i when the origin is interior, and otherwise the
+    facet gauge, +inf where no dilate holds x."""
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
     m, dim = V.shape
     if m < dim + 1:
@@ -564,20 +565,17 @@ def vertex_polytope(vertices, symmetric=None) -> Body:
         raise SpecError("symmetric: vertex list is not centrally symmetric")
     is_sym = detected_sym if symmetric is None else bool(symmetric)
 
-    interior0 = bool((b > 1e-12).all())
+    interior0 = bool((b > FACET_TOL).all())
 
-    def gauge_lp(X):
-        vals = np.empty(X.shape[0])
-        for i, x in enumerate(X):
-            res = linprog(np.ones(m), A_eq=V.T, b_eq=x,
-                          bounds=[(0, None)] * m, method="highs")
-            if res.status == 2:  # infeasible: x is outside the cone of V
-                vals[i] = np.inf
-            elif res.success:
-                vals[i] = res.fun
-            else:
-                raise EvaluationError(f"gauge LP failed: {res.message}")
-        return vals
+    def facet_gauge(X):
+        # x is in tP for t > 0 iff A_i x <= t b_i for every facet i: the
+        # facets with b_i > 0 bound t from below, those with b_i < 0 from
+        # above, and those through the origin admit no t when A_i x > 0
+        T = X @ A.T
+        g = np.max(T[:, b > FACET_TOL] / b[b > FACET_TOL], axis=1, initial=0.0)
+        top = np.min(T[:, b < -FACET_TOL] / b[b < -FACET_TOL], axis=1, initial=np.inf)
+        blocked = np.any(T[:, np.abs(b) <= FACET_TOL] > 0.0, axis=1)
+        return np.where(blocked | (g > top), np.inf, g)
 
     def membership(X):
         return (X @ A.T <= b + DIST_TOL).all(axis=1)
@@ -586,8 +584,9 @@ def vertex_polytope(vertices, symmetric=None) -> Body:
         dim,
         support=(Piece("linear", V),),
         gauge=(Piece("linear", A / b[:, None]) if interior0
-               else Piece("smooth", value=gauge_lp),),
+               else Piece("smooth", value=facet_gauge),),
         membership=membership,
+        project=lambda X: optimize.polyhedron_points(A, b, X),
         inner_radius=float(b.min()) if interior0 else 0.0,
         outer_radius=float(row_norms(V).max()),
         symmetric=is_sym,
@@ -729,19 +728,29 @@ def ball_factors(K: Body) -> tuple:
 
 def intersect(K: Body, L: Body) -> Body:
     """Intersection: gauges take the max, radials the min.  It has no support
-    evaluator: the min of the two supports is only an upper bound."""
+    evaluator: the min of the two supports is only an upper bound.  With
+    the origin inside, a polyhedral joined gauge max_i <P_i, x> (see
+    optimize._polyhedral_rows) makes it the polyhedron P x <= 1, which
+    projects by least distance; otherwise, when both parts project, it
+    projects by cyclic corrected projections."""
     check_dims(K, L)
+    gauge = K.gauge_pieces + L.gauge_pieces
+    inner = min(K.inner_radius, L.inner_radius)
+    rows = optimize._polyhedral_rows(gauge, K.dim) if inner > 0 else None
     project = None
-    if K.can_project and L.can_project:
+    if rows is not None:
+        def project(X):
+            return optimize.polyhedron_points(rows, np.ones(len(rows)), X)
+    elif K.can_project and L.can_project:
         def project(X):
             return dykstra([K._project_batch, L._project_batch], X)
 
     return Body(
         K.dim,
-        gauge=K.gauge_pieces + L.gauge_pieces,
+        gauge=gauge,
         membership=lambda X: np.asarray(K.contains(X)) & np.asarray(L.contains(X)),
         project=project,
-        inner_radius=min(K.inner_radius, L.inner_radius),
+        inner_radius=inner,
         outer_radius=min(K.outer_radius, L.outer_radius),
         symmetric=K.symmetric and L.symmetric,
         truncated=K.truncated or L.truncated,

@@ -7,7 +7,9 @@ per random rotation of a harness.  Which fields descend: a field that no
 exact stage certifies is descended from spread starts and polished (see
 minimize_on_sphere_batch), unless the stage bracketed it within 64 n eps
 of its value; then the stage's result is the field's.
-nearest_points solves the dual distance form of the polish's program.
+nearest_points solves the dual distance form of the polish's program for
+a body given by its support pieces; polyhedron_points projects onto a
+polyhedron {y : A y <= b} by least-distance programming.
 
 The exact stages.  When a call's fields are sums of two Euclidean norms
 (_cs_sum), _cauchy_schwarz takes them all at once, in lockstep.  Every
@@ -67,7 +69,8 @@ from .errors import EvaluationError
 from .pieces import Piece, leaves, max_and_gradient, max_of, select_pieces
 
 __all__ = ["OptimizerConfig", "SphereOptResult", "minimize_on_sphere",
-           "minimize_on_sphere_batch", "nearest_points", "spread_directions"]
+           "minimize_on_sphere_batch", "nearest_points", "polyhedron_points",
+           "spread_directions"]
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,7 @@ SPREAD_POOL = 24          # random pool rows per spread direction
 HULL_ROWS = 512           # most rows of a polyhedral field or of either cutting-plane oracle
 CUT_ROUNDS = 16           # most rounds of either cutting-plane oracle
 NEWTON_SOLVES = 64        # most eigh solves on one edge of the S-lemma stage
+MEMBER_TOL = 1e-12        # a polyhedron's nearest point violates no facet by more, relative
 
 
 @dataclass
@@ -1108,6 +1112,12 @@ def _distinct_best(U, vals, count):
     return taken
 
 
+def _nnls(*args, **kwargs):
+    """scipy.optimize.nnls, imported at the first call: it is slow to import."""
+    from scipy.optimize import nnls
+    return nnls(*args, **kwargs)
+
+
 def _scipy_minimize(*args, **kwargs):
     """scipy.optimize.minimize, imported at the first call: it is slow to import."""
     from scipy.optimize import minimize
@@ -1290,4 +1300,63 @@ def nearest_points(pieces, X):
         u = _normalize_rows(res.x[None, :n])
         d = float(u[0] @ x) - max(float(p.evaluate(u)[0]) for p in pieces)
         out[i] = x - max(d, 0.0) * u[0]
+    return out
+
+
+def _row_products(X, A):
+    """X @ A.T, summed one column at a time, left to right, so that a row's
+    bits do not depend on the other rows of X, as a BLAS product's can."""
+    T = np.multiply.outer(X[:, 0], A[:, 0])
+    for j in range(1, X.shape[1]):
+        T += np.multiply.outer(X[:, j], A[:, j])
+    return T
+
+
+def polyhedron_points(A, b, X):
+    """Nearest points to the rows of X (m, n) of the polyhedron
+    {y : A y <= b}, A (k, n), by least-distance programming (Lawson and
+    Hanson, Solving Least Squares Problems, 1974, ch. 23).
+
+    Members (A x <= b exactly) come back unchanged.  Every other row first
+    takes its projection onto the halfspace of its most violated facet,
+    the one farthest from x; when that point is a member, it is the
+    nearest point, since no member is nearer than the halfspace.  Each
+    remaining row solves min |z| subject to A (x + z) <= b as one nnls of
+    the (n + 1) x k system E = [-A^T; (A x - b)^T], f = e_{n+1}: with the
+    residual r = E u - f, z = -r[:n] / r[n].  A point is a member when it
+    violates no facet by more than MEMBER_TOL (|b|_inf + max_i |A_i| |y|).
+    Raises EvaluationError for a point that is not, and when nnls stops at
+    its iteration cap, meets a non-finite row or finds the polyhedron empty.
+    A row's point has the same bits in any batch (see _row_products).
+    """
+    A, b, X = (np.asarray(a, dtype=float) for a in (A, b, X))
+    n = X.shape[1]
+    norms = row_norms(A)
+    b_top, a_top = np.max(np.abs(b)), np.max(norms)
+
+    def members(Y):
+        excess = np.max(_row_products(Y, A) - b, axis=1)
+        return excess <= MEMBER_TOL * (b_top + a_top * row_norms(Y))
+
+    out = np.array(X, copy=True)
+    V = _row_products(X, A) - b
+    rows = np.flatnonzero(~np.all(V <= 0.0, axis=1))  # a NaN row is outside
+    top = np.argmax(V[rows] / norms, axis=1)
+    out[rows] = X[rows] - (V[rows, top] / norms[top] ** 2)[:, None] * A[top]
+    solve = rows[~members(out[rows])]
+    f = np.eye(n + 1)[n]
+    for i in solve:
+        E = np.vstack([-A.T, V[i]])
+        try:
+            u, _ = _nnls(E, f)
+        except (RuntimeError, ValueError) as exc:  # its iteration cap, a non-finite row
+            raise EvaluationError(f"least-distance program failed at row {i}: {exc}") from exc
+        r = E @ u - f
+        if not r[n] < 0.0:
+            raise EvaluationError(f"least-distance program at row {i}: the polyhedron is empty")
+        out[i] = X[i] - r[:n] / r[n]
+    bad = solve[~members(out[solve])]
+    if bad.size:
+        raise EvaluationError(f"least-distance point of row {bad[0]} is not a member "
+                              f"within {MEMBER_TOL:g} of scale")
     return out

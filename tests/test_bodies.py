@@ -126,6 +126,47 @@ def test_slab_basis_support_is_closed_form():
     assert np.allclose(K.support(U), lp.support(U), rtol=1e-12, atol=0)
 
 
+def _slabs(m, seed):
+    rng = np.random.default_rng(seed)
+    return slab_body(rng.normal(size=(m, 3)), rng.uniform(0.3, 1.2, m))
+
+
+POLYHEDRA = {
+    **{f"slab-m{m}": _slabs(m, 40 + m) for m in (4, 5, 6, 8)},
+    **{f"cube-cross-{n}": intersect(cube(n, 1.0), linear_image(cross_polytope(n, 1.3),
+                                                               haar_rotation(n, seed=n)))
+       for n in (5, 8)},
+    **{f"cube-cube-{n}": intersect(cube(n, 1.0), linear_image(cube(n, 0.9),
+                                                              haar_rotation(n, seed=n)))
+       for n in (5, 8)},
+}
+
+
+@pytest.mark.parametrize("name", POLYHEDRA)
+def test_polyhedral_projections_are_exact(name):
+    # redundant slab normals and polyhedral intersections project by one
+    # least-distance program: every point is a member to 1e-12 relative,
+    # and no member y lies beyond the plane through it normal to x - p
+    K = POLYHEDRA[name]
+    X = 2.0 * np.random.default_rng(7).normal(size=(1000, K.dim))
+    P = K.project(X)
+    assert not np.all(K.contains(X))
+    assert np.max(K.gauge(P)) <= 1.0 + 1e-12
+    U = np.random.default_rng(8).normal(size=(300, K.dim))
+    Y = U / K.gauge(U)[:, None]  # boundary members
+    D = X - P
+    assert np.max(D @ Y.T - np.sum(D * P, axis=1)[:, None]) <= 1e-9
+
+
+@pytest.mark.parametrize("n, w", [(3, 0.35), (5, 0.45), (8, 0.5)])
+def test_one_normal_slab_projects_by_its_clip(n, w):
+    # the slabs of acceptance criterion 8 keep the clip's bits
+    X = np.random.default_rng(n).normal(size=(2000, n))
+    t = X[:, 0]
+    clip = X - np.outer(t - np.clip(t, -w, w), np.eye(n)[0])
+    assert np.array_equal(slab_body(np.eye(n)[:1], [w]).project(X), clip)
+
+
 def test_slab_unit_ball_check_certifies_fast():
     t0 = time.perf_counter()
     status, res = unit_ball_check(slab_body(np.eye(3), [1.0, 1.2, 1.5]), np.eye(3))
@@ -160,18 +201,14 @@ def test_vertex_polytope_triangle():
     assert not T.symmetric
 
 
-def test_vertex_polytope_gauge_lp_raises_on_solver_failure(monkeypatch):
-    from types import SimpleNamespace
-
-    from waistlab import bodies
-
+def test_vertex_polytope_facet_gauge_off_an_interior_origin():
     T = vertex_polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # 0 is a vertex
     assert T.gauge([0.25, 0.25]) == pytest.approx(0.5, abs=1e-12)
-    assert math.isinf(T.gauge([-1.0, 0.5]))  # infeasible LP: outside the cone
-    monkeypatch.setattr(bodies, "linprog", lambda *a, **k: SimpleNamespace(
-        status=1, success=False, fun=None, message="iteration limit reached"))
-    with pytest.raises(EvaluationError):
-        T.gauge([0.25, 0.25])
+    assert math.isinf(T.gauge([-1.0, 0.5]))  # outside the cone of the vertices
+    # with the origin outside, a facet with b_i < 0 bounds the scale from above
+    S = vertex_polytope([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
+    assert np.allclose(S.gauge([[1.5, 0.25], [3.0, 0.0]]), [0.875, 1.5], rtol=0, atol=1e-12)
+    assert math.isinf(S.gauge([0.5, 1.0]))  # no dilate holds it
 
 
 def test_vertex_polytope_symmetric_detection():
@@ -405,24 +442,35 @@ def test_neighborhood_gauge_bisects_the_boundary_without_tolerance():
 
 
 _POLYGON = vertex_polytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+# a generic sum with a curved summand: its distance is the dual program
+_CURVED_SUM = minkowski_sum(cube(2, 0.5), ellipsoid([0.4, 0.2]))
+
+
+def _count_rows(monkeypatch, name, probe):
+    """A one-item list that counts the rows passed to optimize.<name>,
+    after probe, a body whose distance goes through it, shows that the
+    patch is live."""
+    import waistlab.optimize
+
+    rows = [0]
+    real = getattr(waistlab.optimize, name)
+
+    def counting(*args):
+        rows[0] += len(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(waistlab.optimize, name, counting)
+    probe.distance(np.full(probe.dim, 2.0))
+    assert rows[0] >= 1
+    rows[0] = 0
+    return rows
 
 
 def test_batched_projection_rows_end_as_alone(monkeypatch):
     # a row leaves the cyclic projections once it stops moving, so a batch
-    # projects each row as often as the row alone, to the same bits
-    import waistlab.optimize
-
-    projected = [0]
-    nearest_points = waistlab.optimize.nearest_points
-
-    def counting(pieces, X):
-        projected[0] += len(X)
-        return nearest_points(pieces, X)
-
-    monkeypatch.setattr(waistlab.optimize, "nearest_points", counting)
-    _POLYGON.distance([2.0, 2.0])  # the patch is live: a vertex polytope projects through it
-    assert projected[0] >= 1
-    projected[0] = 0
+    # projects each row as often as the row alone, to the same bits; the
+    # vertex polytope's rows are those of its least-distance program
+    projected = _count_rows(monkeypatch, "polyhedron_points", _POLYGON)
     K = intersect(vertex_polytope(np.random.default_rng(4).normal(size=(12, 3))),
                   ellipsoid([0.9, 0.5, 1.4]))
     X = np.random.default_rng(5).normal(size=(5, 3)) * 2
@@ -430,25 +478,7 @@ def test_batched_projection_rows_end_as_alone(monkeypatch):
     batched_rows, projected[0] = projected[0], 0
     alone = np.array([K.distance(x) for x in X])
     assert np.array_equal(batched, alone)
-    assert batched_rows == projected[0]
-
-
-def _count_nearest_points(monkeypatch):
-    """A one-item list that counts the calls of optimize.nearest_points."""
-    import waistlab.optimize
-
-    calls = [0]
-    nearest_points = waistlab.optimize.nearest_points
-
-    def counting(pieces, X):
-        calls[0] += 1
-        return nearest_points(pieces, X)
-
-    monkeypatch.setattr(waistlab.optimize, "nearest_points", counting)
-    _POLYGON.distance([2.0, 2.0])  # the patch is live: a vertex polytope projects through it
-    assert calls[0] >= 1
-    calls[0] = 0
-    return calls
+    assert batched_rows == projected[0] > 0
 
 
 def _assert_is_the_neighborhood(S, K, eps):
@@ -461,7 +491,7 @@ def _assert_is_the_neighborhood(S, K, eps):
 def test_rotated_ball_sum_is_the_neighborhood(monkeypatch):
     # the image of a ball is a ball, so the sum takes the closed-form
     # distance of a ball summand and never the dual distance program
-    calls = _count_nearest_points(monkeypatch)
+    calls = _count_rows(monkeypatch, "nearest_points", _CURVED_SUM)
     B = linear_image(ball(3, 0.5), haar_rotation(3, seed=8))
     assert B.kind == "ball" and B.outer_radius == 0.5
     _assert_is_the_neighborhood(minkowski_sum(cube(3, 0.8), B), cube(3, 0.8), 0.5)
@@ -471,7 +501,7 @@ def test_rotated_ball_sum_is_the_neighborhood(monkeypatch):
 def test_sum_with_a_relabeled_ball_is_the_neighborhood(monkeypatch):
     # difference_body labels its ball 2 B(0.25) "difference_body"; the sum
     # reads the ball off its certified radii, not off the label
-    calls = _count_nearest_points(monkeypatch)
+    calls = _count_rows(monkeypatch, "nearest_points", _CURVED_SUM)
     B = difference_body(ball(3, 0.25))
     assert B.kind == "difference_body" and B.inner_radius == B.outer_radius == 0.5
     _assert_is_the_neighborhood(minkowski_sum(cube(3, 0.8), B), cube(3, 0.8), 0.5)

@@ -601,10 +601,11 @@ def test_worker_count_env(monkeypatch):
 
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is imported where linprog and minimize are called,
-    # since importing it takes longer than most commands run; the exact
-    # stages import nothing from it, and those that do not take a field
-    # decline it before any import
+    # scipy.optimize is imported where linprog, minimize and nnls are
+    # called, since importing it takes longer than most commands run; the
+    # exact stages import nothing from it, those that do not take a field
+    # decline it before any import, and building a polyhedral body imports
+    # nothing from it before its first projection
     src = str(Path(waistlab.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -630,7 +631,15 @@ diameter_of_intersection(K, L, haar_rotation(8, 1))
 section_diameter(L, canonical_frame(8, 7, offset=1))
 assert [(r.stage, r.method) for r in answers] == [("exact", "S-lemma dual")] * 2, answers
 """
-    for script in ("import waistlab.cli", polytopes, norms):
+    polyhedra = """
+import numpy as np
+from waistlab.bodies import cube, intersect, linear_image, slab_body, vertex_polytope
+rng = np.random.default_rng(0)
+bodies = [slab_body(rng.normal(size=(5, 3)), np.ones(5)),
+          linear_image(vertex_polytope(rng.normal(size=(12, 3))), -np.eye(3)),
+          intersect(cube(3, 1.0), slab_body(rng.normal(size=(2, 3)), [0.5, 0.5]))]
+"""
+    for script in ("import waistlab.cli", polytopes, norms, polyhedra):
         out = subprocess.run([sys.executable, "-c",
                               script + "\nimport sys; print('scipy.optimize' in sys.modules)"],
                              env=env, check=True, capture_output=True, text=True)

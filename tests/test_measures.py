@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from waistlab import _util, measures
-from waistlab.bodies import ball, cross_polytope, mc_volume, product_body, vertex_polytope
+from waistlab.bodies import (ball, cross_polytope, cube, ellipsoid, mc_volume, minkowski_sum,
+                             product_body, vertex_polytope)
 from waistlab.errors import DomainError
 from waistlab.estimators import mc_sigma_body
 from waistlab.measures import (BoundConstants, SubsphereQuery, cap_angle, cap_angle_compl,
@@ -206,8 +207,10 @@ def test_mc_sigma_body_golden_value_and_chunk_size(monkeypatch):
 
 # each of hit_fraction's three samplers, as sampler(seed), with its
 # STREAM_ROWS; each draws several blocks, so that the pool runs.  The
-# vertex polytope's distances are SLSQP solves (optimize.nearest_points)
-# at about 0.7 ms a point, run here from pool threads, so its blocks are
+# vertex polytope's distances are least-distance programs; those of the
+# cube's sum with an ellipsoid, a curved summand, are SLSQP solves
+# (optimize.nearest_points) at about 1.3 ms a point, which hold the
+# interpreter lock and run here from pool threads, so its blocks are
 # shorter than the default
 POOLED_SAMPLERS = {
     "sigma_mc": (lambda seed: sigma_mc(SubsphereQuery(15, 7, 0.9), 20_001, seed=seed),
@@ -216,7 +219,10 @@ POOLED_SAMPLERS = {
                                                  0.3, 20_001, seed=seed), _util.STREAM_ROWS),
     "mc_sigma_body-polytope": (
         lambda seed: mc_sigma_body(vertex_polytope(np.random.default_rng(3).standard_normal((6, 3))),
-                                   0.4, 2001, seed=seed), 500),
+                                   0.4, 20_001, seed=seed), _util.STREAM_ROWS),
+    "mc_sigma_body-curved-sum": (
+        lambda seed: mc_sigma_body(minkowski_sum(cube(3, 0.4), ellipsoid([0.3, 0.2, 0.25])),
+                                   0.4, 1001, seed=seed), 250),
     "mc_volume": (lambda seed: mc_volume(cross_polytope(3, 1.0), 20_001, seed=seed),
                   _util.STREAM_ROWS),
 }

@@ -512,3 +512,23 @@ def test_nearest_points_raise_at_the_iteration_cap(monkeypatch):
     monkeypatch.setattr(optimize, "_scipy_minimize", capped)
     with pytest.raises(EvaluationError):
         nearest_points(cube(3, 0.8).support_pieces, np.ones((2, 3)))
+
+
+def test_polyhedron_points_raise_and_never_return_a_silent_point(monkeypatch):
+    # {x <= -1} and {x >= 1} share no point, so no point returned is a member
+    with pytest.raises(EvaluationError):
+        optimize.polyhedron_points([[1.0], [-1.0]], [-1.0, -1.0], [[0.0]])
+    square = (np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
+    with pytest.raises(EvaluationError):
+        optimize.polyhedron_points(*square, [[np.nan, 3.0]])
+
+    def capped(*args):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(optimize, "_nnls", capped)
+    # the halfspace pass answers a member and an edge's row without nnls;
+    # a corner's row needs it, and its failure raises
+    P = optimize.polyhedron_points(*square, [[0.5, 0.0], [3.0, 0.5]])
+    assert np.array_equal(P, [[0.5, 0.0], [1.0, 0.5]])
+    with pytest.raises(EvaluationError, match="failed at row 1"):
+        optimize.polyhedron_points(*square, [[0.5, 0.0], [3.0, 2.0]])
