@@ -6,9 +6,9 @@ from .bodies import (Body, BodySpec, ball, construct_body, cross_polytope, cube,
                      mc_volume, minkowski_sum, neighborhood, orthonormal_frame, polar,
                      product_body, slab_body, truncated_cylinder,
                      unit_ball_volume, vertex_polytope, volume_ratio)
-from .errors import (ConfigError, ContainmentError, DomainError, EmptyFiberError,
-                     EvaluationError, HypothesisError, InfeasibleScheduleError,
-                     NetConstructionError, SpecError, WaistlabError)
+from .errors import (ConfigError, DomainError, EmptyFiberError, EvaluationError,
+                     HypothesisError, InfeasibleScheduleError, NetConstructionError,
+                     SpecError, WaistlabError)
 from .estimators import (DiameterResult, InclusionResult, covering_number_upper,
                          diameter_of_intersection, entropy_bound, inclusion_radius,
                          mc_sigma_body, section_diameter)

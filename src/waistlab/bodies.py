@@ -20,9 +20,10 @@ one construction of a sum of two bodies: the eps-neighborhood is the sum
 with the eps-ball and the difference body is K + (-K).  Every sum of
 support pieces is built by pieces.sum_pieces.  Where no closed form exists,
 projection and distance go through programs: every polyhedral body (slab
-intersections, vertex polytopes, and intersections whose joined gauge is
-polyhedral with a positive inner radius) through the exact least-distance
-program of optimize.polyhedron_points, an intersection with a curved part
+intersections, vertex polytopes, each hull facet once, and intersections
+whose joined gauge is polyhedral with a positive inner radius) through the
+exact least-distance program of optimize.polyhedron_points, scaled so that
+far rows keep their digits, an intersection with a curved part
 through cyclic corrected projections (iteration cap 10^4, which raises),
 and every other body with support pieces through the dual distance program
 of optimize.nearest_points.  An intersection has no support evaluator: the
@@ -31,6 +32,9 @@ minimum of the two supports is only an upper bound.
 Lower-dimensional bodies (radius-0 balls and their products) carry an
 infinite gauge off their affine hull; membership and distance go through
 the orthogonal decomposition instead.
+
+unit_ball_check is the one check of a unit-ball hypothesis; a refuted one
+raises HypothesisError.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import optimize
-from ._util import ball_points, hit_fraction, read_field, row_norms, strict_bool
-from .errors import ContainmentError, DomainError, EvaluationError, SpecError
+from ._util import ball_points, hit_fraction, read_field, row_norms
+from .errors import DomainError, EvaluationError, HypothesisError, SpecError
 from .pieces import Piece, map_pieces, max_of, sum_pieces
 
 __all__ = [
@@ -528,12 +532,13 @@ def product_body(first: Body, second: Body) -> Body:
     )
 
 
-def vertex_polytope(vertices, symmetric=None) -> Body:
+def vertex_polytope(vertices) -> Body:
     """Convex hull of a finite full-dimensional vertex list, the polyhedron
-    A x <= b of its hull facets, through which it projects
+    A x <= b of its hull facets, each once, through which it projects
     (optimize.polyhedron_points).  Its gauge is the facet max
     max_i A_i x / b_i when the origin is interior, and otherwise the
-    facet gauge, +inf where no dilate holds x."""
+    facet gauge, +inf where no dilate holds x.  It is symmetric when the
+    vertex list is centrally symmetric."""
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
     m, dim = V.shape
     if m < dim + 1:
@@ -553,17 +558,17 @@ def vertex_polytope(vertices, symmetric=None) -> Body:
             hull = ConvexHull(V)
         except QhullError as exc:
             raise SpecError(f"vertices: not full-dimensional ({exc})") from exc
-        A = hull.equations[:, :-1]
-        b = -hull.equations[:, -1]
+        # Qhull triangulates each facet, and its triangles share the
+        # facet's equation bit for bit: keep one copy, in Qhull's order
+        _, first = np.unique(hull.equations, axis=0, return_index=True)
+        eq = hull.equations[np.sort(first)]
+        A, b = eq[:, :-1], -eq[:, -1]
 
     def _rows_sorted(A):
         return A[np.lexsort(A.T[::-1])]
 
-    detected_sym = bool(np.allclose(_rows_sorted(np.round(V, 12)),
-                                    _rows_sorted(np.round(-V, 12)), atol=1e-9))
-    if symmetric is True and not detected_sym:
-        raise SpecError("symmetric: vertex list is not centrally symmetric")
-    is_sym = detected_sym if symmetric is None else bool(symmetric)
+    symmetric = bool(np.allclose(_rows_sorted(np.round(V, 12)),
+                                 _rows_sorted(np.round(-V, 12)), atol=1e-9))
 
     interior0 = bool((b > FACET_TOL).all())
 
@@ -589,7 +594,7 @@ def vertex_polytope(vertices, symmetric=None) -> Body:
         project=lambda X: optimize.polyhedron_points(A, b, X),
         inner_radius=float(b.min()) if interior0 else 0.0,
         outer_radius=float(row_norms(V).max()),
-        symmetric=is_sym,
+        symmetric=symmetric,
         kind="vertex_polytope",
         spec=BodySpec("vertex_polytope", {"vertices": V.tolist()}),
         vertices=V,
@@ -683,7 +688,7 @@ _CATALOG = {
     "ellipsoid": (ellipsoid, {"semiaxes": _float_array}, {}),
     "slab_intersection": (slab_body, {"normals": _float_array, "widths": _float_array}, {}),
     "product": (product_body, {"first": construct_body, "second": construct_body}, {}),
-    "vertex_polytope": (vertex_polytope, {"vertices": _float_array}, {"symmetric": strict_bool}),
+    "vertex_polytope": (vertex_polytope, {"vertices": _float_array}, {}),
     "truncated_cylinder": (truncated_cylinder, {"core": construct_body, "dim": int},
                            {"transverse_radius": float, "truncation_radius": float}),
 }
@@ -956,29 +961,32 @@ def mc_volume(K: Body, samples: int, seed=None):
 
 
 def volume_ratio(K: Body, samples: int, seed=None) -> float:
-    """n-th root of the volume of K relative to the unit ball.  First
-    unit_ball_check with the identity frame: a refuted check raises
-    ContainmentError with its witness.  EvaluationError: K has no support,
+    """n-th root of the volume of K relative to the unit ball, after
+    unit_ball_check of B in K with the identity frame, which raises
+    HypothesisError when it refutes it.  EvaluationError: K has no support,
     or no volume sample hit it (the estimate then only bounds the ratio)."""
-    status, res = unit_ball_check(K, np.eye(K.dim))
-    if status == "refuted":
-        raise ContainmentError(f"unit ball not contained: support {res.value:.12g} < 1 "
-                               f"on a sphere direction", direction=res.direction)
+    unit_ball_check(K, np.eye(K.dim), what="K")
     vol, _ = mc_volume(K, samples, seed=seed)
     if vol == 0.0:
         raise EvaluationError(f"no one of {samples} volume samples hit the body")
     return float((vol / unit_ball_volume(K.dim)) ** (1.0 / K.dim))
 
 
-def unit_ball_check(K: Body, F, opt: optimize.OptimizerConfig = optimize.DEFAULT_OPT):
-    """(status, result) of the optimizer's min of h_K(w F) over unit w, for
-    F (k, n) an orthonormal frame: "certified" (the unit ball lies in the
-    projection of K onto F's span) when result.lower >= 1 - GAUGE_TOL,
-    "refuted" when result.value is below that, else "unverified"; the
-    result's direction is the witness w F.  F is checked by
+def unit_ball_check(K: Body, F, opt: optimize.OptimizerConfig = optimize.DEFAULT_OPT,
+                    what="P K"):
+    """The one check that the unit ball lies in the projection of K onto
+    the span of F (k, n), an orthonormal frame: the optimizer's min of
+    h_K(w F) over unit w.  Returns (status, result), "certified" when
+    result.lower >= 1 - GAUGE_TOL and "unverified" when neither bound
+    decides; the result's direction is the witness w F.  A value below
+    1 - GAUGE_TOL refutes the hypothesis and raises HypothesisError,
+    labelled by what, with that witness.  F is checked by
     orthonormal_frame (DomainError); no support: EvaluationError."""
     F = orthonormal_frame(F, K.dim)
     res = optimize.minimize_on_sphere_batch(map_pieces(K.support_pieces, F), len(F), 1, opt)[0]
-    status = ("certified" if res.lower is not None and res.lower >= 1.0 - GAUGE_TOL
-              else "refuted" if res.value < 1.0 - GAUGE_TOL else "unverified")
-    return status, replace(res, direction=res.direction @ F)
+    witness = res.direction @ F
+    if res.value < 1.0 - GAUGE_TOL:
+        raise HypothesisError(f"{what}: projected body does not contain the unit ball "
+                              f"(support {res.value:.12g} < 1)", witness=witness)
+    status = "certified" if res.lower is not None and res.lower >= 1.0 - GAUGE_TOL else "unverified"
+    return status, replace(res, direction=witness)

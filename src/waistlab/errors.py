@@ -24,16 +24,9 @@ class EvaluationError(WaistlabError, RuntimeError):
     sample hit a body whose volume is needed."""
 
 
-class ContainmentError(WaistlabError):
-    """A required set containment failed; carries a witness direction."""
-
-    def __init__(self, message, direction=None):
-        super().__init__(message)
-        self.direction = direction
-
-
 class HypothesisError(WaistlabError):
-    """A hypothesis check refuted its hypothesis; carries the witness."""
+    """A hypothesis check refuted its hypothesis; carries the witness (the
+    direction of a unit-ball check, the frame of a section)."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)

@@ -22,12 +22,12 @@ import numpy as np
 from ._util import (ball_points, bernoulli_se, canonical_dumps, chunk_rows, chunk_sizes,
                     quantile_summary, row_norms, seed_sequence, sphere_points, write_csv)
 from .bodies import (Body, ball_factors, difference_body, linear_image, mc_volume,
-                     orthonormal_frame, polar, volume_ratio)
+                     orthonormal_frame, polar, unit_ball_check, volume_ratio)
 from .errors import (DomainError, EvaluationError, HypothesisError, InfeasibleScheduleError,
                      NetConstructionError)
 from .estimators import (diameter_of_intersection, inclusion_radius, mc_sigma_body,
                          section_diameter)
-from .geometry import canonical_frame, check_projected_ball, haar_rotations_per_seed, lift_waist
+from .geometry import canonical_frame, haar_rotations_per_seed, lift_waist
 from .measures import (DEFAULT_CONSTANTS, BoundConstants, SubsphereQuery, sigma_ball_product,
                        sigma_exact, sigma_lip_lower)
 from .optimize import DEFAULT_OPT, OptimizerConfig, minimize_on_sphere
@@ -347,7 +347,7 @@ def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
     is.  The hypotheses come first, with opt; a refuted one raises
     HypothesisError.  Primal: section diameters within section_bound +
     SECTION_TOL, certified if their upper brackets are.  Dual: B in P K
-    and Q L (check_projected_ball).  summary["hypothesis"] reports them.
+    and Q L (bodies.unit_ball_check).  summary["hypothesis"] reports them.
     """
     if mode not in ("primal", "dual", "both"):
         raise DomainError(f"mode must be primal, dual, or both, got {mode!r}")
@@ -381,8 +381,8 @@ def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
             hypothesis[f"section_{name}"] = {"status": "certified" if ok else "unverified",
                                              "upper_bracket": d.upper_bracket, "note": d.note}
     if dual:
-        hypothesis["ball_in_PK"] = _ball_echo(*check_projected_ball(K, section_K, "P K", opt))
-        hypothesis["ball_in_QL"] = _ball_echo(*check_projected_ball(L, section_L, "Q L", opt))
+        hypothesis["ball_in_PK"] = _ball_echo(*unit_ball_check(K, section_K, opt))
+        hypothesis["ball_in_QL"] = _ball_echo(*unit_ball_check(L, section_L, opt, "Q L"))
 
     columns = ["trial"]
     if primal:
@@ -621,7 +621,7 @@ def run_higher_sphere(cap_spec: dict, n: int, m: int, theta: float, samples: int
 def run_projection(K: Body, P: np.ndarray, eps: float, samples: int, seed=0, *,
                    lift_checks: int = 200) -> ExperimentReport:
     """Neighborhood-measure lower bound through a projected unit ball, plus
-    the lifted-waist containment checks, after check_projected_ball.  P is
+    the lifted-waist containment checks, after bodies.unit_ball_check.  P is
     the subspace's frame (k, n); lift_checks random unit vectors x of it
     and their negatives are lifted in one lift_waist call."""
     t0 = time.perf_counter()
@@ -629,7 +629,7 @@ def run_projection(K: Body, P: np.ndarray, eps: float, samples: int, seed=0, *,
     P = orthonormal_frame(P, K.dim)
     n, k = K.dim, len(P)
     _, s_mc, s_lift = seed_sequence(seed).spawn(3)
-    hypothesis = {"ball_in_PK": _ball_echo(*check_projected_ball(K, P))}
+    hypothesis = {"ball_in_PK": _ball_echo(*unit_ball_check(K, P))}
 
     lhs, lhs_se = mc_sigma_body(K, eps, samples, seed=s_mc)
     equality_ref = sigma_exact(SubsphereQuery(n - 1, k - 1, math.asin(eps)))

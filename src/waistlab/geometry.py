@@ -3,7 +3,8 @@ covering nets, spherical projection, and norm-minimal waist liftings.
 A rotation is a plain (n, n) orthogonal float array, and a k-dimensional
 subspace of R^n is a plain (k, n) float array of orthonormal rows, its
 frame; bodies.orthonormal_frame checks both.  lift_waist lifts one unit
-vector of a subspace or a batch of them, in one cyclic projection."""
+vector of a subspace or a batch of them, in one cyclic projection, after
+its hypothesis B in P K is checked by bodies.unit_ball_check."""
 
 from __future__ import annotations
 
@@ -14,9 +15,7 @@ import numpy as np
 
 from ._util import row_norms, sphere_points
 from .bodies import Body, dykstra, orthonormal_frame, unit_ball_check
-from .errors import (DomainError, EmptyFiberError, EvaluationError,
-                     HypothesisError, NetConstructionError)
-from .optimize import DEFAULT_OPT, OptimizerConfig
+from .errors import DomainError, EmptyFiberError, EvaluationError, NetConstructionError
 
 __all__ = [
     "SphereNet",
@@ -28,7 +27,6 @@ __all__ = [
     "geodesic_distance",
     "spherical_projection",
     "build_net",
-    "check_projected_ball",
     "lift_waist",
     "segment_cap_check",
 ]
@@ -144,10 +142,6 @@ class SphereNet:
     def cardinality(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def n(self) -> int:
-        return self.points.shape[1]
-
     def to_json_dict(self) -> dict:
         return {"delta": self.delta, "cardinality": self.cardinality,
                 "certification": self.certification,
@@ -243,17 +237,6 @@ def build_net(n: int, delta: float, seed=None) -> SphereNet:
     raise NetConstructionError("probe certification failed to close after 8 rounds")
 
 
-def check_projected_ball(K: Body, P, what="P K", opt: OptimizerConfig = DEFAULT_OPT):
-    """bodies.unit_ball_check of P K, for P a frame (k, n), returned; a
-    refuted check raises HypothesisError, labelled by what, with the
-    check's witness."""
-    status, res = unit_ball_check(K, P, opt)
-    if status == "refuted":
-        raise HypothesisError(f"{what}: projected body does not contain the unit "
-                              f"ball (support {res.value:.12g} < 1)", witness=res.direction)
-    return status, res
-
-
 def _first(mask):
     """The index of the first true entry of mask, or None."""
     hits = np.flatnonzero(mask)
@@ -271,8 +254,8 @@ def lift_waist(K: Body, P, x, *, verify_hypothesis: bool = True):
     between the body and the fibers' affine hulls, from the origin; every
     step reads only its own row, so a row's lift equals its lift alone,
     bit for bit.  The min-norm selection is odd for symmetric bodies and
-    continuous in x.  verify_hypothesis first runs check_projected_ball,
-    once, which raises when it refutes that B is in P K.  A row that is
+    continuous in x.  verify_hypothesis first runs unit_ball_check, once,
+    which raises when it refutes that B is in P K.  A row that is
     not a unit vector of the subspace raises DomainError, and one whose
     fiber is empty EmptyFiberError, with the first such row as witness; a
     run that does not converge raises EmptyFiberError witnessed by x.
@@ -294,7 +277,7 @@ def lift_waist(K: Body, P, x, *, verify_hypothesis: bool = True):
         raise EvaluationError("lifting requires a body with a projection route")
 
     if verify_hypothesis:
-        check_projected_ball(K, P)
+        unit_ball_check(K, P)
 
     # each row carries its target coordinates t in its last k columns,
     # which neither projection moves, so dykstra's live rows keep theirs

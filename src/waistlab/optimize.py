@@ -1318,45 +1318,55 @@ def polyhedron_points(A, b, X):
     Hanson, Solving Least Squares Problems, 1974, ch. 23).
 
     Members (A x <= b exactly) come back unchanged.  Every other row first
-    takes its projection onto the halfspace of its most violated facet,
-    the one farthest from x; when that point is a member, it is the
-    nearest point, since no member is nearer than the halfspace.  Each
-    remaining row solves min |z| subject to A (x + z) <= b as one nnls of
-    the (n + 1) x k system E = [-A^T; (A x - b)^T], f = e_{n+1}: with the
-    residual r = E u - f, z = -r[:n] / r[n].  A point is a member when it
-    violates no facet by more than MEMBER_TOL (|b|_inf + max_i |A_i| |y|).
-    Raises EvaluationError for a point that is not, and when nnls stops at
-    its iteration cap, meets a non-finite row or finds the polyhedron empty.
-    A row's point has the same bits in any batch (see _row_products).
+    takes its projection onto the halfspace of its most violated facet, at
+    distance d from x; when that point is a member, it is the nearest
+    point, since no member is nearer than the halfspace.  Each remaining
+    row solves min |z| subject to A (x + z) <= b as one nnls of the
+    (n + 1) x k system E = [-A^T; (A x - b)^T / d], f = e_{n+1}: with the
+    residual r = E u - f, z = -d r[:n] / r[n], where r[n] = -1 / (1 + |z / d|^2)
+    keeps its digits however far x lies, as |z| >= d; -r[n] <= MEMBER_TOL
+    reads as an empty polyhedron.  A point is a member when it violates no
+    facet by more than MEMBER_TOL (|b|_inf + max_i |A_i| |y|); one that is
+    not, by the rounding of a far x, is projected once more, which moves it
+    by at most its error.  Raises EvaluationError for a point still not a
+    member, and when nnls stops at its iteration cap, meets a non-finite
+    row or finds the polyhedron empty.  A row's point has the same bits in
+    any batch (see _row_products).
     """
     A, b, X = (np.asarray(a, dtype=float) for a in (A, b, X))
     n = X.shape[1]
     norms = row_norms(A)
     b_top, a_top = np.max(np.abs(b)), np.max(norms)
+    f = np.eye(n + 1)[n]
 
     def members(Y):
         excess = np.max(_row_products(Y, A) - b, axis=1)
         return excess <= MEMBER_TOL * (b_top + a_top * row_norms(Y))
 
     out = np.array(X, copy=True)
-    V = _row_products(X, A) - b
-    rows = np.flatnonzero(~np.all(V <= 0.0, axis=1))  # a NaN row is outside
-    top = np.argmax(V[rows] / norms, axis=1)
-    out[rows] = X[rows] - (V[rows, top] / norms[top] ** 2)[:, None] * A[top]
-    solve = rows[~members(out[rows])]
-    f = np.eye(n + 1)[n]
-    for i in solve:
-        E = np.vstack([-A.T, V[i]])
-        try:
-            u, _ = _nnls(E, f)
-        except (RuntimeError, ValueError) as exc:  # its iteration cap, a non-finite row
-            raise EvaluationError(f"least-distance program failed at row {i}: {exc}") from exc
-        r = E @ u - f
-        if not r[n] < 0.0:
-            raise EvaluationError(f"least-distance program at row {i}: the polyhedron is empty")
-        out[i] = X[i] - r[:n] / r[n]
-    bad = solve[~members(out[solve])]
-    if bad.size:
-        raise EvaluationError(f"least-distance point of row {bad[0]} is not a member "
+    rows = np.arange(X.shape[0])
+    for _ in range(2):
+        V = _row_products(out[rows], A) - b
+        outside = ~np.all(V <= 0.0, axis=1)  # a NaN row is outside
+        rows, V = rows[outside], V[outside]
+        top = np.argmax(V / norms, axis=1)
+        v_top = V[np.arange(rows.size), top]
+        far = v_top / norms[top]
+        Y = out[rows] - (v_top / norms[top] ** 2)[:, None] * A[top]
+        solve = np.flatnonzero(~members(Y))
+        for j in solve:
+            i, E = rows[j], np.vstack([-A.T, V[j] / far[j]])
+            try:
+                u, _ = _nnls(E, f)
+            except (RuntimeError, ValueError) as exc:  # its iteration cap, a non-finite row
+                raise EvaluationError(f"least-distance program failed at row {i}: {exc}") from exc
+            r = E @ u - f
+            if not -r[n] > MEMBER_TOL:
+                raise EvaluationError(f"least-distance program at row {i}: the polyhedron is empty")
+            Y[j] = out[i] - far[j] * (r[:n] / r[n])
+        out[rows] = Y
+        rows = rows[solve[~members(Y[solve])]]
+    if rows.size:
+        raise EvaluationError(f"least-distance point of row {rows[0]} is not a member "
                               f"within {MEMBER_TOL:g} of scale")
     return out

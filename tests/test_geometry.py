@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from waistlab import geometry
 from waistlab._util import sphere_points
 from waistlab.bodies import (ball, cube, ellipsoid, orthonormal_frame, product_body,
                              slab_body)
@@ -292,6 +293,15 @@ def test_lift_empty_fiber_reported():
     with pytest.raises(EmptyFiberError):
         lift_waist(ball(3, 0.9), canonical_frame(3, 1), [1.0, 0.0, 0.0],
                    verify_hypothesis=False)
+
+
+def test_lift_that_does_not_converge_is_reported(monkeypatch):
+    # one sweep moves a lift off the origin, so a cap of one sweep raises
+    monkeypatch.setattr(geometry, "LIFT_CAP", 1)
+    x = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(EmptyFiberError, match="failed to converge") as exc:
+        lift_waist(cube(3, 1.0), canonical_frame(3, 2), x, verify_hypothesis=False)
+    assert np.array_equal(exc.value.witness, x)
 
 
 def test_lift_rejects_off_subspace_input():

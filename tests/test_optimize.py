@@ -515,8 +515,9 @@ def test_nearest_points_raise_at_the_iteration_cap(monkeypatch):
 
 
 def test_polyhedron_points_raise_and_never_return_a_silent_point(monkeypatch):
-    # {x <= -1} and {x >= 1} share no point, so no point returned is a member
-    with pytest.raises(EvaluationError):
+    # {x <= -1} and {x >= 1} share no point: nnls leaves a residual of
+    # rounding size, which reads as an empty polyhedron
+    with pytest.raises(EvaluationError, match="the polyhedron is empty"):
         optimize.polyhedron_points([[1.0], [-1.0]], [-1.0, -1.0], [[0.0]])
     square = (np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
     with pytest.raises(EvaluationError):
