@@ -2,10 +2,10 @@
 
 A gauge or a support function is written once, as a max of Pieces: facet
 rows, implicit l1 sign families, Euclidean norms of linear maps and sums of
-such maxima.  A function with no such form (an LP, a membership bisection)
-is one smooth piece, the function itself.  Bodies evaluate their gauge and
-support from their pieces, and the optimizer's stages, descent and
-epigraph solve read the same pieces and their subgradients.
+such maxima.  A function with no such form (a membership bisection, the
+0/+inf indicator of a subspace) is one smooth piece.  Bodies evaluate their
+gauge and support from their pieces, and the optimizer's stages, descent
+and epigraph solve read the same pieces and their subgradients.
 
 Pieces compose: map_pieces composes them with a linear map (a stack of
 maps gives one field per map), select_pieces picks fields out of such a

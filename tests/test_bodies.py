@@ -34,8 +34,6 @@ SIMPLEX = np.array([[1.0, 0.2, -0.3], [-0.4, 1.1, 0.0],
 
 
 def catalog3():
-    # the slab body comes last: its support is an LP solve, exact only to
-    # the solver tolerance, so the homogeneity test leaves it out
     simplex = vertex_polytope(SIMPLEX)
     return [ball(3, 1.5), cube(3, 0.8), cross_polytope(3, 1.2),
             ellipsoid([1.0, 2.0, 0.5]),
@@ -115,17 +113,71 @@ def test_slab_body_unbounded_support():
 
 
 def test_slab_basis_support_is_closed_form():
-    # three normals in R^3: the support is one l1 piece, which equals the LP
-    # support of the same slabs with a redundant fourth slab added
+    # three normals in R^3: the support is one l1 piece, which equals the
+    # polar facet support of the same slabs with a redundant fourth slab
     N = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.3], [-0.5, 1.0, 1.0]])
     w = [1.1, 1.0, 1.3]
     K = slab_body(N, w)
     (piece,) = K.support_pieces
     assert piece.kind == "l1"
-    lp = slab_body(np.vstack([N, [1.0, 0.0, 0.0]]), w + [5.0])
-    assert lp.support_pieces[0].kind == "smooth"
+    over = slab_body(np.vstack([N, [1.0, 0.0, 0.0]]), w + [5.0])
+    assert over.support_pieces[0].kind == "linear"
     U = sphere_points(np.random.default_rng(30), 50, 3)
-    assert np.allclose(K.support(U), lp.support(U), rtol=1e-12, atol=0)
+    assert np.allclose(K.support(U), over.support(U), rtol=1e-12, atol=0)
+
+
+def _slab_normals(m, n, rank, seed):
+    """m random normals spanning a random rank-dimensional subspace of R^n,
+    off the axes when rank < n, and m widths."""
+    rng = np.random.default_rng(seed)
+    frame = np.linalg.qr(rng.normal(size=(n, n)))[0][:rank]
+    return rng.normal(size=(m, rank)) @ frame, rng.uniform(0.3, 1.2, m)
+
+
+SLAB_CASES = {"basis-3": (3, 3, 3), "basis-6": (6, 6, 6),
+              "over-4x3": (4, 3, 3), "over-7x5": (7, 5, 5), "over-12x6": (12, 6, 6),
+              "over-12x8": (12, 8, 8),
+              "flat-1in3": (1, 3, 1), "flat-2in3": (4, 3, 2), "flat-1in5": (2, 5, 1),
+              "flat-3in6": (5, 6, 3), "flat-7in8": (9, 8, 7)}
+
+
+@pytest.mark.parametrize("m, n, rank", SLAB_CASES.values(), ids=SLAB_CASES)
+def test_slab_support_agrees_with_linprog(m, n, rank):
+    # the support is the gauge of the polar vertex polytope on the span of
+    # the normals: a closed l1 form for independent normals, else one
+    # linear piece of the polar's facets; a second piece reads +inf off it
+    from scipy.optimize import linprog
+
+    N, w = _slab_normals(m, n, rank, seed=10 * m + n)
+    K = slab_body(N, w)
+    kinds = ["l1" if rank == m else "linear"] + ["smooth"] * (rank < n)
+    assert [p.kind for p in K.support_pieces] == kinds
+    Nh, wh = N / row_norms(N)[:, None], w / row_norms(N)
+    B = np.linalg.svd(Nh)[2][:rank]
+    rng = np.random.default_rng(n)
+    U = rng.normal(size=(40, rank)) @ B
+    lp = [linprog(-u, A_ub=np.vstack([Nh, -Nh]), b_ub=np.r_[wh, wh],
+                  bounds=(None, None), method="highs") for u in U]
+    assert all(res.status == 0 for res in lp)
+    np.testing.assert_allclose(K.support(U), [-res.fun for res in lp], rtol=1e-9, atol=0)
+    if rank < n:
+        assert np.all(np.isinf(K.support(rng.normal(size=(40, n)))))
+
+
+def test_basis_slab_support_stays_closed_form_in_high_dimension():
+    # independent normals keep their 2^m sign rows implicit: a basis of
+    # R^24 builds and evaluates a thousand rows at once, where its polar
+    # cross-polytope would list 2^24 facets
+    rng = np.random.default_rng(24)
+    N, w = rng.normal(size=(24, 24)), rng.uniform(0.5, 1.5, 24)
+    t0 = time.perf_counter()
+    K = slab_body(N, w)
+    U = rng.normal(size=(1000, 24))
+    h = K.support(U)
+    assert time.perf_counter() - t0 < 1.0
+    assert [p.kind for p in K.support_pieces] == ["l1"]
+    A = N / w[:, None]
+    np.testing.assert_allclose(h, np.abs(np.linalg.solve(A.T, U.T)).sum(axis=0), rtol=1e-9)
 
 
 def _slabs(m, seed):
@@ -213,10 +265,21 @@ def test_one_normal_slab_projects_by_its_clip(n, w):
 
 
 def test_slab_unit_ball_check_certifies_fast():
-    t0 = time.perf_counter()
-    status, res = unit_ball_check(slab_body(np.eye(3), [1.0, 1.2, 1.5]), np.eye(3))
-    assert status == "certified" and res.value == pytest.approx(1.0, abs=1e-12)
-    assert time.perf_counter() - t0 < 1.0
+    # a basis certifies by its l1 piece's floor and five normals of R^3 by
+    # the convex hull; one normal checked along itself reads its width, as
+    # the off-span piece reads 0 on the span
+    N5 = np.random.default_rng(5).normal(size=(5, 3))
+    one = np.array([[1.0, 2.0, 0.5]])
+    for K, F, value, method in [
+            (slab_body(np.eye(3), [1.0, 1.2, 1.5]), np.eye(3), 1.0, "piece floor"),
+            (slab_body(N5, 1.05 * row_norms(N5)), np.eye(3), 1.05, "convex hull"),
+            (slab_body(one, 1.2 * row_norms(one)), one / row_norms(one), 1.2,
+             "both points of the 0-sphere")]:
+        t0 = time.perf_counter()
+        status, res = unit_ball_check(K, F)
+        assert time.perf_counter() - t0 < 1.0
+        assert status == "certified" and res.method == method
+        assert res.value == pytest.approx(value, abs=1e-12)
 
 
 def test_unit_ball_check_rejects_a_non_orthonormal_frame():
@@ -770,7 +833,7 @@ def test_distance_zero_iff_member():
 
 def test_support_homogeneity():
     rng = np.random.default_rng(13)
-    for K in catalog3()[:-1]:
+    for K in catalog3():
         u = sphere_points(rng, 20, K.dim)
         assert np.allclose(np.asarray(K.support(3.5 * u)),
                            3.5 * np.asarray(K.support(u)), rtol=1e-12)

@@ -599,11 +599,11 @@ def test_worker_count_env(monkeypatch):
 
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is imported where linprog, minimize and nnls are
-    # called, since importing it takes longer than most commands run; the
-    # exact stages import nothing from it, those that do not take a field
-    # decline it before any import, and building a polyhedral body imports
-    # nothing from it before its first projection
+    # scipy.optimize is imported where minimize and nnls are called, since
+    # importing it takes longer than most commands run; the exact stages
+    # import nothing from it, those that do not take a field decline it
+    # before any import, and building a polyhedral body, evaluating a slab's
+    # support or certifying a slab's hypothesis imports nothing from it
     src = str(Path(waistlab.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -631,11 +631,17 @@ assert [(r.stage, r.method) for r in answers] == [("exact", "S-lemma dual")] * 2
 """
     polyhedra = """
 import numpy as np
-from waistlab.bodies import cube, intersect, linear_image, slab_body, vertex_polytope
+from waistlab.bodies import (cube, intersect, linear_image, slab_body, unit_ball_check,
+                             vertex_polytope)
 rng = np.random.default_rng(0)
 bodies = [slab_body(rng.normal(size=(5, 3)), np.ones(5)),
           linear_image(vertex_polytope(rng.normal(size=(12, 3))), -np.eye(3)),
           intersect(cube(3, 1.0), slab_body(rng.normal(size=(2, 3)), [0.5, 0.5]))]
+N = np.random.default_rng(5).normal(size=(5, 3))
+five = slab_body(N, 1.05 * np.linalg.norm(N, axis=1))
+for K in (bodies[0], five, slab_body(rng.normal(size=(2, 3)), [0.5, 0.5])):
+    K.support(rng.normal(size=(20, 3)))
+assert unit_ball_check(five, np.eye(3))[0] == "certified"
 """
     for script in ("import waistlab.cli", polytopes, norms, polyhedra):
         out = subprocess.run([sys.executable, "-c",
