@@ -287,17 +287,25 @@ def _bisection_gauge(contains, bracket):
 # ---------------------------------------------------------------------------
 
 
+def _finite(value, field_name):
+    """value, or SpecError naming the field when an entry is not finite."""
+    if not np.all(np.isfinite(value)):
+        raise SpecError(f"{field_name}: must be finite, got {np.asarray(value).tolist()}")
+    return value
+
+
 def _positive(value, field_name):
-    if not float(value) > 0.0:
+    value = _finite(float(value), field_name)
+    if not value > 0.0:
         raise SpecError(f"{field_name}: must be strictly positive, got {value}")
-    return float(value)
+    return value
 
 
 def ball(dim: int, radius: float) -> Body:
     """Euclidean ball of the given radius; radius 0 is the degenerate origin."""
     if dim < 1:
         raise SpecError(f"dim: must be >= 1, got {dim}")
-    r = float(radius)
+    r = _finite(float(radius), "radius")
     if r < 0:
         raise SpecError(f"radius: must be nonnegative, got {radius}")
     if r == 0.0:
@@ -382,7 +390,7 @@ def ellipsoid(semiaxes) -> Body:
     s = np.asarray(semiaxes, dtype=float)
     if s.ndim != 1 or s.size < 1:
         raise SpecError("semiaxes: must be a nonempty vector")
-    if not (s > 0).all():
+    if not (_finite(s, "semiaxes") > 0).all():
         raise SpecError("semiaxes: must be strictly positive")
     dim = s.size
     s2 = s * s
@@ -440,9 +448,9 @@ def slab_body(normals, widths) -> Body:
     w = np.atleast_1d(np.asarray(widths, dtype=float))
     if N.shape[0] != w.shape[0]:
         raise SpecError("widths: must match the number of normals")
-    if not (w > 0).all():
+    if not (_finite(w, "widths") > 0).all():
         raise SpecError("widths: must be strictly positive")
-    norms = row_norms(N)
+    norms = row_norms(_finite(N, "normals"))
     if not (norms > 0).all():
         raise SpecError("normals: zero normal vector")
     Nh = N / norms[:, None]
@@ -536,7 +544,7 @@ def vertex_polytope(vertices) -> Body:
     max_i A_i x / b_i when the origin is interior, and otherwise the
     facet gauge, +inf where no dilate holds x.  It is symmetric when the
     vertex list is centrally symmetric."""
-    V = np.atleast_2d(np.asarray(vertices, dtype=float))
+    V = _finite(np.atleast_2d(np.asarray(vertices, dtype=float)), "vertices")
     m, dim = V.shape
     if m < dim + 1:
         raise SpecError(f"vertices: need at least dim+1 = {dim + 1} points, got {m}")

@@ -26,22 +26,26 @@ the earlier one on a tie; nfev adds up over every stage that ran.  So a
 descended field carries the best bound of its stages and that stage's
 method, or lower and method None when no stage bounded it.
 
+The answer.  One rule, _least, values every answer: the first least of
+a stage's or the polish's candidates, each valued alone, since a row's
+value in a batched evaluation can differ in its last digits.  The
+polish's candidates are the descent's best row, then the polished
+points; Cauchy-Schwarz values its rows alone as it offers them.
+
 A result (SphereOptResult) means:
-- value: the field at direction, a unit vector, evaluated alone, since a
-  row's value in a batched evaluation can differ in its last digits;
-  non-finite values read as inf.  It is attained, so it bounds the
+- value: the field at direction, a unit vector, valued alone by that
+  rule; non-finite values read as inf.  It is attained, so it bounds the
   minimum from above, and a maximum from the feasible side.
 - lower: a certified lower bound on the minimum; the value itself when
   exact, None when no stage bounded the field.
 - nfev: every row at which the field, a piece or a piece gradient was
-  evaluated.  An exact stage counts the rows its pieces expand to (the
-  two points of the 0-sphere, the S-lemma, Cauchy-Schwarz, facet and
-  floor stages' candidate directions, the hull's rows at its seeds, and
-  the support points of every cutting-plane round) and the evaluations
-  at its directions (one per cutting-plane round, the facet stage's
-  zero-round case included; one for the S-lemma and floor stages, and
-  for an S-lemma field that its batched best does not certify, one more
-  per candidate).
+  evaluated, each valued row once.  An exact stage counts the rows its
+  pieces expand to (the two points of the 0-sphere, the S-lemma,
+  Cauchy-Schwarz, facet and floor stages' candidate directions, the
+  hull's rows at its seeds, and the support points of every cutting-plane
+  round) and one row per cutting-plane round, at its nearest normal, the
+  facet stage's zero-round case included.  The polish adds its starting
+  rows and the descent's best row.
 - stage: "exact" when a stage certified the value within its rounding
   of lower; "bound" for a stage that only bounded the field, a result
   that reaches the caller as it is only for a bracketed field, and
@@ -179,12 +183,12 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
     piece(u) <= t for every piece and |u|^2 = 1 (see _Epigraph), is then
     solved by SLSQP from its POLISH_STARTS best distinct descent
     endpoints, several since fields with l1 terms are multimodal, and a
-    solution is kept only when the field, evaluated there, improves on the
-    descent.  polish_unconverged counts the solves that SLSQP ended
-    without success and polish_nit their SLSQP iterations.  stage is
-    "polish" when a polished point improved on the descent, else
-    "descent".  Each descended result is joined to its exact stages'
-    result by _join.
+    polished point is kept only when its lone value beats the descent's
+    best row's (see _least; a tie goes to the descent).
+    polish_unconverged counts the solves that SLSQP ended without success
+    and polish_nit their SLSQP iterations.  stage is "polish" when a
+    polished point was kept, else "descent".  Each descended result is
+    joined to its exact stages' result by _join.
     """
     if n > 1 and _cs_sum(pieces):  # a stage that runs its fields in lockstep
         first = _cauchy_schwarz(pieces, n, count)
@@ -250,10 +254,9 @@ def _zero_sphere(pieces, n):
     if n != 1:
         return None
     V = np.array([[1.0], [-1.0]])
-    vals = _finite_values(pieces, V)
-    i = int(np.argmin(vals))
-    return SphereOptResult(value=float(vals[i]), direction=V[i], nfev=2, stage="exact",
-                           lower=float(vals[i]), method="both points of the 0-sphere")
+    i, value = _least(pieces, V)
+    return SphereOptResult(value=value, direction=V[i], nfev=2, stage="exact",
+                           lower=value, method="both points of the 0-sphere")
 
 
 def _norms(pieces):
@@ -417,11 +420,12 @@ def _floor(pieces, n):
     sigma_min, all of them when it repeats, and the unit rows of pinv(G)
     for each l1 matrix G, where u G is one-hot (a mapped cube's facet
     normals; rows of norm about 0, from zero or dependent columns, are
-    dropped, so every candidate is a unit vector).  The field is exact when
-    its value at the least candidate, evaluated alone, is within 8 n eps
-    times the largest piece scale (sigma_max of a matrix, the longest row
-    of a linear piece) of the floor, the cutting planes' rule; otherwise it
-    gets stage "bound", with the floor less that tolerance as lower.
+    dropped, so every candidate is a unit vector).  The answer is the
+    least candidate, each valued alone (_least).  The field is exact when
+    that value is within 8 n eps times the largest piece scale (sigma_max
+    of a matrix, the longest row of a linear piece) of the floor, the
+    cutting planes' rule; otherwise it gets stage "bound", with the floor
+    less that tolerance as lower.
 
     None when a piece is a sum or smooth, when a matrix is not finite,
     when no piece gives a floor, or for the S-lemma stage's fields (see
@@ -455,11 +459,10 @@ def _floor(pieces, n):
         return None
     C = _normalize_rows(np.vstack(cands))
     C = np.vstack([C, -C])
-    u = C[int(np.argmin(_finite_values(pieces, C)))]
-    value = float(_finite_values(pieces, u[None])[0])  # alone, as every stage reports it
+    i, value = _least(pieces, C)
     tol = 8 * n * eps * scale
     exact = value - floor <= tol
-    return SphereOptResult(value=value, direction=u, nfev=len(C) + 1,
+    return SphereOptResult(value=value, direction=C[i], nfev=len(C),
                            stage="exact" if exact else "bound",
                            lower=value if exact else max(floor - tol, 0.0),
                            method="piece floor")
@@ -539,7 +542,8 @@ def _cutting_planes(pieces, n, rows, grows, nfev, method, rounds):
     evaluated to find them.  Resumed, it adds at those normals the support
     points of every piece that holds an l2 piece, a row of nfev each; it
     ends when the stage declines the field, and the loop returns None.
-    Each round's value is the field at the nearest normal, evaluated alone.
+    Each round's value is the field at the nearest normal, valued alone
+    (_least).
 
     A field without an l2 piece is its own inner polytope, and its first
     round is exact.  Otherwise, with r = n eps max_i |rows_i|, the first
@@ -556,7 +560,7 @@ def _cutting_planes(pieces, n, rows, grows, nfev, method, rounds):
     rounding = n * np.finfo(float).eps * row_norms(rows).max()
     best_u, best, gaps = None, np.inf, [np.inf]
     for r, (lower, normals, evals) in enumerate(rounds):
-        value = float(_finite_values(pieces, normals[:1])[0])  # alone, as every stage reports it
+        value = _least(pieces, normals[:1])[1]
         nfev += evals + 1
         if value < best:
             best_u, best = normals[0], value
@@ -613,14 +617,11 @@ def _s_lemma(pieces, n):
     vectors on which q_a = q_b, between the two lowest eigenvectors (the
     steps resolve the edge only to rounding, or less at their cap) and,
     when the eigenspace V is degenerate, between the extreme eigenvectors
-    of V^T (Q_a - Q_b) V.  The least candidate is chosen from one batched
-    evaluation, and its value f is then evaluated alone.  With phi the
-    best value and tol = 64 n eps |S|_2 there, which covers eigh's
-    rounding, the field is exact when f^2 - phi <= tol; a field that does
-    not is evaluated at every candidate alone, since a batched value can
-    differ in its last digits, and is exact when the best of those
-    certifies.  Any point gives a valid phi, so a capped edge can only
-    leave a field open.  A field that does not certify carries
+    of V^T (Q_a - Q_b) V.  The answer is the least candidate, each valued
+    alone (_least), with value f.  With phi the best value and
+    tol = 64 n eps |S|_2 there, which covers eigh's rounding, the field is
+    exact when f^2 - phi <= tol.  Any point gives a valid phi, so a capped
+    edge can only leave a field open.  A field that does not certify carries
     sqrt(max(phi - tol, 0)) as a certified lower bound on its minimum.
     Two pieces certify for n >= 3, since the joint range of two quadratic
     forms on that sphere is convex (Brickman, Proc. AMS 12, 1961; Polik &
@@ -678,17 +679,9 @@ def _s_lemma(pieces, n):
         for B in bases:
             cands += list(_ties(_gram(B, M[face[0]]) - _gram(B, M[face[1]])) @ B.T)
     C = _normalize_rows(np.array(cands))
-    u = C[int(np.argmin(_finite_values(pieces, C)))]
-    value = float(_finite_values(pieces, u[None])[0])  # alone, as every stage reports it
-    nfev = len(C) + 1
-    if value * value - phi > tol:
-        # a row's value in a batch can differ from its value alone in its
-        # last digits, so a field that does not certify takes its best row alone
-        vals = [float(_finite_values(pieces, c[None])[0]) for c in C]
-        i = int(np.argmin(vals))
-        u, value, nfev = C[i], vals[i], nfev + len(C)
+    i, value = _least(pieces, C)
     exact = value * value - phi <= tol
-    return SphereOptResult(value=value, direction=u, nfev=nfev,
+    return SphereOptResult(value=value, direction=C[i], nfev=len(C),
                            stage="exact" if exact else "bound",
                            lower=value if exact else math.sqrt(max(phi - tol, 0.0)),
                            method="S-lemma dual")
@@ -799,9 +792,8 @@ def _cauchy_schwarz(pieces, n, count):
       a few intervals open at a time;
     - 0, since g is the least eigenvalue of a PSD matrix.
     An interval is pruned once its bound is within tol / 2 of the best
-    candidate's squared value, tol = 64 n eps (|M_1|_2^2 + |M_2|_2^2); the
-    other half of tol covers the value's last digits, which the batched
-    evaluation of the candidates can differ in from the lone one.  From
+    candidate's squared value, tol = 64 n eps (|M_1|_2^2 + |M_2|_2^2),
+    which leaves the other half of tol to the exactness test below.  From
     each kernel end, a ladder of intervals of z = w (or 1 - w) is pruned
     first: the links [z_{j-1}, z_j], with z_0 = 0 and z_j doubling from
     eps up to 1/2, each by its split bound, up to the first link whose
@@ -821,8 +813,8 @@ def _cauchy_schwarz(pieces, n, count):
     square root of its least bound as a certified lower bound on its
     minimum.  The fields run in lockstep rounds, but every operation acts
     on one field's rows or matrices alone, so a field's result does not
-    depend on the others.  The value is the field at the best direction
-    evaluated alone, as every stage reports it.
+    depend on the others.  offer values each candidate row alone, as
+    _least does, and the answer keeps the value offer computed.
     """
     eps, out = np.finfo(float).eps, [None] * count
     M = [np.broadcast_to(part[0].matrix, (count,) + part[0].matrix.shape[-2:])
@@ -886,7 +878,7 @@ def _cauchy_schwarz(pieces, n, count):
             out[tangent] = np.maximum(out[tangent], tangents.min(axis=0))
         return np.maximum(out, 0.0)  # g is the least eigenvalue of a PSD matrix
 
-    best_u, upper, rows = np.zeros((F, n)), np.full(F, np.inf), np.zeros(F, dtype=int)
+    best_u, best, rows = np.zeros((F, n)), np.full(F, np.inf), np.zeros(F, dtype=int)
 
     def offer(f, C):
         # each row is evaluated alone, so a field's values do not depend on
@@ -896,8 +888,8 @@ def _cauchy_schwarz(pieces, n, count):
         np.add.at(rows, f, 1)
         order = np.lexsort((vals, f))  # stable: the first of equal values wins
         i = order[np.r_[True, f[order][1:] != f[order][:-1]]]
-        i = i[vals[i] ** 2 < upper[f[i]]]
-        best_u[f[i]], upper[f[i]] = C[i], vals[i] ** 2
+        i = i[vals[i] ** 2 < best[f[i]] ** 2]
+        best_u[f[i]], best[f[i]] = C[i], vals[i]
 
     if cand_f:
         offer(np.concatenate(cand_f), np.vstack(cand_u))
@@ -905,7 +897,7 @@ def _cauchy_schwarz(pieces, n, count):
     # z_0 = 0 and z_j doubling from eps to 1/2, each bounded by the split
     floor, T = np.full(F, np.inf), -math.log(eps)
     span = [np.full(F, -T), np.full(F, T)]  # the grid's ends in t
-    aim = upper - 0.5 * tol
+    aim = best ** 2 - 0.5 * tol
     z = np.exp2(np.arange(math.log2(eps), 0.0))[:, None]
     q = 1.0 / (1.0 - np.vstack([0.0, z[:-1]]))
     for i, end in enumerate(ends):
@@ -933,7 +925,7 @@ def _cauchy_schwarz(pieces, n, count):
                          np.full(len(right), np.inf)])
     lower = bounds(fi, ta, tb, aim[fi])
     while True:
-        live = lower < (upper - 0.5 * tol)[fi]
+        live = lower < (best ** 2 - 0.5 * tol)[fi]
         tm = 0.5 * (ta + tb)
         # an interval splits while its midpoint's weights differ from its ends'
         (wa, va), (wm, vm), (wb, vb) = weights(ta), weights(tm), weights(tb)
@@ -952,14 +944,13 @@ def _cauchy_schwarz(pieces, n, count):
         fi, ta, tb = (np.concatenate([fi[stay], new_f]), np.concatenate([ta[stay], new_a]),
                       np.concatenate([tb[stay], new_b]))
         lower = np.concatenate([lower[stay],
-                                bounds(new_f, new_a, new_b, (upper - 0.5 * tol)[new_f])])
+                                bounds(new_f, new_a, new_b, (best ** 2 - 0.5 * tol)[new_f])])
     np.minimum.at(floor, fi, lower)
     open_ = np.bincount(fi[live], minlength=F) > 0
     for j, t in enumerate(fields):
-        u = best_u[j]
-        value = float(_finite_values(select_pieces(pieces, t), u[None])[0])
+        value = float(best[j])
         exact = not open_[j] and value * value - floor[j] <= tol[j]
-        out[t] = SphereOptResult(value=value, direction=u, nfev=int(rows[j]) + 1,
+        out[t] = SphereOptResult(value=value, direction=best_u[j], nfev=int(rows[j]),
                                  stage="exact" if exact else "bound",
                                  lower=value if exact else math.sqrt(max(floor[j], 0.0)),
                                  method="Cauchy-Schwarz")
@@ -1032,6 +1023,20 @@ def _finite_values(pieces, V):
     return np.where(np.isfinite(vals), vals, np.inf)
 
 
+def _least(pieces, C):
+    """(i, value): the first least of the field's values at the rows of C,
+    each valued alone, as one stack of one-row batches C[:, None, :], so
+    that a value has the bits of a one-row call.  A field with a smooth
+    piece values one row per call, since a smooth callable need not be
+    row-local."""
+    if any(p.kind == "smooth" for p in leaves(pieces)):
+        vals = np.array([_finite_values(pieces, c[None])[0] for c in C])
+    else:
+        vals = _finite_values(pieces, C[:, None, :])[:, 0]
+    i = int(np.argmin(vals))
+    return i, float(vals[i])
+
+
 def _descend(pieces, idx, U0, cfg):
     """Lockstep projected descent of the fields idx from the rows of U0.
     Returns their final rows (k, m, n), values (k, m), row counts (k,) and
@@ -1077,27 +1082,17 @@ def _descend(pieces, idx, U0, cfg):
 
 
 def _finish(pieces, U, vals, nfev):
-    """Best descent row of the field, or its polish when that improves it."""
-    # every row only ever improves, so the incumbent is the best current row
-    i = int(np.argmin(vals))
-    best_u, best_v = U[i].copy(), float(vals[i])
-    stage = "descent"
+    """The least of the field's best descent row and its polished points,
+    each valued alone by _least, the row first: a polished point is kept
+    only when its lone value is below the row's."""
     program = _Epigraph(pieces, U.shape[1])
     found = [program.solve(U[j]) for j in _distinct_best(U, vals, POLISH_STARTS)]
-    found = [u for u in found if u is not None]
-    if found:
-        cand = np.vstack(found)
-        cv = _finite_values(pieces, cand)
-        nfev += len(cand)
-        j = int(np.argmin(cv))
-        if cv[j] < best_v:
-            best_u, best_v, stage = cand[j], float(cv[j]), "polish"
-    nfev += program.rows
-    # the value is the field at the direction alone, as every stage reports it
-    value = float(_finite_values(pieces, best_u[None])[0])
-    return SphereOptResult(value=value, direction=best_u, nfev=nfev + 1,
-                           polish_unconverged=program.unconverged, stage=stage,
-                           polish_nit=program.nit)
+    # every row only ever improves, so the incumbent is the best current row
+    C = np.vstack([U[int(np.argmin(vals))]] + [u for u in found if u is not None])
+    i, value = _least(pieces, C)
+    return SphereOptResult(value=value, direction=C[i], nfev=nfev + len(C) + program.rows,
+                           polish_unconverged=program.unconverged,
+                           stage="polish" if i else "descent", polish_nit=program.nit)
 
 
 def _distinct_best(U, vals, count):

@@ -33,6 +33,11 @@ SIMPLEX = np.array([[1.0, 0.2, -0.3], [-0.4, 1.1, 0.0],
                     [-0.5, -0.6, 0.9], [0.1, -0.3, -1.0]])
 
 
+# five normals of R^3: a bounded slab body whose support comes from the
+# polar's Qhull facets, not from an l1 piece
+SLAB5 = np.random.default_rng(5).normal(size=(5, 3))
+
+
 def catalog3():
     simplex = vertex_polytope(SIMPLEX)
     return [ball(3, 1.5), cube(3, 0.8), cross_polytope(3, 1.2),
@@ -42,7 +47,8 @@ def catalog3():
             linear_image(simplex, haar_rotation(3, seed=21)),
             linear_image(ellipsoid([1.0, 2.0, 0.5]), np.eye(3), 1.7),
             linear_image(cube(3, 0.8), -np.eye(3)),
-            slab_body(np.eye(3)[:2], [0.9, 0.6])]
+            slab_body(np.eye(3)[:2], [0.9, 0.6]),
+            slab_body(SLAB5, 1.05 * np.linalg.norm(SLAB5, axis=1))]
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +408,27 @@ def test_spec_invalid_value_named():
         construct_body(BodySpec.from_json_dict({"kind": "cube", "dim": 2, "half_width": -1.0}))
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: ball(3, math.inf), "radius"),
+    (lambda: ball(3, math.nan), "radius"),
+    (lambda: cube(3, math.inf), "half_width"),
+    (lambda: cross_polytope(3, math.inf), "radius"),
+    (lambda: ellipsoid([1.0, math.inf]), "semiaxes"),
+    (lambda: slab_body(np.eye(2), [1.0, math.inf]), "widths"),
+    (lambda: slab_body([[1.0, math.inf], [0.0, 1.0]], [1.0, 1.0]), "normals"),
+    (lambda: vertex_polytope([[0.0, 0.0], [1.0, 0.0], [0.0, math.inf]]), "vertices"),
+    (lambda: truncated_cylinder(ball(2, 1.0), 4, transverse_radius=math.inf),
+     "transverse_radius"),
+    (lambda: truncated_cylinder(ball(2, 1.0), 4, truncation_radius=math.inf),
+     "truncation_radius"),
+], ids=["ball", "ball-nan", "cube", "cross_polytope", "ellipsoid", "slab-width", "slab-normal",
+        "vertex_polytope", "cylinder-transverse", "cylinder-truncation"])
+def test_non_finite_parameters_are_spec_errors_naming_the_field(make, field):
+    # inf * 0 = nan: an infinite radius would put nan into a ball's matrix
+    with pytest.raises(SpecError, match=f"^{field}: must be finite, got "):
+        make()
+
+
 def test_catalog_fields_are_constructor_parameters():
     from waistlab.bodies import _CATALOG
 
@@ -418,6 +445,10 @@ def test_spec_omitted_optional_field_takes_constructor_default():
     default = inspect.signature(truncated_cylinder).parameters["truncation_radius"].default
     assert K.spec.params["truncation_radius"] == default
     assert K.spec.params["transverse_radius"] is None and K.truncated
+    # null is the unbounded cylinder, not a non-finite radius
+    K = construct_body({"kind": "truncated_cylinder", "core": core, "dim": 4,
+                        "transverse_radius": None})
+    assert K.truncated and K.support(np.eye(4)[3]) == default
 
 
 # ---------------------------------------------------------------------------
@@ -851,6 +882,20 @@ def _sup(X):
     return np.abs(X).max(axis=1)
 
 
+def _slab_vertices(N, w):
+    """The vertices of {x : |<N_i, x>| <= w_i} in R^3: the points where
+    three of its facets meet that lie in every slab."""
+    A, b = np.vstack([N, -N]), np.concatenate([w, w])
+    V = []
+    for rows in itertools.combinations(range(len(A)), 3):
+        T = A[list(rows)]
+        if abs(np.linalg.det(T)) > 1e-9:
+            x = np.linalg.solve(T, b[list(rows)])
+            if np.all(A @ x <= b + 1e-9):
+                V.append(x)
+    return np.array(V)
+
+
 def piece_bodies():
     """(body, gauge, support) for catalog3(), the polars of its symmetric
     bodies and a truncated cylinder, whose product pieces are zero-padded;
@@ -861,6 +906,8 @@ def piece_bodies():
     Q = haar_rotation(3, seed=21)
     facets = ConvexHull(SIMPLEX).equations
     A, b = facets[:, :-1], -facets[:, -1]
+    N5 = SLAB5 / np.linalg.norm(SLAB5, axis=1)[:, None]  # unit normals, every width 1.05
+    V5 = _slab_vertices(N5, np.full(5, 1.05))
     closed = [
         (lambda X: _l2(X) / 1.5, lambda U: 1.5 * _l2(U)),
         (lambda X: _sup(X) / 0.8, lambda U: 0.8 * _l1(U)),
@@ -873,6 +920,7 @@ def piece_bodies():
         # unbounded along the third axis: the support is infinite off u3 = 0
         (lambda X: _sup(X[:, :2] / [0.9, 0.6]),
          lambda U: np.where(U[:, 2] == 0, _l1(U[:, :2] * [0.9, 0.6]), np.inf)),
+        (lambda X: _sup(X @ N5.T) / 1.05, lambda U: (U @ V5.T).max(axis=1)),
     ]
     out = [(K, g, h) for K, (g, h) in zip(catalog3(), closed, strict=True)]
     out += [(polar(K), h, g) for K, g, h in out if K.symmetric and K.inner_radius > 0]

@@ -132,6 +132,20 @@ def test_body_unreadable_value_is_a_usage_error(capsys, tmp_path, spec, options,
     assert err.startswith(f"error: {key}: cannot read ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spec, direction, key", [
+    ({"kind": "ball", "dim": 3, "radius": math.inf}, "1,0,0", "radius"),
+    ({"kind": "slab_intersection", "normals": [[1, 0], [0, 1]], "widths": [1.0, math.inf]},
+     "0,1", "widths"),
+], ids=["ball", "slab"])
+def test_body_non_finite_parameter_is_a_usage_error(capsys, tmp_path, spec, direction, key):
+    # json writes and reads inf as Infinity
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "body", "--spec", str(path), "--direction", direction)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {key}: must be finite, got ") and err.count("\n") == 1
+
+
 def test_unknown_subcommand_exit_two(capsys):
     assert main(["frobnicate"]) == 2
 
