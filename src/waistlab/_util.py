@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
+from functools import reduce
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -55,7 +57,7 @@ def worker_count() -> int:
     """The WAISTLAB_THREADS environment variable as a count (>= 1).
 
     Nothing in waistlab reads it: the harnesses run their trials batched
-    on one thread, and the Monte-Carlo samplers' pool (hit_fraction)
+    on one thread, and the Monte-Carlo samplers' pool (block_reduce)
     sizes itself from the CPU affinity (cpu_count), not from this
     variable.  It is kept only because perfbench/run.py records it,
     until a change to the benchmark drops it."""
@@ -157,35 +159,46 @@ def block_rng(ss: np.random.SeedSequence, b: int) -> np.random.Generator:
         ss.entropy, spawn_key=(*ss.spawn_key, b), pool_size=ss.pool_size))
 
 
-def hit_fraction(samples: int, width: int, hits, seed=None):
-    """Monte-Carlo proportion with its standard error: hits(rng, m) draws
-    m points of `width` float64 values each from rng and returns their
-    hits (a mask or a count), until `samples` points are drawn.
+def block_reduce(samples: int, width: int, chunk, combine, seed=None):
+    """The results of chunk(rng, m) over a Monte-Carlo stream of `samples`
+    points of `width` float64 values each, folded by combine(a, b):
+    chunk(rng, m) draws m points from rng and returns their result.
 
     The points come in blocks of STREAM_ROWS (the last may be shorter),
     and block b draws from block_rng(seed_sequence(seed), b).  A pool of
-    min(cpu_count(), blocks) threads counts the blocks (one worker counts
-    them inline); each worker draws its block in chunks of
+    min(cpu_count(), blocks) threads reduces the blocks (one worker
+    reduces them inline); each worker draws its block in chunks of
     chunk_rows(width * workers) points, so the values in flight stay at
-    CHUNK_FLOATS, and peak memory does not grow with samples.  The counts
-    are integers, so their sum, and the estimate, depend on the seed and
-    STREAM_ROWS only: not on the chunk size, the worker count or the
-    order in which the blocks finish.  Evaluators that hold the GIL, such
-    as a Python loop of SLSQP solves, gain nothing from the pool."""
+    CHUNK_FLOATS, and peak memory does not grow with samples.  The chunk
+    results of a block, then the block results, are combined in block
+    order.  When combine is exact, as integer counts that add and float
+    maxima are, the result depends on the seed and STREAM_ROWS only: not
+    on the chunk size, the worker count or the order in which the blocks
+    finish.  Evaluators that hold the GIL, such as a Python loop of
+    SLSQP solves, gain nothing from the pool."""
     ss = seed_sequence(seed)
     blocks = list(chunk_sizes(samples, STREAM_ROWS))
     workers = min(cpu_count(), len(blocks))
     rows = chunk_rows(width * workers)
 
-    def count(b):
+    def reduce_block(b):
         rng = block_rng(ss, b)
-        return sum(int(np.count_nonzero(hits(rng, m))) for m in chunk_sizes(blocks[b], rows))
+        return reduce(combine, (chunk(rng, m) for m in chunk_sizes(blocks[b], rows)))
 
     if workers == 1:
-        total = sum(map(count, range(len(blocks))))
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            total = sum(pool.map(count, range(len(blocks))))
+        return reduce(combine, map(reduce_block, range(len(blocks))))
+    with ThreadPoolExecutor(workers) as pool:
+        return reduce(combine, pool.map(reduce_block, range(len(blocks))))
+
+
+def hit_fraction(samples: int, width: int, hits, seed=None):
+    """Monte-Carlo proportion with its standard error: hits(rng, m) draws
+    m points of `width` float64 values each from rng and returns their
+    hits (a mask or a count), until `samples` points are drawn.  The hit
+    counts of block_reduce's seeded blocks add, so the estimate depends on
+    the seed and STREAM_ROWS only."""
+    total = block_reduce(samples, width, lambda rng, m: int(np.count_nonzero(hits(rng, m))),
+                         operator.add, seed)
     p = total / samples
     return p, bernoulli_se(p, samples)
 

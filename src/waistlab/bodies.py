@@ -21,14 +21,15 @@ one construction of a sum of two bodies: the eps-neighborhood is the sum
 with the eps-ball and the difference body is K + (-K).  Every sum of
 support pieces is built by pieces.sum_pieces.  Where no closed form exists,
 projection and distance go through programs: every polyhedral body (slab
-intersections, vertex polytopes, each hull facet once, and intersections
-whose joined gauge is polyhedral with a positive inner radius) through the
-exact least-distance program of optimize.polyhedron_points, scaled so that
-far rows keep their digits, an intersection with a curved part
-through cyclic corrected projections (iteration cap 10^4, which raises),
-and every other body with support pieces through the dual distance program
-of optimize.nearest_points.  An intersection has no support evaluator: the
-minimum of the two supports is only an upper bound.
+intersections, vertex polytopes, each hull facet once, intersections
+whose joined gauge is polyhedral with a positive inner radius, and polars
+whose support is polyhedral) through the exact least-distance program of
+optimize.polyhedron_points, scaled so that far rows keep their digits, an
+intersection with a curved part through cyclic corrected projections
+(iteration cap 10^4, which raises), and every other body with support
+pieces through the dual distance program of optimize.nearest_points.  An
+intersection has no support evaluator: the minimum of the two supports is
+only an upper bound.
 
 Lower-dimensional bodies (radius-0 balls and their products) carry an
 infinite gauge off their affine hull; membership and distance go through
@@ -736,22 +737,29 @@ def ball_factors(K: Body) -> tuple:
     return ()
 
 
+def _polyhedral_project(gauge, dim):
+    """The projection onto {x : max(gauge)(x) <= 1} when that gauge is
+    polyhedral, max_i <P_i, x> (see optimize._polyhedral_rows): the
+    polyhedron P x <= 1, which projects by least distance.  None when the
+    gauge is not polyhedral."""
+    rows = optimize._polyhedral_rows(gauge, dim)
+    if rows is None:
+        return None
+    ones = np.ones(len(rows))
+    return lambda X: optimize.polyhedron_points(rows, ones, X)
+
+
 def intersect(K: Body, L: Body) -> Body:
     """Intersection: gauges take the max, radials the min.  It has no support
     evaluator: the min of the two supports is only an upper bound.  With
-    the origin inside, a polyhedral joined gauge max_i <P_i, x> (see
-    optimize._polyhedral_rows) makes it the polyhedron P x <= 1, which
-    projects by least distance; otherwise, when both parts project, it
-    projects by cyclic corrected projections."""
+    the origin inside, a polyhedral joined gauge makes it a polyhedron,
+    which projects by least distance (_polyhedral_project); otherwise,
+    when both parts project, it projects by cyclic corrected projections."""
     check_dims(K, L)
     gauge = K.gauge_pieces + L.gauge_pieces
     inner = min(K.inner_radius, L.inner_radius)
-    rows = optimize._polyhedral_rows(gauge, K.dim) if inner > 0 else None
-    project = None
-    if rows is not None:
-        def project(X):
-            return optimize.polyhedron_points(rows, np.ones(len(rows)), X)
-    elif K.can_project and L.can_project:
+    project = _polyhedral_project(gauge, K.dim) if inner > 0 else None
+    if project is None and K.can_project and L.can_project:
         def project(X):
             return dykstra([K._project_batch, L._project_batch], X)
 
@@ -905,16 +913,20 @@ def linear_image(K: Body, Q, scale: float = 1.0) -> Body:
 
 def polar(K: Body) -> Body:
     """Polar body: support and gauge pieces swap roles.  K must carry an
-    exact support, which becomes the polar's gauge."""
+    exact support, which becomes the polar's gauge.  When that support is
+    polyhedral, the polar is a polyhedron, which projects by least
+    distance (_polyhedral_project)."""
     if not K.symmetric:
         raise DomainError("polar requires a symmetric body")
     if not K.inner_radius > 0:
         raise DomainError("polar of a body with inner radius 0 is unbounded; rejected")
+    gauge = K.support_pieces  # raises EvaluationError for a body without a support
     return Body(
         K.dim,
         support=K.gauge_pieces,
-        gauge=K.support_pieces,  # raises EvaluationError for a body without a support
+        gauge=gauge,
         membership=lambda X: np.asarray(K.support(X)) <= 1.0 + GAUGE_TOL,
+        project=_polyhedral_project(gauge, K.dim),
         inner_radius=1.0 / K.outer_radius if math.isfinite(K.outer_radius) else 0.0,
         outer_radius=1.0 / K.inner_radius,
         symmetric=True,

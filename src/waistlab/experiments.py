@@ -14,12 +14,13 @@ boolean.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import (ball_points, bernoulli_se, canonical_dumps, chunk_rows, chunk_sizes,
+from ._util import (ball_points, bernoulli_se, block_reduce, canonical_dumps, chunk_rows,
                     quantile_summary, row_norms, seed_sequence, sphere_points, write_csv)
 from .bodies import (Body, ball_factors, difference_body, linear_image, mc_volume,
                      orthonormal_frame, polar, unit_ball_check, volume_ratio)
@@ -563,14 +564,19 @@ def run_higher_sphere(cap_spec: dict, n: int, m: int, theta: float, samples: int
     n-sphere with its measure inside the m-sphere (m >= n), and check the
     pointwise projection claim sample by sample, up to CLAIM_TOL.
 
-    The two seeded point streams are drawn and evaluated in chunks of
-    _util.chunk_rows rows of R^{m+1}, or of the cap angles when there are
-    more of them, so peak memory does not depend on samples.  Each point's
-    tests read that point's row alone, so the summary does not depend on
-    the chunk size: its reductions run along the row or across the caps,
-    and its cap angles come from a BLAS gemm of two rows or more, which
-    rounds a row the same wherever it sits, never from a BLAS matvec
-    (gemv), which does not.
+    The two point streams are the block streams (_util.block_reduce) of
+    the seed's two spawned children, each drawn in seeded blocks of
+    _util.STREAM_ROWS points on the Monte-Carlo pool, in chunks as wide as
+    its points of R^{n+1} or R^{m+1}, or as its cap angles when there are
+    more of them, so peak memory does not depend on samples.  The lhs
+    blocks return their hit counts; the rhs blocks return their hits,
+    claim samples, claim violations and largest claim gap.  Counts add
+    and maxima take the max, so the summary depends on the seed and
+    STREAM_ROWS only, not on the chunk size or the worker count.  Each
+    point's tests read that point's row alone: its reductions run along
+    the row or across the caps, and its cap angles come from a BLAS gemm
+    of two rows or more, which rounds a row the same wherever it sits,
+    never from a BLAS matvec (gemv), which does not.
     |Y_1..n+1| is computed once per chunk, for the embedded distance, the
     projection onto the n-sphere and the test that the projection exists."""
     if m < n:
@@ -581,22 +587,26 @@ def run_higher_sphere(cap_spec: dict, n: int, m: int, theta: float, samples: int
     seed = _resolve_seed(seed)
     dist_native, dist_embedded, width = _cap_distances(cap_spec, n + 1)
 
-    rng_lhs, rng_rhs = (np.random.default_rng(s) for s in seed_sequence(seed).spawn(2))
-    lhs_hits = rhs_hits = claim_samples = violations = 0
-    max_gap = -math.inf
-    for size in chunk_sizes(samples, chunk_rows(max(m + 1, width))):
-        X = sphere_points(rng_lhs, size, n + 1)
-        lhs_hits += int(np.count_nonzero(dist_native(X) <= theta))
-        Y = sphere_points(rng_rhs, size, m + 1)
+    def lhs_chunk(rng, size):
+        return int(np.count_nonzero(dist_native(sphere_points(rng, size, n + 1)) <= theta))
+
+    def rhs_chunk(rng, size):
+        Y = sphere_points(rng, size, m + 1)
         pn = row_norms(Y[:, : n + 1])
         dY, projected = dist_embedded(Y, pn)
-        rhs_hits += int(np.count_nonzero(dY <= theta))
         usable = pn > 1e-12
         claim_gap = projected[usable] - dY[usable]
-        claim_samples += claim_gap.size
-        violations += int(np.count_nonzero(claim_gap > CLAIM_TOL))
-        if claim_gap.size:
-            max_gap = max(max_gap, float(claim_gap.max()))
+        return (int(np.count_nonzero(dY <= theta)), claim_gap.size,
+                int(np.count_nonzero(claim_gap > CLAIM_TOL)),
+                float(claim_gap.max(initial=-math.inf)))
+
+    def rhs_combine(a, b):
+        return a[0] + b[0], a[1] + b[1], a[2] + b[2], max(a[3], b[3])
+
+    ss_lhs, ss_rhs = seed_sequence(seed).spawn(2)
+    lhs_hits = block_reduce(samples, max(n + 1, width), lhs_chunk, operator.add, ss_lhs)
+    rhs_hits, claim_samples, violations, max_gap = block_reduce(
+        samples, max(m + 1, width), rhs_chunk, rhs_combine, ss_rhs)
     lhs, rhs = lhs_hits / samples, rhs_hits / samples
     lhs_se, rhs_se = bernoulli_se(lhs, samples), bernoulli_se(rhs, samples)
 

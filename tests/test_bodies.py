@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from waistlab import _util
+from waistlab import _util, optimize
 from waistlab._util import row_norms, sphere_points
 from waistlab.bodies import (BodySpec, ball, ball_factors, construct_body,
                              cross_polytope, cube, dykstra,
@@ -723,6 +723,21 @@ def test_polar_cube_is_cross():
     C = cross_polytope(2, 1.0)
     u = sphere_points(np.random.default_rng(6), 60, 2)
     assert np.allclose(P.support(u), np.asarray(C.support(u)), atol=1e-15)
+
+
+@pytest.mark.parametrize("n, a", [(3, 1.0), (4, 0.8)])
+def test_polar_cube_projects_as_the_cross_polytope(monkeypatch, n, a):
+    # the polar's support rows make it the polyhedron P x <= 1, which
+    # projects by least distance, with no dual program per row
+    def no_dual_program(*args):
+        raise AssertionError("polar of a cube projected by the dual program")
+
+    monkeypatch.setattr(optimize, "nearest_points", no_dual_program)
+    P, C = polar(cube(n, a)), cross_polytope(n, 1.0 / a)
+    X = 1.5 * np.random.default_rng(8).standard_normal((200, n))
+    assert np.max(np.abs(np.asarray(P.distance(X)) - np.asarray(C.distance(X)))) <= 1e-12
+    assert np.array_equal(P.contains(X), C.contains(X))
+    assert 0 < np.count_nonzero(C.contains(X)) < len(X)
 
 
 def test_polar_ball_scaling():

@@ -375,34 +375,36 @@ TWO_CAPS = {"kind": "caps", "centers": [[1, 0, 0, 0], [0, 0.6, 0.8, 0]], "radii"
 
 
 def test_higher_sphere_golden_summaries():
-    # the exact summaries from whole X and Y arrays; 100_003 rows of R^7 are
-    # ten chunks of 9362 rows and a short one
+    # the exact summaries at one, two and three workers; 100_003 points are
+    # 24 blocks of STREAM_ROWS (4096) and a short one of 1699 per stream
     assert run_higher_sphere(TWO_CAPS, 3, 6, 0.7, 100_003, seed=5).summary == {
-        "lhs": 0.7702368928932132, "lhs_se": 0.0013302883624163615,
-        "rhs": 0.2552223433297001, "rhs_se": 0.001378688494363768,
+        "lhs": 0.7688669339919803, "lhs_se": 0.0013330612913460983,
+        "rhs": 0.25758227253182403, "rhs_se": 0.0013828517945604585,
         "inequality_holds_4se": True, "claim_samples": 100003, "claim_violations": 0,
-        "claim_max_gap": -5.9280663559757585e-05}
+        "claim_max_gap": -0.00013336977108635573}
     assert run_higher_sphere({"kind": "subsphere", "dim": 1}, 3, 5, 0.6, 50_001,
                              seed=6).summary == {
-        "lhs": 0.3171536569268615, "lhs_se": 0.0020811673818658064,
-        "rhs": 0.1003379932401352, "rhs_se": 0.001343640390753256,
+        "lhs": 0.3183536329273415, "lhs_se": 0.0020832679007950876,
+        "rhs": 0.10267794644107117, "rhs_se": 0.0013574486589838595,
         "inequality_holds_4se": True, "claim_samples": 50001, "claim_violations": 0,
-        "claim_max_gap": -2.3820702972354724e-06,
+        "claim_max_gap": -8.545592300457372e-07,
         "exact_lhs": 0.31882112276166324, "exact_rhs": 0.10164690831900755}
 
 
 def test_higher_sphere_does_not_depend_on_the_chunk_size(monkeypatch):
     alone = run_higher_sphere(TWO_CAPS, 3, 6, 0.7, 10_004, seed=8).summary
-    monkeypatch.setattr(_util, "CHUNK_FLOATS", 7 * 7)  # 7 rows of R^7; the last chunk is 1 row
+    # 7 rows of R^7 at one worker (3 at two); 4096 = 7 * 585 + 1 = 3 * 1365 + 1
+    monkeypatch.setattr(_util, "CHUNK_FLOATS", 7 * 7)
     assert run_higher_sphere(TWO_CAPS, 3, 6, 0.7, 10_004, seed=8).summary == alone
 
 
 _CENTERS = np.random.default_rng(0).standard_normal((200, 4))
+CAPS_200 = {"kind": "caps", "centers": _CENTERS.tolist(), "radii": [0.05] * 200}
 
 
 @pytest.mark.parametrize("cap_spec, samples", [
     (TWO_CAPS, 10**6),
-    ({"kind": "caps", "centers": _CENTERS.tolist(), "radii": [0.05] * 200}, 20_000),
+    (CAPS_200, 20_000),
 ], ids=["two-caps", "200-caps"])
 def test_higher_sphere_memory_does_not_grow_with_samples(cap_spec, samples):
     # whole X and Y arrays peaked at 222 MB and 246 MB here; chunks as
@@ -420,19 +422,32 @@ ONE_CAP = {"kind": "caps", "centers": [[0.3, -1.0, 0.5]], "radii": [0.45]}
 
 
 def test_higher_sphere_cap_golden_summaries():
-    # the exact summaries of cap angles laid out point-major, with the cap
-    # min along each point's row; the 400 cap angles, not R^7, size the
-    # 200-caps chunks (163 rows)
-    caps200 = {"kind": "caps", "centers": _CENTERS.tolist(), "radii": [0.05] * 200}
-    assert run_higher_sphere(caps200, 3, 6, 0.7, 20_000, seed=5).summary == {
-        "lhs": 1.0, "lhs_se": 0.0, "rhs": 0.47795, "rhs_se": 0.003532094261907516,
+    # the exact summaries at one, two and three workers; the 400 cap
+    # angles, not R^7, size the 200-caps chunks
+    assert run_higher_sphere(CAPS_200, 3, 6, 0.7, 20_000, seed=5).summary == {
+        "lhs": 1.0, "lhs_se": 0.0, "rhs": 0.47945, "rhs_se": 0.003532546514201901,
         "inequality_holds_4se": True, "claim_samples": 20000, "claim_violations": 0,
-        "claim_max_gap": -0.0008539142206540062}
+        "claim_max_gap": -0.001888306791959754}
     assert run_higher_sphere(ONE_CAP, 2, 5, 0.8, 30_001, seed=9).summary == {
-        "lhs": 0.6861437952068264, "lhs_se": 0.002679199565763911,
-        "rhs": 0.2370254324855838, "rhs_se": 0.0024551873580621266,
+        "lhs": 0.6809773007566414, "lhs_se": 0.002690972409609154,
+        "rhs": 0.24415852804906504, "rhs_se": 0.00248018137730768,
         "inequality_holds_4se": True, "claim_samples": 30001, "claim_violations": 0,
-        "claim_max_gap": -0.0007547781897212502}
+        "claim_max_gap": -0.0003910086923462064}
+
+
+@pytest.mark.parametrize("cap_spec, n, m", [
+    (TWO_CAPS, 3, 6), (CAPS_200, 3, 6), ({"kind": "subsphere", "dim": 1}, 3, 5),
+], ids=["two-caps", "200-caps", "subsphere"])
+def test_higher_sphere_does_not_depend_on_the_worker_count(monkeypatch, cap_spec, n, m):
+    # 10_004 points are two blocks of STREAM_ROWS (4096) and a short one per
+    # stream, so that the pool runs; at two workers the rhs chunks are 71
+    # rows of R^7 (two-caps) or one row of 400 cap angles (200-caps)
+    runs = []
+    for workers, floats in ((1, _util.CHUNK_FLOATS), (2, 1001), (3, _util.CHUNK_FLOATS)):
+        monkeypatch.setattr(_util, "cpu_count", lambda: workers)
+        monkeypatch.setattr(_util, "CHUNK_FLOATS", floats)
+        runs.append(run_higher_sphere(cap_spec, n, m, 0.7, 10_004, seed=17).summary)
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 @pytest.mark.parametrize("cap_spec, n, m, seed", [
