@@ -18,12 +18,16 @@ similarity image, polar) compose pieces: an intersection joins the gauge
 pieces, a sum adds the support maxima, a product zero-pads its blocks'
 pieces, an image maps them and a polar swaps them.  minkowski_sum is the
 one construction of a sum of two bodies: the eps-neighborhood is the sum
-with the eps-ball and the difference body is K + (-K).  Every sum of
-support pieces is built by pieces.sum_pieces.  Where no closed form exists,
-projection and distance go through programs: every polyhedral body (slab
-intersections, vertex polytopes, each hull facet once, intersections
-whose joined gauge is polyhedral with a positive inner radius, and polars
-whose support is polyhedral) through the exact least-distance program of
+with the eps-ball and the difference body is K + (-K).  A body whose
+support is one linear piece with rows P is conv(P): its points are its
+support rows, which an image maps along, and the sum of two such bodies
+is the vertex polytope of the pairwise row sums when they span R^n
+affinely.  Every other sum of support pieces is built by
+pieces.sum_pieces.  Where no closed form exists, projection and distance
+go through programs: every polyhedral body (slab intersections, vertex
+polytopes and sums of them, each hull facet once, intersections whose
+joined gauge is polyhedral with a positive inner radius, and polars whose
+support is polyhedral) through the exact least-distance program of
 optimize.polyhedron_points, scaled so that far rows keep their digits, an
 intersection with a curved part through cyclic corrected projections
 (iteration cap 10^4, which raises), and every other body with support
@@ -123,18 +127,18 @@ class Body:
     unit u.  The support (None: the body has none) and the projection are
     optional; an absent support raises EvaluationError when called.  A body
     without its own projection projects by the dual distance program over
-    its support pieces, and one with neither raises EvaluationError.
-    vertices holds the vertex array of a vertex polytope or of its linear
-    image, and is None for every other body.  factors holds bodies (first,
-    second) such that K is an orthogonal image of first x second, and is
-    None for every other body.  kind is only a label: ball_factors says
+    its support pieces, and one with neither raises EvaluationError.  A
+    support that is one linear piece with rows P makes the body conv(P),
+    so a polytope's points are its support rows.  factors holds bodies
+    (first, second) such that K is an orthogonal image of first x second,
+    and is None for every other body.  kind is only a label: ball_factors says
     whether a body is a ball or a product of two balls.
     """
 
     def __init__(self, dim, *, gauge, support=None, membership=None,
                  project=None, distance=None,
                  inner_radius, outer_radius, symmetric, truncated=False,
-                 kind="custom", spec=None, vertices=None, factors=None):
+                 kind="custom", spec=None, factors=None):
         self.dim = int(dim)
         self.gauge_pieces = gauge
         self._support = support
@@ -147,7 +151,6 @@ class Body:
         self.truncated = bool(truncated)
         self.kind = kind
         self.spec = spec
-        self.vertices = vertices
         self.factors = factors
 
     def __repr__(self):
@@ -603,7 +606,6 @@ def vertex_polytope(vertices) -> Body:
         symmetric=symmetric,
         kind="vertex_polytope",
         spec=BodySpec("vertex_polytope", {"vertices": V.tolist()}),
-        vertices=V,
     )
 
 
@@ -792,15 +794,19 @@ def neighborhood(K: Body, eps: float) -> Body:
 
 def minkowski_sum(K: Body, L: Body) -> Body:
     """Minkowski sum K + L, the one construction of every sum of two
-    bodies.  Two balls (as ball_factors finds them) give a ball, a radius-0
-    ball summand returns the other summand itself, unchanged, and two
-    bodies with vertex lists give the hull of their vertex sums.  Otherwise support functions add
-    exactly (the sum has a support when both summands have one).  A ball
-    summand of radius r gives the distance max(d_K - r, 0) and, when K
-    projects, the closed-form projection; any other pair needs both
-    supports and takes its distance from the dual program over the summed
-    support.  Membership is distance <= DIST_TOL, and the gauge bisects
-    distance <= 0, the true boundary."""
+    bodies.  Two balls (as ball_factors finds them) give a ball, and a
+    radius-0 ball summand returns the other summand itself, unchanged.
+    Two polytopes whose supports are single linear pieces, with rows P
+    and R, so that they are conv(P) and conv(R), give the vertex polytope
+    of the row sums P_i + R_j (P's rows major) when those span R^n
+    affinely.  Otherwise support functions add exactly (the sum has a
+    support when both summands have one).  A ball summand of radius r
+    gives the distance max(d_K - r, 0) and, when K projects, the
+    closed-form projection; any other pair needs both supports and takes
+    its distance from the dual program over the summed support.
+    Membership is distance <= DIST_TOL, and the gauge bisects distance
+    <= 0, the true boundary.  The inner radii add when each summand holds
+    the origin (inner radius > 0 or a member), and are 0 otherwise."""
     check_dims(K, L)
     if len(ball_factors(K)) == 1:
         K, L = L, K
@@ -811,14 +817,15 @@ def minkowski_sum(K: Body, L: Body) -> Body:
         if r == 0.0:
             return K
         L = ball(L.dim, r)
-    if K.vertices is not None and L.vertices is not None:
-        sums = (K.vertices[:, None, :] + L.vertices[None, :, :]).reshape(-1, K.dim)
-        out = vertex_polytope(sums)
-        out.kind = "minkowski_sum"
-        return out
 
     support = None
     if K._support is not None and L._support is not None:
+        if all(len(S._support) == 1 and S._support[0].kind == "linear" for S in (K, L)):
+            sums = (K._support[0].matrix[:, None, :] + L._support[0].matrix).reshape(-1, K.dim)
+            if np.linalg.matrix_rank(sums - sums[0]) == K.dim:
+                out = vertex_polytope(sums)
+                out.kind = "minkowski_sum"
+                return out
         support = sum_pieces((K._support, L._support))
     distance = project = None
     if r is not None:
@@ -845,6 +852,7 @@ def minkowski_sum(K: Body, L: Body) -> Body:
         grown = (1.0 + L.outer_radius / K.inner_radius) * np.asarray(K.radial(U), dtype=float)
         return np.minimum(grown, r_out)
 
+    around0 = all(S.inner_radius > 0 or S.contains(np.zeros(S.dim)) for S in (K, L))
     out = Body(
         K.dim,
         support=support,
@@ -852,7 +860,7 @@ def minkowski_sum(K: Body, L: Body) -> Body:
         membership=lambda X: out._distance_batch(X) <= DIST_TOL,
         project=project,
         distance=distance,
-        inner_radius=K.inner_radius + L.inner_radius,
+        inner_radius=K.inner_radius + L.inner_radius if around0 else 0.0,
         outer_radius=r_out,
         symmetric=K.symmetric and L.symmetric,
         truncated=K.truncated or L.truncated,
@@ -880,9 +888,11 @@ def orthonormal_frame(F, dim: int, k: int | None = None) -> np.ndarray:
 def linear_image(K: Body, Q, scale: float = 1.0) -> Body:
     """Image of the body under x -> scale * Q x, for Q an orthogonal matrix
     and scale > 0: rotations, reflections and dilations.
-    Every evaluator conjugates, the vertex list maps along and each factor
-    is dilated by scale; the support evaluator stays absent when K has
-    none.  The image of a ball (ball_factors) is a ball."""
+    Every evaluator conjugates and each factor is dilated by scale; the
+    support pieces map along, so the support rows P of a polytope conv(P)
+    become scale * P Q^T, the points of its image.  The support evaluator
+    stays absent when K has none.  The image of a ball (ball_factors) is a
+    ball."""
     Q = orthonormal_frame(Q, K.dim, K.dim)
     if not scale > 0:
         raise DomainError(f"scale must be positive, got {scale}")
@@ -905,7 +915,6 @@ def linear_image(K: Body, Q, scale: float = 1.0) -> Body:
         inner_radius=t * K.inner_radius, outer_radius=t * K.outer_radius,
         symmetric=K.symmetric, truncated=K.truncated,
         kind="linear_image",
-        vertices=None if K.vertices is None else t * K.vertices @ Q.T,
         factors=None if K.factors is None
         else tuple(linear_image(F, np.eye(F.dim), t) for F in K.factors),
     )

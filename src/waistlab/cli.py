@@ -101,6 +101,13 @@ def load_config(path) -> dict:
         spec = data["cap_spec"]
         if not (isinstance(spec, dict) and spec.get("kind") in ("caps", "subsphere")):
             raise ConfigError("cap_spec must be an object with kind 'caps' or 'subsphere'")
+        # the fields its kind needs, each with the cast its harness applies
+        casts = ({"dim": int} if spec["kind"] == "subsphere"
+                 else dict.fromkeys(("centers", "radii"), functools.partial(np.asarray, dtype=float)))
+        for key, cast in casts.items():
+            if key not in spec:
+                raise ConfigError(f"cap_spec.{key}: missing")
+            read_field(cast, spec[key], f"cap_spec.{key}", ConfigError)
     for key in _SECTIONS:
         if data.get(key) is not None:
             _require_keys(data[key], *_SUBSPACE_KEYS, where=key)
@@ -109,8 +116,8 @@ def load_config(path) -> dict:
     if "schedule" in data:
         _require_keys(data["schedule"], *_SCHEDULE_KEYS, where="schedule")
         sched = data["schedule"]
-        consts = BoundConstants(**{key: sched[key] for key in _SCHEDULE_KEYS[1]
-                                   if key in sched})
+        consts = BoundConstants(**{key: read_field(float, sched[key], f"schedule.{key}", ConfigError)
+                                   for key in _SCHEDULE_KEYS[1] if key in sched})
         n, k = (read_field(int, sched[key], f"schedule.{key}", ConfigError) for key in "nk")
         experiments.theorem_schedule(n, k, consts)
     return data

@@ -37,18 +37,22 @@ SIMPLEX = np.array([[1.0, 0.2, -0.3], [-0.4, 1.1, 0.0],
 # polar's Qhull facets, not from an l1 piece
 SLAB5 = np.random.default_rng(5).normal(size=(5, 3))
 
+# the eight vertices of the cube [-1, 1]^3
+CUBE8 = np.array([[1, 1, 1], [1, 1, -1], [1, -1, 1], [-1, 1, 1],
+                  [-1, -1, 1], [-1, 1, -1], [1, -1, -1], [-1, -1, -1]], dtype=float)
+
 
 def catalog3():
     simplex = vertex_polytope(SIMPLEX)
     return [ball(3, 1.5), cube(3, 0.8), cross_polytope(3, 1.2),
             ellipsoid([1.0, 2.0, 0.5]),
-            vertex_polytope([[1, 1, 1], [1, 1, -1], [1, -1, 1], [-1, 1, 1],
-                             [-1, -1, 1], [-1, 1, -1], [1, -1, -1], [-1, -1, -1]]),
+            vertex_polytope(CUBE8),
             linear_image(simplex, haar_rotation(3, seed=21)),
             linear_image(ellipsoid([1.0, 2.0, 0.5]), np.eye(3), 1.7),
             linear_image(cube(3, 0.8), -np.eye(3)),
             slab_body(np.eye(3)[:2], [0.9, 0.6]),
-            slab_body(SLAB5, 1.05 * np.linalg.norm(SLAB5, axis=1))]
+            slab_body(SLAB5, 1.05 * np.linalg.norm(SLAB5, axis=1)),
+            minkowski_sum(cross_polytope(3, 0.6), vertex_polytope(CUBE8))]
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +672,7 @@ def test_generic_minkowski_sum_matches_vertex_twin():
     # a generic Minkowski sum evaluated through the dual distance program
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     D = difference_body(product_body(vertex_polytope(tri), cube(1, 1.0)))
-    assert D.kind == "difference_body" and D.vertices is None
+    assert D.kind == "difference_body" and D.support_pieces[0].kind == "sum"
     prism = np.array([[*v, z] for v in tri for z in (-1.0, 1.0)])
     twin = vertex_polytope((prism[:, None, :] - prism[None, :, :]).reshape(-1, 3))
     X = np.random.default_rng(17).normal(size=(20, 3))
@@ -682,7 +686,7 @@ def test_generic_minkowski_sum_gauge_bisects_the_boundary_without_tolerance(s):
     # membership admits distance DIST_TOL; the gauge bisects distance <= 0,
     # which the dual program reports exactly for members
     S = minkowski_sum(cube(2, s), ellipsoid([s, s / 2]))
-    assert S.vertices is None
+    assert S.support_pieces[0].kind == "sum"
     assert S.gauge([2 * s, 0.0]) == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
@@ -784,7 +788,7 @@ def test_difference_body_simplex_exact_ratio():
         return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
     area_tri = shoelace(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    area_diff = shoelace(diff.vertices)
+    area_diff = shoelace(diff.support_pieces[0].matrix)
     assert area_diff / area_tri == pytest.approx(6.0, abs=1e-12)
     assert area_diff / area_tri == pytest.approx(math.comb(4, 2), abs=1e-12)
 
@@ -799,18 +803,71 @@ def test_scale_and_reflect():
     assert R.contains([-0.2, -0.2]) and not R.contains([0.2, 0.2])
 
 
-def test_linear_image_maps_the_vertices():
-    P = vertex_polytope(SIMPLEX)
+def test_sum_of_a_rotated_vertex_polytope_and_a_cross_polytope_is_the_hull_of_the_row_sums():
+    # the image's support rows are 1.7 V Q^T and the cross-polytope's are
+    # +-0.6 e_i, so the sum is the vertex polytope of their pairwise sums
     Q = haar_rotation(3, seed=21)
-    assert np.array_equal(linear_image(P, Q, 1.7).vertices, 1.7 * P.vertices @ Q.T)
-    assert linear_image(cube(3, 1.0), Q).vertices is None
+    S = minkowski_sum(linear_image(vertex_polytope(SIMPLEX), Q, 1.7), cross_polytope(3, 0.6))
+    cross_rows = np.vstack([0.6 * np.eye(3), -0.6 * np.eye(3)])
+    twin = vertex_polytope(((1.7 * (SIMPLEX @ Q.T))[:, None, :] + cross_rows).reshape(-1, 3))
+    assert (S.kind, [p.kind for p in S.support_pieces]) == ("minkowski_sum", ["linear"])
+    assert np.array_equal(S.support_pieces[0].matrix, twin.support_pieces[0].matrix)
+    assert S.inner_radius == twin.inner_radius
+    X = 2.0 * np.random.default_rng(22).standard_normal((40, 3))
+    assert np.array_equal(S.gauge(X), twin.gauge(X))
+    assert np.array_equal(S.distance(X), twin.distance(X))
+    assert 0 < np.count_nonzero(S.contains(X)) < len(X)
+
+
+def test_polytope_sum_projects_to_members_at_the_dual_program_distances():
+    # the sum of two polytopes given by their support rows is exact: its
+    # projections are members, its distances are the dual program's over
+    # the summed supports, and its inner radius is that of its facets
+    from scipy.spatial import ConvexHull
+
+    C = cross_polytope(3, 0.7)
+    R = linear_image(vertex_polytope(np.random.default_rng(3).standard_normal((8, 3))),
+                     haar_rotation(3, seed=4))
+    S = minkowski_sum(C, R)
+    assert (S.kind, [p.kind for p in S.support_pieces]) == ("minkowski_sum", ["linear"])
+    facets = ConvexHull(S.support_pieces[0].matrix).equations
+    assert S.inner_radius == pytest.approx(np.min(-facets[:, -1]), rel=0, abs=1e-12)
+    assert S.inner_radius == pytest.approx(0.3426, abs=1e-4)
+    X = 2.0 * np.random.default_rng(0).standard_normal((20, 3))
+    dual = row_norms(X - nearest_points(sum_pieces((C.support_pieces, R.support_pieces)), X))
+    np.testing.assert_allclose(S.distance(X), dual, rtol=0, atol=1e-12)
+    assert np.all(S.contains(S.project(X)))
+
+
+def test_flat_polytope_sum_keeps_the_generic_route():
+    # P is the segment [-e1, e1], whose support rows +-e1 sum to a flat set:
+    # no vertex polytope, so the sum is generic, as a sum of two segments
+    P = polar(slab_body([[1.0, 0.0]], [1.0]))
+    F = minkowski_sum(P, P)
+    assert F.kind == "minkowski_sum" and F.support_pieces[0].kind == "sum"
+    assert F.support([1.0, 0.0]) == 2.0
+    assert F.distance([3.0, 1.0]) == pytest.approx(math.sqrt(2.0), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("make", [lambda T: minkowski_sum(cube(2, 1.0), T),
+                                  lambda T: neighborhood(T, 0.5)],
+                         ids=["cube", "neighborhood"])
+def test_minkowski_sum_claims_an_inner_radius_only_around_the_origin(make):
+    # T does not hold the origin, so neither does its sum with the cube
+    # [-1, 1]^2 or with the 0.5-ball: the inner radii do not add
+    T = vertex_polytope([[2.0, 0.1], [3.0, 0.1], [2.5, 1.0]])
+    S = make(T)
+    u = sphere_points(np.random.default_rng(23), 20, 2)
+    assert np.all(np.asarray(S.radial(u)) >= S.inner_radius)
+    assert S.radial([-1.0, 0.0]) == 0.0
 
 
 def test_difference_body_of_a_vertex_polytope_lists_the_pairwise_differences():
     V = np.random.default_rng(10).normal(size=(6, 3)) + 0.4
     D = difference_body(vertex_polytope(V))
     assert (D.kind, D.symmetric) == ("difference_body", True)
-    assert np.array_equal(D.vertices, (V[:, None, :] - V[None, :, :]).reshape(-1, 3))
+    assert np.array_equal(D.support_pieces[0].matrix,
+                          (V[:, None, :] - V[None, :, :]).reshape(-1, 3))
 
 
 def test_dimension_mismatch():
@@ -923,6 +980,10 @@ def piece_bodies():
     A, b = facets[:, :-1], -facets[:, -1]
     N5 = SLAB5 / np.linalg.norm(SLAB5, axis=1)[:, None]  # unit normals, every width 1.05
     V5 = _slab_vertices(N5, np.full(5, 1.05))
+    # the cross-polytope 0.6 B_1 plus the cube polytope: the hull of the row sums
+    sums = (np.vstack([0.6 * np.eye(3), -0.6 * np.eye(3)])[:, None, :] + CUBE8).reshape(-1, 3)
+    eq = ConvexHull(sums).equations
+    A8, b8 = eq[:, :-1], -eq[:, -1]
     closed = [
         (lambda X: _l2(X) / 1.5, lambda U: 1.5 * _l2(U)),
         (lambda X: _sup(X) / 0.8, lambda U: 0.8 * _l1(U)),
@@ -936,6 +997,7 @@ def piece_bodies():
         (lambda X: _sup(X[:, :2] / [0.9, 0.6]),
          lambda U: np.where(U[:, 2] == 0, _l1(U[:, :2] * [0.9, 0.6]), np.inf)),
         (lambda X: _sup(X @ N5.T) / 1.05, lambda U: (U @ V5.T).max(axis=1)),
+        (lambda X: (X @ A8.T / b8).max(axis=1), lambda U: 0.6 * _sup(U) + _l1(U)),
     ]
     out = [(K, g, h) for K, (g, h) in zip(catalog3(), closed, strict=True)]
     out += [(polar(K), h, g) for K, g, h in out if K.symmetric and K.inner_radius > 0]

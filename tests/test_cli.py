@@ -219,8 +219,11 @@ def test_config_schedule_infeasible_exit_three(capsys, tmp_path):
     ({"optimizer": {"restarts": "x"}}, "optimizer.restarts"),
     ({"section_K": {"k": "x"}}, "section_K"),
     ({"schedule": {"n": "x", "k": 2}}, "schedule.n"),
+    ({"schedule": {"n": 8, "k": 2, "a_frac": "x"}}, "schedule.a_frac"),
+    ({"schedule": {"n": 8, "k": 2, "a_frac": None}}, "schedule.a_frac"),
     ({"dual_products": "false"}, "dual_products"),
-], ids=["trials", "seed", "optimizer", "section", "schedule", "boolean"])
+], ids=["trials", "seed", "optimizer", "section", "schedule", "schedule-constant",
+        "schedule-null", "boolean"])
 def test_config_unreadable_value_is_a_usage_error(capsys, tmp_path, extra, key):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(two_bodies_config(**extra)))
@@ -273,6 +276,21 @@ def test_config_sample_count_below_its_floor_is_a_usage_error(capsys, tmp_path, 
     assert code == 2 and out == ""
     floor = 0 if key == "lift_checks" else 1
     assert err == f"error: {key}: must be a count >= {floor}, got {value}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cap_spec, key", [
+    ({"kind": "caps", "centers": [["a", 0, 0, 0]], "radii": [0.35]}, "centers"),
+    ({"kind": "subsphere", "dim": "two"}, "dim"),
+    ({"kind": "caps", "centers": [[1, 0, 0, 0]]}, "radii"),
+], ids=["centers", "dim", "no-radii"])
+def test_config_malformed_cap_spec_field_is_a_usage_error(capsys, tmp_path, cap_spec, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**HIGHER_CAPS, "cap_spec": cap_spec}))
+    code, out, err = run_cli(capsys, "experiment", "higher-sphere", "--config", str(path),
+                             "--out", str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cap_spec.{key}: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
