@@ -192,10 +192,11 @@ def sigma_mc(q: SubsphereQuery, samples: int, seed=None):
     and tests the geodesic distance to the canonical subsphere, which is
     the arcsine of the norm of the component orthogonal to the
     subsphere's span.  Fixed seeds reproduce the estimate exactly.  The
-    rows come in seeded blocks, drawn in chunks on a thread pool (see
-    _util.hit_fraction), so peak memory does not depend on samples, and
-    the estimate depends neither on the chunk size nor on the worker
-    count: each block is one stream, tested row by row.
+    rows come in seeded SFC64 blocks, drawn in chunks by the caller and
+    the process-wide helper pool (see _util.block_reduce), so peak memory
+    does not depend on samples, and the estimate depends neither on the
+    chunk size nor on the worker count: each block is one stream, tested
+    row by row.  samples must be an integer >= 1 (DomainError).
 
     A row g hits when perp <= s^2 (perp + par), s = sin(theta), for the
     sums par and perp of its squares on and off the span, that is when

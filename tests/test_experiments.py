@@ -378,16 +378,16 @@ def test_higher_sphere_golden_summaries():
     # the exact summaries at one, two and three workers; 100_003 points are
     # 24 blocks of STREAM_ROWS (4096) and a short one of 1699 per stream
     assert run_higher_sphere(TWO_CAPS, 3, 6, 0.7, 100_003, seed=5).summary == {
-        "lhs": 0.7688669339919803, "lhs_se": 0.0013330612913460983,
-        "rhs": 0.25758227253182403, "rhs_se": 0.0013828517945604585,
+        "lhs": 0.7700668979930602, "lhs_se": 0.0013306335290065425,
+        "rhs": 0.25744227673169806, "rhs_se": 0.0013826062927761301,
         "inequality_holds_4se": True, "claim_samples": 100003, "claim_violations": 0,
-        "claim_max_gap": -0.00013336977108635573}
+        "claim_max_gap": -0.00014266427409090343}
     assert run_higher_sphere({"kind": "subsphere", "dim": 1}, 3, 5, 0.6, 50_001,
                              seed=6).summary == {
-        "lhs": 0.3183536329273415, "lhs_se": 0.0020832679007950876,
-        "rhs": 0.10267794644107117, "rhs_se": 0.0013574486589838595,
+        "lhs": 0.3168736625267495, "lhs_se": 0.002080674964117783,
+        "rhs": 0.1004379912401752, "rhs_se": 0.0013442350552483738,
         "inequality_holds_4se": True, "claim_samples": 50001, "claim_violations": 0,
-        "claim_max_gap": -8.545592300457372e-07,
+        "claim_max_gap": -1.4961351229025865e-06,
         "exact_lhs": 0.31882112276166324, "exact_rhs": 0.10164690831900755}
 
 
@@ -425,14 +425,14 @@ def test_higher_sphere_cap_golden_summaries():
     # the exact summaries at one, two and three workers; the 400 cap
     # angles, not R^7, size the 200-caps chunks
     assert run_higher_sphere(CAPS_200, 3, 6, 0.7, 20_000, seed=5).summary == {
-        "lhs": 1.0, "lhs_se": 0.0, "rhs": 0.47945, "rhs_se": 0.003532546514201901,
+        "lhs": 1.0, "lhs_se": 0.0, "rhs": 0.4782, "rhs_se": 0.0035321718531237975,
         "inequality_holds_4se": True, "claim_samples": 20000, "claim_violations": 0,
-        "claim_max_gap": -0.001888306791959754}
+        "claim_max_gap": -0.0022917390625858403}
     assert run_higher_sphere(ONE_CAP, 2, 5, 0.8, 30_001, seed=9).summary == {
-        "lhs": 0.6809773007566414, "lhs_se": 0.002690972409609154,
-        "rhs": 0.24415852804906504, "rhs_se": 0.00248018137730768,
+        "lhs": 0.685310489650345, "lhs_se": 0.002681124353685405,
+        "rhs": 0.24252524915836138, "rhs_se": 0.0024745412323952448,
         "inequality_holds_4se": True, "claim_samples": 30001, "claim_violations": 0,
-        "claim_max_gap": -0.0003910086923462064}
+        "claim_max_gap": -0.0005360162551053538}
 
 
 @pytest.mark.parametrize("cap_spec, n, m", [

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -119,9 +121,9 @@ def test_sigma_mc_rejects_zero_samples():
 # at one and at two workers; 10^6 rows at m = 30 are 244 blocks of
 # STREAM_ROWS (4096) and a short one of 576 rows
 SIGMA_MC_GOLDEN = [
-    ((3, 1, 0.5), 100_000, 1, (0.23024, 0.0013312758632229459)),
-    ((15, 7, 0.9), 123_457, 2, (0.7363454482127381, 0.0012540087888325182)),
-    ((30, 15, 0.7), 1_000_000, 3, (0.297002, 0.0004569374267840182)),
+    ((3, 1, 0.5), 100_000, 1, (0.22997, 0.0013307283686011958)),
+    ((15, 7, 0.9), 123_457, 2, (0.7354463497412055, 0.001255378012246498)),
+    ((30, 15, 0.7), 1_000_000, 3, (0.297152, 0.0004570040359734255)),
 ]
 
 
@@ -199,7 +201,7 @@ def test_sigma_mc_memory_does_not_grow_with_samples():
 def test_mc_sigma_body_golden_value_and_chunk_size(monkeypatch):
     # the exact (est, se) at one and at two workers
     K = product_body(ball(2, 1.0), ball(3, 0.2))
-    assert mc_sigma_body(K, 0.3, 300_001, seed=4) == (0.1263262455791814, 0.0006065408954752952)
+    assert mc_sigma_body(K, 0.3, 300_001, seed=4) == (0.12459625134582884, 0.0006029694904503585)
     alone = mc_sigma_body(K, 0.3, 20_001, seed=5)
     monkeypatch.setattr(_util, "CHUNK_FLOATS", 7 * 5)  # 7 points of R^5
     assert mc_sigma_body(K, 0.3, 20_001, seed=5) == alone
@@ -241,6 +243,109 @@ def test_mc_samplers_do_not_depend_on_the_worker_count_or_the_chunk(monkeypatch,
     assert runs[1] == runs[0] and runs[2] == runs[0]
     # the blocks' streams are built from ss, not spawned from it
     assert ss.n_children_spawned == 0
+
+
+@pytest.mark.parametrize("run", [
+    lambda n: sigma_mc(SubsphereQuery(15, 7, 0.9), n, seed=1),
+    lambda n: mc_sigma_body(ball(3, 0.5), 0.3, n, seed=1),
+    lambda n: mc_volume(cross_polytope(3, 1.0), n, seed=1),
+], ids=["sigma_mc", "mc_sigma_body", "mc_volume"])
+def test_mc_samplers_take_integer_sample_counts_only(run):
+    for samples in (1e4, 10.5):
+        with pytest.raises(DomainError, match="samples"):
+            run(samples)
+    assert run(np.int64(5000)) == run(5000)
+
+
+class BlockFailed(Exception):
+    pass
+
+
+def _hit_fraction_of(seed):
+    return _util.hit_fraction(9000, 3, lambda rng, m: rng.standard_normal((m, 3))[:, 0] > 0, seed)
+
+
+def _within(seconds, fn):
+    """fn() run on its own thread, so that a pool that deadlocks fails the
+    test instead of hanging it; fn's exception is raised here."""
+    out = []
+
+    def run():
+        try:
+            out.append((True, fn()))
+        except BaseException as exc:
+            out.append((False, exc))
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=seconds)
+    assert not runner.is_alive(), f"block_reduce did not return within {seconds} s"
+    ok, value = out[0]
+    if not ok:
+        raise value
+    return value
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_block_pool_raises_a_failed_block_and_serves_the_next_call(monkeypatch, workers):
+    monkeypatch.setattr(_util, "cpu_count", lambda: 1)
+    serial = _hit_fraction_of(23)
+    monkeypatch.setattr(_util, "cpu_count", lambda: workers)
+    calls = []
+    lock = threading.Lock()
+
+    def chunk(rng, m):
+        with lock:
+            calls.append(m)
+            if len(calls) == 2:
+                raise BlockFailed("block failed")
+        return m
+
+    with pytest.raises(BlockFailed):
+        _within(30, lambda: _util.block_reduce(5 * _util.STREAM_ROWS, 3, chunk,
+                                               lambda a, b: a + b, seed=23))
+    assert _within(30, lambda: _hit_fraction_of(23)) == serial
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_block_pool_reduces_a_nested_call_without_deadlock(monkeypatch, workers):
+    # every block of the outer stream runs a whole hit_fraction, seeded by
+    # its own stream, from the caller or from a helper thread of the pool,
+    # whose helpers the outer blocks may all hold; the outer blocks'
+    # results concatenate in block order
+    monkeypatch.setattr(_util, "STREAM_ROWS", 500)
+
+    def outer():
+        return _util.block_reduce(
+            2001, 3, lambda rng, m: [(m, _hit_fraction_of(int(rng.integers(2**32))))],
+            lambda a, b: a + b, seed=29)
+
+    monkeypatch.setattr(_util, "cpu_count", lambda: 1)
+    serial = outer()
+    assert len(serial) == 5
+    monkeypatch.setattr(_util, "cpu_count", lambda: workers)
+    # switch threads often, so that a claim or count lost between them shows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _within(30, outer) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("query", [(3, 1, 0.5), (15, 7, 0.9)], ids=["m3", "m15"])
+def test_sigma_mc_streams_are_calibrated_against_sigma_exact(monkeypatch, query):
+    # the goldens pin bits, not the quality of the streams: over 300 seeds
+    # the z-scores of 2000-row estimates (four blocks of 500 rows, so that
+    # a block stream repeated or shared would inflate their spread) have
+    # mean 0 and sd 1, within about 4 standard errors of either
+    monkeypatch.setattr(_util, "STREAM_ROWS", 500)
+    q, samples, seeds = SubsphereQuery(*query), 2000, 300
+    p = sigma_exact(q)
+    z = np.array([sigma_mc(q, samples, seed=s)[0] - p for s in range(seeds)])
+    z /= math.sqrt(p * (1 - p) / samples)
+    assert abs(z.mean()) < 4 / math.sqrt(seeds)
+    assert abs(z.std(ddof=1) - 1) < 4 / math.sqrt(2 * seeds)
 
 
 # ---------------------------------------------------------------------------
