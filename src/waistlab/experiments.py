@@ -31,7 +31,7 @@ from .estimators import (diameter_of_intersection, inclusion_radius, mc_sigma_bo
 from .geometry import canonical_frame, haar_rotations_per_seed, lift_waist
 from .measures import (DEFAULT_CONSTANTS, BoundConstants, SubsphereQuery, sigma_ball_product,
                        sigma_exact, sigma_lip_lower)
-from .optimize import DEFAULT_OPT, OptimizerConfig, minimize_on_sphere
+from .optimize import DEFAULT_OPT, OptimizerConfig, bracketed, minimize_on_sphere
 
 __all__ = [
     "ScheduleParams",
@@ -339,16 +339,17 @@ def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
     radius of K + UL; dual_products (dual modes only) adds the polar
     intersection diameter times the hull-of-union inclusion radius, whose
     exact value is 2.  Both minimize one field, max(h_K, h_UL), so a trial
-    whose radius r is certified gets the polar diameter 2 / r; only the
+    whose radius r is certified gets the polar diameter 2 / r, and so does
+    one whose bracket is within 64 n eps of r (optimize.bracketed): its
+    exact stages' result is kept without a seeded descent, so a polar
+    rerun would return the same result, 2 / r to the bit.  Its
+    dual_product is (2 / r) r, as a certified trial's is.  Only the other
     open trials are minimized again, through the polars, with their own
-    optimizer seed (opt.seed + 7919).  A trial whose exact stages bracket
-    it tightly keeps the stage's result without a seeded descent, so its
-    polar rerun returns the same result: its polar diameter is 2 / r to
-    the bit, and its dual_product is (2 / r) r, as a certified trial's
-    is.  The hypotheses come first, with opt; a refuted one raises
-    HypothesisError.  Primal: section diameters within section_bound +
-    SECTION_TOL, certified if their upper brackets are.  Dual: B in P K
-    and Q L (bodies.unit_ball_check).  summary["hypothesis"] reports them.
+    optimizer seed (opt.seed + 7919).  The hypotheses come first, with
+    opt; a refuted one raises HypothesisError.  Primal: section diameters
+    within section_bound + SECTION_TOL, certified if their upper brackets
+    are.  Dual: B in P K and Q L (bodies.unit_ball_check).
+    summary["hypothesis"] reports them.
     """
     if mode not in ("primal", "dual", "both"):
         raise DomainError(f"mode must be primal, dual, or both, got {mode!r}")
@@ -415,9 +416,10 @@ def run_two_bodies(K: Body, L: Body, n: int, k: int, *, trials: int, seed=0,
             row["incl_sum"] = incl.value
         if dual_products:
             # the polar diameter field is the hull-of-union field, so a
-            # certified radius r gives the polar diameter 2 / r
+            # certified or tightly bracketed radius r gives the polar diameter 2 / r
             imax = inclusion_radius(K, L, rotations, opt=opt, combine="max")
-            open_trials = np.array([im.lower_bracket != im.value for im in imax], dtype=bool)
+            open_trials = np.array([not bracketed(im.value, im.lower_bracket, n) for im in imax],
+                                   dtype=bool)
             alt = replace(opt, seed=opt.seed + 7919)
             pd = iter(diameter_of_intersection(*polar_pair, rotations[open_trials], opt=alt))
             for row, im, is_open in zip(rows, imax, open_trials):

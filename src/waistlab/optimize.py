@@ -215,12 +215,18 @@ def minimize_on_sphere_batch(pieces, n: int, count: int, cfg: OptimizerConfig = 
     return results
 
 
+def bracketed(value, lower, n):
+    """Whether lower (None: no bound) bounds a minimum on the sphere of R^n
+    within 64 n eps of its finite value, the gap at which the cutting-plane
+    rounds stall."""
+    return (lower is not None and math.isfinite(value)
+            and value - lower <= 64 * n * np.finfo(float).eps * abs(value))
+
+
 def _bracketed(res, n):
-    """Whether a stage bounded the field within 64 n eps of its finite
-    value, the gap at which the cutting-plane rounds stall: such a field
-    keeps the stage's result, and is not descended."""
-    return (res is not None and res.lower is not None and math.isfinite(res.value)
-            and res.value - res.lower <= 64 * n * np.finfo(float).eps * abs(res.value))
+    """Whether a stage bounded the field within 64 n eps of its value (see
+    bracketed): such a field keeps the stage's result, and is not descended."""
+    return res is not None and bracketed(res.value, res.lower, n)
 
 
 def _exact(pieces, n):
@@ -799,10 +805,24 @@ def _cauchy_schwarz(pieces, n, count):
     eps up to 1/2, each by its split bound, up to the first link whose
     bound is below that level.  The rest is searched in the log-odds
     t = log(w / (1 - w)), so that bisection refines the ends
-    geometrically: 16 equal cells between the ladders' ends, or
-    |t| <= T = log(1 / eps), where w is resolved to eps, and the end
-    intervals beyond T where no ladder starts.  An open interval is split
-    at its midpoint, whose eigenvector is a candidate.
+    geometrically: a first pass bounds 16 equal cells between the
+    ladders' ends, or |t| <= T = log(1 / eps), where w is resolved to
+    eps, and the end intervals beyond T where no ladder starts.
+
+    A doubling link [z / 2, z] pairs p = 1 / z with q = 1 / (1 - z / 2),
+    so near a kernel end its split bound grows like
+    z (c / 2 - beta^2 / sigma^2) where g grows like z (c - beta^2 / sigma^2)
+    (c, beta and sigma as in _split_bounds): with c / 2 < beta^2 / sigma^2
+    < c the ladder stops near z = 1e-12, though the minimum sits at its
+    end.  So a field that the first pass leaves open climbs on, from each
+    end whose ladder stopped short of 1/2, through the eighths of the
+    failing link and of every later one, links at ratio 2^(1/8) whose
+    bounds grow like z (0.92 c - beta^2 / sigma^2), and its first pass is
+    made again between the new ends.  The field keeps that pass if it
+    leaves no interval open, and then is exact with its kernel-end
+    candidates alone; else it keeps the first pass, so that it is searched
+    as if the fine links were not there.  An open interval is split at its
+    midpoint, whose eigenvector is a candidate.
 
     A field is exact when all its intervals are pruned and the best
     candidate's squared value is within tol of the least bound.  Its
@@ -817,23 +837,27 @@ def _cauchy_schwarz(pieces, n, count):
     _least does, and the answer keeps the value offer computed.
     """
     eps, out = np.finfo(float).eps, [None] * count
-    M = [np.broadcast_to(part[0].matrix, (count,) + part[0].matrix.shape[-2:])
-         for part in pieces[0].parts]
+    parts = [part[0].matrix for part in pieces[0].parts]
+    M = [np.broadcast_to(m, (count,) + m.shape[-2:]) for m in parts]
     fields = np.flatnonzero(np.all(np.isfinite(M[0]), axis=(1, 2))
                             & np.all(np.isfinite(M[1]), axis=(1, 2)))
     if not fields.size:
         return out
     M, F = [Mi[fields] for Mi in M], len(fields)
-    Q = [Mi @ Mi.swapaxes(1, 2) for Mi in M]
-    svds = [np.linalg.svd(Mi, full_matrices=True)[:2] for Mi in M]
+    # Q_i and the SVD of M_i, once for a matrix that every field shares,
+    # such as K's support in the harnesses' fields h_K(u) + h_L(U^T u)
+    each = [np.zeros(F, dtype=int) if m.ndim == 2 else slice(None) for m in parts]
+    X = [Mi[:1] if m.ndim == 2 else Mi for m, Mi in zip(parts, M)]
+    Q = [(Xi @ Xi.swapaxes(1, 2))[k] for Xi, k in zip(X, each)]
+    svds = [[x[k] for x in np.linalg.svd(Xi, full_matrices=True)[:2]] for Xi, k in zip(X, each)]
     norms = [s[:, 0] if s.shape[1] else np.zeros(F) for _, s in svds]
     tol = 64 * n * eps * (norms[0] ** 2 + norms[1] ** 2)
     # kernel ends: a candidate per field and the inputs of _split_bounds,
-    # which are NaN for a field whose M_a has no kernel
-    cand_u, cand_f, ends = [], [], []
+    # sigma, eta, c and beta, in column a F + j for field j at the end where
+    # M_a has its kernel, NaN where it has none
+    cand_u, cand_f, ends = [], [], np.full((4, 2 * F), np.nan)
     for a, (Ua, s) in enumerate(svds):
         ranks = np.sum(s > max(M[a].shape[1:]) * eps * norms[a][:, None], axis=1)
-        end = np.full((4, F), np.nan)  # sigma, eta, c, beta
         Mb = M[1 - a]
         for r in np.unique(ranks[ranks < n]):
             f = np.flatnonzero(ranks == r)
@@ -847,9 +871,8 @@ def _cauchy_schwarz(pieces, n, count):
             eta = np.linalg.norm(K.swapaxes(1, 2) @ M[a][f], axis=(1, 2)) + rounding
             beta = (np.linalg.norm(KM @ (R.swapaxes(1, 2) @ Mb[f]).swapaxes(1, 2), 2, axis=(1, 2))
                     if r else 0.0)
-            end[:, f] = np.broadcast_arrays(sigma, eta, c[:, 0] - n * eps * norms[1 - a][f] ** 2,
-                                            beta)
-        ends.append(end)
+            ends[:, a * F + f] = np.broadcast_arrays(
+                sigma, eta, c[:, 0] - n * eps * norms[1 - a][f] ** 2, beta)
 
     def weights(t):
         # w(t) = 1 / (1 + e^-t) and 1 - w(t), each accurate at its end
@@ -865,9 +888,9 @@ def _cauchy_schwarz(pieces, n, count):
     def bounds(f, ta, tb, level):
         (a, va), (b, vb) = weights(ta), weights(tb)
         out = least(matrices(f, va, b)) / (b * va)
-        for i, end in enumerate(ends):
-            p, q = (1.0 / b, 1.0 / va) if i == 0 else (1.0 / va, 1.0 / b)
-            out = np.fmax(out, _split_bounds(p, q, *end[:, f]))  # fmax skips the NaN
+        p, q = 1.0 / b, 1.0 / va
+        split = _split_bounds(np.r_[p, q], np.r_[q, p], *ends[:, np.r_[f, F + f]])
+        out = np.fmax(out, np.fmax(split[:len(f)], split[len(f):]))  # fmax skips the NaN
         tangent = (out < level) & np.isfinite(ta) & np.isfinite(tb)
         if tangent.any():
             f, a, va, b, vb = f[tangent], a[tangent], va[tangent], b[tangent], vb[tangent]
@@ -893,37 +916,68 @@ def _cauchy_schwarz(pieces, n, count):
 
     if cand_f:
         offer(np.concatenate(cand_f), np.vstack(cand_u))
-    # from each kernel end, the links [z_{j-1}, z_j] of z = w (or 1 - w),
-    # z_0 = 0 and z_j doubling from eps to 1/2, each bounded by the split
-    floor, T = np.full(F, np.inf), -math.log(eps)
-    span = [np.full(F, -T), np.full(F, T)]  # the grid's ends in t
-    aim = best ** 2 - 0.5 * tol
-    z = np.exp2(np.arange(math.log2(eps), 0.0))[:, None]
-    q = 1.0 / (1.0 - np.vstack([0.0, z[:-1]]))
-    for i, end in enumerate(ends):
-        # a ladder ends before its first link whose bound is below aim; an
-        # end without a kernel has NaN bounds and no links
-        bound = _split_bounds(1.0 / z, q, *end)
-        used = np.logical_and.accumulate(bound >= aim, axis=0)
-        floor = np.minimum(floor, np.where(used, bound, np.inf).min(axis=0))
-        top = np.where(used, z, 0.0).max(axis=0)
+    aim, T = best ** 2 - 0.5 * tol, -math.log(eps)
+
+    def ladder(lo, hi, e, skip=False):
+        # the links [lo, hi] of z = w (or 1 - w) that the ladders of the
+        # columns e of ends use, each bounded by the split: from the first
+        # link not skipped up to the first whose bound is below aim; an end
+        # without a kernel has NaN bounds and no links.  (links used, their
+        # least bound, top)
+        bound = _split_bounds(1.0 / hi, 1.0 / (1.0 - lo), *ends[:, e])
+        used = np.logical_and.accumulate(skip | (bound >= aim[e % F]), axis=0) & ~skip
+        return (used.sum(axis=0), np.where(used, bound, np.inf).min(axis=0),
+                np.where(used, hi, 0.0).max(axis=0))
+
+    def first_pass(f, top):
+        # the intervals of fields f: 16 equal cells of t between the ends
+        # of the ladders, whose tops are top[0] and top[1], or between -T
+        # and T, where w is resolved to eps, and the end intervals beyond
+        # -T and T, each with its bound
         with np.errstate(divide="ignore"):
-            t = np.log(top) - np.log1p(-top)
-        span[i] = np.where(top > 0.0, t if i == 0 else -t, span[i])
-    # 16 equal cells between the ladders, or between +-T, where w is resolved
-    # to eps, and the end intervals beyond +-T
-    lo, hi = span
-    k = np.arange(17) / 16
-    cells = np.flatnonzero(lo < hi)
-    grid = lo[cells, None] + (hi - lo)[cells, None] * k
-    grid[:, -1] = hi[cells]
-    left, right = np.flatnonzero(lo == -T), np.flatnonzero(hi == T)
-    fi = np.concatenate([np.repeat(cells, 16), left, right])
-    ta = np.concatenate([grid[:, :-1].ravel(), np.full(len(left), -np.inf),
-                         np.full(len(right), T)])
-    tb = np.concatenate([grid[:, 1:].ravel(), np.full(len(left), -T),
-                         np.full(len(right), np.inf)])
-    lower = bounds(fi, ta, tb, aim[fi])
+            t = np.where(top > 0.0, np.log(top) - np.log1p(-top), -T)
+        lo, hi = t[0], -t[1]
+        c = lo < hi
+        g = lo[c, None] + (hi - lo)[c, None] * (np.arange(17) / 16)
+        g[:, -1] = hi[c]
+        left, right = f[lo == -T], f[hi == T]
+        fi = np.concatenate([np.repeat(f[c], 16), left, right])
+        ta = np.concatenate([g[:, :-1].ravel(), np.full(len(left), -np.inf),
+                             np.full(len(right), T)])
+        tb = np.concatenate([g[:, 1:].ravel(), np.full(len(left), -T),
+                             np.full(len(right), np.inf)])
+        return fi, ta, tb, bounds(fi, ta, tb, aim[fi])
+
+    def open_fields(fi, lower):
+        return np.bincount(fi[lower < aim[fi]], minlength=F) > 0
+
+    # from each kernel end, the links [z_{j-1}, z_j] with z_0 = 0 and z_j
+    # doubling from eps to 1/2
+    z = np.exp2(np.arange(math.log2(eps), 0.0))[:, None]
+    stop, floor, top = ladder(np.vstack([0.0, z[:-1]]), z, np.arange(2 * F))
+    floor, top = np.minimum(floor[:F], floor[F:]), top.reshape(2, F)
+    fi, ta, tb, lower = first_pass(np.arange(F), top)
+    # a field that this pass leaves open climbs on, from each end whose
+    # doubling ladder stopped short of 1/2, through the eighths of the
+    # failing link and of the later ones (fine link 8 (j - 1) + i is the
+    # i-th eighth of [z_{j-1}, z_j]), and makes its first pass again; it
+    # keeps the new pass if that leaves no interval open
+    short = (0 < stop) & (stop < len(z))
+    e = np.flatnonzero(short & np.tile(open_fields(fi, lower), 2))
+    if e.size:
+        fine = np.exp2(np.arange(8 * math.log2(eps), -8) / 8)[:, None]
+        skip = np.arange(len(fine))[:, None] < 8 * (stop[e] - 1)
+        _, bound, climbed = ladder(fine, np.vstack([fine[1:], 0.5]), e, skip)
+        f = np.unique(e % F)
+        fine_floor, climb = floor.copy(), top.copy()
+        np.minimum.at(fine_floor, e % F, bound)
+        climb.flat[e] = np.maximum(climb.flat[e], climbed)
+        again = first_pass(f, climb[:, f])
+        done = np.isin(np.arange(F), f) & ~open_fields(again[0], again[3])
+        floor[done] = fine_floor[done]
+        keep, new = ~done[fi], done[again[0]]
+        fi, ta, tb, lower = (np.concatenate([x[keep], y[new]])
+                             for x, y in zip((fi, ta, tb, lower), again))
     while True:
         live = lower < (best ** 2 - 0.5 * tol)[fi]
         tm = 0.5 * (ta + tb)

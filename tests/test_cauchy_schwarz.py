@@ -27,6 +27,11 @@ def _flat_disk(n):
     return product_body(ball(n - 1, 1.0), ball(1, 0.0))
 
 
+def _flat_disk_sums(n, rotations):
+    flat = _flat_disk(n)
+    return sum_pieces((flat.support_pieces, map_pieces(flat.support_pieces, rotations)))
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_flat_disk_inclusion_radius_has_its_closed_form(n):
     # h_K(u) + h_K(U^T u) is least at the apex e_n of K's support cone,
@@ -70,17 +75,47 @@ def test_descent_never_beats_the_exact_value(K, L):
         assert other.value >= res.value * (1.0 - 1e-14)
 
 
-@pytest.mark.parametrize("n, budget", [(4, 800), (6, 640), (8, 120)])
+@pytest.mark.parametrize("n, budget", [(4, 40), (6, 40), (8, 40)])
 def test_kernel_end_ladders_prune_the_flat_disk_fields(n, budget):
     # the minima sit at the kernel ends, which the ladders prune before the
-    # grid: 688 / 540 / 60 candidates at n = 4 / 6 / 8, and 1113 / 1054 /
-    # 476 when the grid is searched without them
+    # grid, and the grid's first pass prunes the rest: each field takes its
+    # 2 kernel-end candidates, against 668 / 520 / 40 candidates at
+    # n = 4 / 6 / 8 with doubling links alone
     rotations = _criterion_9_rotations(n, 20)
-    flat = _flat_disk(n)
-    pieces = sum_pieces((flat.support_pieces, map_pieces(flat.support_pieces, rotations)))
-    results = optimize._cauchy_schwarz(pieces, n, len(rotations))
+    results = optimize._cauchy_schwarz(_flat_disk_sums(n, rotations), n, len(rotations))
     assert all(res.stage == "exact" for res in results)
     assert sum(res.nfev for res in results) <= budget
+
+
+# flat-disk fields whose doubling ladders stop near z = 1e-12, since the
+# bound of a link [z / 2, z] grows like z (c / 2 - beta^2 / sigma^2) where
+# the field grows like z (c - beta^2 / sigma^2): doubling links alone leave
+# them to 269, 165 and 126 candidates of grid bisection
+HARD_FLAT_DISKS = [(4, 15), (6, 0), (8, 21)]
+
+
+@pytest.mark.parametrize("n, seed", HARD_FLAT_DISKS)
+def test_fine_ladder_links_certify_kernel_end_minima(n, seed):
+    U = haar_rotation(n, seed=seed)
+    res, = optimize._cauchy_schwarz(_flat_disk_sums(n, U[None]), n, 1)
+    assert res.stage == "exact" and res.nfev == 2 and res.lower == res.value
+    closed = math.sqrt(1.0 - U[n - 1, n - 1] ** 2)
+    assert res.value == pytest.approx(closed, rel=4 * np.finfo(float).eps, abs=0)
+
+
+@pytest.mark.parametrize("n, seed", HARD_FLAT_DISKS)
+def test_fields_that_climb_the_fine_ladder_keep_their_solo_results_in_lockstep(n, seed):
+    # the hard field between easy ones of criterion 9's run: each field's
+    # result in one lockstep call is its one-field call's, bit for bit
+    rotations = np.concatenate([_criterion_9_rotations(n, 4)[:2],
+                                haar_rotation(n, seed=seed)[None],
+                                _criterion_9_rotations(n, 4)[2:]])
+    mixed = optimize._cauchy_schwarz(_flat_disk_sums(n, rotations), n, len(rotations))
+    for U, res in zip(rotations, mixed):
+        solo, = optimize._cauchy_schwarz(_flat_disk_sums(n, U[None]), n, 1)
+        assert (res.value, res.lower, res.stage, res.nfev) == (
+            solo.value, solo.lower, solo.stage, solo.nfev)
+        assert res.direction.tobytes() == solo.direction.tobytes()
 
 
 def test_nearly_coincident_disks_carry_the_stage_bound():
