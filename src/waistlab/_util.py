@@ -51,7 +51,10 @@ def strict_bool(value):
 def seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    return np.random.SeedSequence(seed)
+    try:
+        return np.random.SeedSequence(seed)
+    except ValueError:  # numpy's message does not name the seed
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}") from None
 
 
 def worker_count() -> int:

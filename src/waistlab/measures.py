@@ -300,7 +300,7 @@ def chisq_cdf(k: int, x: float) -> float:
     """Chi-square CDF with k degrees of freedom (regularized lower gamma)."""
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise DomainError(f"degrees of freedom must be a positive integer, got {k}")
-    if x < 0:
+    if not x >= 0:  # NaN fails it too
         raise DomainError(f"x must be nonnegative, got {x}")
     return float(gammainc(k / 2.0, x / 2.0))
 

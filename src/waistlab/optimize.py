@@ -800,29 +800,22 @@ def _cauchy_schwarz(pieces, n, count):
     An interval is pruned once its bound is within tol / 2 of the best
     candidate's squared value, tol = 64 n eps (|M_1|_2^2 + |M_2|_2^2),
     which leaves the other half of tol to the exactness test below.  From
-    each kernel end, a ladder of intervals of z = w (or 1 - w) is pruned
-    first: the links [z_{j-1}, z_j], with z_0 = 0 and z_j doubling from
-    eps up to 1/2, each by its split bound, up to the first link whose
-    bound is below that level.  The rest is searched in the log-odds
-    t = log(w / (1 - w)), so that bisection refines the ends
-    geometrically: a first pass bounds 16 equal cells between the
-    ladders' ends, or |t| <= T = log(1 / eps), where w is resolved to
-    eps, and the end intervals beyond T where no ladder starts.
+    each kernel end, one ladder of intervals of z = w (or 1 - w) is pruned
+    first: the links [z_{j-1}, z_j], with z_0 = 0 and z_j growing by
+    2^(1/8) from eps up to 1/2, each by its split bound, up to the first
+    link whose bound is below that level.  A link [z_{j-1}, z_j] pairs
+    p = 1 / z_j with q = 1 / (1 - z_{j-1}), so near a kernel end its
+    bound grows like z (0.92 c - beta^2 / sigma^2) where g grows like
+    z (c - beta^2 / sigma^2) (c, beta and sigma as in _split_bounds): at
+    a minimum at a kernel end, the ladder climbs on past its first links
+    unless beta^2 / sigma^2 > 0.92 c.
 
-    A doubling link [z / 2, z] pairs p = 1 / z with q = 1 / (1 - z / 2),
-    so near a kernel end its split bound grows like
-    z (c / 2 - beta^2 / sigma^2) where g grows like z (c - beta^2 / sigma^2)
-    (c, beta and sigma as in _split_bounds): with c / 2 < beta^2 / sigma^2
-    < c the ladder stops near z = 1e-12, though the minimum sits at its
-    end.  So a field that the first pass leaves open climbs on, from each
-    end whose ladder stopped short of 1/2, through the eighths of the
-    failing link and of every later one, links at ratio 2^(1/8) whose
-    bounds grow like z (0.92 c - beta^2 / sigma^2), and its first pass is
-    made again between the new ends.  The field keeps that pass if it
-    leaves no interval open, and then is exact with its kernel-end
-    candidates alone; else it keeps the first pass, so that it is searched
-    as if the fine links were not there.  An open interval is split at its
-    midpoint, whose eigenvector is a candidate.
+    The rest is searched in the log-odds t = log(w / (1 - w)), so that
+    bisection refines the ends geometrically: one first pass bounds 16
+    equal cells between the ladders' tops, or |t| <= T = log(1 / eps),
+    where w is resolved to eps, and the end intervals beyond T where no
+    ladder starts.  An open interval is split at its midpoint, whose
+    eigenvector is a candidate.
 
     A field is exact when all its intervals are pruned and the best
     candidate's squared value is within tol of the least bound.  Its
@@ -918,66 +911,28 @@ def _cauchy_schwarz(pieces, n, count):
         offer(np.concatenate(cand_f), np.vstack(cand_u))
     aim, T = best ** 2 - 0.5 * tol, -math.log(eps)
 
-    def ladder(lo, hi, e, skip=False):
-        # the links [lo, hi] of z = w (or 1 - w) that the ladders of the
-        # columns e of ends use, each bounded by the split: from the first
-        # link not skipped up to the first whose bound is below aim; an end
-        # without a kernel has NaN bounds and no links.  (links used, their
-        # least bound, top)
-        bound = _split_bounds(1.0 / hi, 1.0 / (1.0 - lo), *ends[:, e])
-        used = np.logical_and.accumulate(skip | (bound >= aim[e % F]), axis=0) & ~skip
-        return (used.sum(axis=0), np.where(used, bound, np.inf).min(axis=0),
-                np.where(used, hi, 0.0).max(axis=0))
-
-    def first_pass(f, top):
-        # the intervals of fields f: 16 equal cells of t between the ends
-        # of the ladders, whose tops are top[0] and top[1], or between -T
-        # and T, where w is resolved to eps, and the end intervals beyond
-        # -T and T, each with its bound
-        with np.errstate(divide="ignore"):
-            t = np.where(top > 0.0, np.log(top) - np.log1p(-top), -T)
-        lo, hi = t[0], -t[1]
-        c = lo < hi
-        g = lo[c, None] + (hi - lo)[c, None] * (np.arange(17) / 16)
-        g[:, -1] = hi[c]
-        left, right = f[lo == -T], f[hi == T]
-        fi = np.concatenate([np.repeat(f[c], 16), left, right])
-        ta = np.concatenate([g[:, :-1].ravel(), np.full(len(left), -np.inf),
-                             np.full(len(right), T)])
-        tb = np.concatenate([g[:, 1:].ravel(), np.full(len(left), -T),
-                             np.full(len(right), np.inf)])
-        return fi, ta, tb, bounds(fi, ta, tb, aim[fi])
-
-    def open_fields(fi, lower):
-        return np.bincount(fi[lower < aim[fi]], minlength=F) > 0
-
-    # from each kernel end, the links [z_{j-1}, z_j] with z_0 = 0 and z_j
-    # doubling from eps to 1/2
-    z = np.exp2(np.arange(math.log2(eps), 0.0))[:, None]
-    stop, floor, top = ladder(np.vstack([0.0, z[:-1]]), z, np.arange(2 * F))
-    floor, top = np.minimum(floor[:F], floor[F:]), top.reshape(2, F)
-    fi, ta, tb, lower = first_pass(np.arange(F), top)
-    # a field that this pass leaves open climbs on, from each end whose
-    # doubling ladder stopped short of 1/2, through the eighths of the
-    # failing link and of the later ones (fine link 8 (j - 1) + i is the
-    # i-th eighth of [z_{j-1}, z_j]), and makes its first pass again; it
-    # keeps the new pass if that leaves no interval open
-    short = (0 < stop) & (stop < len(z))
-    e = np.flatnonzero(short & np.tile(open_fields(fi, lower), 2))
-    if e.size:
-        fine = np.exp2(np.arange(8 * math.log2(eps), -8) / 8)[:, None]
-        skip = np.arange(len(fine))[:, None] < 8 * (stop[e] - 1)
-        _, bound, climbed = ladder(fine, np.vstack([fine[1:], 0.5]), e, skip)
-        f = np.unique(e % F)
-        fine_floor, climb = floor.copy(), top.copy()
-        np.minimum.at(fine_floor, e % F, bound)
-        climb.flat[e] = np.maximum(climb.flat[e], climbed)
-        again = first_pass(f, climb[:, f])
-        done = np.isin(np.arange(F), f) & ~open_fields(again[0], again[3])
-        floor[done] = fine_floor[done]
-        keep, new = ~done[fi], done[again[0]]
-        fi, ta, tb, lower = (np.concatenate([x[keep], y[new]])
-                             for x, y in zip((fi, ta, tb, lower), again))
+    # the kernel-end ladders, in the columns of ends: an end without a
+    # kernel has NaN bounds and no links
+    z = np.exp2(np.arange(8 * math.log2(eps), -7) / 8)[:, None]
+    bound = _split_bounds(1.0 / z, 1.0 / (1.0 - np.vstack([0.0, z[:-1]])), *ends)
+    used = np.logical_and.accumulate(bound >= np.tile(aim, 2), axis=0)
+    floor = np.where(used, bound, np.inf).min(axis=0)
+    floor, top = np.minimum(floor[:F], floor[F:]), np.where(used, z, 0.0).max(axis=0)
+    # the first pass: 16 equal cells of t between the ladders' tops, or
+    # between -T and T, where w is resolved to eps, and the end intervals
+    # beyond -T and T, each with its bound
+    with np.errstate(divide="ignore"):
+        t = np.where(top > 0.0, np.log(top) - np.log1p(-top), -T)
+    lo, hi = t[:F], -t[F:]
+    c = lo < hi
+    g = lo[c, None] + (hi - lo)[c, None] * (np.arange(17) / 16)
+    g[:, -1] = hi[c]
+    f = np.arange(F)
+    left, right = f[lo == -T], f[hi == T]
+    fi = np.concatenate([np.repeat(f[c], 16), left, right])
+    ta = np.concatenate([g[:, :-1].ravel(), np.full(len(left), -np.inf), np.full(len(right), T)])
+    tb = np.concatenate([g[:, 1:].ravel(), np.full(len(left), -T), np.full(len(right), np.inf)])
+    lower = bounds(fi, ta, tb, aim[fi])
     while True:
         live = lower < (best ** 2 - 0.5 * tol)[fi]
         tm = 0.5 * (ta + tb)

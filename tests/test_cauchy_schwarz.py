@@ -79,18 +79,17 @@ def test_descent_never_beats_the_exact_value(K, L):
 def test_kernel_end_ladders_prune_the_flat_disk_fields(n, budget):
     # the minima sit at the kernel ends, which the ladders prune before the
     # grid, and the grid's first pass prunes the rest: each field takes its
-    # 2 kernel-end candidates, against 668 / 520 / 40 candidates at
-    # n = 4 / 6 / 8 with doubling links alone
+    # 2 kernel-end candidates
     rotations = _criterion_9_rotations(n, 20)
     results = optimize._cauchy_schwarz(_flat_disk_sums(n, rotations), n, len(rotations))
     assert all(res.stage == "exact" for res in results)
     assert sum(res.nfev for res in results) <= budget
 
 
-# flat-disk fields whose doubling ladders stop near z = 1e-12, since the
-# bound of a link [z / 2, z] grows like z (c / 2 - beta^2 / sigma^2) where
-# the field grows like z (c - beta^2 / sigma^2): doubling links alone leave
-# them to 269, 165 and 126 candidates of grid bisection
+# flat-disk fields with c / 2 < beta^2 / sigma^2 < c, where the bound of a
+# doubling link [z / 2, z] would grow like z (c / 2 - beta^2 / sigma^2)
+# and the field grows like z (c - beta^2 / sigma^2): links at ratio
+# 2^(1/8), whose bounds grow like z (0.92 c - beta^2 / sigma^2), climb on
 HARD_FLAT_DISKS = [(4, 15), (6, 0), (8, 21)]
 
 
@@ -103,33 +102,48 @@ def test_fine_ladder_links_certify_kernel_end_minima(n, seed):
     assert res.value == pytest.approx(closed, rel=4 * np.finfo(float).eps, abs=0)
 
 
-@pytest.mark.parametrize("n, seed", HARD_FLAT_DISKS)
-def test_fields_that_climb_the_fine_ladder_keep_their_solo_results_in_lockstep(n, seed):
-    # the hard field between easy ones of criterion 9's run: each field's
-    # result in one lockstep call is its one-field call's, bit for bit
-    rotations = np.concatenate([_criterion_9_rotations(n, 4)[:2],
-                                haar_rotation(n, seed=seed)[None],
-                                _criterion_9_rotations(n, 4)[2:]])
+def _keeps_solo_results_in_lockstep(U):
+    # U between easy fields of criterion 9's run: each field's result in
+    # one lockstep call is its one-field call's, bit for bit
+    n = len(U)
+    easy = _criterion_9_rotations(n, 4)
+    rotations = np.concatenate([easy[:2], U[None], easy[2:]])
     mixed = optimize._cauchy_schwarz(_flat_disk_sums(n, rotations), n, len(rotations))
-    for U, res in zip(rotations, mixed):
-        solo, = optimize._cauchy_schwarz(_flat_disk_sums(n, U[None]), n, 1)
+    for V, res in zip(rotations, mixed):
+        solo, = optimize._cauchy_schwarz(_flat_disk_sums(n, V[None]), n, 1)
         assert (res.value, res.lower, res.stage, res.nfev) == (
             solo.value, solo.lower, solo.stage, solo.nfev)
         assert res.direction.tobytes() == solo.direction.tobytes()
+    return mixed[2]
 
 
-def test_nearly_coincident_disks_carry_the_stage_bound():
-    # rotated by 1e-3 rad in the (e_1, e_n) plane, the two support cones
-    # nearly coincide and the search gives up at its budget: the field
-    # descends, with the stage's certified bound as its bracket
-    n, t = 4, 1e-3
+@pytest.mark.parametrize("n, seed", HARD_FLAT_DISKS)
+def test_fields_that_climb_the_fine_ladder_keep_their_solo_results_in_lockstep(n, seed):
+    _keeps_solo_results_in_lockstep(haar_rotation(n, seed=seed))
+
+
+def _nearly_coincident(n, t):
+    # rotated by t rad in the (e_1, e_n) plane, the two support cones
+    # nearly coincide
     U = np.eye(n)
     U[[0, 0, n - 1, n - 1], [0, n - 1, 0, n - 1]] = [math.cos(t), -math.sin(t),
                                                      math.sin(t), math.cos(t)]
-    res = inclusion_radius(_flat_disk(n), _flat_disk(n), U, opt=CFG)
+    return U
+
+
+def test_nearly_coincident_disks_carry_the_stage_bound():
+    # the search gives up at its budget: the field descends, with the
+    # stage's certified bound as its bracket
+    n, t = 4, 1e-3
+    res = inclusion_radius(_flat_disk(n), _flat_disk(n), _nearly_coincident(n, t), opt=CFG)
     assert res.note == "two-sided via Cauchy-Schwarz"
     assert 0.0 < res.lower_bracket <= res.value
     assert res.value == pytest.approx(math.sin(t), rel=1e-9)
+
+
+def test_a_field_that_gives_up_keeps_its_solo_result_in_lockstep():
+    res = _keeps_solo_results_in_lockstep(_nearly_coincident(4, 1e-3))
+    assert res.stage == "bound"
 
 
 @st.composite

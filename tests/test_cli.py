@@ -87,6 +87,19 @@ def test_bounds_usage_error(capsys):
     assert code == 2
 
 
+def test_bounds_chisq_nan_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "bounds", "chisq", "--k", "2", "--x", "nan")
+    assert code == 2 and out == ""
+    assert err == "error: x must be nonnegative, got nan\n"
+
+
+def test_sigma_negative_seed_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "sigma", "--sphere-dim", "2", "--subsphere-dim", "1",
+                             "--theta", "0.5", "--mc", "10", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: seed must be a non-negative integer, got -1\n"
+
+
 def test_body_subcommand(capsys, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"kind": "cube", "dim": 2, "half_width": 1.0}))
@@ -291,6 +304,18 @@ def test_config_malformed_cap_spec_field_is_a_usage_error(capsys, tmp_path, cap_
                              "--out", str(tmp_path / "out"))
     assert code == 2 and out == ""
     assert err.startswith(f"error: cap_spec.{key}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", [False, True], ids=["config", "flag"])
+def test_negative_seed_is_a_usage_error(capsys, tmp_path, flag):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(CORE_FLAT if flag else {**CORE_FLAT, "seed": -4}))
+    seed = ["--seed", "-4"] if flag else []
+    code, out, err = run_cli(capsys, "experiment", "core", "--config", str(path),
+                             "--out", str(tmp_path / "out"), *seed)
+    assert code == 2 and out == ""
+    assert err == "error: seed must be a non-negative integer, got -4\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -557,6 +557,8 @@ def test_chisq_domain():
     with pytest.raises(DomainError):
         chisq_cdf(2, -0.1)
     with pytest.raises(DomainError):
+        chisq_cdf(2, math.nan)
+    with pytest.raises(DomainError):
         chisq_cdf(0, 1.0)
 
 
